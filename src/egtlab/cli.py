@@ -25,8 +25,7 @@ from .diagnostics import elimination_metrics, verdict, w_series
 from .discrete import (BackgroundFitness, affine_background, constant_background,
                        geometric_background, iterate)
 from .dominance import find_dominator, iterate_elimination
-from .dynamics import (Coupled, GrowthRule, Schedule, Trajectory, integrate,
-                       write_trajectory_csv)
+from .dynamics import Coupled, GrowthRule, Schedule, integrate, write_trajectory_csv
 from .games import Game, game_from_dict, load_game
 from .links import (classify_link, discrete_effective_link, exp_link,
                     linear_link, log_link, parse_link, power_link,
@@ -216,26 +215,6 @@ def _emit_report(report: dict, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(traj: Trajectory, path, extras=None) -> None:
-    if not extras:
-        write_trajectory_csv(traj, path)
-        return
-    n = traj.log_states.shape[1]
-    cols = ["t"] + [f"x{i + 1}" for i in range(n)]
-    blocks = [traj.times[:, None], traj.states]
-    if traj.opp_states is not None:
-        cols += [f"y{j + 1}" for j in range(traj.opp_states.shape[1])]
-        blocks.append(traj.opp_states)
-    for name, series in extras.items():
-        cols.append(name)
-        blocks.append(np.asarray(series, dtype=float)[:, None])
-    data = np.hstack(blocks)
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in data:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -298,7 +277,7 @@ def cmd_simulate(args) -> int:
             min_support, product = elimination_metrics(traj, q)
             extras = {"w": w_series(traj, p, q), "min_support": min_support,
                       "product": product}
-        _write_csv(traj, traj_path, extras)
+        write_trajectory_csv(traj, traj_path, extras)
     _emit_report(report, args.out or cfg.get("output", {}).get("report"))
     return 0
 
@@ -388,7 +367,7 @@ def cmd_scenario(args) -> int:
             kwargs[attr] = value
     report, traj = runner(link, **kwargs)
     if args.traj:
-        _write_csv(traj, args.traj)
+        write_trajectory_csv(traj, args.traj)
     _emit_report(report, args.out)
     return 0 if report["ok"] else 3
 

@@ -2,8 +2,10 @@
 
 One generation multiplies every frequency by (C_n + g_i) / (C_n + gbar),
 where C_n is a background fitness schedule and g_i the linked payoff. The
-iteration runs in log space via log1p, so it tolerates backgrounds up to and
-including +inf (where the map freezes in place, exactly).
+iteration runs in log space via log1p on plain Python floats, over one
+population (playing itself or a scripted opponent) or a coupled pair, each
+restricted to its support when the run starts. It tolerates backgrounds up
+to and including +inf, where the map freezes in place, exactly.
 
 Whether the background schedule's reciprocal sum diverges decides how much
 cumulative selection pressure is available: affine schedules keep selecting
@@ -17,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .dynamics import (Coupled, GrowthRule, Schedule, Trajectory,
-                       _log_state, _raise_for_status)
+from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule,
+                       Trajectory, _renorm, _setup, _softmax, _trajectory)
 from .games import Game, validate_simplex
-from .links import eval_link, kernel_args
+from .links import eval_link
 
-_KINDS = {"constant": 0, "affine": 1, "geometric": 2}
+_KINDS = ("constant", "affine", "geometric")
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,15 @@ class BackgroundFitness:
         object.__setattr__(self, "rate", rate)
 
     def value(self, n: int) -> float:
-        return _kernels._background(_KINDS[self.kind], self.base, self.rate, n)
+        if self.kind == "constant":
+            return self.base
+        if self.kind == "affine":
+            return self.base + self.rate * n
+        # geometric through logs so huge horizons saturate to +inf instead of erroring
+        try:
+            return math.exp(math.log(self.base) + n * math.log(self.rate))
+        except OverflowError:
+            return math.inf
 
     @property
     def divergent_sum(self) -> bool:
@@ -73,7 +82,7 @@ def geometric_background(base: float, ratio: float) -> BackgroundFitness:
 
 def step(rule: GrowthRule | None, game: Game, x, y=None,
          C: float = 0.0) -> np.ndarray:
-    """One generation in plain frequency space (reference path, not the kernel)."""
+    """One generation in plain frequency space (reference path, not the stepper)."""
     rule = rule or GrowthRule()
     x = np.asarray(x, dtype=float)
     y = x if y is None else np.asarray(y, dtype=float)
@@ -119,6 +128,41 @@ def discrete_w_increment(rule: GrowthRule | None, game: Game, x, y, C: float,
     return total
 
 
+def _generations(pops, plays, background: BackgroundFitness, n_steps: int,
+                 sample_every: int):
+    """The ratio map over one or two populations, generation by generation.
+
+    Every numerator C_n + g_i is checked before any log1p. Samples land at
+    the start, every sample_every-th generation, and the last one. Returns
+    (sample times, logs per population at each sample, max drift).
+    """
+    zs = [pop.z for pop in pops]
+    times, samples, max_drift = [0.0], [zs], 0.0
+    for k in range(n_steps):
+        t = float(k)
+        xs = [_softmax(z) for z in zs]
+        rates = [pop.growth(x, y, t, k) for pop, x, y in zip(pops, xs, plays(t, xs))]
+        C = background.value(k)
+        for pop, (_, g, _) in zip(pops, rates):
+            if not C + min(g) > 0.0:
+                i = next(i for i, gi in enumerate(g) if not C + gi > 0.0)
+                raise IntegrationError(
+                    f"background plus growth rate not positive at generation {k} "
+                    f"({pop.name(i)})", t=t, step=k)
+        new = []
+        for z, (_, g, gbar) in zip(zs, rates):
+            denom = C + gbar
+            z, drift = _renorm([zi + math.log1p((gi - gbar) / denom)
+                                for zi, gi in zip(z, g)], t, k)
+            new.append(z)
+            max_drift = max(max_drift, drift)
+        zs = new
+        if (k + 1) % sample_every == 0 or k + 1 == n_steps:
+            times.append(float(k + 1))
+            samples.append(zs)
+    return times, samples, max_drift
+
+
 def iterate(rule: GrowthRule | None, game: Game, x0,
             opponent: Schedule | Coupled | None = None,
             n_max: int = 10_000,
@@ -138,63 +182,11 @@ def iterate(rule: GrowthRule | None, game: Game, x0,
         raise ValueError(f"n_max must be at least 1, got {n_max!r}")
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
-    n, m = game.n_rows, game.n_cols
-    z = _log_state(x0, n, "initial state")
-    bg = (_KINDS[background.kind], background.base, background.rate)
-    link_a = kernel_args(rule.effective_link)
-    info = np.zeros(4)
-    S = n_steps // sample_every + 2
-
-    if isinstance(opponent, Coupled):
-        if opponent.game.n_rows != m or opponent.game.n_cols != n:
-            raise ValueError(
-                f"coupled game must be {m}x{n} (opponent strategies x ours), "
-                f"got {opponent.game.n_rows}x{opponent.game.n_cols}")
-        if opponent.rule.speed is not None:
-            raise ValueError("speed factors only apply to the continuous flow")
-        z2 = _log_state(opponent.y0, m, "coupled initial state")
-        ts = np.zeros(S)
-        zs = np.zeros((S, n))
-        ws = np.zeros((S, m))
-        status, count = _kernels.run_discrete_coupled(
-            z, z2, game.payoff, opponent.game.payoff,
-            *link_a, *kernel_args(opponent.rule.effective_link),
-            *bg, n_steps, sample_every, ts, zs, ws, info)
-        if status != _kernels.OK:
-            _raise_for_status(status, info, n_pops=2)
-        meta = {"dynamics": "discrete", "steps": n_steps,
-                "background": background, "sample_every": sample_every,
-                "max_drift": float(info[_kernels.I_DRIFT]), "opponent": "coupled",
-                "rule": rule.label, "game": game.digest()}
-        return Trajectory(ts[:count], zs[:count], np.exp(ws[:count]),
-                          ws[:count], meta)
-
-    if isinstance(opponent, Schedule):
-        if opponent.n_strategies != m:
-            raise ValueError(
-                f"schedule rows have {opponent.n_strategies} entries, game has {m} columns")
-        sched_a = (opponent.period, opponent.times, opponent.values)
-        scripted = True
-    elif opponent is None:
-        if n != m:
-            raise ValueError(f"self-play needs a square game, got {n}x{m}")
-        sched_a = (1.0, np.zeros(1), np.zeros((1, 1)))
-        scripted = False
-    else:
-        raise TypeError(f"unsupported opponent {opponent!r}")
-
-    ts = np.zeros(S)
-    zs = np.zeros((S, n))
-    ys = np.zeros((S, m)) if scripted else np.zeros((1, 1))
-    status, count = _kernels.run_discrete(
-        z, game.payoff, *link_a, *bg, scripted, *sched_a,
-        n_steps, sample_every, ts, zs, ys, info)
-    if status != _kernels.OK:
-        _raise_for_status(status, info)
+    pops, plays, script, label = _setup(
+        rule, game, x0, opponent, "speed factors only apply to the continuous flow")
+    times, samples, max_drift = _generations(pops, plays, background, n_steps,
+                                             sample_every)
     meta = {"dynamics": "discrete", "steps": n_steps, "background": background,
-            "sample_every": sample_every,
-            "max_drift": float(info[_kernels.I_DRIFT]),
-            "opponent": "scripted" if scripted else "self",
-            "rule": rule.label, "game": game.digest()}
-    return Trajectory(ts[:count], zs[:count],
-                      ys[:count] if scripted else None, None, meta)
+            "sample_every": sample_every, "max_drift": max_drift,
+            "opponent": label, "rule": rule.label, "game": game.digest()}
+    return _trajectory(pops, script, times, samples, meta)

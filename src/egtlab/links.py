@@ -9,15 +9,13 @@ mixture, concave links never let a mixture escape a dominating pure, and only
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 FAMILIES = ("linear", "power", "exponential", "logarithm", "sqrt", "table")
-
-# kernel family codes, shared with the compiled integrators
-_CODES = {"linear": 0, "power": 1, "exponential": 2, "logarithm": 3, "sqrt": 4, "table": 5}
 
 
 class DomainError(ValueError):
@@ -164,15 +162,37 @@ def table_link(xs, ys) -> LinkFunction:
     return LinkFunction("table", (), (xs[0], xs[-1]), xs, ys)
 
 
-def kernel_args(f: LinkFunction):
-    """(code, p0, p1, knots_x, knots_y, lo, hi, pad) for the compiled loops."""
-    code = _CODES[f.family]
-    p0 = f.params[0] if len(f.params) > 0 else 0.0
-    p1 = f.params[1] if len(f.params) > 1 else 0.0
-    xs = f.knots_x if f.knots_x is not None else np.zeros(2)
-    ys = f.knots_y if f.knots_y is not None else np.zeros(2)
+def scalar_link(f: LinkFunction):
+    """Per-float evaluator of f for the steppers: nan outside the padded
+    domain, otherwise f at the argument clamped to the domain. Tables
+    interpolate the way np.interp does."""
     lo, hi = f.domain
-    return code, p0, p1, xs, ys, lo, hi, domain_pad(f)
+    pad = domain_pad(f)
+    lo_pad, hi_pad = lo - pad, hi + pad
+    if f.family == "table":
+        xs, ys = f.knots_x.tolist(), f.knots_y.tolist()
+
+        def fn(v):
+            j = bisect.bisect_right(xs, v) - 1
+            if j < 0:
+                return ys[0]
+            if j >= len(xs) - 1 or xs[j] == v:
+                return ys[j]
+            return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (v - xs[j]) + ys[j]
+    else:
+        p = f.params
+        fn = {"linear": lambda v: p[0] * v + p[1],
+              "power": lambda v: v ** p[0],
+              "exponential": lambda v: math.exp(p[0] * v),
+              "logarithm": math.log,
+              "sqrt": math.sqrt}[f.family]
+
+    def evaluate(u):
+        if not lo_pad <= u <= hi_pad:
+            return math.nan
+        return fn(lo if u < lo else hi if u > hi else u)
+
+    return evaluate
 
 
 @dataclass(frozen=True)

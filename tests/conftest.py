@@ -1,28 +1,12 @@
-"""Shared fixtures: kernel warmup and the acceptance summary hook."""
+"""Shared fixtures and the acceptance summary hook."""
 
 import numpy as np
 import pytest
 
-from egtlab.discrete import constant_background, iterate
-from egtlab.dynamics import GrowthRule, Schedule, integrate
-from egtlab.games import Game
 
 # (number, passed, text) rows filled in by the acceptance tests and printed
 # as one line per criterion at the end of the run.
 _ACCEPTANCE_ROWS = []
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Compile the jit kernels so timed tests measure integration only."""
-    game = Game([[1.0, 0.0], [0.0, 1.0]])
-    sched = Schedule(2.0, [0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
-    integrate(GrowthRule(), game, (0.5, 0.5), t_max=0.01, dt=1e-3)
-    integrate(GrowthRule(), game, (0.5, 0.5), opponent=sched,
-              t_max=0.01, dt=1e-3)
-    iterate(GrowthRule(), game, (0.5, 0.5), n_max=2,
-            background=constant_background(1.0))
-    return True
 
 
 @pytest.fixture

@@ -8,8 +8,10 @@ import pytest
 from egtlab.discrete import (BackgroundFitness, affine_background,
                              constant_background, discrete_w_increment,
                              geometric_background, iterate, step)
-from egtlab.dynamics import GrowthRule, Schedule, vector_field
+from egtlab.dynamics import (Coupled, GrowthRule, IntegrationError, Schedule,
+                             vector_field)
 from egtlab.games import Game, pure
+from egtlab.links import sqrt_link
 
 TWO_ONE = Game([[2.0, 2.0], [1.0, 1.0]])  # payoffs (2, 1) against anything
 REPL = GrowthRule()
@@ -28,6 +30,12 @@ def test_background_values_follow_the_schedule():
     geo = geometric_background(3.0, 2.0)
     assert [aff.value(n) for n in (0, 1, 5)] == [1.0, 3.0, 11.0]
     assert [geo.value(n) for n in (0, 1, 5)] == pytest.approx([3.0, 6.0, 96.0])
+
+
+def test_geometric_background_saturates_to_infinity():
+    geo = geometric_background(1.0, 2.0)
+    assert geo.value(1023) == pytest.approx(2.0 ** 1023, rel=1e-12)
+    assert geo.value(2000) == math.inf
 
 
 def test_geometric_background_validation():
@@ -172,3 +180,49 @@ def test_background_precondition_reports_the_generation():
     with pytest.raises(RuntimeError, match="generation"):
         iterate(REPL, game, (0.5, 0.5), n_max=10,
                 background=constant_background(1.0))
+
+
+def test_every_numerator_is_checked_before_the_update():
+    # strategy 0 alone would pass; the failure at strategy 1 must still win
+    game = Game([[1.0, 1.0], [-2.0, -2.0]])
+    with pytest.raises(IntegrationError,
+                       match=r"generation 0 \(strategy 1\)") as err:
+        iterate(REPL, game, (0.5, 0.5), n_max=10,
+                background=constant_background(0.0))
+    assert (err.value.t, err.value.step) == (0.0, 0)
+
+
+FOCAL = Game([[2.0, 0.5, 1.0], [0.5, 2.0, 1.5]])
+PARTNER = Game([[1.5, 0.5], [0.5, 1.5], [1.0, 1.2]])
+
+
+def test_coupled_map_matches_repeated_steps():
+    rule2 = GrowthRule(link=sqrt_link((0.0, 3.0)))
+    traj = iterate(REPL, FOCAL, (0.3, 0.7),
+                   opponent=Coupled(PARTNER, rule2, (0.2, 0.3, 0.5)),
+                   n_max=30, background=affine_background(1.0, 0.5),
+                   sample_every=1)
+    x, y = np.array([0.3, 0.7]), np.array([0.2, 0.3, 0.5])
+    for n in range(30):
+        C = 1.0 + 0.5 * n
+        x, y = step(REPL, FOCAL, x, y, C=C), step(rule2, PARTNER, y, x, C=C)
+        np.testing.assert_allclose(traj.states[n + 1], x, rtol=1e-12)
+        np.testing.assert_allclose(traj.opp_states[n + 1], y, rtol=1e-12)
+
+
+def test_coupled_map_keeps_a_face_of_the_opponent():
+    traj = iterate(REPL, FOCAL, (0.3, 0.7),
+                   opponent=Coupled(PARTNER, REPL, (0.6, 0.0, 0.4)),
+                   n_max=200, background=constant_background(1.0),
+                   sample_every=10)
+    assert np.all(traj.opp_log_states[:, 1] == -np.inf)
+    assert np.all(np.isfinite(traj.opp_log_states[:, [0, 2]]))
+
+
+def test_coupled_numerator_failure_names_the_second_population():
+    partner = Game([[1.0, 1.0], [-3.0, -3.0], [1.0, 1.0]])
+    with pytest.raises(IntegrationError, match=r"generation 0 "
+                       r"\(population 2 strategy 1\)"):
+        iterate(REPL, FOCAL, (0.3, 0.7),
+                opponent=Coupled(partner, REPL, np.full(3, 1.0 / 3.0)),
+                n_max=10, background=constant_background(1.0))

@@ -98,49 +98,49 @@ def test_schedule_wraps_continuously():
 # integrator -----------------------------------------------------------------
 
 
-def test_log_ratio_grows_linearly(warm_kernels):
+def test_log_ratio_grows_linearly():
     traj = integrate(REPL, GAP_GAME, (0.5, 0.5), t_max=5.0, dt=1e-3)
     ratio = traj.log_states[:, 0] - traj.log_states[:, 1]
     assert ratio[-1] - ratio[0] == pytest.approx(5.0, abs=1e-6)
 
 
-def test_vertex_is_a_rest_point(warm_kernels):
+def test_vertex_is_a_rest_point():
     traj = integrate(REPL, DISCUSSION, (0.0, 1.0, 0.0), t_max=1.0, dt=1e-3)
     np.testing.assert_array_equal(traj.states[-1], [0.0, 1.0, 0.0])
 
 
-def test_dominated_pair_dies_in_the_discussion_game(warm_kernels):
+def test_dominated_pair_dies_in_the_discussion_game():
     traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=200.0, dt=1e-3)
     x = traj.states[-1]
     assert x[0] * x[1] < 1e-8
 
 
-def test_faces_are_exactly_invariant(warm_kernels):
+def test_faces_are_exactly_invariant():
     traj = integrate(REPL, DISCUSSION, (0.5, 0.5, 0.0), t_max=3.0, dt=1e-3)
     assert np.all(traj.states[:, 2] == 0.0)
 
 
-def test_simplex_drift_stays_tiny(warm_kernels):
+def test_simplex_drift_stays_tiny():
     traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=5.0, dt=1e-3)
     assert traj.meta["max_drift"] <= 1e-10
     assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-9
 
 
-def test_meta_records_the_run(warm_kernels):
+def test_meta_records_the_run():
     traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=1.0, dt=1e-3)
     assert traj.meta["dt"] == 1e-3
     assert traj.meta["rule"] == "replicator"
     assert traj.meta["game"] == DISCUSSION.digest()
 
 
-def test_speed_two_is_a_time_change(warm_kernels):
+def test_speed_two_is_a_time_change():
     slow = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=10.0, dt=1e-3)
     fast = integrate(GrowthRule(speed=2.0), DISCUSSION, (0.4, 0.4, 0.2),
                      t_max=5.0, dt=1e-3)
     np.testing.assert_allclose(fast.states[-1], slow.states[-1], atol=1e-6)
 
 
-def test_scheduled_opponent_is_followed(warm_kernels):
+def test_scheduled_opponent_is_followed():
     game = Game([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     traj = integrate(REPL, game, (0.4, 0.4, 0.2), opponent=square_wave(10.0),
                      t_max=40.0, dt=1e-3)
@@ -152,13 +152,13 @@ def test_scheduled_opponent_is_followed(warm_kernels):
     assert traj.states[k2, 1] > traj.states[k1, 1]
 
 
-def test_scheduled_opponent_width_is_checked(warm_kernels):
+def test_scheduled_opponent_width_is_checked():
     with pytest.raises(ValueError, match="columns"):
         integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2),
                   opponent=square_wave(10.0), t_max=1.0)
 
 
-def test_coupled_populations_integrate_together(warm_kernels):
+def test_coupled_populations_integrate_together():
     focal = Game([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     opp = Game([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
     traj = integrate(REPL, focal, (0.5, 0.5),
@@ -169,32 +169,55 @@ def test_coupled_populations_integrate_together(warm_kernels):
     assert traj.meta["opponent"] == "coupled"
 
 
-def test_coupled_shape_mismatch_is_reported(warm_kernels):
+def test_coupled_shape_mismatch_is_reported():
     opp = Game([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="coupled"):
         integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2),
                   opponent=Coupled(opp, REPL, (0.5, 0.5)), t_max=1.0)
 
 
-def test_self_play_needs_a_square_game(warm_kernels):
+def test_coupled_opponent_on_a_face_stays_there():
+    focal = Game([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    opp = Game([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+    traj = integrate(REPL, focal, (0.5, 0.5),
+                     opponent=Coupled(opp, REPL, (0.5, 0.0, 0.5)),
+                     t_max=3.0, dt=1e-3)
+    assert np.all(traj.opp_log_states[:, 1] == -np.inf)
+    assert np.all(traj.opp_states[:, 1] == 0.0)
+    assert np.all(np.isfinite(traj.opp_log_states[:, [0, 2]]))
+
+
+def test_coupled_domain_failure_names_the_second_population():
+    focal = Game([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    # only the third opponent strategy's payoff leaves its link's domain
+    opp = Game([[0.5, 0.5], [0.5, 0.5], [2.0, 2.0]])
+    partner = Coupled(opp, GrowthRule(link=exp_link(1.0, (0.0, 1.0))),
+                      np.full(3, 1.0 / 3.0))
+    with pytest.raises(IntegrationError,
+                       match=r"link domain near t=0 \(population 2 strategy 2\)") as err:
+        integrate(REPL, focal, (0.5, 0.5), opponent=partner, t_max=1.0, dt=1e-3)
+    assert (err.value.t, err.value.step) == (0.0, 0)
+
+
+def test_self_play_needs_a_square_game():
     with pytest.raises(ValueError, match="square"):
         integrate(REPL, Game([[1.0, 0.0]]), (1.0,), t_max=1.0)
 
 
-def test_link_domain_violation_stops_the_run(warm_kernels):
+def test_link_domain_violation_stops_the_run():
     rule = GrowthRule(link=exp_link(1.0, (0.0, 1.0)))
     with pytest.raises(IntegrationError, match="domain") as err:
         integrate(rule, DISCUSSION, (0.4, 0.4, 0.2), t_max=1.0, dt=1e-3)
     assert err.value.t is not None
 
 
-def test_nonpositive_speed_factor_stops_the_run(warm_kernels):
+def test_nonpositive_speed_factor_stops_the_run():
     rule = GrowthRule(speed=linear_link(0.0, -1.0))
     with pytest.raises(IntegrationError, match="speed"):
         integrate(rule, DISCUSSION, (0.4, 0.4, 0.2), t_max=1.0, dt=1e-3)
 
 
-def test_w_rate_matches_the_sampled_series(warm_kernels):
+def test_w_rate_matches_the_sampled_series():
     from egtlab.diagnostics import w_rate, w_series
     q = np.array([0.5, 0.5, 0.0])
     traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=2.0, dt=1e-3,
@@ -212,7 +235,18 @@ def test_mean_payoff_helper():
     assert mean_payoff(DISCUSSION, pure(2, 3), pure(0, 3)) == 2.0
 
 
-def test_trajectory_csv_has_full_precision(tmp_path, warm_kernels):
+def test_trajectory_csv_appends_extra_columns(tmp_path):
+    traj = integrate(REPL, GAP_GAME, (0.5, 0.5), t_max=1.0, dt=1e-3)
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(traj, path, extras={"w": traj.times * 2.0})
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "t,x1,x2,w"
+    assert len(lines) == len(traj) + 1
+    row = [float(v) for v in lines[-1].split(",")]
+    assert row[3] == 2.0 * traj.times[-1]
+
+
+def test_trajectory_csv_has_full_precision(tmp_path):
     traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=1.0, dt=1e-3)
     path = tmp_path / "t.csv"
     write_trajectory_csv(traj, path)

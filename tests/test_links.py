@@ -8,7 +8,7 @@ import pytest
 from egtlab.links import (DomainError, classify_link, discrete_effective_link,
                           domain_pad, eval_link, exp_link, linear_link,
                           log_link, parse_link, power_link, rps_direction,
-                          sqrt_link, table_link)
+                          scalar_link, sqrt_link, table_link)
 
 
 def test_eval_basics():
@@ -28,6 +28,27 @@ def test_domain_is_enforced_with_a_soft_pad():
         eval_link(f, 9.5)
     # a roundoff-sized overshoot clips instead of failing
     assert eval_link(f, 9.0 + 0.5 * domain_pad(f)) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("f", [
+    linear_link(2.0, -1.0, (-3.0, 3.0)), power_link(1.5, (0.0, 4.0)),
+    exp_link(-0.7, (-2.0, 2.0)), log_link((0.5, 4.0)), sqrt_link((0.0, 4.0)),
+    table_link([0.0, 0.3, 1.1, 2.0, 3.5], [0.1, 0.5, 0.7, 1.9, 2.0]),
+], ids=lambda f: f.family)
+def test_scalar_link_agrees_with_eval_link(f):
+    lo, hi = f.domain
+    pad = domain_pad(f)
+    rng = np.random.default_rng(3)
+    points = np.concatenate([rng.uniform(lo, hi, 200),
+                             [lo, hi, lo - 0.5 * pad, hi + 0.5 * pad]])
+    if f.family == "table":
+        points = np.concatenate([points, f.knots_x])
+    fast = scalar_link(f)
+    # NumPy's vector exp/log/pow may differ from libm in the last bit
+    np.testing.assert_allclose([fast(float(u)) for u in points],
+                               eval_link(f, points), rtol=1e-15, atol=0.0)
+    for u in (lo - 2.0 * pad, hi + 2.0 * pad, math.nan, math.inf):
+        assert math.isnan(fast(u))
 
 
 def test_log_needs_a_positive_floor():
