@@ -2,10 +2,22 @@
 
 One generation multiplies every frequency by (C_n + g_i) / (C_n + gbar),
 where C_n is a background fitness schedule and g_i the linked payoff. The
-iteration runs in log space via log1p on plain Python floats, over one
-population (playing itself or a scripted opponent) or a coupled pair, each
-restricted to its support when the run starts. It tolerates backgrounds up
-to and including +inf, where the map freezes in place, exactly.
+iteration runs in log space via log1p, over one population (playing itself
+or a scripted opponent) or a coupled pair, each restricted to its support
+when the run starts. It tolerates backgrounds up to and including +inf,
+where the map freezes in place, exactly.
+
+Two paths compute the same generations:
+
+- The stepper (_generations) runs on plain Python floats and serves
+  self-play and coupled runs.
+- Against a scripted opponent the growth rates depend on the generation
+  alone, so ln(C_n + gbar) is a shift common to every coordinate that
+  renormalization removes. Any common reference r_n does instead:
+  _scripted_generations adds log1p((g_i - r_n) / (C_n + r_n)) with
+  r_n = min_i g_i, whose argument is never negative, sums with NumPy in
+  blocks and normalizes at the samples only. The results agree with the
+  stepper's to rounding.
 
 Whether the background schedule's reciprocal sum diverges decides how much
 cumulative selection pressure is available: affine schedules keep selecting
@@ -20,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule,
-                       Trajectory, _renorm, _setup, _softmax, _trajectory)
+                       Trajectory, _accumulate, _renorm, _script_payoffs, _setup,
+                       _softmax, _trajectory)
 from .games import Game, validate_simplex
-from .links import eval_link
+from .links import array_link, eval_link
 
 _KINDS = ("constant", "affine", "geometric")
 
@@ -57,6 +70,15 @@ class BackgroundFitness:
             return math.exp(math.log(self.base) + n * math.log(self.rate))
         except OverflowError:
             return math.inf
+
+    def values(self, n: np.ndarray) -> np.ndarray:
+        """value() at every generation in the float array n."""
+        if self.kind == "constant":
+            return np.full(n.shape, self.base)
+        if self.kind == "affine":
+            return self.base + self.rate * n
+        with np.errstate(over="ignore"):
+            return np.exp(math.log(self.base) + n * math.log(self.rate))
 
     @property
     def divergent_sum(self) -> bool:
@@ -152,15 +174,58 @@ def _generations(pops, plays, background: BackgroundFitness, n_steps: int,
         new = []
         for z, (_, g, gbar) in zip(zs, rates):
             denom = C + gbar
-            z, drift = _renorm([zi + math.log1p((gi - gbar) / denom)
-                                for zi, gi in zip(z, g)], t, k)
+            try:
+                z = [zi + math.log1p((gi - gbar) / denom) for zi, gi in zip(z, g)]
+            except ValueError:
+                z = [zi + _log_ratio(C, gi, gbar) for zi, gi in zip(z, g)]
+            z, drift = _renorm(z, t, k)
             new.append(z)
             max_drift = max(max_drift, drift)
         zs = new
         if (k + 1) % sample_every == 0 or k + 1 == n_steps:
             times.append(float(k + 1))
             samples.append(zs)
-    return times, samples, max_drift
+    return times, list(zip(*samples)), max_drift
+
+
+def _log_ratio(C, gi, gbar):
+    """ln((C + g_i) / (C + gbar)) where (g_i - gbar) / (C + gbar) rounds to
+    -1 or below; the numerator C + g_i is known to be positive."""
+    denom = C + gbar
+    v = (gi - gbar) / denom
+    return math.log1p(v) if v > -1.0 else math.log(C + gi) - math.log(denom)
+
+
+def _scripted_generations(pop, schedule: Schedule, link, background: BackgroundFitness,
+                          n_steps: int, sample_every: int):
+    """The ratio map of _generations against a script, in closed form (see
+    the module docstring) with the same samples.
+
+    Generation by generation, a payoff outside the link domain fails before
+    a numerator C_n + g_i that is not positive, as in _generations. Returns
+    (sample times, [logs at each sample], max drift).
+    """
+    rows = np.array(pop.rows)
+    f = array_link(link)
+
+    def increments(lo, hi):
+        t = np.arange(lo, hi, dtype=float)
+        g = f(_script_payoffs(rows, schedule, t))
+        C = background.values(t)[:, None]
+        bad = ~(C + g > 0.0)
+        if bad.any():
+            k = lo + int(np.argmax(bad.any(axis=1)))
+            nan = np.isnan(g[k - lo])
+            if nan.any():
+                raise pop.domain_error(int(np.argmax(nan)), float(k), k)
+            raise IntegrationError(
+                f"background plus growth rate not positive at generation {k} "
+                f"({pop.name(int(np.argmax(bad[k - lo])))})", t=float(k), step=k)
+        r = g.min(axis=1, keepdims=True)
+        return np.log1p((g - r) / (C + r))
+
+    counts, samples, max_drift = _accumulate(pop.z, n_steps, sample_every, increments)
+    return counts.astype(float), [samples], max_drift
 
 
 def iterate(rule: GrowthRule | None, game: Game, x0,
@@ -173,6 +238,12 @@ def iterate(rule: GrowthRule | None, game: Game, x0,
     Same opponent conventions as the continuous integrator, with schedule
     time measured in generations. Speed factors make no sense here and are
     rejected.
+
+    Every scripted run takes the closed form (_scripted_generations), which
+    agrees with the stepper to rounding; there meta["max_drift"] is the
+    largest |sum x - 1| over the normalized samples. Self-play and coupled
+    runs take the stepper, where it is the largest drift before each
+    generation's renormalization.
     """
     rule = rule or GrowthRule()
     if rule.speed is not None:
@@ -182,11 +253,15 @@ def iterate(rule: GrowthRule | None, game: Game, x0,
         raise ValueError(f"n_max must be at least 1, got {n_max!r}")
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
-    pops, plays, script, label = _setup(
+    pops, plays, label = _setup(
         rule, game, x0, opponent, "speed factors only apply to the continuous flow")
-    times, samples, max_drift = _generations(pops, plays, background, n_steps,
-                                             sample_every)
+    if label == "scripted":
+        times, samples, max_drift = _scripted_generations(
+            pops[0], opponent, rule.effective_link, background, n_steps, sample_every)
+    else:
+        times, samples, max_drift = _generations(pops, plays, background, n_steps,
+                                                 sample_every)
     meta = {"dynamics": "discrete", "steps": n_steps, "background": background,
             "sample_every": sample_every, "max_drift": max_drift,
             "opponent": label, "rule": rule.label, "game": game.digest()}
-    return _trajectory(pops, script, times, samples, meta)
+    return _trajectory(pops, opponent, times, samples, meta)

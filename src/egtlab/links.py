@@ -195,6 +195,21 @@ def scalar_link(f: LinkFunction):
     return evaluate
 
 
+def array_link(f: LinkFunction):
+    """Array evaluator of f for the closed-form scripted paths: like
+    scalar_link, nan outside the padded domain and f at the clamped
+    argument inside it."""
+    lo, hi = f.domain
+    pad = domain_pad(f)
+
+    def evaluate(u):
+        vals = _eval_unchecked(f, np.clip(u, lo, hi))
+        vals[~((u >= lo - pad) & (u <= hi + pad))] = np.nan
+        return vals
+
+    return evaluate
+
+
 @dataclass(frozen=True)
 class DynamicsClass:
     """Shape flags of a link on a payoff interval, plus the induced regime label."""

@@ -26,33 +26,44 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland_iterate(T: np.ndarray, basis: np.ndarray, ncols: int, maxiter: int) -> None:
+def _bland_iterate(T: np.ndarray, basis: np.ndarray, ncols: int, maxiter: int,
+                   bounded: bool = False) -> None:
     """Run simplex iterations on tableau T until no reduced cost is positive.
 
     Layout: T[:-1, :ncols] constraint coefficients, T[:-1, -1] rhs,
     T[-1, :ncols] reduced costs of a maximization objective.
+
+    bounded says the objective is known to be bounded above (phase 1, whose
+    objective never exceeds 0): a column with a positive reduced cost but no
+    positive entry is then rounding dust and is passed over instead of being
+    reported as unbounded.
     """
     m = T.shape[0] - 1
     for _ in range(maxiter):
-        col = -1
-        for j in range(ncols):
-            if T[-1, j] > PIVOT_TOL:
-                col = j
-                break
-        if col < 0:
+        for col in range(ncols):
+            if T[-1, col] > PIVOT_TOL:
+                row = _ratio_row(T, basis, col, m)
+                if row >= 0:
+                    _pivot(T, basis, row, col)
+                    break
+                if not bounded:
+                    raise LpError("objective unbounded above")
+        else:
             return
-        # min-ratio test, ties broken by smallest basis variable (Bland)
-        row, best = -1, np.inf
-        for r in range(m):
-            a = T[r, col]
-            if a > PIVOT_TOL:
-                ratio = T[r, -1] / a
-                if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and (row < 0 or basis[r] < basis[row])):
-                    row, best = r, ratio
-        if row < 0:
-            raise LpError("objective unbounded above")
-        _pivot(T, basis, row, col)
     raise LpError(f"simplex did not terminate in {maxiter} iterations")
+
+
+def _ratio_row(T: np.ndarray, basis: np.ndarray, col: int, m: int) -> int:
+    """Min-ratio pivot row of col, ties broken by smallest basis variable
+    (Bland); -1 when no entry of the column is positive."""
+    row, best = -1, np.inf
+    for r in range(m):
+        a = T[r, col]
+        if a > PIVOT_TOL:
+            ratio = T[r, -1] / a
+            if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and (row < 0 or basis[r] < basis[row])):
+                row, best = r, ratio
+    return row
 
 
 def solve_max(c, A, b, maxiter: int = 20000):
@@ -80,7 +91,7 @@ def solve_max(c, A, b, maxiter: int = 20000):
     # reduced costs for maximizing -sum(artificials): add up constraint rows
     T[-1, :n] = A.sum(axis=0)
     T[-1, -1] = b.sum()
-    _bland_iterate(T, basis, n, maxiter)
+    _bland_iterate(T, basis, n, maxiter, bounded=True)
     if T[-1, -1] > FEAS_TOL * max(1.0, abs(b).max()):
         raise LpError("infeasible constraints")
 

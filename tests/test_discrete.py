@@ -11,7 +11,7 @@ from egtlab.discrete import (BackgroundFitness, affine_background,
 from egtlab.dynamics import (Coupled, GrowthRule, IntegrationError, Schedule,
                              vector_field)
 from egtlab.games import Game, pure
-from egtlab.links import sqrt_link
+from egtlab.links import linear_link, sqrt_link
 
 TWO_ONE = Game([[2.0, 2.0], [1.0, 1.0]])  # payoffs (2, 1) against anything
 REPL = GrowthRule()
@@ -226,3 +226,15 @@ def test_coupled_numerator_failure_names_the_second_population():
         iterate(REPL, FOCAL, (0.3, 0.7),
                 opponent=Coupled(partner, REPL, np.full(3, 1.0 / 3.0)),
                 n_max=10, background=constant_background(1.0))
+
+
+def test_map_survives_a_ratio_that_rounds_to_minus_one():
+    # (g_0 - gbar) / gbar rounds to exactly -1 although C + g_0 = 1e-17 > 0
+    rule = GrowthRule(linear_link(1.0, 0.0, (0.0, 2.0)))
+    game = Game([[1e-17, 1e-17], [1.0, 1.0]])
+    traj = iterate(rule, game, (0.5, 0.5), n_max=3,
+                   background=constant_background(0.0), sample_every=1)
+    x = np.array([0.5, 0.5])
+    for n in range(3):
+        x = step(rule, game, x, C=0.0)
+        np.testing.assert_allclose(traj.states[n + 1], x, rtol=1e-12)

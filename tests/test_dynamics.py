@@ -254,3 +254,11 @@ def test_trajectory_csv_has_full_precision(tmp_path):
     assert lines[0] == "t,x1,x2,x3"
     row = [float(v) for v in lines[-1].split(",")]
     np.testing.assert_allclose(row[1:], traj.states[-1], rtol=1e-16)
+
+
+def test_overflowing_step_is_an_integration_error():
+    # one RK4 step lifts the second log by about 5e3, past exp's range
+    rule = GrowthRule(linear_link(1.0, 0.0, (-1e8, 1e8)))
+    with pytest.raises(IntegrationError, match="non-finite near t=0") as err:
+        integrate(rule, Game([[0.0, 0.0], [1e7, 1e7]]), (0.5, 0.5), t_max=1.0)
+    assert (err.value.t, err.value.step) == (0.0, 0)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from egtlab.links import (DomainError, classify_link, discrete_effective_link,
-                          domain_pad, eval_link, exp_link, linear_link,
-                          log_link, parse_link, power_link, rps_direction,
-                          scalar_link, sqrt_link, table_link)
+from egtlab.links import (DomainError, array_link, classify_link,
+                          discrete_effective_link, domain_pad, eval_link,
+                          exp_link, linear_link, log_link, parse_link,
+                          power_link, rps_direction, scalar_link, sqrt_link,
+                          table_link)
 
 
 def test_eval_basics():
@@ -30,11 +31,14 @@ def test_domain_is_enforced_with_a_soft_pad():
     assert eval_link(f, 9.0 + 0.5 * domain_pad(f)) == pytest.approx(3.0)
 
 
-@pytest.mark.parametrize("f", [
+FAMILY_LINKS = [
     linear_link(2.0, -1.0, (-3.0, 3.0)), power_link(1.5, (0.0, 4.0)),
     exp_link(-0.7, (-2.0, 2.0)), log_link((0.5, 4.0)), sqrt_link((0.0, 4.0)),
     table_link([0.0, 0.3, 1.1, 2.0, 3.5], [0.1, 0.5, 0.7, 1.9, 2.0]),
-], ids=lambda f: f.family)
+]
+
+
+@pytest.mark.parametrize("f", FAMILY_LINKS, ids=lambda f: f.family)
 def test_scalar_link_agrees_with_eval_link(f):
     lo, hi = f.domain
     pad = domain_pad(f)
@@ -181,3 +185,18 @@ def test_parse_link_requires_an_interval_when_it_matters():
         parse_link("sqrt")
     with pytest.raises(ValueError):
         parse_link("frobnicate@0,1")
+
+
+@pytest.mark.parametrize("f", FAMILY_LINKS, ids=lambda f: f.family)
+def test_array_link_agrees_with_scalar_link(f):
+    lo, hi = f.domain
+    pad = domain_pad(f)
+    u = np.concatenate([np.linspace(lo, hi, 41),
+                        [lo - 0.5 * pad, hi + 0.5 * pad, lo - 2.0 * pad, hi + 2.0 * pad,
+                         math.nan, math.inf]])
+    fast = scalar_link(f)
+    want = [fast(float(v)) for v in u]
+    got = array_link(f)(u)
+    assert np.isnan(got).sum() == 4
+    # NumPy's vector exp/log/pow may differ from libm in the last bit
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)

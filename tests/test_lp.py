@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+from egtlab.dominance import find_dominator
+from egtlab.games import Game, pure
 from egtlab.lp import LpError, solve_max
 
 
@@ -76,3 +78,12 @@ def test_matches_basis_enumeration_on_random_problems():
             continue
         assert want is not None
         assert val == pytest.approx(want, abs=1e-8)
+
+
+def test_phase_one_rounding_dust_is_not_unboundedness():
+    # Phase 1 ends with a reduced cost of about 2e-9 on a column with no
+    # positive entry; phase 1 is bounded, so that is dust, not unboundedness.
+    game = Game([[0.0, 0.0, 5.960464477539063e-08], [0.0, 0.0, 0.0], [1.375, 0.0, 0.0]])
+    res = find_dominator(game, pure(0, 3), mode="mixed")
+    assert not res.dominated
+    assert res.margin == pytest.approx(0.0, abs=1e-9)

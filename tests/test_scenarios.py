@@ -1,7 +1,9 @@
 """Construction searches, certificate re-checks, and the fast scenario runners.
 
-The heavyweight runners (hw-4x4, dual-4x4, background-threshold) only appear
-in the acceptance suite; here we pin the constructions they are built from.
+The acceptance tests at the end run whole catalog scenarios at their catalog
+defaults and log each as an acceptance criterion. The heavyweight runners
+(hw-4x4, dual-4x4) are not run; here we pin the constructions they are built
+from.
 """
 
 import math
@@ -15,8 +17,9 @@ from egtlab.links import (exp_link, linear_link, power_link, rps_direction,
                           sqrt_link)
 from egtlab.scenarios import (SCENARIO_INTERVALS, SCENARIOS, build_rps4,
                               build_survival, dual_basin_k, named_game,
-                              run_background_schedules, run_discussion,
-                              run_survival_nonconcave)
+                              run_background_schedules, run_background_threshold,
+                              run_discussion, run_survival_nonconcave,
+                              run_survival_nonconvex)
 
 MIX_TB = np.array([0.5, 0.0, 0.5])
 
@@ -230,3 +233,19 @@ def test_catalog_is_consistent():
     assert set(SCENARIOS) == set(SCENARIO_INTERVALS)
     for name, runner in SCENARIOS.items():
         assert callable(runner), name
+
+
+# acceptance ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("number, runner", [(1, run_survival_nonconvex),
+                                            (2, run_background_threshold)],
+                         ids=["survival-nonconvex", "background-threshold"])
+def test_catalog_scenario_passes_its_checks_at_the_defaults(number, runner,
+                                                           acceptance_log):
+    report, _ = runner()
+    failed = sorted(name for name, ok in report["checks"].items() if not ok)
+    acceptance_log(number, not failed,
+                   f"{report['scenario']} at its catalog defaults passes "
+                   f"{len(report['checks'])} checks" + (f"; failed: {failed}" if failed else ""))
+    assert report["checks"] and not failed
