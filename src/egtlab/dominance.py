@@ -5,11 +5,19 @@ allowed support) maximizing the worst-case payoff advantage over a target
 mixture q across the opponent's allowed pure strategies. A strictly positive
 optimum certifies strict dominance; the certificate is always re-checked
 against the payoff matrix before it is returned.
+
+Iterated elimination screens each round before solving: a pure strategy that
+is a weak best reply to some alive opponent column j earns there at least
+what any mixture earns, so its margin against every mixture is at most 0 and
+it is never strictly dominated. The screen compares payoffs exactly, so it
+skips only queries that would answer "not dominated"; rounds and removals
+are those of querying every alive strategy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -108,26 +116,28 @@ def find_dominator(game: Game, q, restrict_rows=None, restrict_cols=None,
     if mode != "mixed":
         raise ValueError(f"unknown dominance mode {mode!r}")
 
-    # variables: p_k for k in rows, eps+ , eps-, one slack per column
+    # variables: p_k for k in rows, eps', one slack per column. No mixture's
+    # margin is below low = min over k in rows, j in cols of A[k, j] - uq_j, so
+    # the margin is low + eps' with eps' >= 0 one column; a free margin split
+    # as eps+ - eps- leaves rounding dust in one column for the simplex to
+    # pivot on. Rows: sum_k p_k A[k, j] - eps' - s_j = uq_j + low.
     nr, nc = len(rows), len(cols)
-    nv = nr + 2 + nc
-    A_eq = np.zeros((nc + 1, nv))
-    b_eq = np.zeros(nc + 1)
-    for idx, j in enumerate(cols):
-        A_eq[idx, :nr] = A[list(rows), j]
-        A_eq[idx, nr] = -1.0      # eps+
-        A_eq[idx, nr + 1] = 1.0   # eps-
-        A_eq[idx, nr + 2 + idx] = -1.0
-        b_eq[idx] = uq[j]
+    sub = A[np.ix_(rows, cols)]
+    uq_cols = uq[list(cols)]
+    low = float((sub - uq_cols).min())
+    A_eq = np.zeros((nc + 1, nr + 1 + nc))
+    A_eq[:nc, :nr] = sub.T
+    A_eq[:nc, nr] = -1.0
+    A_eq[:nc, nr + 1:] = -np.eye(nc)
     A_eq[nc, :nr] = 1.0
-    b_eq[nc] = 1.0
-    c = np.zeros(nv)
-    c[nr], c[nr + 1] = 1.0, -1.0
+    b_eq = np.append(uq_cols + low, 1.0)
+    c = np.zeros(nr + 1 + nc)
+    c[nr] = 1.0
 
-    x, margin = solve_max(c, A_eq, b_eq)
+    x, value = solve_max(c, A_eq, b_eq)
+    margin = value + low
     w = np.zeros(game.n_rows)
-    for idx, k in enumerate(rows):
-        w[k] = max(x[idx], 0.0)  # clip solver dust
+    w[list(rows)] = np.maximum(x[:nr], 0.0)  # clip solver dust
     w /= w.sum()
     return _result(game, qs, margin, w, cols)
 
@@ -147,8 +157,11 @@ def _result(game: Game, qs: MixedStrategy, margin: float, w: np.ndarray, cols) -
 
 def _one_side_removals(game: Game, alive_rows, alive_cols, mode: str):
     """Strategies in alive_rows strictly dominated within the current restriction."""
+    # weak best replies to an alive column are never dominated (module docstring)
+    sub = game.payoff[np.ix_(alive_rows, alive_cols)]
+    best_reply = (sub >= sub.max(axis=0)).any(axis=1)
     removed = []
-    for i in alive_rows:
+    for i in compress(alive_rows, ~best_reply):
         q = np.zeros(game.n_rows)
         q[i] = 1.0
         res = find_dominator(game, q, alive_rows, alive_cols, mode=mode)

@@ -1,9 +1,12 @@
 """Dense two-phase simplex solver.
 
-Sized for the tiny linear programs the dominance tests generate (a handful of
-variables and rows), so there is no sparsity, no presolve, and no scaling:
-just a dense tableau with Bland's anti-cycling pivot rule, which makes
-termination a theorem rather than a hope.
+Sized for the dominance LPs (up to a few dozen rows and columns), so there is
+no sparsity, no presolve, and no scaling: just a dense tableau with Bland's
+anti-cycling pivot rule, which makes termination a theorem rather than a
+hope. Each pivot is one vectorised rank-1 update of the tableau, and the
+answer is checked against the original constraints before it is returned,
+so a tableau corrupted by rounding raises LpError instead of passing as an
+optimum.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ class LpError(RuntimeError):
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * T[row]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    T -= np.outer(f, T[row])
     basis[row] = col
 
 
@@ -38,38 +41,36 @@ def _bland_iterate(T: np.ndarray, basis: np.ndarray, ncols: int, maxiter: int,
     positive entry is then rounding dust and is passed over instead of being
     reported as unbounded.
     """
-    m = T.shape[0] - 1
     for _ in range(maxiter):
-        for col in range(ncols):
-            if T[-1, col] > PIVOT_TOL:
-                row = _ratio_row(T, basis, col, m)
-                if row >= 0:
-                    _pivot(T, basis, row, col)
-                    break
-                if not bounded:
-                    raise LpError("objective unbounded above")
+        for col in np.flatnonzero(T[-1, :ncols] > PIVOT_TOL):
+            row = _ratio_row(T, basis, col)
+            if row >= 0:
+                _pivot(T, basis, row, col)
+                break
+            if not bounded:
+                raise LpError("objective unbounded above")
         else:
             return
     raise LpError(f"simplex did not terminate in {maxiter} iterations")
 
 
-def _ratio_row(T: np.ndarray, basis: np.ndarray, col: int, m: int) -> int:
-    """Min-ratio pivot row of col, ties broken by smallest basis variable
-    (Bland); -1 when no entry of the column is positive."""
-    row, best = -1, np.inf
-    for r in range(m):
-        a = T[r, col]
-        if a > PIVOT_TOL:
-            ratio = T[r, -1] / a
-            if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and (row < 0 or basis[r] < basis[row])):
-                row, best = r, ratio
-    return row
+def _ratio_row(T: np.ndarray, basis: np.ndarray, col: int) -> int:
+    """Min-ratio pivot row of col, ties within 1e-12 broken by smallest basis
+    variable (Bland); -1 when no entry of the column is positive."""
+    rows = np.flatnonzero(T[:-1, col] > PIVOT_TOL)
+    if rows.size == 0:
+        return -1
+    ratios = T[rows, -1] / T[rows, col]
+    ties = rows[ratios <= ratios.min() + 1e-12]
+    return int(ties[np.argmin(basis[ties])])
 
 
 def solve_max(c, A, b, maxiter: int = 20000):
     """Maximize c @ x subject to A @ x == b and x >= 0.
 
-    Returns (x, value). Raises LpError when infeasible or unbounded.
+    Returns (x, value). Raises LpError when infeasible or unbounded, or when
+    the solution misses A @ x == b or x >= 0 by more than FEAS_TOL (scaled
+    by max|b|).
     """
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
@@ -78,9 +79,11 @@ def solve_max(c, A, b, maxiter: int = 20000):
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
 
+    # negating a row is exact, so the residual check below needs no copy
     flip = b < 0
     A[flip] *= -1.0
     b[flip] *= -1.0
+    tol = FEAS_TOL * max(1.0, abs(b).max())
 
     # phase 1: minimize the sum of artificial variables
     T = np.zeros((m + 1, n + m + 1))
@@ -92,25 +95,18 @@ def solve_max(c, A, b, maxiter: int = 20000):
     T[-1, :n] = A.sum(axis=0)
     T[-1, -1] = b.sum()
     _bland_iterate(T, basis, n, maxiter, bounded=True)
-    if T[-1, -1] > FEAS_TOL * max(1.0, abs(b).max()):
+    if T[-1, -1] > tol:
         raise LpError("infeasible constraints")
 
     # drive leftover artificials out of the basis (or drop redundant rows)
     keep = []
     for r in range(m):
         if basis[r] >= n:
-            col = -1
-            for j in range(n):
-                if abs(T[r, j]) > PIVOT_TOL:
-                    col = j
-                    break
-            if col >= 0:
-                _pivot(T, basis, r, col)
-                keep.append(r)
-            # else: redundant row, dropped below
-        else:
-            keep.append(r)
-    keep = np.array(keep, dtype=int)
+            cols = np.flatnonzero(np.abs(T[r, :n]) > PIVOT_TOL)
+            if cols.size == 0:
+                continue  # redundant row, dropped below
+            _pivot(T, basis, r, cols[0])
+        keep.append(r)
 
     # phase 2 on the original columns
     T2 = np.zeros((len(keep) + 1, n + 1))
@@ -123,6 +119,9 @@ def solve_max(c, A, b, maxiter: int = 20000):
     _bland_iterate(T2, basis, n, maxiter)
 
     x = np.zeros(n)
-    for r, bv in enumerate(basis):
-        x[bv] = T2[r, -1]
+    x[basis] = T2[:-1, -1]
+    residual = float(np.abs(A @ x - b).max())
+    if residual > tol or x.min() < -FEAS_TOL:
+        raise LpError(f"solution residual {residual:.3g} exceeds {tol:.3g} "
+                      f"(smallest entry {x.min():.3g})")
     return x, float(c @ x)

@@ -7,7 +7,7 @@ from egtlab.dominance import (find_dominator, is_mixed_iteratively_dominated,
                               iterate_elimination, strict_margin)
 from egtlab.games import Game, pure, uniform
 
-from oracles import grid_margin, mixture_grid
+from oracles import grid_margin, mixture_grid, planted_game
 
 DISCUSSION = Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]])
 RPS = Game([[1.0, -2.0, 2.0], [2.0, 1.0, -2.0], [-2.0, 2.0, 1.0]])
@@ -168,3 +168,50 @@ def test_verdicts_survive_column_shifts():
     moved = find_dominator(Game(shifted), q)
     assert moved.dominated == base.dominated
     assert moved.margin == pytest.approx(base.margin, abs=1e-9)
+
+
+def _elimination_by_queries(game, mode):
+    """Rounds and removals of iterated elimination (same matrix for both
+    seats) that queries find_dominator for every alive row and column."""
+    rows = cols = tuple(range(game.n_rows))
+    rounds, removals = [(rows, cols)], set()
+    while True:
+        gone = {side: {i for i in own
+                       if find_dominator(game, pure(i, game.n_rows), own, opp, mode).dominated}
+                for side, own, opp in (("row", rows, cols), ("col", cols, rows))}
+        if not gone["row"] and not gone["col"]:
+            return tuple(rounds), removals
+        removals |= {(len(rounds), side, i) for side in gone for i in gone[side]}
+        rows = tuple(i for i in rows if i not in gone["row"])
+        cols = tuple(j for j in cols if j not in gone["col"])
+        rounds.append((rows, cols))
+
+
+def _elimination_games():
+    rng = np.random.default_rng(16)
+    for n in (5, 8, 12, 16, 20):
+        yield Game(rng.uniform(0.0, 1.0, size=(n, n)))
+        # scaled down, a chain strategy sits within 1.5e-3 of a best reply
+        for scale in (1.0, 0.01):
+            yield Game(scale * planted_game(rng, n, min(3, n // 4))[0])
+    for _ in range(6):
+        yield Game(rng.integers(0, 6, size=(6, 6)).astype(float))
+
+
+@pytest.mark.parametrize("mode", ["pure-by-mixed", "pure-by-pure"])
+def test_best_reply_screen_changes_no_round(mode):
+    dom_mode = "mixed" if mode == "pure-by-mixed" else "pure"
+    screened = 0
+    for game in _elimination_games():
+        trace = iterate_elimination(game, mode=mode)
+        rounds, removals = _elimination_by_queries(game, dom_mode)
+        assert trace.rounds == rounds
+        assert {(k, side, i) for k, side, i, _ in trace.removals} == removals
+        for own, opp in [sets for rc in rounds for sets in (rc, rc[::-1])]:
+            sub = game.payoff[np.ix_(own, opp)]
+            for i, payoffs in zip(own, sub):
+                if (payoffs >= sub.max(axis=0)).any():
+                    screened += 1
+                    res = find_dominator(game, pure(i, game.n_rows), own, opp, dom_mode)
+                    assert not res.dominated
+    assert screened > 0

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egtlab.diagnostics import elimination_metrics
@@ -89,9 +89,15 @@ def test_lp_agrees_with_the_mixture_grid(payoff, target):
         assert realized == pytest.approx(res.margin, abs=1e-9)
 
 
+# Hypothesis seeds its draws with numeric literals from the local sources, so
+# what it draws moves whenever they change. Each of these games was drawn once
+# and hit rounding dust in phase 1 of the simplex; they are checked always.
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(payoff=st.lists(st.floats(-3.0, 3.0, **finite), min_size=9, max_size=9),
        lam=st.floats(0.1, 10.0, **finite), target=st.integers(0, 2))
+@example(payoff=[5.6e-10, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0], lam=2.0, target=0)
+@example(payoff=[0.0, 0.0, 5.960464477539063e-08, 0.0, 0.0, 0.0, 1.375, 0.0, 0.0],
+         lam=0.1, target=0)
 def test_margin_scales_with_the_payoffs(payoff, lam, target):
     base = np.reshape(payoff, (3, 3))
     q = pure(target, 3).weights
