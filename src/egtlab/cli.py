@@ -45,11 +45,14 @@ def _req(d, key, path: str):
     return d[key]
 
 
-def _floats(text: str, what: str) -> list:
+def _floats(text: str, what: str, count: int | None = None) -> list:
     try:
-        return [float(v) for v in str(text).split(",")]
+        values = [float(v) for v in str(text).split(",")]
     except ValueError:
         _fail(f"{what} must be comma-separated numbers, got {text!r}")
+    if count is not None and len(values) != count:
+        _fail(f"{what} takes {count} comma-separated numbers, got {len(values)} in {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +323,7 @@ def cmd_dominance(args) -> int:
 def cmd_classify(args) -> int:
     interval = None
     if args.interval:
-        lo, hi = _floats(args.interval, "--interval")
-        interval = (lo, hi)
+        interval = tuple(_floats(args.interval, "--interval", 2))
     f = parse_link(args.link, domain=interval)
     if args.discrete_C is not None:
         f = discrete_effective_link(f, args.discrete_C)
@@ -334,7 +336,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_rps_direction(args) -> int:
-    a, b, c = _floats(args.abc, "--abc")
+    a, b, c = _floats(args.abc, "--abc", 3)
     mode = {"replicator": "replicator",
             "continuous": "continuous-functional",
             "discrete": "discrete-functional"}[args.mode]

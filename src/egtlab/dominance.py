@@ -100,46 +100,42 @@ def find_dominator(game: Game, q, restrict_rows=None, restrict_cols=None,
     if len(qs) != game.n_rows:
         raise ValueError("q must mix over the game's rows")
     rows, cols = _checked_sets(game, restrict_rows, restrict_cols)
-    A = game.payoff
-    uq = qs.weights @ A  # U_q(e_j) for every column
+    # gaps[k, j]: what row k earns over q at column j; row minima are the
+    # pure margins, and r is the best pure row (first of ties)
+    gaps = game.payoff[np.ix_(rows, cols)] - (qs.weights @ game.payoff)[list(cols)]
+    pure_margins = gaps.min(axis=1)
+    r = int(np.argmax(pure_margins))
+    best = float(pure_margins[r])
 
     if mode == "pure":
-        best, best_k = -np.inf, rows[0]
-        for k in rows:
-            m = float((A[k] - uq)[list(cols)].min())
-            if m > best:
-                best, best_k = m, k
         w = np.zeros(game.n_rows)
-        w[best_k] = 1.0
+        w[rows[r]] = 1.0
         return _result(game, qs, best, w, cols)
 
     if mode != "mixed":
         raise ValueError(f"unknown dominance mode {mode!r}")
 
-    # variables: p_k for k in rows, eps', one slack per column. No mixture's
-    # margin is below low = min over k in rows, j in cols of A[k, j] - uq_j, so
-    # the margin is low + eps' with eps' >= 0 one column; a free margin split
-    # as eps+ - eps- leaves rounding dust in one column for the simplex to
-    # pivot on. Rows: sum_k p_k A[k, j] - eps' - s_j = uq_j + low.
-    nr, nc = len(rows), len(cols)
-    sub = A[np.ix_(rows, cols)]
-    uq_cols = uq[list(cols)]
-    low = float((sub - uq_cols).min())
+    # variables: p_k for k in rows, eps' = margin - best, one slack per
+    # column. e_r reaches best, so eps' >= 0. Eliminating p_r through
+    # sum p = 1, column j's row reads
+    #   s_j + eps' + sum_k (gaps[r, j] - gaps[k, j]) p_k = gaps[r, j] - best,
+    # whose rhs is >= 0 and whose p_r coefficient is 0 exactly; the last row
+    # is sum p = 1. The slacks and p_r are then an identity basis at e_r.
+    nr, nc = gaps.shape
     A_eq = np.zeros((nc + 1, nr + 1 + nc))
-    A_eq[:nc, :nr] = sub.T
-    A_eq[:nc, nr] = -1.0
-    A_eq[:nc, nr + 1:] = -np.eye(nc)
+    A_eq[:nc, :nr] = (gaps[r] - gaps).T
+    A_eq[:nc, nr] = 1.0
+    A_eq[:nc, nr + 1:] = np.eye(nc)
     A_eq[nc, :nr] = 1.0
-    b_eq = np.append(uq_cols + low, 1.0)
+    b_eq = np.append(gaps[r] - best, 1.0)
     c = np.zeros(nr + 1 + nc)
     c[nr] = 1.0
 
-    x, value = solve_max(c, A_eq, b_eq)
-    margin = value + low
+    x, value = solve_max(c, A_eq, b_eq, np.append(np.arange(nr + 1, nr + 1 + nc), r))
     w = np.zeros(game.n_rows)
     w[list(rows)] = np.maximum(x[:nr], 0.0)  # clip solver dust
     w /= w.sum()
-    return _result(game, qs, margin, w, cols)
+    return _result(game, qs, best + value, w, cols)
 
 
 def _result(game: Game, qs: MixedStrategy, margin: float, w: np.ndarray, cols) -> DominanceResult:
@@ -221,9 +217,9 @@ def is_mixed_iteratively_dominated(game: Game, opponent_game: Game | None, q,
     None for the single-population reading of a square game), then asks for
     a dominator of q whose support lies in the surviving rows, measured
     against the surviving columns. dominators='pure' downgrades both stages
-    to pure-strategy dominance.
+    to pure-strategy dominance; any other value is a ValueError.
     """
-    mode = "pure-by-mixed" if dominators == "mixed" else "pure-by-pure"
-    trace = iterate_elimination(game, mode=mode, opponent_game=opponent_game)
-    return find_dominator(game, q, trace.surviving_rows, trace.surviving_cols,
-                          mode="mixed" if dominators == "mixed" else "pure")
+    if dominators not in ("mixed", "pure"):
+        raise ValueError(f"unknown dominators {dominators!r}")
+    trace = iterate_elimination(game, mode=f"pure-by-{dominators}", opponent_game=opponent_game)
+    return find_dominator(game, q, trace.surviving_rows, trace.surviving_cols, mode=dominators)

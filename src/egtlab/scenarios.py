@@ -29,8 +29,8 @@ from .dominance import find_dominator, strict_margin
 from .dynamics import GrowthRule, Schedule, integrate
 from .games import Game, game_to_dict, pure, uniform, validate_simplex
 from .links import (LinkFunction, classify_link, discrete_effective_link,
-                    eval_link, exp_link, linear_link, power_link, rps_direction,
-                    sqrt_link)
+                    domain_pad, eval_link, exp_link, linear_link, power_link,
+                    rps_direction, sqrt_link)
 
 _VARIANTS_3X2 = ("nonconvex", "nonconcave")
 _VARIANTS_4X4 = ("hofbauer-weibull", "dual")
@@ -354,7 +354,7 @@ def build_rps4(f: LinkFunction, variant: str, search_box=None, *, abc=None,
     else:
         rows = [r + [m - gamma] for r in core] + [[m + beta] * 3 + [m]]
     entries = np.asarray(rows)
-    pad = 1e-12 * (1.0 + abs(f.domain[0]) + abs(f.domain[1]))
+    pad = domain_pad(f)
     if entries.min() < f.domain[0] - pad or entries.max() > f.domain[1] + pad:
         raise ValueError(
             f"assembled payoffs span [{entries.min():g}, {entries.max():g}], "

@@ -144,6 +144,13 @@ def test_classify_labels(capsys):
         assert doc["raw"]["label"] == label, argv
 
 
+def test_number_lists_of_the_wrong_length_exit_1(capsys):
+    assert main(["classify", "--link", "sqrt", "--interval", "1,2,3"]) == 1
+    assert "--interval takes 2 comma-separated numbers, got 3" in capsys.readouterr().err
+    assert main(["rps-direction", "--abc", "1,2"]) == 1
+    assert "--abc takes 3 comma-separated numbers, got 2" in capsys.readouterr().err
+
+
 def test_rps_direction_modes(capsys):
     code, doc = run_json(capsys, ["rps-direction", "--abc", "1,2,-2"])
     assert code == 0 and doc["raw"]["direction"] == "outward"

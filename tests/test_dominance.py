@@ -33,6 +33,14 @@ def test_find_dominator_pure_mode():
     assert res.dominated
     assert res.margin == pytest.approx(0.5)
     assert list(res.dominator) == [0.0, 0.0, 1.0]
+    # rows 1 and 3 tie at margin 1 on columns 0 and 1 (column 2 would break
+    # the tie); the first of the tied rows, in the order given, is returned
+    game = Game([[0.0, 0.0, 0.0], [1.0, 2.0, -5.0], [0.5, 0.5, 9.0], [2.0, 1.0, 9.0]])
+    for rows, best in (((3, 1, 0), 3), ((1, 3, 0), 1)):
+        res = find_dominator(game, pure(0, 4), restrict_rows=rows, restrict_cols=(0, 1),
+                             mode="pure")
+        assert res.dominated and res.margin == 1.0
+        assert list(res.dominator) == list(pure(best, 4).weights)
 
 
 def test_find_dominator_mixed_mode_cannot_do_worse():
@@ -103,6 +111,17 @@ def test_iterated_query_uses_later_rounds():
     assert res.dominated
     assert res.margin == pytest.approx(1.0)
     assert list(res.dominator) == [0.0, 1.0]
+
+
+def test_iterated_query_takes_pure_or_mixed_dominators_only():
+    # the middle row is beaten by the half-half mixture of the others, by no pure row
+    game, opponent = Game([[9.0, 1.0], [4.5, 4.5], [1.0, 9.0]]), Game(np.zeros((2, 3)))
+    res = is_mixed_iteratively_dominated(game, opponent, pure(1, 3), dominators="mixed")
+    assert res.dominated and res.margin == pytest.approx(0.5)
+    res = is_mixed_iteratively_dominated(game, opponent, pure(1, 3), dominators="pure")
+    assert not res.dominated and res.margin == 0.0
+    with pytest.raises(ValueError, match="dominators"):
+        is_mixed_iteratively_dominated(game, opponent, pure(1, 3), dominators="Mixed")
 
 
 def test_pure_by_mixed_removes_at_least_pure_by_pure():

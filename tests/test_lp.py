@@ -11,36 +11,35 @@ from egtlab.lp import LpError, solve_max
 
 
 def test_box_corner():
-    # max x1 + x2 with x1 + x2 + slack = 1
-    x, val = solve_max([1.0, 1.0, 0.0], [[1.0, 1.0, 1.0]], [1.0])
+    # max x1 + x2 with x1 + x2 + slack = 1, from the slack basis
+    x, val = solve_max([1.0, 1.0, 0.0], [[1.0, 1.0, 1.0]], [1.0], [2])
     assert val == pytest.approx(1.0)
     assert x[2] == pytest.approx(0.0)
 
 
 def test_two_constraints():
-    # max 3a + 2b, a + b <= 4, a <= 3 (slacks appended)
+    # max 3a + 2b, a + b <= 4, a <= 3 (slacks appended and basic)
     c = [3.0, 2.0, 0.0, 0.0]
     A = [[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]]
-    x, val = solve_max(c, A, [4.0, 3.0])
+    x, val = solve_max(c, A, [4.0, 3.0], [2, 3])
     assert val == pytest.approx(11.0)
     assert x[0] == pytest.approx(3.0) and x[1] == pytest.approx(1.0)
 
 
 def test_unbounded_is_reported():
+    # max x0 with -x0 + s = 1: x0 grows without bound
     with pytest.raises(LpError, match="unbounded"):
-        solve_max([1.0], [[0.0]], [0.0])
+        solve_max([1.0, 0.0], [[-1.0, 1.0]], [1.0], [1])
 
 
-def test_infeasible_is_reported():
-    with pytest.raises(LpError, match="infeasible"):
-        solve_max([1.0], [[1.0]], [-1.0])
-
-
-def test_negative_rhs_rows_are_handled():
-    # -x = -2 is feasible at x = 2 even though b starts negative.
-    x, val = solve_max([-1.0], [[-1.0]], [-2.0])
-    assert x[0] == pytest.approx(2.0)
-    assert val == pytest.approx(-2.0)
+def test_a_start_that_is_not_canonical_is_rejected():
+    A = [[1.0, 1.0, 0.0], [2.0, 0.0, 1.0]]
+    with pytest.raises(ValueError, match="canonical"):
+        solve_max([1.0, 0.0, 0.0], A, [1.0, 1.0], [0, 2])
+    with pytest.raises(ValueError, match="canonical"):
+        solve_max([1.0, 0.0, 0.0], A, [1.0, 1.0], [2, 1])
+    with pytest.raises(ValueError, match="canonical"):
+        solve_max([1.0, 0.0, 0.0], A, [1.0, -1.0], [1, 2])
 
 
 def _enumerate_optimum(c, A, b):
@@ -63,16 +62,16 @@ def _enumerate_optimum(c, A, b):
 
 
 def test_matches_basis_enumeration_on_random_problems():
+    # max c @ x with A x + s = b, b >= 0 (zeros make degenerate starts)
     rng = np.random.default_rng(7)
     for _ in range(60):
-        m, n = 2, 5
-        A = rng.integers(-3, 4, size=(m, n)).astype(float)
-        x_feas = rng.random(n)
-        b = A @ x_feas
-        c = rng.integers(-4, 5, size=n).astype(float)
+        m, n = 2, 3
+        A = np.hstack([rng.integers(-3, 4, size=(m, n)).astype(float), np.eye(m)])
+        b = rng.integers(0, 4, size=m).astype(float)
+        c = np.append(rng.integers(-4, 5, size=n).astype(float), np.zeros(m))
         want = _enumerate_optimum(c, A, b)
         try:
-            _, val = solve_max(c, A, b)
+            _, val = solve_max(c, A, b, np.arange(n, n + m))
         except LpError as err:
             assert "unbounded" in str(err)
             continue
@@ -81,8 +80,8 @@ def test_matches_basis_enumeration_on_random_problems():
 
 
 def test_phase_one_rounding_dust_is_not_unboundedness():
-    # Phase 1 ends with a reduced cost of about 2e-9 on a column with no
-    # positive entry; phase 1 is bounded, so that is dust, not unboundedness.
+    # A two-phase simplex ends phase 1 on this game with a reduced cost of
+    # about 2e-9 on a column with no positive entry: dust, not unboundedness.
     game = Game([[0.0, 0.0, 5.960464477539063e-08], [0.0, 0.0, 0.0], [1.375, 0.0, 0.0]])
     res = find_dominator(game, pure(0, 3), mode="mixed")
     assert not res.dominated

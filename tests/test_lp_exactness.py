@@ -11,27 +11,36 @@ from oracles import planted_game
 
 
 def _split_margin_lp(payoff, i):
-    """Max-margin LP of pure row i with the margin split as eps+ - eps-;
-    variables: p over every row, eps+, eps-, one slack per column."""
+    """Max-margin LP of pure row i in canonical form, with the margin above the
+    best pure margin split as eps+ - eps-; variables: p over every row, eps+,
+    eps-, one slack per column. The start is the best pure row r, with p_r
+    eliminated through sum p = 1 and basic in the last row."""
+    gaps = payoff - payoff[i]
+    margins = gaps.min(axis=1)
+    r = int(np.argmax(margins))
     n_rows, n_cols = payoff.shape
     A = np.zeros((n_cols + 1, n_rows + 2 + n_cols))
-    A[:n_cols, :n_rows] = payoff.T
-    A[:n_cols, n_rows] = -1.0
-    A[:n_cols, n_rows + 1] = 1.0
-    A[:n_cols, n_rows + 2:] = -np.eye(n_cols)
+    A[:n_cols, :n_rows] = (gaps[r] - gaps).T
+    A[:n_cols, n_rows] = 1.0
+    A[:n_cols, n_rows + 1] = -1.0
+    A[:n_cols, n_rows + 2:] = np.eye(n_cols)
     A[n_cols, :n_rows] = 1.0
     c = np.zeros(n_rows + 2 + n_cols)
     c[n_rows], c[n_rows + 1] = 1.0, -1.0
-    return c, A, np.append(payoff[i], 1.0)
+    basis = np.append(np.arange(n_rows + 2, n_rows + 2 + n_cols), r)
+    return c, A, np.append(gaps[r] - margins[r], 1.0), basis
 
 
 def test_a_solution_off_its_constraints_is_an_error():
     # eps+ and eps- are exact negatives, so once one is basic the other's
-    # entries are rounding dust. On this game Bland's rule pivots on that
-    # dust and the final tableau misses A x = b by about 2e-4.
-    payoff, _ = planted_game(np.random.default_rng(202), 6, 2)
+    # entries are rounding dust. On this game (found by search over 400
+    # seeds) Bland's rule pivots on that dust and the final tableau misses
+    # A x = b by about 4e-5.
+    rng = np.random.default_rng(58)
+    n = int(rng.integers(5, 17))
+    payoff, _ = planted_game(rng, n, int(rng.integers(1, 4)))
     with pytest.raises(LpError, match="residual"):
-        solve_max(*_split_margin_lp(payoff, 1))
+        solve_max(*_split_margin_lp(payoff, 3))
 
 
 def _highs_margin(payoff, q):
