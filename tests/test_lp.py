@@ -32,6 +32,23 @@ def test_unbounded_is_reported():
         solve_max([1.0, 0.0], [[-1.0, 1.0]], [1.0], [1])
 
 
+def test_infeasible_is_reported():
+    # x = -1 has no solution with x >= 0: its start x[basis] = b is infeasible
+    # and is rejected before any pivot.
+    with pytest.raises(ValueError, match="feasible"):
+        solve_max([1.0], [[1.0]], [-1.0], [0])
+
+
+def test_negative_rhs_rows_are_handled():
+    # -x = -2 is feasible at x = 2, but b < 0 is no canonical start, so the
+    # row is rejected as posed and solves once the caller negates it.
+    with pytest.raises(ValueError, match="canonical"):
+        solve_max([-1.0], [[-1.0]], [-2.0], [0])
+    x, val = solve_max([-1.0], [[1.0]], [2.0], [0])
+    assert x[0] == pytest.approx(2.0)
+    assert val == pytest.approx(-2.0)
+
+
 def test_a_start_that_is_not_canonical_is_rejected():
     A = [[1.0, 1.0, 0.0], [2.0, 0.0, 1.0]]
     with pytest.raises(ValueError, match="canonical"):
