@@ -242,7 +242,7 @@ def cmd_simulate(args) -> int:
         dt = args.dt if args.dt is not None else float(integ.get("dt", 1e-3))
         traj = integrate(rule, game, x0, opponent=opponent, t_max=t_max,
                          dt=dt, sample_every=sample_every)
-        run = {"t_max": t_max, "dt": dt}
+        run = {"t_max": t_max, "dt": dt, "method": traj.meta["method"]}
     else:
         n_max = args.n_max if args.n_max is not None else int(integ.get("n_max", 10_000))
         background = _parse_background(cfg.get("background"))

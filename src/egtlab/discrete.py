@@ -205,7 +205,7 @@ def _scripted_generations(pop, schedule: Schedule, link, background: BackgroundF
     a numerator C_n + g_i that is not positive, as in _generations. Returns
     (sample times, [logs at each sample], max drift).
     """
-    rows = np.array(pop.rows)
+    rows = pop.payoffs
     f = array_link(link)
 
     def increments(lo, hi):

@@ -195,12 +195,18 @@ def scalar_link(f: LinkFunction):
     return evaluate
 
 
-def array_link(f: LinkFunction):
-    """Array evaluator of f for the closed-form scripted paths: like
-    scalar_link, nan outside the padded domain and f at the clamped
-    argument inside it."""
+def array_link(f: LinkFunction, within=None):
+    """Array evaluator of f for the NumPy paths: like scalar_link, nan
+    outside the padded domain and f at the clamped argument inside it.
+
+    within = (lo, hi) promises that every argument lies in that interval,
+    as a payoff against a mixture lies between the smallest and the largest
+    payoff of its row. When the interval sits inside the padded domain no
+    argument can leave it, and the evaluator only clamps."""
     lo, hi = f.domain
     pad = domain_pad(f)
+    if within is not None and lo - pad <= within[0] and within[1] <= hi + pad:
+        return lambda u: _eval_unchecked(f, np.minimum(np.maximum(u, lo), hi))
 
     def evaluate(u):
         vals = _eval_unchecked(f, np.clip(u, lo, hi))

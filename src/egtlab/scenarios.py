@@ -486,7 +486,8 @@ def run_discussion(link: LinkFunction | None = None, *, seed: int = 0,
         "link": _link_desc(link),
         "game": game_to_dict(game),
         "lp_margin": dom.margin,
-        "run": {"t_max": t_max, "dt": dt, "w_growth": growth,
+        "run": {"t_max": t_max, "dt": dt, "method": traj.meta["method"],
+                "w_growth": growth,
                 "w_growth_bound": bound, "min_support_final": final_min},
         "verdicts": {"mixture": v.__dict__},
         "checks": {
@@ -517,7 +518,8 @@ def run_survival_nonconvex(link: LinkFunction | None = None, *, seed: int = 0,
         "seed": seed,
         "link": _link_desc(f),
         "construction": _survival_desc(con),
-        "run": {"t_max": t_max, "dt": dt, "x_M_final": x_m},
+        "run": {"t_max": t_max, "dt": dt, "method": traj.meta["method"],
+                "x_M_final": x_m},
         "verdicts": {"M": v.__dict__},
         "checks": {
             "dominated-pure-takes-over": x_m > 0.99,
@@ -549,8 +551,8 @@ def run_survival_nonconcave(link: LinkFunction | None = None, *, seed: int = 0,
         "seed": seed,
         "link": _link_desc(f),
         "construction": _survival_desc(con),
-        "run": {"t_max": t_max, "dt": dt, "x_M_final": x_m,
-                "product_floor": floor, "product_late_max": late_max},
+        "run": {"t_max": t_max, "dt": dt, "method": traj.meta["method"],
+                "x_M_final": x_m, "product_floor": floor, "product_late_max": late_max},
         "verdicts": {"M": v_m.__dict__, "mixture": v_mix.__dict__},
         "checks": {
             "dominating-pure-dies": x_m < 1e-4,
@@ -575,6 +577,27 @@ def _rps4_desc(con: Rps4Construction) -> dict:
             "payoff": con.game.payoff.tolist()}
 
 
+def _rps4_runs(f: LinkFunction, con: Rps4Construction, search_box, starts, judge,
+               max_beta_halvings: int, **flow):
+    """All starts of a 4x4 construction in one batched self-play flow.
+
+    starts(con) gives the (n_seeds, 4) initial states, judge(traj) the
+    per-seed records and whether the construction passed. While it does not,
+    beta is halved and the construction rebuilt, at most max_beta_halvings
+    times. Returns (construction, halvings, batch trajectory, records).
+    """
+    rule = GrowthRule(link=f)
+    halvings = 0
+    while True:
+        traj = integrate(rule, con.game, starts(con), **flow)
+        runs, passed = judge(traj)
+        if passed or halvings >= max_beta_halvings:
+            return con, halvings, traj, runs
+        halvings += 1
+        con = build_rps4(f, con.variant, search_box, abc=(con.a, con.b, con.c),
+                         beta=con.beta / 2.0, gamma=con.gamma)
+
+
 def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,
                dt: float = 1e-3, t_max: float = 200.0, n_seeds: int = 10,
                search_box=(0.01, 20.0), sample_every: int = 100,
@@ -588,35 +611,28 @@ def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,
     and the construction rebuilt when they do not.
     """
     f = link if link is not None else sqrt_link((0.0, 20.0))
-    con = build_rps4(f, "hofbauer-weibull", search_box)
-    rule = GrowthRule(link=f)
-    halvings = 0
-    while True:
-        dom = find_dominator(con.game, pure(3, 4).weights, mode="mixed")
+
+    def starts(_):
         rng = np.random.default_rng(seed)
-        runs, survivors = [], 0
-        first = None
-        for s in range(n_seeds):
+        x0 = np.full((n_seeds, 4), 0.01)
+        for s, x in enumerate(x0):
             i = s % 3
-            x0 = np.full(4, 0.01)
             others = [j for j in range(3) if j != i]
-            x0[others] += rng.uniform(-0.002, 0.002, size=2)
-            x0[i] = 1.0 - float(x0[others].sum()) - 0.01
-            traj = integrate(rule, con.game, x0, t_max=t_max, dt=dt,
-                             sample_every=sample_every)
-            if first is None:
-                first = traj
-            low = float(np.exp(_tail(traj.log_states[:, 3]).min()))
-            keeps = low > 1e-3
-            survivors += keeps
-            runs.append({"seed_index": s, "x4_last_quarter_min": low,
-                         "persists": keeps})
-        if survivors >= 8 or halvings >= max_beta_halvings:
-            break
-        halvings += 1
-        con = build_rps4(f, "hofbauer-weibull", search_box,
-                         abc=(con.a, con.b, con.c), beta=con.beta / 2.0,
-                         gamma=con.gamma)
+            x[others] += rng.uniform(-0.002, 0.002, size=2)
+            x[i] = 1.0 - float(x[others].sum()) - 0.01
+        return x0
+
+    def judge(traj):
+        low = np.exp(_tail(traj.log_states[:, :, 3]).min(axis=0))
+        runs = [{"seed_index": s, "x4_last_quarter_min": float(v), "persists": bool(v > 1e-3)}
+                for s, v in enumerate(low)]
+        return runs, sum(r["persists"] for r in runs) >= 8
+
+    con, halvings, traj, runs = _rps4_runs(
+        f, build_rps4(f, "hofbauer-weibull", search_box), search_box, starts, judge,
+        max_beta_halvings, t_max=t_max, dt=dt, sample_every=sample_every)
+    dom = find_dominator(con.game, pure(3, 4).weights, mode="mixed")
+    survivors = sum(r["persists"] for r in runs)
     report = {
         "scenario": "hw-4x4",
         "seed": seed,
@@ -624,14 +640,14 @@ def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,
         "construction": _rps4_desc(con),
         "beta_halvings": halvings,
         "lp_margin": dom.margin,
-        "run": {"t_max": t_max, "dt": dt, "seeds": runs,
+        "run": {"t_max": t_max, "dt": dt, "method": traj.meta["method"], "seeds": runs,
                 "survivors": survivors},
         "checks": {
             "fourth-strategy-certified-dominated": dom.margin > 0.0,
             "persists-on-at-least-8-seeds": survivors >= 8,
         },
     }
-    return _finish(report), first
+    return _finish(report), traj.member(0)
 
 
 def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
@@ -648,34 +664,26 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
     """
     f = link if link is not None else exp_link(1.0, (-2.0, 2.0))
     con = build_rps4(f, "dual", search_box, abc=abc)
-    rule = GrowthRule(link=f)
-    frac = taylor_sign_check(rule, con.core_game, radius=0.01,
+    frac = taylor_sign_check(GrowthRule(link=f), con.core_game, radius=0.01,
                              samples=taylor_samples, seed=seed)
-    halvings = 0
-    while True:
-        dom = find_dominator(con.game, np.array([1, 1, 1, 0]) / 3.0, mode="mixed")
+
+    def starts(con):
         basin = dual_basin_k(con, rho, eps4)
         rng = np.random.default_rng(seed)
-        runs, all_ok = [], True
-        first = None
-        for s in range(n_seeds):
-            x0 = basin.sample(rng)
-            traj = integrate(rule, con.game, x0, t_max=t_max, dt=dt,
-                             sample_every=sample_every)
-            if first is None:
-                first = traj
-            x4_final = float(traj.states[-1, 3])
-            core = traj.log_states[:, 0] + traj.log_states[:, 1] + traj.log_states[:, 2]
-            core_min = float(np.exp(_tail(core).min()))
-            ok = x4_final < 1e-4 and core_min > 1e-3
-            all_ok = all_ok and ok
-            runs.append({"seed_index": s, "x4_final": x4_final,
-                         "core_product_last_quarter_min": core_min, "ok": ok})
-        if all_ok or halvings >= max_beta_halvings:
-            break
-        halvings += 1
-        con = build_rps4(f, "dual", search_box, abc=(con.a, con.b, con.c),
-                         beta=con.beta / 2.0, gamma=con.gamma)
+        return np.array([basin.sample(rng) for _ in range(n_seeds)])
+
+    def judge(traj):
+        x4_final = traj.states[-1, :, 3]
+        core_min = np.exp(_tail(traj.log_states[:, :, :3].sum(axis=2)).min(axis=0))
+        runs = [{"seed_index": s, "x4_final": float(x4), "core_product_last_quarter_min":
+                 float(low), "ok": bool(x4 < 1e-4 and low > 1e-3)}
+                for s, (x4, low) in enumerate(zip(x4_final, core_min))]
+        return runs, all(r["ok"] for r in runs)
+
+    con, halvings, traj, runs = _rps4_runs(
+        f, con, search_box, starts, judge, max_beta_halvings,
+        t_max=t_max, dt=dt, sample_every=sample_every)
+    dom = find_dominator(con.game, np.array([1, 1, 1, 0]) / 3.0, mode="mixed")
     report = {
         "scenario": "dual-4x4",
         "seed": seed,
@@ -684,8 +692,8 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
         "beta_halvings": halvings,
         "lp_margin": dom.margin,
         "taylor_negative_fraction": frac,
-        "run": {"t_max": t_max, "dt": dt, "rho": rho, "eps4": eps4,
-                "seeds": runs},
+        "run": {"t_max": t_max, "dt": dt, "method": traj.meta["method"], "rho": rho,
+                "eps4": eps4, "seeds": runs},
         "checks": {
             "margin-at-least-min-beta-gamma":
                 dom.margin >= min(con.beta, con.gamma) * (1.0 - 1e-9),
@@ -693,7 +701,7 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
             "near-center-drift-always-negative": frac == 1.0,
         },
     }
-    return _finish(report), first
+    return _finish(report), traj.member(0)
 
 
 def _generation_drift(con: SurvivalConstruction, f_rule: LinkFunction,

@@ -1,8 +1,9 @@
 """Closed-form scripted runs against the steppers they replace.
 
 A flat speed table, speed=table_link([lo, hi], [c, c]), is payoff-dependent
-in form only: it keeps a scripted flow on the RK4 stepper while giving it
-the constant speed c, so the two paths can be compared on the same run.
+in form only: it keeps a scripted flow on the stepper (method="rk4") while
+giving it the constant speed c, so the two paths can be compared on the
+same run.
 Scripted generation maps are compared with repeated discrete.step.
 """
 
@@ -54,7 +55,7 @@ FLOWS = {
 def test_closed_form_flow_matches_the_stepper(case):
     rule, game, x0, script, kw = FLOWS[case]
     closed = integrate(rule, game, x0, opponent=script, **kw)
-    ref = integrate(stepped(rule), game, x0, opponent=script, **kw)
+    ref = integrate(stepped(rule), game, x0, opponent=script, method="rk4", **kw)
     assert_same_run(closed, ref)
 
 
@@ -66,7 +67,8 @@ def test_closed_form_flow_fails_where_the_stepper_fails():
     errors = []
     for r in (rule, stepped(rule)):
         with pytest.raises(IntegrationError, match=r"near t=2\.7 \(strategy 1\)") as err:
-            integrate(r, game, (0.3, 0.3, 0.4), opponent=WAVE, t_max=7.5, dt=0.1)
+            integrate(r, game, (0.3, 0.3, 0.4), opponent=WAVE, t_max=7.5, dt=0.1,
+                      method="rk4")
         errors.append((str(err.value), err.value.t, err.value.step))
     assert errors[0] == errors[1]
     assert errors[0][2] == 27

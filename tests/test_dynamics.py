@@ -121,7 +121,8 @@ def test_faces_are_exactly_invariant():
 
 
 def test_simplex_drift_stays_tiny():
-    traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=5.0, dt=1e-3)
+    traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=5.0, dt=1e-3,
+                     method="rk4")
     assert traj.meta["max_drift"] <= 1e-10
     assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-9
 
@@ -260,5 +261,6 @@ def test_overflowing_step_is_an_integration_error():
     # one RK4 step lifts the second log by about 5e3, past exp's range
     rule = GrowthRule(linear_link(1.0, 0.0, (-1e8, 1e8)))
     with pytest.raises(IntegrationError, match="non-finite near t=0") as err:
-        integrate(rule, Game([[0.0, 0.0], [1e7, 1e7]]), (0.5, 0.5), t_max=1.0)
+        integrate(rule, Game([[0.0, 0.0], [1e7, 1e7]]), (0.5, 0.5), t_max=1.0,
+                  method="rk4")
     assert (err.value.t, err.value.step) == (0.0, 0)

@@ -1,5 +1,6 @@
 """Final log-states of short runs on every stepper path, recorded from the
 earlier one-loop-per-path integrators; the steppers must reproduce them.
+Flows take method="rk4", the fixed-step scheme those runs used.
 
 The tolerance is 1e-12 rather than bit equality because Python 3.12 and later
 round float sum() differently."""
@@ -27,14 +28,15 @@ LOG = GrowthRule(log_link((0.2, 1.5)))
 PARTNER = Coupled(B, GrowthRule(), (0.4, 0.3, 0.0, 0.3))
 
 RUNS = {
-    "self_flow": lambda: integrate(EXP, RPS4, (0.1, 0.2, 0.3, 0.4), t_max=3.0),
+    "self_flow": lambda: integrate(EXP, RPS4, (0.1, 0.2, 0.3, 0.4), t_max=3.0,
+                                   method="rk4"),
     "scripted_flow": lambda: integrate(SQRT, SURVIVAL, (0.3, 0.3, 0.4),
-                                       opponent=WAVE, t_max=7.5),
+                                       opponent=WAVE, t_max=7.5, method="rk4"),
     "coupled_flow": lambda: integrate(LOG, A, (0.2, 0.3, 0.5), opponent=PARTNER,
-                                      t_max=3.0),
+                                      t_max=3.0, method="rk4"),
     "scripted_speed_flow": lambda: integrate(
         GrowthRule(speed=table_link([0.0, 1.0], [0.5, 1.5])), SURVIVAL,
-        (0.3, 0.3, 0.4), opponent=WAVE, t_max=7.5),
+        (0.3, 0.3, 0.4), opponent=WAVE, t_max=7.5, method="rk4"),
     "self_map": lambda: iterate(EXP, RPS4, (0.1, 0.2, 0.3, 0.4), n_max=500,
                                 background=constant_background(1.0)),
     "scripted_map": lambda: iterate(SQRT, SURVIVAL, (0.3, 0.3, 0.4), opponent=WAVE,

@@ -1,9 +1,8 @@
-"""Construction searches, certificate re-checks, and the fast scenario runners.
+"""Construction searches, certificate re-checks, and the scenario runners.
 
 The acceptance tests at the end run whole catalog scenarios at their catalog
-defaults and log each as an acceptance criterion. The heavyweight runners
-(hw-4x4, dual-4x4) are not run; here we pin the constructions they are built
-from.
+defaults, hw-4x4 and dual-4x4 included, and log each as an acceptance
+criterion.
 """
 
 import math
@@ -18,8 +17,8 @@ from egtlab.links import (exp_link, linear_link, power_link, rps_direction,
 from egtlab.scenarios import (SCENARIO_INTERVALS, SCENARIOS, build_rps4,
                               build_survival, dual_basin_k, named_game,
                               run_background_schedules, run_background_threshold,
-                              run_discussion, run_survival_nonconcave,
-                              run_survival_nonconvex)
+                              run_discussion, run_dual_4x4, run_hw_4x4,
+                              run_survival_nonconcave, run_survival_nonconvex)
 
 MIX_TB = np.array([0.5, 0.0, 0.5])
 
@@ -204,6 +203,7 @@ def test_run_discussion_report():
     assert report["run"]["w_growth"] >= report["run"]["w_growth_bound"]
     assert report["run"]["min_support_final"] < 1e-8
     assert report["verdicts"]["mixture"]["status"] == "eliminated"
+    assert report["run"]["method"] == traj.meta["method"] == "dp5"
     assert traj.states.shape[1] == 3
 
 
@@ -239,8 +239,10 @@ def test_catalog_is_consistent():
 
 
 @pytest.mark.parametrize("number, runner", [(1, run_survival_nonconvex),
-                                            (2, run_background_threshold)],
-                         ids=["survival-nonconvex", "background-threshold"])
+                                            (2, run_background_threshold),
+                                            (3, run_hw_4x4), (4, run_dual_4x4)],
+                         ids=["survival-nonconvex", "background-threshold", "hw-4x4",
+                              "dual-4x4"])
 def test_catalog_scenario_passes_its_checks_at_the_defaults(number, runner,
                                                            acceptance_log):
     report, _ = runner()

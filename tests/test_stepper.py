@@ -1,0 +1,197 @@
+"""The adaptive Dormand-Prince stepper: exact solutions, a SciPy oracle,
+batches of runs, run stats and failures.
+
+Errors are measured in units of RTOL * (1 + |z|), the per-coordinate scale
+the step control aims at; the stated multiples leave room for the error
+that builds up over many steps.
+"""
+
+import numpy as np
+import pytest
+
+from egtlab.dynamics import (RTOL, Coupled, GrowthRule, IntegrationError, Schedule,
+                             eval_schedule, integrate, vector_field)
+from egtlab.games import Game
+from egtlab.links import exp_link, linear_link, log_link, table_link
+
+GAP_GAME = Game([[1.0, 1.0], [0.0, 0.0]])  # payoffs (1, 0) whatever y does
+RPS4 = Game([[1.0, 0.0, 2.5, 0.5], [2.5, 1.0, 0.0, 0.5],
+             [0.0, 2.5, 1.0, 0.5], [0.8, 0.8, 0.8, 1.0]])
+EXP = GrowthRule(exp_link(1.0, (0.0, 2.5)))
+A = Game([[1.0, 0.3, 1.4, 0.2], [0.4, 1.2, 0.6, 1.5], [0.9, 0.8, 0.7, 1.0]])
+B = Game([[0.5, 1.2, 0.9], [1.3, 0.4, 0.8], [0.7, 1.1, 0.6], [1.0, 0.9, 1.2]])
+G4 = Game([[1.0, 0.3, 1.4], [0.4, 1.2, 0.6], [0.9, 0.8, 0.7], [1.1, 0.2, 0.5]])
+S3 = Schedule(2.5, [0.0, 0.7, 1.9], [[0.2, 0.3, 0.5], [0.6, 0.1, 0.3], [0.1, 0.8, 0.1]])
+SPEED = GrowthRule(exp_link(1.0, (0.0, 2.0)), speed=table_link([0.0, 2.0], [0.5, 1.5]))
+
+
+def normalized(z):
+    top = z.max(axis=-1, keepdims=True)
+    return z - (top + np.log(np.exp(z - top).sum(axis=-1, keepdims=True)))
+
+
+def scaled_error(got, want) -> float:
+    """Largest |got - want| in units of RTOL * (1 + |want|)."""
+    return float((np.abs(got - want) / (RTOL * (1.0 + np.abs(want)))).max())
+
+
+# exact solutions --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x0, sample_every", [((0.5, 0.5), 100), ((0.9, 0.1), 7)])
+def test_log_ratio_grows_at_exactly_rate_one(x0, sample_every):
+    # z1 - z2 = r0 + t, so z1 = -log1p(exp(-r)) and z2 = -log1p(exp(r))
+    traj = integrate(GrowthRule(), GAP_GAME, x0, t_max=40.0, sample_every=sample_every)
+    r = np.log(x0[0] / x0[1]) + traj.times
+    want = np.stack([-np.log1p(np.exp(-r)), -np.log1p(np.exp(r))], axis=1)
+    assert scaled_error(traj.log_states, want) <= 1.0
+    assert traj.meta["steps"] < 200
+
+
+# SciPy oracle ------------------------------------------------------------------
+
+
+def dop853(rhs, z0, times, knots=()):
+    """Normalized logs at the sample times from SciPy's DOP853 at rtol 1e-12,
+    restarted at every knot (a kink of the opponent script)."""
+    from scipy.integrate import solve_ivp
+    cuts = [0.0] + [k for k in knots if 0.0 < k < times[-1]] + [float(times[-1])]
+    z, out = np.asarray(z0, dtype=float), {0.0: np.asarray(z0, dtype=float)}
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        inside = times[(times > a) & (times <= b)]
+        sol = solve_ivp(rhs, (a, b), z, method="DOP853", rtol=1e-12, atol=1e-12,
+                        t_eval=inside, dense_output=True)
+        assert sol.success, sol.message
+        out.update(zip(sol.t.tolist(), sol.y.T))
+        z = sol.sol(b)
+    return normalized(np.array([out[t] for t in times.tolist()]))
+
+
+def softmax(z):
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def test_self_play_matches_dop853():
+    pytest.importorskip("scipy")
+    x0 = np.array([0.1, 0.2, 0.3, 0.4])
+    traj = integrate(EXP, RPS4, x0, t_max=30.0)
+
+    def rhs(t, z):
+        x = softmax(z)
+        return vector_field(EXP, RPS4, x) / x
+
+    assert scaled_error(traj.log_states, dop853(rhs, np.log(x0), traj.times)) <= 10.0
+
+
+def test_coupled_run_matches_dop853():
+    pytest.importorskip("scipy")
+    rule = GrowthRule(log_link((0.2, 1.5)))
+    x0, y0 = np.array([0.2, 0.3, 0.5]), np.array([0.4, 0.3, 0.1, 0.2])
+    traj = integrate(rule, A, x0, opponent=Coupled(B, GrowthRule(), y0), t_max=20.0)
+
+    def rhs(t, z):
+        x, y = softmax(z[:3]), softmax(z[3:])
+        return np.concatenate([vector_field(rule, A, x, y) / x,
+                               vector_field(GrowthRule(), B, y, x) / y])
+
+    want = dop853(rhs, np.log(np.concatenate([x0, y0])), traj.times)
+    assert scaled_error(traj.log_states, normalized(want[:, :3])) <= 10.0
+    assert scaled_error(traj.opp_log_states, normalized(want[:, 3:])) <= 10.0
+
+
+def test_scripted_run_with_a_speed_factor_matches_dop853():
+    pytest.importorskip("scipy")
+    x0 = np.array([0.1, 0.2, 0.3, 0.4])
+    traj = integrate(SPEED, G4, x0, opponent=S3, t_max=20.0)
+
+    def rhs(t, z):
+        x = softmax(z)
+        return vector_field(SPEED, G4, x, eval_schedule(S3, t)) / x
+
+    knots = [k * S3.period + c for k in range(9) for c in S3.times]
+    want = dop853(rhs, np.log(x0), traj.times, knots)
+    assert scaled_error(traj.log_states, want) <= 10.0
+
+
+# batches -----------------------------------------------------------------------
+
+
+def test_a_batch_gives_each_member_its_single_run():
+    starts = np.random.default_rng(3).dirichlet(np.ones(4), size=5)
+    batch = integrate(EXP, RPS4, starts, t_max=30.0)
+    assert batch.log_states.shape == (len(batch), 5, 4)
+    assert batch.meta["members"] == 5
+    for k, x0 in enumerate(starts):
+        single = integrate(EXP, RPS4, x0, t_max=30.0)
+        np.testing.assert_array_equal(batch.times, single.times)
+        assert scaled_error(batch.member(k).log_states, single.log_states) <= 10.0
+
+
+def test_a_batch_on_a_face_keeps_it_exactly():
+    starts = np.array([[0.2, 0.0, 0.5, 0.3], [0.6, 0.0, 0.1, 0.3]])
+    batch = integrate(EXP, RPS4, starts, t_max=5.0)
+    assert np.all(batch.log_states[:, :, 1] == -np.inf)
+    assert np.all(np.isfinite(batch.log_states[:, :, [0, 2, 3]]))
+
+
+def test_a_batch_needs_self_play_and_one_support():
+    with pytest.raises(ValueError, match="share one support"):
+        integrate(EXP, RPS4, [[0.25, 0.25, 0.25, 0.25], [0.5, 0.0, 0.25, 0.25]], t_max=1.0)
+    with pytest.raises(ValueError, match="self-play"):
+        integrate(GrowthRule(), G4, [[0.25] * 4, [0.25] * 4], opponent=S3, t_max=1.0)
+    with pytest.raises(ValueError, match="initial state 1"):
+        integrate(EXP, RPS4, [[0.25] * 4, [0.5] * 4], t_max=1.0)
+    with pytest.raises(ValueError, match="member"):
+        integrate(EXP, RPS4, [0.25] * 4, t_max=1.0).member(0)
+
+
+# samples, stats and failures ---------------------------------------------------
+
+
+def test_samples_land_on_the_fixed_step_grid():
+    kw = dict(opponent=S3, t_max=7.3, dt=3e-3, sample_every=13)
+    dp5 = integrate(SPEED, G4, (0.1, 0.2, 0.3, 0.4), **kw)
+    rk4 = integrate(SPEED, G4, (0.1, 0.2, 0.3, 0.4), method="rk4", **kw)
+    np.testing.assert_array_equal(dp5.times, rk4.times)
+    np.testing.assert_array_equal(dp5.opp_states, rk4.opp_states)
+    assert scaled_error(dp5.log_states, rk4.log_states) <= 100.0
+
+
+def test_meta_records_the_stepper():
+    dp5 = integrate(EXP, RPS4, (0.1, 0.2, 0.3, 0.4), t_max=10.0)
+    m = dp5.meta
+    assert (m["method"], m["rtol"], m["members"]) == ("dp5", RTOL, 1)
+    assert 0 < m["steps"] < 10_000 and m["rejected"] >= 0
+    # one evaluation at the start, one for the first step size, six per attempt
+    assert m["rhs_evals"] == 2 + 6 * (m["steps"] + m["rejected"])
+    assert 0.0 < m["h_min"] <= m["h_max"] <= 10.0
+    assert m["max_drift"] <= 1e-8
+    rk4 = integrate(EXP, RPS4, (0.1, 0.2, 0.3, 0.4), t_max=10.0, method="rk4").meta
+    assert (rk4["method"], rk4["rtol"], rk4["steps"], rk4["rejected"]) == ("rk4", None,
+                                                                           10_000, 0)
+    assert rk4["rhs_evals"] == 4 * 10_000
+    assert rk4["h_min"] == pytest.approx(1e-3) and rk4["h_max"] == pytest.approx(1e-3)
+    assert rk4.keys() == m.keys()
+
+
+def test_unknown_method_is_rejected():
+    with pytest.raises(ValueError, match="method"):
+        integrate(EXP, RPS4, (0.1, 0.2, 0.3, 0.4), t_max=1.0, method="euler")
+
+
+@pytest.mark.parametrize("method", ["dp5", "rk4"])
+def test_a_failure_names_the_member_that_failed(method):
+    # u_0 = 2 y_0 leaves the domain (0, 1) only for the start with x_0 > 0.5
+    game = Game([[2.0, 0.0], [0.5, 0.5]])
+    rule = GrowthRule(linear_link(1.0, 0.0, (0.0, 1.0)))
+    starts = [[0.3, 0.7], [0.4, 0.6], [0.6, 0.4]]
+    with pytest.raises(IntegrationError,
+                       match=r"link domain near t=0 \(strategy 0\)") as err:
+        integrate(rule, game, starts, t_max=1.0, method=method)
+    assert (err.value.t, err.value.step, err.value.member) == (0.0, 0, 2)
+    # mean payoffs 0.53, 0.62 and 0.92: only the last speed is negative
+    speed = GrowthRule(speed=table_link([0.0, 0.7, 1.0], [1.0, 1.0, -1.0]))
+    with pytest.raises(IntegrationError, match="speed factor") as err:
+        integrate(speed, game, starts, t_max=1.0, method=method)
+    assert err.value.member == 2
