@@ -33,10 +33,11 @@ def w_series(traj: Trajectory, p, q) -> np.ndarray:
     """w along the samples. Coordinates with p_i = q_i never contribute, even
     at zero frequency; a zero frequency with a nonzero coefficient sends w to
     the appropriate infinity."""
-    c = _coeffs(p, q, traj.log_states.shape[1])
+    logs = traj.run_logs("w_series")
+    c = _coeffs(p, q, logs.shape[1])
     mask = c != 0.0
     with np.errstate(invalid="ignore"):
-        return traj.log_states[:, mask] @ c[mask]
+        return logs[:, mask] @ c[mask]
 
 
 def w_rate(rule: GrowthRule | None, game: Game, x, p, q, y=None) -> float:
@@ -56,16 +57,17 @@ def w_rate(rule: GrowthRule | None, game: Game, x, p, q, y=None) -> float:
     return lam * rate
 
 
-def _support_indices(traj: Trajectory, q) -> np.ndarray:
+def _weights(logs, q) -> np.ndarray:
     qw = validate_simplex(q, what="q").weights
-    if qw.shape != (traj.log_states.shape[1],):
-        raise ValueError(f"q must have length {traj.log_states.shape[1]}")
-    return np.flatnonzero(qw > 0.0)
+    if qw.shape != (logs.shape[1],):
+        raise ValueError(f"q must have length {logs.shape[1]}")
+    return qw
 
 
 def log_min_support(traj: Trajectory, q) -> np.ndarray:
     """ln of the smallest frequency on q's support, per sample."""
-    return traj.log_states[:, _support_indices(traj, q)].min(axis=1)
+    logs = traj.run_logs("log_min_support")
+    return logs[:, _weights(logs, q) > 0.0].min(axis=1)
 
 
 def log_mixture_mass(traj: Trajectory, q) -> np.ndarray:
@@ -74,11 +76,10 @@ def log_mixture_mass(traj: Trajectory, q) -> np.ndarray:
     This drops below any bound exactly when some strategy in q's support
     dies, making it an equivalent elimination coordinate for the mixture.
     """
-    qw = validate_simplex(q, what="q").weights
-    if qw.shape != (traj.log_states.shape[1],):
-        raise ValueError(f"q must have length {traj.log_states.shape[1]}")
+    logs = traj.run_logs("log_mixture_mass")
+    qw = _weights(logs, q)
     mask = qw > 0.0
-    return traj.log_states[:, mask] @ qw[mask]
+    return logs[:, mask] @ qw[mask]
 
 
 def elimination_metrics(traj: Trajectory, q):
@@ -120,6 +121,7 @@ def verdict(traj: Trajectory, q, elim_threshold: float = 1e-6,
     still downward. survived: the whole last third stays at or above
     surv_threshold. Anything else, or fewer than 10 samples, is inconclusive.
     """
+    traj.run_logs("verdict")
     if not 0.0 < elim_threshold < surv_threshold:
         raise ValueError("need 0 < elim_threshold < surv_threshold")
     lm = log_min_support(traj, q)
@@ -149,6 +151,7 @@ def periodic_floor(traj: Trajectory, coords, period: float) -> float:
     attained on one period once transients die out, so the last full period
     is the honest floor estimate. Needs at least 3 complete periods.
     """
+    logs = traj.run_logs("periodic_floor")
     i, j = (int(c) for c in coords)
     if period <= 0:
         raise ValueError("period must be positive")
@@ -160,8 +163,8 @@ def periodic_floor(traj: Trajectory, coords, period: float) -> float:
     lo = (n_complete - 1) * period - tol
     hi = n_complete * period + tol
     window = (t >= lo) & (t <= hi)
-    logs = traj.log_states[window][:, (i, j)].sum(axis=1)
-    return float(np.exp(logs.min()))
+    pair = logs[window][:, (i, j)].sum(axis=1)
+    return float(np.exp(pair.min()))
 
 
 def taylor_sign_check(rule: GrowthRule | None, game: Game,

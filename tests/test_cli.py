@@ -41,7 +41,7 @@ def test_simulate_report_and_trajectory(discussion_cfg, tmp_path):
     doc = json.loads(report_path.read_text())
     raw = doc["raw"]
     assert raw["mode"] == "continuous" and raw["t_final"] == 200.0
-    assert raw["run"]["method"] == "dp5"
+    assert raw["run"]["method"] == "dop853"
     target = raw["targets"][0]
     assert target["verdict"]["status"] == "eliminated"
     assert target["w_final"] - target["w_initial"] >= 99.9
@@ -175,7 +175,7 @@ def test_scenario_writes_the_first_run_of_a_batch(tmp_path, capsys):
     code, doc = run_json(capsys, ["scenario", "hw-4x4", "--t-max", "2",
                                   "--traj", str(traj_path)])
     assert code == 0
-    assert doc["raw"]["run"]["method"] == "dp5" and len(doc["raw"]["run"]["seeds"]) == 10
+    assert doc["raw"]["run"]["method"] == "dop853" and len(doc["raw"]["run"]["seeds"]) == 10
     lines = traj_path.read_text().splitlines()
     assert lines[0] == "t,x1,x2,x3,x4" and len(lines) == 1 + 21
 

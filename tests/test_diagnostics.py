@@ -7,8 +7,8 @@ import pytest
 
 from egtlab.diagnostics import (Verdict, elimination_metrics,
                                 least_squares_slope, log_min_support,
-                                periodic_floor, taylor_sign_check, verdict,
-                                w_rate, w_series)
+                                log_mixture_mass, periodic_floor,
+                                taylor_sign_check, verdict, w_rate, w_series)
 from egtlab.dynamics import GrowthRule, Trajectory, integrate
 from egtlab.games import Game, pure, uniform
 from egtlab.links import exp_link, linear_link
@@ -118,6 +118,26 @@ def test_verdict_threshold_ordering():
     with pytest.raises(ValueError):
         verdict(traj, (1.0, 0.0), elim_threshold=0.1, surv_threshold=0.01)
     assert isinstance(verdict(traj, (1.0, 0.0)), Verdict)
+
+
+ON_ONE_RUN = {
+    "w_series": lambda traj: w_series(traj, pure(2, 3), uniform(3)),
+    "log_min_support": lambda traj: log_min_support(traj, uniform(3)),
+    "log_mixture_mass": lambda traj: log_mixture_mass(traj, uniform(3)),
+    "verdict": lambda traj: verdict(traj, pure(0, 3)),
+    "periodic_floor": lambda traj: periodic_floor(traj, (0, 1), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", ON_ONE_RUN)
+def test_diagnostics_refuse_a_batch(name):
+    call = ON_ONE_RUN[name]
+    # three runs of three strategies: the run axis has the strategies' length
+    starts = np.array([[0.4, 0.4, 0.2], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
+    batch = integrate(REPL, DISCUSSION, starts, t_max=5.0)
+    with pytest.raises(ValueError, match=rf"{name} reads a single run.*member\(k\)"):
+        call(batch)
+    call(batch.member(1))
 
 
 def test_periodic_floor_constant_state():

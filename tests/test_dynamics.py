@@ -257,6 +257,16 @@ def test_trajectory_csv_has_full_precision(tmp_path):
     np.testing.assert_allclose(row[1:], traj.states[-1], rtol=1e-16)
 
 
+def test_trajectory_csv_refuses_a_batch(tmp_path):
+    starts = np.array([[0.4, 0.4, 0.2], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
+    batch = integrate(REPL, DISCUSSION, starts, t_max=1.0)
+    with pytest.raises(ValueError, match=r"_csv reads a single run.* 3 runs.*member\(k\)"):
+        write_trajectory_csv(batch, tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
+    write_trajectory_csv(batch.member(2), tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_text().splitlines()[0] == "t,x1,x2,x3"
+
+
 def test_overflowing_step_is_an_integration_error():
     # one RK4 step lifts the second log by about 5e3, past exp's range
     rule = GrowthRule(linear_link(1.0, 0.0, (-1e8, 1e8)))

@@ -203,7 +203,7 @@ def test_run_discussion_report():
     assert report["run"]["w_growth"] >= report["run"]["w_growth_bound"]
     assert report["run"]["min_support_final"] < 1e-8
     assert report["verdicts"]["mixture"]["status"] == "eliminated"
-    assert report["run"]["method"] == traj.meta["method"] == "dp5"
+    assert report["run"]["method"] == traj.meta["method"] == "dop853"
     assert traj.states.shape[1] == 3
 
 

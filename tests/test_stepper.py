@@ -1,16 +1,19 @@
-"""The adaptive Dormand-Prince stepper: exact solutions, a SciPy oracle,
-batches of runs, run stats and failures.
+"""The adaptive stepper, Dormand-Prince 8(5,3) (DOP853): exact solutions, a
+SciPy oracle, batches of runs, run stats and failures.
 
 Errors are measured in units of RTOL * (1 + |z|), the per-coordinate scale
 the step control aims at; the stated multiples leave room for the error
 that builds up over many steps.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from egtlab.dynamics import (RTOL, Coupled, GrowthRule, IntegrationError, Schedule,
-                             eval_schedule, integrate, vector_field)
+from egtlab.dynamics import (_TABLEAUS, RTOL, Coupled, GrowthRule, IntegrationError,
+                             Schedule, _dense_basis, eval_schedule, integrate, vector_field)
 from egtlab.games import Game
 from egtlab.links import exp_link, linear_link, log_link, table_link
 
@@ -33,6 +36,77 @@ def normalized(z):
 def scaled_error(got, want) -> float:
     """Largest |got - want| in units of RTOL * (1 + |want|)."""
     return float((np.abs(got - want) / (RTOL * (1.0 + np.abs(want)))).max())
+
+
+# tableaus ----------------------------------------------------------------------
+
+# order of each scheme, then of its embedded error estimates
+ORDERS = {"dop853": (8, 5, 3), "rk4": (4,)}
+
+
+def exact(values):
+    return [Fraction(float(v)) for v in values]
+
+
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def tall_trees(weights, rows, order, theta=1):
+    """Residuals of sum_s w_s (A^(k-1) 1)_s = theta^k / k! for k up to order,
+    with A the strictly lower triangular matrix of the stage rows."""
+    v, out = [Fraction(1)] * len(rows), []
+    for k in range(1, order + 1):
+        out.append(dot(weights, v) - Fraction(theta) ** k / math.factorial(k))
+        v = [dot(row, v) for row in rows]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_TABLEAUS))
+def test_tableau_meets_its_order_conditions(name):
+    # The literals are the exact coefficients rounded to doubles, so every
+    # condition is checked in exact arithmetic on the doubles: to 1e-15, and
+    # a row sum to within half an ulp of each literal in it (the entries of
+    # DOP853's rows 8 to 11 reach 43, where 1e-15 is below one ulp).
+    tab = _TABLEAUS[name]
+    order, *embedded = ORDERS[name]
+    c, b = exact(tab.c), exact(tab.b)
+    rows = [exact(tab.a[i]) if i else [] for i in range(len(c))]
+    for i in range(1, len(c)):
+        slack = (sum(map(math.ulp, tab.a[i])) + math.ulp(tab.c[i])) / 2
+        assert abs(sum(rows[i]) - c[i]) <= slack, f"row {i}"
+    for k in range(1, order + 1):
+        assert abs(dot(b, (ci ** (k - 1) for ci in c)) - Fraction(1, k)) <= 1e-15, k
+    assert max(map(abs, tall_trees(b, rows[:len(b)], order))) <= 1e-15
+    if tab.e is None:
+        assert tab.p is None and len(c) == len(b)
+        return
+    assert len(tab.e) == len(embedded)
+    for e, low in zip(tab.e, embedded):
+        # b minus a scheme of order low: zero sum, and zero moments up to it
+        for k in range(1, low + 1):
+            assert abs(dot(exact(e), (ci ** (k - 1) for ci in c))) <= 1e-15, (low, k)
+    # the first-same-as-last stage is the step's end
+    assert (tab.c[len(b)], list(tab.a[len(b)])) == (1.0, list(tab.b))
+
+
+@pytest.mark.parametrize("name", [k for k, tab in _TABLEAUS.items() if tab.p is not None])
+def test_dense_output_spans_the_step_to_order_seven(name):
+    tab = _TABLEAUS[name]
+    ends = _dense_basis(np.array([0.0, 1.0])) @ tab.p
+    np.testing.assert_array_equal(ends[0], 0.0)
+    np.testing.assert_array_equal(ends[1], np.append(tab.b, np.zeros(len(tab.c) - len(tab.b))))
+    c = exact(tab.c)
+    rows = [exact(tab.a[i]) if i else [] for i in range(len(c))]
+    for theta in (Fraction(3, 8), Fraction(11, 16)):  # the basis is exact at these
+        basis = [theta]
+        for k in range(1, tab.p.shape[0]):
+            basis.append(basis[-1] * (1 - theta if k % 2 else theta))
+        assert basis == exact(_dense_basis(float(theta)))
+        w = [dot(basis, exact(col)) for col in tab.p.T]
+        for k in range(1, 8):
+            assert abs(dot(w, (ci ** (k - 1) for ci in c)) - theta ** k / k) <= 1e-15
+        assert max(map(abs, tall_trees(w, rows, 7, theta))) <= 1e-15
 
 
 # exact solutions --------------------------------------------------------------
@@ -151,23 +225,36 @@ def test_a_batch_needs_self_play_and_one_support():
 
 def test_samples_land_on_the_fixed_step_grid():
     kw = dict(opponent=S3, t_max=7.3, dt=3e-3, sample_every=13)
-    dp5 = integrate(SPEED, G4, (0.1, 0.2, 0.3, 0.4), **kw)
+    dop = integrate(SPEED, G4, (0.1, 0.2, 0.3, 0.4), **kw)
     rk4 = integrate(SPEED, G4, (0.1, 0.2, 0.3, 0.4), method="rk4", **kw)
-    np.testing.assert_array_equal(dp5.times, rk4.times)
-    np.testing.assert_array_equal(dp5.opp_states, rk4.opp_states)
-    assert scaled_error(dp5.log_states, rk4.log_states) <= 100.0
+    np.testing.assert_array_equal(dop.times, rk4.times)
+    np.testing.assert_array_equal(dop.opp_states, rk4.opp_states)
+    assert scaled_error(dop.log_states, rk4.log_states) <= 100.0
 
 
 def test_meta_records_the_stepper():
-    dp5 = integrate(EXP, RPS4, (0.1, 0.2, 0.3, 0.4), t_max=10.0)
-    m = dp5.meta
-    assert (m["method"], m["rtol"], m["members"]) == ("dp5", RTOL, 1)
+    x0 = (0.1, 0.2, 0.3, 0.4)
+    m = integrate(EXP, RPS4, x0, t_max=10.0).meta
+    assert (m["method"], m["rtol"], m["members"]) == ("dop853", RTOL, 1)
     assert 0 < m["steps"] < 10_000 and m["rejected"] >= 0
-    # one evaluation at the start, one for the first step size, six per attempt
-    assert m["rhs_evals"] == 2 + 6 * (m["steps"] + m["rejected"])
     assert 0.0 < m["h_min"] <= m["h_max"] <= 10.0
     assert m["max_drift"] <= 1e-8
-    rk4 = integrate(EXP, RPS4, (0.1, 0.2, 0.3, 0.4), t_max=10.0, method="rk4").meta
+    # One evaluation at the start, one for the first step size, eleven per
+    # attempt and one (the first-same-as-last stage) per accepted step; the
+    # dense output adds three on each step with a sample inside it. That is
+    # no step when the only samples are the ends, and every step when the
+    # samples lie closer together than the smallest step. Samples do not
+    # steer the steps.
+    ends = integrate(EXP, RPS4, x0, t_max=10.0, sample_every=10_000)
+    dense = integrate(EXP, RPS4, x0, t_max=10.0, sample_every=25).meta
+    steps, rejected = m["steps"], m["rejected"]
+    assert len(ends) == 2 and dense["h_min"] > 25 * 1e-3
+    for meta in (ends.meta, dense):
+        assert (meta["steps"], meta["rejected"]) == (steps, rejected)
+    assert ends.meta["rhs_evals"] == 2 + 12 * steps + 11 * rejected
+    assert dense["rhs_evals"] == 2 + 15 * steps + 11 * rejected
+    assert ends.meta["rhs_evals"] < m["rhs_evals"] <= dense["rhs_evals"]
+    rk4 = integrate(EXP, RPS4, x0, t_max=10.0, method="rk4").meta
     assert (rk4["method"], rk4["rtol"], rk4["steps"], rk4["rejected"]) == ("rk4", None,
                                                                            10_000, 0)
     assert rk4["rhs_evals"] == 4 * 10_000
@@ -176,11 +263,13 @@ def test_meta_records_the_stepper():
 
 
 def test_unknown_method_is_rejected():
-    with pytest.raises(ValueError, match="method"):
-        integrate(EXP, RPS4, (0.1, 0.2, 0.3, 0.4), t_max=1.0, method="euler")
+    # "dp5" was the adaptive method before DOP853 replaced it
+    for method in ("euler", "dp5"):
+        with pytest.raises(ValueError, match="method must be 'dop853' or 'rk4'"):
+            integrate(EXP, RPS4, (0.1, 0.2, 0.3, 0.4), t_max=1.0, method=method)
 
 
-@pytest.mark.parametrize("method", ["dp5", "rk4"])
+@pytest.mark.parametrize("method", ["dop853", "rk4"])
 def test_a_failure_names_the_member_that_failed(method):
     # u_0 = 2 y_0 leaves the domain (0, 1) only for the start with x_0 > 0.5
     game = Game([[2.0, 0.0], [0.5, 0.5]])
