@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import GrowthRule, Trajectory, vector_field
 from .games import Game, validate_simplex
-from .links import LinkFunction, eval_link
+from .links import LinkFunction, array_link, eval_link
 
 
 def _coeffs(p, q, n: int) -> np.ndarray:
@@ -193,26 +193,34 @@ def taylor_sign_check(rule: GrowthRule | None, game: Game,
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
-    center = np.full(3, 1.0 / 3.0)
-    negative = 0
-    counted = 0
-    attempts = 0
-    while counted < samples:
-        attempts += 1
-        if attempts > 100 * samples:
+    rule = rule or GrowthRule()
+    drifts, attempts = np.empty(0), 0
+    while drifts.size < samples:
+        if attempts >= 100 * samples:
             raise ValueError("drift vanishes on almost every sample; "
                              "the cycle is degenerate at this radius")
-        h = rng.normal(size=3)
-        h -= h.mean()
-        norm = float(np.linalg.norm(h))
-        if norm == 0.0:
-            continue
-        h *= radius * rng.uniform(0.1, 1.0) / norm
-        x = center + h
-        drift = float(np.sum(vector_field(rule or GrowthRule(), game, x) / x))
-        if drift == 0.0:
-            continue
-        counted += 1
-        if drift < 0.0:
-            negative += 1
-    return negative / samples
+        hs = []
+        while len(hs) < samples - drifts.size and attempts < 100 * samples:
+            attempts += 1
+            h = rng.normal(size=3)
+            h -= h.mean()
+            norm = float(np.linalg.norm(h))
+            if norm != 0.0:
+                hs.append(h * (radius * rng.uniform(0.1, 1.0) / norm))
+        d = _drifts(rule, game, 1.0 / 3.0 + np.array(hs).reshape(-1, 3))
+        drifts = np.concatenate([drifts, d[d != 0.0]])
+    return int((drifts < 0.0).sum()) / samples
+
+
+def _drifts(rule: GrowthRule, game: Game, X) -> np.ndarray:
+    """sum_i xdot_i / x_i of vector_field at each row of X (every x_i > 0);
+    a row where the field fails goes through vector_field, which raises."""
+    U = X @ game.payoff.T
+    G = array_link(rule.effective_link)(U)
+    lam = np.full(len(X), rule.speed if isinstance(rule.speed, float) else 1.0)
+    if isinstance(rule.speed, LinkFunction):
+        lam = array_link(rule.speed)((X * U).sum(axis=1))
+    D = (lam[:, None] * X * (G - (X * G).sum(axis=1, keepdims=True)) / X).sum(axis=1)
+    for b in np.flatnonzero(np.isnan(D) | ~(lam > 0.0)):
+        D[b] = float(np.sum(vector_field(rule, game, X[b]) / X[b]))
+    return D

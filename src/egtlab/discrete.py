@@ -9,15 +9,15 @@ where the map freezes in place, exactly.
 
 Two paths compute the same generations:
 
-- The stepper (_generations) runs on plain Python floats and serves
-  self-play and coupled runs.
+- The stepper (_generations) runs self-play and coupled runs on plain
+  Python floats: at one run a NumPy map costs more per generation, and no
+  caller iterates a batch of these maps.
 - Against a scripted opponent the growth rates depend on the generation
   alone, so ln(C_n + gbar) is a shift common to every coordinate that
-  renormalization removes. Any common reference r_n does instead:
-  _scripted_generations adds log1p((g_i - r_n) / (C_n + r_n)) with
-  r_n = min_i g_i, whose argument is never negative, sums with NumPy in
-  blocks and normalizes at the samples only. The results agree with the
-  stepper's to rounding.
+  renormalization removes; _scripted_generations adds log1p((g_i - r_n) /
+  (C_n + r_n)) with r_n = min_i g_i, never of a negative argument, sums
+  with NumPy in blocks and normalizes at the samples only, agreeing with
+  the stepper to rounding.
 
 Whether the background schedule's reciprocal sum diverges decides how much
 cumulative selection pressure is available: affine schedules keep selecting
@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule,
-                       Trajectory, _accumulate, _renorm, _script_payoffs, _setup,
-                       _softmax, _trajectory)
+from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, Trajectory,
+                       _accumulate, _sample_counts, _script_payoffs, _setup, _trajectory)
 from .games import Game, validate_simplex
-from .links import array_link, eval_link
+from .links import array_link, eval_link, hull_inside, scalar_link
 
 _KINDS = ("constant", "affine", "geometric")
 
@@ -150,42 +150,59 @@ def discrete_w_increment(rule: GrowthRule | None, game: Game, x, y, C: float,
     return total
 
 
-def _generations(pops, plays, background: BackgroundFitness, n_steps: int,
-                 sample_every: int):
-    """The ratio map over one or two populations, generation by generation.
-
-    Every numerator C_n + g_i is checked before any log1p. Samples land at
-    the start, every sample_every-th generation, and the last one. Returns
-    (sample times, logs per population at each sample, max drift).
-    """
+def _generations(pops, background: BackgroundFitness, n_steps: int, sample_every: int):
+    """The ratio map over one or two populations (self-play or a coupled
+    pair) on plain Python floats. Each generation checks every population's
+    payoffs (scanning for nan only where hull_inside fails), then every
+    numerator C_n + g_i, then adds the log increments and renormalizes:
+    exp(z_i) over their sum s are the next frequencies, and ln s comes off
+    with the next increments or at a sample. Returns (sample times, logs per
+    population at each sample, max drift)."""
+    plan = [(p, pop.payoffs.tolist(), scalar_link(pop.f, pop.hull),
+             not hull_inside(pop.f, pop.hull), opp)
+            for p, (pop, opp) in enumerate(zip(pops, (0,) if len(pops) == 1 else (1, 0)))]
+    value, log1p, exp, log = background.value, math.log1p, math.exp, math.log
     zs = [pop.z for pop in pops]
-    times, samples, max_drift = [0.0], [zs], 0.0
-    for k in range(n_steps):
-        t = float(k)
-        xs = [_softmax(z) for z in zs]
-        rates = [pop.growth(x, y, t, k) for pop, x, y in zip(pops, xs, plays(t, xs))]
-        C = background.value(k)
-        for pop, (_, g, _) in zip(pops, rates):
-            if not C + min(g) > 0.0:
-                i = next(i for i, gi in enumerate(g) if not C + gi > 0.0)
-                raise IntegrationError(
-                    f"background plus growth rate not positive at generation {k} "
-                    f"({pop.name(i)})", t=t, step=k)
-        new = []
-        for z, (_, g, gbar) in zip(zs, rates):
-            denom = C + gbar
-            try:
-                z = [zi + math.log1p((gi - gbar) / denom) for zi, gi in zip(z, g)]
-            except ValueError:
-                z = [zi + _log_ratio(C, gi, gbar) for zi, gi in zip(z, g)]
-            z, drift = _renorm(z, t, k)
-            new.append(z)
-            max_drift = max(max_drift, drift)
-        zs = new
-        if (k + 1) % sample_every == 0 or k + 1 == n_steps:
-            times.append(float(k + 1))
-            samples.append(zs)
-    return times, list(zip(*samples)), max_drift
+    es = [list(map(exp, z)) for z in zs]
+    sums, logs = [sum(e) for e in es], [0.0] * len(pops)
+    gs, gbars = [None] * len(pops), [0.0] * len(pops)
+    counts = _sample_counts(n_steps, sample_every).tolist()
+    samples, max_drift = [list(zs)], 0.0
+    for k0, k1 in zip(counts, counts[1:]):
+        for k in range(k0, k1):
+            for p, rows, link, checked, opp in plan:
+                y, sy = es[opp], sums[opp]
+                g = [link(sum(map(mul, row, y)) / sy) for row in rows]
+                gbar = sum(map(mul, es[p], g)) / sums[p]
+                if checked and gbar != gbar:
+                    raise pops[p].domain_error([gi != gi for gi in g].index(True), float(k), k)
+                gs[p], gbars[p] = g, gbar
+            C = value(k)
+            for pop, g in zip(pops, gs):
+                if not C + min(g) > 0.0:
+                    i = next(i for i, gi in enumerate(g) if not C + gi > 0.0)
+                    raise IntegrationError(
+                        f"background plus growth rate not positive at generation {k} "
+                        f"({pop.name(i)})", t=float(k), step=k)
+            for p, (z, g, gbar, c) in enumerate(zip(zs, gs, gbars, logs)):
+                denom = C + gbar
+                try:
+                    z = [zi + (log1p((gi - gbar) / denom) - c) for zi, gi in zip(z, g)]
+                except ValueError:
+                    z = [zi + (_log_ratio(C, gi, gbar) - c) for zi, gi in zip(z, g)]
+                try:
+                    e = list(map(exp, z))
+                    s = sum(e)
+                except OverflowError:
+                    s = math.inf
+                if not 0.0 < s < math.inf:
+                    raise IntegrationError(f"state became non-finite near t={k:g}",
+                                           t=float(k), step=k)
+                zs[p], es[p], sums[p], logs[p] = z, e, s, log(s)
+                if abs(s - 1.0) > max_drift:
+                    max_drift = abs(s - 1.0)
+        samples.append([[zi - c for zi in z] for z, c in zip(zs, logs)])
+    return [float(k) for k in counts], list(zip(*samples)), max_drift
 
 
 def _log_ratio(C, gi, gbar):
@@ -253,14 +270,13 @@ def iterate(rule: GrowthRule | None, game: Game, x0,
         raise ValueError(f"n_max must be at least 1, got {n_max!r}")
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
-    pops, plays, label = _setup(
+    pops, _, label = _setup(
         rule, game, x0, opponent, "speed factors only apply to the continuous flow")
     if label == "scripted":
         times, samples, max_drift = _scripted_generations(
             pops[0], opponent, rule.effective_link, background, n_steps, sample_every)
     else:
-        times, samples, max_drift = _generations(pops, plays, background, n_steps,
-                                                 sample_every)
+        times, samples, max_drift = _generations(pops, background, n_steps, sample_every)
     meta = {"dynamics": "discrete", "steps": n_steps, "background": background,
             "sample_every": sample_every, "max_drift": max_drift,
             "opponent": label, "rule": rule.label, "game": game.digest()}

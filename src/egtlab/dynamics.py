@@ -43,12 +43,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from operator import mul
 
 import numpy as np
 
 from .games import Game, payoff_mixed, validate_simplex
-from .links import LinkFunction, array_link, eval_link, linear_link, scalar_link
+from .links import LinkFunction, array_link, eval_link, hull_inside, linear_link
 
 _REPLICATOR = linear_link(1.0, 0.0)
 # Steps per block of the closed-form scripted paths: enough to amortise the
@@ -403,9 +402,9 @@ class _Population:
     """One population restricted to its support when the run starts.
 
     z holds the logs on the support only and payoffs the payoff rows of the
-    support, sliced to the opponent columns they can meet (rows: the same as
-    lists, for the float map); coordinates off the support stay exactly at
-    -inf and are never evaluated. f is the link, link its float evaluator.
+    support, sliced to the opponent columns they can meet, with hull their
+    smallest and largest entry; coordinates off the support stay exactly at
+    -inf and are never evaluated. f is the link.
     """
 
     def __init__(self, z, payoff, cols, link: LinkFunction, where: str):
@@ -413,9 +412,8 @@ class _Population:
         self.support = np.flatnonzero(z > -np.inf)
         self.z = z[self.support].tolist()
         self.payoffs = payoff[np.ix_(self.support, cols)]
-        self.rows = self.payoffs.tolist()
+        self.hull = (float(self.payoffs.min()), float(self.payoffs.max()))
         self.f = link
-        self.link = scalar_link(link)
         self.where = where
 
     def name(self, k: int) -> str:
@@ -426,40 +424,12 @@ class _Population:
             f"payoff left the link domain near t={t:g} ({self.name(k)})", t=t, step=step,
             member=member)
 
-    def growth(self, x, y, t, step):
-        """Payoffs against y, growth rates, and their mean under x."""
-        u = [sum(map(mul, row, y)) for row in self.rows]
-        g = list(map(self.link, u))
-        gbar = sum(map(mul, x, g))
-        if gbar != gbar:
-            raise self.domain_error(next(k for k, gk in enumerate(g) if gk != gk), t, step)
-        return u, g, gbar
-
     def log_states(self, samples) -> np.ndarray:
         """Full log-states from support logs, one row per sample (and run)."""
         samples = np.asarray(samples, dtype=float)
         out = np.full(samples.shape[:-1] + (self.n,), -np.inf)
         out[..., self.support] = samples
         return out
-
-
-def _softmax(z):
-    m = max(z)
-    e = [math.exp(zi - m) for zi in z]
-    s = sum(e)
-    return [ei / s for ei in e]
-
-
-def _renorm(z, t, step):
-    """Project logs back onto the simplex; returns them with the mass drift."""
-    try:
-        s = sum(map(math.exp, z))
-    except OverflowError:
-        s = math.inf
-    if not 0.0 < s < math.inf:
-        raise IntegrationError(f"state became non-finite near t={t:g}", t=t, step=step)
-    c = math.log(s)
-    return [zi - c for zi in z], abs(s - 1.0)
 
 
 def _setup(rule: GrowthRule, game: Game, x0, opponent, opp_speed_error: str):
@@ -586,17 +556,16 @@ def _log_field(pops, plays, speed):
     the start of the step being taken, and the step count: on a payoff
     outside a link's domain (first run, then strategy) or a speed factor
     that is not positive. Payoffs against mixtures, and mean payoffs, stay
-    between the smallest and largest payoff of the rows (a script's rows sum
-    to one within 1e-12, inside the links' domain pad), so the links are
-    checked per call only where that range leaves their domain. Returns
-    (field, slices of the populations).
+    within the hull of the rows (a script's rows sum to one within 1e-12,
+    inside the links' domain pad), so a link's values are scanned for nan
+    only where hull_inside fails. Returns (field, slices of the populations).
     """
     ends = np.cumsum([len(pop.z) for pop in pops])
     slices = [slice(int(e) - len(pop.z), int(e)) for pop, e in zip(pops, ends)]
     mats = [pop.payoffs.T for pop in pops]
-    hulls = [(float(pop.payoffs.min()), float(pop.payoffs.max())) for pop in pops]
-    links = [array_link(pop.f, hull) for pop, hull in zip(pops, hulls)]
-    speed_link = array_link(speed, hulls[0]) if isinstance(speed, LinkFunction) else None
+    links = [array_link(pop.f, pop.hull) for pop in pops]
+    checked = [not hull_inside(pop.f, pop.hull) for pop in pops]
+    speed_link = array_link(speed, pops[0].hull) if isinstance(speed, LinkFunction) else None
     lam0 = speed if isinstance(speed, float) else None
     add, top = np.add.reduce, np.maximum.reduce
 
@@ -607,11 +576,11 @@ def _log_field(pops, plays, speed):
             e = np.exp(w - top(w, axis=1, keepdims=True))
             xs.append(e / add(e, axis=1, keepdims=True))
         parts, pays = [], []
-        for pop, x, y, mat, f in zip(pops, xs, plays(t, xs), mats, links):
+        for pop, x, y, mat, f, check in zip(pops, xs, plays(t, xs), mats, links, checked):
             u = np.dot(y, mat)
             g = f(u)
             gbar = add(x * g, axis=1, keepdims=True)
-            if np.isnan(gbar).any():
+            if check and np.isnan(gbar).any():
                 b, i = np.argwhere(np.isnan(g))[0]
                 raise pop.domain_error(int(i), t0, step, member=int(b))
             parts.append(g - gbar)
@@ -905,7 +874,7 @@ def write_trajectory_csv(traj: Trajectory, path, extras=None) -> None:
         cols.append(name)
         blocks.append(np.asarray(series, dtype=float)[:, None])
     data = np.hstack(blocks)
+    line = ",".join(["%.17g"] * data.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in data:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in data.tolist())

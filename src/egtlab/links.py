@@ -162,13 +162,22 @@ def table_link(xs, ys) -> LinkFunction:
     return LinkFunction("table", (), (xs[0], xs[-1]), xs, ys)
 
 
-def scalar_link(f: LinkFunction):
-    """Per-float evaluator of f for the steppers: nan outside the padded
-    domain, otherwise f at the argument clamped to the domain. Tables
-    interpolate the way np.interp does."""
+def hull_inside(f: LinkFunction, hull) -> bool:
+    """True when the interval hull = (lo, hi) lies in f's padded domain, so
+    an argument in it is only clamped, never rejected. A payoff against a
+    mixture lies in the hull of its row: its smallest to largest entry."""
     lo, hi = f.domain
     pad = domain_pad(f)
-    lo_pad, hi_pad = lo - pad, hi + pad
+    return lo - pad <= hull[0] and hull[1] <= hi + pad
+
+
+def scalar_link(f: LinkFunction, within=None):
+    """Per-float evaluator of f for the float map: nan outside the padded
+    domain, otherwise f at the argument clamped to the domain; only the
+    clamp where hull_inside holds for within, a promised range of every
+    argument. Tables interpolate the way np.interp does."""
+    lo, hi = f.domain
+    lo_pad, hi_pad = lo - domain_pad(f), hi + domain_pad(f)
     if f.family == "table":
         xs, ys = f.knots_x.tolist(), f.knots_y.tolist()
 
@@ -186,6 +195,8 @@ def scalar_link(f: LinkFunction):
               "exponential": lambda v: math.exp(p[0] * v),
               "logarithm": math.log,
               "sqrt": math.sqrt}[f.family]
+    if within is not None and hull_inside(f, within):
+        return lambda u: fn(lo if u < lo else hi if u > hi else u)
 
     def evaluate(u):
         if not lo_pad <= u <= hi_pad:
@@ -197,15 +208,11 @@ def scalar_link(f: LinkFunction):
 
 def array_link(f: LinkFunction, within=None):
     """Array evaluator of f for the NumPy paths: like scalar_link, nan
-    outside the padded domain and f at the clamped argument inside it.
-
-    within = (lo, hi) promises that every argument lies in that interval,
-    as a payoff against a mixture lies between the smallest and the largest
-    payoff of its row. When the interval sits inside the padded domain no
-    argument can leave it, and the evaluator only clamps."""
+    outside the padded domain and f at the clamped argument inside it, and
+    only clamping where hull_inside holds for within."""
     lo, hi = f.domain
     pad = domain_pad(f)
-    if within is not None and lo - pad <= within[0] and within[1] <= hi + pad:
+    if within is not None and hull_inside(f, within):
         return lambda u: _eval_unchecked(f, np.minimum(np.maximum(u, lo), hi))
 
     def evaluate(u):

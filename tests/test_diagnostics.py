@@ -9,9 +9,11 @@ from egtlab.diagnostics import (Verdict, elimination_metrics,
                                 least_squares_slope, log_min_support,
                                 log_mixture_mass, periodic_floor,
                                 taylor_sign_check, verdict, w_rate, w_series)
-from egtlab.dynamics import GrowthRule, Trajectory, integrate
+from egtlab.dynamics import (GrowthRule, IntegrationError, Trajectory, integrate,
+                             vector_field)
 from egtlab.games import Game, pure, uniform
 from egtlab.links import exp_link, linear_link
+from egtlab.scenarios import build_rps4
 
 DISCUSSION = Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]])
 GAP_GAME = Game([[1.0, 1.0], [0.0, 0.0]])
@@ -171,6 +173,61 @@ def test_cycle_probe_direction_values():
 def test_cycle_probe_keeps_its_sign_under_a_monotone_link():
     rule = GrowthRule(link=exp_link(1.0, (-4.0, 4.0)))
     assert taylor_sign_check(rule, cycle_game(1.0, 2.0, -2.0), samples=150) == 1.0
+
+
+def reference_sign_fraction(rule, game, radius, samples, seed):
+    """The cycle probe one sample at a time: draw, evaluate vector_field,
+    skip exact zeros."""
+    rng = np.random.default_rng(seed)
+    negative = counted = attempts = 0
+    while counted < samples:
+        attempts += 1
+        if attempts > 100 * samples:
+            raise ValueError("drift vanishes on almost every sample")
+        h = rng.normal(size=3)
+        h -= h.mean()
+        norm = float(np.linalg.norm(h))
+        if norm == 0.0:
+            continue
+        h *= radius * rng.uniform(0.1, 1.0) / norm
+        x = np.full(3, 1.0 / 3.0) + h
+        drift = float(np.sum(vector_field(rule, game, x) / x))
+        if drift != 0.0:
+            counted += 1
+            negative += drift < 0.0
+    return negative / samples
+
+
+DUAL = build_rps4(exp_link(1.0, (-2.0, 2.0)), "dual", (-2.0, 2.0))
+PROBES = {
+    "outward": (REPL, cycle_game(1.0, 2.0, -2.0)),
+    "inward": (REPL, cycle_game(-1.0, 2.0, -2.0)),
+    "dual-core": (GrowthRule(link=exp_link(1.0, (-2.0, 2.0))), DUAL.core_game),
+    # a = (b + c) / 2: the drift is third order in h, of either sign
+    "balanced": (GrowthRule(link=exp_link(1.0, (-2.0, 2.0))), cycle_game(0.0, 1.0, -1.0)),
+    "speed-link": (GrowthRule(speed=linear_link(0.5, 1.0, (-3.0, 3.0))),
+                   cycle_game(1.0, 2.0, -2.0)),
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("probe", PROBES)
+def test_cycle_probe_matches_a_per_sample_loop(probe, seed):
+    rule, game = PROBES[probe]
+    for radius, samples in ((0.01, 200), (0.05, 37)):
+        assert taylor_sign_check(rule, game, radius, samples, seed) == \
+            reference_sign_fraction(rule, game, radius, samples, seed)
+
+
+def test_cycle_probe_keeps_the_speed_factor_error():
+    # the speed factor 0.5 + 3 x.u is about -0.5 near the center of this cycle
+    rule = GrowthRule(speed=linear_link(3.0, 0.5, (-3.0, 3.0)))
+    game = cycle_game(-1.0, 2.0, -2.0)
+    with pytest.raises(IntegrationError, match="speed factor") as want:
+        reference_sign_fraction(rule, game, 0.01, 200, 0)
+    with pytest.raises(IntegrationError) as got:
+        taylor_sign_check(rule, game)
+    assert str(got.value) == str(want.value)
 
 
 def test_cycle_probe_validation():

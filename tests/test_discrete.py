@@ -196,18 +196,55 @@ FOCAL = Game([[2.0, 0.5, 1.0], [0.5, 2.0, 1.5]])
 PARTNER = Game([[1.5, 0.5], [0.5, 1.5], [1.0, 1.2]])
 
 
-def test_coupled_map_matches_repeated_steps():
-    rule2 = GrowthRule(link=sqrt_link((0.0, 3.0)))
-    traj = iterate(REPL, FOCAL, (0.3, 0.7),
+# The payoff rows' hulls, [0.5, 2] and [0.5, 1.5], lie inside the links'
+# domains in the first pair of rules; in the second they leave them, so the
+# map scans the links' values, though the run's payoffs stay inside.
+HULL_RULES = {
+    "hull-inside": (REPL, GrowthRule(link=sqrt_link((0.0, 3.0)))),
+    "hull-outside": (GrowthRule(link=linear_link(1.0, 0.0, (0.6, 1.9))),
+                     GrowthRule(link=sqrt_link((0.51, 3.0)))),
+}
+
+
+@pytest.mark.parametrize("rules", HULL_RULES)
+def test_coupled_map_matches_repeated_steps(rules):
+    rule1, rule2 = HULL_RULES[rules]
+    traj = iterate(rule1, FOCAL, (0.3, 0.7),
                    opponent=Coupled(PARTNER, rule2, (0.2, 0.3, 0.5)),
                    n_max=30, background=affine_background(1.0, 0.5),
                    sample_every=1)
     x, y = np.array([0.3, 0.7]), np.array([0.2, 0.3, 0.5])
     for n in range(30):
         C = 1.0 + 0.5 * n
-        x, y = step(REPL, FOCAL, x, y, C=C), step(rule2, PARTNER, y, x, C=C)
+        x, y = step(rule1, FOCAL, x, y, C=C), step(rule2, PARTNER, y, x, C=C)
         np.testing.assert_allclose(traj.states[n + 1], x, rtol=1e-12)
         np.testing.assert_allclose(traj.opp_states[n + 1], y, rtol=1e-12)
+
+
+def test_self_play_map_reports_a_payoff_outside_the_link_domain():
+    # u_1 = 3 - 4 x_0 falls below the sqrt link's domain once x_0 > 3/4
+    rule = GrowthRule(link=sqrt_link((0.0, 3.0)))
+    game = Game([[2.0, 2.0], [-1.0, 3.0]])
+    with pytest.raises(IntegrationError,
+                       match=r"^payoff left the link domain near t=8 \(strategy 1\)$") as err:
+        iterate(rule, game, (0.4, 0.6), n_max=100, background=constant_background(1.0))
+    assert (err.value.t, err.value.step) == (8.0, 8)
+    x = np.array([0.4, 0.6])
+    for _ in range(8):
+        x = step(rule, game, x, C=1.0)
+    with pytest.raises(ValueError, match="outside link domain"):
+        step(rule, game, x, C=1.0)
+
+
+def test_coupled_map_reports_the_population_that_left_the_link_domain():
+    # population 2's third payoff, 3 x_0 - x_1, turns negative as x_0 falls
+    rule2 = GrowthRule(link=sqrt_link((0.0, 3.0)))
+    partner = Game([[1.5, 0.5], [0.5, 1.5], [3.0, -1.0]])
+    with pytest.raises(IntegrationError, match=r"^payoff left the link domain near t=9 "
+                       r"\(population 2 strategy 2\)$") as err:
+        iterate(REPL, FOCAL, (0.6, 0.4), opponent=Coupled(partner, rule2, (0.2, 0.3, 0.5)),
+                n_max=100, background=constant_background(1.0))
+    assert (err.value.t, err.value.step) == (9.0, 9)
 
 
 def test_coupled_map_keeps_a_face_of_the_opponent():

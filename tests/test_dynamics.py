@@ -257,6 +257,20 @@ def test_trajectory_csv_has_full_precision(tmp_path):
     np.testing.assert_allclose(row[1:], traj.states[-1], rtol=1e-16)
 
 
+def test_trajectory_csv_formats_every_value_like_a_float(tmp_path):
+    # x2 stays on its zero face; the extras column holds -inf and nan
+    traj = integrate(REPL, DISCUSSION, (0.6, 0.0, 0.4), t_max=1.0, dt=1e-3)
+    w = traj.times * 3.0
+    w[1], w[2] = -np.inf, np.nan
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(traj, path, extras={"w": w})
+    rows = np.column_stack([traj.times, traj.states, w])
+    want = "t,x1,x2,x3,w\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                      for row in rows)
+    assert path.read_bytes() == want.encode()
+    assert b",0," in path.read_bytes() and b",-inf\n" in path.read_bytes()
+
+
 def test_trajectory_csv_refuses_a_batch(tmp_path):
     starts = np.array([[0.4, 0.4, 0.2], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
     batch = integrate(REPL, DISCUSSION, starts, t_max=1.0)

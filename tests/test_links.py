@@ -7,7 +7,7 @@ import pytest
 
 from egtlab.links import (DomainError, array_link, classify_link,
                           discrete_effective_link, domain_pad, eval_link,
-                          exp_link, linear_link, log_link, parse_link,
+                          exp_link, hull_inside, linear_link, log_link, parse_link,
                           power_link, rps_direction, scalar_link, sqrt_link,
                           table_link)
 
@@ -200,3 +200,19 @@ def test_array_link_agrees_with_scalar_link(f):
     assert np.isnan(got).sum() == 4
     # NumPy's vector exp/log/pow may differ from libm in the last bit
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("f", FAMILY_LINKS, ids=lambda f: f.family)
+def test_links_within_a_hull_inside_the_domain_only_clamp(f):
+    lo, hi = f.domain
+    pad = domain_pad(f)
+    hull = (lo - pad, hi + pad)
+    assert hull_inside(f, hull) and hull_inside(f, (lo, lo))
+    assert not hull_inside(f, (lo - 2.0 * pad, hi)) and not hull_inside(f, (lo, hi + 2.0 * pad))
+    u = np.concatenate([np.linspace(lo, hi, 41), [lo - 0.5 * pad, hi + 0.5 * pad]])
+    want = [scalar_link(f)(float(v)) for v in u]
+    assert [scalar_link(f, within=hull)(float(v)) for v in u] == want
+    np.testing.assert_allclose(array_link(f, within=hull)(u), want, rtol=1e-15, atol=0.0)
+    # a hull that leaves the padded domain keeps the nan outside it
+    assert math.isnan(scalar_link(f, within=(lo - 2.0 * pad, hi))(lo - 2.0 * pad))
+    assert np.isnan(array_link(f, within=(lo, hi + 2.0 * pad))(np.array([hi + 2.0 * pad])))[0]
