@@ -17,7 +17,10 @@ Two paths compute the same generations:
   renormalization removes; _scripted_generations adds log1p((g_i - r_n) /
   (C_n + r_n)) with r_n = min_i g_i, never of a negative argument, sums
   with NumPy in blocks and normalizes at the samples only, agreeing with
-  the stepper to rounding.
+  the stepper to rounding. When the script's period P is an integer,
+  generation n meets the script exactly where generation n mod P does, so
+  one period's growth rates are evaluated once and looked up, whatever
+  the background.
 
 Whether the background schedule's reciprocal sum diverges decides how much
 cumulative selection pressure is available: affine schedules keep selecting
@@ -32,7 +35,7 @@ from operator import mul
 
 import numpy as np
 
-from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, Trajectory,
+from .dynamics import (_BLOCK, Coupled, GrowthRule, IntegrationError, Schedule, Trajectory,
                        _accumulate, _sample_counts, _script_payoffs, _setup, _trajectory)
 from .games import Game, validate_simplex
 from .links import array_link, eval_link, hull_inside, scalar_link
@@ -218,16 +221,27 @@ def _scripted_generations(pop, schedule: Schedule, link, background: BackgroundF
     """The ratio map of _generations against a script, in closed form (see
     the module docstring) with the same samples.
 
-    Generation by generation, a payoff outside the link domain fails before
-    a numerator C_n + g_i that is not positive, as in _generations. Returns
-    (sample times, [logs at each sample], max drift).
+    With an integer period P (up to _BLOCK), generation n meets the script
+    at tau = n - P floor(n / P) = n mod P exactly, so its growth rates are
+    those of generation n mod P to the bit: one period's rates are evaluated
+    once and looked up. Generation by generation, a payoff outside the link
+    domain fails before a numerator C_n + g_i that is not positive, as in
+    _generations. Returns (sample times, [logs at each sample], max drift).
     """
     rows = pop.payoffs
     f = array_link(link)
+    period = schedule.period
+
+    def rates(t):
+        return f(_script_payoffs(rows, schedule, t))
+
+    # the table stays within a block's size, so memory does not grow with P
+    cycle = int(period) if period.is_integer() and period <= _BLOCK else 0
+    table = rates(np.arange(min(cycle, n_steps), dtype=float)) if cycle else None
 
     def increments(lo, hi):
         t = np.arange(lo, hi, dtype=float)
-        g = f(_script_payoffs(rows, schedule, t))
+        g = rates(t) if table is None else table[np.arange(lo, hi) % cycle]
         C = background.values(t)[:, None]
         bad = ~(C + g > 0.0)
         if bad.any():

@@ -35,7 +35,12 @@ to all coordinates that renormalization removes. One RK4 step then adds
 Simpson's rule, h/6 * lam * (g(t0) + 4 g(t0 + h/2) + g(t0 + h)), up to that
 shift. _scripted_flow sums these increments on the dt grid with NumPy in
 blocks of _BLOCK steps and normalizes at the samples only; the results agree
-with the RK4 stepper's to rounding (about 1e-13 in the logs).
+with the RK4 stepper's to rounding (about 1e-13 in the logs). Where the
+script holds still (a piece whose two bounding rows are equal), every step
+clear of the piece's breakpoints adds the same row to the bit, so a block
+evaluates one such step per segment and copies its row to the others; only
+a segment's first and last steps and the steps on a crossfade evaluate the
+script and the link.
 """
 
 from __future__ import annotations
@@ -255,17 +260,27 @@ def _schedule_fn(schedule: Schedule):
     return at
 
 
+def _script_piece(schedule: Schedule, t):
+    """(cycles, k, tau) for the array of times t: whole periods before each
+    time, the index of the script piece it falls in, and its time within the
+    period, as eval_schedule finds them."""
+    period = schedule.period
+    cycles = np.floor(t / period)
+    tau = t - period * cycles
+    tau = np.where(tau >= period, 0.0, tau)
+    k = np.maximum(np.searchsorted(schedule.times, tau, side="right"), 1) - 1
+    return cycles, k, tau
+
+
 def eval_schedule(schedule: Schedule, t) -> np.ndarray:
     """Opponent weights at time t, or one row per entry of an array of times.
 
     The arithmetic is that of the stepper's per-float evaluator, so the two
     agree bit for bit."""
     t = np.asarray(t, dtype=float)
-    period, times, rows = schedule.period, schedule.times, schedule.values
-    tau = t - period * np.floor(t / period)
-    tau = np.where(tau >= period, 0.0, tau)
-    k = np.maximum(np.searchsorted(times, tau, side="right"), 1) - 1
-    ends = np.append(times[1:], period)
+    times, rows = schedule.times, schedule.values
+    _, k, tau = _script_piece(schedule, t)
+    ends = np.append(times[1:], schedule.period)
     w = (tau - times[k]) / (ends[k] - times[k])
     rise = np.roll(rows, -1, axis=0) - rows
     return rows[k] + w[..., None] * rise[k]
@@ -743,33 +758,56 @@ def _scripted_flow(pop, schedule: Schedule, speed: float | None, bounds, steps,
     """The RK4 run against a script with a state-free speed, in closed form
     (see the module docstring) on the same steps and samples.
 
+    A segment's steps 1 .. steps-2 have their stage times in [a + h,
+    (a + (steps - 2) h) + h]. Where both ends of that span fall in the same
+    period and the same constant piece of the script, the opponent row, and
+    so the Simpson row, is the same at every such step, to the bit. Each
+    block then evaluates the first of them in the block and copies its row
+    to the rest; a segment's first and last steps, whose stage times touch
+    the breakpoints, are evaluated on their own.
+
     A payoff outside the link domain fails at the first step, then stage
-    (t0, midpoint, end), then strategy where it happens, as on the stepper.
+    (t0, midpoint, end), then strategy where it happens, as on the stepper
+    (a copied row fails where its source row did, at an earlier step).
     Logs are exponentiated only after normalization, so a step too large for
     exp, which stops the stepper as "state became non-finite", does not stop
-    this. Returns ([logs at each sample], max drift).
+    this. Returns ([logs at each sample], max drift, stage rows evaluated).
     """
     lam = speed if speed is not None else 1.0
     f = array_link(pop.f)
     a, b = bounds[:-1], bounds[1:]
     h = (b - a) / steps
     ends = np.cumsum(steps)
+    starts = ends - steps
+    c0, k0, _ = _script_piece(schedule, a + h)
+    c1, k1, _ = _script_piece(schedule, (a + (steps - 2) * h) + h)
+    rows = schedule.values
+    flat = np.all(np.roll(rows, -1, axis=0) == rows, axis=1)
+    shared = (steps >= 3) & (c0 == c1) & (k0 == k1) & flat[k0]
+    evaluated = 0
 
     def increments(lo, hi):
+        nonlocal evaluated
         j = np.arange(lo, hi)
         seg = np.searchsorted(ends, j, side="right")
+        k = j - starts[seg]
+        copied = shared[seg] & (k >= 2) & (k <= steps[seg] - 2) & (j > lo)
+        keep = ~copied
+        j, seg = j[keep], seg[keep]
         hs = h[seg]
-        t0 = a[seg] + (j - (ends[seg] - steps[seg])) * hs
+        t0 = a[seg] + (j - starts[seg]) * hs
         stages = np.stack([t0, t0 + 0.5 * hs, t0 + hs], axis=1)
-        g = f(_script_payoffs(pop.payoffs, schedule, stages.ravel())).reshape(hi - lo, 3, -1)
+        g = f(_script_payoffs(pop.payoffs, schedule, stages.ravel())).reshape(len(j), 3, -1)
         bad = np.isnan(g)
         if bad.any():
-            j, _, i = np.unravel_index(np.argmax(bad), bad.shape)
-            raise pop.domain_error(int(i), float(t0[j]), lo + int(j), member=0)
-        return (lam / 6.0 * hs)[:, None] * (g[:, 0] + 4.0 * g[:, 1] + g[:, 2])
+            m, _, i = np.unravel_index(np.argmax(bad), bad.shape)
+            raise pop.domain_error(int(i), float(t0[m]), int(j[m]), member=0)
+        evaluated += 3 * len(j)
+        d = (lam / 6.0 * hs)[:, None] * (g[:, 0] + 4.0 * g[:, 1] + g[:, 2])
+        return d[np.cumsum(keep) - 1]
 
     _, samples, max_drift = _accumulate(pop.z, int(ends[-1]), sample_every, increments)
-    return [samples], max_drift
+    return [samples], max_drift, evaluated
 
 
 def _batch_logs(x0, n: int) -> np.ndarray:
@@ -803,13 +841,14 @@ def integrate(rule: GrowthRule, game: Game, x0,
     reference the tests pin. A scripted run whose speed is None or a number
     takes neither: it is the RK4 grid summed in closed form
     (_scripted_flow, method "simpson"), agreeing with the RK4 stepper to
-    rounding.
+    rounding; steps on a plateau of the script share one evaluated row.
 
     meta records the method, accepted and rejected steps ("steps",
-    "rejected"), right-hand-side evaluations ("rhs_evals"), the smallest and
-    largest step, rtol (None without error control) and "max_drift": the
-    largest |sum x - 1| before a step's renormalization on the steppers,
-    over the normalized samples in closed form.
+    "rejected"), right-hand-side evaluations ("rhs_evals"; in closed form,
+    the stage rows evaluated: three for each step that does not share a
+    row), the smallest and largest step, rtol (None without error control)
+    and "max_drift": the largest |sum x - 1| before a step's renormalization
+    on the steppers, over the normalized samples in closed form.
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
@@ -833,11 +872,11 @@ def integrate(rule: GrowthRule, game: Game, x0,
     counts = _sample_counts(int(steps.sum()), sample_every)
     times = np.append(bounds[0], _grid_times(bounds, steps, counts[1:]))
     if scripted and not isinstance(rule.speed, LinkFunction):
-        samples, max_drift = _scripted_flow(pops[0], opponent, rule.speed, bounds, steps,
-                                            sample_every)
+        samples, max_drift, evals = _scripted_flow(pops[0], opponent, rule.speed, bounds,
+                                                   steps, sample_every)
         h = (bounds[1:] - bounds[:-1]) / steps
         stats = {"method": "simpson", "steps": int(steps.sum()), "rejected": 0,
-                 "rhs_evals": 3 * int(steps.sum()), "h_min": float(h.min()),
+                 "rhs_evals": evals, "h_min": float(h.min()),
                  "h_max": float(h.max()), "rtol": None}
     else:
         z = z0[:, pops[0].support] if batch else np.array([sum((p.z for p in pops), [])])

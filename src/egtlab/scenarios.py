@@ -165,25 +165,26 @@ def build_survival(f: LinkFunction, variant: str, search_box=None,
             "the construction is impossible there")
 
     # Largest midpoint shift that keeps the violation, by bisection on the gap.
+    # Once mid rounds to e_lo or e_hi, the gap there is already known, so no
+    # later step can move e_lo.
+    ends_mean = 0.5 * (eval_link(f, a) + eval_link(f, b))
     half = 0.5 * (b - a)
-    if sign * (eval_link(f, 0.5 * (a + b) - sign * half)
-               - 0.5 * (eval_link(f, a) + eval_link(f, b))) > 0.0:
+    if sign * (eval_link(f, 0.5 * (a + b) - sign * half) - ends_mean) > 0.0:
         eps_max = half
     else:
         e_lo, e_hi = 0.0, half
         for _ in range(200):
             mid = 0.5 * (e_lo + e_hi)
-            g = sign * (eval_link(f, 0.5 * (a + b) - sign * mid)
-                        - 0.5 * (eval_link(f, a) + eval_link(f, b)))
-            if g > 0.0:
+            if mid == e_lo or mid == e_hi:
+                break
+            if sign * (eval_link(f, 0.5 * (a + b) - sign * mid) - ends_mean) > 0.0:
                 e_lo = mid
             else:
                 e_hi = mid
         eps_max = e_lo
     eps = eps_frac * eps_max
     u_m = 0.5 * (a + b) - sign * eps
-    alpha = sign * (eval_link(f, u_m)
-                    - 0.5 * (eval_link(f, a) + eval_link(f, b)))
+    alpha = sign * (eval_link(f, u_m) - ends_mean)
     _check(alpha > 0.0, "midpoint shift consumed the whole violation slack")
     Cf = float(np.abs(eval_link(f, np.linspace(a, b, 1001))).max())
     T = int(math.floor((2.0 * Cf + 1.0) / alpha + 1.0)) + 1
@@ -704,17 +705,18 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
     return _finish(report), traj.member(0)
 
 
-def _generation_drift(con: SurvivalConstruction, f_rule: LinkFunction,
-                      C: float) -> float:
-    """Exact per-generation change of ln x_M - mean of ln x_T, ln x_B.
+def _generation_drift(con: SurvivalConstruction, f_rule: LinkFunction):
+    """Exact per-generation change of ln x_M - mean of ln x_T, ln x_B, as a
+    function of the constant background C.
 
     Integer times always land on the square wave's corners, so with growth
     rates g = f_rule(payoff) each generation contributes
-    ln(C + g_M) - [ln(C + g_T) + ln(C + g_B)] / 2.
+    ln(C + g_M) - [ln(C + g_T) + ln(C + g_B)] / 2. The three rates are
+    evaluated once, here.
     """
     u_m = float(con.game.payoff[1, 0])
     gm, ga, gb = (float(eval_link(f_rule, v)) for v in (u_m, con.a, con.b))
-    return math.log(C + gm) - 0.5 * (math.log(C + ga) + math.log(C + gb))
+    return lambda C: math.log(C + gm) - 0.5 * (math.log(C + ga) + math.log(C + gb))
 
 
 def _background_setup(link: LinkFunction | None, eps_frac: float):
@@ -746,21 +748,22 @@ def run_background_threshold(link: LinkFunction | None = None, *, seed: int = 0,
                  background=constant_background(0.0), sample_every=sample_every)
     v0 = verdict(t0, pure(1, 3))
 
+    drift = _generation_drift(con, f_rule)
     lo_c, hi_c = 0.0, 1.0
-    while _generation_drift(con, f_rule, hi_c) > 0.0:
+    while drift(hi_c) > 0.0:
         lo_c = hi_c
         hi_c *= 2.0
         if hi_c > 2.0 ** 80:
             raise ValueError("no finite background threshold on this game")
     for _ in range(200):
         mid = 0.5 * (lo_c + hi_c)
-        if _generation_drift(con, f_rule, mid) > 0.0:
+        if drift(mid) > 0.0:
             lo_c = mid
         else:
             hi_c = mid
     c_bar = 0.5 * (lo_c + hi_c)
 
-    drift_big = _generation_drift(con, f_rule, big_c)
+    drift_big = drift(big_c)
     if drift_big >= 0.0:
         raise ValueError(f"background {big_c:g} does not flatten the map")
     if n_max is None:
@@ -776,7 +779,7 @@ def run_background_threshold(link: LinkFunction | None = None, *, seed: int = 0,
         "effective_link": _link_desc(effective),
         "construction": _survival_desc(con),
         "threshold": {"C_bar": c_bar,
-                      "drift_at_zero": _generation_drift(con, f_rule, 0.0),
+                      "drift_at_zero": drift(0.0),
                       "drift_at_big": drift_big, "big_C": big_c,
                       "n_max_big": n_max},
         "verdicts": {"C0": v0.__dict__, "big": v1.__dict__},

@@ -23,6 +23,13 @@ WAVE = Schedule(6.0, [0.0, 2.0, 3.0, 5.0],
 G4 = Game([[1.0, 0.3, 1.4], [0.4, 1.2, 0.6], [0.9, 0.8, 0.7], [1.1, 0.2, 0.5]])
 S3 = Schedule(2.5, [0.0, 0.7, 1.9],
               [[0.2, 0.3, 0.5], [0.6, 0.1, 0.3], [0.1, 0.8, 0.1]])
+# At dt = 0.1, plateaus of 1, 2, 3 and 1 steps between one-step crossfades:
+# no plateau step, or only one, lies clear of the breakpoints.
+STAIRS = Schedule(0.9, [0.0, 0.1, 0.2, 0.4, 0.5, 0.8],
+                  [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+# An integer period: generation n meets the script where generation n mod 5 does.
+SQ5 = Schedule(5.0, [0.0, 1.0, 3.0],
+               [[0.2, 0.3, 0.5], [0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
 
 
 def stepped(rule: GrowthRule) -> GrowthRule:
@@ -48,6 +55,15 @@ FLOWS = {
                         WAVE, dict(t_max=7.5, sample_every=7)),
     "constant speed": (GrowthRule(exp_link(1.0, (0.0, 2.0)), speed=2.5), G4,
                        (0.1, 0.2, 0.3, 0.4), S3, dict(t_max=4.3, dt=3e-3, sample_every=13)),
+    "short plateaus": (GrowthRule(sqrt_link((0.0, 1.0)), speed=1.5), SURVIVAL,
+                       (0.3, 0.3, 0.4), STAIRS, dict(t_max=2.8, dt=0.1, sample_every=1)),
+    # blocks of 4096 steps end at t = 8.192, on a crossfade, and at
+    # t = 16.384, inside a plateau; samples fall inside plateaus too
+    "three periods": (GrowthRule(sqrt_link((0.0, 1.0))), SURVIVAL, (0.3, 0.3, 0.4), WAVE,
+                      dict(t_max=19.0, dt=2e-3, sample_every=333)),
+    "face start over three periods": (GrowthRule(sqrt_link((0.0, 1.0))), SURVIVAL,
+                                      (0.6, 0.0, 0.4), WAVE,
+                                      dict(t_max=19.0, dt=1e-2, sample_every=33)),
 }
 
 
@@ -57,6 +73,19 @@ def test_closed_form_flow_matches_the_stepper(case):
     closed = integrate(rule, game, x0, opponent=script, **kw)
     ref = integrate(stepped(rule), game, x0, opponent=script, method="rk4", **kw)
     assert_same_run(closed, ref)
+
+
+def test_closed_form_flow_counts_the_stage_rows_it_evaluates():
+    rule = GrowthRule(sqrt_link((0.0, 1.0)))
+    wave = integrate(rule, SURVIVAL, (0.3, 0.3, 0.4), opponent=WAVE, t_max=7.5)
+    # plateaus [0, 2], [3, 5] and [6, 7.5] evaluate their first, second and
+    # last steps, and [3, 5] the first step of the block from t = 4.096; the
+    # crossfades [2, 3] and [5, 6] evaluate all 1000 steps each
+    assert wave.meta["steps"] == 7500
+    assert wave.meta["rhs_evals"] == 3 * (3 + 1000 + 4 + 1000 + 3)
+    rule, game, x0, script, kw = FLOWS["constant speed"]
+    s3 = integrate(rule, game, x0, opponent=script, **kw)
+    assert s3.meta["rhs_evals"] == 3 * s3.meta["steps"]
 
 
 def test_closed_form_flow_fails_where_the_stepper_fails():
@@ -106,6 +135,36 @@ def test_closed_form_map_matches_repeated_steps(background):
     np.testing.assert_allclose(traj.states[1:], want, rtol=1e-11, atol=0.0)
     assert np.all(traj.log_states[:, 1] == -np.inf)
     np.testing.assert_array_equal(traj.opp_states, eval_schedule(S3, traj.times))
+
+
+@pytest.mark.parametrize("background", [constant_background(0.5),
+                                        affine_background(1.0, 0.05),
+                                        geometric_background(1.0, 1.02)],
+                         ids=["constant", "affine", "geometric"])
+def test_period_table_map_matches_repeated_steps(background):
+    rule = GrowthRule(exp_link(1.0, (0.0, 2.0)))
+    x0 = (0.1, 0.0, 0.5, 0.4)
+    for n in (3, 120):
+        traj = iterate(rule, G4, x0, opponent=SQ5, n_max=n, background=background,
+                       sample_every=1)
+        want = repeated_steps(rule, G4, x0, SQ5, background, n)
+        np.testing.assert_allclose(traj.states[1:], want, rtol=1e-11, atol=0.0)
+        assert np.all(traj.log_states[:, 1] == -np.inf)
+        np.testing.assert_array_equal(traj.opp_states, eval_schedule(SQ5, traj.times))
+
+
+def test_period_table_map_fails_where_the_steps_fail():
+    # the falling background meets strategy 3's numerator in the 12th period
+    rule = GrowthRule(linear_link(1.0, -1.0))
+    background = affine_background(1.0, -0.01)
+    x0 = (0.1, 0.2, 0.3, 0.4)
+    with pytest.raises(ValueError, match=r"\(strategy 3\)"):
+        repeated_steps(rule, G4, x0, SQ5, background, 55 + 1)
+    repeated_steps(rule, G4, x0, SQ5, background, 55)
+    with pytest.raises(IntegrationError, match=r"^background plus growth rate not positive "
+                       r"at generation 55 \(strategy 3\)$") as err:
+        iterate(rule, G4, x0, opponent=SQ5, n_max=3000, background=background)
+    assert (err.value.t, err.value.step) == (55.0, 55)
 
 
 def test_closed_form_map_fails_where_the_steps_fail():

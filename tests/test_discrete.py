@@ -221,6 +221,20 @@ def test_coupled_map_matches_repeated_steps(rules):
         np.testing.assert_allclose(traj.opp_states[n + 1], y, rtol=1e-12)
 
 
+@pytest.mark.parametrize("rules", HULL_RULES)
+def test_self_play_map_matches_repeated_steps(rules):
+    # payoffs stay in [0.72, 1.78] over the run, inside the first link's
+    # domain in both cases, while the rows' hull [0.5, 2] leaves (0.6, 1.9)
+    rule = HULL_RULES[rules][0]
+    game = Game([[2.0, 0.5, 1.0], [0.5, 2.0, 1.5], [1.0, 1.5, 0.5]])
+    traj = iterate(rule, game, (0.3, 0.3, 0.4), n_max=30,
+                   background=affine_background(1.0, 0.5), sample_every=1)
+    x = np.array([0.3, 0.3, 0.4])
+    for n in range(30):
+        x = step(rule, game, x, C=1.0 + 0.5 * n)
+        np.testing.assert_allclose(traj.states[n + 1], x, rtol=1e-12)
+
+
 def test_self_play_map_reports_a_payoff_outside_the_link_domain():
     # u_1 = 3 - 4 x_0 falls below the sqrt link's domain once x_0 > 3/4
     rule = GrowthRule(link=sqrt_link((0.0, 3.0)))

@@ -10,10 +10,11 @@ import math
 import numpy as np
 import pytest
 
+from egtlab import scenarios
 from egtlab.dominance import strict_margin
 from egtlab.games import Game, pure
-from egtlab.links import (exp_link, linear_link, power_link, rps_direction,
-                          sqrt_link)
+from egtlab.links import (discrete_effective_link, exp_link, linear_link, power_link,
+                          rps_direction, sqrt_link)
 from egtlab.scenarios import (SCENARIO_INTERVALS, SCENARIOS, build_rps4,
                               build_survival, dual_basin_k, named_game,
                               run_background_schedules, run_background_threshold,
@@ -49,6 +50,48 @@ def test_survival_construction_under_a_convex_link():
     # here the pure strategy dominates the mixture, with the same margin
     assert strict_margin(con.game, pure(1, 3), MIX_TB) == pytest.approx(con.eps)
     np.testing.assert_array_equal(con.dominated, MIX_TB)
+
+
+@pytest.fixture
+def link_calls(monkeypatch):
+    """The links of every eval_link call the construction code makes."""
+    calls, real = [], scenarios.eval_link
+
+    def counting(f, u):
+        calls.append(f)
+        return real(f, u)
+
+    monkeypatch.setattr(scenarios, "eval_link", counting)
+    return calls
+
+
+# (link, variant, (a, b, eps, alpha, Cf, T)): the values a bisection that
+# runs all its 200 halvings finds, to the bit
+SEARCHES = {
+    "sqrt-nonconvex": (sqrt_link((1.0, 9.0)), "nonconvex",
+                       (1.0, 9.0, 0.49999999999999933, 0.12132034355964283, 3.0, 59)),
+    "power-nonconcave": (power_link(2.0, (0.0, 3.0)), "nonconcave",
+                         (0.0, 3.0, 0.31066017177982125, 1.2215097423302685, 9.0, 17)),
+    "table-nonconvex": (discrete_effective_link(linear_link(1.0, 0.0, (1.0, 15.0)), 0.0),
+                        "nonconvex",
+                        (1.0, 15.0, 2.0635062061052096, 0.4270929243985917,
+                         2.70805020110221, 17)),
+}
+
+
+@pytest.mark.parametrize("case", SEARCHES)
+def test_survival_search_stays_within_its_work_budget(case, link_calls):
+    f, variant, want = SEARCHES[case]
+    con = build_survival(f, variant)
+    assert (con.a, con.b, con.eps, con.alpha, con.Cf, con.T) == want
+    assert len(link_calls) <= 80
+
+
+def test_background_threshold_evaluates_the_rule_link_three_times(link_calls):
+    link = linear_link(1.0, 0.0, (1.0, 15.0))
+    report, _ = run_background_threshold(link, big_c=1e4)
+    assert report["threshold"]["C_bar"] == 4.904748651848559
+    assert sum(f is link for f in link_calls) <= 3
 
 
 def test_survival_search_box_restricts_the_pair():
