@@ -14,6 +14,7 @@ kept under the "raw" key; CSV uses full-precision floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -286,6 +287,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dominance(args) -> int:
+    if args.iterate and args.q is not None:
+        _fail("--q and --iterate cannot be combined: --iterate eliminates pure "
+              "strategies and tests no mixture")
     game = _parse_game(args.game, "--game")
     mode = args.mode or "mixed"
     if args.iterate:
@@ -393,7 +397,10 @@ def _add_common(sub):
                      help="seed recorded in the report and used for sampling")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing reads it
+    and never changes it, and each parse_args call fills a new namespace."""
     parser = _Parser(prog="egtlab",
                      description="Selection dynamics under monotone growth-rate transforms.")
     subs = parser.add_subparsers(dest="command", metavar="command")

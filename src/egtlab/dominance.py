@@ -12,16 +12,22 @@ what any mixture earns, so its margin against every mixture is at most 0 and
 it is never strictly dominated. The screen compares payoffs exactly, so it
 skips only queries that would answer "not dominated"; rounds and removals
 are those of querying every alive strategy.
+
+Each round slices the alive payoffs once and solves one LP per unscreened
+strategy, from the gaps of that slice; these are find_dominator's LPs, bit
+for bit. When both seats read the same matrix (a single population, or an
+opponent game with byte-equal payoffs), the two seats' strategy sets stay
+equal and their queries coincide, so one side's removals are recorded for
+both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
-from .games import Game, MixedStrategy, as_strategy
+from .games import Game, MixedStrategy, as_strategy, pure
 from .lp import LpError, solve_max
 
 STRICT_TOL = 1e-9
@@ -100,28 +106,39 @@ def find_dominator(game: Game, q, restrict_rows=None, restrict_cols=None,
     if len(qs) != game.n_rows:
         raise ValueError("q must mix over the game's rows")
     rows, cols = _checked_sets(game, restrict_rows, restrict_cols)
-    # gaps[k, j]: what row k earns over q at column j; row minima are the
-    # pure margins, and r is the best pure row (first of ties)
+    # gaps[k, j]: what row k earns over q at column j
     gaps = game.payoff[np.ix_(rows, cols)] - (qs.weights @ game.payoff)[list(cols)]
+    margin, p = _max_margin(gaps, mode)
+    return _result(game, qs, margin, rows, p, cols)
+
+
+def _max_margin(gaps: np.ndarray, mode: str):
+    """Best worst-column margin min_j (p @ gaps)[j] over mixtures p of gaps'
+    rows ('mixed') or over single rows ('pure').
+
+    Returns (margin, p); p holds the weights over gaps' rows, clipped at 0
+    but not renormalised.
+    """
+    # row minima are the pure margins, and r is the best pure row (first of ties)
     pure_margins = gaps.min(axis=1)
     r = int(np.argmax(pure_margins))
     best = float(pure_margins[r])
+    nr, nc = gaps.shape
 
     if mode == "pure":
-        w = np.zeros(game.n_rows)
-        w[rows[r]] = 1.0
-        return _result(game, qs, best, w, cols)
+        p = np.zeros(nr)
+        p[r] = 1.0
+        return best, p
 
     if mode != "mixed":
         raise ValueError(f"unknown dominance mode {mode!r}")
 
-    # variables: p_k for k in rows, eps' = margin - best, one slack per
+    # variables: p_k for each row, eps' = margin - best, one slack per
     # column. e_r reaches best, so eps' >= 0. Eliminating p_r through
     # sum p = 1, column j's row reads
     #   s_j + eps' + sum_k (gaps[r, j] - gaps[k, j]) p_k = gaps[r, j] - best,
     # whose rhs is >= 0 and whose p_r coefficient is 0 exactly; the last row
     # is sum p = 1. The slacks and p_r are then an identity basis at e_r.
-    nr, nc = gaps.shape
     A_eq = np.zeros((nc + 1, nr + 1 + nc))
     A_eq[:nc, :nr] = (gaps[r] - gaps).T
     A_eq[:nc, nr] = 1.0
@@ -132,17 +149,20 @@ def find_dominator(game: Game, q, restrict_rows=None, restrict_cols=None,
     c[nr] = 1.0
 
     x, value = solve_max(c, A_eq, b_eq, np.append(np.arange(nr + 1, nr + 1 + nc), r))
-    w = np.zeros(game.n_rows)
-    w[list(rows)] = np.maximum(x[:nr], 0.0)  # clip solver dust
-    w /= w.sum()
-    return _result(game, qs, best + value, w, cols)
+    return best + value, np.maximum(x[:nr], 0.0)  # clip solver dust
 
 
-def _result(game: Game, qs: MixedStrategy, margin: float, w: np.ndarray, cols) -> DominanceResult:
+def _result(game: Game, qs: MixedStrategy, margin: float, rows, p: np.ndarray,
+            cols) -> DominanceResult:
+    """The query's answer; a dominator, spread from rows onto all of the
+    game's rows, is re-checked against the payoffs before it is returned."""
     degenerate = bool(abs(margin) <= STRICT_TOL)
     dominated = bool(margin > STRICT_TOL)
     dominator = None
     if dominated:
+        w = np.zeros(game.n_rows)
+        w[list(rows)] = p
+        w /= w.sum()  # summed over all rows: a sum over rows alone can move the last ulp
         dominator = as_strategy(w)
         realized = strict_margin(game, dominator, qs, cols)
         if abs(realized - margin) > STRICT_TOL:
@@ -152,17 +172,22 @@ def _result(game: Game, qs: MixedStrategy, margin: float, w: np.ndarray, cols) -
 
 
 def _one_side_removals(game: Game, alive_rows, alive_cols, mode: str):
-    """Strategies in alive_rows strictly dominated within the current restriction."""
-    # weak best replies to an alive column are never dominated (module docstring)
+    """Strategies in alive_rows strictly dominated within the current restriction.
+
+    Each query is find_dominator's for the pure strategy, on one payoff slice
+    per call: row k's gaps are sub - sub[k].
+    """
     sub = game.payoff[np.ix_(alive_rows, alive_cols)]
+    # weak best replies to an alive column are never dominated (module docstring)
     best_reply = (sub >= sub.max(axis=0)).any(axis=1)
     removed = []
-    for i in compress(alive_rows, ~best_reply):
-        q = np.zeros(game.n_rows)
-        q[i] = 1.0
-        res = find_dominator(game, q, alive_rows, alive_cols, mode=mode)
-        if res.dominated:
-            removed.append((i, res))
+    for k in np.flatnonzero(~best_reply):
+        # + 0.0 turns -0.0 into 0.0, as the product q @ payoff does
+        margin, p = _max_margin(sub - (sub[k] + 0.0), mode)
+        if margin > STRICT_TOL:
+            i = alive_rows[k]
+            removed.append((i, _result(game, pure(i, game.n_rows), margin, alive_rows, p,
+                                       alive_cols)))
     return removed
 
 
@@ -175,6 +200,8 @@ def iterate_elimination(game: Game, mode: str = "pure-by-mixed",
     ('pure-by-pure') or mixtures over the surviving set ('pure-by-mixed').
     With no opponent_game the same matrix is read from the opponent's seat
     (their rows are this game's columns), which requires a square game.
+    Then, or when opponent_game's payoffs are byte-equal to game's, each
+    round is solved for the rows and mirrored to the columns.
     """
     if mode not in ("pure-by-pure", "pure-by-mixed"):
         raise ValueError(f"unknown elimination mode {mode!r}")
@@ -186,13 +213,18 @@ def iterate_elimination(game: Game, mode: str = "pure-by-mixed",
         raise ValueError("opponent_game must be shaped (game columns) x (game rows)")
     dom_mode = "pure" if mode == "pure-by-pure" else "mixed"
 
+    # one population, or an opponent with the same payoffs: both seats start
+    # from range(n) and ask the same queries every round
+    mirror = (opponent_game.payoff.shape == game.payoff.shape
+              and opponent_game.payoff.tobytes() == game.payoff.tobytes())
     rows = tuple(range(game.n_rows))
     cols = tuple(range(game.n_cols))
     rounds = [(rows, cols)]
     removals = []
     while True:
         gone_rows = _one_side_removals(game, rows, cols, dom_mode)
-        gone_cols = _one_side_removals(opponent_game, cols, rows, dom_mode)
+        gone_cols = (gone_rows if mirror
+                     else _one_side_removals(opponent_game, cols, rows, dom_mode))
         if not gone_rows and not gone_cols:
             break
         k = len(rounds)

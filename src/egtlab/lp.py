@@ -9,6 +9,11 @@ pivot is one vectorised rank-1 update of the tableau, and the answer is
 checked against the original constraints before it is returned, so a
 tableau corrupted by rounding raises LpError instead of passing as an
 optimum.
+
+The pivot loop is the hot path of iterated elimination, so it keeps NumPy
+calls per pivot few: the entering column is the argmax of a mask, and the
+update broadcasts one column against one row in place. Its arithmetic is
+that of a plain loop (tests/oracles.py), to the bit.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     f = T[:, col].copy()
     f[row] = 0.0
-    T -= np.outer(f, T[row])
+    T -= f[:, None] * T[row]
     basis[row] = col
 
 
@@ -39,25 +44,26 @@ def _bland_iterate(T: np.ndarray, basis: np.ndarray) -> None:
     T[-1, :-1] reduced costs of a maximization objective.
     """
     for _ in range(MAXITER):
-        cols = np.flatnonzero(T[-1, :-1] > PIVOT_TOL)
-        if cols.size == 0:
+        entering = T[-1, :-1] > PIVOT_TOL
+        col = int(entering.argmax())  # the first positive reduced cost, if any
+        if not entering[col]:
             return
-        row = _ratio_row(T, basis, cols[0])
+        row = _ratio_row(T, basis, col)
         if row < 0:
             raise LpError("objective unbounded above")
-        _pivot(T, basis, row, cols[0])
+        _pivot(T, basis, row, col)
     raise LpError(f"simplex did not terminate in {MAXITER} iterations")
 
 
 def _ratio_row(T: np.ndarray, basis: np.ndarray, col: int) -> int:
     """Min-ratio pivot row of col, ties within 1e-12 broken by smallest basis
     variable (Bland); -1 when no entry of the column is positive."""
-    rows = np.flatnonzero(T[:-1, col] > PIVOT_TOL)
+    rows = (T[:-1, col] > PIVOT_TOL).nonzero()[0]
     if rows.size == 0:
         return -1
     ratios = T[rows, -1] / T[rows, col]
     ties = rows[ratios <= ratios.min() + 1e-12]
-    return int(ties[np.argmin(basis[ties])])
+    return int(ties[basis[ties].argmin()])
 
 
 def solve_max(c, A, b, basis):

@@ -1,5 +1,5 @@
-"""Brute-force reference computations and seeded test games, kept free of the
-package's LP code."""
+"""Brute-force reference computations, a plain simplex loop and seeded test
+games, kept free of the package's LP code."""
 
 import itertools
 
@@ -39,3 +39,37 @@ def planted_game(rng, n: int, depth: int):
         if k:
             payoff[s, chain[k - 1]] = 2.0
     return payoff, chain
+
+
+def bland_iterate(T, basis, maxiter: int, pivot_tol: float, pivots: list) -> None:
+    """Plain reference for the simplex loop of egtlab.lp: Bland's rule on
+    tableau T (constraint rows, then the reduced-cost row; rhs last), in
+    place. Appends each pivot's (row, col) to pivots; raises RuntimeError
+    when unbounded or after maxiter pivots."""
+    for _ in range(maxiter):
+        cols = np.flatnonzero(T[-1, :-1] > pivot_tol)
+        if cols.size == 0:
+            return
+        row = _ratio_row(T, basis, cols[0], pivot_tol)
+        if row < 0:
+            raise RuntimeError("objective unbounded above")
+        _pivot(T, basis, row, cols[0])
+        pivots.append((row, int(cols[0])))
+    raise RuntimeError(f"simplex did not terminate in {maxiter} iterations")
+
+
+def _ratio_row(T, basis, col, pivot_tol):
+    rows = np.flatnonzero(T[:-1, col] > pivot_tol)
+    if rows.size == 0:
+        return -1
+    ratios = T[rows, -1] / T[rows, col]
+    ties = rows[ratios <= ratios.min() + 1e-12]
+    return int(ties[np.argmin(basis[ties])])
+
+
+def _pivot(T, basis, row, col):
+    T[row] /= T[row, col]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    T -= np.outer(f, T[row])
+    basis[row] = col

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from egtlab import cli
 from egtlab.cli import main
 
 DISCUSSION_PAYOFF = [[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]]
@@ -128,6 +129,42 @@ def test_dominance_needs_a_query(tmp_path, capsys):
     game = write_json(tmp_path / "g.json", {"payoff": DISCUSSION_PAYOFF})
     assert main(["dominance", "--game", game]) == 1
     assert "--q or --iterate" in capsys.readouterr().err
+
+
+def test_dominance_iterate_rejects_a_mixture(tmp_path, capsys):
+    game = write_json(tmp_path / "g.json", {"payoff": DISCUSSION_PAYOFF})
+    assert main(["dominance", "--game", game, "--iterate", "--q", "0.5,0.5,0"]) == 1
+    captured = capsys.readouterr()
+    assert "--q and --iterate cannot be combined" in captured.err
+    assert captured.out == ""
+
+
+def test_main_runs_twice_in_one_process(tmp_path, capsys):
+    game = write_json(tmp_path / "g.json", {"payoff": DISCUSSION_PAYOFF})
+    calls = [["dominance", "--game", game, "--iterate", "--mode", "pure"],
+             ["classify", "--link", "sqrt", "--interval", "1,9"],
+             ["dominance", "--game", game, "--no-such-flag"],
+             ["dominance", "--game", game, "--q", "0.5,0.5,0"]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out and json.loads(captured.out)
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert [run(argv) for argv in calls] == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _ in fresh] == [0, 0, 1, 0]
+    # neither --iterate nor --mode of the first call carries over to the query
+    assert fresh[0][1]["raw"]["mode"] == "pure-by-pure"
+    assert fresh[3][1]["raw"]["mode"] == "mixed" and "rounds" not in fresh[3][1]["raw"]
 
 
 def test_classify_labels(capsys):

@@ -1,8 +1,11 @@
 """Strict dominance queries, elimination traces, and the grid cross-check."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from egtlab import dominance, lp
 from egtlab.dominance import (find_dominator, is_mixed_iteratively_dominated,
                               iterate_elimination, strict_margin)
 from egtlab.games import Game, pure, uniform
@@ -189,15 +192,18 @@ def test_verdicts_survive_column_shifts():
     assert moved.margin == pytest.approx(base.margin, abs=1e-9)
 
 
-def _elimination_by_queries(game, mode):
+def _elimination_by_queries(game, mode, opponent=None):
     """Rounds and removals of iterated elimination (same matrix for both
-    seats) that queries find_dominator for every alive row and column."""
-    rows = cols = tuple(range(game.n_rows))
+    seats unless an opponent game is given) that queries find_dominator for
+    every alive row and column."""
+    opponent = opponent or game
+    rows, cols = tuple(range(game.n_rows)), tuple(range(game.n_cols))
     rounds, removals = [(rows, cols)], set()
     while True:
         gone = {side: {i for i in own
-                       if find_dominator(game, pure(i, game.n_rows), own, opp, mode).dominated}
-                for side, own, opp in (("row", rows, cols), ("col", cols, rows))}
+                       if find_dominator(g, pure(i, g.n_rows), own, opp, mode).dominated}
+                for side, g, own, opp in (("row", game, rows, cols),
+                                          ("col", opponent, cols, rows))}
         if not gone["row"] and not gone["col"]:
             return tuple(rounds), removals
         removals |= {(len(rounds), side, i) for side in gone for i in gone[side]}
@@ -234,3 +240,92 @@ def test_best_reply_screen_changes_no_round(mode):
                     res = find_dominator(game, pure(i, game.n_rows), own, opp, dom_mode)
                     assert not res.dominated
     assert screened > 0
+
+
+def _trace_sha256(trace):
+    """SHA-256 over a trace's rounds and each removal's round, side, index,
+    margin bytes and dominator bytes."""
+    h = hashlib.sha256(repr(trace.rounds).encode())
+    for k, side, i, res in trace.removals:
+        h.update(repr((k, side, i)).encode())
+        h.update(np.float64(res.margin).tobytes())
+        h.update(res.dominator.weights.tobytes())
+    return h.hexdigest()
+
+
+def _unscreened_rows(game, rounds):
+    """Row-side queries left after the best-reply screen, over every round."""
+    count = 0
+    for rows, cols in rounds:
+        sub = game.payoff[np.ix_(rows, cols)]
+        count += int((~(sub >= sub.max(axis=0)).any(axis=1)).sum())
+    return count
+
+
+# (size, chain depth, LPs, pivots, trace SHA-256). Asking the column side's
+# queries again, as a two-sided loop does, takes twice the LPs and pivots for
+# the same digests. At 17, weights normalised over the alive rows alone
+# (not over all rows) change the digest.
+ELIMINATION_BUDGETS = [
+    (12, 3, 15, 122, "42912157f198abbff264e9d8379d6778049c2f0bab6b5c43765c5cb83ecbdf59"),
+    (16, 3, 25, 316, "75f4be6ece31d3eece0446373a1436de72f3ca350287511a65550d6d4285f3fb"),
+    (17, 4, 20, 378, "3894ae5f148f415fb569ea4d2d2e34b5f93c517e763293b5670717c24f8399e2"),
+]
+
+
+@pytest.mark.parametrize("n, depth, lps, pivots, sha", ELIMINATION_BUDGETS,
+                         ids=lambda v: str(v)[:8])
+def test_symmetric_elimination_solves_each_row_query_once(monkeypatch, n, depth, lps,
+                                                          pivots, sha):
+    game = Game(planted_game(np.random.default_rng(n), n, depth)[0])
+    calls = {"lp": 0, "pivot": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(dominance, "solve_max", counted("lp", dominance.solve_max))
+    monkeypatch.setattr(lp, "_pivot", counted("pivot", lp._pivot))
+    trace = iterate_elimination(game)
+    assert len(trace.rounds) > 2
+    assert calls["lp"] == _unscreened_rows(game, trace.rounds) == lps
+    assert calls["pivot"] == pivots
+    assert _trace_sha256(trace) == sha
+
+
+def test_an_equal_opponent_matrix_takes_the_single_population_path():
+    A = planted_game(np.random.default_rng(18), 10, 3)[0]
+    game = Game(A)
+    trace = iterate_elimination(game)
+    same = iterate_elimination(game, opponent_game=Game(A.copy()))
+    assert len(trace.rounds) == 4
+    assert same.rounds == trace.rounds
+    assert _trace_sha256(same) == _trace_sha256(trace)
+    rounds, removals = _elimination_by_queries(game, "mixed")
+    assert same.rounds == rounds
+    assert {(k, side, i) for k, side, i, _ in same.removals} == removals
+
+
+def test_a_different_opponent_matrix_runs_both_sides(monkeypatch):
+    A, chain = planted_game(np.random.default_rng(19), 10, 3)
+    nudged = A.copy()
+    nudged[chain[0], chain[0]] = 5.0  # the column seat keeps chain[0] while row chain[0] lives
+    assert not np.array_equal(A, A.T)
+    sides, one_side = [], dominance._one_side_removals
+
+    def counted(game, *args):
+        sides.append(game)
+        return one_side(game, *args)
+    monkeypatch.setattr(dominance, "_one_side_removals", counted)
+    game = Game(A)
+    for opponent in (Game(nudged), Game(A.T)):
+        sides.clear()
+        trace = iterate_elimination(game, opponent_game=opponent)
+        assert sides == [game, opponent] * len(trace.rounds)
+        gone = {side: {(k, i) for k, s, i, _ in trace.removals if s == side}
+                for side in ("row", "col")}
+        assert gone["row"] != gone["col"]
+        rounds, removals = _elimination_by_queries(game, "mixed", opponent)
+        assert trace.rounds == rounds
+        assert {(k, side, i) for k, side, i, _ in trace.removals} == removals

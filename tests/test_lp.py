@@ -5,9 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
+from egtlab import lp
 from egtlab.dominance import find_dominator
 from egtlab.games import Game, pure
 from egtlab.lp import LpError, solve_max
+
+import oracles
 
 
 def test_box_corner():
@@ -78,17 +81,23 @@ def _enumerate_optimum(c, A, b):
     return best
 
 
-def test_matches_basis_enumeration_on_random_problems():
-    # max c @ x with A x + s = b, b >= 0 (zeros make degenerate starts)
+def _random_lps():
+    """max c @ x with A x + s = b, b >= 0 (zeros make degenerate starts),
+    started from the slack basis."""
     rng = np.random.default_rng(7)
     for _ in range(60):
         m, n = 2, 3
         A = np.hstack([rng.integers(-3, 4, size=(m, n)).astype(float), np.eye(m)])
         b = rng.integers(0, 4, size=m).astype(float)
         c = np.append(rng.integers(-4, 5, size=n).astype(float), np.zeros(m))
+        yield c, A, b, np.arange(n, n + m)
+
+
+def test_matches_basis_enumeration_on_random_problems():
+    for c, A, b, basis in _random_lps():
         want = _enumerate_optimum(c, A, b)
         try:
-            _, val = solve_max(c, A, b, np.arange(n, n + m))
+            _, val = solve_max(c, A, b, basis)
         except LpError as err:
             assert "unbounded" in str(err)
             continue
@@ -103,3 +112,69 @@ def test_phase_one_rounding_dust_is_not_unboundedness():
     res = find_dominator(game, pure(0, 3), mode="mixed")
     assert not res.dominated
     assert res.margin == pytest.approx(0.0, abs=1e-9)
+
+
+def _start_tableaus(monkeypatch):
+    """The tableau and basis solve_max hands its pivot loop, for the random
+    LPs above and the dominance LPs of small integer games (whose ties make
+    degenerate pivots)."""
+    starts = []
+
+    def record(T, basis):
+        starts.append((T.copy(), basis.copy()))
+        raise LpError("recorded")
+    with monkeypatch.context() as m:
+        m.setattr(lp, "_bland_iterate", record)
+        for c, A, b, basis in _random_lps():
+            with pytest.raises(LpError, match="recorded"):
+                solve_max(c, A, b, basis)
+        rng = np.random.default_rng(8)
+        for n in (3, 4, 5, 6, 8):
+            for _ in range(8):
+                game = Game(rng.integers(0, 3, size=(n, n)).astype(float))
+                for i in range(n):
+                    with pytest.raises(LpError, match="recorded"):
+                        find_dominator(game, pure(i, n))
+    return starts
+
+
+def _run_both(monkeypatch, T0, basis0, maxiter):
+    """(error, pivots, tableau, basis) of the package loop and the reference,
+    each run on a copy of the start with an iteration cap of maxiter."""
+    pivot = lp._pivot
+    outcomes = []
+    for loop in ("package", "reference"):
+        T, basis, pivots, error = T0.copy(), basis0.copy(), [], None
+
+        def logged(T, basis, row, col):
+            pivots.append((row, col))
+            pivot(T, basis, row, col)
+        with monkeypatch.context() as m:
+            m.setattr(lp, "MAXITER", maxiter)
+            m.setattr(lp, "_pivot", logged)
+            try:
+                if loop == "package":
+                    lp._bland_iterate(T, basis)
+                else:
+                    oracles.bland_iterate(T, basis, maxiter, lp.PIVOT_TOL, pivots)
+            except RuntimeError as err:
+                error = str(err)
+        outcomes.append((error, pivots, T.tobytes(), basis.tolist()))
+    return outcomes
+
+
+def test_pivot_loop_matches_the_reference_bit_for_bit(monkeypatch):
+    starts = _start_tableaus(monkeypatch)
+    errors = set()
+    for T0, basis0 in starts:
+        package, reference = _run_both(monkeypatch, T0, basis0, lp.MAXITER)
+        assert package == reference
+        errors.add(package[0])
+        if len(package[1]) > 1:
+            # stopped one pivot short of its end, both loops hit the cap there
+            package, reference = _run_both(monkeypatch, T0, basis0, len(package[1]) - 1)
+            assert package == reference
+            errors.add(package[0])
+    assert {None, "objective unbounded above"} < errors
+    assert any(e and "did not terminate" in e for e in errors)
+    assert len(starts) == 60 + 8 * (3 + 4 + 5 + 6 + 8)
