@@ -35,12 +35,15 @@ from operator import mul
 
 import numpy as np
 
-from .dynamics import (_BLOCK, Coupled, GrowthRule, IntegrationError, Schedule, Trajectory,
-                       _accumulate, _sample_counts, _script_payoffs, _setup, _trajectory)
+from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, Trajectory,
+                       _normalize, _sample_counts, _setup, _trajectory, eval_schedule)
 from .games import Game, validate_simplex
 from .links import array_link, eval_link, hull_inside, scalar_link
 
 _KINDS = ("constant", "affine", "geometric")
+# Generations per block of the scripted map: enough to amortise the NumPy
+# calls, small enough that a block's arrays stay well under a megabyte.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -219,27 +222,33 @@ def _log_ratio(C, gi, gbar):
 def _scripted_generations(pop, schedule: Schedule, link, background: BackgroundFitness,
                           n_steps: int, sample_every: int):
     """The ratio map of _generations against a script, in closed form (see
-    the module docstring) with the same samples.
-
-    With an integer period P (up to _BLOCK), generation n meets the script
-    at tau = n - P floor(n / P) = n mod P exactly, so its growth rates are
-    those of generation n mod P to the bit: one period's rates are evaluated
-    once and looked up. Generation by generation, a payoff outside the link
-    domain fails before a numerator C_n + g_i that is not positive, as in
-    _generations. Returns (sample times, [logs at each sample], max drift).
+    the module docstring) with the same samples, in blocks of _BLOCK
+    generations so memory does not grow with the horizon. Each generation's
+    increments lose their mean over the support, a common shift like the
+    stepper's ln(C_n + gbar), before cumsum adds them. With an integer period
+    P (up to _BLOCK), generation n meets the script at tau = n - P floor(n /
+    P) = n mod P exactly, so one period's rates are evaluated once and looked
+    up. A payoff outside the link domain fails before a numerator C_n + g_i
+    that is not positive, generation by generation, as in _generations.
+    Returns (sample times, [logs at each sample], max |sum x - 1| over them).
     """
-    rows = pop.payoffs
-    f = array_link(link)
-    period = schedule.period
+    rows, f, period = pop.payoffs, array_link(link), schedule.period
 
     def rates(t):
-        return f(_script_payoffs(rows, schedule, t))
+        # payoffs summed column by column, in the order the stepper sums
+        y = eval_schedule(schedule, t)
+        u = y[:, :1] * rows[:, 0]
+        for j in range(1, rows.shape[1]):
+            u += y[:, j:j + 1] * rows[:, j]
+        return f(u)
 
     # the table stays within a block's size, so memory does not grow with P
     cycle = int(period) if period.is_integer() and period <= _BLOCK else 0
     table = rates(np.arange(min(cycle, n_steps), dtype=float)) if cycle else None
-
-    def increments(lo, hi):
+    counts = _sample_counts(n_steps, sample_every)
+    run, kept = np.asarray(pop.z, dtype=float), []
+    for lo in range(0, n_steps, _BLOCK):
+        hi = min(lo + _BLOCK, n_steps)
         t = np.arange(lo, hi, dtype=float)
         g = rates(t) if table is None else table[np.arange(lo, hi) % cycle]
         C = background.values(t)[:, None]
@@ -253,10 +262,16 @@ def _scripted_generations(pop, schedule: Schedule, link, background: BackgroundF
                 f"background plus growth rate not positive at generation {k} "
                 f"({pop.name(int(np.argmax(bad[k - lo])))})", t=float(k), step=k)
         r = g.min(axis=1, keepdims=True)
-        return np.log1p((g - r) / (C + r))
-
-    counts, samples, max_drift = _accumulate(pop.z, n_steps, sample_every, increments)
-    return counts.astype(float), [samples], max_drift
+        d = np.log1p((g - r) / (C + r))
+        d -= d.mean(axis=1, keepdims=True)
+        d[0] += run
+        np.cumsum(d, axis=0, out=d)
+        kept.append(d[counts[np.searchsorted(counts, lo, side="right"):
+                             np.searchsorted(counts, hi, side="right")] - lo - 1])
+        run = d[-1]
+    z = _normalize(np.concatenate(kept), [slice(None)])
+    drift = float(np.abs(np.exp(z).sum(axis=1) - 1.0).max())
+    return counts.astype(float), [np.vstack([pop.z, z])], drift
 
 
 def iterate(rule: GrowthRule | None, game: Game, x0,

@@ -29,18 +29,18 @@ so a kink of the script never falls inside a step. Logs are renormalized
 after every accepted step and the largest pre-renormalization drift is kept
 in the meta.
 
-Against a scripted opponent with no payoff-dependent speed, every growth
-rate is a function of time alone, and the mean growth gbar is a shift common
-to all coordinates that renormalization removes. One RK4 step then adds
-Simpson's rule, h/6 * lam * (g(t0) + 4 g(t0 + h/2) + g(t0 + h)), up to that
-shift. _scripted_flow sums these increments on the dt grid with NumPy in
-blocks of _BLOCK steps and normalizes at the samples only; the results agree
-with the RK4 stepper's to rounding (about 1e-13 in the logs). Where the
-script holds still (a piece whose two bounding rows are equal), every step
-clear of the piece's breakpoints adds the same row to the bit, so a block
-evaluates one such step per segment and copies its row to the others; only
-a segment's first and last steps and the steps on a crossfade evaluate the
-script and the link.
+Against a script, with a state-free speed lam, each growth rate depends on
+time alone and gbar is a shift common to all coordinates, so z_i(t) = z_i(0)
++ lam int_0^t f(u_i(s)) ds up to that shift. u_i is affine on each piece
+[a, b] of the script, and the integral is (b - a) (F(u_b) - F(u_a)) /
+(u_b - u_a), F an antiderivative of the link, or (b - a) f(u_a) if u_a = u_b.
+That quotient cancels where F's terms exceed 32 |u_b - u_a| (1 + |f(u_a)| +
+|f(u_b)|), on a piece short against the scale on which f varies; the 8-point
+Gauss-Legendre rule takes those. A piece's mean of f is then off by about
+100 eps (1 + |f(u_a)| + |f(u_b)|) at most, plus 1.7e-23 |u_b - u_a|^16
+max|f^(16)| by Gauss-Legendre. With one period's sum S and its prefix sums,
+z(t) = z(0) + lam (floor(t / P) S + prefix[k] + the part of piece k up to t),
+normalized at the samples only (_exact_flow): O(pieces + samples) work.
 """
 
 from __future__ import annotations
@@ -52,12 +52,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .games import Game, payoff_mixed, validate_simplex
-from .links import LinkFunction, array_link, eval_link, hull_inside, linear_link
+from .links import (LinkFunction, _eval_unchecked, _integral_unchecked, array_link,
+                    domain_pad, eval_link, hull_inside, linear_link)
 
 _REPLICATOR = linear_link(1.0, 0.0)
-# Steps per block of the closed-form scripted paths: enough to amortise the
-# NumPy calls, small enough that a block's arrays stay well under a megabyte.
-_BLOCK = 4096
 
 # Relative and absolute tolerance of the adaptive stepper, per run and log
 # coordinate. The conserved quantity of a zero-sum coupled replicator pair
@@ -261,15 +259,18 @@ def _schedule_fn(schedule: Schedule):
 
 
 def _script_piece(schedule: Schedule, t):
-    """(cycles, k, tau) for the array of times t: whole periods before each
-    time, the index of the script piece it falls in, and its time within the
-    period, as eval_schedule finds them."""
-    period = schedule.period
+    """(cycles, k, w) for the array of times t: whole periods before each
+    time, the index of its script piece and the fraction of that piece
+    behind it, computed as the stepper's per-float evaluator computes them
+    (a time that rounds onto the period's end starts the next period)."""
+    period, starts = schedule.period, schedule.times
     cycles = np.floor(t / period)
     tau = t - period * cycles
-    tau = np.where(tau >= period, 0.0, tau)
-    k = np.maximum(np.searchsorted(schedule.times, tau, side="right"), 1) - 1
-    return cycles, k, tau
+    wrap = tau >= period
+    cycles, tau = cycles + wrap, np.where(wrap, 0.0, tau)
+    k = np.maximum(np.searchsorted(starts, tau, side="right"), 1) - 1
+    ends = np.append(starts[1:], period)
+    return cycles, k, (tau - starts[k]) / (ends[k] - starts[k])
 
 
 def eval_schedule(schedule: Schedule, t) -> np.ndarray:
@@ -277,13 +278,9 @@ def eval_schedule(schedule: Schedule, t) -> np.ndarray:
 
     The arithmetic is that of the stepper's per-float evaluator, so the two
     agree bit for bit."""
-    t = np.asarray(t, dtype=float)
-    times, rows = schedule.times, schedule.values
-    _, k, tau = _script_piece(schedule, t)
-    ends = np.append(times[1:], schedule.period)
-    w = (tau - times[k]) / (ends[k] - times[k])
-    rise = np.roll(rows, -1, axis=0) - rows
-    return rows[k] + w[..., None] * rise[k]
+    _, k, w = _script_piece(schedule, np.asarray(t, dtype=float))
+    rows = schedule.values
+    return rows[k] + w[..., None] * (np.roll(rows, -1, axis=0) - rows)[k]
 
 
 @dataclass(frozen=True)
@@ -498,16 +495,6 @@ def _trajectory(pops, opponent, times, samples, meta) -> Trajectory:
     return Trajectory(times, logs[0], opp, None, meta)
 
 
-def _script_payoffs(rows, schedule: Schedule, t) -> np.ndarray:
-    """Payoffs of the payoff rows against the script at each time in t, one
-    row per time; summed column by column in the order the stepper sums."""
-    y = eval_schedule(schedule, t)
-    u = y[:, :1] * rows[:, 0]
-    for j in range(1, rows.shape[1]):
-        u += y[:, j:j + 1] * rows[:, j]
-    return u
-
-
 def _sample_counts(total: int, sample_every: int) -> np.ndarray:
     """Step counts at the samples: the start, every sample_every-th step,
     and the last step."""
@@ -532,35 +519,6 @@ def _normalize(z, slices):
         top = w.max(axis=-1, keepdims=True)
         w -= top + np.log(np.exp(w - top).sum(axis=-1, keepdims=True))
     return z
-
-
-def _accumulate(z0, total: int, sample_every: int, increments):
-    """Running sums of per-step log increments, kept at the sample steps.
-
-    increments(lo, hi) returns the increments of steps lo..hi-1, one row per
-    step, and raises where a step fails. Each step's mean over the support
-    is taken off before it is added: it plays the part of the stepper's mean
-    growth and keeps the sums as small as the logs. Steps go in blocks of
-    _BLOCK, so memory does not grow with the horizon. Samples land at the
-    start, every sample_every-th step, and the last step; all but the first
-    are normalized onto the simplex. Returns (sample step counts, logs at
-    each sample, largest |sum x - 1| over the normalized samples).
-    """
-    counts = _sample_counts(total, sample_every)
-    run = np.asarray(z0, dtype=float)
-    kept = []
-    for lo in range(0, total, _BLOCK):
-        hi = min(lo + _BLOCK, total)
-        d = increments(lo, hi)
-        d -= d.mean(axis=1, keepdims=True)
-        d[0] += run
-        np.cumsum(d, axis=0, out=d)
-        kept.append(d[counts[np.searchsorted(counts, lo, side="right"):
-                             np.searchsorted(counts, hi, side="right")] - lo - 1])
-        run = d[-1]
-    z = _normalize(np.concatenate(kept), [slice(None)])
-    drift = float(np.abs(np.exp(z).sum(axis=1) - 1.0).max())
-    return counts, np.vstack([z0, z]), drift
 
 
 def _log_field(pops, plays, speed):
@@ -753,61 +711,58 @@ def _initial_step(rhs, t, z, f0, span: float) -> float:
     return min(100.0 * h0, h1, span)
 
 
-def _scripted_flow(pop, schedule: Schedule, speed: float | None, bounds, steps,
-                   sample_every: int):
-    """The RK4 run against a script with a state-free speed, in closed form
-    (see the module docstring) on the same steps and samples.
+# The 8-point Gauss-Legendre rule on [-1, 1], exact up to degree 15; literal,
+# so that importing egtlab loads no numpy.polynomial
+_GL_X = np.array([0.9602898564975362, 0.7966664774136267, 0.525532409916329,
+                  0.18343464249564978])
+_GL_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                  0.36268378337836166])
+_GL_X, _GL_W = np.append(-_GL_X, _GL_X[::-1]), np.append(_GL_W, _GL_W[::-1])
 
-    A segment's steps 1 .. steps-2 have their stage times in [a + h,
-    (a + (steps - 2) h) + h]. Where both ends of that span fall in the same
-    period and the same constant piece of the script, the opponent row, and
-    so the Simpson row, is the same at every such step, to the bit. Each
-    block then evaluates the first of them in the block and copies its row
-    to the rest; a segment's first and last steps, whose stage times touch
-    the breakpoints, are evaluated on their own.
 
-    A payoff outside the link domain fails at the first step, then stage
-    (t0, midpoint, end), then strategy where it happens, as on the stepper
-    (a copied row fails where its source row did, at an earlier step).
-    Logs are exponentiated only after normalization, so a step too large for
-    exp, which stops the stepper as "state became non-finite", does not stop
-    this. Returns ([logs at each sample], max drift, stage rows evaluated).
-    """
-    lam = speed if speed is not None else 1.0
-    f = array_link(pop.f)
-    a, b = bounds[:-1], bounds[1:]
-    h = (b - a) / steps
-    ends = np.cumsum(steps)
-    starts = ends - steps
-    c0, k0, _ = _script_piece(schedule, a + h)
-    c1, k1, _ = _script_piece(schedule, (a + (steps - 2) * h) + h)
-    rows = schedule.values
-    flat = np.all(np.roll(rows, -1, axis=0) == rows, axis=1)
-    shared = (steps >= 3) & (c0 == c1) & (k0 == k1) & flat[k0]
-    evaluated = 0
-
-    def increments(lo, hi):
-        nonlocal evaluated
-        j = np.arange(lo, hi)
-        seg = np.searchsorted(ends, j, side="right")
-        k = j - starts[seg]
-        copied = shared[seg] & (k >= 2) & (k <= steps[seg] - 2) & (j > lo)
-        keep = ~copied
-        j, seg = j[keep], seg[keep]
-        hs = h[seg]
-        t0 = a[seg] + (j - starts[seg]) * hs
-        stages = np.stack([t0, t0 + 0.5 * hs, t0 + hs], axis=1)
-        g = f(_script_payoffs(pop.payoffs, schedule, stages.ravel())).reshape(len(j), 3, -1)
-        bad = np.isnan(g)
-        if bad.any():
-            m, _, i = np.unravel_index(np.argmax(bad), bad.shape)
-            raise pop.domain_error(int(i), float(t0[m]), int(j[m]), member=0)
-        evaluated += 3 * len(j)
-        d = (lam / 6.0 * hs)[:, None] * (g[:, 0] + 4.0 * g[:, 1] + g[:, 2])
-        return d[np.cumsum(keep) - 1]
-
-    _, samples, max_drift = _accumulate(pop.z, int(ends[-1]), sample_every, increments)
-    return [samples], max_drift, evaluated
+def _exact_flow(pop, schedule: Schedule, lam: float, t_max: float, times):
+    """The run against a script at constant speed lam, integrated exactly at
+    the sample times (see the module docstring), the link taken at the
+    argument clamped to its domain as array_link takes it. A payoff leaving
+    the padded domain before t_max fails where it crosses the edge, earliest
+    crossing then lowest strategy first. Returns ([logs at each sample], max
+    drift over the normalized samples, rows of the link or F evaluated)."""
+    f, starts, n = pop.f, schedule.times, len(pop.z)
+    lengths = np.append(starts[1:], schedule.period) - starts
+    ua = schedule.values @ pop.payoffs.T
+    ub = np.roll(ua, -1, axis=0)
+    lo, hi = f.domain[0] - domain_pad(f), f.domain[1] + domain_pad(f)
+    into = lengths[:, None] * (np.clip(ub, lo, hi) - ua) / (ub - ua)
+    cross = starts[:, None] + np.where((ua < lo) | (ua > hi), 0.0,
+                                       np.where((ub < lo) | (ub > hi), into, np.inf))
+    first = int(np.argmin(cross))
+    if cross.flat[first] < t_max:
+        raise pop.domain_error(first % n, float(cross.flat[first]), 0, member=0)
+    # the mean of f along each piece, then along each sample's part of its
+    # piece: rows of paths from ua to ub
+    cycles, k, w = _script_piece(schedule, times)
+    ua, ub = np.vstack([ua, ua[k]]), np.vstack([ub, ua[k] + w[:, None] * (ub[k] - ua[k])])
+    ca, cb = np.clip(ua, *f.domain), np.clip(ub, *f.domain)
+    fa, fb = _eval_unchecked(f, ca), _eval_unchecked(f, cb)
+    dF, size = _integral_unchecked(f, ca, cb)
+    du = ub - ua
+    mean = np.where(du == 0.0, fa, (fa * (ca - ua) + dF + fb * (ub - cb)) / du)
+    cancels = (du != 0.0) & (size > 32.0 * np.abs(cb - ca) * (1.0 + np.abs(fa) + np.abs(fb)))
+    rows = cancels.any(axis=1)
+    if rows.any():
+        a, b = ua[rows, :, None], ub[rows, :, None]
+        g = _eval_unchecked(f, np.clip(0.5 * (a + b) + 0.5 * (b - a) * _GL_X, *f.domain))
+        mean[rows] = np.where(cancels[rows], 0.5 * (g @ _GL_W), mean[rows])
+    areas = np.append(lengths, w * lengths[k])[:, None] * mean
+    areas -= areas.mean(axis=1, keepdims=True)  # the common shift, kept off the sums
+    prefix = np.cumsum(np.vstack([np.zeros(n), areas[:len(starts)]]), axis=0)
+    z = np.asarray(pop.z) + lam * (cycles[:, None] * prefix[-1] + prefix[k]
+                                   + areas[len(starts):])
+    z[1:] -= z[1:].max(axis=1, keepdims=True)  # then the log of the sum comes off exactly
+    z[0] = pop.z
+    _normalize(z[1:], [slice(None)])
+    return ([z], float(np.abs(np.exp(z[1:]).sum(axis=1) - 1.0).max()),
+            4 * len(ua) + 8 * int(rows.sum()))
 
 
 def _batch_logs(x0, n: int) -> np.ndarray:
@@ -838,17 +793,17 @@ def integrate(rule: GrowthRule, game: Game, x0,
     pair, steps adaptively under error control at RTOL = ATOL = 1e-10 and
     reads the samples off its 7th-order dense output;
     method "rk4" takes the grid's steps themselves with classic RK4, the
-    reference the tests pin. A scripted run whose speed is None or a number
-    takes neither: it is the RK4 grid summed in closed form
-    (_scripted_flow, method "simpson"), agreeing with the RK4 stepper to
-    rounding; steps on a plateau of the script share one evaluated row.
+    reference the tests pin. With the default method, a scripted run whose
+    speed is None or a number takes no steps: it is integrated exactly
+    (_exact_flow, method "exact"), whatever dt; "rk4" steps it like any run.
 
     meta records the method, accepted and rejected steps ("steps",
-    "rejected"), right-hand-side evaluations ("rhs_evals"; in closed form,
-    the stage rows evaluated: three for each step that does not share a
-    row), the smallest and largest step, rtol (None without error control)
-    and "max_drift": the largest |sum x - 1| before a step's renormalization
-    on the steppers, over the normalized samples in closed form.
+    "rejected"), right-hand-side evaluations ("rhs_evals"; on the exact
+    path, the rows of the link or its antiderivative evaluated), the
+    smallest and largest step, rtol (None without error control; all three
+    None on the exact path) and "max_drift": the largest |sum x - 1| before
+    a step's renormalization on the steppers, over the normalized samples
+    on the exact path.
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
@@ -871,13 +826,12 @@ def integrate(rule: GrowthRule, game: Game, x0,
     bounds, steps = _segments(t_max, dt, opponent if scripted else None)
     counts = _sample_counts(int(steps.sum()), sample_every)
     times = np.append(bounds[0], _grid_times(bounds, steps, counts[1:]))
-    if scripted and not isinstance(rule.speed, LinkFunction):
-        samples, max_drift, evals = _scripted_flow(pops[0], opponent, rule.speed, bounds,
-                                                   steps, sample_every)
-        h = (bounds[1:] - bounds[:-1]) / steps
-        stats = {"method": "simpson", "steps": int(steps.sum()), "rejected": 0,
-                 "rhs_evals": evals, "h_min": float(h.min()),
-                 "h_max": float(h.max()), "rtol": None}
+    if scripted and method == "dop853" and not isinstance(rule.speed, LinkFunction):
+        with np.errstate(divide="ignore", invalid="ignore"):  # masked by np.where
+            samples, max_drift, evals = _exact_flow(pops[0], opponent, rule.speed or 1.0,
+                                                    t_max, times)
+        stats = {"method": "exact", "steps": 0, "rejected": 0, "rhs_evals": evals,
+                 "h_min": None, "h_max": None, "rtol": None}
     else:
         z = z0[:, pops[0].support] if batch else np.array([sum((p.z for p in pops), [])])
         field, slices = _log_field(pops, plays, rule.speed)

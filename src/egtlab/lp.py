@@ -52,7 +52,8 @@ def _bland_iterate(T: np.ndarray, basis: np.ndarray) -> None:
         if row < 0:
             raise LpError("objective unbounded above")
         _pivot(T, basis, row, col)
-    raise LpError(f"simplex did not terminate in {MAXITER} iterations")
+    if (T[-1, :-1] > PIVOT_TOL).any():  # the last pivot may have reached the optimum
+        raise LpError(f"simplex did not terminate in {MAXITER} iterations")
 
 
 def _ratio_row(T: np.ndarray, basis: np.ndarray, col: int) -> int:

@@ -1,5 +1,6 @@
-"""Brute-force reference computations, a plain simplex loop and seeded test
-games, kept free of the package's LP code."""
+"""Brute-force reference computations, a plain simplex loop, seeded test
+games and SciPy quadrature of scripted flows, kept free of the package's LP
+code and integrators."""
 
 import itertools
 
@@ -73,3 +74,51 @@ def _pivot(T, basis, row, col):
     f[row] = 0.0
     T -= np.outer(f, T[row])
     basis[row] = col
+
+
+def scripted_flow_logs(link, speed, payoff, schedule, x0, times) -> np.ndarray:
+    """Log-states at the sample times of a flow against a script with a
+    constant speed, by SciPy's quad: z_i(t) = ln x0_i + speed * int_0^t
+    f(u_i(s)) ds, normalized onto the simplex. Each integral is taken
+    between consecutive breaks: the script's breakpoints, the times a payoff
+    crosses a table link's knot, and the sample times. link is evaluated by
+    eval_link; the script is interpolated here, with np.interp."""
+    import warnings
+
+    from scipy.integrate import IntegrationWarning, quad
+
+    from egtlab.links import eval_link
+
+    period, starts, rows = schedule.period, schedule.times, schedule.values
+    ends = np.append(starts[1:], period)
+    knots = np.append(starts, period)
+    breaks = list(starts)
+    for k, (a, b) in enumerate(zip(starts, ends)):
+        ua, ub = payoff @ rows[k], payoff @ rows[(k + 1) % len(rows)]
+        for x in (link.knots_x if link.family == "table" else []):
+            for w in (x - ua[ub != ua]) / (ub - ua)[ub != ua]:
+                if 0.0 < w < 1.0:
+                    breaks.append(a + w * (b - a))
+    t_end = float(times[-1])
+    cuts = sorted({c * period + s for c in range(int(t_end // period) + 1) for s in breaks
+                   if c * period + s < t_end} | {float(t) for t in times})
+
+    def rate(i, s):
+        y = [np.interp(s % period, knots, np.append(rows[:, j], rows[0, j]))
+             for j in range(rows.shape[1])]
+        return eval_link(link, float(payoff[i] @ y))
+
+    x0 = np.asarray(x0, dtype=float)
+    support = np.flatnonzero(x0 > 0)
+    steps = np.zeros((len(cuts), len(x0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            for i in support:
+                steps[j + 1, i] = quad(lambda s: rate(i, s), a, b, epsabs=1e-15,
+                                       epsrel=1e-14, limit=200)[0]
+    total = np.cumsum(steps, axis=0)[np.searchsorted(cuts, times)]
+    z = np.full((len(times), len(x0)), -np.inf)
+    z[:, support] = np.log(x0[support]) + speed * total[:, support]
+    top = z.max(axis=1, keepdims=True)
+    return z - (top + np.log(np.exp(z - top).sum(axis=1, keepdims=True)))

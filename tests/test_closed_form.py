@@ -1,106 +1,173 @@
-"""Closed-form scripted runs against the steppers they replace.
+"""Closed-form scripted runs against independent references.
 
-A flat speed table, speed=table_link([lo, hi], [c, c]), is payoff-dependent
-in form only: it keeps a scripted flow on the stepper (method="rk4") while
-giving it the constant speed c, so the two paths can be compared on the
-same run.
+Scripted flows with a state-free speed are integrated exactly; they are
+compared with SciPy's quad (tests/oracles.py), with the RK4 stepper that
+method="rk4" runs on them, and with themselves on other dt grids.
 Scripted generation maps are compared with repeated discrete.step.
 """
 
 import numpy as np
 import pytest
 
+import oracles
 from egtlab.discrete import (affine_background, constant_background,
                              geometric_background, iterate, step)
 from egtlab.dynamics import (GrowthRule, IntegrationError, Schedule,
                              _schedule_fn, eval_schedule, integrate)
 from egtlab.games import Game
-from egtlab.links import DomainError, exp_link, linear_link, sqrt_link, table_link
+from egtlab.links import (DomainError, exp_link, linear_link, log_link, power_link,
+                          sqrt_link, table_link)
+from egtlab.scenarios import run_survival_nonconcave, run_survival_nonconvex
 
 SURVIVAL = Game([[1.0, 0.0], [0.0, 1.0], [0.52, 0.52]])
+# payoffs 0 and 1 at the kinks, where sqrt's slope is infinite
 WAVE = Schedule(6.0, [0.0, 2.0, 3.0, 5.0],
                 [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
 G4 = Game([[1.0, 0.3, 1.4], [0.4, 1.2, 0.6], [0.9, 0.8, 0.7], [1.1, 0.2, 0.5]])
 S3 = Schedule(2.5, [0.0, 0.7, 1.9],
               [[0.2, 0.3, 0.5], [0.6, 0.1, 0.3], [0.1, 0.8, 0.1]])
-# At dt = 0.1, plateaus of 1, 2, 3 and 1 steps between one-step crossfades:
-# no plateau step, or only one, lies clear of the breakpoints.
+# plateaus of 0.1, 0.2, 0.3 and 0.1 time units between crossfades of 0.1
 STAIRS = Schedule(0.9, [0.0, 0.1, 0.2, 0.4, 0.5, 0.8],
                   [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
 # An integer period: generation n meets the script where generation n mod 5 does.
 SQ5 = Schedule(5.0, [0.0, 1.0, 3.0],
                [[0.2, 0.3, 0.5], [0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
-
-
-def stepped(rule: GrowthRule) -> GrowthRule:
-    """The same rule with its constant speed as a flat table over mean payoffs."""
-    c = rule.speed if rule.speed is not None else 1.0
-    return GrowthRule(rule.link, speed=table_link([-10.0, 10.0], [c, c]))
-
-
-def assert_same_run(closed, ref, atol=1e-12):
-    np.testing.assert_array_equal(closed.times, ref.times)
-    np.testing.assert_array_equal(closed.opp_states, ref.opp_states)
-    np.testing.assert_array_equal(np.isinf(closed.log_states), np.isinf(ref.log_states))
-    np.testing.assert_allclose(closed.log_states, ref.log_states, rtol=0.0, atol=atol)
-    assert closed.meta["steps"] == ref.meta["steps"]
-    assert closed.meta.keys() == ref.meta.keys()
-    assert closed.meta["max_drift"] <= 1e-14
-
+# Each crossfade of SWING moves a payoff by 1e-9 or 3e-9 near 1, where the
+# divided difference of F cancels.
+NEAR = Game([[1.0, 1.0 + 1e-9], [1.0 + 3e-9, 1.0], [1.2, 0.9]])
+SWING = Schedule(2.0, [0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
+# u from 0.3 to 1.4 crosses all four inner knots
+TABLE = table_link([0.0, 0.5, 0.7, 0.9, 1.2, 2.0], [0.0, 1.0, 0.2, 1.4, 0.3, 2.0])
+X4 = (0.1, 0.2, 0.3, 0.4)
 
 FLOWS = {
     "sqrt link": (GrowthRule(sqrt_link((0.0, 1.0))), SURVIVAL, (0.3, 0.3, 0.4), WAVE,
                   dict(t_max=7.5)),
     "start on a face": (GrowthRule(sqrt_link((0.0, 1.0))), SURVIVAL, (0.6, 0.0, 0.4),
                         WAVE, dict(t_max=7.5, sample_every=7)),
-    "constant speed": (GrowthRule(exp_link(1.0, (0.0, 2.0)), speed=2.5), G4,
-                       (0.1, 0.2, 0.3, 0.4), S3, dict(t_max=4.3, dt=3e-3, sample_every=13)),
+    "constant speed": (GrowthRule(exp_link(1.0, (0.0, 2.0)), speed=2.5), G4, X4, S3,
+                       dict(t_max=4.3, dt=3e-3, sample_every=13)),
     "short plateaus": (GrowthRule(sqrt_link((0.0, 1.0)), speed=1.5), SURVIVAL,
                        (0.3, 0.3, 0.4), STAIRS, dict(t_max=2.8, dt=0.1, sample_every=1)),
-    # blocks of 4096 steps end at t = 8.192, on a crossfade, and at
-    # t = 16.384, inside a plateau; samples fall inside plateaus too
     "three periods": (GrowthRule(sqrt_link((0.0, 1.0))), SURVIVAL, (0.3, 0.3, 0.4), WAVE,
                       dict(t_max=19.0, dt=2e-3, sample_every=333)),
     "face start over three periods": (GrowthRule(sqrt_link((0.0, 1.0))), SURVIVAL,
                                       (0.6, 0.0, 0.4), WAVE,
                                       dict(t_max=19.0, dt=1e-2, sample_every=33)),
+    "linear": (GrowthRule(linear_link(2.0, -1.0)), G4, X4, S3, dict(t_max=6.3)),
+    "power 2": (GrowthRule(power_link(2.0, (0.0, 2.0))), G4, X4, S3, dict(t_max=6.3)),
+    "power 0.5": (GrowthRule(power_link(0.5, (0.0, 2.0))), G4, X4, S3, dict(t_max=6.3)),
+    "power -1": (GrowthRule(power_link(-1.0, (0.2, 2.0))), G4, X4, S3, dict(t_max=6.3)),
+    "exp": (GrowthRule(exp_link(-1.5, (0.0, 2.0))), G4, X4, S3, dict(t_max=6.3)),
+    "log": (GrowthRule(log_link((0.2, 2.0))), G4, X4, S3, dict(t_max=6.3)),
+    "table across knots": (GrowthRule(TABLE), G4, X4, S3, dict(t_max=6.3)),
+    # payoffs 2.5e-12 below the domain, inside its pad: the link holds f(0) there
+    "payoff in the domain's pad": (GrowthRule(exp_link(1.0, (0.0, 2.0))),
+                                   Game([[-2.5e-12, 1.0], [1.0, -2.5e-12], [0.5, 0.5]]),
+                                   (0.3, 0.3, 0.4), WAVE, dict(t_max=13.0)),
+    "near-flat exp": (GrowthRule(exp_link(1.0, (0.5, 1.5))), NEAR, (0.3, 0.3, 0.4), SWING,
+                      dict(t_max=5.3, sample_every=300)),
+    "near-flat log": (GrowthRule(log_link((0.5, 1.5))), NEAR, (0.3, 0.3, 0.4), SWING,
+                      dict(t_max=5.3, sample_every=300)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FLOWS))
-def test_closed_form_flow_matches_the_stepper(case):
+def test_exact_flow_matches_quad(case):
+    pytest.importorskip("scipy")
     rule, game, x0, script, kw = FLOWS[case]
-    closed = integrate(rule, game, x0, opponent=script, **kw)
-    ref = integrate(stepped(rule), game, x0, opponent=script, method="rk4", **kw)
-    assert_same_run(closed, ref)
+    traj = integrate(rule, game, x0, opponent=script, **kw)
+    want = oracles.scripted_flow_logs(rule.effective_link, rule.speed or 1.0, game.payoff,
+                                      script, x0, traj.times)
+    assert traj.meta["method"] == "exact"
+    np.testing.assert_array_equal(np.isinf(traj.log_states), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.all(np.abs(traj.log_states[finite] - want[finite])
+                  <= 1e-13 * (1.0 + np.abs(want[finite])))
+    np.testing.assert_array_equal(traj.opp_states, eval_schedule(script, traj.times))
 
 
-def test_closed_form_flow_counts_the_stage_rows_it_evaluates():
-    rule = GrowthRule(sqrt_link((0.0, 1.0)))
-    wave = integrate(rule, SURVIVAL, (0.3, 0.3, 0.4), opponent=WAVE, t_max=7.5)
-    # plateaus [0, 2], [3, 5] and [6, 7.5] evaluate their first, second and
-    # last steps, and [3, 5] the first step of the block from t = 4.096; the
-    # crossfades [2, 3] and [5, 6] evaluate all 1000 steps each
-    assert wave.meta["steps"] == 7500
-    assert wave.meta["rhs_evals"] == 3 * (3 + 1000 + 4 + 1000 + 3)
-    rule, game, x0, script, kw = FLOWS["constant speed"]
-    s3 = integrate(rule, game, x0, opponent=script, **kw)
-    assert s3.meta["rhs_evals"] == 3 * s3.meta["steps"]
+def test_near_flat_pieces_take_the_gauss_legendre_rule():
+    # with the divided difference alone, these runs are off by up to 3e-7
+    # (exp) and 5e-9 (log)
+    for case in ("near-flat exp", "near-flat log"):
+        rule, game, x0, script, kw = FLOWS[case]
+        traj = integrate(rule, game, x0, opponent=script, **kw)
+        # SWING's two pieces are both crossfades, and so is the partial piece
+        # of every sample off a breakpoint: all of those rows fall back
+        inside = int(np.sum(traj.times % 1.0 != 0.0))
+        assert traj.meta["rhs_evals"] == 4 * (2 + len(traj)) + 8 * (2 + inside)
+
+
+def test_exact_flow_work_is_independent_of_dt_and_the_horizon():
+    rule, game, x0, script, _ = FLOWS["sqrt link"]
+    metas = [integrate(rule, game, x0, opponent=script, t_max=t_max, dt=dt,
+                       sample_every=every).meta
+             for t_max, dt, every in ((7.5, 1e-3, 100), (7.5, 1e-2, 10), (750.0, 1e-3, 10_000))]
+    # four rows per script piece (4) and per sample (76): f and F at both ends
+    for meta in metas:
+        assert meta["rhs_evals"] == 4 * (4 + 76)
+        assert (meta["method"], meta["steps"], meta["rejected"]) == ("exact", 0, 0)
+        assert (meta["h_min"], meta["h_max"], meta["rtol"]) == (None, None, None)
+    stepped = integrate(rule, game, x0, opponent=script, t_max=7.5, dt=0.1, method="rk4").meta
+    assert metas[0].keys() == stepped.keys()
+
+
+def test_exact_flow_samples_are_normalized_to_rounding():
+    # the logs reach about 40 before the samples are normalized; taking the
+    # largest off first keeps x_T x_B, which the symmetric link pins at 1/4,
+    # from rounding above it
+    report, traj = run_survival_nonconcave(periods=3)
+    assert traj.meta["max_drift"] <= 4 * np.finfo(float).eps
+    assert report["run"]["product_late_max"] <= 0.25 and report["ok"]
+
+
+def test_rk4_converges_to_the_exact_flow_at_fourth_order():
+    rule = GrowthRule(exp_link(1.0, (0.0, 2.0)))
+    exact = integrate(rule, G4, X4, opponent=S3, t_max=5.0).log_states[-1]
+    errors = [np.abs(integrate(rule, G4, X4, opponent=S3, t_max=5.0, dt=dt,
+                               method="rk4").log_states[-1] - exact).max()
+              for dt in (0.1, 0.05, 0.025)]
+    ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+    assert all(12.0 <= r <= 20.0 for r in ratios), (errors, ratios)
+
+
+def test_exact_flow_does_not_depend_on_dt():
+    rule, game, x0, script, _ = FLOWS["three periods"]
+    coarse = integrate(rule, game, x0, opponent=script, t_max=19.0, dt=1e-2, sample_every=7)
+    fine = integrate(rule, game, x0, opponent=script, t_max=19.0, dt=1e-3, sample_every=70)
+    i, j = np.nonzero(np.abs(coarse.times[:, None] - fine.times[None, :]) <= 1e-12)
+    assert len(i) == len(coarse) > 200
+    np.testing.assert_allclose(coarse.log_states[i], fine.log_states[j], rtol=0.0, atol=1e-13)
+    (default, dense), (sparse, grid) = (run_survival_nonconvex(),
+                                        run_survival_nonconvex(dt=1e-2, sample_every=10))
+    assert default["run"]["method"] == sparse["run"]["method"] == "exact"
+    assert abs(sparse["run"]["x_M_final"] - default["run"]["x_M_final"]) <= 1e-12
+    np.testing.assert_allclose(grid.log_states[-1], dense.log_states[-1], rtol=1e-13)
 
 
 def test_closed_form_flow_fails_where_the_stepper_fails():
-    # With h = 0.1, strategy 1's payoff leaves (0, 1.5) at the midpoint of the
-    # step from t = 2.7 and strategy 0's at its end: the midpoint comes first.
+    # On WAVE's crossfade from t = 2, strategy 1's payoff 2.1 (t - 2) leaves
+    # (0, 1.5) first. The stepper (h = 0.1) fails at the midpoint of the step
+    # from t = 2.7; the exact path at the crossing itself.
     game = Game([[0.0, 1.9], [0.0, 2.1], [0.5, 0.5]])
     rule = GrowthRule(sqrt_link((0.0, 1.5)))
-    errors = []
-    for r in (rule, stepped(rule)):
-        with pytest.raises(IntegrationError, match=r"near t=2\.7 \(strategy 1\)") as err:
-            integrate(r, game, (0.3, 0.3, 0.4), opponent=WAVE, t_max=7.5, dt=0.1,
-                      method="rk4")
-        errors.append((str(err.value), err.value.t, err.value.step))
-    assert errors[0] == errors[1]
-    assert errors[0][2] == 27
+    x0 = (0.3, 0.3, 0.4)
+    with pytest.raises(IntegrationError, match=r"near t=2\.7 \(strategy 1\)") as stepped:
+        integrate(rule, game, x0, opponent=WAVE, t_max=7.5, dt=0.1, method="rk4")
+    assert stepped.value.step == 27
+    crossing = 2.0 + (1.5 + 1e-12 * 2.5) / 2.1
+    with pytest.raises(IntegrationError, match=r"near t=2\.71429 \(strategy 1\)$") as exact:
+        integrate(rule, game, x0, opponent=WAVE, t_max=7.5, dt=0.1)
+    assert exact.value.t == pytest.approx(crossing, rel=0.0, abs=1e-14)
+    assert stepped.value.t <= exact.value.t < stepped.value.t + 0.1
+    assert (exact.value.step, exact.value.member) == (0, 0)
+    # a horizon that ends before the crossing runs to its end
+    for t_max in (crossing - 1e-9, 2.7):
+        traj = integrate(rule, game, x0, opponent=WAVE, t_max=t_max, dt=0.1)
+        assert traj.times[-1] == t_max
+    with pytest.raises(IntegrationError):
+        integrate(rule, game, x0, opponent=WAVE, t_max=crossing + 1e-9, dt=0.1)
 
 
 def test_schedule_evaluates_bit_for_bit_like_the_stepper():

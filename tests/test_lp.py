@@ -29,6 +29,17 @@ def test_two_constraints():
     assert x[0] == pytest.approx(3.0) and x[1] == pytest.approx(1.0)
 
 
+def test_an_lp_that_needs_exactly_maxiter_pivots_solves(monkeypatch):
+    # test_two_constraints' LP takes two pivots
+    c = [3.0, 2.0, 0.0, 0.0]
+    A = [[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]]
+    monkeypatch.setattr(lp, "MAXITER", 2)
+    assert solve_max(c, A, [4.0, 3.0], [2, 3])[1] == pytest.approx(11.0)
+    monkeypatch.setattr(lp, "MAXITER", 1)
+    with pytest.raises(LpError, match="did not terminate in 1 iterations"):
+        solve_max(c, A, [4.0, 3.0], [2, 3])
+
+
 def test_unbounded_is_reported():
     # max x0 with -x0 + s = 1: x0 grows without bound
     with pytest.raises(LpError, match="unbounded"):
