@@ -28,9 +28,8 @@ from .discrete import (BackgroundFitness, affine_background, constant_background
 from .dominance import find_dominator, iterate_elimination
 from .dynamics import Coupled, GrowthRule, Schedule, integrate, write_trajectory_csv
 from .games import Game, game_from_dict, load_game
-from .links import (classify_link, discrete_effective_link, exp_link,
-                    linear_link, log_link, parse_link, power_link,
-                    rps_direction, sqrt_link, table_link)
+from .links import (classify_link, discrete_effective_link, make_link, parse_link,
+                    rps_direction, table_link)
 from .scenarios import SCENARIO_INTERVALS, SCENARIOS
 
 
@@ -100,25 +99,13 @@ def _parse_link_cfg(entry, game: Game, path: str):
     if isinstance(entry, str):
         return parse_link(entry, domain=hull)
     family = str(_req(entry, "family", path))
-    domain = tuple(entry["domain"]) if "domain" in entry else hull
-    params = entry.get("params", [])
-    if family in ("linear", "lin"):
-        slope = float(params[0]) if params else 1.0
-        intercept = float(params[1]) if len(params) > 1 else 0.0
-        return linear_link(slope, intercept, domain)
-    if family in ("power", "pow"):
-        if not params:
-            _fail(f"config field {path}.params must give the exponent")
-        return power_link(float(params[0]), domain)
-    if family in ("exponential", "exp"):
-        return exp_link(float(params[0]) if params else 1.0, domain)
-    if family in ("logarithm", "log", "ln"):
-        return log_link(domain)
-    if family == "sqrt":
-        return sqrt_link(domain)
     if family == "table":
         return table_link(_req(entry, "xs", path), _req(entry, "ys", path))
-    _fail(f"config field {path}.family names an unknown link {family!r}")
+    domain = tuple(entry["domain"]) if "domain" in entry else hull
+    try:
+        return make_link(family, entry.get("params") or (), domain)
+    except ValueError as e:
+        _fail(f"config field {path}: {e}")
 
 
 def _parse_rule(entry, game: Game, path: str) -> GrowthRule:

@@ -15,12 +15,15 @@ Two paths compute the same generations:
 - Against a scripted opponent the growth rates depend on the generation
   alone, so ln(C_n + gbar) is a shift common to every coordinate that
   renormalization removes; _scripted_generations adds log1p((g_i - r_n) /
-  (C_n + r_n)) with r_n = min_i g_i, never of a negative argument, sums
-  with NumPy in blocks and normalizes at the samples only, agreeing with
-  the stepper to rounding. When the script's period P is an integer,
-  generation n meets the script exactly where generation n mod P does, so
-  one period's growth rates are evaluated once and looked up, whatever
-  the background.
+  (C_n + r_n)) with r_n = min_i g_i, never of a negative argument, and
+  normalizes at the samples only, agreeing with the stepper to rounding.
+  With a constant background and an integer period P up to _BLOCK,
+  generation n meets the script exactly where generation n mod P does and
+  repeats its increments, so the first period is evaluated once and folded
+  as the exact flow folds its pieces (dynamics._fold): the logs after n
+  generations are z0 + floor(n / P) S + prefix[n mod P]. Affine and
+  geometric backgrounds, non-integer periods and periods over _BLOCK sum
+  every generation with NumPy in blocks of _BLOCK.
 
 Whether the background schedule's reciprocal sum diverges decides how much
 cumulative selection pressure is available: affine schedules keep selecting
@@ -35,7 +38,7 @@ from operator import mul
 
 import numpy as np
 
-from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, Trajectory,
+from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, Trajectory, _fold,
                        _normalize, _sample_counts, _setup, _trajectory, eval_schedule)
 from .games import Game, validate_simplex
 from .links import array_link, eval_link, hull_inside, scalar_link
@@ -222,35 +225,27 @@ def _log_ratio(C, gi, gbar):
 def _scripted_generations(pop, schedule: Schedule, link, background: BackgroundFitness,
                           n_steps: int, sample_every: int):
     """The ratio map of _generations against a script, in closed form (see
-    the module docstring) with the same samples, in blocks of _BLOCK
-    generations so memory does not grow with the horizon. Each generation's
+    the module docstring) with the same samples. Each generation's
     increments lose their mean over the support, a common shift like the
-    stepper's ln(C_n + gbar), before cumsum adds them. With an integer period
-    P (up to _BLOCK), generation n meets the script at tau = n - P floor(n /
-    P) = n mod P exactly, so one period's rates are evaluated once and looked
-    up. A payoff outside the link domain fails before a numerator C_n + g_i
-    that is not positive, generation by generation, as in _generations.
+    stepper's ln(C_n + gbar). A payoff outside the link domain fails before a
+    numerator C_n + g_i that is not positive, generation by generation, as in
+    _generations. With a constant background and an integer period P up to
+    _BLOCK, generation n repeats generation n mod P exactly, so the first
+    period is evaluated once and folded (dynamics._fold). Other runs sum
+    blocks of _BLOCK generations, so memory does not grow with the horizon.
     Returns (sample times, [logs at each sample], max |sum x - 1| over them).
     """
     rows, f, period = pop.payoffs, array_link(link), schedule.period
 
-    def rates(t):
+    def increments(lo, hi):
+        """Mean-free log increments of generations lo .. hi - 1, checked."""
+        t = np.arange(lo, hi, dtype=float)
         # payoffs summed column by column, in the order the stepper sums
         y = eval_schedule(schedule, t)
         u = y[:, :1] * rows[:, 0]
         for j in range(1, rows.shape[1]):
             u += y[:, j:j + 1] * rows[:, j]
-        return f(u)
-
-    # the table stays within a block's size, so memory does not grow with P
-    cycle = int(period) if period.is_integer() and period <= _BLOCK else 0
-    table = rates(np.arange(min(cycle, n_steps), dtype=float)) if cycle else None
-    counts = _sample_counts(n_steps, sample_every)
-    run, kept = np.asarray(pop.z, dtype=float), []
-    for lo in range(0, n_steps, _BLOCK):
-        hi = min(lo + _BLOCK, n_steps)
-        t = np.arange(lo, hi, dtype=float)
-        g = rates(t) if table is None else table[np.arange(lo, hi) % cycle]
+        g = f(u)
         C = background.values(t)[:, None]
         bad = ~(C + g > 0.0)
         if bad.any():
@@ -263,7 +258,17 @@ def _scripted_generations(pop, schedule: Schedule, link, background: BackgroundF
                 f"({pop.name(int(np.argmax(bad[k - lo])))})", t=float(k), step=k)
         r = g.min(axis=1, keepdims=True)
         d = np.log1p((g - r) / (C + r))
-        d -= d.mean(axis=1, keepdims=True)
+        return d - d.mean(axis=1, keepdims=True)
+
+    counts = _sample_counts(n_steps, sample_every)
+    if background.kind == "constant" and period.is_integer() and period <= _BLOCK:
+        P = int(period)
+        z, drift = _fold(pop.z, increments(0, min(P, n_steps)), counts // P, counts % P)
+        return counts.astype(float), [z], drift
+    run, kept = np.asarray(pop.z, dtype=float), []
+    for lo in range(0, n_steps, _BLOCK):
+        hi = min(lo + _BLOCK, n_steps)
+        d = increments(lo, hi)
         d[0] += run
         np.cumsum(d, axis=0, out=d)
         kept.append(d[counts[np.searchsorted(counts, lo, side="right"):
@@ -286,10 +291,12 @@ def iterate(rule: GrowthRule | None, game: Game, x0,
     rejected.
 
     Every scripted run takes the closed form (_scripted_generations), which
-    agrees with the stepper to rounding; there meta["max_drift"] is the
-    largest |sum x - 1| over the normalized samples. Self-play and coupled
-    runs take the stepper, where it is the largest drift before each
-    generation's renormalization.
+    agrees with the stepper to rounding: a constant background with an
+    integer period of at most _BLOCK generations folds one period's
+    increments, whatever n_max; every other scripted run sums them block by
+    block. There meta["max_drift"] is the largest |sum x - 1| over the
+    normalized samples. Self-play and coupled runs take the stepper, where
+    it is the largest drift before each generation's renormalization.
     """
     rule = rule or GrowthRule()
     if rule.speed is not None:

@@ -40,7 +40,8 @@ Gauss-Legendre rule takes those. A piece's mean of f is then off by about
 100 eps (1 + |f(u_a)| + |f(u_b)|) at most, plus 1.7e-23 |u_b - u_a|^16
 max|f^(16)| by Gauss-Legendre. With one period's sum S and its prefix sums,
 z(t) = z(0) + lam (floor(t / P) S + prefix[k] + the part of piece k up to t),
-normalized at the samples only (_exact_flow): O(pieces + samples) work.
+normalized at the samples only (_exact_flow): O(pieces + samples) work. The
+fold is _fold, which the scripted generation map shares (discrete.py).
 """
 
 from __future__ import annotations
@@ -755,14 +756,24 @@ def _exact_flow(pop, schedule: Schedule, lam: float, t_max: float, times):
         mean[rows] = np.where(cancels[rows], 0.5 * (g @ _GL_W), mean[rows])
     areas = np.append(lengths, w * lengths[k])[:, None] * mean
     areas -= areas.mean(axis=1, keepdims=True)  # the common shift, kept off the sums
-    prefix = np.cumsum(np.vstack([np.zeros(n), areas[:len(starts)]]), axis=0)
-    z = np.asarray(pop.z) + lam * (cycles[:, None] * prefix[-1] + prefix[k]
-                                   + areas[len(starts):])
-    z[1:] -= z[1:].max(axis=1, keepdims=True)  # then the log of the sum comes off exactly
-    z[0] = pop.z
+    z, drift = _fold(pop.z, areas[:len(starts)], cycles, k, areas[len(starts):], lam)
+    return [z], drift, 4 * len(ua) + 8 * int(rows.sum())
+
+
+def _fold(z0, rows, cycles, k, partial=0.0, lam=1.0):
+    """Logs at samples that lie cycles whole periods, k increment rows and
+    partial past z0 (one entry per sample, the first sample z0 itself):
+    z0 + lam (cycles S + prefix[k] + partial), with prefix the prefix sums of
+    one period's mean-free increment rows and S their sum. Each sample's
+    largest log comes off before the log of the sum, so the samples are
+    normalized to rounding. Returns (logs, max |sum x - 1| over the samples
+    after the first)."""
+    prefix = np.cumsum(np.vstack([np.zeros(len(z0)), rows]), axis=0)
+    z = np.asarray(z0) + lam * (cycles[:, None] * prefix[-1] + prefix[k] + partial)
+    z[1:] -= z[1:].max(axis=1, keepdims=True)
+    z[0] = z0
     _normalize(z[1:], [slice(None)])
-    return ([z], float(np.abs(np.exp(z[1:]).sum(axis=1) - 1.0).max()),
-            4 * len(ua) + 8 * int(rows.sum()))
+    return z, float(np.abs(np.exp(z[1:]).sum(axis=1) - 1.0).max())
 
 
 def _batch_logs(x0, n: int) -> np.ndarray:

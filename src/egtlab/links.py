@@ -354,6 +354,29 @@ def rps_direction(f: LinkFunction | None, a: float, b: float, c: float,
     return "outward" if delta > 0 else "inward"
 
 
+# Names a spec or a config may give each family by, and the values its
+# trailing params take when left out; a table needs knots and is built apart.
+_LINK_NAMES = {"linear": "linear", "lin": "linear", "power": "power", "pow": "power",
+               "exponential": "exponential", "exp": "exponential", "logarithm": "logarithm",
+               "log": "logarithm", "ln": "logarithm", "sqrt": "sqrt"}
+_DEFAULT_PARAMS = {"linear": (1.0, 0.0), "exponential": (1.0,)}
+
+
+def make_link(name: str, params=(), domain=None) -> LinkFunction:
+    """The link of the family named name (or an alias) with params, the
+    trailing ones defaulting to slope 1 and intercept 0 (linear) or rate 1
+    (exponential); LinkFunction refuses any other count. A linear link
+    without a domain gets (-1e6, 1e6); every other family needs one."""
+    family = _LINK_NAMES.get(name.strip().lower())
+    if family is None:
+        raise ValueError(f"unknown link family {name!r}")
+    params = tuple(params)
+    params += _DEFAULT_PARAMS.get(family, ())[len(params):]
+    if domain is None and family != "linear":
+        raise ValueError(f"link {name!r} needs a payoff interval (use '@lo,hi' or --interval)")
+    return LinkFunction(family, params, domain or (-1e6, 1e6))
+
+
 def parse_link(spec: str, domain=None) -> LinkFunction:
     """Build a link from a CLI-style spec string such as 'linear:1,0' or 'exp:2'.
 
@@ -368,26 +391,4 @@ def parse_link(spec: str, domain=None) -> LinkFunction:
             raise ValueError(f"bad domain suffix in link spec {spec!r}")
         domain = (float(parts[0]), float(parts[1]))
     name, _, arg = spec.partition(":")
-    name = name.strip().lower()
-    args = [float(v) for v in arg.split(",")] if arg else []
-    if name in ("linear", "lin"):
-        if len(args) > 2:
-            raise ValueError("linear link spec is 'linear:<slope>,<intercept>'")
-        slope = args[0] if args else 1.0
-        intercept = args[1] if len(args) > 1 else 0.0
-        return linear_link(slope, intercept, domain or (-1e6, 1e6))
-    if domain is None:
-        raise ValueError(f"link {name!r} needs a payoff interval (use '@lo,hi' or --interval)")
-    if name in ("power", "pow"):
-        if len(args) != 1:
-            raise ValueError("power link spec is 'power:<exponent>'")
-        return power_link(args[0], domain)
-    if name in ("exponential", "exp"):
-        if len(args) != 1:
-            raise ValueError("exponential link spec is 'exp:<rate>'")
-        return exp_link(args[0], domain)
-    if name in ("logarithm", "log", "ln"):
-        return log_link(domain)
-    if name == "sqrt":
-        return sqrt_link(domain)
-    raise ValueError(f"unknown link spec {spec!r}")
+    return make_link(name, [float(v) for v in arg.split(",")] if arg else (), domain)

@@ -204,10 +204,8 @@ class Rps4Construction:
     concave links. dual: entries m - gamma and m + beta around the core mean
     m make the fourth strategy strictly dominate the uniform core mixture
     (margin at least min(beta, gamma)), and convex links eliminate it anyway.
-
-    direction_mode/background select how the link's cycle criterion is read:
-    through f itself for the flow, through ln(background + f) for the
-    generation map.
+    A generation map's construction takes discrete_effective_link(f, C) as
+    its link.
     """
 
     game: Game
@@ -219,8 +217,6 @@ class Rps4Construction:
     gamma: float
     m: float
     variant: str
-    direction_mode: str = "continuous-functional"
-    background: float = 0.0
 
     def __post_init__(self):
         _check(self.variant in _VARIANTS_4X4,
@@ -248,8 +244,7 @@ class Rps4Construction:
             direction = "inward"
         _check(np.allclose(self.game.payoff, want, rtol=0.0, atol=1e-12),
                "payoff matrix does not match the stored parameters")
-        got = rps_direction(self.link, a, b, c, mode=self.direction_mode,
-                            background=self.background)
+        got = rps_direction(self.link, a, b, c, mode="continuous-functional")
         _check(got == direction,
                f"link turns the core {got}, construction needs {direction}")
         p = np.array([1.0, 1.0, 1.0, 0.0]) / 3.0
@@ -267,30 +262,15 @@ class Rps4Construction:
         return named_game("rps-base", self.a, self.b, self.c)
 
 
-def _direction_values(f: LinkFunction, u, mode: str, background: float):
-    vals = eval_link(f, u)
-    if mode == "discrete-functional":
-        shifted = background + vals
-        if np.min(shifted) <= 0.0:
-            raise ValueError(
-                f"background {background:g} leaves the generation map undefined")
-        return np.log(shifted)
-    if mode != "continuous-functional":
-        raise ValueError(f"unknown direction mode {mode!r}")
-    return vals
-
-
 def build_rps4(f: LinkFunction, variant: str, search_box=None, *, abc=None,
-               beta: float | None = None, gamma: float | None = None,
-               direction_mode: str = "continuous-functional",
-               background: float = 0.0) -> Rps4Construction:
+               beta: float | None = None,
+               gamma: float | None = None) -> Rps4Construction:
     """Find cycle payoffs whose linked growth rates disagree with the raw ones.
 
     The inequality system couples the linear cycle direction (through the raw
-    payoffs) with the linked one (through f, or ln(background + f) for the
-    generation map); a coarse grid over the box picks the triple with the
-    largest worst normalized slack, then a local pass refines it. abc skips
-    the search. beta and gamma default to 2% and 10% of the payoff spread,
+    payoffs) with the linked one (through f); a coarse grid over the box
+    picks the triple with the largest worst normalized slack, then a local
+    pass refines it. abc skips the search. beta and gamma default to 2% and 10% of the payoff spread,
     beta clamped to keep the fourth strategy dominated in the
     hofbauer-weibull variant.
     """
@@ -304,9 +284,7 @@ def build_rps4(f: LinkFunction, variant: str, search_box=None, *, abc=None,
         def best_triple(bounds, n):
             grids = [np.linspace(l, h, n) for l, h in bounds]
             va, vb, vc = np.meshgrid(*grids, indexing="ij", sparse=True)
-            fa = _direction_values(f, va, direction_mode, background)
-            fb = _direction_values(f, vb, direction_mode, background)
-            fc = _direction_values(f, vc, direction_mode, background)
+            fa, fb, fc = eval_link(f, va), eval_link(f, vb), eval_link(f, vc)
             span = hi - lo
             f_span = max(abs(float(fa.max()) - float(fc.min())), 1e-30)
             order = np.minimum(va - vc, vb - va) / span
@@ -361,8 +339,7 @@ def build_rps4(f: LinkFunction, variant: str, search_box=None, *, abc=None,
             f"assembled payoffs span [{entries.min():g}, {entries.max():g}], "
             f"outside the link domain [{f.domain[0]:g}, {f.domain[1]:g}]")
     game = Game(rows)
-    return Rps4Construction(game, f, a, b, c, beta, gamma, m, variant,
-                            direction_mode, background)
+    return Rps4Construction(game, f, a, b, c, beta, gamma, m, variant)
 
 
 @dataclass(frozen=True)

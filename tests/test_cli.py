@@ -7,6 +7,8 @@ import pytest
 
 from egtlab import cli
 from egtlab.cli import main
+from egtlab.games import Game
+from egtlab.links import parse_link
 
 DISCUSSION_PAYOFF = [[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]]
 
@@ -241,3 +243,40 @@ def test_usage_errors(capsys):
         main(["simulate", "--no-such-flag"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+LINK_GAME = Game([[1.0, 2.0], [3.0, 4.0]])
+# (alias, params, family, params built): every family under every name
+LINK_NAMES = [(name, params, family, built)
+              for names, family, cases in [
+                  (("linear", "lin"), "linear", [((), (1.0, 0.0)), ((2.0,), (2.0, 0.0)),
+                                                 ((2.0, -1.0), (2.0, -1.0))]),
+                  (("power", "pow"), "power", [((2.0,), (2.0,))]),
+                  (("exponential", "exp"), "exponential", [((), (1.0,)), ((0.5,), (0.5,))]),
+                  (("logarithm", "log", "ln"), "logarithm", [((), ())]),
+                  (("sqrt",), "sqrt", [((), ())])]
+              for name in names for params, built in cases]
+
+
+@pytest.mark.parametrize("name,params,family,built", LINK_NAMES)
+def test_link_specs_and_configs_build_the_same_link(name, params, family, built):
+    spec = name + (":" + ",".join(map(str, params)) if params else "") + "@1,9"
+    cfg = {"family": name, "params": list(params), "domain": [1, 9]}
+    configs = [cfg] + ([dict(cfg, params=None)] if not params else [])  # null means none
+    for f in [parse_link(spec)] + [cli._parse_link_cfg(c, LINK_GAME, "rule.link") for c in configs]:
+        assert (f.family, f.params, f.domain) == (family, built, (1.0, 9.0))
+    # without a domain, a config link takes the payoff hull
+    f = cli._parse_link_cfg({"family": name, "params": list(params)}, LINK_GAME, "rule.link")
+    assert f.domain == (1.0, 4.0)
+
+
+def test_link_specs_and_configs_refuse_extra_params():
+    for spec in ("sqrt:3@1,9", "log:7@1,2", "linear:1,2,3"):
+        with pytest.raises(ValueError, match="takes"):
+            parse_link(spec)
+    for cfg in ({"family": "sqrt", "params": [3]}, {"family": "linear", "params": [1, 2, 3]},
+                {"family": "power"}):
+        with pytest.raises(ValueError, match=r"^config field rule\.link: .* takes"):
+            cli._parse_link_cfg(cfg, LINK_GAME, "rule.link")
+    with pytest.raises(ValueError, match=r"^config field rule\.link: unknown link family"):
+        cli._parse_link_cfg({"family": "frobnicate"}, LINK_GAME, "rule.link")

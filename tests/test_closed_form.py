@@ -3,21 +3,24 @@
 Scripted flows with a state-free speed are integrated exactly; they are
 compared with SciPy's quad (tests/oracles.py), with the RK4 stepper that
 method="rk4" runs on them, and with themselves on other dt grids.
-Scripted generation maps are compared with repeated discrete.step.
+Scripted generation maps are compared with repeated discrete.step, and
+the one-period fold with the block loop.
 """
 
 import numpy as np
 import pytest
 
 import oracles
-from egtlab.discrete import (affine_background, constant_background,
+from egtlab import discrete
+from egtlab.discrete import (BackgroundFitness, affine_background, constant_background,
                              geometric_background, iterate, step)
 from egtlab.dynamics import (GrowthRule, IntegrationError, Schedule,
                              _schedule_fn, eval_schedule, integrate)
 from egtlab.games import Game
 from egtlab.links import (DomainError, exp_link, linear_link, log_link, power_link,
                           sqrt_link, table_link)
-from egtlab.scenarios import run_survival_nonconcave, run_survival_nonconvex
+from egtlab.scenarios import (run_background_threshold, run_survival_nonconcave,
+                              run_survival_nonconvex)
 
 SURVIVAL = Game([[1.0, 0.0], [0.0, 1.0], [0.52, 0.52]])
 # payoffs 0 and 1 at the kinks, where sqrt's slope is infinite
@@ -39,6 +42,7 @@ SWING = Schedule(2.0, [0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
 # u from 0.3 to 1.4 crosses all four inner knots
 TABLE = table_link([0.0, 0.5, 0.7, 0.9, 1.2, 2.0], [0.0, 1.0, 0.2, 1.4, 0.3, 2.0])
 X4 = (0.1, 0.2, 0.3, 0.4)
+EPS = np.finfo(float).eps
 
 FLOWS = {
     "sqrt link": (GrowthRule(sqrt_link((0.0, 1.0))), SURVIVAL, (0.3, 0.3, 0.4), WAVE,
@@ -208,7 +212,7 @@ def test_closed_form_map_matches_repeated_steps(background):
                                         affine_background(1.0, 0.05),
                                         geometric_background(1.0, 1.02)],
                          ids=["constant", "affine", "geometric"])
-def test_period_table_map_matches_repeated_steps(background):
+def test_integer_period_map_matches_repeated_steps(background):
     rule = GrowthRule(exp_link(1.0, (0.0, 2.0)))
     x0 = (0.1, 0.0, 0.5, 0.4)
     for n in (3, 120):
@@ -220,7 +224,7 @@ def test_period_table_map_matches_repeated_steps(background):
         np.testing.assert_array_equal(traj.opp_states, eval_schedule(SQ5, traj.times))
 
 
-def test_period_table_map_fails_where_the_steps_fail():
+def test_integer_period_map_fails_where_the_steps_fail():
     # the falling background meets strategy 3's numerator in the 12th period
     rule = GrowthRule(linear_link(1.0, -1.0))
     background = affine_background(1.0, -0.01)
@@ -232,6 +236,106 @@ def test_period_table_map_fails_where_the_steps_fail():
                        r"at generation 55 \(strategy 3\)$") as err:
         iterate(rule, G4, x0, opponent=SQ5, n_max=3000, background=background)
     assert (err.value.t, err.value.step) == (55.0, 55)
+
+
+@pytest.fixture
+def rows_evaluated(monkeypatch):
+    """Sizes of the time arrays the scripted map hands to eval_schedule."""
+    calls = []
+
+    def counting(schedule, t):
+        calls.append(np.size(t))
+        return eval_schedule(schedule, t)
+
+    monkeypatch.setattr(discrete, "eval_schedule", counting)
+    return calls
+
+
+def test_folded_map_matches_the_block_loop(rows_evaluated):
+    # affine_background(C, 0.0) has the C_n of constant_background(C) but
+    # takes the block loop; the two sum the same increments in another order,
+    # and the loop's running sum may drift by n eps (1 + |z|) after n
+    # generations (4.0e-13 (1 + |z|) measured here)
+    rule = GrowthRule(exp_link(1.0, (0.0, 2.0)))
+    x0 = (0.1, 0.0, 0.5, 0.4)
+    runs = [iterate(rule, G4, x0, opponent=SQ5, n_max=100_000, background=bg,
+                    sample_every=997) for bg in (constant_background(0.5),
+                                                 affine_background(0.5, 0.0))]
+    assert rows_evaluated[0] == 5 and sum(rows_evaluated[1:]) == 100_000
+    folded, blocked = (t.log_states for t in runs)
+    assert np.all(np.isinf(folded) == np.isinf(blocked))
+    finite = np.isfinite(blocked)
+    gap = np.abs(folded[finite] - blocked[finite]) / (1.0 + np.abs(blocked[finite]))
+    assert gap.max() <= 100_000 * EPS
+    assert folded[finite].min() < -100.0  # strategy 3 dies, far from rounding
+    np.testing.assert_array_equal(runs[0].times, runs[1].times)
+
+
+def test_folded_map_evaluates_one_period_whatever_the_horizon(rows_evaluated, monkeypatch):
+    # background-threshold runs 10,000 and 7,664,600 generations on a script
+    # of 34; each run evaluates the script and the background on one period
+    values, backgrounds = BackgroundFitness.values, []
+
+    def counting(self, n):
+        backgrounds.append(np.size(n))
+        return values(self, n)
+
+    monkeypatch.setattr(BackgroundFitness, "values", counting)
+    report, traj = run_background_threshold()
+    assert all(report["checks"].values())
+    assert traj.times[-1] == report["threshold"]["n_max_big"] > 7_000_000
+    assert rows_evaluated == backgrounds == [34, 34]
+
+
+def test_folded_map_fails_inside_the_first_period():
+    # off strategy 3, the smallest growth rate u - 1 falls to -0.46 at
+    # generation 3 of SQ5 (strategy 1), and C = 0.4 does not cover it
+    rule = GrowthRule(linear_link(1.0, -1.0))
+    background = constant_background(0.4)
+    x0 = (0.3, 0.3, 0.4, 0.0)
+    with pytest.raises(ValueError, match=r"\(strategy 1\)"):
+        repeated_steps(rule, G4, x0, SQ5, background, 3 + 1)
+    with pytest.raises(IntegrationError, match=r"^background plus growth rate not positive "
+                       r"at generation 3 \(strategy 1\)$") as err:
+        iterate(rule, G4, x0, opponent=SQ5, n_max=3000, background=background)
+    assert (err.value.t, err.value.step) == (3.0, 3)
+    traj = iterate(rule, G4, x0, opponent=SQ5, n_max=3, background=background,
+                   sample_every=1)
+    np.testing.assert_allclose(traj.states[1:], repeated_steps(rule, G4, x0, SQ5, background, 3),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_folded_map_with_a_period_longer_than_the_run(rows_evaluated):
+    script = Schedule(40.0, [0.0, 12.0, 25.0], SQ5.values)
+    rule = GrowthRule(exp_link(1.0, (0.0, 2.0)))
+    x0 = (0.1, 0.2, 0.3, 0.4)
+    for n in (1, 7, 39):
+        traj = iterate(rule, G4, x0, opponent=script, n_max=n,
+                       background=constant_background(0.5), sample_every=3)
+        want = repeated_steps(rule, G4, x0, script, constant_background(0.5), n)
+        np.testing.assert_allclose(traj.states[1:], want[traj.times[1:].astype(int) - 1],
+                                   rtol=1e-12, atol=0.0)
+    assert rows_evaluated == [1, 7, 39]
+
+
+def test_fold_and_block_loop_meet_at_the_block_size(rows_evaluated):
+    # a period of _BLOCK generations is folded, one more is summed in blocks
+    rule = GrowthRule(exp_link(1.0, (0.0, 2.0)))
+    x0 = (0.1, 0.2, 0.3, 0.4)
+    n = 3 * discrete._BLOCK
+    for period in (discrete._BLOCK, discrete._BLOCK + 1):
+        script = Schedule(float(period), [0.0, 1000.0, 2500.0], SQ5.values)
+        rows_evaluated.clear()
+        const, affine = (iterate(rule, G4, x0, opponent=script, n_max=n, background=bg,
+                                 sample_every=101).log_states
+                         for bg in (constant_background(0.5), affine_background(0.5, 0.0)))
+        folded = period == discrete._BLOCK
+        blocks = [discrete._BLOCK] * 3
+        assert rows_evaluated == ([period] if folded else blocks) + blocks
+        if folded:
+            assert np.all(np.abs(const - affine) <= n * EPS * (1.0 + np.abs(affine)))
+        else:
+            np.testing.assert_array_equal(const, affine)
 
 
 def test_closed_form_map_fails_where_the_steps_fail():

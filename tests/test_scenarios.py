@@ -167,9 +167,10 @@ def test_rps4_explicit_triples_are_still_validated():
 
 
 def test_rps4_discrete_direction_mode():
+    # a generation map's construction is built on its effective link
     f = linear_link(1.0, 0.0, (0.0, 15.0))
-    con = build_rps4(f, "hofbauer-weibull", abc=(3.9, 5.0, 3.0),
-                     direction_mode="discrete-functional", background=1.0)
+    con = build_rps4(discrete_effective_link(f, 1.0), "hofbauer-weibull",
+                     abc=(3.9, 5.0, 3.0))
     # raw rotation inward, but ln(1 + u) turns it outward: (1+a)^2 > (1+b)(1+c)
     assert con.a < 0.5 * (con.b + con.c)
     assert (1.0 + con.a) ** 2 > (1.0 + con.b) * (1.0 + con.c)
