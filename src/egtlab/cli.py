@@ -45,6 +45,13 @@ def _req(d, key, path: str):
     return d[key]
 
 
+def _section(entry, path: str):
+    """An optional config section: None when absent, else a JSON object."""
+    if entry is not None and not isinstance(entry, dict):
+        _fail(f"config field {path} must be an object")
+    return entry
+
+
 def _floats(text: str, what: str, count: int | None = None) -> list:
     try:
         values = [float(v) for v in str(text).split(",")]
@@ -109,7 +116,7 @@ def _parse_link_cfg(entry, game: Game, path: str):
 
 
 def _parse_rule(entry, game: Game, path: str) -> GrowthRule:
-    if entry is None:
+    if _section(entry, path) is None:
         return GrowthRule()
     kind = entry.get("kind", "replicator")
     if kind == "replicator":
@@ -134,7 +141,7 @@ def _parse_opponent(entry, game: Game):
         return None
     if isinstance(entry, str):
         entry = {"mode": entry}
-    mode = entry.get("mode", "self-play")
+    mode = _section(entry, "opponent").get("mode", "self-play")
     if mode == "self-play":
         return None
     if mode == "scripted":
@@ -150,7 +157,7 @@ def _parse_opponent(entry, game: Game):
 
 
 def _parse_background(entry) -> BackgroundFitness:
-    if entry is None:
+    if _section(entry, "background") is None:
         return constant_background(0.0)
     kind = entry.get("kind", "constant")
     if kind == "constant":
@@ -223,8 +230,11 @@ def cmd_simulate(args) -> int:
         x0 = np.full(game.n_rows, 1.0 / game.n_rows)
     targets = _parse_targets(cfg.get("targets"), game)
 
-    integ = cfg.get("integrator", {})
-    sample_every = int(integ.get("sample_every", 100))
+    integ = _section(cfg.get("integrator"), "integrator") or {}
+    output = _section(cfg.get("output"), "output") or {}
+    sample_every = integ.get("sample_every", 100)
+    if isinstance(sample_every, float) and sample_every.is_integer():
+        sample_every = int(sample_every)
     if mode == "continuous":
         t_max = args.t_max if args.t_max is not None else float(integ.get("t_max", 200.0))
         dt = args.dt if args.dt is not None else float(integ.get("dt", 1e-3))
@@ -260,7 +270,7 @@ def cmd_simulate(args) -> int:
         "targets": target_reports,
     }
 
-    traj_path = args.traj or cfg.get("output", {}).get("traj")
+    traj_path = args.traj or output.get("traj")
     if traj_path:
         extras = None
         if targets:
@@ -269,7 +279,7 @@ def cmd_simulate(args) -> int:
             extras = {"w": w_series(traj, p, q), "min_support": min_support,
                       "product": product}
         write_trajectory_csv(traj, traj_path, extras)
-    _emit_report(report, args.out or cfg.get("output", {}).get("report"))
+    _emit_report(report, args.out or output.get("report"))
     return 0
 
 

@@ -38,8 +38,9 @@ from operator import mul
 
 import numpy as np
 
-from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, Trajectory, _fold,
-                       _normalize, _sample_counts, _setup, _trajectory, eval_schedule)
+from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, Trajectory,
+                       _check_sample_every, _fold, _normalize, _sample_counts, _setup,
+                       _trajectory, eval_schedule)
 from .games import Game, validate_simplex
 from .links import array_link, eval_link, hull_inside, scalar_link
 
@@ -304,8 +305,7 @@ def iterate(rule: GrowthRule | None, game: Game, x0,
     n_steps = int(n_max)
     if n_steps < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max!r}")
-    if sample_every < 1:
-        raise ValueError("sample_every must be at least 1")
+    _check_sample_every(sample_every)
     pops, _, label = _setup(
         rule, game, x0, opponent, "speed factors only apply to the continuous flow")
     if label == "scripted":

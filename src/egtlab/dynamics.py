@@ -40,14 +40,21 @@ Gauss-Legendre rule takes those. A piece's mean of f is then off by about
 100 eps (1 + |f(u_a)| + |f(u_b)|) at most, plus 1.7e-23 |u_b - u_a|^16
 max|f^(16)| by Gauss-Legendre. With one period's sum S and its prefix sums,
 z(t) = z(0) + lam (floor(t / P) S + prefix[k] + the part of piece k up to t),
-normalized at the samples only (_exact_flow): O(pieces + samples) work. The
-fold is _fold, which the scripted generation map shares (discrete.py).
+normalized at the samples only (_exact_flow): O(pieces + samples) work once
+the sample times are known. The fold is _fold, which the scripted generation
+map shares (discrete.py). The sample times are not that cheap: _segments
+builds the script's breakpoints in a Python loop over every period up to
+t_max, so a long horizon first costs O(t_max / P) interpreted steps. On one
+Intel Xeon core an exact run of a period-6 script to t_max = 6e5 takes about
+0.3 s, nearly all of it in that loop. A vectorised grid waits on a benchmark
+op with such a horizon.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -496,6 +503,13 @@ def _trajectory(pops, opponent, times, samples, meta) -> Trajectory:
     return Trajectory(times, logs[0], opp, None, meta)
 
 
+def _check_sample_every(sample_every) -> None:
+    if not isinstance(sample_every, numbers.Integral):
+        raise ValueError(f"sample_every must be an integer, got {sample_every!r}")
+    if sample_every < 1:
+        raise ValueError("sample_every must be at least 1")
+
+
 def _sample_counts(total: int, sample_every: int) -> np.ndarray:
     """Step counts at the samples: the start, every sample_every-th step,
     and the last step."""
@@ -800,13 +814,17 @@ def integrate(rule: GrowthRule, game: Game, x0,
 
     dt sets the sample grid: the fixed-step grid of dt cut at the script's
     breakpoints, sampled at the start, every sample_every-th grid step and
-    the end. method "dop853" (the default), the 8th-order Dormand-Prince
-    pair, steps adaptively under error control at RTOL = ATOL = 1e-10 and
-    reads the samples off its 7th-order dense output;
-    method "rk4" takes the grid's steps themselves with classic RK4, the
-    reference the tests pin. With the default method, a scripted run whose
-    speed is None or a number takes no steps: it is integrated exactly
-    (_exact_flow, method "exact"), whatever dt; "rk4" steps it like any run.
+    the end; sample_every must be a positive integer. method "dop853" (the
+    default), the 8th-order Dormand-Prince pair, steps adaptively under
+    error control at RTOL = ATOL = 1e-10 and reads the samples off its
+    7th-order dense output; method "rk4" takes the grid's steps themselves
+    with classic RK4, the reference the tests pin. With the default method,
+    a scripted run whose speed is None or a number takes no steps: it is
+    integrated exactly (_exact_flow, method "exact"), whatever dt; "rk4"
+    steps it like any run.
+    The exact path costs O(pieces + samples) plus the breakpoint grid, which
+    _segments builds in a Python loop over every period up to t_max; at long
+    horizons that loop is nearly the whole run (see the module docstring).
 
     meta records the method, accepted and rejected steps ("steps",
     "rejected"), right-hand-side evaluations ("rhs_evals"; on the exact
@@ -820,8 +838,7 @@ def integrate(rule: GrowthRule, game: Game, x0,
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt!r}")
-    if sample_every < 1:
-        raise ValueError("sample_every must be at least 1")
+    _check_sample_every(sample_every)
     if method not in _TABLEAUS:
         raise ValueError(f"method must be 'dop853' or 'rk4', got {method!r}")
     x0 = np.asarray(x0, dtype=float)

@@ -396,20 +396,8 @@ def dual_basin_k(con: Rps4Construction, rho: float, eps4: float) -> BasinK:
 
 
 def named_game(name: str, *params: float) -> Game:
-    """Catalog of small example games addressed by name.
-
-    rps-base takes its three payoffs either as separate arguments or inline,
-    as in "rps-base(1,2,-2)".
-    """
-    name = name.strip()
-    if "(" in name:
-        if params:
-            raise ValueError("give parameters inline or separately, not both")
-        if not name.endswith(")"):
-            raise ValueError(f"malformed game name {name!r}")
-        name, _, arg = name[:-1].partition("(")
-        name = name.strip()
-        params = tuple(float(v) for v in arg.split(","))
+    """Catalog of small example games addressed by name; rps-base takes its
+    three payoffs (a, b, c) as arguments."""
     if name == "discussion-3x3":
         if params:
             raise ValueError("discussion-3x3 takes no parameters")
@@ -445,14 +433,12 @@ def _finish(report: dict) -> dict:
 
 
 def run_discussion(link: LinkFunction | None = None, *, seed: int = 0,
-                   t_max: float = 200.0, dt: float = 1e-3,
-                   sample_every: int = 100):
+                   t_max: float = 200.0, dt: float = 1e-3):
     """Three-strategy game where a mixture loses to the third pure strategy."""
     game = named_game("discussion-3x3")
     q = np.array([0.5, 0.5, 0.0])
     dom = find_dominator(game, q, mode="mixed")
-    traj = integrate(GrowthRule(link=link), game, [0.4, 0.4, 0.2],
-                     t_max=t_max, dt=dt, sample_every=sample_every)
+    traj = integrate(GrowthRule(link=link), game, [0.4, 0.4, 0.2], t_max=t_max, dt=dt)
     w = w_series(traj, pure(2, 3), q)
     growth = float(w[-1] - w[0])
     bound = dom.margin * t_max * (1.0 - 1e-3)
@@ -479,16 +465,13 @@ def run_discussion(link: LinkFunction | None = None, *, seed: int = 0,
 
 
 def run_survival_nonconvex(link: LinkFunction | None = None, *, seed: int = 0,
-                           dt: float = 1e-3, eps_frac: float = 0.5,
-                           warmup_periods: int = 2, periods: int = 10,
-                           sample_every: int = 100):
+                           dt: float = 1e-3):
     """Square-wave opponent carries the dominated pure strategy to fixation."""
     f = link if link is not None else sqrt_link((1.0, 9.0))
-    con = build_survival(f, "nonconvex", eps_frac=eps_frac)
-    t_max = (warmup_periods + periods) * con.period
+    con = build_survival(f, "nonconvex")
+    t_max = 12 * con.period
     traj = integrate(GrowthRule(link=f), con.game, uniform(3).weights,
-                     opponent=con.schedule, t_max=t_max, dt=dt,
-                     sample_every=sample_every)
+                     opponent=con.schedule, t_max=t_max, dt=dt)
     x_m = float(traj.states[-1, 1])
     v = verdict(traj, pure(1, 3))
     report = {
@@ -508,15 +491,13 @@ def run_survival_nonconvex(link: LinkFunction | None = None, *, seed: int = 0,
 
 
 def run_survival_nonconcave(link: LinkFunction | None = None, *, seed: int = 0,
-                            dt: float = 1e-3, eps_frac: float = 0.5,
-                            periods: int = 8, sample_every: int = 100):
+                            dt: float = 1e-3, periods: int = 8):
     """Square-wave opponent preserves the mixture a pure strategy dominates."""
     f = link if link is not None else power_link(2.0, (-3.0, 3.0))
-    con = build_survival(f, "nonconcave", eps_frac=eps_frac)
+    con = build_survival(f, "nonconcave")
     t_max = periods * con.period
     traj = integrate(GrowthRule(link=f), con.game, uniform(3).weights,
-                     opponent=con.schedule, t_max=t_max, dt=dt,
-                     sample_every=sample_every)
+                     opponent=con.schedule, t_max=t_max, dt=dt)
     x_m = float(traj.states[-1, 1])
     mix = np.array([0.5, 0.0, 0.5])
     floor = periodic_floor(traj, (0, 2), con.period)
@@ -555,31 +536,29 @@ def _rps4_desc(con: Rps4Construction) -> dict:
             "payoff": con.game.payoff.tolist()}
 
 
-def _rps4_runs(f: LinkFunction, con: Rps4Construction, search_box, starts, judge,
-               max_beta_halvings: int, **flow):
+def _rps4_runs(f: LinkFunction, con: Rps4Construction, starts, judge,
+               t_max: float, dt: float):
     """All starts of a 4x4 construction in one batched self-play flow.
 
     starts(con) gives the (n_seeds, 4) initial states, judge(traj) the
     per-seed records and whether the construction passed. While it does not,
-    beta is halved and the construction rebuilt, at most max_beta_halvings
-    times. Returns (construction, halvings, batch trajectory, records).
+    beta is halved and the construction rebuilt, at most 6 times. Returns
+    (construction, halvings, batch trajectory, records).
     """
     rule = GrowthRule(link=f)
     halvings = 0
     while True:
-        traj = integrate(rule, con.game, starts(con), **flow)
+        traj = integrate(rule, con.game, starts(con), t_max=t_max, dt=dt)
         runs, passed = judge(traj)
-        if passed or halvings >= max_beta_halvings:
+        if passed or halvings >= 6:
             return con, halvings, traj, runs
         halvings += 1
-        con = build_rps4(f, con.variant, search_box, abc=(con.a, con.b, con.c),
+        con = build_rps4(f, con.variant, abc=(con.a, con.b, con.c),
                          beta=con.beta / 2.0, gamma=con.gamma)
 
 
 def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,
-               dt: float = 1e-3, t_max: float = 200.0, n_seeds: int = 10,
-               search_box=(0.01, 20.0), sample_every: int = 100,
-               max_beta_halvings: int = 6):
+               dt: float = 1e-3, t_max: float = 200.0, n_seeds: int = 10):
     """Dominated fourth strategy persists near the saddle loop.
 
     The attractor is a cycle through the rest points on the edges joining
@@ -607,8 +586,7 @@ def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,
         return runs, sum(r["persists"] for r in runs) >= 8
 
     con, halvings, traj, runs = _rps4_runs(
-        f, build_rps4(f, "hofbauer-weibull", search_box), search_box, starts, judge,
-        max_beta_halvings, t_max=t_max, dt=dt, sample_every=sample_every)
+        f, build_rps4(f, "hofbauer-weibull", (0.01, 20.0)), starts, judge, t_max, dt)
     dom = find_dominator(con.game, pure(3, 4).weights, mode="mixed")
     survivors = sum(r["persists"] for r in runs)
     report = {
@@ -630,10 +608,7 @@ def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,
 
 def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
                  dt: float = 1e-3, t_max: float = 300.0, n_seeds: int = 10,
-                 rho: float = 0.01, eps4: float = 0.04,
-                 abc=None, search_box=(-2.0, 2.0),
-                 sample_every: int = 100, taylor_samples: int = 200,
-                 max_beta_halvings: int = 6):
+                 eps4: float = 0.04, taylor_samples: int = 200):
     """Dominating fourth strategy dies inside the wedge; the core cycle lives.
 
     Every sampled start must eliminate strategy 4 while the core product
@@ -641,7 +616,8 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
     check must fall on every sample.
     """
     f = link if link is not None else exp_link(1.0, (-2.0, 2.0))
-    con = build_rps4(f, "dual", search_box, abc=abc)
+    rho = 0.01
+    con = build_rps4(f, "dual", (-2.0, 2.0))
     frac = taylor_sign_check(GrowthRule(link=f), con.core_game, radius=0.01,
                              samples=taylor_samples, seed=seed)
 
@@ -658,9 +634,7 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
                 for s, (x4, low) in enumerate(zip(x4_final, core_min))]
         return runs, all(r["ok"] for r in runs)
 
-    con, halvings, traj, runs = _rps4_runs(
-        f, con, search_box, starts, judge, max_beta_halvings,
-        t_max=t_max, dt=dt, sample_every=sample_every)
+    con, halvings, traj, runs = _rps4_runs(f, con, starts, judge, t_max, dt)
     dom = find_dominator(con.game, np.array([1, 1, 1, 0]) / 3.0, mode="mixed")
     report = {
         "scenario": "dual-4x4",
@@ -684,19 +658,28 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
 
 def _generation_drift(con: SurvivalConstruction, f_rule: LinkFunction):
     """Exact per-generation change of ln x_M - mean of ln x_T, ln x_B, as a
-    function of the constant background C.
+    function of the constant background C, and the C_bar where it changes
+    sign.
 
     Integer times always land on the square wave's corners, so with growth
     rates g = f_rule(payoff) each generation contributes
-    ln(C + g_M) - [ln(C + g_T) + ln(C + g_B)] / 2. The three rates are
+    ln(C + g_M) - [ln(C + g_T) + ln(C + g_B)] / 2. That is zero where
+    (C + g_M)^2 = (C + g_T)(C + g_B), which is linear in C:
+    C_bar = (g_T g_B - g_M^2) / (2 g_M - g_T - g_B), the drift positive below
+    it and negative above. When 2 g_M >= g_T + g_B the drift stays positive
+    for large C, and no background eliminates M. The three rates are
     evaluated once, here.
     """
     u_m = float(con.game.payoff[1, 0])
     gm, ga, gb = (float(eval_link(f_rule, v)) for v in (u_m, con.a, con.b))
-    return lambda C: math.log(C + gm) - 0.5 * (math.log(C + ga) + math.log(C + gb))
+    slope = 2.0 * gm - ga - gb
+    if slope >= 0.0:
+        raise ValueError("no finite background threshold on this game")
+    return (lambda C: math.log(C + gm) - 0.5 * (math.log(C + ga) + math.log(C + gb)),
+            (ga * gb - gm * gm) / slope)
 
 
-def _background_setup(link: LinkFunction | None, eps_frac: float):
+def _background_setup(link: LinkFunction | None):
     """Rule link, its zero-background generation transform, the game built
     against that transform, and the shared starting point."""
     # Domain top near 15 keeps both schedule outcomes far from their bars:
@@ -705,49 +688,34 @@ def _background_setup(link: LinkFunction | None, eps_frac: float):
     # freezes the map, dragging x_M's absolute value down with it.
     f_rule = link if link is not None else linear_link(1.0, 0.0, (1.0, 15.0))
     effective = discrete_effective_link(f_rule, 0.0)
-    con = build_survival(effective, "nonconvex", eps_frac=eps_frac)
+    con = build_survival(effective, "nonconvex")
     return f_rule, effective, con, GrowthRule(link=f_rule), uniform(3).weights
 
 
 def run_background_threshold(link: LinkFunction | None = None, *, seed: int = 0,
-                             n_max: int | None = None, big_c: float = 1e6,
-                             eps_frac: float = 0.5, sample_every: int = 100):
+                             n_max: int | None = None, big_c: float = 1e6):
     """Background fitness decides the fate of the dominated strategy.
 
     The game is built against the generation map's effective growth
     transform at zero background, ln of the growth rate, whose concavity
     lets M survive; a large constant background flattens the transform
-    enough to eliminate it. The report includes the sign-change threshold
-    located by doubling and bisection on the exact per-generation drift.
+    enough to eliminate it. The report includes the background threshold
+    where the exact per-generation drift changes sign, in closed form.
     """
-    f_rule, effective, con, rule, x0 = _background_setup(link, eps_frac)
+    f_rule, effective, con, rule, x0 = _background_setup(link)
+    drift, c_bar = _generation_drift(con, f_rule)
     t0 = iterate(rule, con.game, x0, opponent=con.schedule, n_max=10_000,
-                 background=constant_background(0.0), sample_every=sample_every)
+                 background=constant_background(0.0))
     v0 = verdict(t0, pure(1, 3))
-
-    drift = _generation_drift(con, f_rule)
-    lo_c, hi_c = 0.0, 1.0
-    while drift(hi_c) > 0.0:
-        lo_c = hi_c
-        hi_c *= 2.0
-        if hi_c > 2.0 ** 80:
-            raise ValueError("no finite background threshold on this game")
-    for _ in range(200):
-        mid = 0.5 * (lo_c + hi_c)
-        if drift(mid) > 0.0:
-            lo_c = mid
-        else:
-            hi_c = mid
-    c_bar = 0.5 * (lo_c + hi_c)
 
     drift_big = drift(big_c)
     if drift_big >= 0.0:
         raise ValueError(f"background {big_c:g} does not flatten the map")
     if n_max is None:
         n_max = int(math.ceil((-math.log(1e-6) + 2.0) / -drift_big))
-        n_max += -n_max % sample_every
+        n_max += -n_max % 100  # a whole number of iterate's sample steps
     t1 = iterate(rule, con.game, x0, opponent=con.schedule, n_max=n_max,
-                 background=constant_background(big_c), sample_every=sample_every)
+                 background=constant_background(big_c))
     v1 = verdict(t1, pure(1, 3))
     report = {
         "scenario": "background-threshold",
@@ -770,8 +738,7 @@ def run_background_threshold(link: LinkFunction | None = None, *, seed: int = 0,
 
 
 def run_background_schedules(link: LinkFunction | None = None, *, seed: int = 0,
-                             n_max: int = 10_000, eps_frac: float = 0.5,
-                             sample_every: int = 100):
+                             n_max: int = 10_000):
     """Growing backgrounds: slow growth still eliminates, fast growth freezes.
 
     An affine schedule C_n = n + 1 has divergent sum of 1/C_n and drives the
@@ -779,15 +746,13 @@ def run_background_schedules(link: LinkFunction | None = None, *, seed: int = 0,
     per-generation effects absolutely summable, so the state freezes and the
     strategy survives. The game is the same one background-threshold uses.
     """
-    f_rule, effective, con, rule, x0 = _background_setup(link, eps_frac)
+    f_rule, effective, con, rule, x0 = _background_setup(link)
     q_m = pure(1, 3)
     mix = np.array([0.5, 0.0, 0.5])
     t_aff = iterate(rule, con.game, x0, opponent=con.schedule, n_max=n_max,
-                    background=affine_background(1.0, 1.0),
-                    sample_every=sample_every)
+                    background=affine_background(1.0, 1.0))
     t_geo = iterate(rule, con.game, x0, opponent=con.schedule, n_max=n_max,
-                    background=geometric_background(1.0, 2.0),
-                    sample_every=sample_every)
+                    background=geometric_background(1.0, 2.0))
     v_aff = verdict(t_aff, q_m)
     v_geo = verdict(t_geo, q_m)
     min_aff = float(np.exp(log_min_support(t_aff, q_m)[-1]))

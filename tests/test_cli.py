@@ -102,6 +102,26 @@ def test_simulate_discrete_report(tmp_path, capsys):
     assert raw["targets"][0]["verdict"]["status"] == "survived"
 
 
+@pytest.mark.parametrize("field, value", [("rule", "replicator"), ("integrator", [1]),
+                                          ("background", 3), ("output", "x.json"),
+                                          ("opponent", [1])])
+def test_config_sections_must_be_objects(tmp_path, capsys, field, value):
+    doc = {"mode": "discrete", "game": {"payoff": [[2.0, 2.0], [1.0, 1.0]]},
+           "x0": [0.5, 0.5], "integrator": {"n_max": 10}}
+    cfg = write_json(tmp_path / "bad.json", {**doc, field: value})
+    assert main(["simulate", "--config", cfg]) == 1
+    assert f"config field {field} must be an object" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_fractional_sample_every(tmp_path, capsys):
+    cfg = write_json(tmp_path / "frac.json", {
+        "game": {"payoff": DISCUSSION_PAYOFF},
+        "integrator": {"t_max": 1.0, "sample_every": 2.5},
+    })
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "sample_every must be an integer, got 2.5" in capsys.readouterr().err
+
+
 def test_missing_config_exits_1(capsys):
     assert main(["simulate", "--config", "/no/such/file.json"]) == 1
     assert "unreadable config" in capsys.readouterr().err

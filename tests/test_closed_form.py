@@ -144,7 +144,7 @@ def test_exact_flow_does_not_depend_on_dt():
     assert len(i) == len(coarse) > 200
     np.testing.assert_allclose(coarse.log_states[i], fine.log_states[j], rtol=0.0, atol=1e-13)
     (default, dense), (sparse, grid) = (run_survival_nonconvex(),
-                                        run_survival_nonconvex(dt=1e-2, sample_every=10))
+                                        run_survival_nonconvex(dt=1e-2))
     assert default["run"]["method"] == sparse["run"]["method"] == "exact"
     assert abs(sparse["run"]["x_M_final"] - default["run"]["x_M_final"]) <= 1e-12
     np.testing.assert_allclose(grid.log_states[-1], dense.log_states[-1], rtol=1e-13)

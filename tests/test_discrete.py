@@ -162,6 +162,11 @@ def test_iterate_rejects_an_empty_run():
         iterate(REPL, TWO_ONE, (0.5, 0.5), n_max=0)
 
 
+def test_iterate_rejects_a_fractional_sample_every():
+    with pytest.raises(ValueError, match="sample_every must be an integer"):
+        iterate(REPL, TWO_ONE, (0.5, 0.5), n_max=10, sample_every=2.5)
+
+
 def test_scripted_opponent_is_sampled_at_integer_times():
     game = Game([[1.0, 0.0], [0.0, 1.0]])
     sched = Schedule(4.0, [0.0, 1.0, 2.0, 3.0],

@@ -52,6 +52,15 @@ def test_constant_speed_doubles_the_field():
     np.testing.assert_allclose(fast, 2.0 * base, rtol=1e-15)
 
 
+@pytest.mark.parametrize("opponent, method", [(None, "dop853"), (square_wave(2.0), "dop853"),
+                                              (None, "rk4")],
+                         ids=["dop853", "exact", "rk4"])
+def test_integrate_rejects_a_fractional_sample_every(opponent, method):
+    with pytest.raises(ValueError, match="sample_every must be an integer"):
+        integrate(REPL, GAP_GAME, (0.5, 0.5), opponent=opponent, t_max=1.0,
+                  sample_every=2.5, method=method)
+
+
 def test_speed_must_be_positive():
     with pytest.raises(ValueError, match="positive"):
         GrowthRule(speed=-1.0)

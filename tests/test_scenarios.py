@@ -5,6 +5,7 @@ defaults, hw-4x4 and dual-4x4 included, and log each as an acceptance
 criterion.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -90,8 +91,22 @@ def test_survival_search_stays_within_its_work_budget(case, link_calls):
 def test_background_threshold_evaluates_the_rule_link_three_times(link_calls):
     link = linear_link(1.0, 0.0, (1.0, 15.0))
     report, _ = run_background_threshold(link, big_c=1e4)
-    assert report["threshold"]["C_bar"] == 4.904748651848559
+    assert report["threshold"]["C_bar"] == 4.904748651848568
     assert sum(f is link for f in link_calls) <= 3
+
+
+def test_background_threshold_is_the_drift_root():
+    link = linear_link(1.0, 0.0, (1.0, 15.0))
+    _, _, con, _, _ = scenarios._background_setup(link)
+    drift, c_bar = scenarios._generation_drift(con, link)
+    assert drift(c_bar * (1.0 - 1e-12)) > 0.0 > drift(c_bar * (1.0 + 1e-12))
+    assert abs(drift(c_bar)) <= 4.0 * math.ulp(math.log(c_bar))
+
+
+def test_background_threshold_needs_a_rule_the_background_can_flatten():
+    # u^(1/4) keeps 2 g_M above g_T + g_B: M gains at every background
+    with pytest.raises(ValueError, match="no finite background threshold"):
+        run_background_threshold(power_link(0.25, (1.0, 15.0)))
 
 
 def test_survival_search_box_restricts_the_pair():
@@ -218,10 +233,7 @@ def test_basin_sample_sits_on_the_wedge_midline():
 def test_named_game_catalog():
     np.testing.assert_array_equal(named_game("discussion-3x3").payoff,
                                   [[3, 0, 0], [0, 3, 0], [2, 2, 1]])
-    inline = named_game("rps-base(1,2,-2)")
-    spelled = named_game("rps-base", 1.0, 2.0, -2.0)
-    np.testing.assert_array_equal(inline.payoff, spelled.payoff)
-    np.testing.assert_array_equal(inline.payoff,
+    np.testing.assert_array_equal(named_game("rps-base", 1.0, 2.0, -2.0).payoff,
                                   [[1, -2, 2], [2, 1, -2], [-2, 2, 1]])
     np.testing.assert_array_equal(named_game("rps-base", 0, 0, 0).payoff,
                                   np.zeros((3, 3)))
@@ -230,14 +242,10 @@ def test_named_game_catalog():
 def test_named_game_errors():
     with pytest.raises(ValueError, match="unknown game name"):
         named_game("matching-pennies")
-    with pytest.raises(ValueError, match="not both"):
-        named_game("rps-base(1,2,-2)", 1.0)
     with pytest.raises(ValueError, match="takes no parameters"):
         named_game("discussion-3x3", 1.0)
     with pytest.raises(ValueError, match="exactly three"):
         named_game("rps-base", 1.0, 2.0)
-    with pytest.raises(ValueError, match="malformed"):
-        named_game("rps-base(1,2")
 
 
 def test_run_discussion_report():
@@ -273,10 +281,19 @@ def test_run_background_schedules_report():
     assert report["verdicts"]["geometric"]["status"] == "survived"
 
 
+# the run sizes the command line and the benchmark set; every other value
+# of a catalog protocol is fixed
+RUN_SIZES = {"seed", "t_max", "dt", "n_max", "periods", "n_seeds", "eps4", "taylor_samples",
+             "big_c"}
+
+
 def test_catalog_is_consistent():
     assert set(SCENARIOS) == set(SCENARIO_INTERVALS)
     for name, runner in SCENARIOS.items():
-        assert callable(runner), name
+        link, *keywords = inspect.signature(runner).parameters.values()
+        assert link.name == "link" and all(p.kind is p.KEYWORD_ONLY for p in keywords), name
+        names = {p.name for p in keywords}
+        assert names <= RUN_SIZES, (name, names - RUN_SIZES)
 
 
 # acceptance ------------------------------------------------------------------
