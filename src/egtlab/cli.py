@@ -52,6 +52,23 @@ def _section(entry, path: str):
     return entry
 
 
+def _number(integ: dict, key: str, default: float) -> float:
+    """A JSON number from the integrator section, as a float."""
+    value = integ.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(f"config field integrator.{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _count(integ: dict, key: str, default: int):
+    """A count from the integrator section: a whole float such as 100.0
+    becomes an int, and the run checks the rest."""
+    value = integ.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
 def _floats(text: str, what: str, count: int | None = None) -> list:
     try:
         values = [float(v) for v in str(text).split(",")]
@@ -232,17 +249,15 @@ def cmd_simulate(args) -> int:
 
     integ = _section(cfg.get("integrator"), "integrator") or {}
     output = _section(cfg.get("output"), "output") or {}
-    sample_every = integ.get("sample_every", 100)
-    if isinstance(sample_every, float) and sample_every.is_integer():
-        sample_every = int(sample_every)
+    sample_every = _count(integ, "sample_every", 100)
     if mode == "continuous":
-        t_max = args.t_max if args.t_max is not None else float(integ.get("t_max", 200.0))
-        dt = args.dt if args.dt is not None else float(integ.get("dt", 1e-3))
+        t_max = args.t_max if args.t_max is not None else _number(integ, "t_max", 200.0)
+        dt = args.dt if args.dt is not None else _number(integ, "dt", 1e-3)
         traj = integrate(rule, game, x0, opponent=opponent, t_max=t_max,
                          dt=dt, sample_every=sample_every)
         run = {"t_max": t_max, "dt": dt, "method": traj.meta["method"]}
     else:
-        n_max = args.n_max if args.n_max is not None else int(integ.get("n_max", 10_000))
+        n_max = args.n_max if args.n_max is not None else _count(integ, "n_max", 10_000)
         background = _parse_background(cfg.get("background"))
         traj = iterate(rule, game, x0, opponent=opponent, n_max=n_max,
                        background=background, sample_every=sample_every)
@@ -388,10 +403,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub):
+def _add_common(sub, seed_help: str):
     sub.add_argument("--out", help="report JSON path (default: stdout)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed recorded in the report and used for sampling")
+    sub.add_argument("--seed", type=int, default=0, help=seed_help)
+
+
+# Only scenario draws random numbers; every subcommand takes --seed.
+_SEED_IGNORED = "ignored: this subcommand draws no random numbers"
 
 
 @functools.cache
@@ -408,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--t-max", dest="t_max", type=float)
     sim.add_argument("--dt", type=float)
     sim.add_argument("--n-max", dest="n_max", type=int)
-    _add_common(sim)
+    _add_common(sim, "recorded in the report; the run draws no random numbers")
     sim.set_defaults(func=cmd_simulate)
 
     dom = subs.add_parser("dominance", help="strict dominance queries")
@@ -417,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dom.add_argument("--mode", choices=("pure", "mixed"))
     dom.add_argument("--iterate", action="store_true",
                      help="iterated elimination instead of a single query")
-    _add_common(dom)
+    _add_common(dom, _SEED_IGNORED)
     dom.set_defaults(func=cmd_dominance)
 
     cls = subs.add_parser("classify", help="shape flags of a link function")
@@ -425,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--interval", help="payoff interval lo,hi")
     cls.add_argument("--discrete-C", dest="discrete_C", type=float,
                      help="classify ln(C + f) instead of f")
-    _add_common(cls)
+    _add_common(cls, _SEED_IGNORED)
     cls.set_defaults(func=cmd_classify)
 
     rps = subs.add_parser("rps-direction", help="cycle orientation for payoffs a,b,c")
@@ -435,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="replicator")
     rps.add_argument("--discrete-C", dest="discrete_C", type=float,
                      help="background fitness for discrete mode")
-    _add_common(rps)
+    _add_common(rps, _SEED_IGNORED)
     rps.set_defaults(func=cmd_rps_direction)
 
     sce = subs.add_parser("scenario", help="run a catalog experiment")
@@ -445,7 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sce.add_argument("--t-max", dest="t_max", type=float)
     sce.add_argument("--dt", type=float)
     sce.add_argument("--n-max", dest="n_max", type=int)
-    _add_common(sce)
+    _add_common(sce, "recorded in the report; seeds the random starts and "
+                     "samples of hw-4x4 and dual-4x4")
     sce.set_defaults(func=cmd_scenario)
 
     return parser

@@ -39,7 +39,7 @@ from operator import mul
 import numpy as np
 
 from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, Trajectory,
-                       _check_sample_every, _fold, _normalize, _sample_counts, _setup,
+                       _check_count, _fold, _normalize, _sample_counts, _setup,
                        _trajectory, eval_schedule)
 from .games import Game, validate_simplex
 from .links import array_link, eval_link, hull_inside, scalar_link
@@ -285,7 +285,8 @@ def iterate(rule: GrowthRule | None, game: Game, x0,
             n_max: int = 10_000,
             background: BackgroundFitness = BackgroundFitness("constant", 0.0),
             sample_every: int = 100) -> Trajectory:
-    """Run n_max generations of the ratio map from x0.
+    """Run n_max generations of the ratio map from x0; n_max and
+    sample_every are integers of at least 1.
 
     Same opponent conventions as the continuous integrator, with schedule
     time measured in generations. Speed factors make no sense here and are
@@ -302,10 +303,8 @@ def iterate(rule: GrowthRule | None, game: Game, x0,
     rule = rule or GrowthRule()
     if rule.speed is not None:
         raise ValueError("speed factors only apply to the continuous flow")
-    n_steps = int(n_max)
-    if n_steps < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max!r}")
-    _check_sample_every(sample_every)
+    n_steps = _check_count(n_max, "n_max")
+    sample_every = _check_count(sample_every, "sample_every")
     pops, _, label = _setup(
         rule, game, x0, opponent, "speed factors only apply to the continuous flow")
     if label == "scripted":

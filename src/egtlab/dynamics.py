@@ -503,11 +503,14 @@ def _trajectory(pops, opponent, times, samples, meta) -> Trajectory:
     return Trajectory(times, logs[0], opp, None, meta)
 
 
-def _check_sample_every(sample_every) -> None:
-    if not isinstance(sample_every, numbers.Integral):
-        raise ValueError(f"sample_every must be an integer, got {sample_every!r}")
-    if sample_every < 1:
-        raise ValueError("sample_every must be at least 1")
+def _check_count(value, name: str) -> int:
+    """A count such as n_max or sample_every as an int: a whole number of at
+    least 1, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
+    return int(value)
 
 
 def _sample_counts(total: int, sample_every: int) -> np.ndarray:
@@ -838,7 +841,7 @@ def integrate(rule: GrowthRule, game: Game, x0,
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt!r}")
-    _check_sample_every(sample_every)
+    sample_every = _check_count(sample_every, "sample_every")
     if method not in _TABLEAUS:
         raise ValueError(f"method must be 'dop853' or 'rk4', got {method!r}")
     x0 = np.asarray(x0, dtype=float)

@@ -5,10 +5,13 @@ phenomenon numerically robust: a strictly dominated pure strategy taking over
 against a periodic opponent, a dominating pure strategy dying out, a
 four-strategy cycle protecting a dominated strategy (the single-population
 construction of Hofbauer and Weibull, 1996, and its mirror image for convex
-links), and discrete-time background-fitness thresholds. Constructors return
-frozen certificate objects: the full inequality system that makes the example
-work is re-checked at construction time, so holding an instance is proof the
-parameters are valid.
+links), and discrete-time background-fitness thresholds. A construction is a
+frozen certificate that holds only its free parameters: (a, b, eps) for the
+3x2 square wave, (a, b, c, beta, gamma) for the 4x4 cycles. It derives its
+game, schedule and constants from them once, when built, and checks the
+inequality system that makes the example work, so holding an instance is
+proof the parameters are valid. The build_* functions only search for
+parameters; other values construct a certificate directly.
 
 The module also exposes the scenario catalog used by the command line: each
 runner executes a fixed experiment protocol and returns a JSON-ready report
@@ -18,7 +21,7 @@ plus the primary trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,6 +53,12 @@ def _midpoint_gap(f: LinkFunction, a, b, sign: float):
                    - 0.5 * (eval_link(f, a) + eval_link(f, b)))
 
 
+def _derive(con, **values):
+    """Set a frozen certificate's derived fields."""
+    for name, value in values.items():
+        object.__setattr__(con, name, value)
+
+
 @dataclass(frozen=True)
 class SurvivalConstruction:
     """A 3x2 game plus periodic opponent schedule with a domination certificate.
@@ -58,50 +67,40 @@ class SurvivalConstruction:
     endpoint midpoint shifted by eps: downward for the nonconvex variant
     (pure M strictly dominated by the half-half mixture of T and B, margin
     eps, yet M takes over), upward for the nonconcave variant (M strictly
-    dominates that mixture, yet M dies out). alpha is the growth-rate gap
-    the shift leaves open; Cf bounds |f| on [a, b]; the square-wave period
-    2T is sized so the gap beats the switching losses.
+    dominates that mixture, yet M dies out). The game, the square-wave
+    schedule and its constants follow from (a, b, eps): alpha is the
+    growth-rate gap the shift leaves open, Cf bounds |f| on [a, b], and the
+    half-period T is sized so the gap beats the switching losses.
     """
 
-    game: Game
     link: LinkFunction
+    variant: str
     a: float
     b: float
     eps: float
-    variant: str
-    schedule: Schedule
-    T: int
-    alpha: float
-    Cf: float
+    game: Game = field(init=False, compare=False)
+    schedule: Schedule = field(init=False, compare=False)
+    alpha: float = field(init=False, compare=False)
+    Cf: float = field(init=False, compare=False)
+    T: int = field(init=False, compare=False)
 
     def __post_init__(self):
         _check(self.variant in _VARIANTS_3X2,
                f"unknown construction variant {self.variant!r}")
-        a, b, eps = self.a, self.b, self.eps
+        f, a, b, eps = self.link, self.a, self.b, self.eps
         _check(a < b, f"need a < b, got a={a!r} b={b!r}")
         _check(0.0 < eps < 0.5 * (b - a),
                f"eps {eps!r} outside (0, (b-a)/2)")
         sign = 1.0 if self.variant == "nonconvex" else -1.0
         u_m = 0.5 * (a + b) - sign * eps
-        want = np.array([[b, a], [u_m, u_m], [a, b]])
-        _check(np.allclose(self.game.payoff, want, rtol=0.0, atol=1e-12),
-               "payoff matrix does not match the (a, b, eps) parameters")
-        gap = sign * (eval_link(self.link, u_m)
-                      - 0.5 * (eval_link(self.link, a) + eval_link(self.link, b)))
-        _check(gap > 0.0, f"midpoint shift eps={eps!r} leaves no curvature gap")
-        _check(abs(gap - self.alpha) <= 1e-9 * max(1.0, abs(gap)),
-               "stored alpha does not match the recomputed gap")
-        _check(self.Cf > 0.0, "Cf must be a positive bound on |f|")
-        _check(self.T > (2.0 * self.Cf + 1.0) / self.alpha + 1.0,
-               "half-period T too short for the gap alpha")
-        sched = self.schedule
-        _check(sched.n_strategies == 2 and abs(sched.period - 2.0 * self.T) < 1e-9,
-               "schedule period must be 2T over the two opponent columns")
-        want_t = np.array([0.0, self.T - 1.0, self.T, 2.0 * self.T - 1.0])
-        want_v = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        _check(np.array_equal(sched.times, want_t)
-               and np.array_equal(sched.values, want_v),
-               "schedule is not the square wave with unit crossfades")
+        alpha = sign * (eval_link(f, u_m) - 0.5 * (eval_link(f, a) + eval_link(f, b)))
+        _check(alpha > 0.0, f"midpoint shift eps={eps!r} leaves no curvature gap")
+        Cf = float(np.abs(eval_link(f, np.linspace(a, b, 1001))).max())
+        T = int(math.floor((2.0 * Cf + 1.0) / alpha + 1.0)) + 1
+        _derive(self, alpha=alpha, Cf=Cf, T=T,
+                game=Game([[b, a], [u_m, u_m], [a, b]], ("T", "M", "B"), ("L", "R")),
+                schedule=Schedule(2.0 * T, [0.0, T - 1.0, float(T), 2.0 * T - 1.0],
+                                  [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
         mix = np.array([0.5, 0.0, 0.5])
         if self.variant == "nonconvex":
             margin = strict_margin(self.game, mix, pure(1, 3))
@@ -121,18 +120,14 @@ class SurvivalConstruction:
         return pure(1, 3) if self.variant == "nonconvex" else np.array([0.5, 0.0, 0.5])
 
 
-def build_survival(f: LinkFunction, variant: str, search_box=None,
-                   eps_frac: float = 0.5) -> SurvivalConstruction:
-    """Search (a, b) for the strongest curvature violation and assemble the game.
+def build_survival(f: LinkFunction, variant: str, search_box=None) -> SurvivalConstruction:
+    """Search (a, b) for the strongest curvature violation and construct on it.
 
     nonconvex wants f(midpoint) above the endpoint mean (impossible for convex
-    f), nonconcave the reverse. eps_frac in (0, 1) sets how much of the
-    violation slack is spent on the domination margin; the rest remains as
-    the growth-rate gap alpha.
+    f), nonconcave the reverse. Half of the violation slack is spent on the
+    domination margin eps; the rest remains as the growth-rate gap alpha.
     """
     _check(variant in _VARIANTS_3X2, f"unknown construction variant {variant!r}")
-    if not 0.0 < eps_frac < 1.0:
-        raise ValueError(f"eps_frac must be in (0, 1), got {eps_frac!r}")
     lo, hi = search_box if search_box is not None else f.domain
     lo, hi = float(lo), float(hi)
     _check(lo < hi, f"empty search box [{lo!r}, {hi!r}]")
@@ -182,16 +177,7 @@ def build_survival(f: LinkFunction, variant: str, search_box=None,
             else:
                 e_hi = mid
         eps_max = e_lo
-    eps = eps_frac * eps_max
-    u_m = 0.5 * (a + b) - sign * eps
-    alpha = sign * (eval_link(f, u_m) - ends_mean)
-    _check(alpha > 0.0, "midpoint shift consumed the whole violation slack")
-    Cf = float(np.abs(eval_link(f, np.linspace(a, b, 1001))).max())
-    T = int(math.floor((2.0 * Cf + 1.0) / alpha + 1.0)) + 1
-    game = Game([[b, a], [u_m, u_m], [a, b]], ("T", "M", "B"), ("L", "R"))
-    schedule = Schedule(2.0 * T, [0.0, T - 1.0, float(T), 2.0 * T - 1.0],
-                        [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    return SurvivalConstruction(game, f, a, b, eps, variant, schedule, T, alpha, Cf)
+    return SurvivalConstruction(f, variant, a, b, 0.5 * eps_max)
 
 
 @dataclass(frozen=True)
@@ -204,55 +190,54 @@ class Rps4Construction:
     concave links. dual: entries m - gamma and m + beta around the core mean
     m make the fourth strategy strictly dominate the uniform core mixture
     (margin at least min(beta, gamma)), and convex links eliminate it anyway.
-    A generation map's construction takes discrete_effective_link(f, C) as
-    its link.
+    m and the game follow from (a, b, c, beta, gamma). A generation map's
+    construction takes discrete_effective_link(f, C) as its link.
     """
 
-    game: Game
     link: LinkFunction
+    variant: str
     a: float
     b: float
     c: float
     beta: float
     gamma: float
-    m: float
-    variant: str
+    m: float = field(init=False, compare=False)
+    game: Game = field(init=False, compare=False)
 
     def __post_init__(self):
         _check(self.variant in _VARIANTS_4X4,
                f"unknown construction variant {self.variant!r}")
-        a, b, c = self.a, self.b, self.c
-        beta, gamma, m = self.beta, self.gamma, self.m
+        f, a, b, c = self.link, self.a, self.b, self.c
+        beta, gamma = self.beta, self.gamma
         _check(c < a < b, f"cycle payoffs need c < a < b, got {a!r}, {b!r}, {c!r}")
         _check(beta > 0.0 and gamma > 0.0, "beta and gamma must be positive")
-        _check(abs(m - (a + b + c) / 3.0) <= 1e-12 * max(1.0, abs(m)),
-               "m must be the core payoff mean")
-        core = np.array([[a, c, b], [b, a, c], [c, b, a]])
-        want = np.zeros((4, 4))
-        want[:3, :3] = core
+        m = (a + b + c) / 3.0
+        core = [[a, c, b], [b, a, c], [c, b, a]]
         if self.variant == "hofbauer-weibull":
-            _check(m > a + beta, "mean payoff must exceed a + beta")
             _check(a < 0.5 * (b + c), "the core must cycle inward for linear growth")
-            want[:3, 3] = gamma
-            want[3, :3] = a + beta
+            _check(m > a + beta, "mean payoff must exceed a + beta")
+            rows = [r + [gamma] for r in core] + [[a + beta] * 3 + [0.0]]
             direction = "outward"
         else:
             _check(a > 0.5 * (b + c), "the core must cycle outward for linear growth")
-            want[:3, 3] = m - gamma
-            want[3, :3] = m + beta
-            want[3, 3] = m
+            rows = [r + [m - gamma] for r in core] + [[m + beta] * 3 + [m]]
             direction = "inward"
-        _check(np.allclose(self.game.payoff, want, rtol=0.0, atol=1e-12),
-               "payoff matrix does not match the stored parameters")
-        got = rps_direction(self.link, a, b, c, mode="continuous-functional")
+        game = Game(rows)
+        _derive(self, m=m, game=game)
+        lo, hi = float(game.payoff.min()), float(game.payoff.max())
+        pad = domain_pad(f)
+        _check(f.domain[0] - pad <= lo and hi <= f.domain[1] + pad,
+               f"assembled payoffs span [{lo:g}, {hi:g}], "
+               f"outside the link domain [{f.domain[0]:g}, {f.domain[1]:g}]")
+        got = rps_direction(f, a, b, c, mode="continuous-functional")
         _check(got == direction,
                f"link turns the core {got}, construction needs {direction}")
         p = np.array([1.0, 1.0, 1.0, 0.0]) / 3.0
         if self.variant == "hofbauer-weibull":
-            margin = strict_margin(self.game, p, pure(3, 4))
+            margin = strict_margin(game, p, pure(3, 4))
             _check(margin > 0.0, "fourth strategy is not strictly dominated")
         else:
-            margin = strict_margin(self.game, pure(3, 4), p)
+            margin = strict_margin(game, pure(3, 4), p)
             _check(margin >= min(beta, gamma) * (1.0 - 1e-9),
                    "dominance margin fell below min(beta, gamma)")
 
@@ -262,17 +247,17 @@ class Rps4Construction:
         return named_game("rps-base", self.a, self.b, self.c)
 
 
-def build_rps4(f: LinkFunction, variant: str, search_box=None, *, abc=None,
-               beta: float | None = None,
-               gamma: float | None = None) -> Rps4Construction:
-    """Find cycle payoffs whose linked growth rates disagree with the raw ones.
+def build_rps4(f: LinkFunction, variant: str, search_box=None) -> Rps4Construction:
+    """Search cycle payoffs whose linked growth rates disagree with the raw
+    ones, and construct on them.
 
     The inequality system couples the linear cycle direction (through the raw
     payoffs) with the linked one (through f); a coarse grid over the box
     picks the triple with the largest worst normalized slack, then a local
-    pass refines it. abc skips the search. beta and gamma default to 2% and 10% of the payoff spread,
+    pass refines it. beta and gamma are 2% and 10% of the payoff spread,
     beta clamped to keep the fourth strategy dominated in the
-    hofbauer-weibull variant.
+    hofbauer-weibull variant. Other parameters construct an Rps4Construction
+    directly.
     """
     _check(variant in _VARIANTS_4X4, f"unknown construction variant {variant!r}")
     lo, hi = search_box if search_box is not None else f.domain
@@ -280,66 +265,46 @@ def build_rps4(f: LinkFunction, variant: str, search_box=None, *, abc=None,
     _check(lo < hi, f"empty search box [{lo!r}, {hi!r}]")
     want_outward = variant == "hofbauer-weibull"
 
-    if abc is None:
-        def best_triple(bounds, n):
-            grids = [np.linspace(l, h, n) for l, h in bounds]
-            va, vb, vc = np.meshgrid(*grids, indexing="ij", sparse=True)
-            fa, fb, fc = eval_link(f, va), eval_link(f, vb), eval_link(f, vc)
-            span = hi - lo
-            f_span = max(abs(float(fa.max()) - float(fc.min())), 1e-30)
-            order = np.minimum(va - vc, vb - va) / span
-            linear = (0.5 * (vb + vc) - va) / span
-            linked = (fa - 0.5 * (fb + fc)) / f_span
-            if want_outward:
-                slack = np.minimum(np.minimum(order, linear), linked)
-            else:
-                # The raw-payoff rotation must leave the center, but only
-                # weakly: the stronger it is, the wider the attracting cycle
-                # and the deeper its swings toward the boundary. Confining
-                # a - (b+c)/2 to a narrow band keeps the cycle tight while
-                # the linked inequalities stay slack-maximized.
-                w_lo, w_hi = _DUAL_ROTATION_BAND
-                half = 0.5 * (w_hi - w_lo)
-                s_lo = (-linear - w_lo) / half
-                s_hi = (w_hi + linear) / half
-                slack = np.minimum(np.minimum(order, -linked),
-                                   np.minimum(s_lo, s_hi))
-            k = int(np.argmax(slack))
-            idx = np.unravel_index(k, slack.shape)
-            return [float(g[i]) for g, i in zip(grids, idx)], float(slack.flat[k])
-
-        (a, b, c), slack = best_triple([(lo, hi)] * 3, 50)
-        h = (hi - lo) / 49.0
-        bounds = [(max(lo, v - h), min(hi, v + h)) for v in (a, b, c)]
-        (a, b, c), slack = best_triple(bounds, 21)
-        if slack <= 0.0:
-            raise ValueError(
-                f"no feasible cycle payoffs for variant {variant!r} on "
-                f"[{lo:g}, {hi:g}]")
-    else:
-        a, b, c = (float(v) for v in abc)
-
-    spread = b - c
-    m = (a + b + c) / 3.0
-    if gamma is None:
-        gamma = 0.1 * spread
-    if beta is None:
-        beta = 0.02 * spread
+    def best_triple(bounds, n):
+        grids = [np.linspace(l, h, n) for l, h in bounds]
+        va, vb, vc = np.meshgrid(*grids, indexing="ij", sparse=True)
+        fa, fb, fc = eval_link(f, va), eval_link(f, vb), eval_link(f, vc)
+        span = hi - lo
+        f_span = max(abs(float(fa.max()) - float(fc.min())), 1e-30)
+        order = np.minimum(va - vc, vb - va) / span
+        linear = (0.5 * (vb + vc) - va) / span
+        linked = (fa - 0.5 * (fb + fc)) / f_span
         if want_outward:
-            beta = min(beta, 0.5 * (m - a))
-    core = [[a, c, b], [b, a, c], [c, b, a]]
-    if want_outward:
-        rows = [r + [gamma] for r in core] + [[a + beta] * 3 + [0.0]]
-    else:
-        rows = [r + [m - gamma] for r in core] + [[m + beta] * 3 + [m]]
-    entries = np.asarray(rows)
-    pad = domain_pad(f)
-    if entries.min() < f.domain[0] - pad or entries.max() > f.domain[1] + pad:
+            slack = np.minimum(np.minimum(order, linear), linked)
+        else:
+            # The raw-payoff rotation must leave the center, but only
+            # weakly: the stronger it is, the wider the attracting cycle
+            # and the deeper its swings toward the boundary. Confining
+            # a - (b+c)/2 to a narrow band keeps the cycle tight while
+            # the linked inequalities stay slack-maximized.
+            w_lo, w_hi = _DUAL_ROTATION_BAND
+            half = 0.5 * (w_hi - w_lo)
+            s_lo = (-linear - w_lo) / half
+            s_hi = (w_hi + linear) / half
+            slack = np.minimum(np.minimum(order, -linked),
+                               np.minimum(s_lo, s_hi))
+        k = int(np.argmax(slack))
+        idx = np.unravel_index(k, slack.shape)
+        return [float(g[i]) for g, i in zip(grids, idx)], float(slack.flat[k])
+
+    (a, b, c), slack = best_triple([(lo, hi)] * 3, 50)
+    h = (hi - lo) / 49.0
+    bounds = [(max(lo, v - h), min(hi, v + h)) for v in (a, b, c)]
+    (a, b, c), slack = best_triple(bounds, 21)
+    if slack <= 0.0:
         raise ValueError(
-            f"assembled payoffs span [{entries.min():g}, {entries.max():g}], "
-            f"outside the link domain [{f.domain[0]:g}, {f.domain[1]:g}]")
-    game = Game(rows)
-    return Rps4Construction(game, f, a, b, c, beta, gamma, m, variant)
+            f"no feasible cycle payoffs for variant {variant!r} on "
+            f"[{lo:g}, {hi:g}]")
+    spread = b - c
+    beta = 0.02 * spread
+    if want_outward:
+        beta = min(beta, 0.5 * ((a + b + c) / 3.0 - a))
+    return Rps4Construction(f, variant, a, b, c, beta, 0.1 * spread)
 
 
 @dataclass(frozen=True)
@@ -553,8 +518,7 @@ def _rps4_runs(f: LinkFunction, con: Rps4Construction, starts, judge,
         if passed or halvings >= 6:
             return con, halvings, traj, runs
         halvings += 1
-        con = build_rps4(f, con.variant, abc=(con.a, con.b, con.c),
-                         beta=con.beta / 2.0, gamma=con.gamma)
+        con = replace(con, beta=con.beta / 2.0)
 
 
 def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,

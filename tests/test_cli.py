@@ -122,6 +122,62 @@ def test_simulate_rejects_a_fractional_sample_every(tmp_path, capsys):
     assert "sample_every must be an integer, got 2.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("integrator, message", [
+    ({"n_max": 2.5}, "n_max must be an integer, got 2.5"),
+    ({"n_max": True}, "n_max must be an integer, got True"),
+    ({"n_max": "10"}, "n_max must be an integer, got '10'"),
+    ({"n_max": 10, "sample_every": False}, "sample_every must be an integer, got False"),
+], ids=["fraction", "bool", "string", "bool-sample-every"])
+def test_simulate_discrete_refuses_counts_that_are_not_whole(tmp_path, capsys, integrator,
+                                                             message):
+    cfg = write_json(tmp_path / "count.json", {
+        "mode": "discrete", "game": {"payoff": [[2.0, 2.0], [1.0, 1.0]]},
+        "x0": [0.5, 0.5], "integrator": integrator,
+    })
+    assert main(["simulate", "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_simulate_discrete_takes_a_whole_float_count(tmp_path, capsys):
+    cfg = write_json(tmp_path / "count.json", {
+        "mode": "discrete", "game": {"payoff": [[2.0, 2.0], [1.0, 1.0]]},
+        "x0": [0.5, 0.5], "integrator": {"n_max": 100.0, "sample_every": 10.0},
+    })
+    code, doc = run_json(capsys, ["simulate", "--config", cfg])
+    assert code == 0
+    assert doc["raw"]["run"]["n_max"] == 100 and doc["raw"]["t_final"] == 100.0
+    assert doc["raw"]["n_samples"] == 11
+
+
+@pytest.mark.parametrize("key, value", [("t_max", "10"), ("dt", "0.001"), ("t_max", True),
+                                        ("dt", None)])
+def test_simulate_times_must_be_json_numbers(tmp_path, capsys, key, value):
+    cfg = write_json(tmp_path / "times.json", {
+        "game": {"payoff": DISCUSSION_PAYOFF},
+        "integrator": {"t_max": 1.0, key: value},
+    })
+    assert main(["simulate", "--config", cfg]) == 1
+    assert f"config field integrator.{key} must be a number, got {value!r}" in \
+        capsys.readouterr().err
+
+
+SEED_HELP = {
+    "scenario": "recorded in the report; seeds the random starts and samples of hw-4x4 "
+                "and dual-4x4",
+    "simulate": "recorded in the report; the run draws no random numbers",
+    "dominance": "ignored: this subcommand draws no random numbers",
+    "classify": "ignored: this subcommand draws no random numbers",
+    "rps-direction": "ignored: this subcommand draws no random numbers",
+}
+
+
+@pytest.mark.parametrize("command", SEED_HELP)
+def test_seed_help_says_what_each_subcommand_does_with_it(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert f"--seed SEED {SEED_HELP[command]}" in " ".join(capsys.readouterr().out.split())
+
+
 def test_missing_config_exits_1(capsys):
     assert main(["simulate", "--config", "/no/such/file.json"]) == 1
     assert "unreadable config" in capsys.readouterr().err

@@ -167,6 +167,24 @@ def test_iterate_rejects_a_fractional_sample_every():
         iterate(REPL, TWO_ONE, (0.5, 0.5), n_max=10, sample_every=2.5)
 
 
+@pytest.mark.parametrize("counts, message", [
+    ({"n_max": 2.5}, "n_max must be an integer, got 2.5"),
+    ({"n_max": True}, "n_max must be an integer, got True"),
+    ({"n_max": "10"}, "n_max must be an integer, got '10'"),
+    ({"n_max": 10, "sample_every": True}, "sample_every must be an integer, got True"),
+    ({"n_max": 10, "sample_every": 0}, "sample_every must be at least 1, got 0"),
+])
+def test_iterate_takes_only_whole_counts(counts, message):
+    with pytest.raises(ValueError, match=message):
+        iterate(REPL, TWO_ONE, (0.5, 0.5), **counts)
+
+
+def test_iterate_takes_numpy_counts():
+    traj = iterate(REPL, TWO_ONE, (0.5, 0.5), n_max=np.int64(10), sample_every=np.int32(5))
+    np.testing.assert_array_equal(traj.times, [0.0, 5.0, 10.0])
+    assert traj.meta["steps"] == 10 and type(traj.meta["sample_every"]) is int
+
+
 def test_scripted_opponent_is_sampled_at_integer_times():
     game = Game([[1.0, 0.0], [0.0, 1.0]])
     sched = Schedule(4.0, [0.0, 1.0, 2.0, 3.0],

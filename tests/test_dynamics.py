@@ -61,6 +61,11 @@ def test_integrate_rejects_a_fractional_sample_every(opponent, method):
                   sample_every=2.5, method=method)
 
 
+def test_integrate_refuses_a_boolean_sample_every():
+    with pytest.raises(ValueError, match="sample_every must be an integer, got True"):
+        integrate(REPL, GAP_GAME, (0.5, 0.5), t_max=1.0, sample_every=True)
+
+
 def test_speed_must_be_positive():
     with pytest.raises(ValueError, match="positive"):
         GrowthRule(speed=-1.0)

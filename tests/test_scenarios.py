@@ -5,6 +5,7 @@ defaults, hw-4x4 and dual-4x4 included, and log each as an acceptance
 criterion.
 """
 
+import dataclasses
 import inspect
 import math
 
@@ -16,13 +17,18 @@ from egtlab.dominance import strict_margin
 from egtlab.games import Game, pure
 from egtlab.links import (discrete_effective_link, exp_link, linear_link, power_link,
                           rps_direction, sqrt_link)
-from egtlab.scenarios import (SCENARIO_INTERVALS, SCENARIOS, build_rps4,
+from egtlab.scenarios import (SCENARIO_INTERVALS, SCENARIOS, Rps4Construction,
+                              SurvivalConstruction, build_rps4,
                               build_survival, dual_basin_k, named_game,
                               run_background_schedules, run_background_threshold,
                               run_discussion, run_dual_4x4, run_hw_4x4,
                               run_survival_nonconcave, run_survival_nonconvex)
 
 MIX_TB = np.array([0.5, 0.0, 0.5])
+EXP = exp_link(1.0, (-2.0, 2.0))
+# the dual certificate on the triple (1, 2, -2), with the search path's beta
+# and gamma: 2% and 10% of the spread 4
+DUAL = Rps4Construction(EXP, "dual", 1.0, 2.0, -2.0, 0.08, 0.4)
 
 
 def test_survival_construction_under_a_concave_link():
@@ -122,13 +128,142 @@ def test_survival_rejects_links_without_the_violation():
         build_survival(line, "nonconcave")
     with pytest.raises(ValueError, match="variant"):
         build_survival(sqrt_link((1.0, 9.0)), "sideways")
-    with pytest.raises(ValueError, match="eps_frac"):
-        build_survival(sqrt_link((1.0, 9.0)), "nonconvex", eps_frac=1.0)
+
+
+@pytest.mark.parametrize("con, free", [
+    (build_survival(sqrt_link((1.0, 9.0)), "nonconvex"), ["link", "variant", "a", "b", "eps"]),
+    (DUAL, ["link", "variant", "a", "b", "c", "beta", "gamma"]),
+], ids=["survival", "rps4"])
+def test_certificates_take_only_their_free_parameters(con, free):
+    fields = dataclasses.fields(con)
+    assert [f.name for f in fields if f.init] == free
+    given = {name: getattr(con, name) for name in free}
+    for f in fields:
+        if not f.init:
+            with pytest.raises(TypeError):
+                type(con)(**given, **{f.name: getattr(con, f.name)})
+
+
+SQRT = sqrt_link((1.0, 9.0))
+LINE = linear_link(1.0, 0.0, (0.0, 10.0))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((SQRT, "sideways", 1.0, 9.0, 0.5), "unknown construction variant"),
+    ((SQRT, "nonconvex", 9.0, 1.0, 0.5), "need a < b"),
+    ((SQRT, "nonconvex", 1.0, 9.0, 0.0), "outside"),
+    ((SQRT, "nonconvex", 1.0, 9.0, 4.0), "outside"),
+    ((LINE, "nonconvex", 1.0, 9.0, 0.5), "no curvature gap"),
+    ((LINE, "nonconcave", 1.0, 9.0, 0.5), "no curvature gap"),
+])
+def test_survival_certificate_refusals(args, message):
+    with pytest.raises(ValueError, match=message):
+        SurvivalConstruction(*args)
+
+
+@pytest.mark.parametrize("variant, margin, message", [
+    ("nonconvex", 0.0, "domination certificate failed"),
+    ("nonconvex", 0.25, "should equal eps"),
+    ("nonconcave", 0.0, "domination certificate failed"),
+])
+def test_survival_certificate_checks_its_margin(monkeypatch, variant, margin, message):
+    f = SQRT if variant == "nonconvex" else power_link(2.0, (0.0, 3.0))
+    b = 9.0 if variant == "nonconvex" else 3.0
+    args = (f, variant, f.domain[0], b, 0.1)
+    SurvivalConstruction(*args)
+    monkeypatch.setattr(scenarios, "strict_margin", lambda *_: margin)
+    with pytest.raises(ValueError, match=message):
+        SurvivalConstruction(*args)
+
+
+HW_LINK = sqrt_link((0.0, 20.0))
+RAMP = linear_link(1.0, 0.0, (-3.0, 3.0))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((EXP, "sideways", 1.0, 2.0, -2.0, 0.08, 0.4), "unknown construction variant"),
+    ((EXP, "dual", 1.0, 2.0, 3.0, 0.08, 0.4), "c < a < b"),
+    ((EXP, "dual", 1.0, 2.0, -2.0, 0.0, 0.4), "beta and gamma must be positive"),
+    ((EXP, "dual", 1.0, 2.0, -2.0, 0.08, -0.4), "beta and gamma must be positive"),
+    ((RAMP, "dual", 1.0, 2.0, -2.0, 0.08, 0.4), "turns the core outward, "
+                                                 "construction needs inward"),
+    ((HW_LINK, "hofbauer-weibull", 8.0, 10.0, 1.0, 0.1, 0.2), "cycle inward"),
+    ((HW_LINK, "hofbauer-weibull", 2.0, 10.0, 1.0, 3.0, 0.2), "exceed a \\+ beta"),
+    ((HW_LINK, "hofbauer-weibull", 2.0, 10.0, 1.0, 0.1, 30.0), "link domain"),
+    ((RAMP, "hofbauer-weibull", 1.0, 3.0, 0.0, 0.1, 0.2), "turns the core inward, "
+                                                           "construction needs outward"),
+])
+def test_rps4_certificate_refusals(args, message):
+    with pytest.raises(ValueError, match=message):
+        Rps4Construction(*args)
+
+
+@pytest.mark.parametrize("con, margin, message", [
+    (DUAL, 0.07, "fell below min\\(beta, gamma\\)"),
+    (build_rps4(HW_LINK, "hofbauer-weibull", (0.01, 20.0)), 0.0, "not strictly dominated"),
+], ids=["dual", "hofbauer-weibull"])
+def test_rps4_certificate_checks_its_margin(monkeypatch, con, margin, message):
+    monkeypatch.setattr(scenarios, "strict_margin", lambda *_: margin)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(con)
+
+
+# The two default 4x4 builds, recorded to the bit before beta and gamma
+# became certificate fields that only the search sets:
+# (a, b, c, beta, gamma, m) and the payoffs.
+RPS4_BUILDS = {
+    "hofbauer-weibull": (
+        (HW_LINK, (0.01, 20.0)),
+        (7.353265306122448, 20.0, 0.030397959183673467, 0.3993920408163265,
+         1.9969602040816328, 9.12788775510204),
+        [[7.353265306122448, 0.030397959183673467, 20.0, 1.9969602040816328],
+         [20.0, 7.353265306122448, 0.030397959183673467, 1.9969602040816328],
+         [0.030397959183673467, 20.0, 7.353265306122448, 1.9969602040816328],
+         [7.752657346938774, 7.752657346938774, 7.752657346938774, 0.0]]),
+    "dual": (
+        (EXP, (-2.0, 2.0)),
+        (0.21224489795918344, 2.0, -2.0, 0.08, 0.4, 0.07074829931972786),
+        [[0.21224489795918344, -2.0, 2.0, -0.32925170068027215],
+         [2.0, 0.21224489795918344, -2.0, -0.32925170068027215],
+         [-2.0, 2.0, 0.21224489795918344, -0.32925170068027215],
+         [0.15074829931972786, 0.15074829931972786, 0.15074829931972786,
+          0.07074829931972786]]),
+}
+
+
+@pytest.mark.parametrize("variant", RPS4_BUILDS)
+def test_rps4_default_builds_are_pinned(variant):
+    (f, box), params, payoff = RPS4_BUILDS[variant]
+    con = build_rps4(f, variant, box)
+    assert (con.a, con.b, con.c, con.beta, con.gamma, con.m) == params
+    assert con.game.payoff.tolist() == payoff
+
+
+def test_rps4_runs_halve_beta_on_a_rebuilt_certificate(monkeypatch):
+    checked, real = [], scenarios.rps_direction
+
+    def counting(*args, **kwargs):
+        checked.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "rps_direction", counting)
+    betas, verdicts = [], iter([False, False, True])
+
+    def starts(con):
+        betas.append(con.beta)
+        return np.full((1, 4), 0.25)
+
+    con, halvings, _, _ = scenarios._rps4_runs(
+        EXP, DUAL, starts, lambda traj: ([], next(verdicts)), t_max=0.1, dt=1e-3)
+    assert halvings == 2 and betas == [0.08, 0.04, 0.02]
+    assert con.beta == DUAL.beta / 4.0
+    assert (con.a, con.b, con.c, con.gamma) == (DUAL.a, DUAL.b, DUAL.c, DUAL.gamma)
+    assert len(checked) == 2  # each rebuild ran the certificate's checks again
+    np.testing.assert_array_equal(con.game.payoff[3, :3], con.m + 0.02)
 
 
 def test_rps4_dual_with_a_pinned_triple():
-    f = exp_link(1.0, (-2.0, 2.0))
-    con = build_rps4(f, "dual", abc=(1.0, 2.0, -2.0))
+    con = DUAL
     assert (con.a, con.b, con.c) == (1.0, 2.0, -2.0)
     assert con.m == pytest.approx(1.0 / 3.0, rel=1e-15)
     assert con.beta == pytest.approx(0.08) and con.gamma == pytest.approx(0.4)
@@ -174,18 +309,17 @@ def test_rps4_hofbauer_weibull_under_sqrt():
 
 
 def test_rps4_explicit_triples_are_still_validated():
-    f = exp_link(1.0, (-2.0, 2.0))
     with pytest.raises(ValueError, match="cycle outward"):
-        build_rps4(f, "dual", abc=(-1.0, 2.0, -2.0))
+        Rps4Construction(EXP, "dual", -1.0, 2.0, -2.0, 0.08, 0.4)
     with pytest.raises(ValueError, match="link domain"):
-        build_rps4(f, "dual", abc=(1.0, 3.0, -2.0))
+        Rps4Construction(EXP, "dual", 1.0, 3.0, -2.0, 0.08, 0.4)
 
 
 def test_rps4_discrete_direction_mode():
     # a generation map's construction is built on its effective link
     f = linear_link(1.0, 0.0, (0.0, 15.0))
-    con = build_rps4(discrete_effective_link(f, 1.0), "hofbauer-weibull",
-                     abc=(3.9, 5.0, 3.0))
+    con = Rps4Construction(discrete_effective_link(f, 1.0), "hofbauer-weibull",
+                           3.9, 5.0, 3.0, 0.02, 0.2)
     # raw rotation inward, but ln(1 + u) turns it outward: (1+a)^2 > (1+b)(1+c)
     assert con.a < 0.5 * (con.b + con.c)
     assert (1.0 + con.a) ** 2 > (1.0 + con.b) * (1.0 + con.c)
@@ -196,7 +330,7 @@ def test_rps4_discrete_direction_mode():
 
 
 def test_basin_membership():
-    con = build_rps4(exp_link(1.0, (-2.0, 2.0)), "dual", abc=(1.0, 2.0, -2.0))
+    con = DUAL
     basin = dual_basin_k(con, 1.0 / 30.0, 0.04)
     near_center = np.array([0.98 / 3.0] * 3 + [0.02])
     assert not basin.contains(near_center)  # core product too large
@@ -208,7 +342,7 @@ def test_basin_membership():
 
 
 def test_basin_validation():
-    con = build_rps4(exp_link(1.0, (-2.0, 2.0)), "dual", abc=(1.0, 2.0, -2.0))
+    con = DUAL
     with pytest.raises(ValueError, match="rho"):
         dual_basin_k(con, 1.0 / 27.0, 0.04)
     with pytest.raises(ValueError, match="eps4"):
@@ -219,7 +353,7 @@ def test_basin_validation():
 
 
 def test_basin_sample_sits_on_the_wedge_midline():
-    con = build_rps4(exp_link(1.0, (-2.0, 2.0)), "dual", abc=(1.0, 2.0, -2.0))
+    con = DUAL
     basin = dual_basin_k(con, 0.01, 0.04)
     rng = np.random.default_rng(5)
     for _ in range(5):
