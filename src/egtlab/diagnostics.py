@@ -113,17 +113,14 @@ class Verdict:
     witness: str
 
 
-def verdict(traj: Trajectory, q, elim_threshold: float = 1e-6,
-            surv_threshold: float = 1e-3) -> Verdict:
+def verdict(traj: Trajectory, q) -> Verdict:
     """Call a run by its min-support metric on q's support.
 
-    eliminated: final metric below elim_threshold with the last-third trend
-    still downward. survived: the whole last third stays at or above
-    surv_threshold. Anything else, or fewer than 10 samples, is inconclusive.
+    eliminated: final metric below 1e-6 with the last-third trend still
+    downward. survived: the whole last third stays at or above 1e-3.
+    Anything else, or fewer than 10 samples, is inconclusive.
     """
     traj.run_logs("verdict")
-    if not 0.0 < elim_threshold < surv_threshold:
-        raise ValueError("need 0 < elim_threshold < surv_threshold")
     lm = log_min_support(traj, q)
     final = float(np.exp(lm[-1]))
     tail = lm[-(lm.size // 3 or 1):]
@@ -135,12 +132,10 @@ def verdict(traj: Trajectory, q, elim_threshold: float = 1e-6,
         trend = least_squares_slope(np.flatnonzero(finite), tail[finite])
     else:
         trend = -math.inf
-    if final < elim_threshold and trend < 0.0:
-        return Verdict("eliminated", final, trend,
-                       f"min_support<{elim_threshold:g}")
-    if float(np.exp(tail.min())) >= surv_threshold:
-        return Verdict("survived", final, trend,
-                       f"min_support>={surv_threshold:g} over last third")
+    if final < 1e-6 and trend < 0.0:
+        return Verdict("eliminated", final, trend, "min_support<1e-06")
+    if float(np.exp(tail.min())) >= 1e-3:
+        return Verdict("survived", final, trend, "min_support>=0.001 over last third")
     return Verdict("inconclusive", final, trend, "between thresholds")
 
 

@@ -71,18 +71,12 @@ class BackgroundFitness:
         object.__setattr__(self, "rate", rate)
 
     def value(self, n: int) -> float:
-        if self.kind == "constant":
-            return self.base
-        if self.kind == "affine":
-            return self.base + self.rate * n
-        # geometric through logs so huge horizons saturate to +inf instead of erroring
-        try:
-            return math.exp(math.log(self.base) + n * math.log(self.rate))
-        except OverflowError:
-            return math.inf
+        """values() at the one generation n."""
+        return float(self.values(np.asarray(n, dtype=float)))
 
     def values(self, n: np.ndarray) -> np.ndarray:
-        """value() at every generation in the float array n."""
+        """C_n at every generation in the float array n; geometric through
+        logs, so huge horizons saturate to +inf instead of erroring."""
         if self.kind == "constant":
             return np.full(n.shape, self.base)
         if self.kind == "affine":
@@ -171,7 +165,7 @@ def _generations(pops, background: BackgroundFitness, n_steps: int, sample_every
     plan = [(p, pop.payoffs.tolist(), scalar_link(pop.f, pop.hull),
              not hull_inside(pop.f, pop.hull), opp)
             for p, (pop, opp) in enumerate(zip(pops, (0,) if len(pops) == 1 else (1, 0)))]
-    value, log1p, exp, log = background.value, math.log1p, math.exp, math.log
+    log1p, exp, log = math.log1p, math.exp, math.log
     zs = [pop.z for pop in pops]
     es = [list(map(exp, z)) for z in zs]
     sums, logs = [sum(e) for e in es], [0.0] * len(pops)
@@ -179,7 +173,8 @@ def _generations(pops, background: BackgroundFitness, n_steps: int, sample_every
     counts = _sample_counts(n_steps, sample_every).tolist()
     samples, max_drift = [list(zs)], 0.0
     for k0, k1 in zip(counts, counts[1:]):
-        for k in range(k0, k1):
+        backgrounds = background.values(np.arange(k0, k1, dtype=float)).tolist()
+        for k, C in zip(range(k0, k1), backgrounds):
             for p, rows, link, checked, opp in plan:
                 y, sy = es[opp], sums[opp]
                 g = [link(sum(map(mul, row, y)) / sy) for row in rows]
@@ -187,7 +182,6 @@ def _generations(pops, background: BackgroundFitness, n_steps: int, sample_every
                 if checked and gbar != gbar:
                     raise pops[p].domain_error([gi != gi for gi in g].index(True), float(k), k)
                 gs[p], gbars[p] = g, gbar
-            C = value(k)
             for pop, g in zip(pops, gs):
                 if not C + min(g) > 0.0:
                     i = next(i for i, gi in enumerate(g) if not C + gi > 0.0)

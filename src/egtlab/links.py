@@ -265,19 +265,18 @@ class DynamicsClass:
     second_diff_max: float
 
 
-def classify_link(f: LinkFunction, grid_points: int = 1001, tol: float | None = None,
+def classify_link(f: LinkFunction, tol: float | None = None,
                   interval=None) -> DynamicsClass:
-    """Sample the link on a uniform grid and read off monotonicity and curvature.
+    """Sample the link on a uniform grid of 1001 points and read off
+    monotonicity and curvature.
 
     tol is an absolute slack on the raw first/second differences; it defaults
     to 1e-9 times max(1, the sampled value scale).
     """
-    if grid_points < 5:
-        raise ValueError("classification needs at least 5 grid points")
     lo, hi = interval if interval is not None else f.domain
     if hi - lo < 1e-9:
         raise ValueError(f"interval [{lo!r}, {hi!r}] too small to classify on")
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, 1001)
     vals = eval_link(f, grid)
     if tol is None:
         tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
@@ -302,16 +301,16 @@ def classify_link(f: LinkFunction, grid_points: int = 1001, tol: float | None = 
                          float(d2.max()) if d2.size else 0.0)
 
 
-def discrete_effective_link(f: LinkFunction, background: float,
-                            grid_points: int = 1001) -> LinkFunction:
-    """The per-generation growth transform ln(background + f(u)) as a table link.
+def discrete_effective_link(f: LinkFunction, background: float) -> LinkFunction:
+    """The per-generation growth transform ln(background + f(u)) as a table
+    link on 1001 knots, exact at the knots and linear between them.
 
     The discrete ratio map with background fitness C multiplies frequencies by
     (C + f(u)) / (C + mean), so its log-scale behaviour is governed by this
     composition rather than by f itself.
     """
     lo, hi = f.domain
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, 1001)
     vals = background + eval_link(f, grid)
     if np.min(vals) <= 0.0:
         u_bad = grid[int(np.argmin(vals))]
@@ -334,7 +333,8 @@ def rps_direction(f: LinkFunction | None, a: float, b: float, c: float,
 
     - replicator:            a      vs (b + c) / 2
     - continuous-functional: f(a)   vs [f(b) + f(c)] / 2
-    - discrete-functional:   ln(background + f(.)) in place of f
+    - discrete-functional:   ln(background + f(.)) in place of f, taken
+      exactly at a, b and c (not through discrete_effective_link's table)
     """
     if not c < a < b:
         raise ValueError(f"cycle payoffs need c < a < b, got a={a!r} b={b!r} c={c!r}")
@@ -343,9 +343,13 @@ def rps_direction(f: LinkFunction | None, a: float, b: float, c: float,
     elif mode in ("continuous-functional", "discrete-functional"):
         if f is None:
             raise ValueError(f"mode {mode!r} needs a link function")
-        if mode == "discrete-functional":
-            f = discrete_effective_link(f, background)
         fa, fb, fc = (eval_link(f, v) for v in (a, b, c))
+        if mode == "discrete-functional":
+            for u, fu in zip((a, b, c), (fa, fb, fc)):
+                if background + fu <= 0.0:
+                    raise ValueError(
+                        f"background {background:g} leaves ln() undefined at payoff {u:g}")
+            fa, fb, fc = (math.log(background + fu) for fu in (fa, fb, fc))
         delta = fa - 0.5 * (fb + fc)
     else:
         raise ValueError(f"unknown direction mode {mode!r}")

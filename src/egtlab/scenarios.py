@@ -11,7 +11,9 @@ frozen certificate that holds only its free parameters: (a, b, eps) for the
 game, schedule and constants from them once, when built, and checks the
 inequality system that makes the example work, so holding an instance is
 proof the parameters are valid. The build_* functions only search for
-parameters; other values construct a certificate directly.
+parameters; other values construct a certificate directly. Both run one
+coarse-to-fine grid search, which evaluates a link once per axis value (and
+the 3x2 search once more per midpoint of a pair).
 
 The module also exposes the scenario catalog used by the command line: each
 runner executes a fixed experiment protocol and returns a JSON-ready report
@@ -31,9 +33,9 @@ from .discrete import affine_background, constant_background, geometric_backgrou
 from .dominance import find_dominator, strict_margin
 from .dynamics import GrowthRule, Schedule, integrate
 from .games import Game, game_to_dict, pure, uniform, validate_simplex
-from .links import (LinkFunction, classify_link, discrete_effective_link,
-                    domain_pad, eval_link, exp_link, linear_link, power_link,
-                    rps_direction, sqrt_link)
+from .links import (LinkFunction, classify_link, discrete_effective_link, eval_link,
+                    exp_link, hull_inside, linear_link, power_link, rps_direction,
+                    sqrt_link)
 
 _VARIANTS_3X2 = ("nonconvex", "nonconcave")
 _VARIANTS_4X4 = ("hofbauer-weibull", "dual")
@@ -47,10 +49,20 @@ def _check(ok: bool, message: str):
         raise ValueError(message)
 
 
-def _midpoint_gap(f: LinkFunction, a, b, sign: float):
-    """sign * (f(midpoint) - mean of endpoint values); positive = violation."""
-    return sign * (eval_link(f, 0.5 * (np.asarray(a) + np.asarray(b)))
-                   - 0.5 * (eval_link(f, a) + eval_link(f, b)))
+def _grid_search(slack, lo: float, hi: float, dims: int, coarse: int, fine: int):
+    """Argmax of slack over [lo, hi]^dims on coarse points per axis, then on
+    fine points per axis within one coarse step of the winner, clipped to the
+    box. slack gets sparse "ij" meshgrid axes, so a link applied to an axis
+    runs once per axis value. Returns (point, slack there)."""
+    h = (hi - lo) / (coarse - 1)
+    bounds = [(lo, hi)] * dims
+    for n in (coarse, fine):
+        grids = [np.linspace(l, u, n) for l, u in bounds]
+        values = slack(*np.meshgrid(*grids, indexing="ij", sparse=True))
+        idx = np.unravel_index(int(np.argmax(values)), values.shape)
+        point = [float(g[i]) for g, i in zip(grids, idx)]
+        bounds = [(max(lo, v - h), min(hi, v + h)) for v in point]
+    return point, float(values[idx])
 
 
 def _derive(con, **values):
@@ -124,7 +136,9 @@ def build_survival(f: LinkFunction, variant: str, search_box=None) -> SurvivalCo
     """Search (a, b) for the strongest curvature violation and construct on it.
 
     nonconvex wants f(midpoint) above the endpoint mean (impossible for convex
-    f), nonconcave the reverse. Half of the violation slack is spent on the
+    f), nonconcave the reverse. _grid_search maximizes it over pairs a < b on
+    201 then 201 points per axis, evaluating f on both axes and the 201 x 201
+    midpoints of each pass. Half of the violation slack is spent on the
     domination margin eps; the rest remains as the growth-rate gap alpha.
     """
     _check(variant in _VARIANTS_3X2, f"unknown construction variant {variant!r}")
@@ -139,20 +153,12 @@ def build_survival(f: LinkFunction, variant: str, search_box=None) -> SurvivalCo
             f"no {flag} violation of the link on [{lo:g}, {hi:g}]; "
             "the construction is impossible there")
 
-    def best_pair(alo, blo, ahi, bhi, n):
-        ga = np.linspace(alo, ahi, n)
-        gb = np.linspace(blo, bhi, n)
-        aa, bb = np.meshgrid(ga, gb, indexing="ij")
-        gap = _midpoint_gap(f, aa, bb, sign)
-        gap[bb <= aa + 1e-9 * (hi - lo)] = -np.inf
-        k = int(np.argmax(gap))
-        return float(aa.flat[k]), float(bb.flat[k]), float(gap.flat[k])
+    def slack(a, b):
+        gap = sign * (eval_link(f, 0.5 * (a + b)) - 0.5 * (eval_link(f, a) + eval_link(f, b)))
+        gap[b <= a + 1e-9 * (hi - lo)] = -np.inf
+        return gap
 
-    n = 201
-    a, b, gap = best_pair(lo, lo, hi, hi, n)
-    h = (hi - lo) / (n - 1)
-    a, b, gap = best_pair(max(lo, a - h), max(lo, b - h),
-                          min(hi, a + h), min(hi, b + h), n)
+    (a, b), gap = _grid_search(slack, lo, hi, 2, 201, 201)
     scale = max(1.0, float(np.abs(eval_link(f, np.linspace(lo, hi, 257))).max()))
     if gap <= 1e-9 * scale:
         raise ValueError(
@@ -225,8 +231,7 @@ class Rps4Construction:
         game = Game(rows)
         _derive(self, m=m, game=game)
         lo, hi = float(game.payoff.min()), float(game.payoff.max())
-        pad = domain_pad(f)
-        _check(f.domain[0] - pad <= lo and hi <= f.domain[1] + pad,
+        _check(hull_inside(f, (lo, hi)),
                f"assembled payoffs span [{lo:g}, {hi:g}], "
                f"outside the link domain [{f.domain[0]:g}, {f.domain[1]:g}]")
         got = rps_direction(f, a, b, c, mode="continuous-functional")
@@ -252,10 +257,10 @@ def build_rps4(f: LinkFunction, variant: str, search_box=None) -> Rps4Constructi
     ones, and construct on them.
 
     The inequality system couples the linear cycle direction (through the raw
-    payoffs) with the linked one (through f); a coarse grid over the box
-    picks the triple with the largest worst normalized slack, then a local
-    pass refines it. beta and gamma are 2% and 10% of the payoff spread,
-    beta clamped to keep the fourth strategy dominated in the
+    payoffs) with the linked one (through f). _grid_search picks the triple
+    with the largest worst normalized slack on 50 then 21 points per axis,
+    evaluating f on the three axes only. beta and gamma are 2% and 10% of the
+    payoff spread, beta clamped to keep the fourth strategy dominated in the
     hofbauer-weibull variant. Other parameters construct an Rps4Construction
     directly.
     """
@@ -265,9 +270,7 @@ def build_rps4(f: LinkFunction, variant: str, search_box=None) -> Rps4Constructi
     _check(lo < hi, f"empty search box [{lo!r}, {hi!r}]")
     want_outward = variant == "hofbauer-weibull"
 
-    def best_triple(bounds, n):
-        grids = [np.linspace(l, h, n) for l, h in bounds]
-        va, vb, vc = np.meshgrid(*grids, indexing="ij", sparse=True)
+    def slack(va, vb, vc):
         fa, fb, fc = eval_link(f, va), eval_link(f, vb), eval_link(f, vc)
         span = hi - lo
         f_span = max(abs(float(fa.max()) - float(fc.min())), 1e-30)
@@ -275,28 +278,20 @@ def build_rps4(f: LinkFunction, variant: str, search_box=None) -> Rps4Constructi
         linear = (0.5 * (vb + vc) - va) / span
         linked = (fa - 0.5 * (fb + fc)) / f_span
         if want_outward:
-            slack = np.minimum(np.minimum(order, linear), linked)
-        else:
-            # The raw-payoff rotation must leave the center, but only
-            # weakly: the stronger it is, the wider the attracting cycle
-            # and the deeper its swings toward the boundary. Confining
-            # a - (b+c)/2 to a narrow band keeps the cycle tight while
-            # the linked inequalities stay slack-maximized.
-            w_lo, w_hi = _DUAL_ROTATION_BAND
-            half = 0.5 * (w_hi - w_lo)
-            s_lo = (-linear - w_lo) / half
-            s_hi = (w_hi + linear) / half
-            slack = np.minimum(np.minimum(order, -linked),
-                               np.minimum(s_lo, s_hi))
-        k = int(np.argmax(slack))
-        idx = np.unravel_index(k, slack.shape)
-        return [float(g[i]) for g, i in zip(grids, idx)], float(slack.flat[k])
+            return np.minimum(np.minimum(order, linear), linked)
+        # The raw-payoff rotation must leave the center, but only weakly: the
+        # stronger it is, the wider the attracting cycle and the deeper its
+        # swings toward the boundary. Confining a - (b+c)/2 to a narrow band
+        # keeps the cycle tight while the linked inequalities stay
+        # slack-maximized.
+        w_lo, w_hi = _DUAL_ROTATION_BAND
+        half = 0.5 * (w_hi - w_lo)
+        s_lo = (-linear - w_lo) / half
+        s_hi = (w_hi + linear) / half
+        return np.minimum(np.minimum(order, -linked), np.minimum(s_lo, s_hi))
 
-    (a, b, c), slack = best_triple([(lo, hi)] * 3, 50)
-    h = (hi - lo) / 49.0
-    bounds = [(max(lo, v - h), min(hi, v + h)) for v in (a, b, c)]
-    (a, b, c), slack = best_triple(bounds, 21)
-    if slack <= 0.0:
+    (a, b, c), best = _grid_search(slack, lo, hi, 3, 50, 21)
+    if best <= 0.0:
         raise ValueError(
             f"no feasible cycle payoffs for variant {variant!r} on "
             f"[{lo:g}, {hi:g}]")
@@ -318,6 +313,10 @@ class BasinK:
 
     rho: float
     eps4: float
+
+    def __post_init__(self):
+        _check(0.0 < self.rho < 1.0 / 27.0, f"rho must be in (0, 1/27), got {self.rho!r}")
+        _check(0.0 < self.eps4 < 1.0, f"eps4 must be in (0, 1), got {self.eps4!r}")
 
     def contains(self, x) -> bool:
         xs = validate_simplex(x, what="state")
@@ -353,10 +352,6 @@ class BasinK:
 def dual_basin_k(con: Rps4Construction, rho: float, eps4: float) -> BasinK:
     if con.variant != "dual":
         raise ValueError("the trapping region applies to the dual construction")
-    if not 0.0 < rho < 1.0 / 27.0:
-        raise ValueError(f"rho must be in (0, 1/27), got {rho!r}")
-    if not 0.0 < eps4 < 1.0:
-        raise ValueError(f"eps4 must be in (0, 1), got {eps4!r}")
     return BasinK(rho, eps4)
 
 

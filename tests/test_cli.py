@@ -279,6 +279,14 @@ def test_rps_direction_modes(capsys):
     assert code == 0 and doc["raw"]["direction"] == "outward"
 
 
+def test_rps_direction_discrete_mode_is_exact_at_the_cycle_payoffs(capsys):
+    base = ["rps-direction", "--link", "linear:1,0@0.5,10", "--mode", "discrete"]
+    code, doc = run_json(capsys, base + ["--abc", "2,4,1"])
+    assert code == 0 and doc["raw"]["direction"] == "degenerate"
+    code, doc = run_json(capsys, base + ["--abc", "2,4,1.000001"])
+    assert code == 0 and doc["raw"]["direction"] == "inward"
+
+
 def test_scenario_success(capsys):
     code, doc = run_json(capsys, ["scenario", "background-schedules"])
     assert code == 0

@@ -38,6 +38,14 @@ def test_geometric_background_saturates_to_infinity():
     assert geo.value(2000) == math.inf
 
 
+@pytest.mark.parametrize("base, ratio", [(1.0, 2.0), (3.0, 2.0), (0.5, 1.01), (2.0, 0.9)])
+def test_background_value_is_values_at_one_generation(base, ratio):
+    # the stepper and the scripted map read the same C_n, to the bit
+    geo = geometric_background(base, ratio)
+    n = np.arange(1100)
+    assert [geo.value(k) for k in n.tolist()] == geo.values(n.astype(float)).tolist()
+
+
 def test_geometric_background_validation():
     with pytest.raises(ValueError):
         geometric_background(0.0, 2.0)

@@ -148,6 +148,26 @@ def test_cycle_direction_through_the_generation_map():
         "outward"
 
 
+def test_discrete_cycle_direction_is_exact_off_the_table_knots():
+    # the identity link on (0.5, 10) at background 0: ln is compared at a, b
+    # and c themselves, not on a 1001-knot table of it
+    f = linear_link(1.0, 0.0, (0.5, 10.0))
+    # a^2 = b c exactly, so ln a = (ln b + ln c) / 2
+    assert rps_direction(f, 2.0, 4.0, 1.0, mode="discrete-functional") == "degenerate"
+    # delta = -ln(1 + 1e-6) / 2, about -5.0e-7
+    assert rps_direction(f, 2.0, 4.0, 1.0 + 1e-6, mode="discrete-functional") == "inward"
+
+
+def test_discrete_cycle_direction_needs_the_log_only_at_the_cycle_payoffs():
+    f = linear_link(1.0, 0.0, (-5.0, 10.0))
+    # ln(0 + u) is undefined on part of the domain, but not at 2, 4 and 1
+    assert rps_direction(f, 2.0, 4.0, 1.0, mode="discrete-functional") == "degenerate"
+    with pytest.raises(ValueError, match="background 0 leaves ln\\(\\) undefined at payoff -2"):
+        rps_direction(f, 1.0, 2.0, -2.0, mode="discrete-functional")
+    with pytest.raises(ValueError, match="undefined at payoff 1"):
+        rps_direction(f, 2.0, 4.0, 1.0, mode="discrete-functional", background=-1.0)
+
+
 def test_cycle_direction_checks_the_ordering():
     with pytest.raises(ValueError, match="c < a < b"):
         rps_direction(None, 2.0, 1.0, 0.0)

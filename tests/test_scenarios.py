@@ -15,9 +15,9 @@ import pytest
 from egtlab import scenarios
 from egtlab.dominance import strict_margin
 from egtlab.games import Game, pure
-from egtlab.links import (discrete_effective_link, exp_link, linear_link, power_link,
-                          rps_direction, sqrt_link)
-from egtlab.scenarios import (SCENARIO_INTERVALS, SCENARIOS, Rps4Construction,
+from egtlab.links import (discrete_effective_link, exp_link, linear_link, log_link,
+                          power_link, rps_direction, sqrt_link)
+from egtlab.scenarios import (SCENARIO_INTERVALS, SCENARIOS, BasinK, Rps4Construction,
                               SurvivalConstruction, build_rps4,
                               build_survival, dual_basin_k, named_game,
                               run_background_schedules, run_background_threshold,
@@ -72,15 +72,26 @@ def link_calls(monkeypatch):
     return calls
 
 
-# (link, variant, (a, b, eps, alpha, Cf, T)): the values a bisection that
-# runs all its 200 halvings finds, to the bit
+# (link, variant, search box, (a, b, eps, alpha, Cf, T)): what the grid search
+# and a bisection that runs all its 200 halvings find, to the bit
 SEARCHES = {
-    "sqrt-nonconvex": (sqrt_link((1.0, 9.0)), "nonconvex",
+    "sqrt-nonconvex": (sqrt_link((1.0, 9.0)), "nonconvex", None,
                        (1.0, 9.0, 0.49999999999999933, 0.12132034355964283, 3.0, 59)),
-    "power-nonconcave": (power_link(2.0, (0.0, 3.0)), "nonconcave",
+    "sqrt-boxed-nonconvex": (sqrt_link((1.0, 9.0)), "nonconvex", (1.0, 4.0),
+                             (1.0, 4.0, 0.12499999999999988, 0.041103500742244004,
+                              2.0, 123)),
+    "power-symmetric-nonconcave": (power_link(2.0, (-3.0, 3.0)), "nonconcave", None,
+                                   (-3.0, 3.0, 1.4999999999999998, 6.75, 9.0, 4)),
+    "power-nonconcave": (power_link(2.0, (0.0, 3.0)), "nonconcave", None,
                          (0.0, 3.0, 0.31066017177982125, 1.2215097423302685, 9.0, 17)),
+    "exp-nonconcave": (exp_link(1.0, (0.0, 2.5)), "nonconcave", None,
+                       (0.0, 2.5, 0.317871276866302, 1.7948199269335037,
+                        12.182493960703473, 16)),
+    "log-nonconvex": (log_link((0.2, 1.5)), "nonconvex", None,
+                      (0.2, 1.5, 0.1511387212474169, 0.24368338899930458,
+                       1.6094379124341003, 19)),
     "table-nonconvex": (discrete_effective_link(linear_link(1.0, 0.0, (1.0, 15.0)), 0.0),
-                        "nonconvex",
+                        "nonconvex", None,
                         (1.0, 15.0, 2.0635062061052096, 0.4270929243985917,
                          2.70805020110221, 17)),
 }
@@ -88,10 +99,40 @@ SEARCHES = {
 
 @pytest.mark.parametrize("case", SEARCHES)
 def test_survival_search_stays_within_its_work_budget(case, link_calls):
-    f, variant, want = SEARCHES[case]
-    con = build_survival(f, variant)
+    f, variant, box, want = SEARCHES[case]
+    con = build_survival(f, variant, box)
     assert (con.a, con.b, con.eps, con.alpha, con.Cf, con.T) == want
     assert len(link_calls) <= 80
+
+
+def test_survival_search_evaluates_the_link_on_axes(monkeypatch):
+    # per pass: 201 a values, 201 b values and the 201 x 201 midpoints, not
+    # three 201 x 201 grids
+    points, real = [], scenarios.eval_link
+
+    def counting(f, u):
+        points.append(np.size(u))
+        return real(f, u)
+
+    monkeypatch.setattr(scenarios, "eval_link", counting)
+    build_survival(sqrt_link((1.0, 9.0)), "nonconvex")
+    assert sum(points) < 100_000
+
+
+def test_grid_search_refines_around_the_coarse_winner():
+    shapes = []
+
+    def slack(x, y):
+        shapes.append((x.shape, y.shape))
+        return -((x - 0.3) ** 2) - (y - 1.0) ** 2
+
+    (x, y), best = scenarios._grid_search(slack, 0.0, 1.0, 2, 11, 21)
+    # sparse axes, the coarse pass over the box, then the fine one
+    assert shapes == [((11, 1), (1, 11)), ((21, 1), (1, 21))]
+    # the fine pass spans [0.2, 0.4] around x = 0.3 and is clipped to [0.9, 1]
+    # around y = 1, so it lands on both again, now to the fine step
+    assert abs(x - 0.3) < 1e-12 and y == 1.0
+    assert best == slack(np.array(x), np.array(y))
 
 
 def test_background_threshold_evaluates_the_rule_link_three_times(link_calls):
@@ -113,11 +154,6 @@ def test_background_threshold_needs_a_rule_the_background_can_flatten():
     # u^(1/4) keeps 2 g_M above g_T + g_B: M gains at every background
     with pytest.raises(ValueError, match="no finite background threshold"):
         run_background_threshold(power_link(0.25, (1.0, 15.0)))
-
-
-def test_survival_search_box_restricts_the_pair():
-    con = build_survival(sqrt_link((1.0, 9.0)), "nonconvex", search_box=(1.0, 4.0))
-    assert (con.a, con.b) == (1.0, 4.0)
 
 
 def test_survival_rejects_links_without_the_violation():
@@ -350,6 +386,14 @@ def test_basin_validation():
     hw = build_rps4(sqrt_link((0.0, 20.0)), "hofbauer-weibull", (0.01, 20.0))
     with pytest.raises(ValueError, match="dual"):
         dual_basin_k(hw, 0.01, 0.04)
+
+
+@pytest.mark.parametrize("rho, eps4, field", [
+    (0.5, 0.04, "rho"), (0.0, 0.04, "rho"), (0.01, -0.1, "eps4"), (0.01, 1.0, "eps4")])
+def test_basin_checks_its_own_ranges(rho, eps4, field):
+    # a wedge outside them samples the centre or a negative x4
+    with pytest.raises(ValueError, match=field):
+        BasinK(rho, eps4)
 
 
 def test_basin_sample_sits_on_the_wedge_midline():
