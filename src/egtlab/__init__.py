@@ -11,19 +11,17 @@ counterexample constructions.
 
 from .diagnostics import (Verdict, elimination_metrics, least_squares_slope,
                           log_min_support, log_mixture_mass, periodic_floor,
-                          taylor_sign_check, verdict, w_rate, w_series)
+                          taylor_sign_check, verdict, w_series)
 from .discrete import (BackgroundFitness, affine_background,
-                       constant_background, discrete_w_increment,
-                       geometric_background, iterate, step)
+                       constant_background, geometric_background, iterate)
 from .dominance import (DominanceResult, EliminationTrace, find_dominator,
                         is_mixed_iteratively_dominated, iterate_elimination,
                         strict_margin)
 from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule,
-                       Trajectory, eval_schedule, integrate, mean_payoff,
-                       vector_field, write_trajectory_csv)
+                       Trajectory, eval_schedule, integrate, write_trajectory_csv)
 from .games import (Game, MixedStrategy, SimplexError, as_strategy,
-                    game_from_dict, game_to_dict, load_game, payoff_mixed,
-                    payoff_pure, pure, save_game, uniform, validate_simplex)
+                    game_from_dict, game_to_dict, load_game, payoff_mixed, pure,
+                    save_game, uniform, validate_simplex)
 from .links import (DomainError, DynamicsClass, LinkFunction, classify_link,
                     discrete_effective_link, eval_link, exp_link, linear_link,
                     log_link, parse_link, power_link, rps_direction, sqrt_link,

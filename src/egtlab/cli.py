@@ -52,6 +52,16 @@ def _section(entry, path: str):
     return entry
 
 
+def _known(entry: dict, path: str, keys) -> dict:
+    """entry, refusing any key outside keys, which simulate would otherwise
+    ignore; path names the object ("" at the top level)."""
+    for key in entry:
+        if key not in keys:
+            _fail(f"config field {path}{'.' if path else ''}{key} is unknown; "
+                  f"{path or 'the config'} takes {', '.join(keys)}")
+    return entry
+
+
 def _number(integ: dict, key: str, default: float) -> float:
     """A JSON number from the integrator section, as a float."""
     value = integ.get(key, default)
@@ -81,6 +91,16 @@ def _floats(text: str, what: str, count: int | None = None) -> list:
 
 # ---------------------------------------------------------------------------
 # Config assembly
+
+# The fields simulate reads, per object; any other field is refused. The
+# top level takes "background" in discrete mode only.
+_TOP_KEYS = ("game", "mode", "rule", "opponent", "x0", "targets", "integrator", "output")
+_INTEGRATOR_KEYS = {"continuous": ("t_max", "dt", "sample_every"),
+                    "discrete": ("n_max", "sample_every")}
+_OPPONENT_KEYS = {"self-play": ("mode",), "scripted": ("mode", "schedule"),
+                  "coupled": ("mode", "game", "rule", "y0")}
+_BACKGROUND_KEYS = {"constant": ("kind", "c0"), "affine": ("kind", "c0", "c1"),
+                    "geometric": ("kind", "c0", "ratio")}
 
 
 def _load_config(path) -> dict:
@@ -124,7 +144,9 @@ def _parse_link_cfg(entry, game: Game, path: str):
         return parse_link(entry, domain=hull)
     family = str(_req(entry, "family", path))
     if family == "table":
+        _known(entry, path, ("family", "xs", "ys"))
         return table_link(_req(entry, "xs", path), _req(entry, "ys", path))
+    _known(entry, path, ("family", "params", "domain"))
     domain = tuple(entry["domain"]) if "domain" in entry else hull
     try:
         return make_link(family, entry.get("params") or (), domain)
@@ -143,8 +165,10 @@ def _parse_rule(entry, game: Game, path: str) -> GrowthRule:
     else:
         _fail(f"config field {path}.kind must be 'replicator' or "
               f"'payoff-functional', got {kind!r}")
+    _known(entry, path, ("kind", "speed") if link is None else ("kind", "link", "speed"))
     speed = entry.get("speed")
     if isinstance(speed, dict):
+        _known(speed, f"{path}.speed", ("xs", "ys"))
         speed = table_link(_req(speed, "xs", f"{path}.speed"),
                            _req(speed, "ys", f"{path}.speed"))
     try:
@@ -159,36 +183,37 @@ def _parse_opponent(entry, game: Game):
     if isinstance(entry, str):
         entry = {"mode": entry}
     mode = _section(entry, "opponent").get("mode", "self-play")
+    keys = _OPPONENT_KEYS.get(mode)
+    if keys is None:
+        _fail(f"config field opponent.mode names an unknown mode {mode!r}")
+    _known(entry, "opponent", keys)
     if mode == "self-play":
         return None
     if mode == "scripted":
         sc = _req(entry, "schedule", "opponent")
+        _known(sc, "opponent.schedule", ("period", "times", "values"))
         return Schedule(float(_req(sc, "period", "opponent.schedule")),
                         _req(sc, "times", "opponent.schedule"),
                         _req(sc, "values", "opponent.schedule"))
-    if mode == "coupled":
-        opp_game = _parse_game(_req(entry, "game", "opponent"), "opponent.game")
-        opp_rule = _parse_rule(entry.get("rule"), opp_game, "opponent.rule")
-        return Coupled(opp_game, opp_rule, _req(entry, "y0", "opponent"))
-    _fail(f"config field opponent.mode names an unknown mode {mode!r}")
+    opp_game = _parse_game(_req(entry, "game", "opponent"), "opponent.game")
+    opp_rule = _parse_rule(entry.get("rule"), opp_game, "opponent.rule")
+    return Coupled(opp_game, opp_rule, _req(entry, "y0", "opponent"))
 
 
 def _parse_background(entry) -> BackgroundFitness:
     if _section(entry, "background") is None:
         return constant_background(0.0)
     kind = entry.get("kind", "constant")
+    keys = _BACKGROUND_KEYS.get(kind)
+    if keys is None:
+        _fail(f"config field background.kind names an unknown kind {kind!r}")
+    _known(entry, "background", keys)
     if kind == "constant":
-        return constant_background(float(entry.get("c0", entry.get("c", 0.0))))
+        return constant_background(float(entry.get("c0", 0.0)))
+    base = float(_req(entry, "c0", "background"))
     if kind == "affine":
-        return affine_background(float(_req(entry, "c0", "background")),
-                                 float(_req(entry, "c1", "background")))
-    if kind == "geometric":
-        ratio = entry.get("ratio", entry.get("c1"))
-        if ratio is None:
-            _fail("config field background.ratio is missing")
-        return geometric_background(float(_req(entry, "c0", "background")),
-                                    float(ratio))
-    _fail(f"config field background.kind names an unknown kind {kind!r}")
+        return affine_background(base, float(_req(entry, "c1", "background")))
+    return geometric_background(base, float(_req(entry, "ratio", "background")))
 
 
 def _parse_targets(entries, game: Game):
@@ -196,6 +221,7 @@ def _parse_targets(entries, game: Game):
     for k, entry in enumerate(entries or []):
         p = np.asarray(_req(entry, "p", f"targets[{k}]"), dtype=float)
         q = np.asarray(_req(entry, "q", f"targets[{k}]"), dtype=float)
+        _known(entry, f"targets[{k}]", ("p", "q"))
         for name, vec in (("p", p), ("q", q)):
             if vec.shape != (game.n_rows,):
                 _fail(f"config field targets[{k}].{name} needs "
@@ -238,8 +264,12 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     game = _parse_game(_req(cfg, "game", "config"), "game")
     mode = cfg.get("mode", "continuous")
-    if mode not in ("continuous", "discrete"):
+    if mode not in _INTEGRATOR_KEYS:
         _fail(f"config field mode must be 'continuous' or 'discrete', got {mode!r}")
+    _known(cfg, "", _TOP_KEYS + (("background",) if mode == "discrete" else ()))
+    for attr in ("t_max", "dt", "n_max"):
+        if getattr(args, attr) is not None and attr not in _INTEGRATOR_KEYS[mode]:
+            _fail(f"simulate in {mode} mode does not take --{attr.replace('_', '-')}")
     rule = _parse_rule(cfg.get("rule"), game, "rule")
     opponent = _parse_opponent(cfg.get("opponent"), game)
     x0 = cfg.get("x0")
@@ -247,8 +277,9 @@ def cmd_simulate(args) -> int:
         x0 = np.full(game.n_rows, 1.0 / game.n_rows)
     targets = _parse_targets(cfg.get("targets"), game)
 
-    integ = _section(cfg.get("integrator"), "integrator") or {}
-    output = _section(cfg.get("output"), "output") or {}
+    integ = _known(_section(cfg.get("integrator"), "integrator") or {}, "integrator",
+                   _INTEGRATOR_KEYS[mode])
+    output = _known(_section(cfg.get("output"), "output") or {}, "output", ("traj", "report"))
     sample_every = _count(integ, "sample_every", 100)
     if mode == "continuous":
         t_max = args.t_max if args.t_max is not None else _number(integ, "t_max", 200.0)

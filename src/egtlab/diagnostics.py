@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GrowthRule, Trajectory, vector_field
+from .dynamics import GrowthRule, Trajectory, _log_field, _Population
 from .games import Game, validate_simplex
-from .links import LinkFunction, array_link, eval_link
 
 
 def _coeffs(p, q, n: int) -> np.ndarray:
@@ -38,23 +37,6 @@ def w_series(traj: Trajectory, p, q) -> np.ndarray:
     mask = c != 0.0
     with np.errstate(invalid="ignore"):
         return logs[:, mask] @ c[mask]
-
-
-def w_rate(rule: GrowthRule | None, game: Game, x, p, q, y=None) -> float:
-    """Instantaneous dw/dt at state x: the linked payoff of p minus that of q."""
-    rule = rule or GrowthRule()
-    x = np.asarray(x, dtype=float)
-    y = x if y is None else np.asarray(y, dtype=float)
-    c = _coeffs(p, q, game.n_rows)
-    f = rule.effective_link
-    u = game.payoff @ y
-    rate = sum(ci * eval_link(f, ui) for ci, ui in zip(c, u) if ci != 0.0)
-    lam = 1.0
-    if isinstance(rule.speed, float):
-        lam = rule.speed
-    elif isinstance(rule.speed, LinkFunction):
-        lam = eval_link(rule.speed, float(x @ u))
-    return lam * rate
 
 
 def _weights(logs, q) -> np.ndarray:
@@ -169,10 +151,12 @@ def taylor_sign_check(rule: GrowthRule | None, game: Game,
 
     The game must be the 3x3 cycle with rows (a,c,b),(b,a,c),(c,b,a), c<a<b.
     Perturbations h with sum 0 and ||h|| <= radius are drawn around the
-    barycenter; the drift sum_i xdot_i/x_i is evaluated from the vector
-    field. The product peaks at the barycenter, so a fraction of 1.0 means
-    the nearby flow spirals outward on essentially every draw, while an
-    attracting center yields 0.0. Exact-zero drifts are not counted.
+    barycenter; the drift sum_i xdot_i/x_i is the row sum of the flow's own
+    log field (dynamics._log_field). The product peaks at the barycenter, so
+    a fraction of 1.0 means the nearby flow spirals outward on essentially
+    every draw, while an attracting center yields 0.0. Exact-zero drifts are
+    not counted. A payoff outside the link's domain, or a speed factor that
+    is not positive, raises the field's IntegrationError.
     """
     A = game.payoff
     if A.shape != (3, 3):
@@ -208,14 +192,11 @@ def taylor_sign_check(rule: GrowthRule | None, game: Game,
 
 
 def _drifts(rule: GrowthRule, game: Game, X) -> np.ndarray:
-    """sum_i xdot_i / x_i of vector_field at each row of X (every x_i > 0);
-    a row where the field fails goes through vector_field, which raises."""
-    U = X @ game.payoff.T
-    G = array_link(rule.effective_link)(U)
-    lam = np.full(len(X), rule.speed if isinstance(rule.speed, float) else 1.0)
-    if isinstance(rule.speed, LinkFunction):
-        lam = array_link(rule.speed)((X * U).sum(axis=1))
-    D = (lam[:, None] * X * (G - (X * G).sum(axis=1, keepdims=True)) / X).sum(axis=1)
-    for b in np.flatnonzero(np.isnan(D) | ~(lam > 0.0)):
-        D[b] = float(np.sum(vector_field(rule, game, X[b]) / X[b]))
-    return D
+    """sum_i xdot_i / x_i at each row of X (every x_i > 0): the row sums of
+    the flow's own field over one self-play population, at log X. A row where
+    the field fails raises its IntegrationError, whose member is that row."""
+    n = game.n_rows
+    pop = _Population(np.zeros(n), game.payoff, np.arange(n), rule.effective_link,
+                      "strategy {}")
+    field, _ = _log_field([pop], lambda t, xs: xs, rule.speed)
+    return field(0.0, np.log(X), 0.0, 0).sum(axis=1)

@@ -41,8 +41,8 @@ import numpy as np
 from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, Trajectory,
                        _check_count, _fold, _normalize, _sample_counts, _setup,
                        _trajectory, eval_schedule)
-from .games import Game, validate_simplex
-from .links import array_link, eval_link, hull_inside, scalar_link
+from .games import Game
+from .links import array_link, hull_inside, scalar_link
 
 _KINDS = ("constant", "affine", "geometric")
 # Generations per block of the scripted map: enough to amortise the NumPy
@@ -104,54 +104,6 @@ def affine_background(base: float, slope: float) -> BackgroundFitness:
 
 def geometric_background(base: float, ratio: float) -> BackgroundFitness:
     return BackgroundFitness("geometric", base, ratio)
-
-
-def step(rule: GrowthRule | None, game: Game, x, y=None,
-         C: float = 0.0) -> np.ndarray:
-    """One generation in plain frequency space (reference path, not the stepper)."""
-    rule = rule or GrowthRule()
-    x = np.asarray(x, dtype=float)
-    y = x if y is None else np.asarray(y, dtype=float)
-    f = rule.effective_link
-    u = game.payoff @ y
-    g = np.array([eval_link(f, ui) if xi > 0 else 0.0 for ui, xi in zip(u, x)])
-    C = float(C)
-    for i in np.flatnonzero(x > 0):
-        if C + g[i] <= 0.0:
-            raise ValueError(
-                f"background {C:g} plus growth rate {g[i]:g} is not positive "
-                f"(strategy {int(i)})")
-    gbar = float(x @ g)
-    return x * (C + g) / (C + gbar)
-
-
-def discrete_w_increment(rule: GrowthRule | None, game: Game, x, y, C: float,
-                         p, q) -> float:
-    """Exact one-generation change of w = sum (p_i - q_i) ln x_i under the map.
-
-    Written as differences of log1p((g_i - gbar) / (C + gbar)), which stays
-    finite and exact even when C saturates to +inf (the increment is then 0).
-    """
-    rule = rule or GrowthRule()
-    x = np.asarray(x, dtype=float)
-    y = x if y is None else np.asarray(y, dtype=float)
-    pw = validate_simplex(p, what="p").weights
-    qw = validate_simplex(q, what="q").weights
-    if pw.shape != (game.n_rows,) or qw.shape != (game.n_rows,):
-        raise ValueError(f"p and q must have length {game.n_rows}")
-    f = rule.effective_link
-    u = game.payoff @ y
-    g = np.array([eval_link(f, ui) for ui in u])
-    gbar = float(x @ g)
-    C = float(C)
-    denom = C + gbar
-    if not denom > 0.0:
-        raise ValueError(f"background {C:g} plus mean growth {gbar:g} is not positive")
-    total = 0.0
-    for ci, gi in zip(pw - qw, g):
-        if ci != 0.0:
-            total += ci * math.log1p((gi - gbar) / denom)
-    return total
 
 
 def _generations(pops, background: BackgroundFitness, n_steps: int, sample_every: int):

@@ -59,9 +59,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import Game, payoff_mixed, validate_simplex
+from .games import Game, validate_simplex
 from .links import (LinkFunction, _eval_unchecked, _integral_unchecked, array_link,
-                    domain_pad, eval_link, hull_inside, linear_link)
+                    domain_pad, hull_inside, linear_link)
 
 _REPLICATOR = linear_link(1.0, 0.0)
 
@@ -364,24 +364,6 @@ class Trajectory:
                 f"{what} reads a single run, got a batch of {self.log_states.shape[1]} runs; "
                 "take run k with Trajectory.member(k)")
         return self.log_states
-
-
-def vector_field(rule: GrowthRule, game: Game, x, y=None) -> np.ndarray:
-    """Reference right-hand side in frequency space (not used by the integrator)."""
-    x = np.asarray(x, dtype=float)
-    y = x if y is None else np.asarray(y, dtype=float)
-    f = rule.effective_link
-    u = game.payoff @ y
-    g = np.array([eval_link(f, ui) if xi > 0 else 0.0 for ui, xi in zip(u, x)])
-    gbar = float(x @ g)
-    lam = 1.0
-    if isinstance(rule.speed, float):
-        lam = rule.speed
-    elif isinstance(rule.speed, LinkFunction):
-        lam = eval_link(rule.speed, float(x @ u))
-        if lam <= 0:
-            raise IntegrationError(f"speed factor {lam:g} is not positive")
-    return lam * x * (g - gbar)
 
 
 def _log_state(x0, n, what) -> np.ndarray:
@@ -876,12 +858,6 @@ def integrate(rule: GrowthRule, game: Game, x0,
             "sample_every": sample_every, "opponent": label,
             "rule": rule.label, "game": game.digest()}
     return _trajectory(pops, opponent, times, samples, meta)
-
-
-def mean_payoff(game: Game, x, y=None) -> float:
-    """Population-average payoff, against itself unless y is given."""
-    x = np.asarray(x, dtype=float)
-    return payoff_mixed(game, x, x if y is None else y)
 
 
 def write_trajectory_csv(traj: Trajectory, path, extras=None) -> None:

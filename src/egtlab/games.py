@@ -142,16 +142,6 @@ class Game:
         return f"Game({self.payoff.tolist()})"
 
 
-def payoff_pure(game: Game, i: int, y) -> float:
-    """Expected payoff of the focal pure strategy i against opponent mixture y."""
-    if not 0 <= i < game.n_rows:
-        raise ValueError(f"row index {i} out of range for {game.n_rows} rows")
-    ys = as_strategy(y)
-    if len(ys) != game.n_cols:
-        raise ValueError(f"opponent mixture has {len(ys)} weights, game has {game.n_cols} columns")
-    return float(game.payoff[i] @ ys.weights)
-
-
 def payoff_mixed(game: Game, p, y) -> float:
     """Expected payoff of focal mixture p against opponent mixture y (bilinear)."""
     ps = as_strategy(p)

@@ -200,6 +200,23 @@ def hull_inside(f: LinkFunction, hull) -> bool:
     return lo - pad <= hull[0] and hull[1] <= hi + pad
 
 
+def increasing_on(f: LinkFunction, lo: float, hi: float) -> bool:
+    """True when f is strictly increasing on [lo, hi], read exactly from its
+    family: a positive slope (linear) or rate (exponential); sqrt and
+    logarithm always; a positive exponent with lo >= 0 or an odd integer
+    one (power); rising knot values on every knot segment that meets
+    (lo, hi) (table)."""
+    if f.family == "table":
+        meets = (f.knots_x[:-1] < hi) & (f.knots_x[1:] > lo)
+        return bool(np.all(np.diff(f.knots_y)[meets] > 0.0))
+    if f.family in ("sqrt", "logarithm"):
+        return True
+    p = f.params[0]
+    if f.family == "power":
+        return p > 0.0 and (lo >= 0.0 or (p.is_integer() and p % 2 == 1))
+    return p > 0.0
+
+
 def scalar_link(f: LinkFunction, within=None):
     """Per-float evaluator of f for the float map: nan outside the padded
     domain, otherwise f at the argument clamped to the domain; only the

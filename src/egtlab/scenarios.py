@@ -34,8 +34,8 @@ from .dominance import find_dominator, strict_margin
 from .dynamics import GrowthRule, Schedule, integrate
 from .games import Game, game_to_dict, pure, uniform, validate_simplex
 from .links import (LinkFunction, classify_link, discrete_effective_link, eval_link,
-                    exp_link, hull_inside, linear_link, power_link, rps_direction,
-                    sqrt_link)
+                    exp_link, hull_inside, increasing_on, linear_link, power_link,
+                    rps_direction, sqrt_link)
 
 _VARIANTS_3X2 = ("nonconvex", "nonconcave")
 _VARIANTS_4X4 = ("hofbauer-weibull", "dual")
@@ -234,6 +234,8 @@ class Rps4Construction:
         _check(hull_inside(f, (lo, hi)),
                f"assembled payoffs span [{lo:g}, {hi:g}], "
                f"outside the link domain [{f.domain[0]:g}, {f.domain[1]:g}]")
+        _check(increasing_on(f, lo, hi),
+               f"link is not increasing on the assembled payoffs [{lo:g}, {hi:g}]")
         got = rps_direction(f, a, b, c, mode="continuous-functional")
         _check(got == direction,
                f"link turns the core {got}, construction needs {direction}")
@@ -304,11 +306,15 @@ def build_rps4(f: LinkFunction, variant: str, search_box=None) -> Rps4Constructi
 
 @dataclass(frozen=True)
 class BasinK:
-    """The wedge {x in S4 : x1 x2 x3 <= rho, x4 <= eps4}.
+    """The wedge {x in S4 : x1 x2 x3 <= rho, x4 <= eps4} that the dual runs
+    start in; sample draws its starts, on the wedge's midline.
 
-    Forward invariant for the dual construction once beta is small: inside
-    it the fourth strategy only loses ground, while the core product stays
-    trapped below rho.
+    The wedge is not forward invariant. At run_dual_4x4's defaults (rho =
+    0.01) each of the ten runs leaves it by t = 1.9, as the core product
+    climbs towards the core's attracting periodic orbit, where it peaks near
+    0.027, while x4 keeps falling (0.012 to 0.018 on leaving). Whether the
+    fourth strategy dies is decided by its transversal exponent along that
+    orbit, the period mean of f(m + beta) - gbar (see ROADMAP.md).
     """
 
     rho: float
@@ -351,7 +357,7 @@ class BasinK:
 
 def dual_basin_k(con: Rps4Construction, rho: float, eps4: float) -> BasinK:
     if con.variant != "dual":
-        raise ValueError("the trapping region applies to the dual construction")
+        raise ValueError("the starting wedge applies to the dual construction")
     return BasinK(rho, eps4)
 
 
@@ -568,7 +574,7 @@ def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,
 def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
                  dt: float = 1e-3, t_max: float = 300.0, n_seeds: int = 10,
                  eps4: float = 0.04, taylor_samples: int = 200):
-    """Dominating fourth strategy dies inside the wedge; the core cycle lives.
+    """Dominating fourth strategy dies from starts in the wedge; the core cycle lives.
 
     Every sampled start must eliminate strategy 4 while the core product
     x1 x2 x3 stays above 1e-3 over the last quarter; the near-center drift

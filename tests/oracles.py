@@ -1,10 +1,23 @@
-"""Brute-force reference computations, a plain simplex loop, seeded test
-games and SciPy quadrature of scripted flows, kept free of the package's LP
-code and integrators."""
+"""Independent references for the tests, kept free of the package's LP code
+and integrators (tests/test_imports.py checks what they import):
+
+- mixture_grid and grid_margin: brute-force dominance margins on a grid
+- planted_game: seeded games with a planted elimination chain
+- bland_iterate: a plain simplex loop
+- scripted_flow_logs: SciPy quadrature of a flow against a script
+- vector_field, step, discrete_w_increment and w_rate: the flow's right-hand
+  side, one generation of the ratio map, the map's exact change of w and the
+  flow's dw/dt, each in frequency space, one strategy at a time
+"""
 
 import itertools
+import math
 
 import numpy as np
+
+from egtlab.dynamics import GrowthRule, IntegrationError
+from egtlab.games import validate_simplex
+from egtlab.links import LinkFunction, eval_link
 
 
 def mixture_grid(n_strategies: int, max_denominator: int) -> np.ndarray:
@@ -87,8 +100,6 @@ def scripted_flow_logs(link, speed, payoff, schedule, x0, times) -> np.ndarray:
 
     from scipy.integrate import IntegrationWarning, quad
 
-    from egtlab.links import eval_link
-
     period, starts, rows = schedule.period, schedule.times, schedule.values
     ends = np.append(starts[1:], period)
     knots = np.append(starts, period)
@@ -122,3 +133,92 @@ def scripted_flow_logs(link, speed, payoff, schedule, x0, times) -> np.ndarray:
     z[:, support] = np.log(x0[support]) + speed * total[:, support]
     top = z.max(axis=1, keepdims=True)
     return z - (top + np.log(np.exp(z - top).sum(axis=1, keepdims=True)))
+
+
+def vector_field(rule: GrowthRule, game, x, y=None) -> np.ndarray:
+    """The flow's right-hand side lam x_i (f(u_i) - gbar) in frequency space,
+    u = A y, against itself unless y is given."""
+    x = np.asarray(x, dtype=float)
+    y = x if y is None else np.asarray(y, dtype=float)
+    f = rule.effective_link
+    u = game.payoff @ y
+    g = np.array([eval_link(f, ui) if xi > 0 else 0.0 for ui, xi in zip(u, x)])
+    gbar = float(x @ g)
+    lam = 1.0
+    if isinstance(rule.speed, float):
+        lam = rule.speed
+    elif isinstance(rule.speed, LinkFunction):
+        lam = eval_link(rule.speed, float(x @ u))
+        if lam <= 0:
+            raise IntegrationError(f"speed factor {lam:g} is not positive")
+    return lam * x * (g - gbar)
+
+
+def step(rule: GrowthRule | None, game, x, y=None, C: float = 0.0) -> np.ndarray:
+    """One generation of the ratio map x_i (C + g_i) / (C + gbar) in
+    frequency space; a numerator C + g_i <= 0 raises ValueError."""
+    rule = rule or GrowthRule()
+    x = np.asarray(x, dtype=float)
+    y = x if y is None else np.asarray(y, dtype=float)
+    f = rule.effective_link
+    u = game.payoff @ y
+    g = np.array([eval_link(f, ui) if xi > 0 else 0.0 for ui, xi in zip(u, x)])
+    C = float(C)
+    for i in np.flatnonzero(x > 0):
+        if C + g[i] <= 0.0:
+            raise ValueError(
+                f"background {C:g} plus growth rate {g[i]:g} is not positive "
+                f"(strategy {int(i)})")
+    gbar = float(x @ g)
+    return x * (C + g) / (C + gbar)
+
+
+def _coeffs(p, q, n: int) -> np.ndarray:
+    p = validate_simplex(p, what="p").weights
+    q = validate_simplex(q, what="q").weights
+    if p.shape != (n,) or q.shape != (n,):
+        raise ValueError(f"p and q must have length {n}")
+    return p - q
+
+
+def discrete_w_increment(rule: GrowthRule | None, game, x, y, C: float, p, q) -> float:
+    """Exact one-generation change of w = sum (p_i - q_i) ln x_i under the map.
+
+    Written as differences of log1p((g_i - gbar) / (C + gbar)), which stays
+    finite and exact even when C saturates to +inf (the increment is then 0).
+    """
+    rule = rule or GrowthRule()
+    x = np.asarray(x, dtype=float)
+    y = x if y is None else np.asarray(y, dtype=float)
+    c = _coeffs(p, q, game.n_rows)
+    f = rule.effective_link
+    u = game.payoff @ y
+    g = np.array([eval_link(f, ui) for ui in u])
+    gbar = float(x @ g)
+    C = float(C)
+    denom = C + gbar
+    if not denom > 0.0:
+        raise ValueError(f"background {C:g} plus mean growth {gbar:g} is not positive")
+    total = 0.0
+    for ci, gi in zip(c, g):
+        if ci != 0.0:
+            total += ci * math.log1p((gi - gbar) / denom)
+    return total
+
+
+def w_rate(rule: GrowthRule | None, game, x, p, q, y=None) -> float:
+    """The flow's dw/dt at state x: the linked payoff of p minus that of q,
+    times the speed factor."""
+    rule = rule or GrowthRule()
+    x = np.asarray(x, dtype=float)
+    y = x if y is None else np.asarray(y, dtype=float)
+    c = _coeffs(p, q, game.n_rows)
+    f = rule.effective_link
+    u = game.payoff @ y
+    rate = sum(ci * eval_link(f, ui) for ci, ui in zip(c, u) if ci != 0.0)
+    lam = 1.0
+    if isinstance(rule.speed, float):
+        lam = rule.speed
+    elif isinstance(rule.speed, LinkFunction):
+        lam = eval_link(rule.speed, float(x @ u))
+    return lam * rate

@@ -161,6 +161,79 @@ def test_simulate_times_must_be_json_numbers(tmp_path, capsys, key, value):
         capsys.readouterr().err
 
 
+SHORT = {"game": {"payoff": DISCUSSION_PAYOFF}, "integrator": {"t_max": 1.0}}
+MAP = {"mode": "discrete", "game": {"payoff": DISCUSSION_PAYOFF}, "integrator": {"n_max": 5}}
+SCRIPT = {"period": 2.0, "times": [0.0, 1.0], "values": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
+TARGET = {"p": [0.0, 0.0, 1.0], "q": [0.5, 0.5, 0.0]}
+PAIR = {"mode": "coupled", "game": {"payoff": DISCUSSION_PAYOFF}, "y0": [0.2, 0.3, 0.5]}
+# (config, the one field in it that simulate does not read)
+UNREAD = {
+    "top": ({**SHORT, "seed": 3}, "seed"),
+    "integrator": ({**SHORT, "integrator": {"tmax": 5}}, "integrator.tmax"),
+    "continuous-n-max": ({**SHORT, "integrator": {"t_max": 1.0, "n_max": 5}},
+                         "integrator.n_max"),
+    "discrete-t-max": ({**MAP, "integrator": {"n_max": 5, "t_max": 1.0}}, "integrator.t_max"),
+    "continuous-background": ({**SHORT, "background": {"kind": "constant", "c0": 1.0}},
+                              "background"),
+    "background": ({**MAP, "background": {"kind": "constant", "C": 50}}, "background.C"),
+    "constant-alias": ({**MAP, "background": {"kind": "constant", "c": 50}}, "background.c"),
+    "geometric-alias": ({**MAP, "background": {"kind": "geometric", "c0": 1.0, "c1": 2.0}},
+                        "background.c1"),
+    "rule": ({**SHORT, "rule": {"kind": "replicator", "sped": 2.0}}, "rule.sped"),
+    "replicator-link": ({**SHORT, "rule": {"kind": "replicator", "link": "sqrt"}}, "rule.link"),
+    "link": ({**SHORT, "rule": {"kind": "payoff-functional",
+                                "link": {"family": "exp", "rate": 2.0}}}, "rule.link.rate"),
+    "table-link": ({**SHORT, "rule": {"kind": "payoff-functional", "link": {
+        "family": "table", "xs": [0.0, 3.0], "ys": [0.0, 3.0], "domain": [0.0, 3.0]}}},
+        "rule.link.domain"),
+    "speed": ({**SHORT, "rule": {"speed": {"xs": [0.0, 3.0], "ys": [1.0, 2.0], "lo": 0.0}}},
+              "rule.speed.lo"),
+    "opponent": ({**SHORT, "opponent": {"mode": "self-play", "y0": [1.0, 0.0, 0.0]}},
+                 "opponent.y0"),
+    "schedule": ({**SHORT, "opponent": {"mode": "scripted", "schedule": {**SCRIPT, "phase": 1.0}}},
+                 "opponent.schedule.phase"),
+    "coupled-rule": ({**SHORT, "opponent": {**PAIR, "rule": {"knd": "replicator"}}},
+                     "opponent.rule.knd"),
+    "output": ({**SHORT, "output": {"trajectory": "t.csv"}}, "output.trajectory"),
+    "target": ({**SHORT, "targets": [TARGET, {**TARGET, "r": [1.0, 0.0, 0.0]}]}, "targets[1].r"),
+}
+
+
+@pytest.mark.parametrize("case", UNREAD)
+def test_simulate_refuses_fields_it_does_not_read(tmp_path, capsys, case):
+    cfg, field = UNREAD[case]
+    assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 1
+    assert f"config field {field} is unknown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    {**SHORT, "mode": "continuous", "x0": [0.4, 0.4, 0.2], "targets": [TARGET],
+     "rule": {"kind": "payoff-functional",
+              "link": {"family": "table", "xs": [0.0, 3.0], "ys": [0.0, 3.0]},
+              "speed": {"xs": [0.0, 3.0], "ys": [1.0, 2.0]}},
+     "opponent": {"mode": "scripted", "schedule": SCRIPT},
+     "integrator": {"t_max": 1.0, "dt": 0.1, "sample_every": 2}},
+    {**MAP, "x0": [0.4, 0.4, 0.2], "targets": [TARGET],
+     "rule": {"kind": "payoff-functional",
+              "link": {"family": "linear", "params": [1.0, 1.0], "domain": [0.0, 3.0]}},
+     "opponent": {**PAIR, "rule": {"kind": "replicator"}},
+     "background": {"kind": "affine", "c0": 1.0, "c1": 0.5},
+     "integrator": {"n_max": 5, "sample_every": 2}},
+], ids=["continuous", "discrete"])
+def test_simulate_reads_every_field_it_takes(tmp_path, cfg):
+    cfg = {**cfg, "output": {"report": str(tmp_path / "r.json"), "traj": str(tmp_path / "t.csv")}}
+    assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 0
+    assert (tmp_path / "r.json").exists() and (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("cfg, flag", [(SHORT, "--n-max"), (MAP, "--t-max"), (MAP, "--dt")],
+                         ids=["continuous-n-max", "discrete-t-max", "discrete-dt"])
+def test_simulate_refuses_flags_of_the_other_mode(tmp_path, capsys, cfg, flag):
+    assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg), flag, "3"]) == 1
+    mode = cfg.get("mode", "continuous")
+    assert f"simulate in {mode} mode does not take {flag}" in capsys.readouterr().err
+
+
 SEED_HELP = {
     "scenario": "recorded in the report; seeds the random starts and samples of hw-4x4 "
                 "and dual-4x4",

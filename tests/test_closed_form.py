@@ -3,8 +3,8 @@
 Scripted flows with a state-free speed are integrated exactly; they are
 compared with SciPy's quad (tests/oracles.py), with the RK4 stepper that
 method="rk4" runs on them, and with themselves on other dt grids.
-Scripted generation maps are compared with repeated discrete.step, and
-the one-period fold with the block loop.
+Scripted generation maps are compared with repeated generations of the
+reference map oracles.step, and the one-period fold with the block loop.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 import oracles
 from egtlab import discrete
 from egtlab.discrete import (BackgroundFitness, affine_background, constant_background,
-                             geometric_background, iterate, step)
+                             geometric_background, iterate)
 from egtlab.dynamics import (GrowthRule, IntegrationError, Schedule,
                              _schedule_fn, eval_schedule, integrate)
 from egtlab.games import Game
@@ -185,10 +185,10 @@ def test_schedule_evaluates_bit_for_bit_like_the_stepper():
 
 
 def repeated_steps(rule, game, x0, script, background, n):
-    """Frequencies after each of n generations of discrete.step."""
+    """Frequencies after each of n generations of oracles.step."""
     x, out = np.asarray(x0, dtype=float), []
     for k in range(n):
-        x = step(rule, game, x, eval_schedule(script, k), C=background.value(k))
+        x = oracles.step(rule, game, x, eval_schedule(script, k), C=background.value(k))
         out.append(x)
     return np.array(out)
 
@@ -359,7 +359,7 @@ def test_closed_form_map_domain_failure_wins_over_the_numerator():
     script = Schedule(2.0, [0.0], [[1.0, 0.0]])
     rule = GrowthRule(linear_link(1.0, 0.0, (0.0, 2.0)))
     with pytest.raises(DomainError):
-        step(rule, game, (0.5, 0.5), (1.0, 0.0), C=-1.0)
+        oracles.step(rule, game, (0.5, 0.5), (1.0, 0.0), C=-1.0)
     with pytest.raises(IntegrationError, match=r"link domain near t=0 \(strategy 0\)"):
         iterate(rule, game, (0.5, 0.5), opponent=script, n_max=5,
                 background=constant_background(-1.0))

@@ -7,12 +7,12 @@ import pytest
 
 from egtlab.diagnostics import (elimination_metrics, least_squares_slope,
                                 log_min_support, log_mixture_mass, periodic_floor,
-                                taylor_sign_check, verdict, w_rate, w_series)
-from egtlab.dynamics import (GrowthRule, IntegrationError, Trajectory, integrate,
-                             vector_field)
+                                taylor_sign_check, verdict, w_series)
+from egtlab.dynamics import GrowthRule, IntegrationError, Trajectory, integrate
 from egtlab.games import Game, pure, uniform
-from egtlab.links import exp_link, linear_link
+from egtlab.links import DomainError, exp_link, linear_link, sqrt_link
 from egtlab.scenarios import build_rps4
+from oracles import vector_field, w_rate
 
 DISCUSSION = Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]])
 GAP_GAME = Game([[1.0, 1.0], [0.0, 0.0]])
@@ -167,27 +167,30 @@ def test_cycle_probe_keeps_its_sign_under_a_monotone_link():
     assert taylor_sign_check(rule, cycle_game(1.0, 2.0, -2.0), samples=150) == 1.0
 
 
-def reference_sign_fraction(rule, game, radius, samples, seed):
-    """The cycle probe one sample at a time: draw, evaluate vector_field,
-    skip exact zeros."""
+def probe_states(radius, seed):
+    """The cycle probe's draws near the barycenter, in order."""
     rng = np.random.default_rng(seed)
-    negative = counted = attempts = 0
-    while counted < samples:
-        attempts += 1
-        if attempts > 100 * samples:
-            raise ValueError("drift vanishes on almost every sample")
+    while True:
         h = rng.normal(size=3)
         h -= h.mean()
         norm = float(np.linalg.norm(h))
-        if norm == 0.0:
-            continue
-        h *= radius * rng.uniform(0.1, 1.0) / norm
-        x = np.full(3, 1.0 / 3.0) + h
+        if norm != 0.0:
+            yield np.full(3, 1.0 / 3.0) + h * (radius * rng.uniform(0.1, 1.0) / norm)
+
+
+def reference_sign_fraction(rule, game, radius, samples, seed):
+    """The cycle probe one sample at a time: draw, evaluate the reference
+    vector_field, skip exact zeros."""
+    negative = counted = 0
+    for k, x in enumerate(probe_states(radius, seed)):
+        if counted == samples:
+            return negative / samples
+        if k >= 100 * samples:
+            raise ValueError("drift vanishes on almost every sample")
         drift = float(np.sum(vector_field(rule, game, x) / x))
         if drift != 0.0:
             counted += 1
             negative += drift < 0.0
-    return negative / samples
 
 
 DUAL = build_rps4(exp_link(1.0, (-2.0, 2.0)), "dual", (-2.0, 2.0))
@@ -215,11 +218,24 @@ def test_cycle_probe_keeps_the_speed_factor_error():
     # the speed factor 0.5 + 3 x.u is about -0.5 near the center of this cycle
     rule = GrowthRule(speed=linear_link(3.0, 0.5, (-3.0, 3.0)))
     game = cycle_game(-1.0, 2.0, -2.0)
-    with pytest.raises(IntegrationError, match="speed factor") as want:
-        reference_sign_fraction(rule, game, 0.01, 200, 0)
-    with pytest.raises(IntegrationError) as got:
+    with pytest.raises(IntegrationError, match="speed factor"):
         taylor_sign_check(rule, game)
-    assert str(got.value) == str(want.value)
+
+
+def test_cycle_probe_reports_the_first_draw_outside_the_link_domain():
+    # the payoffs near the center average 1/3, so a draw fails where its
+    # smallest payoff falls below the domain's 0.33
+    rule = GrowthRule(link=sqrt_link((0.33, 3.0)))
+    game = cycle_game(1.0, 2.0, -2.0)
+    for first, x in enumerate(probe_states(0.01, 0)):
+        try:
+            vector_field(rule, game, x)
+        except DomainError:
+            break
+    assert first > 0
+    with pytest.raises(IntegrationError, match=r"link domain .*\(strategy \d\)") as err:
+        taylor_sign_check(rule, game)
+    assert err.value.member == first
 
 
 def test_cycle_probe_validation():

@@ -5,16 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from egtlab.discrete import (BackgroundFitness, affine_background,
-                             constant_background, discrete_w_increment,
-                             geometric_background, iterate, step)
-from egtlab.dynamics import (Coupled, GrowthRule, IntegrationError, Schedule,
-                             vector_field)
+from egtlab.discrete import (BackgroundFitness, affine_background, constant_background,
+                             geometric_background, iterate)
+from egtlab.dynamics import Coupled, GrowthRule, IntegrationError, Schedule
 from egtlab.games import Game, pure
 from egtlab.links import linear_link, sqrt_link
+from oracles import discrete_w_increment, step, vector_field
 
 TWO_ONE = Game([[2.0, 2.0], [1.0, 1.0]])  # payoffs (2, 1) against anything
 REPL = GrowthRule()
+
+
+def one_generation(rule, game, x, C):
+    """Frequencies after one generation of iterate on the background C."""
+    return iterate(rule, game, x, n_max=1, sample_every=1,
+                   background=constant_background(C)).states[1]
 
 
 def test_background_kinds_and_divergence():
@@ -57,23 +62,23 @@ def test_geometric_background_validation():
 
 def test_step_is_neutral_on_constant_payoffs():
     game = Game([[1.5, 1.5], [1.5, 1.5]])
-    np.testing.assert_allclose(step(REPL, game, (0.3, 0.7), C=1.0), [0.3, 0.7])
+    np.testing.assert_allclose(one_generation(REPL, game, (0.3, 0.7), 1.0), [0.3, 0.7])
 
 
 def test_step_hand_value():
-    np.testing.assert_allclose(step(REPL, TWO_ONE, (0.5, 0.5), C=0.0),
+    np.testing.assert_allclose(one_generation(REPL, TWO_ONE, (0.5, 0.5), 0.0),
                                [2.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
 
 
 def test_step_fixes_vertices():
-    np.testing.assert_array_equal(step(REPL, TWO_ONE, (1.0, 0.0), C=0.0),
+    np.testing.assert_array_equal(one_generation(REPL, TWO_ONE, (1.0, 0.0), 0.0),
                                   [1.0, 0.0])
 
 
 def test_step_rejects_a_nonpositive_numerator():
     game = Game([[1.0, 1.0], [-2.0, -2.0]])
-    with pytest.raises(ValueError, match="strategy 1"):
-        step(REPL, game, (0.5, 0.5), C=1.0)
+    with pytest.raises(IntegrationError, match="strategy 1"):
+        one_generation(REPL, game, (0.5, 0.5), 1.0)
 
 
 def test_iterate_is_constant_on_constant_payoffs():
@@ -116,7 +121,7 @@ def test_w_increment_matches_a_measured_step():
         game = Game(rng.uniform(0.5, 3.0, size=(3, 3)))
         x = rng.dirichlet(np.ones(3))
         C = float(rng.uniform(0.0, 5.0))
-        nxt = step(REPL, game, x, x, C=C)
+        nxt = one_generation(REPL, game, x, C)
         measured = (math.log(nxt[0])
                     - 0.5 * (math.log(nxt[1]) + math.log(nxt[2]))) - \
                    (math.log(x[0]) - 0.5 * (math.log(x[1]) + math.log(x[2])))
@@ -146,7 +151,7 @@ def test_update_matches_its_increment_form():
         C = float(rng.uniform(4.0, 20.0))
         u = game.payoff @ x
         gbar = float(x @ u)
-        lhs = step(REPL, game, x, x, C=C) - x
+        lhs = one_generation(REPL, game, x, C) - x
         rhs = x * (u - gbar) / (C + gbar)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -155,7 +160,7 @@ def test_large_background_approaches_the_flow():
     game = Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]])
     x = np.array([0.4, 0.4, 0.2])
     C = 1e5
-    scaled = (step(REPL, game, x, x, C=C) - x) * C
+    scaled = (one_generation(REPL, game, x, C) - x) * C
     field = vector_field(REPL, game, x)
     np.testing.assert_allclose(scaled, field, rtol=10.0 / C)
 

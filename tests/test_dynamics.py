@@ -1,11 +1,11 @@
-"""Continuous flow: reference field, scheduling, and the log-space integrator."""
+"""Continuous flow: the log field, scheduling, and the log-space integrator."""
 
 import numpy as np
 import pytest
 
-from egtlab.dynamics import (Coupled, GrowthRule, IntegrationError, Schedule,
-                             eval_schedule, integrate, mean_payoff,
-                             vector_field, write_trajectory_csv)
+import oracles
+from egtlab.dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, _log_field,
+                             _Population, eval_schedule, integrate, write_trajectory_csv)
 from egtlab.games import Game, SimplexError, pure
 from egtlab.links import exp_link, linear_link, sqrt_link
 
@@ -22,19 +22,33 @@ def square_wave(T: float) -> Schedule:
 # field ----------------------------------------------------------------------
 
 
+def flow_rate(rule, game, x):
+    """x times the flow's own log field (dynamics._log_field) at x, and zero
+    off x's support: the frequency-space rate of a self-play run."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        z = np.log(x)
+    pop = _Population(z, game.payoff, np.flatnonzero(x > 0), rule.effective_link,
+                      "strategy {}")
+    field, _ = _log_field([pop], lambda t, xs: xs, rule.speed)
+    rate = np.zeros_like(x)
+    rate[pop.support] = x[pop.support] * field(0.0, np.array([pop.z]), 0.0, 0)[0]
+    return rate
+
+
 def test_field_vanishes_on_constant_payoffs():
     game = Game([[2.0, 2.0], [2.0, 2.0]])
-    np.testing.assert_array_equal(vector_field(REPL, game, (0.3, 0.7)),
+    np.testing.assert_array_equal(flow_rate(REPL, game, (0.3, 0.7)),
                                   np.zeros(2))
 
 
 def test_field_hand_value():
-    got = vector_field(REPL, GAP_GAME, (0.5, 0.5))
+    got = flow_rate(REPL, GAP_GAME, (0.5, 0.5))
     np.testing.assert_allclose(got, [0.25, -0.25], atol=1e-15)
 
 
 def test_field_vanishes_at_vertices():
-    np.testing.assert_array_equal(vector_field(REPL, DISCUSSION, (1.0, 0.0, 0.0)),
+    np.testing.assert_array_equal(flow_rate(REPL, DISCUSSION, (1.0, 0.0, 0.0)),
                                   np.zeros(3))
 
 
@@ -43,12 +57,12 @@ def test_field_components_sum_to_zero():
     for _ in range(20):
         game = Game(rng.uniform(-2.0, 2.0, size=(4, 4)))
         x = rng.dirichlet(np.ones(4))
-        assert abs(vector_field(REPL, game, x).sum()) <= 1e-12
+        assert abs(flow_rate(REPL, game, x).sum()) <= 1e-12
 
 
 def test_constant_speed_doubles_the_field():
-    base = vector_field(REPL, GAP_GAME, (0.5, 0.5))
-    fast = vector_field(GrowthRule(speed=2.0), GAP_GAME, (0.5, 0.5))
+    base = flow_rate(REPL, GAP_GAME, (0.5, 0.5))
+    fast = flow_rate(GrowthRule(speed=2.0), GAP_GAME, (0.5, 0.5))
     np.testing.assert_allclose(fast, 2.0 * base, rtol=1e-15)
 
 
@@ -75,7 +89,7 @@ def test_speed_must_be_positive():
 
 def test_payoff_dependent_speed_scales_by_mean_payoff():
     lam = linear_link(0.0, 3.0)  # constant table: x3 the clock
-    got = vector_field(GrowthRule(speed=lam), GAP_GAME, (0.5, 0.5))
+    got = flow_rate(GrowthRule(speed=lam), GAP_GAME, (0.5, 0.5))
     np.testing.assert_allclose(got, [0.75, -0.75], rtol=1e-15)
 
 
@@ -233,21 +247,16 @@ def test_nonpositive_speed_factor_stops_the_run():
 
 
 def test_w_rate_matches_the_sampled_series():
-    from egtlab.diagnostics import w_rate, w_series
+    from egtlab.diagnostics import w_series
     q = np.array([0.5, 0.5, 0.0])
     traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=2.0, dt=1e-3,
                      sample_every=1)
     w = w_series(traj, pure(2, 3), q)
     t = traj.times
     central = (w[2:] - w[:-2]) / (t[2:] - t[:-2])
-    rates = np.array([w_rate(REPL, DISCUSSION, traj.states[k], pure(2, 3), q)
+    rates = np.array([oracles.w_rate(REPL, DISCUSSION, traj.states[k], pure(2, 3), q)
                       for k in range(1, len(t) - 1)])
     assert np.abs(central - rates).max() < 1e-7
-
-
-def test_mean_payoff_helper():
-    assert mean_payoff(GAP_GAME, (0.5, 0.5)) == pytest.approx(0.5)
-    assert mean_payoff(DISCUSSION, pure(2, 3), pure(0, 3)) == 2.0
 
 
 def test_trajectory_csv_appends_extra_columns(tmp_path):

@@ -5,19 +5,24 @@ import pytest
 
 from egtlab.games import (Game, MixedStrategy, SimplexError, as_strategy,
                           game_from_dict, game_to_dict, load_game,
-                          payoff_mixed, payoff_pure, pure, save_game,
+                          payoff_mixed, pure, save_game,
                           uniform, validate_simplex)
 
 DISCUSSION = Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]])
 
 
 def test_payoff_pure_against_a_vertex():
-    assert payoff_pure(DISCUSSION, 2, pure(0, 3)) == 2.0
+    assert payoff_mixed(DISCUSSION, pure(2, 3), pure(0, 3)) == 2.0
 
 
 def test_payoff_pure_of_the_flat_middle_row():
     game = Game([[9.0, 1.0], [4.5, 4.5], [1.0, 9.0]])
-    assert payoff_pure(game, 1, (0.5, 0.5)) == 4.5
+    assert payoff_mixed(game, pure(1, 3), (0.5, 0.5)) == 4.5
+
+
+def test_mean_payoff_is_payoff_mixed_against_itself():
+    x = (0.5, 0.5)
+    assert payoff_mixed(Game([[1.0, 1.0], [0.0, 0.0]]), x, x) == pytest.approx(0.5)
 
 
 def test_payoff_mixed_half_half():
@@ -38,7 +43,7 @@ def test_payoff_mixed_against_vertex_is_column_average():
 
 def test_dimension_mismatch_is_reported():
     with pytest.raises(ValueError):
-        payoff_pure(DISCUSSION, 0, (0.5, 0.5))
+        payoff_mixed(DISCUSSION, pure(0, 3), (0.5, 0.5))
     with pytest.raises(ValueError):
         payoff_mixed(DISCUSSION, (0.5, 0.5), uniform(3))
 

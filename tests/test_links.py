@@ -7,8 +7,8 @@ import pytest
 
 from egtlab.links import (DomainError, array_link, classify_link,
                           discrete_effective_link, domain_pad, eval_link,
-                          exp_link, hull_inside, linear_link, log_link, parse_link,
-                          power_link, rps_direction, scalar_link, sqrt_link,
+                          exp_link, hull_inside, increasing_on, linear_link, log_link,
+                          parse_link, power_link, rps_direction, scalar_link, sqrt_link,
                           table_link)
 
 
@@ -92,6 +92,36 @@ def test_classify_on_a_sub_interval():
 
 def test_classify_a_decreasing_link():
     assert not classify_link(linear_link(-1.0, 0.0, (0.0, 1.0))).increasing
+
+
+# a table that falls on [-3, -2] and is flat on [2, 3]
+BUMP = table_link([-3.0, -2.0, 2.0, 3.0], [1.0, 0.0, 4.0, 4.0])
+
+
+@pytest.mark.parametrize("f, lo, hi, want", [
+    (linear_link(2.0, -1.0), -5.0, 5.0, True),
+    (linear_link(-1.0, 0.0), -5.0, 5.0, False),
+    (linear_link(0.0, 3.0), -5.0, 5.0, False),
+    (exp_link(1.0, (-2.0, 2.0)), -2.0, 2.0, True),
+    (exp_link(-0.05, (0.0, 20.0)), 0.0, 20.0, False),
+    (exp_link(0.0, (0.0, 1.0)), 0.0, 1.0, False),
+    (sqrt_link((0.0, 20.0)), 0.0, 20.0, True),
+    (log_link((0.2, 1.5)), 0.2, 1.5, True),
+    (power_link(2.0, (-3.0, 3.0)), 0.0, 3.0, True),
+    (power_link(2.0, (-3.0, 3.0)), -3.0, 0.27, False),
+    (power_link(3.0, (-3.0, 3.0)), -3.0, 3.0, True),
+    (power_link(0.5, (0.0, 4.0)), 0.0, 4.0, True),
+    (power_link(-1.0, (0.5, 4.0)), 0.5, 4.0, False),
+    (BUMP, -2.0, 2.0, True),
+    (BUMP, -2.5, 2.0, False),
+    (BUMP, -2.0, 2.5, False),
+], ids=["line", "falling-line", "flat-line", "exp", "falling-exp", "flat-exp", "sqrt",
+        "log", "square-on-positives", "square-across-zero", "cube", "root", "reciprocal",
+        "table-rising-part", "table-falling-part", "table-flat-part"])
+def test_increasing_on_reads_the_family(f, lo, hi, want):
+    assert increasing_on(f, lo, hi) is want
+    if want:  # the grid test agrees
+        assert classify_link(f, interval=(lo, hi)).increasing
 
 
 def test_any_positive_affine_link_is_aggregate_monotonic():

@@ -8,14 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egtlab.diagnostics import elimination_metrics
-from egtlab.discrete import constant_background, discrete_w_increment, iterate, step
+from egtlab.discrete import constant_background, iterate
 from egtlab.dominance import find_dominator, strict_margin
 from egtlab.dynamics import (GrowthRule, Schedule, Trajectory, eval_schedule,
                              integrate)
 from egtlab.games import Game, payoff_mixed, pure
 from egtlab.links import classify_link, linear_link
 
-from oracles import grid_margin, mixture_grid
+from oracles import discrete_w_increment, grid_margin, mixture_grid
 
 REPL = GrowthRule()
 GRID_3 = mixture_grid(3, 6)
@@ -54,7 +54,9 @@ def test_generation_map_matches_increment_form(payoff, raw_x, c):
     x = normalized(raw_x)
     u = game.payoff @ x
     gbar = float(x @ u)
-    lhs = step(REPL, game, x, x, C=c) - x
+    nxt = iterate(REPL, game, x, n_max=1, sample_every=1,
+                  background=constant_background(c)).states[1]
+    lhs = nxt - x
     np.testing.assert_allclose(lhs, x * (u - gbar) / (c + gbar), atol=1e-12)
 
 

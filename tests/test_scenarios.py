@@ -15,8 +15,8 @@ import pytest
 from egtlab import scenarios
 from egtlab.dominance import strict_margin
 from egtlab.games import Game, pure
-from egtlab.links import (discrete_effective_link, exp_link, linear_link, log_link,
-                          power_link, rps_direction, sqrt_link)
+from egtlab.links import (discrete_effective_link, exp_link, increasing_on, linear_link,
+                          log_link, power_link, rps_direction, sqrt_link, table_link)
 from egtlab.scenarios import (SCENARIO_INTERVALS, SCENARIOS, BasinK, Rps4Construction,
                               SurvivalConstruction, build_rps4,
                               build_survival, dual_basin_k, named_game,
@@ -342,6 +342,53 @@ def test_rps4_hofbauer_weibull_under_sqrt():
     assert con.game.payoff[3, 3] == 0.0
     margin = strict_margin(con.game, np.array([1, 1, 1, 0]) / 3.0, pure(3, 4))
     assert margin > 0.0
+
+
+# (link, variant, search box): the search finds a triple on each, but none of
+# these links increases on the assembled payoffs, which span [0, 19.6] for
+# the exp links and [-3, 0.27] for u^2
+NOT_INCREASING = {
+    "exp-rate-0.05": (exp_link(-0.05, (0.0, 20.0)), "hofbauer-weibull", (0.01, 20.0)),
+    "exp-rate-0.2": (exp_link(-0.2, (0.0, 20.0)), "hofbauer-weibull", (0.01, 20.0)),
+    "square": (power_link(2.0, (-3.0, 3.0)), "hofbauer-weibull", (-3.0, 3.0)),
+    "falling-line-dual": (linear_link(-1.0, 0.0, (-2.0, 2.0)), "dual", (-2.0, 2.0)),
+    "falling-line-hw": (linear_link(-1.0, 0.0, (0.0, 20.0)), "hofbauer-weibull", (0.0, 20.0)),
+}
+
+
+@pytest.mark.parametrize("case", NOT_INCREASING)
+def test_rps4_refuses_a_link_that_does_not_increase_on_its_payoffs(case):
+    f, variant, box = NOT_INCREASING[case]
+    with pytest.raises(ValueError, match=r"link is not increasing on the assembled payoffs"):
+        build_rps4(f, variant, box)
+
+
+INCREASING = {
+    "sqrt": (sqrt_link((0.0, 20.0)), "hofbauer-weibull", (0.01, 20.0)),
+    "exp": (EXP, "dual", (-2.0, 2.0)),
+    "cube-dual": (power_link(3.0, (-3.0, 3.0)), "dual", (-3.0, 3.0)),
+    "cube-hw": (power_link(3.0, (-3.0, 3.0)), "hofbauer-weibull", (-3.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("case", INCREASING)
+def test_rps4_builds_on_a_link_that_increases_on_its_payoffs(case):
+    f, variant, box = INCREASING[case]
+    con = build_rps4(f, variant, box)
+    assert increasing_on(f, float(con.game.payoff.min()), float(con.game.payoff.max()))
+
+
+def test_rps4_takes_a_table_that_falls_only_outside_its_payoffs():
+    con = build_rps4(*INCREASING["cube-hw"])  # payoffs in [-2.88, 1.78]
+    xs = np.linspace(-3.0, 3.0, 61)
+    ys = xs ** 3
+    ys[-1] = ys[-2] - 1.0  # falls on [2.9, 3]
+    free = (con.a, con.b, con.c, con.beta, con.gamma)
+    assert Rps4Construction(table_link(xs, ys), con.variant, *free).link.family == "table"
+    ys[30] = ys[31]  # flat on [0, 0.1]
+    with pytest.raises(ValueError, match=r"not increasing on the assembled payoffs "
+                                         r"\[-2.87755, 1.77551\]"):
+        Rps4Construction(table_link(xs, ys), con.variant, *free)
 
 
 def test_rps4_explicit_triples_are_still_validated():

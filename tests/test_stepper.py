@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from egtlab.dynamics import (_TABLEAUS, RTOL, Coupled, GrowthRule, IntegrationError,
-                             Schedule, _dense_basis, eval_schedule, integrate, vector_field)
+                             Schedule, _dense_basis, eval_schedule, integrate)
 from egtlab.games import Game
 from egtlab.links import exp_link, linear_link, log_link, table_link
+from oracles import vector_field
 
 GAP_GAME = Game([[1.0, 1.0], [0.0, 0.0]])  # payoffs (1, 0) whatever y does
 RPS4 = Game([[1.0, 0.0, 2.5, 0.5], [2.5, 1.0, 0.0, 0.5],
