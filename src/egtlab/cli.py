@@ -217,6 +217,8 @@ def _parse_background(entry) -> BackgroundFitness:
 
 
 def _parse_targets(entries, game: Game):
+    if entries is not None and not isinstance(entries, list):
+        _fail("config field targets must be a list")
     targets = []
     for k, entry in enumerate(entries or []):
         p = np.asarray(_req(entry, "p", f"targets[{k}]"), dtype=float)

@@ -24,7 +24,7 @@ One explicit Runge-Kutta stepper (_solve) advances a log-state of shape
 - method="rk4": the classic fourth-order scheme at fixed steps dt on that
   same grid, kept as the tests' reference.
 
-Steps never cross a bound of _segments (the opponent script's breakpoints),
+Steps never cross a bound of _grid (the opponent script's breakpoints),
 so a kink of the script never falls inside a step. Logs are renormalized
 after every accepted step and the largest pre-renormalization drift is kept
 in the meta.
@@ -40,14 +40,9 @@ Gauss-Legendre rule takes those. A piece's mean of f is then off by about
 100 eps (1 + |f(u_a)| + |f(u_b)|) at most, plus 1.7e-23 |u_b - u_a|^16
 max|f^(16)| by Gauss-Legendre. With one period's sum S and its prefix sums,
 z(t) = z(0) + lam (floor(t / P) S + prefix[k] + the part of piece k up to t),
-normalized at the samples only (_exact_flow): O(pieces + samples) work once
-the sample times are known. The fold is _fold, which the scripted generation
-map shares (discrete.py). The sample times are not that cheap: _segments
-builds the script's breakpoints in a Python loop over every period up to
-t_max, so a long horizon first costs O(t_max / P) interpreted steps. On one
-Intel Xeon core an exact run of a period-6 script to t_max = 6e5 takes about
-0.3 s, nearly all of it in that loop. A vectorised grid waits on a benchmark
-op with such a horizon.
+normalized at the samples only (_exact_flow): O(pieces + samples) work
+after _grid's one array pass over the breakpoints up to t_max. The fold is
+_fold, which the scripted generation map shares (discrete.py).
 """
 
 from __future__ import annotations
@@ -376,30 +371,6 @@ def _log_state(x0, n, what) -> np.ndarray:
     return z
 
 
-def _segments(t_max: float, dt: float, schedule: Schedule | None):
-    """Segment bounds cut at every schedule breakpoint inside the horizon."""
-    cuts = []
-    if schedule is not None:
-        P = schedule.period
-        marks = list(schedule.times[1:]) + [P]
-        k = 0
-        while k * P < t_max:
-            for tb in ([0.0] if k else []) + marks:
-                e = k * P + tb
-                if 0.0 < e < t_max:
-                    cuts.append(e)
-            k += 1
-    tol = 1e-12 * max(1.0, t_max)
-    bounds = [0.0]
-    for e in sorted(cuts):
-        if e - bounds[-1] > tol and t_max - e > tol:
-            bounds.append(e)
-    bounds.append(t_max)
-    bounds = np.array(bounds)
-    steps = np.maximum(1, np.ceil(np.diff(bounds) / dt - 1e-9).astype(np.int64))
-    return bounds, steps
-
-
 class _Population:
     """One population restricted to its support when the run starts.
 
@@ -502,14 +473,34 @@ def _sample_counts(total: int, sample_every: int) -> np.ndarray:
     return counts if counts[-1] == total else np.append(counts, total)
 
 
-def _grid_times(bounds, steps, counts) -> np.ndarray:
-    """Times of the fixed-step grid after each of counts (each at least 1)
-    steps; a segment's last step ends exactly on its bound."""
+def _grid(t_max: float, dt: float, sample_every: int, schedule: Schedule | None):
+    """(bounds, steps, sample times) of the fixed-step grid of dt.
+
+    The bounds are 0, t_max and the script's breakpoints k P + times[j]
+    (j >= 1) and k P (k >= 1) inside (0, t_max), less each that lies within
+    1e-12 max(1, t_max) of the breakpoint before it or of t_max. Segment k
+    takes steps[k] equal steps, ceil(its length / dt) and at least one, its
+    last ending exactly on its bound; the samples are the start, every
+    sample_every-th step and the last step."""
+    bounds = np.array([0.0, t_max])
+    if schedule is not None:
+        P = schedule.period
+        # k P + times[j], k P itself at j = 0, and k P + P, which may round
+        # off (k + 1) P (the smaller is kept), for k up to ceil(t_max / P);
+        # sorted, they start at 0, which is no cut
+        cuts = np.sort(np.add.outer(np.arange(math.ceil(t_max / P) + 1) * P,
+                                    np.append(schedule.times, P)), axis=None)
+        tol = 1e-12 * max(1.0, t_max)
+        keep = (np.diff(cuts) > tol) & (t_max - cuts[1:] > tol)
+        bounds = np.concatenate(([0.0], cuts[1:][keep], [t_max]))
+    steps = np.maximum(1, np.ceil(np.diff(bounds) / dt - 1e-9).astype(np.int64))
     ends = np.cumsum(steps)
-    seg = np.searchsorted(ends, counts - 1, side="right")
-    k = counts - 1 - (ends[seg] - steps[seg])
+    last = _sample_counts(int(ends[-1]), sample_every)[1:] - 1  # each sample's last step
+    seg = np.searchsorted(ends, last, side="right")
+    k = last - (ends[seg] - steps[seg])
     a, b = bounds[:-1][seg], bounds[1:][seg]
-    return np.where(k == steps[seg] - 1, b, a + (k + 1) * ((b - a) / steps[seg]))
+    times = np.where(k == steps[seg] - 1, b, a + (k + 1) * ((b - a) / steps[seg]))
+    return bounds, steps, np.append(0.0, times)
 
 
 def _normalize(z, slices):
@@ -807,9 +798,6 @@ def integrate(rule: GrowthRule, game: Game, x0,
     a scripted run whose speed is None or a number takes no steps: it is
     integrated exactly (_exact_flow, method "exact"), whatever dt; "rk4"
     steps it like any run.
-    The exact path costs O(pieces + samples) plus the breakpoint grid, which
-    _segments builds in a Python loop over every period up to t_max; at long
-    horizons that loop is nearly the whole run (see the module docstring).
 
     meta records the method, accepted and rejected steps ("steps",
     "rejected"), right-hand-side evaluations ("rhs_evals"; on the exact
@@ -836,9 +824,7 @@ def integrate(rule: GrowthRule, game: Game, x0,
         rule, game, x0[0] if batch else x0, opponent,
         "speed belongs to the first population's rule in coupled runs")
     scripted = label == "scripted"
-    bounds, steps = _segments(t_max, dt, opponent if scripted else None)
-    counts = _sample_counts(int(steps.sum()), sample_every)
-    times = np.append(bounds[0], _grid_times(bounds, steps, counts[1:]))
+    bounds, steps, times = _grid(t_max, dt, sample_every, opponent if scripted else None)
     if scripted and method == "dop853" and not isinstance(rule.speed, LinkFunction):
         with np.errstate(divide="ignore", invalid="ignore"):  # masked by np.where
             samples, max_drift, evals = _exact_flow(pops[0], opponent, rule.speed or 1.0,

@@ -55,11 +55,10 @@ class MixedStrategy:
         return np.flatnonzero(self.weights > 0.0)
 
 
-def validate_simplex(values, tol: float = SIMPLEX_TOL,
-                     what: str = "strategy") -> MixedStrategy:
+def validate_simplex(values, what: str = "strategy") -> MixedStrategy:
     """Check nonnegativity and unit sum, and wrap as a MixedStrategy.
 
-    Negative entries are rejected outright, however small; the tolerance
+    Negative entries are rejected outright, however small; SIMPLEX_TOL
     applies only to the deviation of the sum from one.
     """
     w = np.asarray(values, dtype=float)
@@ -72,9 +71,9 @@ def validate_simplex(values, tol: float = SIMPLEX_TOL,
         raise SimplexError(
             f"{what} has negative weight at index {int(neg[0])}: {w[neg[0]]!r}")
     gap = abs(float(w.sum()) - 1.0)
-    if gap > tol:
+    if gap > SIMPLEX_TOL:
         raise SimplexError(
-            f"{what} weights sum to 1{float(w.sum()) - 1.0:+.3e}, tolerance {tol:g}")
+            f"{what} weights sum to 1{float(w.sum()) - 1.0:+.3e}, tolerance {SIMPLEX_TOL:g}")
     return MixedStrategy(w)
 
 

@@ -33,9 +33,9 @@ from .discrete import affine_background, constant_background, geometric_backgrou
 from .dominance import find_dominator, strict_margin
 from .dynamics import GrowthRule, Schedule, integrate
 from .games import Game, game_to_dict, pure, uniform, validate_simplex
-from .links import (LinkFunction, classify_link, discrete_effective_link, eval_link,
-                    exp_link, hull_inside, increasing_on, linear_link, power_link,
-                    rps_direction, sqrt_link)
+from .links import (LinkFunction, discrete_effective_link, eval_link, exp_link,
+                    hull_inside, increasing_on, linear_link, power_link, rps_direction,
+                    sqrt_link)
 
 _VARIANTS_3X2 = ("nonconvex", "nonconcave")
 _VARIANTS_4X4 = ("hofbauer-weibull", "dual")
@@ -147,11 +147,6 @@ def build_survival(f: LinkFunction, variant: str, search_box=None) -> SurvivalCo
     _check(lo < hi, f"empty search box [{lo!r}, {hi!r}]")
     sign = 1.0 if variant == "nonconvex" else -1.0
     flag = "convexity" if variant == "nonconvex" else "concavity"
-    cls = classify_link(f, interval=(lo, hi))
-    if (variant == "nonconvex" and cls.convex) or (variant == "nonconcave" and cls.concave):
-        raise ValueError(
-            f"no {flag} violation of the link on [{lo:g}, {hi:g}]; "
-            "the construction is impossible there")
 
     def slack(a, b):
         gap = sign * (eval_link(f, 0.5 * (a + b)) - 0.5 * (eval_link(f, a) + eval_link(f, b)))
@@ -353,12 +348,6 @@ class BasinK:
                     lam_hi = lam
             p = center + 0.5 * (lam_lo + lam_hi) * d
             return np.concatenate([mass * p, [0.5 * self.eps4]])
-
-
-def dual_basin_k(con: Rps4Construction, rho: float, eps4: float) -> BasinK:
-    if con.variant != "dual":
-        raise ValueError("the starting wedge applies to the dual construction")
-    return BasinK(rho, eps4)
 
 
 def named_game(name: str, *params: float) -> Game:
@@ -586,8 +575,8 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
     frac = taylor_sign_check(GrowthRule(link=f), con.core_game, radius=0.01,
                              samples=taylor_samples, seed=seed)
 
-    def starts(con):
-        basin = dual_basin_k(con, rho, eps4)
+    def starts(_):
+        basin = BasinK(rho, eps4)
         rng = np.random.default_rng(seed)
         return np.array([basin.sample(rng) for _ in range(n_seeds)])
 

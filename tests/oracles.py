@@ -5,6 +5,8 @@ and integrators (tests/test_imports.py checks what they import):
 - planted_game: seeded games with a planted elimination chain
 - bland_iterate: a plain simplex loop
 - scripted_flow_logs: SciPy quadrature of a flow against a script
+- sample_grid: the flow's step grid and sample times, by a loop over every
+  period and then every breakpoint
 - vector_field, step, discrete_w_increment and w_rate: the flow's right-hand
   side, one generation of the ratio map, the map's exact change of w and the
   flow's dw/dt, each in frequency space, one strategy at a time
@@ -133,6 +135,44 @@ def scripted_flow_logs(link, speed, payoff, schedule, x0, times) -> np.ndarray:
     z[:, support] = np.log(x0[support]) + speed * total[:, support]
     top = z.max(axis=1, keepdims=True)
     return z - (top + np.log(np.exp(z - top).sum(axis=1, keepdims=True)))
+
+
+def sample_grid(t_max: float, dt: float, sample_every: int, schedule):
+    """(bounds, steps, sample times) of the fixed-step grid of dt, built one
+    period and then one breakpoint at a time: the script's breakpoints inside
+    (0, t_max) in order, each kept if it lies more than 1e-12 max(1, t_max)
+    past the last kept bound and before t_max. Segment k takes steps[k] equal
+    steps; the samples are the start, every sample_every-th step and the
+    last, a segment's last step ending exactly on its bound."""
+    cuts, P = [], schedule.period
+    marks = list(schedule.times[1:]) + [P]
+    k = 0
+    while k * P < t_max:
+        for tb in ([0.0] if k else []) + marks:
+            e = k * P + tb
+            if 0.0 < e < t_max:
+                cuts.append(e)
+        k += 1
+    tol = 1e-12 * max(1.0, t_max)
+    bounds = [0.0]
+    for e in sorted(cuts):
+        if e - bounds[-1] > tol and t_max - e > tol:
+            bounds.append(e)
+    bounds.append(t_max)
+    bounds = np.array(bounds)
+    steps = np.maximum(1, np.ceil(np.diff(bounds) / dt - 1e-9).astype(np.int64))
+    total = int(steps.sum())
+    counts = list(range(0, total + 1, sample_every))
+    if counts[-1] != total:
+        counts.append(total)
+    times, ends, seg = [0.0], np.cumsum(steps), 0
+    for c in counts[1:]:
+        while ends[seg] < c:
+            seg += 1
+        a, b, ns = bounds[seg], bounds[seg + 1], steps[seg]
+        k = c - (ends[seg] - ns) - 1
+        times.append(b if k == ns - 1 else a + (k + 1) * ((b - a) / ns))
+    return bounds, steps, np.array(times)
 
 
 def vector_field(rule: GrowthRule, game, x, y=None) -> np.ndarray:

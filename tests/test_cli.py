@@ -74,6 +74,15 @@ def test_simulate_rejects_mismatched_target(tmp_path, capsys):
     assert "targets[0].q" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("targets", [{"p": [1.0, 0.0], "q": [0.0, 1.0]}, "p"],
+                         ids=["object", "string"])
+def test_simulate_refuses_targets_that_are_not_a_list(tmp_path, capsys, targets):
+    cfg = write_json(tmp_path / "bad.json", {
+        "game": {"payoff": [[1.0, 0.0], [0.0, 1.0]]}, "targets": targets})
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "config field targets must be a list" in capsys.readouterr().err
+
+
 def test_simulate_discrete_numerical_failure(tmp_path, capsys):
     cfg = write_json(tmp_path / "neg.json", {
         "mode": "discrete",

@@ -126,6 +126,28 @@ def test_exact_flow_samples_are_normalized_to_rounding():
     assert report["run"]["product_late_max"] <= 0.25 and report["ok"]
 
 
+def test_exact_flow_folds_whole_periods_at_a_long_horizon():
+    # 1e5 periods of WAVE, sampled every 2,000 periods. At t = k P the flow
+    # has added k times one period's increment, z(P) - z(0) up to a common
+    # shift. Each entry of z(P) is off by a few eps (1 + |z|), which k
+    # periods multiply by k; the fold's k S and the normalization round at
+    # eps |z(kP)|.
+    rule, x0 = GrowthRule(sqrt_link((0.0, 1.0))), (0.3, 0.3, 0.4)
+    one = integrate(rule, SURVIVAL, x0, opponent=WAVE, t_max=6.0).log_states
+    traj = integrate(rule, SURVIVAL, x0, opponent=WAVE, t_max=6e5, sample_every=12_000_000)
+    np.testing.assert_array_equal(traj.times, 12_000.0 * np.arange(51))
+    k = traj.times[:, None] / WAVE.period
+    z0, zP = one[0], one[-1]
+    want = z0 + k * (zP - z0)
+    want -= want.max(axis=1, keepdims=True)
+    want -= np.log(np.exp(want).sum(axis=1, keepdims=True))
+    tol = 4 * EPS * (k * (1.0 + np.abs(z0).max() + np.abs(zP).max()) + 1.0 + np.abs(want))
+    assert np.all(np.abs(traj.log_states - want) <= tol)
+    assert traj.meta["method"] == "exact"
+    # strategies 1 and 2 end far below the smallest float, resolved in logs
+    assert traj.log_states[-1, :2].max() < -9e4
+
+
 def test_rk4_converges_to_the_exact_flow_at_fourth_order():
     rule = GrowthRule(exp_link(1.0, (0.0, 2.0)))
     exact = integrate(rule, G4, X4, opponent=S3, t_max=5.0).log_states[-1]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from egtlab.dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, _log_field,
-                             _Population, eval_schedule, integrate, write_trajectory_csv)
+from egtlab.dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, _grid,
+                             _log_field, _Population, eval_schedule, integrate,
+                             write_trajectory_csv)
 from egtlab.games import Game, SimplexError, pure
 from egtlab.links import exp_link, linear_link, sqrt_link
 
@@ -121,6 +122,35 @@ def test_schedule_wraps_continuously():
     np.testing.assert_allclose(eval_schedule(s, 19.5), [0.5, 0.5])
     np.testing.assert_allclose(eval_schedule(s, 19.999),
                                eval_schedule(s, 39.999), atol=1e-12)
+
+
+# sample grid ----------------------------------------------------------------
+
+
+def random_schedules(rng, count):
+    """Scripts of 1 to 6 pieces, each at least a fifteenth of the period, on
+    integer periods (even k) and periods drawn from (0.5, 9) (odd k)."""
+    for k in range(count):
+        period = float(rng.integers(1, 10)) if k % 2 == 0 else float(rng.uniform(0.5, 9.0))
+        n = int(rng.integers(1, 7))
+        lengths = period * (1.0 + 9.0 * rng.dirichlet(np.ones(n))) / (n + 9.0)
+        yield Schedule(period, np.append(0.0, np.cumsum(lengths[:-1])), np.full((n, 2), 0.5))
+
+
+def test_grid_matches_the_loop_over_periods_and_breakpoints():
+    # breakpoints here lie a fifteenth of a period apart, far beyond the
+    # 1e-12 max(1, t_max) within which the grid merges them
+    rng = np.random.default_rng(17)
+    for script in random_schedules(rng, 24):
+        P, times = script.period, script.times
+        on_a_breakpoint = int(rng.integers(1, 6)) * P + times[int(rng.integers(len(times)))]
+        for t_max in (0.6 * P, on_a_breakpoint, 7.25 * P):
+            for dt, every in ((1e-3, 100), (1e-3, 997), (0.1, 1), (0.1, 7), (0.37, 3)):
+                want = oracles.sample_grid(t_max, dt, every, script)
+                got = _grid(t_max, dt, every, script)
+                for name, w, g in zip(("bounds", "steps", "times"), want, got):
+                    np.testing.assert_array_equal(g, w, err_msg=f"{name}, P={P!r}, "
+                                                  f"times={times!r}, t_max={t_max!r}, dt={dt}")
 
 
 # integrator -----------------------------------------------------------------

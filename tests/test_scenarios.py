@@ -15,11 +15,11 @@ import pytest
 from egtlab import scenarios
 from egtlab.dominance import strict_margin
 from egtlab.games import Game, pure
-from egtlab.links import (discrete_effective_link, exp_link, increasing_on, linear_link,
-                          log_link, power_link, rps_direction, sqrt_link, table_link)
+from egtlab.links import (classify_link, discrete_effective_link, exp_link, increasing_on,
+                          linear_link, log_link, power_link, rps_direction, sqrt_link,
+                          table_link)
 from egtlab.scenarios import (SCENARIO_INTERVALS, SCENARIOS, BasinK, Rps4Construction,
-                              SurvivalConstruction, build_rps4,
-                              build_survival, dual_basin_k, named_game,
+                              SurvivalConstruction, build_rps4, build_survival, named_game,
                               run_background_schedules, run_background_threshold,
                               run_discussion, run_dual_4x4, run_hw_4x4,
                               run_survival_nonconcave, run_survival_nonconvex)
@@ -164,6 +164,20 @@ def test_survival_rejects_links_without_the_violation():
         build_survival(line, "nonconcave")
     with pytest.raises(ValueError, match="variant"):
         build_survival(sqrt_link((1.0, 9.0)), "sideways")
+
+
+def test_survival_builds_on_a_violation_below_the_classifier_grid():
+    # u^(1 - 1e-5) is strictly concave, so not convex. classify_link's
+    # second differences on 1001 points stay within its 1e-9 slack and call
+    # it linear, while the search's midpoint gap over [1, 9], 1.8e-5, is far
+    # above its own threshold, 1e-9 times max |f| = 9
+    f = power_link(1.0 - 1e-5, (1.0, 9.0))
+    assert classify_link(f).linear
+    con = build_survival(f, "nonconvex")
+    assert (con.a, con.b) == (1.0, 9.0)
+    assert 0.0 < con.alpha < 1e-5
+    with pytest.raises(ValueError, match="no concavity violation"):
+        build_survival(f, "nonconcave")
 
 
 @pytest.mark.parametrize("con, free", [
@@ -413,11 +427,10 @@ def test_rps4_discrete_direction_mode():
 
 
 def test_basin_membership():
-    con = DUAL
-    basin = dual_basin_k(con, 1.0 / 30.0, 0.04)
+    basin = BasinK(1.0 / 30.0, 0.04)
     near_center = np.array([0.98 / 3.0] * 3 + [0.02])
     assert not basin.contains(near_center)  # core product too large
-    assert dual_basin_k(con, 0.02, 0.05).contains((0.6, 0.3, 0.08, 0.02))
+    assert BasinK(0.02, 0.05).contains((0.6, 0.3, 0.08, 0.02))
     assert basin.contains((1.0, 0.0, 0.0, 0.0))
     assert not basin.contains((0.0, 0.0, 0.0, 1.0))
     with pytest.raises(ValueError, match="4-strategy"):
@@ -425,14 +438,10 @@ def test_basin_membership():
 
 
 def test_basin_validation():
-    con = DUAL
     with pytest.raises(ValueError, match="rho"):
-        dual_basin_k(con, 1.0 / 27.0, 0.04)
+        BasinK(1.0 / 27.0, 0.04)
     with pytest.raises(ValueError, match="eps4"):
-        dual_basin_k(con, 0.01, 1.5)
-    hw = build_rps4(sqrt_link((0.0, 20.0)), "hofbauer-weibull", (0.01, 20.0))
-    with pytest.raises(ValueError, match="dual"):
-        dual_basin_k(hw, 0.01, 0.04)
+        BasinK(0.01, 1.5)
 
 
 @pytest.mark.parametrize("rho, eps4, field", [
@@ -444,8 +453,7 @@ def test_basin_checks_its_own_ranges(rho, eps4, field):
 
 
 def test_basin_sample_sits_on_the_wedge_midline():
-    con = DUAL
-    basin = dual_basin_k(con, 0.01, 0.04)
+    basin = BasinK(0.01, 0.04)
     rng = np.random.default_rng(5)
     for _ in range(5):
         x = basin.sample(rng)
