@@ -338,6 +338,10 @@ def cmd_dominance(args) -> int:
     game = _parse_game(args.game, "--game")
     mode = args.mode or "mixed"
     if args.iterate:
+        if game.n_rows != game.n_cols:
+            _fail("--iterate reads the game as one population, whose two seats share "
+                  "the matrix, so it needs a square game; "
+                  f"got {game.n_rows}x{game.n_cols}")
         trace = iterate_elimination(
             game, mode="pure-by-pure" if mode == "pure" else "pure-by-mixed")
         report = {

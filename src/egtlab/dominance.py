@@ -6,19 +6,29 @@ mixture q across the opponent's allowed pure strategies. A strictly positive
 optimum certifies strict dominance; the certificate is always re-checked
 against the payoff matrix before it is returned.
 
-Iterated elimination screens each round before solving: a pure strategy that
-is a weak best reply to some alive opponent column j earns there at least
-what any mixture earns, so its margin against every mixture is at most 0 and
-it is never strictly dominated. The screen compares payoffs exactly, so it
-skips only queries that would answer "not dominated"; rounds and removals
-are those of querying every alive strategy.
+Iterated elimination screens each query before solving it, with column
+certificates. For any column mixture y >= 0 over the alive columns, with
+v = sub @ y over the alive payoff slice sub, every mixture p of alive rows
+has p @ (sub - sub[k]) @ y <= max(v) - v[k], so row k's margin is at most
+(max(v) - v[k]) / sum(y). A row k with v[k] >= max(v) - delta sum(y) is
+skipped; delta = 2 (n + 1) eps max|sub| over n alive columns covers the
+rounding of both products, so a skipped row's margin is at most
+4 (n + 1) eps max|sub|, held below STRICT_TOL / 10. The certificates are
+the alive pure columns (a weak best reply to column j is never dominated)
+and the column duals of every earlier "not dominated" LP, in this round or
+an earlier one, while their support stays alive; each is checked by its own
+product, so a dusty dual can only cost a skip. Where that bound is not
+below STRICT_TOL / 10 the products round too coarsely, and only the pure
+columns screen, compared exactly. Either way the screen skips only queries
+that would answer "not dominated", and rounds and removals are those of
+querying every alive strategy.
 
 Each round slices the alive payoffs once and solves one LP per unscreened
 strategy, from the gaps of that slice; these are find_dominator's LPs, bit
 for bit. When both seats read the same matrix (a single population, or an
 opponent game with byte-equal payoffs), the two seats' strategy sets stay
 equal and their queries coincide, so one side's removals are recorded for
-both.
+both, and one pool of certificates serves both.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from .games import Game, MixedStrategy, as_strategy, pure
 from .lp import LpError, solve_max
 
 STRICT_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -108,7 +119,7 @@ def find_dominator(game: Game, q, restrict_rows=None, restrict_cols=None,
     rows, cols = _checked_sets(game, restrict_rows, restrict_cols)
     # gaps[k, j]: what row k earns over q at column j
     gaps = game.payoff[np.ix_(rows, cols)] - (qs.weights @ game.payoff)[list(cols)]
-    margin, p = _max_margin(gaps, mode)
+    margin, p, _ = _max_margin(gaps, mode)
     return _result(game, qs, margin, rows, p, cols)
 
 
@@ -116,8 +127,11 @@ def _max_margin(gaps: np.ndarray, mode: str):
     """Best worst-column margin min_j (p @ gaps)[j] over mixtures p of gaps'
     rows ('mixed') or over single rows ('pure').
 
-    Returns (margin, p); p holds the weights over gaps' rows, clipped at 0
-    but not renormalised.
+    Returns (margin, p, y); p holds the weights over gaps' rows, clipped at
+    0 but not renormalised. y, None in 'pure' mode, is the LP's column
+    duals clipped at 0: a column mixture (up to scale and rounding) under
+    which no row of gaps earns more than the margin, a certificate for the
+    screen of iterated elimination (module docstring).
     """
     # row minima are the pure margins, and r is the best pure row (first of ties)
     pure_margins = gaps.min(axis=1)
@@ -128,7 +142,7 @@ def _max_margin(gaps: np.ndarray, mode: str):
     if mode == "pure":
         p = np.zeros(nr)
         p[r] = 1.0
-        return best, p
+        return best, p, None
 
     if mode != "mixed":
         raise ValueError(f"unknown dominance mode {mode!r}")
@@ -148,8 +162,9 @@ def _max_margin(gaps: np.ndarray, mode: str):
     c = np.zeros(nr + 1 + nc)
     c[nr] = 1.0
 
-    x, value = solve_max(c, A_eq, b_eq, np.append(np.arange(nr + 1, nr + 1 + nc), r))
-    return best + value, np.maximum(x[:nr], 0.0)  # clip solver dust
+    x, value, pi = solve_max(c, A_eq, b_eq, np.append(np.arange(nr + 1, nr + 1 + nc), r))
+    # clip solver dust
+    return best + value, np.maximum(x[:nr], 0.0), np.maximum(pi[:nc], 0.0)
 
 
 def _result(game: Game, qs: MixedStrategy, margin: float, rows, p: np.ndarray,
@@ -171,23 +186,47 @@ def _result(game: Game, qs: MixedStrategy, margin: float, rows, p: np.ndarray,
     return DominanceResult(dominated, float(margin), dominator, degenerate)
 
 
-def _one_side_removals(game: Game, alive_rows, alive_cols, mode: str):
+def _one_side_removals(game: Game, alive_rows, alive_cols, mode: str, pool: list):
     """Strategies in alive_rows strictly dominated within the current restriction.
 
     Each query is find_dominator's for the pure strategy, on one payoff slice
-    per call: row k's gaps are sub - sub[k].
+    per call: row k's gaps are sub - sub[k]. pool holds column certificates
+    over all of game's columns; those on alive columns screen the queries
+    (module docstring), and each "not dominated" LP appends its own.
     """
     sub = game.payoff[np.ix_(alive_rows, alive_cols)]
-    # weak best replies to an alive column are never dominated (module docstring)
-    best_reply = (sub >= sub.max(axis=0)).any(axis=1)
+    cols = list(alive_cols)
+    dead = np.ones(game.n_cols, dtype=bool)
+    dead[cols] = False
+    pool[:] = [y for y in pool if not y[dead].any()]  # columns never come back
+    delta = 2 * (len(cols) + 1) * _EPS * float(np.abs(sub).max())
+    certify = 2 * delta <= STRICT_TOL / 10
+    # the alive pure columns first, then the pooled certificates; where the
+    # products round too coarsely, the pure columns alone, compared exactly
+    ys = np.eye(len(cols))
+    if certify:
+        ys = np.vstack([ys] + [y[cols] for y in pool])
+    else:
+        delta = 0.0
+    v = sub @ ys.T
+    skip = (v >= v.max(axis=0) - delta * ys.sum(axis=1)).any(axis=1)
     removed = []
-    for k in np.flatnonzero(~best_reply):
+    for k in range(len(alive_rows)):
+        if skip[k]:
+            continue
         # + 0.0 turns -0.0 into 0.0, as the product q @ payoff does
-        margin, p = _max_margin(sub - (sub[k] + 0.0), mode)
+        margin, p, y = _max_margin(sub - (sub[k] + 0.0), mode)
         if margin > STRICT_TOL:
             i = alive_rows[k]
             removed.append((i, _result(game, pure(i, game.n_rows), margin, alive_rows, p,
                                        alive_cols)))
+        elif y is not None:
+            full = np.zeros(game.n_cols)
+            full[cols] = y
+            pool.append(full)
+            if certify:
+                v = sub @ y
+                skip |= v >= v.max() - delta * y.sum()
     return removed
 
 
@@ -221,10 +260,11 @@ def iterate_elimination(game: Game, mode: str = "pure-by-mixed",
     cols = tuple(range(game.n_cols))
     rounds = [(rows, cols)]
     removals = []
+    row_pool, col_pool = [], []  # each seat's certificates (_one_side_removals)
     while True:
-        gone_rows = _one_side_removals(game, rows, cols, dom_mode)
+        gone_rows = _one_side_removals(game, rows, cols, dom_mode, row_pool)
         gone_cols = (gone_rows if mirror
-                     else _one_side_removals(opponent_game, cols, rows, dom_mode))
+                     else _one_side_removals(opponent_game, cols, rows, dom_mode, col_pool))
         if not gone_rows and not gone_cols:
             break
         k = len(rounds)

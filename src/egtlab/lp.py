@@ -10,6 +10,13 @@ checked against the original constraints before it is returned, so a
 tableau corrupted by rounding raises LpError instead of passing as an
 optimum.
 
+The constraint duals come off the final reduced-cost row for free. That
+row holds c - pi A, where pi = c_B B^-1 are the duals of the final basis B,
+and the start basis's columns of A are the identity, so at those columns
+it reads c[basis0] - pi: pi = c[basis0] - T[-1, basis0]. At the optimum,
+c - pi A <= PIVOT_TOL (dual feasibility) and pi @ b equals the optimal
+value up to rounding (strong duality).
+
 The pivot loop is the hot path of iterated elimination, so it keeps NumPy
 calls per pivot few: the entering column is the argmax of a mask, and the
 update broadcasts one column against one row in place. Its arithmetic is
@@ -72,8 +79,10 @@ def solve_max(c, A, b, basis):
 
     basis[r] names the variable basic in row r: A[:, basis] must be the
     identity and b >= 0, so x[basis] = b is feasible; otherwise ValueError.
-    Returns (x, value). Raises LpError when unbounded, or when the solution
-    misses A @ x == b or x >= 0 by more than FEAS_TOL (scaled by max|b|).
+    Returns (x, value, pi), pi the constraint duals read off the final
+    reduced costs (module docstring). Raises LpError when unbounded, or when
+    the solution misses A @ x == b or x >= 0 by more than FEAS_TOL (scaled
+    by max|b|).
     """
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
@@ -90,6 +99,7 @@ def solve_max(c, A, b, basis):
     T[:m, :n] = A
     T[:m, -1] = b
     T[-1, :n] = c - c[basis] @ A
+    basis0 = basis.copy()
     _bland_iterate(T, basis)
 
     x = np.zeros(n)
@@ -99,4 +109,4 @@ def solve_max(c, A, b, basis):
     if residual > tol or x.min() < -FEAS_TOL:
         raise LpError(f"solution residual {residual:.3g} exceeds {tol:.3g} "
                       f"(smallest entry {x.min():.3g})")
-    return x, float(c @ x)
+    return x, float(c @ x), c[basis0] - T[-1, basis0]

@@ -43,6 +43,11 @@ _VARIANTS_4X4 = ("hofbauer-weibull", "dual")
 # Normalized band for a - (b+c)/2 in the dual cycle search; see build_rps4.
 _DUAL_ROTATION_BAND = (0.03, 0.13)
 
+# Most samples a 3x2 survival run returns. Its horizon is a few periods T,
+# and T grows as 1/alpha: on a near-linear link the default sampling, every
+# 100 steps of dt, would take billions of samples.
+SURVIVAL_MAX_SAMPLES = 20_000
+
 
 def _check(ok: bool, message: str):
     if not ok:
@@ -419,6 +424,15 @@ def run_discussion(link: LinkFunction | None = None, *, seed: int = 0,
     return _finish(report), traj
 
 
+def _survival_sample_every(schedule: Schedule, t_max: float, dt: float) -> int:
+    """integrate's default sample_every, 100, made coarser where a run to
+    t_max would return more than SURVIVAL_MAX_SAMPLES samples."""
+    # steps of the grid: at most one per dt, plus one per segment between cuts
+    steps = (math.ceil(t_max / dt) + 1
+             + len(schedule.times) * math.ceil(t_max / schedule.period))
+    return max(100, math.ceil(steps / (SURVIVAL_MAX_SAMPLES - 1)))
+
+
 def run_survival_nonconvex(link: LinkFunction | None = None, *, seed: int = 0,
                            dt: float = 1e-3):
     """Square-wave opponent carries the dominated pure strategy to fixation."""
@@ -426,7 +440,8 @@ def run_survival_nonconvex(link: LinkFunction | None = None, *, seed: int = 0,
     con = build_survival(f, "nonconvex")
     t_max = 12 * con.period
     traj = integrate(GrowthRule(link=f), con.game, uniform(3).weights,
-                     opponent=con.schedule, t_max=t_max, dt=dt)
+                     opponent=con.schedule, t_max=t_max, dt=dt,
+                     sample_every=_survival_sample_every(con.schedule, t_max, dt))
     x_m = float(traj.states[-1, 1])
     v = verdict(traj, pure(1, 3))
     report = {
@@ -452,7 +467,8 @@ def run_survival_nonconcave(link: LinkFunction | None = None, *, seed: int = 0,
     con = build_survival(f, "nonconcave")
     t_max = periods * con.period
     traj = integrate(GrowthRule(link=f), con.game, uniform(3).weights,
-                     opponent=con.schedule, t_max=t_max, dt=dt)
+                     opponent=con.schedule, t_max=t_max, dt=dt,
+                     sample_every=_survival_sample_every(con.schedule, t_max, dt))
     x_m = float(traj.states[-1, 1])
     mix = np.array([0.5, 0.0, 0.5])
     floor = periodic_floor(traj, (0, 2), con.period)

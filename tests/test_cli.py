@@ -299,6 +299,15 @@ def test_dominance_iterate_rejects_a_mixture(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_dominance_iterate_needs_a_square_game(tmp_path, capsys):
+    game = write_json(tmp_path / "g.json", {"payoff": [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]})
+    assert main(["dominance", "--game", game, "--iterate"]) == 1
+    captured = capsys.readouterr()
+    assert "--iterate reads the game as one population" in captured.err
+    assert "needs a square game; got 2x3" in captured.err
+    assert "opponent_game" not in captured.err and captured.out == ""
+
+
 def test_main_runs_twice_in_one_process(tmp_path, capsys):
     game = write_json(tmp_path / "g.json", {"payoff": DISCUSSION_PAYOFF})
     calls = [["dominance", "--game", game, "--iterate", "--mode", "pure"],

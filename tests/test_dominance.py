@@ -223,23 +223,62 @@ def _elimination_games():
         yield Game(rng.integers(0, 6, size=(6, 6)).astype(float))
 
 
+def _two_sided_games():
+    """A planted game against two different opponent matrices."""
+    A, chain = planted_game(np.random.default_rng(19), 10, 3)
+    nudged = A.copy()
+    nudged[chain[0], chain[0]] = 5.0  # the column seat keeps chain[0] while row chain[0] lives
+    assert not np.array_equal(A, A.T)
+    return Game(A), (Game(nudged), Game(A.T))
+
+
+def _screened_queries(monkeypatch, game, mode, opponent=None):
+    """The trace of an elimination, and (game, own, opp, skipped) for each
+    seat of each round: skipped lists the alive strategies whose query the
+    screen answered without calling _max_margin."""
+    calls, one_side, max_margin = [], dominance._one_side_removals, dominance._max_margin
+
+    def side(g, own, opp, *args):
+        calls.append((g, own, opp, []))
+        return one_side(g, own, opp, *args)
+
+    def margin(gaps, dom_mode):
+        calls[-1][3].append(gaps)
+        return max_margin(gaps, dom_mode)
+    with monkeypatch.context() as m:
+        m.setattr(dominance, "_one_side_removals", side)
+        m.setattr(dominance, "_max_margin", margin)
+        trace = iterate_elimination(game, mode=mode, opponent_game=opponent)
+    seats = []
+    for g, own, opp, asked in calls:
+        sub = g.payoff[np.ix_(own, opp)]
+        skipped = [i for i, row in zip(own, sub)
+                   if not any(np.array_equal(gaps, sub - (row + 0.0)) for gaps in asked)]
+        seats.append((g, own, opp, skipped))
+    return trace, seats
+
+
 @pytest.mark.parametrize("mode", ["pure-by-mixed", "pure-by-pure"])
-def test_best_reply_screen_changes_no_round(mode):
+def test_best_reply_screen_changes_no_round(monkeypatch, mode):
+    # the screen's certificates are the alive pure columns, which skip weak
+    # best replies, and in mixed mode the duals of earlier LPs
     dom_mode = "mixed" if mode == "pure-by-mixed" else "pure"
-    screened = 0
-    for game in _elimination_games():
-        trace = iterate_elimination(game, mode=mode)
-        rounds, removals = _elimination_by_queries(game, dom_mode)
+    game, opponents = _two_sided_games()
+    runs = [(g, None) for g in _elimination_games()] + [(game, o) for o in opponents]
+    skipped = {True: 0, False: 0}  # by whether the row is a weak best reply
+    for g, opponent in runs:
+        trace, seats = _screened_queries(monkeypatch, g, mode, opponent)
+        rounds, removals = _elimination_by_queries(g, dom_mode, opponent)
         assert trace.rounds == rounds
         assert {(k, side, i) for k, side, i, _ in trace.removals} == removals
-        for own, opp in [sets for rc in rounds for sets in (rc, rc[::-1])]:
-            sub = game.payoff[np.ix_(own, opp)]
-            for i, payoffs in zip(own, sub):
-                if (payoffs >= sub.max(axis=0)).any():
-                    screened += 1
-                    res = find_dominator(game, pure(i, game.n_rows), own, opp, dom_mode)
-                    assert not res.dominated
-    assert screened > 0
+        for seat, own, opp, rows in seats:
+            sub = seat.payoff[np.ix_(own, opp)]
+            for i in rows:
+                assert not find_dominator(seat, pure(i, seat.n_rows), own, opp,
+                                          dom_mode).dominated
+                skipped[bool((sub[own.index(i)] >= sub.max(axis=0)).any())] += 1
+    assert skipped[True] > 0
+    assert (skipped[False] > 0) == (mode == "pure-by-mixed")
 
 
 def _trace_sha256(trace):
@@ -262,14 +301,16 @@ def _unscreened_rows(game, rounds):
     return count
 
 
-# (size, chain depth, LPs, pivots, trace SHA-256). Asking the column side's
-# queries again, as a two-sided loop does, takes twice the LPs and pivots for
-# the same digests. At 17, weights normalised over the alive rows alone
-# (not over all rows) change the digest.
+# (size, chain depth, LPs, pivots, trace SHA-256). The certificates of
+# earlier LPs answer the rest of the queries the best-reply screen leaves
+# (15, 25 and 20). Asking the column side's queries again, as a two-sided
+# loop does, takes twice the LPs and pivots for the same digests. At 17,
+# weights normalised over the alive rows alone (not over all rows) change
+# the digest.
 ELIMINATION_BUDGETS = [
-    (12, 3, 15, 122, "42912157f198abbff264e9d8379d6778049c2f0bab6b5c43765c5cb83ecbdf59"),
-    (16, 3, 25, 316, "75f4be6ece31d3eece0446373a1436de72f3ca350287511a65550d6d4285f3fb"),
-    (17, 4, 20, 378, "3894ae5f148f415fb569ea4d2d2e34b5f93c517e763293b5670717c24f8399e2"),
+    (12, 3, 9, 85, "42912157f198abbff264e9d8379d6778049c2f0bab6b5c43765c5cb83ecbdf59"),
+    (16, 3, 15, 182, "75f4be6ece31d3eece0446373a1436de72f3ca350287511a65550d6d4285f3fb"),
+    (17, 4, 10, 243, "3894ae5f148f415fb569ea4d2d2e34b5f93c517e763293b5670717c24f8399e2"),
 ]
 
 
@@ -289,7 +330,7 @@ def test_symmetric_elimination_solves_each_row_query_once(monkeypatch, n, depth,
     monkeypatch.setattr(lp, "_pivot", counted("pivot", lp._pivot))
     trace = iterate_elimination(game)
     assert len(trace.rounds) > 2
-    assert calls["lp"] == _unscreened_rows(game, trace.rounds) == lps
+    assert calls["lp"] == lps < _unscreened_rows(game, trace.rounds)
     assert calls["pivot"] == pivots
     assert _trace_sha256(trace) == sha
 
@@ -308,18 +349,14 @@ def test_an_equal_opponent_matrix_takes_the_single_population_path():
 
 
 def test_a_different_opponent_matrix_runs_both_sides(monkeypatch):
-    A, chain = planted_game(np.random.default_rng(19), 10, 3)
-    nudged = A.copy()
-    nudged[chain[0], chain[0]] = 5.0  # the column seat keeps chain[0] while row chain[0] lives
-    assert not np.array_equal(A, A.T)
     sides, one_side = [], dominance._one_side_removals
 
     def counted(game, *args):
         sides.append(game)
         return one_side(game, *args)
     monkeypatch.setattr(dominance, "_one_side_removals", counted)
-    game = Game(A)
-    for opponent in (Game(nudged), Game(A.T)):
+    game, opponents = _two_sided_games()
+    for opponent in opponents:
         sides.clear()
         trace = iterate_elimination(game, opponent_game=opponent)
         assert sides == [game, opponent] * len(trace.rounds)
@@ -329,3 +366,46 @@ def test_a_different_opponent_matrix_runs_both_sides(monkeypatch):
         rounds, removals = _elimination_by_queries(game, "mixed", opponent)
         assert trace.rounds == rounds
         assert {(k, side, i) for k, side, i, _ in trace.removals} == removals
+
+
+def test_the_screen_allows_for_rounding_in_its_products(monkeypatch):
+    # Row 3's LP certifies it with the uniform column mixture, under which
+    # every row earns 1. Row 4 is no best reply to a pure column, and its
+    # product rounds to 1 - 2^-53: only the rounding allowance lets the
+    # certificate answer its query.
+    game = Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0], [1.0, 1.0, 1.0],
+                 [0.7, 0.9, 1.4]])
+    calls = []
+    monkeypatch.setattr(dominance, "solve_max",
+                        lambda *args: calls.append(args) or lp.solve_max(*args))
+    trace = iterate_elimination(game, opponent_game=Game(np.zeros((3, 5))))
+    assert trace.rounds == ((tuple(range(5)), (0, 1, 2)),) and not trace.removals
+    assert len(calls) == 1
+
+
+def test_payoffs_too_large_for_the_rounding_allowance_screen_exactly():
+    # At payoffs near 1e7 the products' rounding allowance, 2 (n + 1) eps
+    # max|payoff| = 1.8e-8, exceeds the margin 7.45e-9 by which row 0
+    # dominates row 3. Only an exact best reply may be skipped there.
+    big, m = 1e7, 8e-9
+    game = Game([[big, 0.0, 0.0], [0.0, big, 0.0], [0.0, 0.0, big], [big - m, -m, -m]])
+    opponent = Game(np.zeros((3, 4)))
+    trace = iterate_elimination(game, opponent_game=opponent)
+    assert trace.removals and trace.removals[0][:3] == (1, "row", 3)
+    assert trace.removals[0][3].margin > dominance.STRICT_TOL
+    rounds, removals = _elimination_by_queries(game, "mixed", opponent)
+    assert trace.rounds == rounds
+    assert {(k, side, i) for k, side, i, _ in trace.removals} == removals
+
+
+def test_a_certificate_leaves_the_pool_with_its_columns():
+    # Row 2's LP certifies it with the half-half mixture of columns 2 and 3,
+    # its only certificate. The column seat removes both columns in round 1,
+    # and then row 0 dominates row 2 on the columns left.
+    game = Game([[2.0, 2.0, 3.0, 0.0], [2.0, 2.0, 0.0, 3.0], [1.0, 1.0, 1.5, 1.5]])
+    opponent = Game([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    trace = iterate_elimination(game, opponent_game=opponent)
+    assert trace.rounds == (((0, 1, 2), (0, 1, 2, 3)), ((0, 1, 2), (0, 1)), ((0, 1), (0, 1)))
+    rounds, removals = _elimination_by_queries(game, "mixed", opponent)
+    assert trace.rounds == rounds
+    assert {(k, side, i) for k, side, i, _ in trace.removals} == removals

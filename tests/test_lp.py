@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from egtlab import lp
+from egtlab import dominance, lp
 from egtlab.dominance import find_dominator
 from egtlab.games import Game, pure
 from egtlab.lp import LpError, solve_max
@@ -15,7 +15,7 @@ import oracles
 
 def test_box_corner():
     # max x1 + x2 with x1 + x2 + slack = 1, from the slack basis
-    x, val = solve_max([1.0, 1.0, 0.0], [[1.0, 1.0, 1.0]], [1.0], [2])
+    x, val, _ = solve_max([1.0, 1.0, 0.0], [[1.0, 1.0, 1.0]], [1.0], [2])
     assert val == pytest.approx(1.0)
     assert x[2] == pytest.approx(0.0)
 
@@ -24,9 +24,20 @@ def test_two_constraints():
     # max 3a + 2b, a + b <= 4, a <= 3 (slacks appended and basic)
     c = [3.0, 2.0, 0.0, 0.0]
     A = [[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]]
-    x, val = solve_max(c, A, [4.0, 3.0], [2, 3])
+    x, val, _ = solve_max(c, A, [4.0, 3.0], [2, 3])
     assert val == pytest.approx(11.0)
     assert x[0] == pytest.approx(3.0) and x[1] == pytest.approx(1.0)
+
+
+def test_duals_price_the_constraints():
+    # test_two_constraints' LP: a unit more of a + b <= 4 earns 2, of a <= 3
+    # earns 1
+    c = [3.0, 2.0, 0.0, 0.0]
+    A = [[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]]
+    assert solve_max(c, A, [4.0, 3.0], [2, 3])[2].tolist() == [2.0, 1.0]
+    # a start basis with a cost: max x0 + 2 x1 with x0 + x1 = 1, from x0 = 1
+    x, val, pi = solve_max([1.0, 2.0], [[1.0, 1.0]], [1.0], [0])
+    assert x.tolist() == [0.0, 1.0] and val == 2.0 and pi.tolist() == [2.0]
 
 
 def test_an_lp_that_needs_exactly_maxiter_pivots_solves(monkeypatch):
@@ -58,7 +69,7 @@ def test_negative_rhs_rows_are_handled():
     # row is rejected as posed and solves once the caller negates it.
     with pytest.raises(ValueError, match="canonical"):
         solve_max([-1.0], [[-1.0]], [-2.0], [0])
-    x, val = solve_max([-1.0], [[1.0]], [2.0], [0])
+    x, val, _ = solve_max([-1.0], [[1.0]], [2.0], [0])
     assert x[0] == pytest.approx(2.0)
     assert val == pytest.approx(-2.0)
 
@@ -108,7 +119,7 @@ def test_matches_basis_enumeration_on_random_problems():
     for c, A, b, basis in _random_lps():
         want = _enumerate_optimum(c, A, b)
         try:
-            _, val = solve_max(c, A, b, basis)
+            _, val, _ = solve_max(c, A, b, basis)
         except LpError as err:
             assert "unbounded" in str(err)
             continue
@@ -139,14 +150,18 @@ def _start_tableaus(monkeypatch):
         for c, A, b, basis in _random_lps():
             with pytest.raises(LpError, match="recorded"):
                 solve_max(c, A, b, basis)
-        rng = np.random.default_rng(8)
-        for n in (3, 4, 5, 6, 8):
-            for _ in range(8):
-                game = Game(rng.integers(0, 3, size=(n, n)).astype(float))
-                for i in range(n):
-                    with pytest.raises(LpError, match="recorded"):
-                        find_dominator(game, pure(i, n))
+        for game in _small_integer_games():
+            for i in range(game.n_rows):
+                with pytest.raises(LpError, match="recorded"):
+                    find_dominator(game, pure(i, game.n_rows))
     return starts
+
+
+def _small_integer_games():
+    rng = np.random.default_rng(8)
+    for n in (3, 4, 5, 6, 8):
+        for _ in range(8):
+            yield Game(rng.integers(0, 3, size=(n, n)).astype(float))
 
 
 def _run_both(monkeypatch, T0, basis0, maxiter):
@@ -189,3 +204,56 @@ def test_pivot_loop_matches_the_reference_bit_for_bit(monkeypatch):
     assert {None, "objective unbounded above"} < errors
     assert any(e and "did not terminate" in e for e in errors)
     assert len(starts) == 60 + 8 * (3 + 4 + 5 + 6 + 8)
+
+
+def _solved_with_duals(monkeypatch):
+    """(source, c, A, b, x, value, pi) for the random LPs above that have an
+    optimum ("random"), then for the dominance LPs of the pure strategies of
+    small integer games and of uniform games ("dominance")."""
+    lps = [("random", *args) for args in _random_lps()]
+
+    def record(*args):
+        lps.append(("dominance", *args))
+        return solve_max(*args)
+    rng = np.random.default_rng(9)
+    games = list(_small_integer_games()) + [Game(rng.uniform(0.0, 1.0, size=(n, n)))
+                                            for n in (3, 4, 5, 6) for _ in range(4)]
+    with monkeypatch.context() as m:
+        m.setattr(dominance, "solve_max", record)
+        for game in games:
+            for i in range(game.n_rows):
+                find_dominator(game, pure(i, game.n_rows))
+    solved = []
+    for source, c, A, b, basis in lps:
+        try:
+            x, value, pi = solve_max(c, A, b, basis)
+        except LpError as err:
+            assert source == "random" and "unbounded" in str(err)
+            continue
+        solved.append((source, np.asarray(c, dtype=float), np.asarray(A, dtype=float),
+                       np.asarray(b, dtype=float), x, value, pi))
+    return solved
+
+
+def test_duals_are_feasible_and_close_the_duality_gap(monkeypatch):
+    solved = _solved_with_duals(monkeypatch)
+    assert len(solved) > 300
+    for _, c, A, b, x, value, pi in solved:
+        assert (c - pi @ A).max() <= lp.PIVOT_TOL
+        # the largest gap measured on these LPs is 4.5e-16
+        assert abs(pi @ b - value) <= 1e-12 * (1.0 + np.abs(pi) @ np.abs(b))
+
+
+def test_duals_match_highs_where_the_optimum_is_unique(monkeypatch):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    unique = []
+    for source, c, A, b, x, value, pi in _solved_with_duals(monkeypatch):
+        # an optimal basis whose basic entries are all positive has one dual
+        if np.count_nonzero(x > 1e-9) < len(b):
+            continue
+        res = linprog(-c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert res.status == 0, res.message
+        # HiGHS minimizes -c @ x, so its marginals are the duals negated
+        np.testing.assert_allclose(-res.eqlin.marginals, pi, rtol=0, atol=1e-9)
+        unique.append(source)
+    assert unique.count("random") >= 10 and unique.count("dominance") >= 10

@@ -180,6 +180,27 @@ def test_survival_builds_on_a_violation_below_the_classifier_grid():
         build_survival(f, "nonconcave")
 
 
+@pytest.mark.parametrize("run, link", [
+    (run_survival_nonconvex, power_link(1.0 - 1e-5, (1.0, 9.0))),
+    (run_survival_nonconcave, exp_link(1e-4, (0.0, 2.0))),
+], ids=["nonconvex", "nonconcave"])
+def test_survival_runs_on_a_long_period_stay_within_the_sample_bound(run, link):
+    # periods of 4.1e6 and 2.4e9: sampled every 100 steps of dt 1e-3, the
+    # runs would take 5e8 and 2e11 samples
+    report, traj = run(link)
+    assert len(traj.times) <= scenarios.SURVIVAL_MAX_SAMPLES
+    assert traj.times[-1] == report["run"]["t_max"]
+    if run is run_survival_nonconvex:
+        assert report["run"]["x_M_final"] > 0.99
+
+
+def test_survival_runs_at_their_defaults_sample_every_100_steps():
+    for run in (run_survival_nonconvex, run_survival_nonconcave):
+        report, traj = run()
+        t_max, dt = report["run"]["t_max"], report["run"]["dt"]
+        assert len(traj.times) == round(t_max / dt) // 100 + 1
+
+
 @pytest.mark.parametrize("con, free", [
     (build_survival(sqrt_link((1.0, 9.0)), "nonconvex"), ["link", "variant", "a", "b", "eps"]),
     (DUAL, ["link", "variant", "a", "b", "c", "beta", "gamma"]),
