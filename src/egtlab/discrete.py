@@ -65,6 +65,8 @@ class BackgroundFitness:
         rate = float(self.rate)
         if not math.isfinite(base):
             raise ValueError("background base must be finite")
+        if not math.isfinite(rate):
+            raise ValueError("background rate must be finite")
         if self.kind == "geometric" and not (base > 0 and rate > 0):
             raise ValueError("geometric background needs positive base and ratio")
         object.__setattr__(self, "base", base)

@@ -95,10 +95,9 @@ def _validate_family(f: LinkFunction) -> None:
             raise ValueError("sqrt link takes no params")
         if lo < 0:
             raise ValueError("sqrt needs a nonnegative domain")
-    # every family must stay finite on its interval
-    grid = np.linspace(lo, hi, 129)
-    vals = _eval_unchecked(f, grid)
-    if not np.all(np.isfinite(vals)):
+    # every family is monotone on its domain, or an even power whose least |f|
+    # is at 0, so |f| peaks at an end; table knots were checked finite above
+    if not np.all(np.isfinite(_eval_unchecked(f, [lo, hi]))):
         raise ValueError(f"link is not finite everywhere on {f.domain}")
 
 
@@ -200,21 +199,35 @@ def hull_inside(f: LinkFunction, hull) -> bool:
     return lo - pad <= hull[0] and hull[1] <= hi + pad
 
 
-def increasing_on(f: LinkFunction, lo: float, hi: float) -> bool:
-    """True when f is strictly increasing on [lo, hi], read exactly from its
-    family: a positive slope (linear) or rate (exponential); sqrt and
-    logarithm always; a positive exponent with lo >= 0 or an odd integer
-    one (power); rising knot values on every knot segment that meets
-    (lo, hi) (table)."""
+def _signs(f: LinkFunction, lo: float, hi: float, k: int):
+    """The least and greatest sign of f's k-th derivative (k = 1 or 2) on
+    (lo, hi), apart from isolated zeros. Each scalar family's has one sign,
+    its coefficient's, but for u^p's p (p - 1).. u^(p - k), which flips
+    where u < 0 for an odd p - k. A table reads the knot segments that meet
+    (lo, hi): their rises (k = 1), or their steps in slope at the knots
+    inside (k = 2), where a step within the knots' rounding, 8 eps max|y|
+    over the smallest spacing, counts as 0."""
     if f.family == "table":
-        meets = (f.knots_x[:-1] < hi) & (f.knots_x[1:] > lo)
-        return bool(np.all(np.diff(f.knots_y)[meets] > 0.0))
-    if f.family in ("sqrt", "logarithm"):
-        return True
-    p = f.params[0]
-    if f.family == "power":
-        return p > 0.0 and (lo >= 0.0 or (p.is_integer() and p % 2 == 1))
-    return p > 0.0
+        xs, ys = f.knots_x, f.knots_y
+        meets = (xs[:-1] < hi) & (xs[1:] > lo)
+        d = np.diff(ys)[meets]
+        if k == 2:
+            d = np.diff(np.diff(ys) / np.diff(xs))[meets[:-1] & meets[1:]]
+            rounding = 8 * np.finfo(float).eps * np.abs(ys).max() / np.diff(xs).min()
+            d[np.abs(d) <= rounding] = 0.0
+        return (np.sign(d).min(), np.sign(d).max()) if d.size else (0.0, 0.0)
+    p = (f.params or (0.0,))[0]
+    s = np.sign({"linear": (p, 0.0), "exponential": (p, abs(p)), "power": (p, p * (p - 1.0)),
+                 "sqrt": (1.0, -1.0), "logarithm": (1.0, -1.0)}[f.family][k - 1])
+    if f.family == "power" and lo < 0.0 and (p - k) % 2 == 1 and s:
+        return (-1.0, 1.0) if hi > 0.0 else (-s, -s)
+    return s, s
+
+
+def increasing_on(f: LinkFunction, lo: float, hi: float) -> bool:
+    """True when f is strictly increasing on [lo, hi]: its derivative is
+    positive on (lo, hi) apart from isolated zeros (see _signs)."""
+    return bool(_signs(f, lo, hi, 1)[0] > 0)
 
 
 def scalar_link(f: LinkFunction, within=None):
@@ -278,30 +291,18 @@ class DynamicsClass:
     concave: bool
     linear: bool
     label: str
-    second_diff_min: float
-    second_diff_max: float
 
 
-def classify_link(f: LinkFunction, tol: float | None = None,
-                  interval=None) -> DynamicsClass:
-    """Sample the link on a uniform grid of 1001 points and read off
-    monotonicity and curvature.
-
-    tol is an absolute slack on the raw first/second differences; it defaults
-    to 1e-9 times max(1, the sampled value scale).
-    """
+def classify_link(f: LinkFunction, interval=None) -> DynamicsClass:
+    """Monotonicity and curvature of f on interval (default: its domain),
+    read exactly from its family (see _signs)."""
     lo, hi = interval if interval is not None else f.domain
-    if hi - lo < 1e-9:
-        raise ValueError(f"interval [{lo!r}, {hi!r}] too small to classify on")
-    grid = np.linspace(lo, hi, 1001)
-    vals = eval_link(f, grid)
-    if tol is None:
-        tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
-    d1 = np.diff(vals)
-    d2 = np.diff(d1)
-    increasing = bool(np.all(d1 > -tol))
-    convex = bool(np.all(d2 >= -tol))
-    concave = bool(np.all(d2 <= tol))
+    if not lo < hi:
+        raise ValueError(f"interval [{lo!r}, {hi!r}] is empty, cannot classify on it")
+    eval_link(f, [lo, hi])  # raises DomainError outside f's domain
+    increasing = increasing_on(f, lo, hi)
+    low, high = _signs(f, lo, hi, 2)
+    convex, concave = bool(low >= 0), bool(high <= 0)
     linear = convex and concave
     if not increasing:
         label = "non-monotonic"
@@ -313,9 +314,7 @@ def classify_link(f: LinkFunction, tol: float | None = None,
         label = "concave-monotonic"
     else:
         label = "monotonic"
-    return DynamicsClass(increasing, convex, concave, linear, label,
-                         float(d2.min()) if d2.size else 0.0,
-                         float(d2.max()) if d2.size else 0.0)
+    return DynamicsClass(increasing, convex, concave, linear, label)
 
 
 def discrete_effective_link(f: LinkFunction, background: float) -> LinkFunction:

@@ -32,12 +32,13 @@ from .diagnostics import (log_min_support, periodic_floor, taylor_sign_check,
 from .discrete import affine_background, constant_background, geometric_background, iterate
 from .dominance import find_dominator, strict_margin
 from .dynamics import GrowthRule, Schedule, integrate
-from .games import Game, game_to_dict, pure, uniform, validate_simplex
+from .games import Game, MixedStrategy, game_to_dict, pure, uniform, validate_simplex
 from .links import (LinkFunction, discrete_effective_link, eval_link, exp_link,
                     hull_inside, increasing_on, linear_link, power_link, rps_direction,
                     sqrt_link)
 
 _VARIANTS_3X2 = ("nonconvex", "nonconcave")
+_MIX_TB = validate_simplex([0.5, 0.0, 0.5])  # the half-half mixture of T and B
 _VARIANTS_4X4 = ("hofbauer-weibull", "dual")
 
 # Normalized band for a - (b+c)/2 in the dual cycle search; see build_rps4.
@@ -118,11 +119,8 @@ class SurvivalConstruction:
                 game=Game([[b, a], [u_m, u_m], [a, b]], ("T", "M", "B"), ("L", "R")),
                 schedule=Schedule(2.0 * T, [0.0, T - 1.0, float(T), 2.0 * T - 1.0],
                                   [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
-        mix = np.array([0.5, 0.0, 0.5])
-        if self.variant == "nonconvex":
-            margin = strict_margin(self.game, mix, pure(1, 3))
-        else:
-            margin = strict_margin(self.game, pure(1, 3), mix)
+        rival = _MIX_TB if self.variant == "nonconvex" else pure(1, 3)
+        margin = strict_margin(self.game, rival, self.dominated)
         _check(margin > 0.0, "domination certificate failed")
         _check(abs(margin - eps) <= 1e-9 * max(1.0, eps),
                "domination margin should equal eps")
@@ -132,9 +130,10 @@ class SurvivalConstruction:
         return 2.0 * self.T
 
     @property
-    def dominated(self):
-        """The strategy predicted to be eliminated in a static environment."""
-        return pure(1, 3) if self.variant == "nonconvex" else np.array([0.5, 0.0, 0.5])
+    def dominated(self) -> MixedStrategy:
+        """The strategy predicted to be eliminated in a static environment:
+        pure M (nonconvex) or the half-half mixture of T and B (nonconcave)."""
+        return pure(1, 3) if self.variant == "nonconvex" else _MIX_TB
 
 
 def build_survival(f: LinkFunction, variant: str, search_box=None) -> SurvivalConstruction:
@@ -382,9 +381,9 @@ def _link_desc(f: LinkFunction | None):
             "domain": [f.domain[0], f.domain[1]]}
 
 
-def _tail(arr, frac=4):
-    n = len(arr)
-    return arr[-(n // frac or 1):]
+def _tail(arr):
+    """The last quarter of arr's rows, at least one."""
+    return arr[-(len(arr) // 4 or 1):]
 
 
 def _finish(report: dict) -> dict:
@@ -443,7 +442,7 @@ def run_survival_nonconvex(link: LinkFunction | None = None, *, seed: int = 0,
                      opponent=con.schedule, t_max=t_max, dt=dt,
                      sample_every=_survival_sample_every(con.schedule, t_max, dt))
     x_m = float(traj.states[-1, 1])
-    v = verdict(traj, pure(1, 3))
+    v = verdict(traj, con.dominated)
     report = {
         "scenario": "survival-nonconvex",
         "seed": seed,
@@ -470,12 +469,11 @@ def run_survival_nonconcave(link: LinkFunction | None = None, *, seed: int = 0,
                      opponent=con.schedule, t_max=t_max, dt=dt,
                      sample_every=_survival_sample_every(con.schedule, t_max, dt))
     x_m = float(traj.states[-1, 1])
-    mix = np.array([0.5, 0.0, 0.5])
     floor = periodic_floor(traj, (0, 2), con.period)
     prod = np.exp(traj.log_states[:, 0] + traj.log_states[:, 2])
     late_max = float(_tail(prod).max())
     v_m = verdict(traj, pure(1, 3))
-    v_mix = verdict(traj, mix)
+    v_mix = verdict(traj, con.dominated)
     report = {
         "scenario": "survival-nonconcave",
         "seed": seed,
@@ -507,19 +505,20 @@ def _rps4_desc(con: Rps4Construction) -> dict:
             "payoff": con.game.payoff.tolist()}
 
 
-def _rps4_runs(f: LinkFunction, con: Rps4Construction, starts, judge,
+def _rps4_runs(f: LinkFunction, con: Rps4Construction, starts: np.ndarray, judge,
                t_max: float, dt: float):
     """All starts of a 4x4 construction in one batched self-play flow.
 
-    starts(con) gives the (n_seeds, 4) initial states, judge(traj) the
+    starts holds the (n_seeds, 4) initial states, judge(traj) gives the
     per-seed records and whether the construction passed. While it does not,
-    beta is halved and the construction rebuilt, at most 6 times. Returns
-    (construction, halvings, batch trajectory, records).
+    beta is halved and the construction rebuilt, at most 6 times, and run
+    from the same starts. Returns (construction, halvings, batch trajectory,
+    records).
     """
     rule = GrowthRule(link=f)
     halvings = 0
     while True:
-        traj = integrate(rule, con.game, starts(con), t_max=t_max, dt=dt)
+        traj = integrate(rule, con.game, starts, t_max=t_max, dt=dt)
         runs, passed = judge(traj)
         if passed or halvings >= 6:
             return con, halvings, traj, runs
@@ -539,15 +538,13 @@ def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,
     """
     f = link if link is not None else sqrt_link((0.0, 20.0))
 
-    def starts(_):
-        rng = np.random.default_rng(seed)
-        x0 = np.full((n_seeds, 4), 0.01)
-        for s, x in enumerate(x0):
-            i = s % 3
-            others = [j for j in range(3) if j != i]
-            x[others] += rng.uniform(-0.002, 0.002, size=2)
-            x[i] = 1.0 - float(x[others].sum()) - 0.01
-        return x0
+    rng = np.random.default_rng(seed)
+    x0 = np.full((n_seeds, 4), 0.01)
+    for s, x in enumerate(x0):
+        i = s % 3
+        others = [j for j in range(3) if j != i]
+        x[others] += rng.uniform(-0.002, 0.002, size=2)
+        x[i] = 1.0 - float(x[others].sum()) - 0.01
 
     def judge(traj):
         low = np.exp(_tail(traj.log_states[:, :, 3]).min(axis=0))
@@ -556,7 +553,7 @@ def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,
         return runs, sum(r["persists"] for r in runs) >= 8
 
     con, halvings, traj, runs = _rps4_runs(
-        f, build_rps4(f, "hofbauer-weibull", (0.01, 20.0)), starts, judge, t_max, dt)
+        f, build_rps4(f, "hofbauer-weibull", (0.01, 20.0)), x0, judge, t_max, dt)
     dom = find_dominator(con.game, pure(3, 4).weights, mode="mixed")
     survivors = sum(r["persists"] for r in runs)
     report = {
@@ -591,10 +588,8 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
     frac = taylor_sign_check(GrowthRule(link=f), con.core_game, radius=0.01,
                              samples=taylor_samples, seed=seed)
 
-    def starts(_):
-        basin = BasinK(rho, eps4)
-        rng = np.random.default_rng(seed)
-        return np.array([basin.sample(rng) for _ in range(n_seeds)])
+    basin, rng = BasinK(rho, eps4), np.random.default_rng(seed)
+    x0 = np.array([basin.sample(rng) for _ in range(n_seeds)])
 
     def judge(traj):
         x4_final = traj.states[-1, :, 3]
@@ -604,7 +599,7 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
                 for s, (x4, low) in enumerate(zip(x4_final, core_min))]
         return runs, all(r["ok"] for r in runs)
 
-    con, halvings, traj, runs = _rps4_runs(f, con, starts, judge, t_max, dt)
+    con, halvings, traj, runs = _rps4_runs(f, con, x0, judge, t_max, dt)
     dom = find_dominator(con.game, np.array([1, 1, 1, 0]) / 3.0, mode="mixed")
     report = {
         "scenario": "dual-4x4",

@@ -2,6 +2,7 @@
 and integrators (tests/test_imports.py checks what they import):
 
 - mixture_grid and grid_margin: brute-force dominance margins on a grid
+- grid_shape: a link's monotonicity and curvature from sampled differences
 - planted_game: seeded games with a planted elimination chain
 - bland_iterate: a plain simplex loop
 - scripted_flow_logs: SciPy quadrature of a flow against a script
@@ -37,6 +38,24 @@ def grid_margin(payoff: np.ndarray, q, grid: np.ndarray) -> float:
     """Best worst-column payoff gap over grid mixtures p against q."""
     gaps = grid @ payoff - np.asarray(q, dtype=float) @ payoff
     return float(np.max(np.min(gaps, axis=1)))
+
+
+def grid_shape(f: LinkFunction, lo: float, hi: float):
+    """(increasing, convex, concave) of f on [lo, hi], read off its first and
+    second differences on 1001 uniform points, each allowed a slack of
+    1e-9 max(1, max|f|) of the wrong sign; and whether that reading is
+    clear: the least first difference sits at least 10 slacks from 0, and
+    the least and greatest second differences either as far or within the
+    values' rounding of 0, 16 eps max(1, max|f|)."""
+    vals = eval_link(f, np.linspace(lo, hi, 1001))
+    scale = max(1.0, float(np.abs(vals).max()))
+    d1, d2 = np.diff(vals), np.diff(vals, 2)
+    tol = 1e-9 * scale
+    flags = (bool(d1.min() > -tol), bool(d2.min() >= -tol), bool(d2.max() <= tol))
+    rounding = 16.0 * np.finfo(float).eps * scale
+    clear = abs(d1.min()) >= 10.0 * tol and all(abs(v) >= 10.0 * tol or abs(v) <= rounding
+                                                for v in (d2.min(), d2.max()))
+    return flags, clear
 
 
 def planted_game(rng, n: int, depth: int):

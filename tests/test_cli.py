@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in process through main(argv)."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -145,6 +146,21 @@ def test_simulate_discrete_refuses_counts_that_are_not_whole(tmp_path, capsys, i
     })
     assert main(["simulate", "--config", cfg]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("background", [
+    {"kind": "affine", "c0": 1.0, "c1": math.inf},
+    {"kind": "affine", "c0": 1.0, "c1": math.nan},
+    {"kind": "geometric", "c0": 1.0, "ratio": math.inf},
+], ids=["affine-inf", "affine-nan", "geometric-inf"])
+def test_simulate_discrete_refuses_a_rate_that_is_not_finite(tmp_path, capsys, background):
+    # json writes these as Infinity and NaN, which its reader accepts
+    cfg = write_json(tmp_path / "rate.json", {
+        "mode": "discrete", "game": {"payoff": [[2.0, 2.0], [1.0, 1.0]]},
+        "x0": [0.5, 0.5], "background": background, "integrator": {"n_max": 10},
+    })
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "background rate must be finite" in capsys.readouterr().err
 
 
 def test_simulate_discrete_takes_a_whole_float_count(tmp_path, capsys):
@@ -349,6 +365,17 @@ def test_classify_labels(capsys):
         code, doc = run_json(capsys, argv)
         assert code == 0
         assert doc["raw"]["label"] == label, argv
+
+
+def test_classify_reads_the_family_not_a_grid(capsys):
+    for spec, label in (("power:0.99999@1,9", "concave-monotonic"),
+                        ("exp:1e-4@0,2", "convex-monotonic"),
+                        ("exp:0@0,1", "non-monotonic")):
+        code, doc = run_json(capsys, ["classify", "--link", spec])
+        assert code == 0
+        assert doc["raw"]["label"] == label, spec
+        assert set(doc["raw"]) == {"link", "interval", "discrete_C", "increasing", "convex",
+                                   "concave", "linear", "label"}
 
 
 def test_number_lists_of_the_wrong_length_exit_1(capsys):

@@ -60,6 +60,13 @@ def test_geometric_background_validation():
         BackgroundFitness("weekly", 1.0)
 
 
+@pytest.mark.parametrize("kind", ["constant", "affine", "geometric"])
+@pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
+def test_background_rate_must_be_finite(kind, rate):
+    with pytest.raises(ValueError, match="background rate must be finite"):
+        BackgroundFitness(kind, 1.0, rate)
+
+
 def test_step_is_neutral_on_constant_payoffs():
     game = Game([[1.5, 1.5], [1.5, 1.5]])
     np.testing.assert_allclose(one_generation(REPL, game, (0.3, 0.7), 1.0), [0.3, 0.7])

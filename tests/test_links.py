@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from egtlab.links import (DomainError, array_link, classify_link,
+from egtlab.links import (FAMILIES, DomainError, array_link, classify_link,
                           discrete_effective_link, domain_pad, eval_link,
                           exp_link, hull_inside, increasing_on, linear_link, log_link,
                           parse_link, power_link, rps_direction, scalar_link, sqrt_link,
                           table_link)
+from oracles import grid_shape
 
 
 def test_eval_basics():
@@ -61,6 +62,15 @@ def test_log_needs_a_positive_floor():
     assert eval_link(log_link((1.0, 9.0)), math.e) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("make", [lambda: exp_link(1000.0, (0.0, 1.0)),
+                                  lambda: exp_link(-1000.0, (-1.0, 0.0)),
+                                  lambda: power_link(400.0, (-10.0, 1.0))],
+                         ids=["exp-at-hi", "exp-at-lo", "even-power-at-lo"])
+def test_a_link_must_be_finite_at_both_ends(make):
+    with pytest.raises(ValueError, match="not finite"), pytest.warns(RuntimeWarning):
+        make()
+
+
 def test_table_knots_must_increase_and_cover():
     with pytest.raises(ValueError):
         table_link([0.0, 0.0, 1.0], [0.0, 0.5, 1.0])
@@ -79,7 +89,6 @@ def test_classify_flags_are_consistent():
     cls = classify_link(sqrt_link((1.0, 9.0)))
     assert cls.increasing and cls.concave
     assert not cls.convex and not cls.linear
-    assert cls.second_diff_max < 0.0
 
 
 def test_classify_on_a_sub_interval():
@@ -115,13 +124,86 @@ BUMP = table_link([-3.0, -2.0, 2.0, 3.0], [1.0, 0.0, 4.0, 4.0])
     (BUMP, -2.0, 2.0, True),
     (BUMP, -2.5, 2.0, False),
     (BUMP, -2.0, 2.5, False),
+    (power_link(2.0, (-3.0, -1.0)), -3.0, -1.0, False),
+    (power_link(-2.0, (-3.0, -0.5)), -3.0, -0.5, True),
 ], ids=["line", "falling-line", "flat-line", "exp", "falling-exp", "flat-exp", "sqrt",
         "log", "square-on-positives", "square-across-zero", "cube", "root", "reciprocal",
-        "table-rising-part", "table-falling-part", "table-flat-part"])
+        "table-rising-part", "table-falling-part", "table-flat-part", "square-on-negatives",
+        "reciprocal-square-on-negatives"])
 def test_increasing_on_reads_the_family(f, lo, hi, want):
     assert increasing_on(f, lo, hi) is want
-    if want:  # the grid test agrees
-        assert classify_link(f, interval=(lo, hi)).increasing
+    assert classify_link(f, interval=(lo, hi)).increasing is want
+
+
+@pytest.mark.parametrize("f, label", [
+    (exp_link(0.0, (0.0, 1.0)), "non-monotonic"),
+    (linear_link(0.0, 3.0, (0.0, 1.0)), "non-monotonic"),
+    (power_link(1.0 - 1e-5, (1.0, 9.0)), "concave-monotonic"),
+    (exp_link(1e-4, (0.0, 2.0)), "convex-monotonic"),
+    (table_link([0.0, 1.0, 2.0], [0.0, -1e-12, 1.0]), "non-monotonic"),
+], ids=["flat-exp", "flat-line", "near-linear-power", "slow-exp", "table-dip"])
+def test_classify_reads_shapes_below_a_grid_slack(f, label):
+    # the grid calls the first four increasing and linear, the last
+    # increasing and convex
+    linear = f.family != "table"
+    assert grid_shape(f, *f.domain)[0] == (True, True, linear)
+    assert classify_link(f).label == label
+
+
+def test_classify_interval_must_be_nonempty_and_in_the_domain():
+    f = sqrt_link((1.0, 9.0))
+    for interval in ((3.0, 3.0), (4.0, 2.0)):
+        with pytest.raises(ValueError, match="empty"):
+            classify_link(f, interval)
+    with pytest.raises(DomainError):
+        classify_link(f, (0.5, 9.0))
+    assert classify_link(f, (4.0, 4.0 + 1e-12)).label == "concave-monotonic"
+
+
+def _random_link(rng, family):
+    """A link of the family on a random domain: lines, rates of both signs,
+    integer exponents on domains across 0 (negative ones on either side of
+    it), fractional ones on positive domains, and rising, falling, mixed and
+    straight knot tables."""
+    lo = rng.uniform(-5.0, 5.0)
+    hi = lo + rng.uniform(0.5, 10.0)
+    positive = (abs(lo) + 0.1, abs(lo) + 0.1 + hi - lo)
+    if family == "linear":
+        return linear_link(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0), (lo, hi))
+    if family == "exponential":
+        return exp_link(rng.uniform(-2.0, 2.0), (lo, hi))
+    if family == "logarithm":
+        return log_link(positive)
+    if family == "sqrt":
+        return sqrt_link(positive)
+    if family == "table":
+        xs = np.sort(rng.uniform(lo, hi, rng.integers(3, 9)))
+        if rng.uniform() < 0.3:
+            return table_link(xs, rng.uniform(-3.0, 3.0) * xs + rng.uniform(-5.0, 5.0))
+        return table_link(xs, np.cumsum(rng.uniform(-1.0, 2.0, xs.size)))
+    if rng.uniform() < 0.5:
+        return power_link(rng.uniform(-2.0, 3.0), positive)
+    p = float(rng.choice([-3, -2, -1, 1, 2, 3, 4]))
+    if p > 0.0:
+        return power_link(p, (lo, hi))
+    return power_link(p, positive if rng.uniform() < 0.5 else (-positive[1], -positive[0]))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_classify_agrees_with_a_grid_where_the_grid_is_clear(family):
+    rng = np.random.default_rng(FAMILIES.index(family))
+    clear = 0
+    for _ in range(200):
+        f = _random_link(rng, family)
+        lo, hi = np.sort(rng.uniform(*f.domain, 2)) if rng.uniform() < 0.5 else f.domain
+        want, trusted = grid_shape(f, lo, hi)
+        if not trusted:
+            continue
+        cls = classify_link(f, (lo, hi))
+        assert (cls.increasing, cls.convex, cls.concave) == want, (f, lo, hi)
+        assert cls.linear == (cls.convex and cls.concave)
+        clear += 1
+    assert clear >= 120
 
 
 def test_any_positive_affine_link_is_aggregate_monotonic():
@@ -145,9 +227,8 @@ def test_effective_link_cancels_an_exponential_exactly():
 
 def test_large_background_flattens_but_never_straightens():
     eff = discrete_effective_link(linear_link(1.0, 0.0, (1.0, 9.0)), 1000.0)
-    cls = classify_link(eff, tol=1e-4)
-    assert cls.concave
-    assert abs(cls.second_diff_min) < 1e-4
+    cls = classify_link(eff)
+    assert cls.concave and not cls.linear
 
 
 def test_effective_link_rejects_an_undefined_log():

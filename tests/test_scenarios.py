@@ -1,8 +1,7 @@
 """Construction searches, certificate re-checks, and the scenario runners.
 
-The acceptance tests at the end run whole catalog scenarios at their catalog
-defaults, hw-4x4 and dual-4x4 included, and log each as an acceptance
-criterion.
+The acceptance tests at the end run all seven catalog scenarios at their
+catalog defaults and log each as an acceptance criterion.
 """
 
 import dataclasses
@@ -14,15 +13,15 @@ import pytest
 
 from egtlab import scenarios
 from egtlab.dominance import strict_margin
-from egtlab.games import Game, pure
+from egtlab.games import pure
 from egtlab.links import (classify_link, discrete_effective_link, exp_link, increasing_on,
                           linear_link, log_link, power_link, rps_direction, sqrt_link,
                           table_link)
 from egtlab.scenarios import (SCENARIO_INTERVALS, SCENARIOS, BasinK, Rps4Construction,
                               SurvivalConstruction, build_rps4, build_survival, named_game,
                               run_background_schedules, run_background_threshold,
-                              run_discussion, run_dual_4x4, run_hw_4x4,
-                              run_survival_nonconcave, run_survival_nonconvex)
+                              run_discussion, run_survival_nonconcave,
+                              run_survival_nonconvex)
 
 MIX_TB = np.array([0.5, 0.0, 0.5])
 EXP = exp_link(1.0, (-2.0, 2.0))
@@ -56,7 +55,7 @@ def test_survival_construction_under_a_convex_link():
     assert u_m == pytest.approx(1.5 + con.eps, rel=1e-12)
     # here the pure strategy dominates the mixture, with the same margin
     assert strict_margin(con.game, pure(1, 3), MIX_TB) == pytest.approx(con.eps)
-    np.testing.assert_array_equal(con.dominated, MIX_TB)
+    np.testing.assert_array_equal(con.dominated.weights, MIX_TB)
 
 
 @pytest.fixture
@@ -167,12 +166,13 @@ def test_survival_rejects_links_without_the_violation():
 
 
 def test_survival_builds_on_a_violation_below_the_classifier_grid():
-    # u^(1 - 1e-5) is strictly concave, so not convex. classify_link's
-    # second differences on 1001 points stay within its 1e-9 slack and call
-    # it linear, while the search's midpoint gap over [1, 9], 1.8e-5, is far
-    # above its own threshold, 1e-9 times max |f| = 9
+    # u^(1 - 1e-5) is strictly concave, so not convex. A 1001-point grid's
+    # second differences stay within a 1e-9 slack and would call it linear,
+    # while the search's midpoint gap over [1, 9], 1.8e-5, is far above its
+    # own threshold, 1e-9 times max |f| = 9
     f = power_link(1.0 - 1e-5, (1.0, 9.0))
-    assert classify_link(f).linear
+    cls = classify_link(f)
+    assert cls.concave and not cls.linear
     con = build_survival(f, "nonconvex")
     assert (con.a, con.b) == (1.0, 9.0)
     assert 0.0 < con.alpha < 1e-5
@@ -318,15 +318,20 @@ def test_rps4_runs_halve_beta_on_a_rebuilt_certificate(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scenarios, "rps_direction", counting)
-    betas, verdicts = [], iter([False, False, True])
+    runs, integrate, verdicts = [], scenarios.integrate, iter([False, False, True])
 
-    def starts(con):
-        betas.append(con.beta)
-        return np.full((1, 4), 0.25)
+    def recording(rule, game, x0, **kwargs):
+        runs.append((game, x0))
+        return integrate(rule, game, x0, **kwargs)
 
+    monkeypatch.setattr(scenarios, "integrate", recording)
+    x0 = np.full((1, 4), 0.25)
     con, halvings, _, _ = scenarios._rps4_runs(
-        EXP, DUAL, starts, lambda traj: ([], next(verdicts)), t_max=0.1, dt=1e-3)
-    assert halvings == 2 and betas == [0.08, 0.04, 0.02]
+        EXP, DUAL, x0, lambda traj: ([], next(verdicts)), t_max=0.1, dt=1e-3)
+    assert halvings == 2
+    assert [game.payoff[3, :3].tolist() for game, _ in runs] == \
+        [[DUAL.m + beta] * 3 for beta in (0.08, 0.04, 0.02)]
+    assert all(start is x0 for _, start in runs)  # every rebuild runs the same starts
     assert con.beta == DUAL.beta / 4.0
     assert (con.a, con.b, con.c, con.gamma) == (DUAL.a, DUAL.b, DUAL.c, DUAL.gamma)
     assert len(checked) == 2  # each rebuild ran the certificate's checks again
@@ -553,15 +558,19 @@ def test_catalog_is_consistent():
 # acceptance ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("number, runner", [(1, run_survival_nonconvex),
-                                            (2, run_background_threshold),
-                                            (3, run_hw_4x4), (4, run_dual_4x4)],
-                         ids=["survival-nonconvex", "background-threshold", "hw-4x4",
-                              "dual-4x4"])
-def test_catalog_scenario_passes_its_checks_at_the_defaults(number, runner,
-                                                           acceptance_log):
-    report, _ = runner()
-    failed = sorted(name for name, ok in report["checks"].items() if not ok)
+# every catalog scenario, numbered as an acceptance criterion
+ACCEPTANCE = ("survival-nonconvex", "background-threshold", "hw-4x4", "dual-4x4",
+              "discussion", "survival-nonconcave", "background-schedules")
+
+
+def test_acceptance_runs_the_whole_catalog():
+    assert sorted(ACCEPTANCE) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("number, name", enumerate(ACCEPTANCE, 1), ids=ACCEPTANCE)
+def test_catalog_scenario_passes_its_checks_at_the_defaults(number, name, acceptance_log):
+    report, _ = SCENARIOS[name]()
+    failed = sorted(check for check, ok in report["checks"].items() if not ok)
     acceptance_log(number, not failed,
                    f"{report['scenario']} at its catalog defaults passes "
                    f"{len(report['checks'])} checks" + (f"; failed: {failed}" if failed else ""))
