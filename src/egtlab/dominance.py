@@ -23,12 +23,27 @@ columns screen, compared exactly. Either way the screen skips only queries
 that would answer "not dominated", and rounds and removals are those of
 querying every alive strategy.
 
-Each round slices the alive payoffs once and solves one LP per unscreened
-strategy, from the gaps of that slice; these are find_dominator's LPs, bit
-for bit. When both seats read the same matrix (a single population, or an
-opponent game with byte-equal payoffs), the two seats' strategy sets stay
-equal and their queries coincide, so one side's removals are recorded for
-both, and one pool of certificates serves both.
+The third source of certificates is a column LP, asked first for each query
+the screen leaves in 'mixed' mode where the allowance holds. By Pearce's
+lemma row k is not strictly dominated iff it is a best reply to some column
+mixture y, and the LP over y (_max_margin of -(sub - sub[k]).T) finds the
+best one: its margin is max over y of v[k] - max(v), at most 0. The row LP
+of a row that is not dominated starts at its optimum, 0 (row k against
+itself), and spends all its pivots proving it; the column LP climbs to its
+optimum from below, as a rule in fewer pivots. Its y answers the query, and
+joins the pool, only if its own product passes the screen's test above.
+Otherwise (the product misses, the optimum is below -delta, which puts row
+k's margin above about delta, or the LP raises LpError) the row LP runs as
+if the column LP had not.
+
+Each round slices the alive payoffs once and solves one row LP per query
+no certificate answers, from the gaps of that slice; these are
+find_dominator's LPs, bit for bit. So every removal's margin and dominator
+are find_dominator's to the last bit, and a certificate only spares a
+"not dominated" query its row LP. When both seats read the same matrix (a
+single population, or an opponent game with byte-equal payoffs), the two
+seats' strategy sets stay equal and their queries coincide, so one side's
+removals are recorded for both, and one pool of certificates serves both.
 """
 
 from __future__ import annotations
@@ -192,7 +207,8 @@ def _one_side_removals(game: Game, alive_rows, alive_cols, mode: str, pool: list
     Each query is find_dominator's for the pure strategy, on one payoff slice
     per call: row k's gaps are sub - sub[k]. pool holds column certificates
     over all of game's columns; those on alive columns screen the queries
-    (module docstring), and each "not dominated" LP appends its own.
+    (module docstring), and each "not dominated" answer appends its own: the
+    column LP's y, or the row LP's column duals.
     """
     sub = game.payoff[np.ix_(alive_rows, alive_cols)]
     cols = list(alive_cols)
@@ -208,26 +224,48 @@ def _one_side_removals(game: Game, alive_rows, alive_cols, mode: str, pool: list
         ys = np.vstack([ys] + [y[cols] for y in pool])
     else:
         delta = 0.0
-    v = sub @ ys.T
-    skip = (v >= v.max(axis=0) - delta * ys.sum(axis=1)).any(axis=1)
+    skip = _answered(sub, ys.T, delta).any(axis=1)
     removed = []
     for k in range(len(alive_rows)):
         if skip[k]:
             continue
         # + 0.0 turns -0.0 into 0.0, as the product q @ payoff does
-        margin, p, y = _max_margin(sub - (sub[k] + 0.0), mode)
+        gaps = sub - (sub[k] + 0.0)
+        if certify and mode == "mixed":
+            # the column LP: its best column mixture y for row k answers the
+            # query if y's product leaves row k within delta of a best reply
+            try:
+                y = _max_margin(-gaps.T, mode)[1]
+                answered = _answered(sub, y, delta)
+            except LpError:  # the row LP below answers alone
+                answered = np.zeros(len(alive_rows), dtype=bool)
+            if answered[k]:
+                pool.append(_spread(y, cols, game.n_cols))
+                skip |= answered
+                continue
+        margin, p, y = _max_margin(gaps, mode)
         if margin > STRICT_TOL:
             i = alive_rows[k]
             removed.append((i, _result(game, pure(i, game.n_rows), margin, alive_rows, p,
                                        alive_cols)))
         elif y is not None:
-            full = np.zeros(game.n_cols)
-            full[cols] = y
-            pool.append(full)
+            pool.append(_spread(y, cols, game.n_cols))
             if certify:
-                v = sub @ y
-                skip |= v >= v.max() - delta * y.sum()
+                skip |= _answered(sub, y, delta)
     return removed
+
+
+def _answered(sub: np.ndarray, ys: np.ndarray, delta: float) -> np.ndarray:
+    """Rows of sub that a column mixture ys (or each column of ys) leaves
+    within delta ys.sum() of a best reply (module docstring)."""
+    v = sub @ ys
+    return v >= v.max(axis=0) - delta * ys.sum(axis=0)
+
+
+def _spread(y: np.ndarray, cols: list, n: int) -> np.ndarray:
+    full = np.zeros(n)
+    full[cols] = y
+    return full
 
 
 def iterate_elimination(game: Game, mode: str = "pure-by-mixed",

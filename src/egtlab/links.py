@@ -96,8 +96,11 @@ def _validate_family(f: LinkFunction) -> None:
         if lo < 0:
             raise ValueError("sqrt needs a nonnegative domain")
     # every family is monotone on its domain, or an even power whose least |f|
-    # is at 0, so |f| peaks at an end; table knots were checked finite above
-    if not np.all(np.isfinite(_eval_unchecked(f, [lo, hi]))):
+    # is at 0, so |f| peaks at an end; table knots were checked finite above.
+    # An overflow there is the error below, not a NumPy warning beside it.
+    with np.errstate(over="ignore"):
+        ends = _eval_unchecked(f, [lo, hi])
+    if not np.all(np.isfinite(ends)):
         raise ValueError(f"link is not finite everywhere on {f.domain}")
 
 

@@ -5,6 +5,8 @@ and integrators (tests/test_imports.py checks what they import):
 - grid_shape: a link's monotonicity and curvature from sampled differences
 - planted_game: seeded games with a planted elimination chain
 - bland_iterate: a plain simplex loop
+- best_reply_gap: how far a row falls short of a best reply to a column
+  mixture, in exact rationals
 - scripted_flow_logs: SciPy quadrature of a flow against a script
 - sample_grid: the flow's step grid and sample times, by a loop over every
   period and then every breakpoint
@@ -15,6 +17,7 @@ and integrators (tests/test_imports.py checks what they import):
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -91,6 +94,18 @@ def bland_iterate(T, basis, maxiter: int, pivot_tol: float, pivots: list) -> Non
         _pivot(T, basis, row, cols[0])
         pivots.append((row, int(cols[0])))
     raise RuntimeError(f"simplex did not terminate in {maxiter} iterations")
+
+
+def best_reply_gap(payoff, k: int, y) -> Fraction:
+    """(max_i payoff_i . y - payoff_k . y) / sum(y), exactly: the float
+    entries of payoff and y are read as the rationals they are. No mixture
+    of rows beats row k at every column by more than this gap."""
+    y = [Fraction(float(w)) for w in y]
+    if min(y) < 0 or sum(y) <= 0:
+        raise ValueError("y must be a nonnegative, nonzero column mixture")
+    v = [sum((Fraction(float(a)) * w for a, w in zip(row, y) if w), Fraction(0))
+         for row in payoff]
+    return (max(v) - v[k]) / sum(y)
 
 
 def _ratio_row(T, basis, col, pivot_tol):

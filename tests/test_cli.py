@@ -378,6 +378,12 @@ def test_classify_reads_the_family_not_a_grid(capsys):
                                    "concave", "linear", "label"}
 
 
+def test_a_link_that_overflows_exits_1_with_one_line(capsys):
+    # NumPy's overflow warning, an error under this suite's filter, stays silent
+    assert main(["classify", "--link", "exp:1000@0,1"]) == 1
+    assert capsys.readouterr().err == "error: link is not finite everywhere on (0.0, 1.0)\n"
+
+
 def test_number_lists_of_the_wrong_length_exit_1(capsys):
     assert main(["classify", "--link", "sqrt", "--interval", "1,2,3"]) == 1
     assert "--interval takes 2 comma-separated numbers, got 3" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Strict dominance queries, elimination traces, and the grid cross-check."""
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from egtlab import dominance, lp
 from egtlab.dominance import (find_dominator, is_mixed_iteratively_dominated,
                               iterate_elimination, strict_margin)
 from egtlab.games import Game, pure, uniform
+from egtlab.lp import LpError
 
-from oracles import grid_margin, mixture_grid, planted_game
+from oracles import best_reply_gap, grid_margin, mixture_grid, planted_game
 
 DISCUSSION = Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]])
 RPS = Game([[1.0, -2.0, 2.0], [2.0, 1.0, -2.0], [-2.0, 2.0, 1.0]])
@@ -233,9 +235,10 @@ def _two_sided_games():
 
 
 def _screened_queries(monkeypatch, game, mode, opponent=None):
-    """The trace of an elimination, and (game, own, opp, skipped) for each
-    seat of each round: skipped lists the alive strategies whose query the
-    screen answered without calling _max_margin."""
+    """The trace of an elimination, and (game, own, opp, skipped, settled)
+    for each seat of each round: skipped lists the alive strategies whose
+    query no row LP answered, and settled maps those a column LP answered
+    to the LP's column mixture y over opp."""
     calls, one_side, max_margin = [], dominance._one_side_removals, dominance._max_margin
 
     def side(g, own, opp, *args):
@@ -243,18 +246,25 @@ def _screened_queries(monkeypatch, game, mode, opponent=None):
         return one_side(g, own, opp, *args)
 
     def margin(gaps, dom_mode):
-        calls[-1][3].append(gaps)
-        return max_margin(gaps, dom_mode)
+        out = max_margin(gaps, dom_mode)
+        calls[-1][3].append((gaps, out))
+        return out
     with monkeypatch.context() as m:
         m.setattr(dominance, "_one_side_removals", side)
         m.setattr(dominance, "_max_margin", margin)
         trace = iterate_elimination(game, mode=mode, opponent_game=opponent)
     seats = []
-    for g, own, opp, asked in calls:
+    for g, own, opp, lps in calls:
         sub = g.payoff[np.ix_(own, opp)]
-        skipped = [i for i, row in zip(own, sub)
-                   if not any(np.array_equal(gaps, sub - (row + 0.0)) for gaps in asked)]
-        seats.append((g, own, opp, skipped))
+
+        def asked(row, column_lp):
+            # a row LP reads row k's gaps, a column LP their transpose, negated
+            return [out for gaps, out in lps
+                    if np.array_equal(-gaps.T if column_lp else gaps, sub - (row + 0.0))]
+        skipped = [i for i, row in zip(own, sub) if not asked(row, False)]
+        settled = {i: asked(row, True)[0][1] for i, row in zip(own, sub)
+                   if i in skipped and asked(row, True)}
+        seats.append((g, own, opp, skipped, settled))
     return trace, seats
 
 
@@ -266,19 +276,106 @@ def test_best_reply_screen_changes_no_round(monkeypatch, mode):
     game, opponents = _two_sided_games()
     runs = [(g, None) for g in _elimination_games()] + [(game, o) for o in opponents]
     skipped = {True: 0, False: 0}  # by whether the row is a weak best reply
+    settled = 0  # by a column LP
     for g, opponent in runs:
         trace, seats = _screened_queries(monkeypatch, g, mode, opponent)
         rounds, removals = _elimination_by_queries(g, dom_mode, opponent)
         assert trace.rounds == rounds
         assert {(k, side, i) for k, side, i, _ in trace.removals} == removals
-        for seat, own, opp, rows in seats:
+        for seat, own, opp, rows, by_column_lp in seats:
             sub = seat.payoff[np.ix_(own, opp)]
             for i in rows:
                 assert not find_dominator(seat, pure(i, seat.n_rows), own, opp,
                                           dom_mode).dominated
                 skipped[bool((sub[own.index(i)] >= sub.max(axis=0)).any())] += 1
+            settled += len(by_column_lp)
     assert skipped[True] > 0
-    assert (skipped[False] > 0) == (mode == "pure-by-mixed")
+    assert (skipped[False] > 0) == (settled > 0) == (mode == "pure-by-mixed")
+
+
+def _certificate_games(scale):
+    """Uniform, integer (with ties) and planted games of 3 to 30 strategies,
+    times scale."""
+    rng = np.random.default_rng(20)
+    for n in (3, 5, 8, 12, 16, 20, 25, 30):
+        for _ in range(5):
+            yield Game(scale * rng.uniform(0.0, 1.0, size=(n, n)))
+            yield Game(scale * rng.integers(0, 4, size=(n, n)).astype(float))
+            yield Game(scale * planted_game(rng, n, min(4, max(1, n // 4)))[0])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e-6])
+def test_column_certificates_pass_an_exact_check(monkeypatch, scale):
+    # every query a column LP answers has a y to which its row is a best
+    # reply within STRICT_TOL / 10, in exact rationals
+    bound, settled = Fraction(dominance.STRICT_TOL) / 10, 0
+    for game in _certificate_games(scale):
+        try:
+            _, seats = _screened_queries(monkeypatch, game, "pure-by-mixed")
+        except LpError:
+            continue  # a row LP fails at 1e3 on one game, column LP or not (CHANGES.md)
+        for seat, own, opp, _, by_column_lp in seats:
+            sub = seat.payoff[np.ix_(own, opp)]
+            for i, y in by_column_lp.items():
+                assert best_reply_gap(sub, own.index(i), y) <= bound
+            settled += len(by_column_lp)
+    assert settled > 300
+
+
+def test_a_column_lp_answers_only_through_its_product(monkeypatch):
+    # A column LP that claims a best reply for row 2 (margin 0) with a y
+    # under which row 2 is none answers nothing: row 2's row LP still runs
+    # and finds the half-half dominator, and the y joins no pool.
+    game = Game([[3.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
+    max_margin, rows = dominance._max_margin, []
+
+    def claims_a_best_reply(gaps, mode):
+        if gaps.shape == (2, 3):  # a column LP; a row LP's gaps are 3 x 2
+            return 0.0, np.array([1.0, 0.0]), None
+        rows.append(gaps)
+        return max_margin(gaps, mode)
+    monkeypatch.setattr(dominance, "_max_margin", claims_a_best_reply)
+    trace = iterate_elimination(game, opponent_game=Game(np.zeros((2, 3))))
+    assert len(rows) == 1
+    assert [(k, side, i) for k, side, i, _ in trace.removals] == [(1, "row", 2)]
+    assert trace.removals[0][3].margin == 0.5
+
+
+def test_a_failing_column_lp_leaves_the_query_to_the_row_lp(monkeypatch):
+    # a column LP that raises LpError answers nothing, and the elimination
+    # goes on as if no column LP had run
+    games = [Game(planted_game(np.random.default_rng(n), n, 3)[0]) for n in (8, 12)]
+    expected = [_trace_sha256(iterate_elimination(g)) for g in games]
+    max_margin, failed = dominance._max_margin, []
+
+    def column_lp_fails(gaps, mode):
+        if not (gaps == 0).all(axis=1).any():  # a column LP, as in the budget test
+            failed.append(gaps)
+            raise LpError("column LP failed")
+        return max_margin(gaps, mode)
+    monkeypatch.setattr(dominance, "_max_margin", column_lp_fails)
+    assert [_trace_sha256(iterate_elimination(g)) for g in games] == expected
+    assert len(failed) > 5
+
+
+def test_no_column_lp_runs_where_the_products_round_too_coarsely(monkeypatch):
+    # at payoffs near 1e6 the rounding allowance is no certificate (module
+    # docstring), and every query the pure columns leave goes to a row LP
+    max_margin, asked = dominance._max_margin, []
+
+    def row_lp_only(gaps, mode):
+        # a row LP's gaps hold row k against itself, all zeros; a column LP's,
+        # their negated transpose, have a zero row only where a payoff column
+        # is constant
+        asked.append(bool((gaps == 0).all(axis=1).any()))
+        return max_margin(gaps, mode)
+    monkeypatch.setattr(dominance, "_max_margin", row_lp_only)
+    for game in _certificate_games(1e6):
+        try:
+            iterate_elimination(game)
+        except LpError:
+            pass  # the row LPs themselves fail at this scale now and then (CHANGES.md)
+    assert len(asked) > 100 and all(asked)
 
 
 def _trace_sha256(trace):
@@ -301,36 +398,43 @@ def _unscreened_rows(game, rounds):
     return count
 
 
-# (size, chain depth, LPs, pivots, trace SHA-256). The certificates of
-# earlier LPs answer the rest of the queries the best-reply screen leaves
-# (15, 25 and 20). Asking the column side's queries again, as a two-sided
-# loop does, takes twice the LPs and pivots for the same digests. At 17,
-# weights normalised over the alive rows alone (not over all rows) change
-# the digest.
+# (size, chain depth, column LPs, row LPs, pivots, trace SHA-256). The
+# best-reply screen leaves 15, 25 and 20 queries; column LPs answer the
+# "not dominated" ones and earlier LPs' certificates many more, and each
+# dominated query pays a column LP to its optimum before its row LP. Asking
+# the column side's queries again, as a two-sided loop does, takes twice the
+# LPs and pivots for the same digests. At 17, weights normalised over the
+# alive rows alone (not over all rows) change the digest.
 ELIMINATION_BUDGETS = [
-    (12, 3, 9, 85, "42912157f198abbff264e9d8379d6778049c2f0bab6b5c43765c5cb83ecbdf59"),
-    (16, 3, 15, 182, "75f4be6ece31d3eece0446373a1436de72f3ca350287511a65550d6d4285f3fb"),
-    (17, 4, 10, 243, "3894ae5f148f415fb569ea4d2d2e34b5f93c517e763293b5670717c24f8399e2"),
+    (12, 3, 8, 3, 53, "42912157f198abbff264e9d8379d6778049c2f0bab6b5c43765c5cb83ecbdf59"),
+    (16, 3, 14, 4, 143, "75f4be6ece31d3eece0446373a1436de72f3ca350287511a65550d6d4285f3fb"),
+    (17, 4, 9, 4, 273, "3894ae5f148f415fb569ea4d2d2e34b5f93c517e763293b5670717c24f8399e2"),
 ]
 
 
-@pytest.mark.parametrize("n, depth, lps, pivots, sha", ELIMINATION_BUDGETS,
+@pytest.mark.parametrize("n, depth, column_lps, row_lps, pivots, sha", ELIMINATION_BUDGETS,
                          ids=lambda v: str(v)[:8])
-def test_symmetric_elimination_solves_each_row_query_once(monkeypatch, n, depth, lps,
-                                                          pivots, sha):
+def test_symmetric_elimination_solves_each_row_query_once(monkeypatch, n, depth, column_lps,
+                                                          row_lps, pivots, sha):
     game = Game(planted_game(np.random.default_rng(n), n, depth)[0])
-    calls = {"lp": 0, "pivot": 0}
+    calls = {"column": 0, "row": 0, "pivot": 0}
+    max_margin, pivot = dominance._max_margin, lp._pivot
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-    monkeypatch.setattr(dominance, "solve_max", counted("lp", dominance.solve_max))
-    monkeypatch.setattr(lp, "_pivot", counted("pivot", lp._pivot))
+    def counted_lp(gaps, mode):
+        # a row LP's gaps hold row k against itself, all zeros; a column LP's
+        # have no zero row, as no payoff column of a planted game is constant
+        calls["row" if (gaps == 0).all(axis=1).any() else "column"] += 1
+        return max_margin(gaps, mode)
+
+    def counted_pivot(*args):
+        calls["pivot"] += 1
+        return pivot(*args)
+    monkeypatch.setattr(dominance, "_max_margin", counted_lp)
+    monkeypatch.setattr(lp, "_pivot", counted_pivot)
     trace = iterate_elimination(game)
     assert len(trace.rounds) > 2
-    assert calls["lp"] == lps < _unscreened_rows(game, trace.rounds)
+    assert (calls["column"], calls["row"]) == (column_lps, row_lps)
+    assert row_lps < _unscreened_rows(game, trace.rounds)
     assert calls["pivot"] == pivots
     assert _trace_sha256(trace) == sha
 
@@ -369,18 +473,21 @@ def test_a_different_opponent_matrix_runs_both_sides(monkeypatch):
 
 
 def test_the_screen_allows_for_rounding_in_its_products(monkeypatch):
-    # Row 3's LP certifies it with the uniform column mixture, under which
-    # every row earns 1. Row 4 is no best reply to a pure column, and its
+    # Row 3's column LP certifies it with the uniform column mixture, under
+    # which every row earns 1. Row 4 is no best reply to a pure column, and its
     # product rounds to 1 - 2^-53: only the rounding allowance lets the
     # certificate answer its query.
     game = Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0], [1.0, 1.0, 1.0],
                  [0.7, 0.9, 1.4]])
-    calls = []
-    monkeypatch.setattr(dominance, "solve_max",
-                        lambda *args: calls.append(args) or lp.solve_max(*args))
+    max_margin, shapes = dominance._max_margin, []
+
+    def counted(gaps, mode):
+        shapes.append(gaps.shape)
+        return max_margin(gaps, mode)
+    monkeypatch.setattr(dominance, "_max_margin", counted)
     trace = iterate_elimination(game, opponent_game=Game(np.zeros((3, 5))))
     assert trace.rounds == ((tuple(range(5)), (0, 1, 2)),) and not trace.removals
-    assert len(calls) == 1
+    assert shapes == [(3, 5)]  # one column LP (a row LP's gaps are 5 x 3), no row LP
 
 
 def test_payoffs_too_large_for_the_rounding_allowance_screen_exactly():
