@@ -15,35 +15,40 @@ skipped; delta = 2 (n + 1) eps max|sub| over n alive columns covers the
 rounding of both products, so a skipped row's margin is at most
 4 (n + 1) eps max|sub|, held below STRICT_TOL / 10. The certificates are
 the alive pure columns (a weak best reply to column j is never dominated)
-and the column duals of every earlier "not dominated" LP, in this round or
-an earlier one, while their support stays alive; each is checked by its own
-product, so a dusty dual can only cost a skip. Where that bound is not
+and the column mixtures of earlier LPs (below), in this round or an
+earlier one, while their support stays alive; each is checked by its own
+product, so a dusty one can only cost a skip. Where that bound is not
 below STRICT_TOL / 10 the products round too coarsely, and only the pure
 columns screen, compared exactly. Either way the screen skips only queries
 that would answer "not dominated", and rounds and removals are those of
 querying every alive strategy.
 
-The third source of certificates is a column LP, asked first for each query
-the screen leaves in 'mixed' mode where the allowance holds. By Pearce's
-lemma row k is not strictly dominated iff it is a best reply to some column
+The third source of certificates is a column LP, asked for each query the
+screen leaves in 'mixed' mode where the allowance holds. By Pearce's lemma
+row k is not strictly dominated iff it is a best reply to some column
 mixture y, and the LP over y (_max_margin of -(sub - sub[k]).T) finds the
-best one: its margin is max over y of v[k] - max(v), at most 0. The row LP
-of a row that is not dominated starts at its optimum, 0 (row k against
-itself), and spends all its pivots proving it; the column LP climbs to its
-optimum from below, as a rule in fewer pivots. Its y answers the query, and
-joins the pool, only if its own product passes the screen's test above.
-Otherwise (the product misses, the optimum is below -delta, which puts row
-k's margin above about delta, or the LP raises LpError) the row LP runs as
-if the column LP had not.
+best one: its optimum is max over y of v[k] - max(v), at most 0. Its y joins
+the pool and answers every row whose product passes the screen's test
+above; if row k is one, the query is answered "not dominated". Otherwise
+the LP answers by duality: its optimum is minus row k's margin, and its
+constraint duals are a mixture of the alive rows that attains it. A margin
+above STRICT_TOL removes row k, with the duals as its dominator, re-checked
+against the payoffs like every certificate. The LP climbs to its optimum
+from below, as a rule in fewer pivots than the row LP, which for a row that
+is not dominated starts at its optimum, 0 (row k against itself), and
+spends all its pivots proving it.
 
-Each round slices the alive payoffs once and solves one row LP per query
-no certificate answers, from the gaps of that slice; these are
-find_dominator's LPs, bit for bit. So every removal's margin and dominator
-are find_dominator's to the last bit, and a certificate only spares a
-"not dominated" query its row LP. When both seats read the same matrix (a
-single population, or an opponent game with byte-equal payoffs), the two
-seats' strategy sets stay equal and their queries coincide, so one side's
-removals are recorded for both, and one pool of certificates serves both.
+The row LP, find_dominator's LP on the round's payoff slice, runs only
+where the column LP gives no answer: in 'pure' mode, where the products
+round too coarsely, where the column LP raises LpError, where its y misses
+row k and its margin is at most STRICT_TOL, or where its dominator fails
+the re-check. The two LPs reach one optimum by different pivots, so margins
+are find_dominator's up to rounding and dominators may differ in the last
+bits; rounds and removals are find_dominator's unless a margin lies within
+rounding of STRICT_TOL. When both seats read the same matrix (a single
+population, or an opponent game with byte-equal payoffs), the two seats'
+strategy sets stay equal and their queries coincide, so one side's removals
+are recorded for both, and one pool of certificates serves both.
 """
 
 from __future__ import annotations
@@ -204,11 +209,12 @@ def _result(game: Game, qs: MixedStrategy, margin: float, rows, p: np.ndarray,
 def _one_side_removals(game: Game, alive_rows, alive_cols, mode: str, pool: list):
     """Strategies in alive_rows strictly dominated within the current restriction.
 
-    Each query is find_dominator's for the pure strategy, on one payoff slice
-    per call: row k's gaps are sub - sub[k]. pool holds column certificates
-    over all of game's columns; those on alive columns screen the queries
-    (module docstring), and each "not dominated" answer appends its own: the
-    column LP's y, or the row LP's column duals.
+    Each query asks find_dominator's question of the pure strategy, on one
+    payoff slice per call: row k's gaps are sub - sub[k]. A column LP answers
+    it either way, and a row LP only where the column LP gives no answer
+    (module docstring). pool holds column certificates over all of game's
+    columns; those on alive columns screen the queries, and each column LP
+    appends its y, each "not dominated" row LP its column duals.
     """
     sub = game.payoff[np.ix_(alive_rows, alive_cols)]
     cols = list(alive_cols)
@@ -231,21 +237,25 @@ def _one_side_removals(game: Game, alive_rows, alive_cols, mode: str, pool: list
             continue
         # + 0.0 turns -0.0 into 0.0, as the product q @ payoff does
         gaps = sub - (sub[k] + 0.0)
+        i = alive_rows[k]
         if certify and mode == "mixed":
-            # the column LP: its best column mixture y for row k answers the
-            # query if y's product leaves row k within delta of a best reply
+            # the column LP: its best column mixture y answers the rows its
+            # product leaves within delta of a best reply; if row k is not
+            # one, its optimum and duals are row k's margin and dominator
             try:
-                y = _max_margin(-gaps.T, mode)[1]
-                answered = _answered(sub, y, delta)
-            except LpError:  # the row LP below answers alone
-                answered = np.zeros(len(alive_rows), dtype=bool)
-            if answered[k]:
+                neg, y, p = _max_margin(-gaps.T, mode)
                 pool.append(_spread(y, cols, game.n_cols))
-                skip |= answered
-                continue
+                skip |= _answered(sub, y, delta)
+                if skip[k]:
+                    continue
+                if -neg > STRICT_TOL:
+                    removed.append((i, _result(game, pure(i, game.n_rows), -neg, alive_rows,
+                                               p, alive_cols)))
+                    continue
+            except LpError:  # the row LP below answers alone
+                pass
         margin, p, y = _max_margin(gaps, mode)
         if margin > STRICT_TOL:
-            i = alive_rows[k]
             removed.append((i, _result(game, pure(i, game.n_rows), margin, alive_rows, p,
                                        alive_cols)))
         elif y is not None:

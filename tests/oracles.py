@@ -7,6 +7,8 @@ and integrators (tests/test_imports.py checks what they import):
 - bland_iterate: a plain simplex loop
 - best_reply_gap: how far a row falls short of a best reply to a column
   mixture, in exact rationals
+- exact_margin: a row mixture's worst-column advantage over a pure row, in
+  exact rationals
 - scripted_flow_logs: SciPy quadrature of a flow against a script
 - sample_grid: the flow's step grid and sample times, by a loop over every
   period and then every breakpoint
@@ -106,6 +108,19 @@ def best_reply_gap(payoff, k: int, y) -> Fraction:
     v = [sum((Fraction(float(a)) * w for a, w in zip(row, y) if w), Fraction(0))
          for row in payoff]
     return (max(v) - v[k]) / sum(y)
+
+
+def exact_margin(payoff, w, k: int, rows, cols) -> Fraction:
+    """min over j in cols of sum_i w_i (payoff_ij - payoff_kj) / sum(w),
+    exactly: the worst-column advantage of the row mixture w (over all of
+    payoff's rows, zero off rows) over row k. The float entries of payoff
+    and w are read as the rationals they are."""
+    w = [Fraction(float(x)) for x in w]
+    if min(w) < 0 or sum(w) <= 0 or any(w[i] for i in set(range(len(w))) - set(rows)):
+        raise ValueError("w must be a nonnegative, nonzero mixture over rows")
+    total = sum(w)
+    return min(sum((w[i] * (Fraction(float(payoff[i][j])) - Fraction(float(payoff[k][j])))
+                    for i in rows if w[i]), Fraction(0)) / total for j in cols)
 
 
 def _ratio_row(T, basis, col, pivot_tol):

@@ -12,7 +12,8 @@ from egtlab.dominance import (find_dominator, is_mixed_iteratively_dominated,
 from egtlab.games import Game, pure, uniform
 from egtlab.lp import LpError
 
-from oracles import best_reply_gap, grid_margin, mixture_grid, planted_game
+from oracles import (best_reply_gap, exact_margin, grid_margin, mixture_grid,
+                     planted_game)
 
 DISCUSSION = Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]])
 RPS = Game([[1.0, -2.0, 2.0], [2.0, 1.0, -2.0], [-2.0, 2.0, 1.0]])
@@ -197,18 +198,20 @@ def test_verdicts_survive_column_shifts():
 def _elimination_by_queries(game, mode, opponent=None):
     """Rounds and removals of iterated elimination (same matrix for both
     seats unless an opponent game is given) that queries find_dominator for
-    every alive row and column."""
+    every alive row and column; removals maps (round, side, index) to the
+    query's result."""
     opponent = opponent or game
     rows, cols = tuple(range(game.n_rows)), tuple(range(game.n_cols))
-    rounds, removals = [(rows, cols)], set()
+    rounds, removals = [(rows, cols)], {}
     while True:
-        gone = {side: {i for i in own
-                       if find_dominator(g, pure(i, g.n_rows), own, opp, mode).dominated}
+        gone = {side: {i: res for i in own
+                       if (res := find_dominator(g, pure(i, g.n_rows), own, opp, mode)).dominated}
                 for side, g, own, opp in (("row", game, rows, cols),
                                           ("col", opponent, cols, rows))}
         if not gone["row"] and not gone["col"]:
             return tuple(rounds), removals
-        removals |= {(len(rounds), side, i) for side in gone for i in gone[side]}
+        removals |= {(len(rounds), side, i): res for side in gone
+                     for i, res in gone[side].items()}
         rows = tuple(i for i in rows if i not in gone["row"])
         cols = tuple(j for j in cols if j not in gone["col"])
         rounds.append((rows, cols))
@@ -236,14 +239,18 @@ def _two_sided_games():
 
 def _screened_queries(monkeypatch, game, mode, opponent=None):
     """The trace of an elimination, and (game, own, opp, skipped, settled)
-    for each seat of each round: skipped lists the alive strategies whose
-    query no row LP answered, and settled maps those a column LP answered
-    to the LP's column mixture y over opp."""
+    for each seat of each round: skipped lists the alive strategies that
+    were not removed and whose query no row LP answered, and settled maps
+    those a column LP answered to the LP's column mixture y over opp. A
+    column LP that answered "dominated" removed its strategy, so it settles
+    nothing."""
     calls, one_side, max_margin = [], dominance._one_side_removals, dominance._max_margin
 
     def side(g, own, opp, *args):
-        calls.append((g, own, opp, []))
-        return one_side(g, own, opp, *args)
+        calls.append((g, own, opp, [], set()))
+        gone = one_side(g, own, opp, *args)
+        calls[-1][4].update(i for i, _ in gone)
+        return gone
 
     def margin(gaps, dom_mode):
         out = max_margin(gaps, dom_mode)
@@ -254,14 +261,14 @@ def _screened_queries(monkeypatch, game, mode, opponent=None):
         m.setattr(dominance, "_max_margin", margin)
         trace = iterate_elimination(game, mode=mode, opponent_game=opponent)
     seats = []
-    for g, own, opp, lps in calls:
+    for g, own, opp, lps, gone in calls:
         sub = g.payoff[np.ix_(own, opp)]
 
         def asked(row, column_lp):
             # a row LP reads row k's gaps, a column LP their transpose, negated
             return [out for gaps, out in lps
                     if np.array_equal(-gaps.T if column_lp else gaps, sub - (row + 0.0))]
-        skipped = [i for i, row in zip(own, sub) if not asked(row, False)]
+        skipped = [i for i, row in zip(own, sub) if i not in gone and not asked(row, False)]
         settled = {i: asked(row, True)[0][1] for i, row in zip(own, sub)
                    if i in skipped and asked(row, True)}
         seats.append((g, own, opp, skipped, settled))
@@ -281,7 +288,7 @@ def test_best_reply_screen_changes_no_round(monkeypatch, mode):
         trace, seats = _screened_queries(monkeypatch, g, mode, opponent)
         rounds, removals = _elimination_by_queries(g, dom_mode, opponent)
         assert trace.rounds == rounds
-        assert {(k, side, i) for k, side, i, _ in trace.removals} == removals
+        assert {(k, side, i) for k, side, i, _ in trace.removals} == removals.keys()
         for seat, own, opp, rows, by_column_lp in seats:
             sub = seat.payoff[np.ix_(own, opp)]
             for i in rows:
@@ -310,10 +317,7 @@ def test_column_certificates_pass_an_exact_check(monkeypatch, scale):
     # reply within STRICT_TOL / 10, in exact rationals
     bound, settled = Fraction(dominance.STRICT_TOL) / 10, 0
     for game in _certificate_games(scale):
-        try:
-            _, seats = _screened_queries(monkeypatch, game, "pure-by-mixed")
-        except LpError:
-            continue  # a row LP fails at 1e3 on one game, column LP or not (CHANGES.md)
+        _, seats = _screened_queries(monkeypatch, game, "pure-by-mixed")
         for seat, own, opp, _, by_column_lp in seats:
             sub = seat.payoff[np.ix_(own, opp)]
             for i, y in by_column_lp.items():
@@ -322,30 +326,75 @@ def test_column_certificates_pass_an_exact_check(monkeypatch, scale):
     assert settled > 300
 
 
-def test_a_column_lp_answers_only_through_its_product(monkeypatch):
-    # A column LP that claims a best reply for row 2 (margin 0) with a y
-    # under which row 2 is none answers nothing: row 2's row LP still runs
-    # and finds the half-half dominator, and the y joins no pool.
-    game = Game([[3.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
-    max_margin, rows = dominance._max_margin, []
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e-6])
+def test_dominated_certificates_pass_an_exact_check(scale):
+    # every removal's dominator beats its row by more than STRICT_TOL in
+    # exact rationals, within STRICT_TOL of the reported margin; the rounds
+    # and removals are find_dominator's, and so are the margins up to rounding
+    tol, removed = Fraction(dominance.STRICT_TOL), 0
+    for game, unit in zip(_certificate_games(scale), _certificate_games(1.0)):
+        trace = iterate_elimination(game)
+        try:
+            rounds, removals = _elimination_by_queries(game, "mixed")
+            ref_scale = 1.0
+        except LpError:
+            # a find_dominator LP fails on game 65 at 1e3 and games 100 and 106
+            # at 1e-6 (CHANGES.md); there the game at scale 1 is the reference
+            rounds, removals = _elimination_by_queries(unit, "mixed")
+            ref_scale = scale
+        assert trace.rounds == rounds
+        assert {(k, side, i) for k, side, i, _ in trace.removals} == removals.keys()
+        for k, side, i, res in trace.removals:
+            own, opp = trace.rounds[k - 1] if side == "row" else trace.rounds[k - 1][::-1]
+            exact = exact_margin(game.payoff, res.dominator.weights, i, own, opp)
+            assert exact > tol
+            assert abs(exact - Fraction(res.margin)) <= tol
+            want = ref_scale * removals[k, side, i].margin
+            assert res.margin == pytest.approx(want, rel=1e-11, abs=0)
+        removed += len(trace.removals)
+    assert removed > 300
 
-    def claims_a_best_reply(gaps, mode):
-        if gaps.shape == (2, 3):  # a column LP; a row LP's gaps are 3 x 2
-            return 0.0, np.array([1.0, 0.0]), None
-        rows.append(gaps)
-        return max_margin(gaps, mode)
-    monkeypatch.setattr(dominance, "_max_margin", claims_a_best_reply)
-    trace = iterate_elimination(game, opponent_game=Game(np.zeros((2, 3))))
-    assert len(rows) == 1
-    assert [(k, side, i) for k, side, i, _ in trace.removals] == [(1, "row", 2)]
-    assert trace.removals[0][3].margin == 0.5
+
+def test_a_game_whose_row_lp_fails_at_1e3_eliminates_as_at_1():
+    # game 65 of the corpus, planted with 16 strategies: at 1e3 the row LP of
+    # one of its dominated queries raises "objective unbounded above", and
+    # the column LP answers that query
+    game, unit = (list(_certificate_games(s))[65] for s in (1e3, 1.0))
+    assert game.n_rows == 16
+    trace = iterate_elimination(game)
+    assert trace.removals and trace.rounds == iterate_elimination(unit).rounds
+
+
+def test_a_column_lp_answers_only_through_its_product(monkeypatch):
+    # A column LP with a y under which row 2 is no best reply answers row 2
+    # only through a dominator that passes _result's re-check. It claims a
+    # best reply (margin 0), a margin of STRICT_TOL / 2 (no dominance), or
+    # margin 1 with row 2 itself as the dominator (which fails the re-check).
+    # y's product answers row 0 alone, so each time row 2's row LP runs and
+    # finds the half-half dominator.
+    game = Game([[3.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
+    max_margin = dominance._max_margin
+    for claim in (0.0, dominance.STRICT_TOL / 2, 1.0):
+        rows = []
+
+        def claims_an_answer(gaps, mode):
+            if gaps.shape == (2, 3):  # a column LP; a row LP's gaps are 3 x 2
+                return -claim, np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0])
+            rows.append(gaps)
+            return max_margin(gaps, mode)
+        monkeypatch.setattr(dominance, "_max_margin", claims_an_answer)
+        trace = iterate_elimination(game, opponent_game=Game(np.zeros((2, 3))))
+        assert len(rows) == 1
+        assert [(k, side, i) for k, side, i, _ in trace.removals] == [(1, "row", 2)]
+        assert trace.removals[0][3].margin == 0.5
+        assert list(trace.removals[0][3].dominator) == [0.5, 0.5, 0.0]
 
 
 def test_a_failing_column_lp_leaves_the_query_to_the_row_lp(monkeypatch):
-    # a column LP that raises LpError answers nothing, and the elimination
-    # goes on as if no column LP had run
+    # a column LP that raises LpError answers nothing: every query goes to
+    # its row LP, and every removal is find_dominator's, to the last bit
     games = [Game(planted_game(np.random.default_rng(n), n, 3)[0]) for n in (8, 12)]
-    expected = [_trace_sha256(iterate_elimination(g)) for g in games]
+    expected = [_elimination_by_queries(g, "mixed") for g in games]
     max_margin, failed = dominance._max_margin, []
 
     def column_lp_fails(gaps, mode):
@@ -354,7 +403,14 @@ def test_a_failing_column_lp_leaves_the_query_to_the_row_lp(monkeypatch):
             raise LpError("column LP failed")
         return max_margin(gaps, mode)
     monkeypatch.setattr(dominance, "_max_margin", column_lp_fails)
-    assert [_trace_sha256(iterate_elimination(g)) for g in games] == expected
+    for game, (rounds, removals) in zip(games, expected):
+        trace = iterate_elimination(game)
+        assert trace.rounds == rounds
+        assert {(k, side, i) for k, side, i, _ in trace.removals} == removals.keys()
+        for k, side, i, res in trace.removals:
+            want = removals[k, side, i]
+            assert np.float64(res.margin).tobytes() == np.float64(want.margin).tobytes()
+            assert res.dominator.weights.tobytes() == want.dominator.weights.tobytes()
     assert len(failed) > 5
 
 
@@ -399,16 +455,18 @@ def _unscreened_rows(game, rounds):
 
 
 # (size, chain depth, column LPs, row LPs, pivots, trace SHA-256). The
-# best-reply screen leaves 15, 25 and 20 queries; column LPs answer the
-# "not dominated" ones and earlier LPs' certificates many more, and each
-# dominated query pays a column LP to its optimum before its row LP. Asking
+# best-reply screen leaves 15, 25 and 20 queries; earlier LPs' certificates
+# answer many of them, and one column LP answers each of the rest, either
+# way: its y answers "not dominated", and otherwise its optimum and duals
+# are the dominated row's margin and dominator, so no row LP runs. Asking
 # the column side's queries again, as a two-sided loop does, takes twice the
-# LPs and pivots for the same digests. At 17, weights normalised over the
-# alive rows alone (not over all rows) change the digest.
+# LPs and pivots for the same digests. The digests cover the column LPs'
+# margins and dominators, which may differ from find_dominator's in the
+# last bits.
 ELIMINATION_BUDGETS = [
-    (12, 3, 8, 3, 53, "42912157f198abbff264e9d8379d6778049c2f0bab6b5c43765c5cb83ecbdf59"),
-    (16, 3, 14, 4, 143, "75f4be6ece31d3eece0446373a1436de72f3ca350287511a65550d6d4285f3fb"),
-    (17, 4, 9, 4, 273, "3894ae5f148f415fb569ea4d2d2e34b5f93c517e763293b5670717c24f8399e2"),
+    (12, 3, 8, 0, 19, "49b950c197bad7d7d2eec0bb8490331cb8cd3a93023e87f599d63f89c03b0c53"),
+    (16, 3, 14, 0, 106, "e1afc64be0caa425be4ec40e60e0cff6e9e1d149c2fee172015a1a85c25708cd"),
+    (17, 4, 9, 0, 133, "b2be01f599a84520555a343fcdc33061a2496cc11ba41810c4820eac6a00a933"),
 ]
 
 
@@ -449,7 +507,7 @@ def test_an_equal_opponent_matrix_takes_the_single_population_path():
     assert _trace_sha256(same) == _trace_sha256(trace)
     rounds, removals = _elimination_by_queries(game, "mixed")
     assert same.rounds == rounds
-    assert {(k, side, i) for k, side, i, _ in same.removals} == removals
+    assert {(k, side, i) for k, side, i, _ in same.removals} == removals.keys()
 
 
 def test_a_different_opponent_matrix_runs_both_sides(monkeypatch):
@@ -469,7 +527,7 @@ def test_a_different_opponent_matrix_runs_both_sides(monkeypatch):
         assert gone["row"] != gone["col"]
         rounds, removals = _elimination_by_queries(game, "mixed", opponent)
         assert trace.rounds == rounds
-        assert {(k, side, i) for k, side, i, _ in trace.removals} == removals
+        assert {(k, side, i) for k, side, i, _ in trace.removals} == removals.keys()
 
 
 def test_the_screen_allows_for_rounding_in_its_products(monkeypatch):
@@ -502,7 +560,7 @@ def test_payoffs_too_large_for_the_rounding_allowance_screen_exactly():
     assert trace.removals[0][3].margin > dominance.STRICT_TOL
     rounds, removals = _elimination_by_queries(game, "mixed", opponent)
     assert trace.rounds == rounds
-    assert {(k, side, i) for k, side, i, _ in trace.removals} == removals
+    assert {(k, side, i) for k, side, i, _ in trace.removals} == removals.keys()
 
 
 def test_a_certificate_leaves_the_pool_with_its_columns():
@@ -515,4 +573,4 @@ def test_a_certificate_leaves_the_pool_with_its_columns():
     assert trace.rounds == (((0, 1, 2), (0, 1, 2, 3)), ((0, 1, 2), (0, 1)), ((0, 1), (0, 1)))
     rounds, removals = _elimination_by_queries(game, "mixed", opponent)
     assert trace.rounds == rounds
-    assert {(k, side, i) for k, side, i, _ in trace.removals} == removals
+    assert {(k, side, i) for k, side, i, _ in trace.removals} == removals.keys()
