@@ -1,10 +1,27 @@
 """Strict dominance tests and iterated elimination.
 
-The heavy lifting is a max-margin linear program: find the mixture p (over an
-allowed support) maximizing the worst-case payoff advantage over a target
-mixture q across the opponent's allowed pure strategies. A strictly positive
-optimum certifies strict dominance; the certificate is always re-checked
-against the payoff matrix before it is returned.
+Every query is one linear program, read from the opponent's side. Mixture
+q's gaps are what each allowed row earns over q at each allowed column, and
+its margin is the best worst-column gap of a mixture p of the rows,
+max_p min_j (p @ gaps)[j]. By Pearce's lemma q is not strictly dominated iff
+it is a best reply to some column mixture y, and the column LP finds the
+best y: it maximizes min_k -(gaps @ y)[k], and by LP duality its optimum is
+minus q's margin. Its constraint duals are a p that attains the margin,
+and y proves that no p does better, so one LP gives a certificate for
+either verdict. In 'pure' mode the best single row is read off the gaps,
+with no LP and no y.
+
+Strict dominance does not change when the payoffs are multiplied by a
+positive number, and neither does any answer here. The LP reads the gaps
+divided by the power of two above max|gaps|, which rounds nothing, and its
+margin is multiplied back. A query's tolerance is relative too: tol is
+STRICT_TOL times the power of two above the largest |payoff| the query
+reads (the allowed payoff slice and q's payoff row), and q is dominated iff
+its margin exceeds tol. So payoffs 2^k A give the verdicts and dominator
+bytes of A, and its margins times 2^k, exactly. Both certificates are
+re-checked against the payoffs before an answer is returned: a dominator
+must realize its margin within tol, and under the y of a "not dominated"
+answer no row may beat q by more than tol. A failed check raises LpError.
 
 Iterated elimination screens each query before solving it, with column
 certificates. For any column mixture y >= 0 over the alive columns, with
@@ -13,46 +30,26 @@ has p @ (sub - sub[k]) @ y <= max(v) - v[k], so row k's margin is at most
 (max(v) - v[k]) / sum(y). A row k with v[k] >= max(v) - delta sum(y) is
 skipped; delta = 2 (n + 1) eps max|sub| over n alive columns covers the
 rounding of both products, so a skipped row's margin is at most
-4 (n + 1) eps max|sub|, held below STRICT_TOL / 10. The certificates are
-the alive pure columns (a weak best reply to column j is never dominated)
-and the column mixtures of earlier LPs (below), in this round or an
-earlier one, while their support stays alive; each is checked by its own
-product, so a dusty one can only cost a skip. Where that bound is not
-below STRICT_TOL / 10 the products round too coarsely, and only the pure
-columns screen, compared exactly. Either way the screen skips only queries
-that would answer "not dominated", and rounds and removals are those of
-querying every alive strategy.
-
-The third source of certificates is a column LP, asked for each query the
-screen leaves in 'mixed' mode where the allowance holds. By Pearce's lemma
-row k is not strictly dominated iff it is a best reply to some column
-mixture y, and the LP over y (_max_margin of -(sub - sub[k]).T) finds the
-best one: its optimum is max over y of v[k] - max(v), at most 0. Its y joins
-the pool and answers every row whose product passes the screen's test
-above; if row k is one, the query is answered "not dominated". Otherwise
-the LP answers by duality: its optimum is minus row k's margin, and its
-constraint duals are a mixture of the alive rows that attains it. A margin
-above STRICT_TOL removes row k, with the duals as its dominator, re-checked
-against the payoffs like every certificate. The LP climbs to its optimum
-from below, as a rule in fewer pivots than the row LP, which for a row that
-is not dominated starts at its optimum, 0 (row k against itself), and
-spends all its pivots proving it.
-
-The row LP, find_dominator's LP on the round's payoff slice, runs only
-where the column LP gives no answer: in 'pure' mode, where the products
-round too coarsely, where the column LP raises LpError, where its y misses
-row k and its margin is at most STRICT_TOL, or where its dominator fails
-the re-check. The two LPs reach one optimum by different pivots, so margins
-are find_dominator's up to rounding and dominators may differ in the last
-bits; rounds and removals are find_dominator's unless a margin lies within
-rounding of STRICT_TOL. When both seats read the same matrix (a single
-population, or an opponent game with byte-equal payoffs), the two seats'
-strategy sets stay equal and their queries coincide, so one side's removals
-are recorded for both, and one pool of certificates serves both.
+4 (n + 1) eps max|sub|. As tol exceeds STRICT_TOL max|sub|, that is below
+tol / 10 for every n below about 1e5, at every payoff scale. The
+certificates are the alive pure columns (a weak best reply to column j is
+never dominated) and the y of earlier LPs, in this round or an earlier one,
+while their support stays alive; each is checked by its own product, so a
+dusty one can only cost a skip. Each query the screen leaves runs the LP of
+find_dominator on the same gaps, sub - sub[k]; its y joins the pool and
+answers every row whose product passes the screen's test, which settles
+row k's query if row k is one. Otherwise the LP's answer goes through the
+re-check above. So the screen skips only queries that would answer "not
+dominated", and rounds, removals, margins and dominators are those of
+querying every alive strategy with find_dominator, to the bit. When both seats read the same matrix (a single population,
+or an opponent game with byte-equal payoffs), the two seats' strategy sets
+stay equal and their queries coincide, so one side's removals are recorded
+for both, and one pool of certificates serves both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +66,9 @@ class DominanceResult:
     """Outcome of a single dominance query.
 
     margin is the optimal worst-column payoff advantage; dominated means
-    margin > STRICT_TOL. degenerate flags a margin indistinguishable from
-    zero at that tolerance.
+    margin > tol, STRICT_TOL times the power of two above the largest
+    |payoff| the query reads (module docstring). degenerate flags a margin
+    indistinguishable from zero at that tolerance.
     """
 
     dominated: bool
@@ -137,62 +135,76 @@ def find_dominator(game: Game, q, restrict_rows=None, restrict_cols=None,
     if len(qs) != game.n_rows:
         raise ValueError("q must mix over the game's rows")
     rows, cols = _checked_sets(game, restrict_rows, restrict_cols)
+    sub = game.payoff[np.ix_(rows, cols)]
+    q_row = (qs.weights @ game.payoff)[list(cols)]
+    tol = _tol(max(float(np.abs(sub).max()), float(np.abs(q_row).max())))
     # gaps[k, j]: what row k earns over q at column j
-    gaps = game.payoff[np.ix_(rows, cols)] - (qs.weights @ game.payoff)[list(cols)]
-    margin, p, _ = _max_margin(gaps, mode)
-    return _result(game, qs, margin, rows, p, cols)
+    gaps = sub - q_row
+    return _result(game, qs, rows, cols, gaps, tol, *_max_margin(gaps, mode))
+
+
+def _tol(payoff_max: float) -> float:
+    """STRICT_TOL times the power of two above payoff_max, the largest
+    |payoff| a query reads."""
+    return math.ldexp(STRICT_TOL, math.frexp(payoff_max)[1])
 
 
 def _max_margin(gaps: np.ndarray, mode: str):
     """Best worst-column margin min_j (p @ gaps)[j] over mixtures p of gaps'
     rows ('mixed') or over single rows ('pure').
 
-    Returns (margin, p, y); p holds the weights over gaps' rows, clipped at
-    0 but not renormalised. y, None in 'pure' mode, is the LP's column
-    duals clipped at 0: a column mixture (up to scale and rounding) under
-    which no row of gaps earns more than the margin, a certificate for the
-    screen of iterated elimination (module docstring).
+    Returns (margin, p, y). In 'pure' mode p is the best single row (the
+    first of ties) and y is None. In 'mixed' mode the column LP answers
+    (module docstring): p is its constraint duals over gaps' rows, which
+    attain the margin, and y its column mixture, under which no row of gaps
+    earns more than the margin (both up to rounding); both are clipped at 0
+    but not renormalised.
     """
-    # row minima are the pure margins, and r is the best pure row (first of ties)
-    pure_margins = gaps.min(axis=1)
-    r = int(np.argmax(pure_margins))
-    best = float(pure_margins[r])
     nr, nc = gaps.shape
-
     if mode == "pure":
+        pure_margins = gaps.min(axis=1)
+        r = int(np.argmax(pure_margins))
         p = np.zeros(nr)
         p[r] = 1.0
-        return best, p, None
-
+        return float(pure_margins[r]), p, None
     if mode != "mixed":
         raise ValueError(f"unknown dominance mode {mode!r}")
 
-    # variables: p_k for each row, eps' = margin - best, one slack per
-    # column. e_r reaches best, so eps' >= 0. Eliminating p_r through
-    # sum p = 1, column j's row reads
-    #   s_j + eps' + sum_k (gaps[r, j] - gaps[k, j]) p_k = gaps[r, j] - best,
-    # whose rhs is >= 0 and whose p_r coefficient is 0 exactly; the last row
-    # is sum p = 1. The slacks and p_r are then an identity basis at e_r.
-    A_eq = np.zeros((nc + 1, nr + 1 + nc))
-    A_eq[:nc, :nr] = (gaps[r] - gaps).T
-    A_eq[:nc, nr] = 1.0
-    A_eq[:nc, nr + 1:] = np.eye(nc)
-    A_eq[nc, :nr] = 1.0
-    b_eq = np.append(gaps[r] - best, 1.0)
-    c = np.zeros(nr + 1 + nc)
-    c[nr] = 1.0
+    # dividing by a power of two rounds nothing: 2^k gaps give this LP the
+    # same numbers, and only the solver's absolute tolerances see the scale
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(gaps).max()))[1])
+    g = gaps / scale
+    # worst[j] is the most a row earns over q at column j, and c is the
+    # pure column that leaves q least behind (first of ties)
+    worst = g.max(axis=0)
+    c = int(np.argmin(worst))
+    # variables: y_j for each column, t = worst[c] - max_k (g @ y)[k], one
+    # slack per row. e_c reaches t = 0, so t >= 0. Eliminating y_c through
+    # sum y = 1, row k's constraint reads
+    #   s_k + t + sum_j (g[k, j] - g[k, c]) y_j = worst[c] - g[k, c],
+    # whose rhs is >= 0 and whose y_c coefficient is 0 exactly; the last row
+    # is sum y = 1. The slacks and y_c are then an identity basis at e_c.
+    A_eq = np.zeros((nr + 1, nc + 1 + nr))
+    A_eq[:nr, :nc] = g - g[:, c:c + 1]
+    A_eq[:nr, nc] = 1.0
+    A_eq[:nr, nc + 1:] = np.eye(nr)
+    A_eq[nr, :nc] = 1.0
+    b_eq = np.append(worst[c] - g[:, c], 1.0)
+    cost = np.zeros(nc + 1 + nr)
+    cost[nc] = 1.0
 
-    x, value, pi = solve_max(c, A_eq, b_eq, np.append(np.arange(nr + 1, nr + 1 + nc), r))
+    x, value, pi = solve_max(cost, A_eq, b_eq, np.append(np.arange(nc + 1, nc + 1 + nr), c))
     # clip solver dust
-    return best + value, np.maximum(x[:nr], 0.0), np.maximum(pi[:nc], 0.0)
+    return (float(worst[c]) - value) * scale, np.maximum(pi[:nr], 0.0), np.maximum(x[:nc], 0.0)
 
 
-def _result(game: Game, qs: MixedStrategy, margin: float, rows, p: np.ndarray,
-            cols) -> DominanceResult:
-    """The query's answer; a dominator, spread from rows onto all of the
-    game's rows, is re-checked against the payoffs before it is returned."""
-    degenerate = bool(abs(margin) <= STRICT_TOL)
-    dominated = bool(margin > STRICT_TOL)
+def _result(game: Game, qs: MixedStrategy, rows, cols, gaps: np.ndarray, tol: float,
+            margin: float, p: np.ndarray, y: np.ndarray | None) -> DominanceResult:
+    """The query's answer at tolerance tol, its certificate re-checked: a
+    dominator, spread from rows onto all of the game's rows, must realize
+    its margin, and under the y of a "not dominated" answer no row of gaps
+    may beat q by more than tol. A failed check raises LpError."""
+    dominated = bool(margin > tol)
     dominator = None
     if dominated:
         w = np.zeros(game.n_rows)
@@ -200,36 +212,32 @@ def _result(game: Game, qs: MixedStrategy, margin: float, rows, p: np.ndarray,
         w /= w.sum()  # summed over all rows: a sum over rows alone can move the last ulp
         dominator = as_strategy(w)
         realized = strict_margin(game, dominator, qs, cols)
-        if abs(realized - margin) > STRICT_TOL:
+        if abs(realized - margin) > tol:
             raise LpError(
                 f"dominance certificate mismatch: LP margin {margin!r}, realized {realized!r}")
-    return DominanceResult(dominated, float(margin), dominator, degenerate)
+    elif y is not None and (beat := float((gaps @ y).max() / y.sum())) > tol:
+        raise LpError(
+            f"best-reply certificate mismatch: LP margin {margin!r}, a row beats q by {beat!r}")
+    return DominanceResult(dominated, float(margin), dominator, bool(abs(margin) <= tol))
 
 
 def _one_side_removals(game: Game, alive_rows, alive_cols, mode: str, pool: list):
     """Strategies in alive_rows strictly dominated within the current restriction.
 
     Each query asks find_dominator's question of the pure strategy, on one
-    payoff slice per call: row k's gaps are sub - sub[k]. A column LP answers
-    it either way, and a row LP only where the column LP gives no answer
-    (module docstring). pool holds column certificates over all of game's
-    columns; those on alive columns screen the queries, and each column LP
-    appends its y, each "not dominated" row LP its column duals.
+    payoff slice per call: row k's gaps are sub - sub[k]. pool holds column
+    certificates over all of game's columns; those on alive columns screen
+    the queries, and each LP appends its y (module docstring).
     """
     sub = game.payoff[np.ix_(alive_rows, alive_cols)]
     cols = list(alive_cols)
     dead = np.ones(game.n_cols, dtype=bool)
     dead[cols] = False
     pool[:] = [y for y in pool if not y[dead].any()]  # columns never come back
-    delta = 2 * (len(cols) + 1) * _EPS * float(np.abs(sub).max())
-    certify = 2 * delta <= STRICT_TOL / 10
-    # the alive pure columns first, then the pooled certificates; where the
-    # products round too coarsely, the pure columns alone, compared exactly
-    ys = np.eye(len(cols))
-    if certify:
-        ys = np.vstack([ys] + [y[cols] for y in pool])
-    else:
-        delta = 0.0
+    payoff_max = float(np.abs(sub).max())
+    tol, delta = _tol(payoff_max), 2 * (len(cols) + 1) * _EPS * payoff_max
+    # the alive pure columns first, then the pooled certificates
+    ys = np.vstack([np.eye(len(cols))] + [y[cols] for y in pool])
     skip = _answered(sub, ys.T, delta).any(axis=1)
     removed = []
     for k in range(len(alive_rows)):
@@ -237,31 +245,17 @@ def _one_side_removals(game: Game, alive_rows, alive_cols, mode: str, pool: list
             continue
         # + 0.0 turns -0.0 into 0.0, as the product q @ payoff does
         gaps = sub - (sub[k] + 0.0)
-        i = alive_rows[k]
-        if certify and mode == "mixed":
-            # the column LP: its best column mixture y answers the rows its
-            # product leaves within delta of a best reply; if row k is not
-            # one, its optimum and duals are row k's margin and dominator
-            try:
-                neg, y, p = _max_margin(-gaps.T, mode)
-                pool.append(_spread(y, cols, game.n_cols))
-                skip |= _answered(sub, y, delta)
-                if skip[k]:
-                    continue
-                if -neg > STRICT_TOL:
-                    removed.append((i, _result(game, pure(i, game.n_rows), -neg, alive_rows,
-                                               p, alive_cols)))
-                    continue
-            except LpError:  # the row LP below answers alone
-                pass
         margin, p, y = _max_margin(gaps, mode)
-        if margin > STRICT_TOL:
-            removed.append((i, _result(game, pure(i, game.n_rows), margin, alive_rows, p,
-                                       alive_cols)))
-        elif y is not None:
+        if y is not None:
+            # y answers every row its product leaves within delta of a best reply
             pool.append(_spread(y, cols, game.n_cols))
-            if certify:
-                skip |= _answered(sub, y, delta)
+            skip |= _answered(sub, y, delta)
+        if skip[k] or (y is None and margin <= tol):
+            continue  # y answers row k, or 'pure' mode: not dominated, nothing to re-check
+        i = alive_rows[k]
+        res = _result(game, pure(i, game.n_rows), alive_rows, alive_cols, gaps, tol, margin, p, y)
+        if res.dominated:
+            removed.append((i, res))
     return removed
 
 

@@ -3,8 +3,11 @@
 Sized for the dominance LPs (up to a few dozen rows and columns), so there is
 no sparsity, no presolve, and no scaling: just a dense tableau with Bland's
 anti-cycling pivot rule, which makes termination a theorem rather than a
-hope. The caller states the LP in canonical form, with a basic feasible
-start whose columns are the identity, so no phase 1 searches for one. Each
+hope. The dominance caller scales instead: it divides its payoff gaps by the
+power of two above their largest magnitude, which rounds nothing, so the
+absolute tolerances below see entries below 1 at every payoff scale. The
+caller states the LP in canonical form, with a basic feasible start whose
+columns are the identity, so no phase 1 searches for one. Each
 pivot is one vectorised rank-1 update of the tableau, and the answer is
 checked against the original constraints before it is returned, so a
 tableau corrupted by rounding raises LpError instead of passing as an

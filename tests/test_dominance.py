@@ -240,10 +240,11 @@ def _two_sided_games():
 def _screened_queries(monkeypatch, game, mode, opponent=None):
     """The trace of an elimination, and (game, own, opp, skipped, settled)
     for each seat of each round: skipped lists the alive strategies that
-    were not removed and whose query no row LP answered, and settled maps
-    those a column LP answered to the LP's column mixture y over opp. A
-    column LP that answered "dominated" removed its strategy, so it settles
-    nothing."""
+    were not removed and whose query no LP answered or an LP answered with
+    a column mixture y, and settled maps the latter to y over opp. Every LP
+    reads its row's gaps, sub - sub[k]; one that answered "dominated"
+    removed its strategy, so it settles nothing, and 'pure' mode's have no
+    y."""
     calls, one_side, max_margin = [], dominance._one_side_removals, dominance._max_margin
 
     def side(g, own, opp, *args):
@@ -264,13 +265,11 @@ def _screened_queries(monkeypatch, game, mode, opponent=None):
     for g, own, opp, lps, gone in calls:
         sub = g.payoff[np.ix_(own, opp)]
 
-        def asked(row, column_lp):
-            # a row LP reads row k's gaps, a column LP their transpose, negated
-            return [out for gaps, out in lps
-                    if np.array_equal(-gaps.T if column_lp else gaps, sub - (row + 0.0))]
-        skipped = [i for i, row in zip(own, sub) if i not in gone and not asked(row, False)]
-        settled = {i: asked(row, True)[0][1] for i, row in zip(own, sub)
-                   if i in skipped and asked(row, True)}
+        # y of the LP that read each kept row's gaps, if one did
+        ys = {i: [out[2] for gaps, out in lps if np.array_equal(gaps, sub - (row + 0.0))]
+              for i, row in zip(own, sub) if i not in gone}
+        skipped = [i for i, y in ys.items() if not y or y[0] is not None]
+        settled = {i: y[0] for i, y in ys.items() if y and y[0] is not None}
         seats.append((g, own, opp, skipped, settled))
     return trace, seats
 
@@ -278,12 +277,12 @@ def _screened_queries(monkeypatch, game, mode, opponent=None):
 @pytest.mark.parametrize("mode", ["pure-by-mixed", "pure-by-pure"])
 def test_best_reply_screen_changes_no_round(monkeypatch, mode):
     # the screen's certificates are the alive pure columns, which skip weak
-    # best replies, and in mixed mode the duals of earlier LPs
+    # best replies, and in mixed mode the column mixtures of earlier LPs
     dom_mode = "mixed" if mode == "pure-by-mixed" else "pure"
     game, opponents = _two_sided_games()
     runs = [(g, None) for g in _elimination_games()] + [(game, o) for o in opponents]
     skipped = {True: 0, False: 0}  # by whether the row is a weak best reply
-    settled = 0  # by a column LP
+    settled = 0  # by an LP's column mixture
     for g, opponent in runs:
         trace, seats = _screened_queries(monkeypatch, g, mode, opponent)
         rounds, removals = _elimination_by_queries(g, dom_mode, opponent)
@@ -311,54 +310,93 @@ def _certificate_games(scale):
             yield Game(scale * planted_game(rng, n, min(4, max(1, n // 4)))[0])
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e3, 1e-6])
+def _query_tol(sub, scale):
+    """The bound of the exact checks on payoff slice sub: STRICT_TOL, or at
+    scale 1e6 the query's relative tolerance (module docstring of
+    egtlab.dominance)."""
+    return Fraction(dominance._tol(float(np.abs(sub).max())) if scale == 1e6
+                    else dominance.STRICT_TOL)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e-6, 1e6])
 def test_column_certificates_pass_an_exact_check(monkeypatch, scale):
-    # every query a column LP answers has a y to which its row is a best
-    # reply within STRICT_TOL / 10, in exact rationals
-    bound, settled = Fraction(dominance.STRICT_TOL) / 10, 0
+    # every query an LP settles with its column mixture has a y to which its
+    # row is a best reply within a tenth of the tolerance, in exact rationals
+    settled = 0
     for game in _certificate_games(scale):
         _, seats = _screened_queries(monkeypatch, game, "pure-by-mixed")
         for seat, own, opp, _, by_column_lp in seats:
             sub = seat.payoff[np.ix_(own, opp)]
+            bound = _query_tol(sub, scale) / 10
             for i, y in by_column_lp.items():
                 assert best_reply_gap(sub, own.index(i), y) <= bound
             settled += len(by_column_lp)
     assert settled > 300
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e3, 1e-6])
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e-6, 1e6])
 def test_dominated_certificates_pass_an_exact_check(scale):
-    # every removal's dominator beats its row by more than STRICT_TOL in
-    # exact rationals, within STRICT_TOL of the reported margin; the rounds
-    # and removals are find_dominator's, and so are the margins up to rounding
-    tol, removed = Fraction(dominance.STRICT_TOL), 0
-    for game, unit in zip(_certificate_games(scale), _certificate_games(1.0)):
+    # every removal's dominator beats its row by more than the tolerance in
+    # exact rationals, within the tolerance of the reported margin; the
+    # rounds, removals, margins and dominators are find_dominator's, to the bit
+    removed = 0
+    for game in _certificate_games(scale):
         trace = iterate_elimination(game)
-        try:
-            rounds, removals = _elimination_by_queries(game, "mixed")
-            ref_scale = 1.0
-        except LpError:
-            # a find_dominator LP fails on game 65 at 1e3 and games 100 and 106
-            # at 1e-6 (CHANGES.md); there the game at scale 1 is the reference
-            rounds, removals = _elimination_by_queries(unit, "mixed")
-            ref_scale = scale
+        rounds, removals = _elimination_by_queries(game, "mixed")
         assert trace.rounds == rounds
         assert {(k, side, i) for k, side, i, _ in trace.removals} == removals.keys()
         for k, side, i, res in trace.removals:
             own, opp = trace.rounds[k - 1] if side == "row" else trace.rounds[k - 1][::-1]
+            tol = _query_tol(game.payoff[np.ix_(own, opp)], scale)
             exact = exact_margin(game.payoff, res.dominator.weights, i, own, opp)
             assert exact > tol
             assert abs(exact - Fraction(res.margin)) <= tol
-            want = ref_scale * removals[k, side, i].margin
-            assert res.margin == pytest.approx(want, rel=1e-11, abs=0)
+            want = removals[k, side, i]
+            assert np.float64(res.margin).tobytes() == np.float64(want.margin).tobytes()
+            assert res.dominator.weights.tobytes() == want.dominator.weights.tobytes()
         removed += len(trace.removals)
     assert removed > 300
 
 
+def test_answers_scale_exactly_with_powers_of_two():
+    # dividing by a power of two rounds nothing, and the tolerance follows
+    # the payoffs: 2^k A gives the rounds, verdicts and dominator bytes of A,
+    # and its margins times 2^k, to the bit
+    rng, removed = np.random.default_rng(21), 0
+    for game in list(_certificate_games(1.0))[::10]:
+        q = rng.dirichlet(np.ones(game.n_rows))
+        trace, res = iterate_elimination(game), find_dominator(game, q)
+        removed += len(trace.removals)
+        for k in range(-20, 21):
+            scaled = Game(np.ldexp(game.payoff, k))
+            got = iterate_elimination(scaled)
+            assert got.rounds == trace.rounds
+            assert [r[:3] for r in got.removals] == [r[:3] for r in trace.removals]
+            for (*_, a), (*_, b) in zip(got.removals, trace.removals):
+                assert a.margin == np.ldexp(b.margin, k)
+                assert a.dominator.weights.tobytes() == b.dominator.weights.tobytes()
+            r = find_dominator(scaled, q)
+            assert (r.dominated, r.degenerate) == (res.dominated, res.degenerate)
+            assert r.margin == np.ldexp(res.margin, k)
+            if res.dominated:
+                assert r.dominator.weights.tobytes() == res.dominator.weights.tobytes()
+    assert removed > 30
+
+
+@pytest.mark.parametrize("scale", [1e2, 1e3, 1e4, 1e6, 1e-6])
+def test_rounds_do_not_depend_on_the_payoff_scale(scale):
+    # strict dominance is a property of the game, unchanged by a positive
+    # factor; neither elimination nor query-by-query find_dominator raises
+    for game, unit in zip(_certificate_games(scale), _certificate_games(1.0)):
+        rounds = iterate_elimination(unit).rounds
+        assert iterate_elimination(game).rounds == rounds
+        assert _elimination_by_queries(game, "mixed")[0] == rounds
+
+
 def test_a_game_whose_row_lp_fails_at_1e3_eliminates_as_at_1():
-    # game 65 of the corpus, planted with 16 strategies: at 1e3 the row LP of
-    # one of its dominated queries raises "objective unbounded above", and
-    # the column LP answers that query
+    # game 65 of the corpus, planted with 16 strategies: at 1e3 an LP over
+    # the rows' mixtures raises "objective unbounded above" on one of its
+    # dominated queries (CHANGES.md); the column LP answers every query
     game, unit = (list(_certificate_games(s))[65] for s in (1e3, 1.0))
     assert game.n_rows == 16
     trace = iterate_elimination(game)
@@ -366,72 +404,40 @@ def test_a_game_whose_row_lp_fails_at_1e3_eliminates_as_at_1():
 
 
 def test_a_column_lp_answers_only_through_its_product(monkeypatch):
-    # A column LP with a y under which row 2 is no best reply answers row 2
-    # only through a dominator that passes _result's re-check. It claims a
-    # best reply (margin 0), a margin of STRICT_TOL / 2 (no dominance), or
-    # margin 1 with row 2 itself as the dominator (which fails the re-check).
-    # y's product answers row 0 alone, so each time row 2's row LP runs and
-    # finds the half-half dominator.
+    # An LP's answer stands only if its certificate passes _result's
+    # re-check. Each fake answers row 2 with y = column 0, under which row 0
+    # beats row 2 by 2: it claims a best reply (margin 0) or a margin of
+    # STRICT_TOL / 2 (no dominance), which y refutes, or margin 1 with row 2
+    # itself as the dominator, which realizes 0. y's product answers row 0
+    # alone, so row 2's query reaches the re-check, and each raises LpError
+    # out of elimination as out of find_dominator.
     game = Game([[3.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
-    max_margin = dominance._max_margin
     for claim in (0.0, dominance.STRICT_TOL / 2, 1.0):
-        rows = []
+        asked = []
 
-        def claims_an_answer(gaps, mode):
-            if gaps.shape == (2, 3):  # a column LP; a row LP's gaps are 3 x 2
-                return -claim, np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0])
-            rows.append(gaps)
-            return max_margin(gaps, mode)
+        def claims_an_answer(gaps, mode, claim=claim):
+            asked.append(gaps)
+            return claim, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0])
         monkeypatch.setattr(dominance, "_max_margin", claims_an_answer)
-        trace = iterate_elimination(game, opponent_game=Game(np.zeros((2, 3))))
-        assert len(rows) == 1
-        assert [(k, side, i) for k, side, i, _ in trace.removals] == [(1, "row", 2)]
-        assert trace.removals[0][3].margin == 0.5
-        assert list(trace.removals[0][3].dominator) == [0.5, 0.5, 0.0]
+        with pytest.raises(LpError, match="certificate mismatch"):
+            iterate_elimination(game, opponent_game=Game(np.zeros((2, 3))))
+        assert len(asked) == 1 and np.array_equal(asked[0], game.payoff - game.payoff[2])
+        with pytest.raises(LpError, match="certificate mismatch"):
+            find_dominator(game, pure(2, 3))
 
 
-def test_a_failing_column_lp_leaves_the_query_to_the_row_lp(monkeypatch):
-    # a column LP that raises LpError answers nothing: every query goes to
-    # its row LP, and every removal is find_dominator's, to the last bit
-    games = [Game(planted_game(np.random.default_rng(n), n, 3)[0]) for n in (8, 12)]
-    expected = [_elimination_by_queries(g, "mixed") for g in games]
-    max_margin, failed = dominance._max_margin, []
+def test_a_failing_lp_raises_out_of_elimination(monkeypatch):
+    # no second LP stands in for one that raises LpError: the error leaves
+    # iterate_elimination, as it leaves find_dominator
+    game = Game(planted_game(np.random.default_rng(8), 8, 3)[0])
 
-    def column_lp_fails(gaps, mode):
-        if not (gaps == 0).all(axis=1).any():  # a column LP, as in the budget test
-            failed.append(gaps)
-            raise LpError("column LP failed")
-        return max_margin(gaps, mode)
-    monkeypatch.setattr(dominance, "_max_margin", column_lp_fails)
-    for game, (rounds, removals) in zip(games, expected):
-        trace = iterate_elimination(game)
-        assert trace.rounds == rounds
-        assert {(k, side, i) for k, side, i, _ in trace.removals} == removals.keys()
-        for k, side, i, res in trace.removals:
-            want = removals[k, side, i]
-            assert np.float64(res.margin).tobytes() == np.float64(want.margin).tobytes()
-            assert res.dominator.weights.tobytes() == want.dominator.weights.tobytes()
-    assert len(failed) > 5
-
-
-def test_no_column_lp_runs_where_the_products_round_too_coarsely(monkeypatch):
-    # at payoffs near 1e6 the rounding allowance is no certificate (module
-    # docstring), and every query the pure columns leave goes to a row LP
-    max_margin, asked = dominance._max_margin, []
-
-    def row_lp_only(gaps, mode):
-        # a row LP's gaps hold row k against itself, all zeros; a column LP's,
-        # their negated transpose, have a zero row only where a payoff column
-        # is constant
-        asked.append(bool((gaps == 0).all(axis=1).any()))
-        return max_margin(gaps, mode)
-    monkeypatch.setattr(dominance, "_max_margin", row_lp_only)
-    for game in _certificate_games(1e6):
-        try:
-            iterate_elimination(game)
-        except LpError:
-            pass  # the row LPs themselves fail at this scale now and then (CHANGES.md)
-    assert len(asked) > 100 and all(asked)
+    def fails(gaps, mode):
+        raise LpError("LP failed")
+    monkeypatch.setattr(dominance, "_max_margin", fails)
+    with pytest.raises(LpError, match="LP failed"):
+        iterate_elimination(game)
+    with pytest.raises(LpError, match="LP failed"):
+        find_dominator(game, pure(0, 8))
 
 
 def _trace_sha256(trace):
@@ -454,34 +460,29 @@ def _unscreened_rows(game, rounds):
     return count
 
 
-# (size, chain depth, column LPs, row LPs, pivots, trace SHA-256). The
-# best-reply screen leaves 15, 25 and 20 queries; earlier LPs' certificates
-# answer many of them, and one column LP answers each of the rest, either
-# way: its y answers "not dominated", and otherwise its optimum and duals
-# are the dominated row's margin and dominator, so no row LP runs. Asking
-# the column side's queries again, as a two-sided loop does, takes twice the
-# LPs and pivots for the same digests. The digests cover the column LPs'
-# margins and dominators, which may differ from find_dominator's in the
-# last bits.
+# (size, chain depth, LPs, pivots, trace SHA-256). The best-reply screen
+# leaves 15, 25 and 20 queries; earlier LPs' certificates answer many of
+# them, and one LP answers each of the rest, either way: its y answers "not
+# dominated", and otherwise its optimum and duals are the dominated row's
+# margin and dominator. Asking the column side's queries again, as a
+# two-sided loop does, takes twice the LPs and pivots for the same digests.
 ELIMINATION_BUDGETS = [
-    (12, 3, 8, 0, 19, "49b950c197bad7d7d2eec0bb8490331cb8cd3a93023e87f599d63f89c03b0c53"),
-    (16, 3, 14, 0, 106, "e1afc64be0caa425be4ec40e60e0cff6e9e1d149c2fee172015a1a85c25708cd"),
-    (17, 4, 9, 0, 133, "b2be01f599a84520555a343fcdc33061a2496cc11ba41810c4820eac6a00a933"),
+    (12, 3, 8, 19, "49b950c197bad7d7d2eec0bb8490331cb8cd3a93023e87f599d63f89c03b0c53"),
+    (16, 3, 14, 106, "e1afc64be0caa425be4ec40e60e0cff6e9e1d149c2fee172015a1a85c25708cd"),
+    (17, 4, 9, 133, "b2be01f599a84520555a343fcdc33061a2496cc11ba41810c4820eac6a00a933"),
 ]
 
 
-@pytest.mark.parametrize("n, depth, column_lps, row_lps, pivots, sha", ELIMINATION_BUDGETS,
+@pytest.mark.parametrize("n, depth, lps, pivots, sha", ELIMINATION_BUDGETS,
                          ids=lambda v: str(v)[:8])
-def test_symmetric_elimination_solves_each_row_query_once(monkeypatch, n, depth, column_lps,
-                                                          row_lps, pivots, sha):
+def test_symmetric_elimination_solves_each_row_query_once(monkeypatch, n, depth, lps, pivots,
+                                                          sha):
     game = Game(planted_game(np.random.default_rng(n), n, depth)[0])
-    calls = {"column": 0, "row": 0, "pivot": 0}
+    calls = {"lp": 0, "pivot": 0}
     max_margin, pivot = dominance._max_margin, lp._pivot
 
     def counted_lp(gaps, mode):
-        # a row LP's gaps hold row k against itself, all zeros; a column LP's
-        # have no zero row, as no payoff column of a planted game is constant
-        calls["row" if (gaps == 0).all(axis=1).any() else "column"] += 1
+        calls["lp"] += 1
         return max_margin(gaps, mode)
 
     def counted_pivot(*args):
@@ -491,8 +492,8 @@ def test_symmetric_elimination_solves_each_row_query_once(monkeypatch, n, depth,
     monkeypatch.setattr(lp, "_pivot", counted_pivot)
     trace = iterate_elimination(game)
     assert len(trace.rounds) > 2
-    assert (calls["column"], calls["row"]) == (column_lps, row_lps)
-    assert row_lps < _unscreened_rows(game, trace.rounds)
+    assert calls["lp"] == lps
+    assert lps < _unscreened_rows(game, trace.rounds)
     assert calls["pivot"] == pivots
     assert _trace_sha256(trace) == sha
 
@@ -531,33 +532,37 @@ def test_a_different_opponent_matrix_runs_both_sides(monkeypatch):
 
 
 def test_the_screen_allows_for_rounding_in_its_products(monkeypatch):
-    # Row 3's column LP certifies it with the uniform column mixture, under
-    # which every row earns 1. Row 4 is no best reply to a pure column, and its
+    # Row 3's LP certifies it with the uniform column mixture, under which
+    # every row earns 1. Row 4 is no best reply to a pure column, and its
     # product rounds to 1 - 2^-53: only the rounding allowance lets the
     # certificate answer its query.
     game = Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0], [1.0, 1.0, 1.0],
                  [0.7, 0.9, 1.4]])
-    max_margin, shapes = dominance._max_margin, []
+    max_margin, asked = dominance._max_margin, []
 
     def counted(gaps, mode):
-        shapes.append(gaps.shape)
+        asked.append(gaps)
         return max_margin(gaps, mode)
     monkeypatch.setattr(dominance, "_max_margin", counted)
     trace = iterate_elimination(game, opponent_game=Game(np.zeros((3, 5))))
     assert trace.rounds == ((tuple(range(5)), (0, 1, 2)),) and not trace.removals
-    assert shapes == [(3, 5)]  # one column LP (a row LP's gaps are 5 x 3), no row LP
+    # one LP, on row 3's gaps, and none on row 4's
+    assert len(asked) == 1 and np.array_equal(asked[0], game.payoff - game.payoff[3])
 
 
 def test_payoffs_too_large_for_the_rounding_allowance_screen_exactly():
     # At payoffs near 1e7 the products' rounding allowance, 2 (n + 1) eps
-    # max|payoff| = 1.8e-8, exceeds the margin 7.45e-9 by which row 0
-    # dominates row 3. Only an exact best reply may be skipped there.
+    # max|payoff| = 1.8e-8, exceeds the margin 7.45e-9 by which row 0 beats
+    # row 3. That margin is 4 ulps of the payoffs, within the tolerance
+    # 2^24 STRICT_TOL = 0.0168 of payoffs below 2^24, so row 3 is not
+    # dominated, and elimination and find_dominator agree.
     big, m = 1e7, 8e-9
     game = Game([[big, 0.0, 0.0], [0.0, big, 0.0], [0.0, 0.0, big], [big - m, -m, -m]])
     opponent = Game(np.zeros((3, 4)))
     trace = iterate_elimination(game, opponent_game=opponent)
-    assert trace.removals and trace.removals[0][:3] == (1, "row", 3)
-    assert trace.removals[0][3].margin > dominance.STRICT_TOL
+    assert trace.rounds == (((0, 1, 2, 3), (0, 1, 2)),) and not trace.removals
+    res = find_dominator(game, pure(3, 4))
+    assert res.margin == 2.0 ** -27 and not res.dominated and res.degenerate
     rounds, removals = _elimination_by_queries(game, "mixed", opponent)
     assert trace.rounds == rounds
     assert {(k, side, i) for k, side, i, _ in trace.removals} == removals.keys()
