@@ -396,8 +396,12 @@ def cmd_rps_direction(args) -> int:
     f = None
     if args.link:
         f = parse_link(args.link, domain=(min(a, b, c), max(a, b, c)))
+    elif mode != "replicator":
+        _fail(f"--mode {args.mode} needs --link")
     background = args.discrete_C if args.discrete_C is not None else 0.0
-    direction = rps_direction(f, a, b, c, mode=mode, background=background)
+    if mode == "discrete-functional":
+        f = discrete_effective_link(f, background)
+    direction = rps_direction(None if mode == "replicator" else f, a, b, c)
     report = {"a": a, "b": b, "c": c, "mode": mode, "link": args.link,
               "background": background, "direction": direction}
     _emit_report(report, args.out)

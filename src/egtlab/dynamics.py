@@ -29,7 +29,8 @@ so a kink of the script never falls inside a step. Logs are renormalized
 after every accepted step and the largest pre-renormalization drift is kept
 in the meta.
 
-Against a script, with a state-free speed lam, each growth rate depends on
+Against a script, with a state-free speed lam and a link of a family with
+an antiderivative (all but the effective link), each growth rate depends on
 time alone and gbar is a shift common to all coordinates, so z_i(t) = z_i(0)
 + lam int_0^t f(u_i(s)) ds up to that shift. u_i is affine on each piece
 [a, b] of the script, and the integral is (b - a) (F(u_b) - F(u_a)) /
@@ -797,7 +798,8 @@ def integrate(rule: GrowthRule, game: Game, x0,
     with classic RK4, the reference the tests pin. With the default method,
     a scripted run whose speed is None or a number takes no steps: it is
     integrated exactly (_exact_flow, method "exact"), whatever dt; "rk4"
-    steps it like any run.
+    steps it like any run. A link ln(C + f) of the effective family has no
+    antiderivative, so a run on it takes the stepper.
 
     meta records the method, accepted and rejected steps ("steps",
     "rejected"), right-hand-side evaluations ("rhs_evals"; on the exact
@@ -825,7 +827,8 @@ def integrate(rule: GrowthRule, game: Game, x0,
         "speed belongs to the first population's rule in coupled runs")
     scripted = label == "scripted"
     bounds, steps, times = _grid(t_max, dt, sample_every, opponent if scripted else None)
-    if scripted and method == "dop853" and not isinstance(rule.speed, LinkFunction):
+    if (scripted and method == "dop853" and not isinstance(rule.speed, LinkFunction)
+            and rule.effective_link.family != "effective"):
         with np.errstate(divide="ignore", invalid="ignore"):  # masked by np.where
             samples, max_drift, evals = _exact_flow(pops[0], opponent, rule.speed or 1.0,
                                                     t_max, times)

@@ -4,7 +4,8 @@ A link turns expected payoffs into per-capita growth rates. Its shape on the
 relevant payoff interval decides which selection regime the induced dynamics
 falls into: convex links never let a pure strategy escape a dominating
 mixture, concave links never let a mixture escape a dominating pure, and only
-(affine) linear links protect every dominated mixture.
+(affine) linear links protect every dominated mixture. The generation map's
+effective link ln(C + f) is a family of its own (discrete_effective_link).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FAMILIES = ("linear", "power", "exponential", "logarithm", "sqrt", "table")
+FAMILIES = ("linear", "power", "exponential", "logarithm", "sqrt", "table", "effective")
 
 
 class DomainError(ValueError):
@@ -24,13 +25,16 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LinkFunction:
-    """One payoff-to-growth transform restricted to a payoff interval."""
+    """One payoff-to-growth transform restricted to a payoff interval. A
+    table's data are its knots; an effective link's, ln(C + inner) with
+    params (C,), its inner link."""
 
     family: str
     params: tuple
     domain: tuple
     knots_x: np.ndarray | None = None
     knots_y: np.ndarray | None = None
+    inner: LinkFunction | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -58,6 +62,8 @@ class LinkFunction:
         else:
             object.__setattr__(self, "knots_x", None)
             object.__setattr__(self, "knots_y", None)
+        if (self.inner is not None) != (self.family == "effective"):
+            raise ValueError("an effective link, and only it, takes an inner link")
         _validate_family(self)
 
     def __repr__(self) -> str:
@@ -95,13 +101,35 @@ def _validate_family(f: LinkFunction) -> None:
             raise ValueError("sqrt link takes no params")
         if lo < 0:
             raise ValueError("sqrt needs a nonnegative domain")
-    # every family is monotone on its domain, or an even power whose least |f|
-    # is at 0, so |f| peaks at an end; table knots were checked finite above.
-    # An overflow there is the error below, not a NumPy warning beside it.
+    elif f.family == "effective":
+        g = f.inner
+        if (len(f.params) != 1 or not isinstance(g, LinkFunction) or g.family == "effective"
+                or lo < g.domain[0] or hi > g.domain[1]):
+            raise ValueError("effective link takes a background and an inner link of "
+                             "another family whose domain covers its own")
+        u = _extremes(g, lo, hi)
+        vals = f.params[0] + _eval_unchecked(g, u)
+        if vals.min() <= 0.0:
+            raise ValueError(f"background {f.params[0]:g} leaves ln() undefined "
+                             f"at payoff {u[int(np.argmin(vals))]:g}")
+    # f is finite on its domain iff it is at its least and greatest values. An
+    # overflow there is the error below, not a NumPy warning beside it.
     with np.errstate(over="ignore"):
-        ends = _eval_unchecked(f, [lo, hi])
-    if not np.all(np.isfinite(ends)):
+        vals = _eval_unchecked(f, _extremes(f, lo, hi))
+    if not np.all(np.isfinite(vals)):
         raise ValueError(f"link is not finite everywhere on {f.domain}")
+
+
+def _extremes(f: LinkFunction, lo: float, hi: float) -> np.ndarray:
+    """Points of [lo, hi] among which f takes its least and greatest values
+    there: the ends, a table's knots inside, and 0 for a power across it (each
+    scalar family is monotone on either side of 0). ln is increasing, so an
+    effective link's are its inner link's."""
+    if f.family == "effective":
+        return _extremes(f.inner, lo, hi)
+    inside = (f.knots_x if f.family == "table"
+              else np.array([0.0]) if f.family == "power" else np.empty(0))
+    return np.concatenate(([lo], inside[(inside > lo) & (inside < hi)], [hi]))
 
 
 def _eval_unchecked(f: LinkFunction, u):
@@ -117,6 +145,8 @@ def _eval_unchecked(f: LinkFunction, u):
         return np.log(u)
     if f.family == "sqrt":
         return np.sqrt(u)
+    if f.family == "effective":
+        return np.log(f.params[0] + _eval_unchecked(f.inner, u))
     return np.interp(u, f.knots_x, f.knots_y)
 
 
@@ -126,7 +156,8 @@ def _integral_unchecked(f: LinkFunction, a, b):
     exp(r u) / r (u at r = 0), u ln u - u or 2/3 u^(3/2) of each family; size
     sums |F|'s terms at a and b, which the rounding error scales with. A
     table's F is piecewise quadratic: its difference sums trapezoids between
-    the knots from a to b, which cancel nothing, so its size is 0."""
+    the knots from a to b, which cancel nothing, so its size is 0. An
+    effective link, ln(C + f), has no antiderivative here."""
     if f.family == "table":
         xs, ys = f.knots_x, f.knots_y
         lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -209,7 +240,10 @@ def _signs(f: LinkFunction, lo: float, hi: float, k: int):
     where u < 0 for an odd p - k. A table reads the knot segments that meet
     (lo, hi): their rises (k = 1), or their steps in slope at the knots
     inside (k = 2), where a step within the knots' rounding, 8 eps max|y|
-    over the smallest spacing, counts as 0."""
+    over the smallest spacing, counts as 0. An effective link reads its
+    inner link's (see _effective_curvature for k = 2)."""
+    if f.family == "effective":
+        return _signs(f.inner, lo, hi, 1) if k == 1 else _effective_curvature(f, lo, hi)
     if f.family == "table":
         xs, ys = f.knots_x, f.knots_y
         meets = (xs[:-1] < hi) & (xs[1:] > lo)
@@ -225,6 +259,30 @@ def _signs(f: LinkFunction, lo: float, hi: float, k: int):
     if f.family == "power" and lo < 0.0 and (p - k) % 2 == 1 and s:
         return (-1.0, 1.0) if hi > 0.0 else (-s, -s)
     return s, s
+
+
+def _effective_curvature(f: LinkFunction, lo: float, hi: float):
+    """The least and greatest sign on (lo, hi) of ln(C + g)'', that of
+    g'' (C + g) - g'^2 as C + g > 0: r^2 C e^(r u) for exp(r u), and for u^p
+    p u^(p-2) ((p - 1) C - u^p) between its roots 0 and +-|(p - 1) C|^(1/p).
+    Linear, sqrt and log links and a table's segments never bend up, so the
+    rest reads -g'^2 beside g'' (at a table's knots, its steps in slope)."""
+    g, C = f.inner, f.params[0]
+    if g.family == "exponential":
+        s = np.sign(C) * abs(np.sign(g.params[0]))
+        return s, s
+    if g.family == "power":
+        p = g.params[0]
+        with np.errstate(over="ignore", divide="ignore"):
+            r = np.abs((p - 1.0) * C) ** (1.0 / p) if p else 0.0
+        cuts = np.unique(np.clip([lo, 0.0, r, -r, hi], lo, hi))
+        u = 0.5 * (cuts[:-1] + cuts[1:])
+        with np.errstate(over="ignore"):
+            s = p * np.sign(u) ** (p - 2.0) * np.sign((p - 1.0) * C - u ** p)
+        return s.min(), s.max()
+    s = -max(abs(v) for v in _signs(g, lo, hi, 1))
+    low, high = _signs(g, lo, hi, 2)
+    return min(s, low), max(s, high)
 
 
 def increasing_on(f: LinkFunction, lo: float, hi: float) -> bool:
@@ -250,6 +308,9 @@ def scalar_link(f: LinkFunction, within=None):
             if j >= len(xs) - 1 or xs[j] == v:
                 return ys[j]
             return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (v - xs[j]) + ys[j]
+    elif f.family == "effective":
+        C, g = f.params[0], scalar_link(f.inner)
+        fn = lambda v: math.log(C + g(v))
     else:
         p = f.params
         fn = {"linear": lambda v: p[0] * v + p[1],
@@ -321,57 +382,34 @@ def classify_link(f: LinkFunction, interval=None) -> DynamicsClass:
 
 
 def discrete_effective_link(f: LinkFunction, background: float) -> LinkFunction:
-    """The per-generation growth transform ln(background + f(u)) as a table
-    link on 1001 knots, exact at the knots and linear between them.
+    """The per-generation growth transform ln(background + f(u)), exactly.
 
     The discrete ratio map with background fitness C multiplies frequencies by
     (C + f(u)) / (C + mean), so its log-scale behaviour is governed by this
-    composition rather than by f itself.
+    composition rather than by f itself. Raises ValueError where C + f is
+    not positive on f's domain.
     """
-    lo, hi = f.domain
-    grid = np.linspace(lo, hi, 1001)
-    vals = background + eval_link(f, grid)
-    if np.min(vals) <= 0.0:
-        u_bad = grid[int(np.argmin(vals))]
-        raise ValueError(
-            f"background {background:g} leaves ln() undefined at payoff {u_bad:g}")
-    return table_link(grid, np.log(vals))
+    return LinkFunction("effective", (background,), f.domain, inner=f)
 
 
 DIRECTION_TOL = 1e-12
 
 
-def rps_direction(f: LinkFunction | None, a: float, b: float, c: float,
-                  mode: str = "replicator", background: float = 0.0) -> str:
-    """Spiral direction near the three-strategy cycle with payoffs (a, b, c).
+def rps_direction(f: LinkFunction | None, a: float, b: float, c: float) -> str:
+    """Spiral direction near the three-strategy cycle with payoffs (a, b, c)
+    under the growth rates f (the identity, the replicator's, when None).
 
     The base game has rows (a, c, b), (b, a, c), (c, b, a) with c < a < b.
     'inward' means the boundary cycle repels (trajectories spiral toward the
     interior), 'outward' that it attracts. The test compares the own-match
-    growth rate against the mean of the winning and losing rates:
-
-    - replicator:            a      vs (b + c) / 2
-    - continuous-functional: f(a)   vs [f(b) + f(c)] / 2
-    - discrete-functional:   ln(background + f(.)) in place of f, taken
-      exactly at a, b and c (not through discrete_effective_link's table)
+    growth rate f(a) against the mean [f(b) + f(c)] / 2 of the winning and
+    losing rates. A generation map with background C turns the cycle as its
+    effective link does: pass discrete_effective_link(f, C).
     """
     if not c < a < b:
         raise ValueError(f"cycle payoffs need c < a < b, got a={a!r} b={b!r} c={c!r}")
-    if mode == "replicator":
-        delta = a - 0.5 * (b + c)
-    elif mode in ("continuous-functional", "discrete-functional"):
-        if f is None:
-            raise ValueError(f"mode {mode!r} needs a link function")
-        fa, fb, fc = (eval_link(f, v) for v in (a, b, c))
-        if mode == "discrete-functional":
-            for u, fu in zip((a, b, c), (fa, fb, fc)):
-                if background + fu <= 0.0:
-                    raise ValueError(
-                        f"background {background:g} leaves ln() undefined at payoff {u:g}")
-            fa, fb, fc = (math.log(background + fu) for fu in (fa, fb, fc))
-        delta = fa - 0.5 * (fb + fc)
-    else:
-        raise ValueError(f"unknown direction mode {mode!r}")
+    fa, fb, fc = (a, b, c) if f is None else (eval_link(f, v) for v in (a, b, c))
+    delta = fa - 0.5 * (fb + fc)
     if abs(delta) <= DIRECTION_TOL:
         return "degenerate"
     return "outward" if delta > 0 else "inward"

@@ -33,7 +33,7 @@ from .discrete import affine_background, constant_background, geometric_backgrou
 from .dominance import find_dominator, strict_margin
 from .dynamics import GrowthRule, Schedule, integrate
 from .games import Game, MixedStrategy, game_to_dict, pure, uniform, validate_simplex
-from .links import (LinkFunction, discrete_effective_link, eval_link, exp_link,
+from .links import (LinkFunction, _extremes, discrete_effective_link, eval_link, exp_link,
                     hull_inside, increasing_on, linear_link, power_link, rps_direction,
                     sqrt_link)
 
@@ -113,7 +113,7 @@ class SurvivalConstruction:
         u_m = 0.5 * (a + b) - sign * eps
         alpha = sign * (eval_link(f, u_m) - 0.5 * (eval_link(f, a) + eval_link(f, b)))
         _check(alpha > 0.0, f"midpoint shift eps={eps!r} leaves no curvature gap")
-        Cf = float(np.abs(eval_link(f, np.linspace(a, b, 1001))).max())
+        Cf = float(np.abs(eval_link(f, _extremes(f, a, b))).max())
         T = int(math.floor((2.0 * Cf + 1.0) / alpha + 1.0)) + 1
         _derive(self, alpha=alpha, Cf=Cf, T=T,
                 game=Game([[b, a], [u_m, u_m], [a, b]], ("T", "M", "B"), ("L", "R")),
@@ -158,7 +158,7 @@ def build_survival(f: LinkFunction, variant: str, search_box=None) -> SurvivalCo
         return gap
 
     (a, b), gap = _grid_search(slack, lo, hi, 2, 201, 201)
-    scale = max(1.0, float(np.abs(eval_link(f, np.linspace(lo, hi, 257))).max()))
+    scale = max(1.0, float(np.abs(eval_link(f, _extremes(f, lo, hi))).max()))
     if gap <= 1e-9 * scale:
         raise ValueError(
             f"no {flag} violation of the link on [{lo:g}, {hi:g}]; "
@@ -196,7 +196,7 @@ class Rps4Construction:
     m make the fourth strategy strictly dominate the uniform core mixture
     (margin at least min(beta, gamma)), and convex links eliminate it anyway.
     m and the game follow from (a, b, c, beta, gamma). A generation map's
-    construction takes discrete_effective_link(f, C) as its link.
+    construction takes the exact ln(C + f), discrete_effective_link(f, C).
     """
 
     link: LinkFunction
@@ -235,7 +235,7 @@ class Rps4Construction:
                f"outside the link domain [{f.domain[0]:g}, {f.domain[1]:g}]")
         _check(increasing_on(f, lo, hi),
                f"link is not increasing on the assembled payoffs [{lo:g}, {hi:g}]")
-        got = rps_direction(f, a, b, c, mode="continuous-functional")
+        got = rps_direction(f, a, b, c)
         _check(got == direction,
                f"link turns the core {got}, construction needs {direction}")
         p = np.array([1.0, 1.0, 1.0, 0.0]) / 3.0
@@ -377,6 +377,9 @@ def named_game(name: str, *params: float) -> Game:
 def _link_desc(f: LinkFunction | None):
     if f is None:
         return "replicator"
+    if f.family == "effective":
+        return {"family": "effective", "background": f.params[0],
+                "inner": _link_desc(f.inner)}
     return {"family": f.family, "params": list(f.params),
             "domain": [f.domain[0], f.domain[1]]}
 

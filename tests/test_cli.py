@@ -411,6 +411,25 @@ def test_rps_direction_discrete_mode_is_exact_at_the_cycle_payoffs(capsys):
     assert code == 0 and doc["raw"]["direction"] == "inward"
 
 
+def test_rps_direction_discrete_mode_needs_the_log_only_on_the_cycle_payoffs(capsys):
+    # the link is built on [min, max] of a, b and c, so ln(C + u) needs to be
+    # defined there and nowhere else
+    base = ["rps-direction", "--link", "linear:1,0", "--mode", "discrete"]
+    code, doc = run_json(capsys, base + ["--abc", "2,4,1"])
+    assert code == 0 and doc["raw"]["direction"] == "degenerate"
+    assert main(base + ["--abc", "1,2,-2"]) == 1
+    assert capsys.readouterr().err == \
+        "error: background 0 leaves ln() undefined at payoff -2\n"
+    assert main(base + ["--abc", "2,4,1", "--discrete-C", "-1"]) == 1
+    assert "background -1 leaves ln() undefined at payoff 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_rps_direction_functional_modes_need_a_link(mode, capsys):
+    assert main(["rps-direction", "--abc", "1,2,-2", "--mode", mode]) == 1
+    assert capsys.readouterr().err == f"error: --mode {mode} needs --link\n"
+
+
 def test_scenario_success(capsys):
     code, doc = run_json(capsys, ["scenario", "background-schedules"])
     assert code == 0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from egtlab.links import (FAMILIES, DomainError, array_link, classify_link,
+from egtlab.links import (FAMILIES, DomainError, LinkFunction, array_link, classify_link,
                           discrete_effective_link, domain_pad, eval_link,
                           exp_link, hull_inside, increasing_on, linear_link, log_link,
                           parse_link, power_link, rps_direction, scalar_link, sqrt_link,
@@ -36,6 +36,7 @@ FAMILY_LINKS = [
     linear_link(2.0, -1.0, (-3.0, 3.0)), power_link(1.5, (0.0, 4.0)),
     exp_link(-0.7, (-2.0, 2.0)), log_link((0.5, 4.0)), sqrt_link((0.0, 4.0)),
     table_link([0.0, 0.3, 1.1, 2.0, 3.5], [0.1, 0.5, 0.7, 1.9, 2.0]),
+    discrete_effective_link(sqrt_link((0.0, 4.0)), 1.0),
 ]
 
 
@@ -142,10 +143,12 @@ def test_increasing_on_reads_the_family(f, lo, hi, want):
     (power_link(1.0 - 1e-5, (1.0, 9.0)), "concave-monotonic"),
     (exp_link(1e-4, (0.0, 2.0)), "convex-monotonic"),
     (table_link([0.0, 1.0, 2.0], [0.0, -1e-12, 1.0]), "non-monotonic"),
-], ids=["flat-exp", "flat-line", "near-linear-power", "slow-exp", "table-dip"])
+    (discrete_effective_link(linear_link(1.0, 0.0, (1.0, 15.0)), 1e6), "concave-monotonic"),
+], ids=["flat-exp", "flat-line", "near-linear-power", "slow-exp", "table-dip",
+        "small-step-log"])
 def test_classify_reads_shapes_below_a_grid_slack(f, label):
-    # the grid calls the first four increasing and linear, the last
-    # increasing and convex
+    # the grid calls all but the table increasing and linear, the table
+    # increasing and convex; ln(1e6 + u) bends by about 1e-12 per unit
     linear = f.family != "table"
     assert grid_shape(f, *f.domain)[0] == (True, True, linear)
     assert classify_link(f).label == label
@@ -161,11 +164,24 @@ def test_classify_interval_must_be_nonempty_and_in_the_domain():
     assert classify_link(f, (4.0, 4.0 + 1e-12)).label == "concave-monotonic"
 
 
+# backgrounds C of the effective links ln(C + f) drawn below: negative, none,
+# small, and large enough to flatten f below a grid's resolution
+BACKGROUNDS = (-0.5, 0.0, 0.3, 1.0, 10.0, 1e3, 1e6)
+
+
 def _random_link(rng, family):
     """A link of the family on a random domain: lines, rates of both signs,
     integer exponents on domains across 0 (negative ones on either side of
-    it), fractional ones on positive domains, and rising, falling, mixed and
-    straight knot tables."""
+    it), fractional ones on positive domains, rising, falling, mixed and
+    straight knot tables, and ln(C + f) of any of those at a background of
+    BACKGROUNDS where it is defined."""
+    if family == "effective":
+        while True:
+            f = _random_link(rng, rng.choice([g for g in FAMILIES if g != "effective"]))
+            try:
+                return discrete_effective_link(f, float(rng.choice(BACKGROUNDS)))
+            except ValueError:  # C + f not positive somewhere
+                pass
     lo = rng.uniform(-5.0, 5.0)
     hi = lo + rng.uniform(0.5, 10.0)
     positive = (abs(lo) + 0.1, abs(lo) + 0.1 + hi - lo)
@@ -204,7 +220,8 @@ def test_classify_agrees_with_a_grid_where_the_grid_is_clear(family):
         assert (cls.increasing, cls.convex, cls.concave) == want, (f, lo, hi)
         assert cls.linear == (cls.convex and cls.concave)
         clear += 1
-    assert clear >= 120
+    # a large background flattens most effective links below the grid's slack
+    assert clear >= (75 if family == "effective" else 120)
 
 
 def test_any_positive_affine_link_is_aggregate_monotonic():
@@ -235,6 +252,59 @@ def test_large_background_flattens_but_never_straightens():
 def test_effective_link_rejects_an_undefined_log():
     with pytest.raises(ValueError, match="ln"):
         discrete_effective_link(linear_link(1.0, 0.0, (0.0, 10.0)), 0.0)
+    # u^2 is least inside the domain, not at an end
+    with pytest.raises(ValueError, match=r"background 0 leaves ln\(\) undefined at payoff 0$"):
+        discrete_effective_link(power_link(2.0, (-1.0, 1.0)), 0.0)
+    with pytest.raises(ValueError, match="undefined at payoff 2$"):
+        discrete_effective_link(table_link([0.0, 2.0, 3.0], [1.0, -1.0, 2.0]), 0.5)
+
+
+def test_effective_link_values_are_exact():
+    f = linear_link(1.0, 0.0, (1.0, 15.0))
+    u = np.linspace(1.0, 15.0, 1001) + 0.007  # off any knot grid
+    u[-1] = 15.0
+    np.testing.assert_array_equal(eval_link(discrete_effective_link(f, 2.5), u),
+                                  np.log(2.5 + u))
+
+
+def test_effective_link_takes_an_inner_link_of_another_family():
+    f = sqrt_link((1.0, 9.0))
+    with pytest.raises(ValueError, match="only it, takes an inner link"):
+        LinkFunction("effective", (1.0,), (1.0, 9.0))
+    with pytest.raises(ValueError, match="only it, takes an inner link"):
+        LinkFunction("sqrt", (), (1.0, 9.0), inner=f)
+    with pytest.raises(ValueError, match="of another family"):
+        discrete_effective_link(discrete_effective_link(f, 1.0), 1.0)
+    with pytest.raises(ValueError, match="whose domain covers its own"):
+        LinkFunction("effective", (1.0,), (0.5, 9.0), inner=f)
+    with pytest.raises(ValueError, match="takes a background"):
+        LinkFunction("effective", (1.0, 2.0), (1.0, 9.0), inner=f)
+
+
+@pytest.mark.parametrize("interval, label", [
+    ((0.5, 0.9), "convex-monotonic"),
+    ((1.1, 5.0), "concave-monotonic"),
+    ((0.5, 5.0), "monotonic"),
+    ((1.01, 1.4), "concave-monotonic"),
+])
+def test_effective_power_bends_where_u_p_meets_p_minus_1_times_c(interval, label):
+    # ln(1 + u^2)'' has the sign of 2 (1 - u^2): convex below u = 1, concave above
+    eff = discrete_effective_link(power_link(2.0, (0.5, 5.0)), 1.0)
+    assert classify_link(eff, interval).label == label
+
+
+def test_effective_table_is_concave_between_its_knots():
+    # the knot at 1 bends f up, the knot at 2 bends it down; ln(C + f) bends
+    # as f does at a knot, and is concave on each sloped segment whatever C
+    inner = table_link([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 4.0, 5.0, 5.0])
+    for C in (0.0, 1.0, 1e6):
+        eff = discrete_effective_link(inner, C)
+        assert classify_link(eff, (0.2, 0.8)).label == "concave-monotonic"
+        assert classify_link(eff, (0.5, 1.5)).label == "monotonic"
+        assert classify_link(eff, (1.5, 2.5)).label == "concave-monotonic"
+        assert classify_link(eff, (3.2, 3.8)).label == "non-monotonic"
+        assert classify_link(eff, (3.2, 3.8)).linear
+        assert classify_link(eff).label == "non-monotonic"
 
 
 def test_cycle_direction_of_the_raw_payoffs():
@@ -245,51 +315,31 @@ def test_cycle_direction_of_the_raw_payoffs():
 
 def test_cycle_direction_under_a_convex_link_flips():
     f = exp_link(1.0, (-2.0, 2.0))
-    assert rps_direction(f, 1.0, 2.0, -2.0, mode="continuous-functional") == \
-        "inward"
+    assert rps_direction(f, 1.0, 2.0, -2.0) == "inward"
 
 
 def test_cycle_direction_through_the_generation_map():
-    f = linear_link(1.0, 0.0, (1.0, 9.0))
-    got = rps_direction(f, 4.0, 8.0, 2.0, mode="discrete-functional",
-                        background=0.0)
+    f = discrete_effective_link(linear_link(1.0, 0.0, (1.0, 9.0)), 0.0)
+    got = rps_direction(f, 4.0, 8.0, 2.0)
     # ln is concave: ln 4 > (ln 8 + ln 2)/2 = ln 4 would be equality;
     # the geometric mean of 8 and 2 equals 4, so this sits at the boundary
     assert got == "degenerate"
-    assert rps_direction(f, 5.0, 8.0, 2.0, mode="discrete-functional") == \
-        "outward"
+    assert rps_direction(f, 5.0, 8.0, 2.0) == "outward"
 
 
 def test_discrete_cycle_direction_is_exact_off_the_table_knots():
-    # the identity link on (0.5, 10) at background 0: ln is compared at a, b
-    # and c themselves, not on a 1001-knot table of it
-    f = linear_link(1.0, 0.0, (0.5, 10.0))
+    # the identity link on (0.5, 10) at background 0: the effective link takes
+    # ln at a, b and c themselves, on no grid of knots
+    f = discrete_effective_link(linear_link(1.0, 0.0, (0.5, 10.0)), 0.0)
     # a^2 = b c exactly, so ln a = (ln b + ln c) / 2
-    assert rps_direction(f, 2.0, 4.0, 1.0, mode="discrete-functional") == "degenerate"
+    assert rps_direction(f, 2.0, 4.0, 1.0) == "degenerate"
     # delta = -ln(1 + 1e-6) / 2, about -5.0e-7
-    assert rps_direction(f, 2.0, 4.0, 1.0 + 1e-6, mode="discrete-functional") == "inward"
-
-
-def test_discrete_cycle_direction_needs_the_log_only_at_the_cycle_payoffs():
-    f = linear_link(1.0, 0.0, (-5.0, 10.0))
-    # ln(0 + u) is undefined on part of the domain, but not at 2, 4 and 1
-    assert rps_direction(f, 2.0, 4.0, 1.0, mode="discrete-functional") == "degenerate"
-    with pytest.raises(ValueError, match="background 0 leaves ln\\(\\) undefined at payoff -2"):
-        rps_direction(f, 1.0, 2.0, -2.0, mode="discrete-functional")
-    with pytest.raises(ValueError, match="undefined at payoff 1"):
-        rps_direction(f, 2.0, 4.0, 1.0, mode="discrete-functional", background=-1.0)
+    assert rps_direction(f, 2.0, 4.0, 1.0 + 1e-6) == "inward"
 
 
 def test_cycle_direction_checks_the_ordering():
     with pytest.raises(ValueError, match="c < a < b"):
         rps_direction(None, 2.0, 1.0, 0.0)
-
-
-def test_cycle_direction_mode_errors():
-    with pytest.raises(ValueError, match="mode"):
-        rps_direction(None, 1.0, 2.0, -2.0, mode="sideways")
-    with pytest.raises(ValueError, match="link"):
-        rps_direction(None, 1.0, 2.0, -2.0, mode="continuous-functional")
 
 
 def test_replicator_direction_equals_the_identity_link():
@@ -299,8 +349,7 @@ def test_replicator_direction_equals_the_identity_link():
         c, a, b = np.sort(rng.uniform(-5.0, 5.0, size=3))
         if not c < a < b:
             continue
-        assert rps_direction(None, a, b, c) == \
-            rps_direction(ident, a, b, c, mode="continuous-functional")
+        assert rps_direction(None, a, b, c) == rps_direction(ident, a, b, c)
 
 
 def test_parse_link_specs():

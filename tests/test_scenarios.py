@@ -71,6 +71,8 @@ def link_calls(monkeypatch):
     return calls
 
 
+# knots of a table link of ln, linear between them
+LOG_KNOTS = np.linspace(1.0, 15.0, 1001)
 # (link, variant, search box, (a, b, eps, alpha, Cf, T)): what the grid search
 # and a bisection that runs all its 200 halvings find, to the bit
 SEARCHES = {
@@ -89,10 +91,13 @@ SEARCHES = {
     "log-nonconvex": (log_link((0.2, 1.5)), "nonconvex", None,
                       (0.2, 1.5, 0.1511387212474169, 0.24368338899930458,
                        1.6094379124341003, 19)),
-    "table-nonconvex": (discrete_effective_link(linear_link(1.0, 0.0, (1.0, 15.0)), 0.0),
-                        "nonconvex", None,
+    "table-nonconvex": (table_link(LOG_KNOTS, np.log(LOG_KNOTS)), "nonconvex", None,
                         (1.0, 15.0, 2.0635062061052096, 0.4270929243985917,
                          2.70805020110221, 17)),
+    "effective-nonconvex": (discrete_effective_link(linear_link(1.0, 0.0, (1.0, 15.0)), 0.0),
+                            "nonconvex", None,
+                            (1.0, 15.0, 2.063508326896291, 0.4270932309107449,
+                             2.70805020110221, 17)),
 }
 
 
@@ -137,7 +142,7 @@ def test_grid_search_refines_around_the_coarse_winner():
 def test_background_threshold_evaluates_the_rule_link_three_times(link_calls):
     link = linear_link(1.0, 0.0, (1.0, 15.0))
     report, _ = run_background_threshold(link, big_c=1e4)
-    assert report["threshold"]["C_bar"] == 4.904748651848568
+    assert report["threshold"]["C_bar"] == 4.904737509655565
     assert sum(f is link for f in link_calls) <= 3
 
 
@@ -359,8 +364,7 @@ def test_rps4_dual_grid_search_lands_in_the_rotation_band():
     delta = con.a - 0.5 * (con.b + con.c)
     span = 4.0
     assert 0.03 * span < delta < 0.13 * span
-    assert rps_direction(f, con.a, con.b, con.c,
-                         mode="continuous-functional") == "inward"
+    assert rps_direction(f, con.a, con.b, con.c) == "inward"
 
 
 def test_rps4_hofbauer_weibull_needs_curvature():
@@ -374,8 +378,7 @@ def test_rps4_hofbauer_weibull_under_sqrt():
     assert con.variant == "hofbauer-weibull"
     assert con.c < con.a < con.b
     assert con.a < 0.5 * (con.b + con.c)  # raw rotation inward
-    assert rps_direction(f, con.a, con.b, con.c,
-                         mode="continuous-functional") == "outward"
+    assert rps_direction(f, con.a, con.b, con.c) == "outward"
     assert con.m > con.a + con.beta
     np.testing.assert_allclose(con.game.payoff[3, :3], con.a + con.beta)
     np.testing.assert_allclose(con.game.payoff[:3, 3], con.gamma)
@@ -446,10 +449,8 @@ def test_rps4_discrete_direction_mode():
     # raw rotation inward, but ln(1 + u) turns it outward: (1+a)^2 > (1+b)(1+c)
     assert con.a < 0.5 * (con.b + con.c)
     assert (1.0 + con.a) ** 2 > (1.0 + con.b) * (1.0 + con.c)
-    assert rps_direction(f, 3.9, 5.0, 3.0, mode="discrete-functional",
-                         background=1.0) == "outward"
-    assert rps_direction(f, 3.9, 5.0, 3.0,
-                         mode="continuous-functional") == "inward"
+    assert rps_direction(con.link, 3.9, 5.0, 3.0) == "outward"
+    assert rps_direction(f, 3.9, 5.0, 3.0) == "inward"
 
 
 def test_basin_membership():

@@ -15,7 +15,8 @@ import pytest
 from egtlab.dynamics import (_TABLEAUS, RTOL, Coupled, GrowthRule, IntegrationError,
                              Schedule, _dense_basis, eval_schedule, integrate)
 from egtlab.games import Game
-from egtlab.links import exp_link, linear_link, log_link, table_link
+from egtlab.links import (discrete_effective_link, exp_link, linear_link, log_link,
+                          sqrt_link, table_link)
 from oracles import vector_field
 
 GAP_GAME = Game([[1.0, 1.0], [0.0, 0.0]])  # payoffs (1, 0) whatever y does
@@ -230,6 +231,16 @@ def test_samples_land_on_the_fixed_step_grid():
     rk4 = integrate(SPEED, G4, (0.1, 0.2, 0.3, 0.4), method="rk4", **kw)
     np.testing.assert_array_equal(dop.times, rk4.times)
     np.testing.assert_array_equal(dop.opp_states, rk4.opp_states)
+    assert scaled_error(dop.log_states, rk4.log_states) <= 100.0
+
+
+def test_a_scripted_run_on_an_effective_link_takes_the_stepper():
+    # ln(C + f) has no antiderivative, so the run cannot take the exact path
+    rule = GrowthRule(discrete_effective_link(sqrt_link((0.0, 9.0)), 1.0))
+    kw = dict(opponent=S3, t_max=7.3, dt=3e-3, sample_every=13)
+    dop = integrate(rule, G4, (0.1, 0.2, 0.3, 0.4), **kw)
+    rk4 = integrate(rule, G4, (0.1, 0.2, 0.3, 0.4), method="rk4", **kw)
+    assert dop.meta["method"] == "dop853"
     assert scaled_error(dop.log_states, rk4.log_states) <= 100.0
 
 
