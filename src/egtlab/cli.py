@@ -390,18 +390,18 @@ def cmd_classify(args) -> int:
 
 def cmd_rps_direction(args) -> int:
     a, b, c = _floats(args.abc, "--abc", 3)
-    mode = {"replicator": "replicator",
-            "continuous": "continuous-functional",
-            "discrete": "discrete-functional"}[args.mode]
-    f = None
-    if args.link:
-        f = parse_link(args.link, domain=(min(a, b, c), max(a, b, c)))
-    elif mode != "replicator":
+    mode = args.mode if args.mode == "replicator" else f"{args.mode}-functional"
+    if args.link and args.mode == "replicator":
+        _fail("--mode replicator takes no --link")
+    if not args.link and args.mode != "replicator":
         _fail(f"--mode {args.mode} needs --link")
+    if args.discrete_C is not None and args.mode != "discrete":
+        _fail("--discrete-C needs --mode discrete")
+    f = parse_link(args.link, domain=(min(a, b, c), max(a, b, c))) if args.link else None
     background = args.discrete_C if args.discrete_C is not None else 0.0
-    if mode == "discrete-functional":
+    if args.mode == "discrete":
         f = discrete_effective_link(f, background)
-    direction = rps_direction(None if mode == "replicator" else f, a, b, c)
+    direction = rps_direction(f, a, b, c)
     report = {"a": a, "b": b, "c": c, "mode": mode, "link": args.link,
               "background": background, "direction": direction}
     _emit_report(report, args.out)

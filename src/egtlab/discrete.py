@@ -17,13 +17,15 @@ Two paths compute the same generations:
   renormalization removes; _scripted_generations adds log1p((g_i - r_n) /
   (C_n + r_n)) with r_n = min_i g_i, never of a negative argument, and
   normalizes at the samples only, agreeing with the stepper to rounding.
-  With a constant background and an integer period P up to _BLOCK,
-  generation n meets the script exactly where generation n mod P does and
-  repeats its increments, so the first period is evaluated once and folded
-  as the exact flow folds its pieces (dynamics._fold): the logs after n
+  With an integer period P up to _BLOCK, generation n meets the script
+  exactly where generation n mod P does, so the script and the link are
+  evaluated on the first period only, whatever the background. A constant
+  background repeats that period's increments, which are folded as the
+  exact flow folds its pieces (dynamics._fold): the logs after n
   generations are z0 + floor(n / P) S + prefix[n mod P]. Affine and
-  geometric backgrounds, non-integer periods and periods over _BLOCK sum
-  every generation with NumPy in blocks of _BLOCK.
+  geometric backgrounds sum every generation's increments with NumPy in
+  blocks of _BLOCK, reading the link values of generation n mod P;
+  non-integer periods and periods over _BLOCK evaluate every generation.
 
 Whether the background schedule's reciprocal sum diverges decides how much
 cumulative selection pressure is available: affine schedules keep selecting
@@ -178,23 +180,30 @@ def _scripted_generations(pop, schedule: Schedule, link, background: BackgroundF
     increments lose their mean over the support, a common shift like the
     stepper's ln(C_n + gbar). A payoff outside the link domain fails before a
     numerator C_n + g_i that is not positive, generation by generation, as in
-    _generations. With a constant background and an integer period P up to
-    _BLOCK, generation n repeats generation n mod P exactly, so the first
-    period is evaluated once and folded (dynamics._fold). Other runs sum
-    blocks of _BLOCK generations, so memory does not grow with the horizon.
+    _generations. An integer period P up to _BLOCK has its link values
+    evaluated on the first period only; with a constant background that
+    period is folded (dynamics._fold). Other runs sum blocks of _BLOCK
+    generations, so memory does not grow with the horizon.
     Returns (sample times, [logs at each sample], max |sum x - 1| over them).
     """
     rows, f, period = pop.payoffs, array_link(link), schedule.period
 
-    def increments(lo, hi):
-        """Mean-free log increments of generations lo .. hi - 1, checked."""
-        t = np.arange(lo, hi, dtype=float)
+    def link_values(t):
+        """Link values at the generations t, one row each."""
         # payoffs summed column by column, in the order the stepper sums
         y = eval_schedule(schedule, t)
         u = y[:, :1] * rows[:, 0]
         for j in range(1, rows.shape[1]):
             u += y[:, j:j + 1] * rows[:, j]
-        g = f(u)
+        return f(u)
+
+    P = int(period) if period.is_integer() and period <= _BLOCK else None
+    table = link_values(np.arange(min(P, n_steps), dtype=float)) if P else None
+
+    def increments(lo, hi):
+        """Mean-free log increments of generations lo .. hi - 1, checked."""
+        t = np.arange(lo, hi, dtype=float)
+        g = link_values(t) if P is None else table[np.arange(lo, hi) % P]
         C = background.values(t)[:, None]
         bad = ~(C + g > 0.0)
         if bad.any():
@@ -210,8 +219,7 @@ def _scripted_generations(pop, schedule: Schedule, link, background: BackgroundF
         return d - d.mean(axis=1, keepdims=True)
 
     counts = _sample_counts(n_steps, sample_every)
-    if background.kind == "constant" and period.is_integer() and period <= _BLOCK:
-        P = int(period)
+    if background.kind == "constant" and P:
         z, drift = _fold(pop.z, increments(0, min(P, n_steps)), counts // P, counts % P)
         return counts.astype(float), [z], drift
     run, kept = np.asarray(pop.z, dtype=float), []

@@ -27,7 +27,11 @@ One explicit Runge-Kutta stepper (_solve) advances a log-state of shape
 Steps never cross a bound of _grid (the opponent script's breakpoints),
 so a kink of the script never falls inside a step. Logs are renormalized
 after every accepted step and the largest pre-renormalization drift is kept
-in the meta.
+in the meta. Against a script the stepper reads the payoffs, affine on each
+piece, off the table of their values at the pieces' ends that the exact path
+integrates (_piece_payoffs). A speed factor over the mean payoff is scanned
+on every call only where it is not positive on the payoff hull widened by
+its domain pad; elsewhere one check per run covers every call.
 
 Against a script, with a state-free speed lam and a link of a family with
 an antiderivative (all but the effective link), each growth rate depends on
@@ -56,8 +60,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .games import Game, validate_simplex
-from .links import (LinkFunction, _eval_unchecked, _integral_unchecked, array_link,
-                    domain_pad, hull_inside, linear_link)
+from .links import (LinkFunction, _eval_unchecked, _extremes, _integral_unchecked,
+                    array_link, domain_pad, hull_inside, linear_link)
 
 _REPLICATOR = linear_link(1.0, 0.0)
 
@@ -242,31 +246,11 @@ class Schedule:
         return self.values.shape[1]
 
 
-def _schedule_fn(schedule: Schedule):
-    """Per-float evaluator t -> opponent weights; wraps back to the first row."""
-    period = schedule.period
-    times = schedule.times.tolist()
-    rows = schedule.values.tolist()
-    last = len(times) - 1
-
-    def at(t):
-        tau = t - period * math.floor(t / period)
-        if tau >= period:
-            tau = 0.0
-        k = bisect.bisect_right(times, tau, 1) - 1
-        t0 = times[k]
-        t1 = period if k == last else times[k + 1]
-        w = (tau - t0) / (t1 - t0) if t1 > t0 else 0.0
-        return [a + w * (b - a) for a, b in zip(rows[k], rows[0 if k == last else k + 1])]
-
-    return at
-
-
 def _script_piece(schedule: Schedule, t):
     """(cycles, k, w) for the array of times t: whole periods before each
     time, the index of its script piece and the fraction of that piece
-    behind it, computed as the stepper's per-float evaluator computes them
-    (a time that rounds onto the period's end starts the next period)."""
+    behind it, computed as _piece_at computes them per float (a time that
+    rounds onto the period's end starts the next period)."""
     period, starts = schedule.period, schedule.times
     cycles = np.floor(t / period)
     tau = t - period * cycles
@@ -277,11 +261,29 @@ def _script_piece(schedule: Schedule, t):
     return cycles, k, (tau - starts[k]) / (ends[k] - starts[k])
 
 
-def eval_schedule(schedule: Schedule, t) -> np.ndarray:
-    """Opponent weights at time t, or one row per entry of an array of times.
+def _piece_at(schedule: Schedule):
+    """Per-float t -> (k, w) of _script_piece, in its arithmetic."""
+    period, starts = schedule.period, schedule.times.tolist()
+    ends = starts[1:] + [period]
 
-    The arithmetic is that of the stepper's per-float evaluator, so the two
-    agree bit for bit."""
+    def at(t):
+        tau = t - period * math.floor(t / period)
+        tau = 0.0 if tau >= period else tau
+        k = bisect.bisect_right(starts, tau, 1) - 1
+        return k, (tau - starts[k]) / (ends[k] - starts[k])
+
+    return at
+
+
+def _piece_payoffs(pop, schedule: Schedule):
+    """pop's payoffs against the script at the start (ua) and end (ub) of
+    each piece; at the fraction w of piece k, ua[k] + w (ub[k] - ua[k])."""
+    ua = schedule.values @ pop.payoffs.T
+    return ua, np.roll(ua, -1, axis=0)
+
+
+def eval_schedule(schedule: Schedule, t) -> np.ndarray:
+    """Opponent weights at time t, or one row per entry of an array of times."""
     _, k, w = _script_piece(schedule, np.asarray(t, dtype=float))
     rows = schedule.values
     return rows[k] + w[..., None] * (np.roll(rows, -1, axis=0) - rows)[k]
@@ -409,9 +411,10 @@ class _Population:
 def _setup(rule: GrowthRule, game: Game, x0, opponent, opp_speed_error: str):
     """Validate the opponent and build the populations.
 
-    Returns (populations, plays, label): plays maps the time and the
-    populations' frequencies to what each population plays against (a
-    script plays one row, whatever the number of runs).
+    Returns (populations, pays, label): pays maps the time and the
+    populations' frequencies, one (B, n) array each, to each population's
+    payoffs. A script's are one row of its per-piece table (_piece_payoffs),
+    whatever the number of runs.
     """
     n, m = game.n_rows, game.n_cols
     z = _log_state(x0, n, "initial state")
@@ -429,21 +432,29 @@ def _setup(rule: GrowthRule, game: Game, x0, opponent, opp_speed_error: str):
                             rule.effective_link, "population 1 strategy {}"),
                 _Population(z2, opponent.game.payoff, np.flatnonzero(z > -np.inf),
                             opponent.rule.effective_link, "population 2 strategy {}")]
-        return pops, lambda t, xs: xs[::-1], "coupled"
+        mat, mat2 = (pop.payoffs.T for pop in pops)
+        return pops, lambda t, xs: [np.dot(xs[1], mat), np.dot(xs[0], mat2)], "coupled"
     if isinstance(opponent, Schedule):
         if opponent.n_strategies != m:
             raise ValueError(
                 f"schedule rows have {opponent.n_strategies} entries, game has {m} columns")
-        script = _schedule_fn(opponent)
         pop = _Population(z, game.payoff, np.arange(m), rule.effective_link, "strategy {}")
-        return [pop], lambda t, xs: [[script(t)]], "scripted"
+        piece, (ua, ub) = _piece_at(opponent), _piece_payoffs(pop, opponent)
+        ua, du = ua[:, None], (ub - ua)[:, None]
+
+        def pays(t, xs):
+            k, w = piece(t)
+            return [ua[k] + w * du[k]]
+
+        return [pop], pays, "scripted"
     if opponent is not None:
         raise TypeError(f"unsupported opponent {opponent!r}")
     if n != m:
         raise ValueError(f"self-play needs a square game, got {n}x{m}")
     pop = _Population(z, game.payoff, np.flatnonzero(z > -np.inf),
                       rule.effective_link, "strategy {}")
-    return [pop], lambda t, xs: xs, "self"
+    mat = pop.payoffs.T
+    return [pop], lambda t, xs: [np.dot(xs[0], mat)], "self"
 
 
 def _trajectory(pops, opponent, times, samples, meta) -> Trajectory:
@@ -513,24 +524,29 @@ def _normalize(z, slices):
     return z
 
 
-def _log_field(pops, plays, speed):
+def _log_field(pops, pays, speed):
     """Right-hand side over a (B, N) log-state: the populations' support logs
-    side by side, one row per run.
+    side by side, one row per run; pays gives their payoffs (see _setup).
 
     field(t, z, t0, step) fails with an IntegrationError that reports t0,
     the start of the step being taken, and the step count: on a payoff
     outside a link's domain (first run, then strategy) or a speed factor
     that is not positive. Payoffs against mixtures, and mean payoffs, stay
-    within the hull of the rows (a script's rows sum to one within 1e-12,
-    inside the links' domain pad), so a link's values are scanned for nan
-    only where hull_inside fails. Returns (field, slices of the populations).
+    within the hull of the rows but for rounding dust inside the links'
+    domain pad (a script's rows sum to one within 1e-12). So a link's values
+    are scanned for nan only where hull_inside fails, and speed factors only
+    where the speed is not positive on the hull widened by its domain pad.
+    Returns (field, slices of the populations).
     """
     ends = np.cumsum([len(pop.z) for pop in pops])
     slices = [slice(int(e) - len(pop.z), int(e)) for pop, e in zip(pops, ends)]
-    mats = [pop.payoffs.T for pop in pops]
     links = [array_link(pop.f, pop.hull) for pop in pops]
     checked = [not hull_inside(pop.f, pop.hull) for pop in pops]
-    speed_link = array_link(speed, pops[0].hull) if isinstance(speed, LinkFunction) else None
+    speed_link = scanned = None
+    if isinstance(speed, LinkFunction):
+        (lo, hi), pad = pops[0].hull, domain_pad(speed)
+        speed_link = array_link(speed, pops[0].hull)
+        scanned = _speed_faults(speed_link(_extremes(speed, lo - pad, hi + pad))).any()
     lam0 = speed if isinstance(speed, float) else None
     add, top = np.add.reduce, np.maximum.reduce
 
@@ -540,28 +556,30 @@ def _log_field(pops, plays, speed):
             w = z[:, sl]
             e = np.exp(w - top(w, axis=1, keepdims=True))
             xs.append(e / add(e, axis=1, keepdims=True))
-        parts, pays = [], []
-        for pop, x, y, mat, f, check in zip(pops, xs, plays(t, xs), mats, links, checked):
-            u = np.dot(y, mat)
+        parts, us = [], pays(t, xs)
+        for pop, x, u, f, check in zip(pops, xs, us, links, checked):
             g = f(u)
             gbar = add(x * g, axis=1, keepdims=True)
             if check and np.isnan(gbar).any():
                 b, i = np.argwhere(np.isnan(g))[0]
                 raise pop.domain_error(int(i), t0, step, member=int(b))
             parts.append(g - gbar)
-            pays.append(u)
         d = parts[0] if len(parts) == 1 else np.hstack(parts)
         if speed_link is not None:
-            lam = speed_link(add(xs[0] * pays[0], axis=1))
-            bad = ~((lam > 0.0) & (lam < math.inf))
-            if bad.any():
+            lam = speed_link(add(xs[0] * us[0], axis=1))
+            if scanned and _speed_faults(lam).any():
                 raise IntegrationError(
                     f"speed factor not positive (or outside its table) near t={t0:g}",
-                    t=t0, step=step, member=int(np.argmax(bad)))
+                    t=t0, step=step, member=int(np.argmax(_speed_faults(lam))))
             return d * lam[:, None]
         return d if lam0 is None else d * lam0
 
     return field, slices
+
+
+def _speed_faults(lam):
+    """Where the speed factors lam are not positive and finite."""
+    return ~((lam > 0.0) & (lam < math.inf))
 
 
 def _rms(v):
@@ -721,8 +739,7 @@ def _exact_flow(pop, schedule: Schedule, lam: float, t_max: float, times):
     drift over the normalized samples, rows of the link or F evaluated)."""
     f, starts, n = pop.f, schedule.times, len(pop.z)
     lengths = np.append(starts[1:], schedule.period) - starts
-    ua = schedule.values @ pop.payoffs.T
-    ub = np.roll(ua, -1, axis=0)
+    ua, ub = _piece_payoffs(pop, schedule)
     lo, hi = f.domain[0] - domain_pad(f), f.domain[1] + domain_pad(f)
     into = lengths[:, None] * (np.clip(ub, lo, hi) - ua) / (ub - ua)
     cross = starts[:, None] + np.where((ua < lo) | (ua > hi), 0.0,
@@ -822,7 +839,7 @@ def integrate(rule: GrowthRule, game: Game, x0,
         if opponent is not None:
             raise ValueError("a batch of initial states needs self-play (no opponent)")
         z0 = _batch_logs(x0, game.n_rows)
-    pops, plays, label = _setup(
+    pops, pays, label = _setup(
         rule, game, x0[0] if batch else x0, opponent,
         "speed belongs to the first population's rule in coupled runs")
     scripted = label == "scripted"
@@ -836,7 +853,7 @@ def integrate(rule: GrowthRule, game: Game, x0,
                  "h_min": None, "h_max": None, "rtol": None}
     else:
         z = z0[:, pops[0].support] if batch else np.array([sum((p.z for p in pops), [])])
-        field, slices = _log_field(pops, plays, rule.speed)
+        field, slices = _log_field(pops, pays, rule.speed)
         with np.errstate(over="ignore"):
             out, stats = _solve(_TABLEAUS[method], field, slices, z, bounds, steps, times)
         max_drift = stats.pop("max_drift")

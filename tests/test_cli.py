@@ -430,6 +430,18 @@ def test_rps_direction_functional_modes_need_a_link(mode, capsys):
     assert capsys.readouterr().err == f"error: --mode {mode} needs --link\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--link", "exp:1@-2,2"], "--mode replicator takes no --link"),
+    (["--discrete-C", "1"], "--discrete-C needs --mode discrete"),
+    (["--link", "exp:1@-2,2", "--mode", "continuous", "--discrete-C", "1"],
+     "--discrete-C needs --mode discrete")])
+def test_rps_direction_refuses_flags_its_mode_ignores(argv, message, capsys):
+    # exp:1 turns this cycle inward, the replicator outward: a report that
+    # echoed the link beside the replicator's answer would misstate it
+    assert main(["rps-direction", "--abc", "1,2,-2"] + argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_scenario_success(capsys):
     code, doc = run_json(capsys, ["scenario", "background-schedules"])
     assert code == 0

@@ -4,7 +4,8 @@ Scripted flows with a state-free speed are integrated exactly; they are
 compared with SciPy's quad (tests/oracles.py), with the RK4 stepper that
 method="rk4" runs on them, and with themselves on other dt grids.
 Scripted generation maps are compared with repeated generations of the
-reference map oracles.step, and the one-period fold with the block loop.
+reference map oracles.step, the one-period fold with the block loop, and the
+block loop with each generation's increments computed on their own.
 """
 
 import numpy as np
@@ -14,11 +15,11 @@ import oracles
 from egtlab import discrete
 from egtlab.discrete import (BackgroundFitness, affine_background, constant_background,
                              geometric_background, iterate)
-from egtlab.dynamics import (GrowthRule, IntegrationError, Schedule,
-                             _schedule_fn, eval_schedule, integrate)
+from egtlab.dynamics import (GrowthRule, IntegrationError, Schedule, _piece_at,
+                             _script_piece, _setup, eval_schedule, integrate)
 from egtlab.games import Game
-from egtlab.links import (DomainError, exp_link, linear_link, log_link, power_link,
-                          sqrt_link, table_link)
+from egtlab.links import (DomainError, array_link, exp_link, linear_link, log_link,
+                          power_link, sqrt_link, table_link)
 from egtlab.scenarios import (run_background_threshold, run_survival_nonconcave,
                               run_survival_nonconvex)
 
@@ -196,14 +197,23 @@ def test_closed_form_flow_fails_where_the_stepper_fails():
         integrate(rule, game, x0, opponent=WAVE, t_max=crossing + 1e-9, dt=0.1)
 
 
-def test_schedule_evaluates_bit_for_bit_like_the_stepper():
+def test_the_stepper_finds_the_script_piece_bit_for_bit_like_the_exact_path():
     rng = np.random.default_rng(5)
     t = np.concatenate([rng.uniform(0.0, 40.0, 500), np.arange(0.0, 20.0, 0.25),
                         [S3.period * 7, 1e9 + 0.3]])
-    got = eval_schedule(S3, t)
-    at = _schedule_fn(S3)
-    np.testing.assert_array_equal(got, [at(v) for v in t.tolist()])
-    np.testing.assert_array_equal(eval_schedule(S3, 1.3), at(1.3))
+    _, k, w = _script_piece(S3, t)
+    at = _piece_at(S3)
+    pieces = [at(v) for v in t.tolist()]
+    np.testing.assert_array_equal([p[0] for p in pieces], k)
+    np.testing.assert_array_equal([p[1] for p in pieces], w)
+    # at the start of each piece the stepper reads a row of the table of
+    # payoffs at the breakpoints that _exact_flow integrates
+    _, pays, _ = _setup(GrowthRule(), G4, X4, S3, "")
+    table = S3.values @ G4.payoff.T
+    for v in (*S3.times, S3.period * 7):
+        j, frac = at(v)
+        assert frac == 0.0
+        np.testing.assert_array_equal(pays(v, None)[0], table[j:j + 1])
 
 
 def repeated_steps(rule, game, x0, script, background, n):
@@ -283,7 +293,8 @@ def test_folded_map_matches_the_block_loop(rows_evaluated):
     runs = [iterate(rule, G4, x0, opponent=SQ5, n_max=100_000, background=bg,
                     sample_every=997) for bg in (constant_background(0.5),
                                                  affine_background(0.5, 0.0))]
-    assert rows_evaluated[0] == 5 and sum(rows_evaluated[1:]) == 100_000
+    # each run evaluates one period of the script
+    assert rows_evaluated == [5, 5]
     folded, blocked = (t.log_states for t in runs)
     assert np.all(np.isinf(folded) == np.isinf(blocked))
     finite = np.isfinite(blocked)
@@ -341,7 +352,9 @@ def test_folded_map_with_a_period_longer_than_the_run(rows_evaluated):
 
 
 def test_fold_and_block_loop_meet_at_the_block_size(rows_evaluated):
-    # a period of _BLOCK generations is folded, one more is summed in blocks
+    # a period of _BLOCK generations is folded, and the block loop of the
+    # affine run reads its link values; one more is summed in blocks that
+    # evaluate every generation
     rule = GrowthRule(exp_link(1.0, (0.0, 2.0)))
     x0 = (0.1, 0.2, 0.3, 0.4)
     n = 3 * discrete._BLOCK
@@ -353,11 +366,44 @@ def test_fold_and_block_loop_meet_at_the_block_size(rows_evaluated):
                          for bg in (constant_background(0.5), affine_background(0.5, 0.0)))
         folded = period == discrete._BLOCK
         blocks = [discrete._BLOCK] * 3
-        assert rows_evaluated == ([period] if folded else blocks) + blocks
+        assert rows_evaluated == ([period] * 2 if folded else blocks * 2)
         if folded:
             assert np.all(np.abs(const - affine) <= n * EPS * (1.0 + np.abs(affine)))
         else:
             np.testing.assert_array_equal(const, affine)
+
+
+def generation_by_generation(rule, game, x0, script, background, n, every):
+    """Logs at the samples of the block loop, from each generation's mean-free
+    increments evaluated on its own, in the block loop's arithmetic."""
+    f = array_link(rule.effective_link)
+    z, out = np.log(np.asarray(x0, dtype=float)), []
+    for k in range(n):
+        y = eval_schedule(script, float(k))
+        u = y[0] * game.payoff[:, 0]
+        for j in range(1, len(y)):
+            u += y[j] * game.payoff[:, j]
+        g = f(u)
+        d = np.log1p((g - g.min()) / (background.value(k) + g.min()))
+        z = z + (d - d.mean())
+        if (k + 1) % every == 0 or k + 1 == n:
+            out.append(z - (z.max() + np.log(np.exp(z - z.max()).sum())))
+    return np.vstack([np.log(x0), out])
+
+
+@pytest.mark.parametrize("background", [affine_background(1.0, 0.05),
+                                        geometric_background(1.0, 1.0001)],
+                         ids=["affine", "geometric"])
+@pytest.mark.parametrize("script", [SQ5, S3], ids=["integer period", "fractional period"])
+def test_block_loop_sums_each_generations_increments(script, background):
+    # with an integer period the loop reads one period's link values across
+    # the block boundary at _BLOCK, which is not a multiple of 5
+    rule = GrowthRule(exp_link(1.0, (0.0, 2.0)))
+    n, every = discrete._BLOCK + 300, 97
+    traj = iterate(rule, G4, X4, opponent=script, n_max=n, background=background,
+                   sample_every=every)
+    want = generation_by_generation(rule, G4, X4, script, background, n, every)
+    np.testing.assert_array_equal(traj.log_states, want)
 
 
 def test_closed_form_map_fails_where_the_steps_fail():

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from egtlab.dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, _grid,
-                             _log_field, _Population, eval_schedule, integrate,
+                             _log_field, _setup, eval_schedule, integrate,
                              write_trajectory_csv)
 from egtlab.games import Game, SimplexError, pure
 from egtlab.links import exp_link, linear_link, sqrt_link
@@ -27,11 +27,8 @@ def flow_rate(rule, game, x):
     """x times the flow's own log field (dynamics._log_field) at x, and zero
     off x's support: the frequency-space rate of a self-play run."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        z = np.log(x)
-    pop = _Population(z, game.payoff, np.flatnonzero(x > 0), rule.effective_link,
-                      "strategy {}")
-    field, _ = _log_field([pop], lambda t, xs: xs, rule.speed)
+    (pop,), pays, _ = _setup(rule, game, x, None, "")
+    field, _ = _log_field([pop], pays, rule.speed)
     rate = np.zeros_like(x)
     rate[pop.support] = x[pop.support] * field(0.0, np.array([pop.z]), 0.0, 0)[0]
     return rate

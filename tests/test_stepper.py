@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from egtlab import dynamics
 from egtlab.dynamics import (_TABLEAUS, RTOL, Coupled, GrowthRule, IntegrationError,
                              Schedule, _dense_basis, eval_schedule, integrate)
 from egtlab.games import Game
@@ -188,6 +189,37 @@ def test_scripted_run_with_a_speed_factor_matches_dop853():
     knots = [k * S3.period + c for k in range(9) for c in S3.times]
     want = dop853(rhs, np.log(x0), traj.times, knots)
     assert scaled_error(traj.log_states, want) <= 10.0
+
+
+@pytest.fixture
+def speed_checks(monkeypatch):
+    """One entry per array of speed factors checked for faults."""
+    calls, check = [], dynamics._speed_faults
+
+    def counting(lam):
+        calls.append(len(lam))
+        return check(lam)
+
+    monkeypatch.setattr(dynamics, "_speed_faults", counting)
+    return calls
+
+
+def test_a_speed_positive_on_the_payoffs_is_checked_once_per_run(speed_checks):
+    # SPEED runs from 0.5 to 1.5 on [0, 2], around G4's payoffs 0.2 .. 1.5;
+    # the one check reads it at the ends of the hull, widened by its pad
+    traj = integrate(SPEED, G4, (0.1, 0.2, 0.3, 0.4), opponent=S3, t_max=5.0)
+    assert traj.meta["rhs_evals"] > 100 and speed_checks == [2]
+
+
+@pytest.mark.parametrize("zero", [0.2, 0.2 - 1e-9], ids=["at the hull", "inside the pad"])
+def test_a_speed_that_vanishes_at_the_payoff_hull_is_scanned(zero, speed_checks):
+    # mean payoffs stay above G4's smallest payoff, 0.2, so the run completes;
+    # its speed reaches zero there, or within its domain pad of 2e-6 below,
+    # and every right-hand side scans its one run's speed factor
+    rule = GrowthRule(exp_link(1.0, (0.0, 2.0)), speed=linear_link(1.0, -zero))
+    traj = integrate(rule, G4, (0.1, 0.2, 0.3, 0.4), opponent=S3, t_max=5.0)
+    assert speed_checks == [2] + [1] * traj.meta["rhs_evals"]
+    assert traj.meta["rhs_evals"] > 100
 
 
 # batches -----------------------------------------------------------------------
