@@ -10,19 +10,14 @@ one support, or a coupled pair. Each population is restricted to its support
 when the run starts, so support faces are exactly invariant and frequencies
 near machine zero remain resolved.
 
-One explicit Runge-Kutta stepper (_solve) advances a log-state of shape
-(B, n), one row per run, with NumPy:
-
-- method="dop853", the default: Dormand & Prince's 8th-order pair DOP853
-  (Hairer, Norsett & Wanner, Solving ODEs I, II.5), 12 stages and a
-  first-same-as-last stage, at RTOL = ATOL = 1e-10. The error estimate
-  combines the embedded 5th- and 3rd-order ones per run, and the worst run
-  sets the shared step. Samples come from the scheme's 7th-order dense
-  output (II.6; three more stages, only on steps with a sample inside) at
-  the times of the fixed-step grid that dt and sample_every define, so dt
-  sets the sample grid, not the step.
-- method="rk4": the classic fourth-order scheme at fixed steps dt on that
-  same grid, kept as the tests' reference.
+One stepper (_solve) advances a log-state of shape (B, n), one row per run,
+with NumPy: Dormand & Prince's 8th-order pair DOP853 (Hairer, Norsett &
+Wanner, Solving ODEs I, II.5), 12 stages and a first-same-as-last stage, at
+RTOL = ATOL = 1e-10. The error estimate combines the embedded 5th- and
+3rd-order ones per run, and the worst run sets the shared step. Samples come
+from the scheme's 7th-order dense output (II.6; three more stages, only on
+steps with a sample inside) at the times of the fixed-step grid that dt and
+sample_every define, so dt sets the sample grid, not the step.
 
 Steps never cross a bound of _grid (the opponent script's breakpoints),
 so a kink of the script never falls inside a step. Logs are renormalized
@@ -65,9 +60,9 @@ from .links import (LinkFunction, _eval_unchecked, _extremes, _integral_unchecke
 
 _REPLICATOR = linear_link(1.0, 0.0)
 
-# Relative and absolute tolerance of the adaptive stepper, per run and log
-# coordinate. The conserved quantity of a zero-sum coupled replicator pair
-# (3 vs 4 strategies, ten time units, 20 random pairs) drifts by up to 3.4e-8
+# Relative and absolute tolerance of the stepper's error control, per run
+# and log coordinate. The conserved quantity of a zero-sum coupled replicator
+# pair (3 vs 4 strategies, ten time units, 20 random pairs) drifts by up to 3.4e-8
 # at 1e-8 and 5.1e-10 at 1e-10. At 1e-10 the sample logs z of hw-4x4 (whose
 # saddle loop amplifies errors) and dual-4x4, at their catalog defaults, stay
 # within 2.4e-8 and 4.7e-10 times 1 + |z| of SciPy's DOP853 at rtol 1e-12.
@@ -91,20 +86,20 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class _Tableau:
-    """Explicit Runge-Kutta scheme: nodes c, stage rows a (row i has i
-    entries) and weights b over the len(b) stages of a step.
+    """Embedded Runge-Kutta pair with dense output: nodes c, stage rows a
+    (row i has i entries), weights b over the len(b) stages of a step, and
+    error weights e, one row per embedded estimate over those stages.
 
-    An adaptive pair adds error weights e, one row per embedded estimate
-    over the stages, and dense output. For that, c and a go on past the
-    stages: first the first-same-as-last stage (the right-hand side at the
-    step's end, c = 1 and a = b), then the extra stages of the dense output.
-    p holds, per polynomial of _dense_basis, weights over all of them."""
+    c and a go on past the stages: first the first-same-as-last stage (the
+    right-hand side at the step's end, c = 1 and a = b), then the extra
+    stages of the dense output. p holds, per polynomial of _dense_basis,
+    weights over all of them."""
 
     c: tuple
     a: tuple
     b: np.ndarray
-    e: np.ndarray | None = None
-    p: np.ndarray | None = None
+    e: np.ndarray
+    p: np.ndarray
 
 
 def _dense_basis(theta) -> np.ndarray:
@@ -118,10 +113,6 @@ def _dense_basis(theta) -> np.ndarray:
         out[..., k] = out[..., k - 1] * (1.0 - theta if k % 2 else theta)
     return out
 
-
-_RK4 = _Tableau(c=(0.0, 0.5, 0.5, 1.0),
-                a=(None, np.array([0.5]), np.array([0.0, 0.5]), np.array([0.0, 0.0, 1.0])),
-                b=np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6]))
 
 # Dormand & Prince's 8(5,3) pair DOP853 with its 7th-order dense output, the
 # coefficients of Hairer's Fortran code (Hairer, Norsett & Wanner, Solving
@@ -203,8 +194,6 @@ _DOP853 = _Tableau(
          -231.5293791760455, 357.6391179106141, 93.40532418362432, -37.45832313645163,
          104.0996495089623, 29.8402934266605, -43.53345659001114, 96.32455395918828,
          -39.17726167561544, -149.72683625798564]]))
-
-_TABLEAUS = {"dop853": _DOP853, "rk4": _RK4}
 
 
 @dataclass(frozen=True)
@@ -486,12 +475,12 @@ def _sample_counts(total: int, sample_every: int) -> np.ndarray:
 
 
 def _grid(t_max: float, dt: float, sample_every: int, schedule: Schedule | None):
-    """(bounds, steps, sample times) of the fixed-step grid of dt.
+    """(bounds, sample times) of the fixed-step grid of dt.
 
     The bounds are 0, t_max and the script's breakpoints k P + times[j]
     (j >= 1) and k P (k >= 1) inside (0, t_max), less each that lies within
-    1e-12 max(1, t_max) of the breakpoint before it or of t_max. Segment k
-    takes steps[k] equal steps, ceil(its length / dt) and at least one, its
+    1e-12 max(1, t_max) of the breakpoint before it or of t_max. Each
+    segment is cut into ceil(its length / dt) equal steps, at least one, its
     last ending exactly on its bound; the samples are the start, every
     sample_every-th step and the last step."""
     bounds = np.array([0.0, t_max])
@@ -512,7 +501,7 @@ def _grid(t_max: float, dt: float, sample_every: int, schedule: Schedule | None)
     k = last - (ends[seg] - steps[seg])
     a, b = bounds[:-1][seg], bounds[1:][seg]
     times = np.where(k == steps[seg] - 1, b, a + (k + 1) * ((b - a) / steps[seg]))
-    return bounds, steps, np.append(0.0, times)
+    return bounds, np.append(0.0, times)
 
 
 def _normalize(z, slices):
@@ -597,21 +586,19 @@ def _error_norm(d, h: float) -> float:
     return h * float((sq[0] / np.sqrt(np.where(den > 0.0, den, 1.0))).max())
 
 
-def _solve(tab: _Tableau, field, slices, z0, bounds, steps, t_samples):
-    """Explicit Runge-Kutta over a (B, N) log-state, segment by segment.
+def _solve(field, slices, z0, bounds, t_samples):
+    """DOP853 over a (B, N) log-state, segment by segment.
 
-    Without error weights the tableau takes steps[k] equal steps over
-    segment k; with them it takes adaptive steps, shared by the runs and
-    clipped to the segment's end, and evaluates the first-same-as-last stage
-    on each accepted step. After each accepted step every population's logs
-    are renormalized, and a sum of frequencies that is not positive and
+    Step sizes follow the error control, shared by the runs and clipped
+    to the segment's end; each accepted step evaluates the
+    first-same-as-last stage. After each accepted step every population's
+    logs are renormalized, and a sum of frequencies that is not positive and
     finite stops the run. t_samples[0] takes z0; every later sample time is
     a step's end or falls inside a step and is read off the dense output,
     whose extra stages are evaluated only on such steps. Returns (logs at
     the samples, run stats with max_drift).
     """
-    adaptive = tab.e is not None
-    n_stages = len(tab.b)
+    tab, n_stages = _DOP853, len(_DOP853.b)
     B, N = z0.shape
     K = np.empty((len(tab.c), B, N))
     flat = K.reshape(len(K), B * N)
@@ -631,48 +618,6 @@ def _solve(tab: _Tableau, field, slices, z0, bounds, steps, t_samples):
         for i in range(lo, hi):
             K[i] = rhs(t + tab.c[i] * h, z + h * (tab.a[i] @ flat[:i]).reshape(B, N), t)
 
-    def attempt(t, h):
-        """Fills the stages after the first; returns the new state."""
-        stages(t, h, 1, n_stages)
-        return z + h * (tab.b @ flat[:n_stages]).reshape(B, N)
-
-    def accept(t, t_new, h, z_new):
-        nonlocal z, nxt
-        for sl in slices:
-            total = np.add.reduce(np.exp(z_new[:, sl]), axis=1)
-            if not (total.min() > 0.0 and total.max() < math.inf):
-                bad = ~((total > 0.0) & (total < math.inf))
-                raise IntegrationError(f"state became non-finite near t={t:g}", t=t,
-                                       step=stats["steps"], member=int(np.argmax(bad)))
-            z_new[:, sl] -= np.log(total)[:, None]
-            stats["max_drift"] = max(stats["max_drift"], float(np.abs(total - 1.0).max()))
-        if adaptive:
-            K[n_stages] = rhs(t_new, z_new, t)
-        last = int(np.searchsorted(t_samples, t_new, side="right"))
-        if last > nxt:
-            ts = t_samples[nxt:last]
-            inside = int(np.searchsorted(ts, t_new))
-            if inside:
-                stages(t, h, n_stages + 1, len(tab.c))
-                w = _dense_basis((ts[:inside] - t) / h) @ tab.p
-                out[nxt:nxt + inside] = _normalize(
-                    z + h * (w @ flat).reshape(inside, B, N), slices)
-            out[nxt + inside:last] = z_new
-            nxt = last
-        z = z_new
-        stats["steps"] += 1
-        stats["h_min"] = min(stats["h_min"], h)
-        stats["h_max"] = max(stats["h_max"], h)
-
-    if not adaptive:
-        for a, b, ns in zip(bounds[:-1].tolist(), bounds[1:].tolist(), steps.tolist()):
-            h = (b - a) / ns
-            for k in range(ns):
-                t = a + k * h
-                K[0] = rhs(t, z, t)
-                accept(t, b if k == ns - 1 else a + (k + 1) * h, h, attempt(t, h))
-        return out, stats
-
     t = float(bounds[0])
     K[0] = rhs(t, z, t)
     h = _initial_step(rhs, t, z, K[0], float(bounds[-1] - bounds[0]))
@@ -687,7 +632,8 @@ def _solve(tab: _Tableau, field, slices, z0, bounds, steps, t_samples):
             h_free, t_new = h, t + h
             if t + 1.01 * h >= b:
                 h, t_new = b - t, b
-            z_new = attempt(t, h)
+            stages(t, h, 1, n_stages)
+            z_new = z + h * (tab.b @ flat[:n_stages]).reshape(B, N)
             scale = ATOL + RTOL * np.maximum(np.abs(z), np.abs(z_new))
             err = _error_norm((tab.e @ flat[:n_stages]).reshape(2, B, N) / scale, h)
             # an error that is not finite (a step out of the finite states)
@@ -699,9 +645,31 @@ def _solve(tab: _Tableau, field, slices, z0, bounds, steps, t_samples):
                 rejected = True
                 h *= fac
                 continue
-            accept(t, t_new, h, z_new)
-            K[0] = K[n_stages]
-            t = t_new
+            for sl in slices:
+                total = np.add.reduce(np.exp(z_new[:, sl]), axis=1)
+                if not (total.min() > 0.0 and total.max() < math.inf):
+                    bad = ~((total > 0.0) & (total < math.inf))
+                    raise IntegrationError(f"state became non-finite near t={t:g}", t=t,
+                                           step=stats["steps"], member=int(np.argmax(bad)))
+                z_new[:, sl] -= np.log(total)[:, None]
+                drift = float(np.abs(total - 1.0).max())
+                stats["max_drift"] = max(stats["max_drift"], drift)
+            K[n_stages] = rhs(t_new, z_new, t)
+            last = int(np.searchsorted(t_samples, t_new, side="right"))
+            if last > nxt:
+                ts = t_samples[nxt:last]
+                inside = int(np.searchsorted(ts, t_new))
+                if inside:
+                    stages(t, h, n_stages + 1, len(tab.c))
+                    w = _dense_basis((ts[:inside] - t) / h) @ tab.p
+                    out[nxt:nxt + inside] = _normalize(
+                        z + h * (w @ flat).reshape(inside, B, N), slices)
+                out[nxt + inside:last] = z_new
+                nxt = last
+            stats["steps"] += 1
+            stats["h_min"] = min(stats["h_min"], h)
+            stats["h_max"] = max(stats["h_max"], h)
+            z, K[0], t = z_new, K[n_stages], t_new
             h = max(h * (min(fac, 1.0) if rejected else fac), h_free if t == b else 0.0)
             rejected = False
     return out, stats
@@ -797,7 +765,7 @@ def _batch_logs(x0, n: int) -> np.ndarray:
 def integrate(rule: GrowthRule, game: Game, x0,
               opponent: Schedule | Coupled | None = None,
               t_max: float = 200.0, dt: float = 1e-3,
-              sample_every: int = 100, method: str = "dop853") -> Trajectory:
+              sample_every: int = 100) -> Trajectory:
     """Run the flow from x0 for t_max time units.
 
     opponent None plays the population against itself (square game);
@@ -808,31 +776,28 @@ def integrate(rule: GrowthRule, game: Game, x0,
 
     dt sets the sample grid: the fixed-step grid of dt cut at the script's
     breakpoints, sampled at the start, every sample_every-th grid step and
-    the end; sample_every must be a positive integer. method "dop853" (the
-    default), the 8th-order Dormand-Prince pair, steps adaptively under
-    error control at RTOL = ATOL = 1e-10 and reads the samples off its
-    7th-order dense output; method "rk4" takes the grid's steps themselves
-    with classic RK4, the reference the tests pin. With the default method,
-    a scripted run whose speed is None or a number takes no steps: it is
-    integrated exactly (_exact_flow, method "exact"), whatever dt; "rk4"
-    steps it like any run. A link ln(C + f) of the effective family has no
-    antiderivative, so a run on it takes the stepper.
+    the end; sample_every must be a positive integer. A scripted run whose
+    speed is None or a number takes no steps: it is integrated exactly
+    (_exact_flow, method "exact"), whatever dt. Every other run, and a run
+    on a link ln(C + f) of the effective family, which has no
+    antiderivative, takes the stepper (method "dop853"): the 8th-order
+    Dormand-Prince pair, sizing its steps under error control at
+    RTOL = ATOL = 1e-10 and reading the samples off its 7th-order dense
+    output.
 
     meta records the method, accepted and rejected steps ("steps",
     "rejected"), right-hand-side evaluations ("rhs_evals"; on the exact
     path, the rows of the link or its antiderivative evaluated), the
-    smallest and largest step, rtol (None without error control; all three
-    None on the exact path) and "max_drift": the largest |sum x - 1| before
-    a step's renormalization on the steppers, over the normalized samples
-    on the exact path.
+    smallest and largest step, rtol (RTOL; all three None on the exact
+    path) and "max_drift": the largest |sum x - 1| before a step's
+    renormalization on the stepper, over the normalized samples on the
+    exact path.
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt!r}")
     sample_every = _check_count(sample_every, "sample_every")
-    if method not in _TABLEAUS:
-        raise ValueError(f"method must be 'dop853' or 'rk4', got {method!r}")
     x0 = np.asarray(x0, dtype=float)
     batch = x0.ndim == 2
     if batch:
@@ -843,8 +808,8 @@ def integrate(rule: GrowthRule, game: Game, x0,
         rule, game, x0[0] if batch else x0, opponent,
         "speed belongs to the first population's rule in coupled runs")
     scripted = label == "scripted"
-    bounds, steps, times = _grid(t_max, dt, sample_every, opponent if scripted else None)
-    if (scripted and method == "dop853" and not isinstance(rule.speed, LinkFunction)
+    bounds, times = _grid(t_max, dt, sample_every, opponent if scripted else None)
+    if (scripted and not isinstance(rule.speed, LinkFunction)
             and rule.effective_link.family != "effective"):
         with np.errstate(divide="ignore", invalid="ignore"):  # masked by np.where
             samples, max_drift, evals = _exact_flow(pops[0], opponent, rule.speed or 1.0,
@@ -855,10 +820,10 @@ def integrate(rule: GrowthRule, game: Game, x0,
         z = z0[:, pops[0].support] if batch else np.array([sum((p.z for p in pops), [])])
         field, slices = _log_field(pops, pays, rule.speed)
         with np.errstate(over="ignore"):
-            out, stats = _solve(_TABLEAUS[method], field, slices, z, bounds, steps, times)
+            out, stats = _solve(field, slices, z, bounds, times)
         max_drift = stats.pop("max_drift")
         samples = [(out if batch else out[:, 0])[..., sl] for sl in slices]
-        stats.update(method=method, rtol=RTOL if _TABLEAUS[method].e is not None else None)
+        stats.update(method="dop853", rtol=RTOL)
     meta = {"dynamics": "continuous", **stats, "members": len(z0) if batch else 1,
             "dt": dt, "t_max": t_max, "max_drift": max_drift,
             "sample_every": sample_every, "opponent": label,

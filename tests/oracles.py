@@ -10,8 +10,11 @@ and integrators (tests/test_imports.py checks what they import):
 - exact_margin: a row mixture's worst-column advantage over a pure row, in
   exact rationals
 - scripted_flow_logs: SciPy quadrature of a flow against a script
+- script_at: a script's mixture over time, by np.interp
 - sample_grid: the flow's step grid and sample times, by a loop over every
   period and then every breakpoint
+- rk4_flow: classic fixed-step RK4 of the flow in log coordinates on that
+  grid, against itself, a script or a coupled partner
 - vector_field, step, discrete_w_increment and w_rate: the flow's right-hand
   side, one generation of the ratio map, the map's exact change of w and the
   flow's dw/dt, each in frequency space, one strategy at a time
@@ -153,7 +156,6 @@ def scripted_flow_logs(link, speed, payoff, schedule, x0, times) -> np.ndarray:
 
     period, starts, rows = schedule.period, schedule.times, schedule.values
     ends = np.append(starts[1:], period)
-    knots = np.append(starts, period)
     breaks = list(starts)
     for k, (a, b) in enumerate(zip(starts, ends)):
         ua, ub = payoff @ rows[k], payoff @ rows[(k + 1) % len(rows)]
@@ -165,10 +167,10 @@ def scripted_flow_logs(link, speed, payoff, schedule, x0, times) -> np.ndarray:
     cuts = sorted({c * period + s for c in range(int(t_end // period) + 1) for s in breaks
                    if c * period + s < t_end} | {float(t) for t in times})
 
+    script = script_at(schedule)
+
     def rate(i, s):
-        y = [np.interp(s % period, knots, np.append(rows[:, j], rows[0, j]))
-             for j in range(rows.shape[1])]
-        return eval_link(link, float(payoff[i] @ y))
+        return eval_link(link, float(payoff[i] @ script(s)))
 
     x0 = np.asarray(x0, dtype=float)
     support = np.flatnonzero(x0 > 0)
@@ -186,18 +188,26 @@ def scripted_flow_logs(link, speed, payoff, schedule, x0, times) -> np.ndarray:
     return z - (top + np.log(np.exp(z - top).sum(axis=1, keepdims=True)))
 
 
-def sample_grid(t_max: float, dt: float, sample_every: int, schedule):
+def script_at(schedule):
+    """t -> the script's mixture at time t, interpolated column by column
+    with np.interp over one period, the first row repeated at its end."""
+    period, knots = schedule.period, np.append(schedule.times, schedule.period)
+    cols = [np.append(col, col[0]) for col in schedule.values.T]
+    return lambda t: np.array([np.interp(t % period, knots, col) for col in cols])
+
+
+def sample_grid(t_max: float, dt: float, sample_every: int, schedule=None):
     """(bounds, steps, sample times) of the fixed-step grid of dt, built one
     period and then one breakpoint at a time: the script's breakpoints inside
     (0, t_max) in order, each kept if it lies more than 1e-12 max(1, t_max)
-    past the last kept bound and before t_max. Segment k takes steps[k] equal
-    steps; the samples are the start, every sample_every-th step and the
-    last, a segment's last step ending exactly on its bound."""
-    cuts, P = [], schedule.period
-    marks = list(schedule.times[1:]) + [P]
-    k = 0
-    while k * P < t_max:
-        for tb in ([0.0] if k else []) + marks:
+    past the last kept bound and before t_max (no script: no breakpoints).
+    Segment k takes steps[k] equal steps; the samples are the start, every
+    sample_every-th step and the last, a segment's last step ending exactly
+    on its bound."""
+    cuts, k = [], 0
+    while schedule is not None and k * schedule.period < t_max:
+        P = schedule.period
+        for tb in ([0.0] if k else []) + list(schedule.times[1:]) + [P]:
             e = k * P + tb
             if 0.0 < e < t_max:
                 cuts.append(e)
@@ -222,6 +232,78 @@ def sample_grid(t_max: float, dt: float, sample_every: int, schedule):
         k = c - (ends[seg] - ns) - 1
         times.append(b if k == ns - 1 else a + (k + 1) * ((b - a) / ns))
     return bounds, steps, np.array(times)
+
+
+def rk4_flow(rule: GrowthRule, game, x0, opponent=None, t_max: float = 1.0,
+             dt: float = 1e-3, sample_every: int = 100):
+    """Classic RK4 of the flow in log coordinates at the fixed steps of
+    sample_grid, restricted to each population's support.
+
+    The log-rate of strategy i is lam (f(u_i) - gbar), f taken by eval_link
+    and u = A y against the opponent mixture y: the population itself
+    (opponent None), a Schedule read by script_at, or a coupled partner
+    given as a plain (game, rule, y0) whose payoffs are against this
+    population and whose own link drives it. lam is the first rule's speed:
+    a constant, which in a coupled run times both populations, or a link
+    over the mean payoff x . u. Each population's logs are renormalized
+    after every step. Returns (sample times, logs at the samples, the
+    partner's logs at the samples or None)."""
+    coupled = isinstance(opponent, tuple)
+    schedule = None if coupled else opponent
+    script = None if schedule is None else script_at(schedule)
+    bounds, steps, times = sample_grid(t_max, dt, sample_every, schedule)
+    games, rules, starts = [game], [rule], [x0]
+    if coupled:
+        games.append(opponent[0])
+        rules.append(opponent[1])
+        starts.append(opponent[2])
+    starts = [np.asarray(x, dtype=float) for x in starts]
+    supports = [np.flatnonzero(x > 0) for x in starts]
+
+    def rates(t, zs):
+        xs = []
+        for z, sup, start in zip(zs, supports, starts):
+            e = np.exp(z - z.max())
+            x = np.zeros(len(start))
+            x[sup] = e / e.sum()
+            xs.append(x)
+        # a population meets the script, its partner or else itself
+        ys = [script(t)] if script is not None else xs[::-1]
+        out, us = [], []
+        for own_game, own_rule, sup, x, y in zip(games, rules, supports, xs, ys):
+            us.append(own_game.payoff[sup] @ y)
+            g = eval_link(own_rule.effective_link, us[-1])
+            out.append(g - x[sup] @ g)
+        lam = rule.speed or 1.0
+        if isinstance(lam, LinkFunction):
+            lam = eval_link(lam, float(xs[0][supports[0]] @ us[0]))
+        return [lam * d for d in out]
+
+    def shifted(zs, h, ds):
+        return [z + h * d for z, d in zip(zs, ds)]
+
+    zs = [np.log(x[sup]) for x, sup in zip(starts, supports)]
+    samples, count, total = [zs], 0, int(steps.sum())
+    for a, b, ns in zip(bounds[:-1].tolist(), bounds[1:].tolist(), steps.tolist()):
+        h = (b - a) / ns
+        for k in range(ns):
+            t = a + k * h
+            k1 = rates(t, zs)
+            k2 = rates(t + 0.5 * h, shifted(zs, 0.5 * h, k1))
+            k3 = rates(t + 0.5 * h, shifted(zs, 0.5 * h, k2))
+            k4 = rates(t + h, shifted(zs, h, k3))
+            zs = shifted(zs, h / 6.0, [d1 + 2.0 * d2 + 2.0 * d3 + d4
+                                       for d1, d2, d3, d4 in zip(k1, k2, k3, k4)])
+            zs = [z - (z.max() + np.log(np.exp(z - z.max()).sum())) for z in zs]
+            count += 1
+            if count % sample_every == 0 or count == total:
+                samples.append(zs)
+    logs = []
+    for j, (x, sup) in enumerate(zip(starts, supports)):
+        z = np.full((len(samples), len(x)), -np.inf)
+        z[:, sup] = [s[j] for s in samples]
+        logs.append(z)
+    return times, logs[0], logs[1] if coupled else None
 
 
 def vector_field(rule: GrowthRule, game, x, y=None) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Closed-form scripted runs against independent references.
 
 Scripted flows with a state-free speed are integrated exactly; they are
-compared with SciPy's quad (tests/oracles.py), with the RK4 stepper that
-method="rk4" runs on them, and with themselves on other dt grids.
+compared with SciPy's quad and the fixed-step RK4 of tests/oracles.py, and
+with themselves on other dt grids.
 Scripted generation maps are compared with repeated generations of the
 reference map oracles.step, the one-period fold with the block loop, and the
 block loop with each generation's increments computed on their own.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -114,8 +116,10 @@ def test_exact_flow_work_is_independent_of_dt_and_the_horizon():
         assert meta["rhs_evals"] == 4 * (4 + 76)
         assert (meta["method"], meta["steps"], meta["rejected"]) == ("exact", 0, 0)
         assert (meta["h_min"], meta["h_max"], meta["rtol"]) == (None, None, None)
-    stepped = integrate(rule, game, x0, opponent=script, t_max=7.5, dt=0.1, method="rk4").meta
-    assert metas[0].keys() == stepped.keys()
+    # a speed that is a link, even a constant one, takes the stepper
+    stepped = integrate(GrowthRule(rule.link, speed=linear_link(0.0, 1.0)), game, x0,
+                        opponent=script, t_max=7.5, dt=0.1).meta
+    assert stepped["method"] == "dop853" and metas[0].keys() == stepped.keys()
 
 
 def test_exact_flow_samples_are_normalized_to_rounding():
@@ -152,8 +156,8 @@ def test_exact_flow_folds_whole_periods_at_a_long_horizon():
 def test_rk4_converges_to_the_exact_flow_at_fourth_order():
     rule = GrowthRule(exp_link(1.0, (0.0, 2.0)))
     exact = integrate(rule, G4, X4, opponent=S3, t_max=5.0).log_states[-1]
-    errors = [np.abs(integrate(rule, G4, X4, opponent=S3, t_max=5.0, dt=dt,
-                               method="rk4").log_states[-1] - exact).max()
+    errors = [np.abs(oracles.rk4_flow(rule, G4, X4, S3, t_max=5.0, dt=dt)[1][-1]
+                     - exact).max()
               for dt in (0.1, 0.05, 0.025)]
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]
     assert all(12.0 <= r <= 20.0 for r in ratios), (errors, ratios)
@@ -175,19 +179,23 @@ def test_exact_flow_does_not_depend_on_dt():
 
 def test_closed_form_flow_fails_where_the_stepper_fails():
     # On WAVE's crossfade from t = 2, strategy 1's payoff 2.1 (t - 2) leaves
-    # (0, 1.5) first. The stepper (h = 0.1) fails at the midpoint of the step
-    # from t = 2.7; the exact path at the crossing itself.
+    # (0, 1.5) first, strategy 0's 1.9 (t - 2) after it. The exact path fails
+    # at the crossing itself. A constant speed table forces the stepper,
+    # which fails at the start of the step whose stage left the domain, on
+    # the lowest strategy out of it there: its step from t = 2 reaches past
+    # both crossings.
     game = Game([[0.0, 1.9], [0.0, 2.1], [0.5, 0.5]])
     rule = GrowthRule(sqrt_link((0.0, 1.5)))
     x0 = (0.3, 0.3, 0.4)
-    with pytest.raises(IntegrationError, match=r"near t=2\.7 \(strategy 1\)") as stepped:
-        integrate(rule, game, x0, opponent=WAVE, t_max=7.5, dt=0.1, method="rk4")
-    assert stepped.value.step == 27
+    forced = GrowthRule(rule.link, speed=table_link([-1.0, 3.0], [1.0, 1.0]))
+    with pytest.raises(IntegrationError, match=r"near t=2 \(strategy 0\)$") as stepped:
+        integrate(forced, game, x0, opponent=WAVE, t_max=7.5, dt=0.1)
+    assert stepped.value.step == 5
     crossing = 2.0 + (1.5 + 1e-12 * 2.5) / 2.1
     with pytest.raises(IntegrationError, match=r"near t=2\.71429 \(strategy 1\)$") as exact:
         integrate(rule, game, x0, opponent=WAVE, t_max=7.5, dt=0.1)
     assert exact.value.t == pytest.approx(crossing, rel=0.0, abs=1e-14)
-    assert stepped.value.t <= exact.value.t < stepped.value.t + 0.1
+    assert stepped.value.t <= crossing
     assert (exact.value.step, exact.value.member) == (0, 0)
     # a horizon that ends before the crossing runs to its end
     for t_max in (crossing - 1e-9, 2.7):
@@ -214,6 +222,20 @@ def test_the_stepper_finds_the_script_piece_bit_for_bit_like_the_exact_path():
         j, frac = at(v)
         assert frac == 0.0
         np.testing.assert_array_equal(pays(v, None)[0], table[j:j + 1])
+
+
+def test_a_time_that_rounds_onto_the_periods_end_starts_the_next_period():
+    # 4.81 is 13 periods of 0.37 to rounding, but its remainder rounds to
+    # 0.37000000000000001, a whole period. Folded onto the next period it
+    # starts piece 0; left unfolded it would read cycles 12 at the end of the
+    # last piece (w = 1.0). Either way the script takes the same row; the
+    # fold keeps whole periods whole, bit for bit.
+    script = Schedule(0.37, [0.0, 0.1], [[1.0, 0.0], [0.0, 1.0]])
+    t = 4.81
+    assert t - script.period * math.floor(t / script.period) >= script.period
+    cycles, k, w = _script_piece(script, np.array([t]))
+    assert (cycles.tolist(), k.tolist(), w.tolist()) == ([13.0], [0], [0.0])
+    assert _piece_at(script)(t) == (0, 0.0)
 
 
 def repeated_steps(rule, game, x0, script, background, n):

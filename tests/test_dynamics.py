@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from egtlab import dynamics
 from egtlab.dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, _grid,
                              _log_field, _setup, eval_schedule, integrate,
                              write_trajectory_csv)
@@ -64,13 +65,11 @@ def test_constant_speed_doubles_the_field():
     np.testing.assert_allclose(fast, 2.0 * base, rtol=1e-15)
 
 
-@pytest.mark.parametrize("opponent, method", [(None, "dop853"), (square_wave(2.0), "dop853"),
-                                              (None, "rk4")],
-                         ids=["dop853", "exact", "rk4"])
-def test_integrate_rejects_a_fractional_sample_every(opponent, method):
+@pytest.mark.parametrize("opponent", [None, square_wave(2.0)], ids=["dop853", "exact"])
+def test_integrate_rejects_a_fractional_sample_every(opponent):
     with pytest.raises(ValueError, match="sample_every must be an integer"):
         integrate(REPL, GAP_GAME, (0.5, 0.5), opponent=opponent, t_max=1.0,
-                  sample_every=2.5, method=method)
+                  sample_every=2.5)
 
 
 def test_integrate_refuses_a_boolean_sample_every():
@@ -143,9 +142,9 @@ def test_grid_matches_the_loop_over_periods_and_breakpoints():
         on_a_breakpoint = int(rng.integers(1, 6)) * P + times[int(rng.integers(len(times)))]
         for t_max in (0.6 * P, on_a_breakpoint, 7.25 * P):
             for dt, every in ((1e-3, 100), (1e-3, 997), (0.1, 1), (0.1, 7), (0.37, 3)):
-                want = oracles.sample_grid(t_max, dt, every, script)
+                want_bounds, _, want_times = oracles.sample_grid(t_max, dt, every, script)
                 got = _grid(t_max, dt, every, script)
-                for name, w, g in zip(("bounds", "steps", "times"), want, got):
+                for name, w, g in zip(("bounds", "times"), (want_bounds, want_times), got):
                     np.testing.assert_array_equal(g, w, err_msg=f"{name}, P={P!r}, "
                                                   f"times={times!r}, t_max={t_max!r}, dt={dt}")
 
@@ -176,8 +175,7 @@ def test_faces_are_exactly_invariant():
 
 
 def test_simplex_drift_stays_tiny():
-    traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=5.0, dt=1e-3,
-                     method="rk4")
+    traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=5.0, dt=1e-3)
     assert traj.meta["max_drift"] <= 1e-10
     assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-9
 
@@ -332,9 +330,15 @@ def test_trajectory_csv_refuses_a_batch(tmp_path):
 
 
 def test_overflowing_step_is_an_integration_error():
-    # one RK4 step lifts the second log by about 5e3, past exp's range
-    rule = GrowthRule(linear_link(1.0, 0.0, (-1e8, 1e8)))
-    with pytest.raises(IntegrationError, match="non-finite near t=0") as err:
-        integrate(rule, Game([[0.0, 0.0], [1e7, 1e7]]), (0.5, 0.5), t_max=1.0,
-                  method="rk4")
-    assert (err.value.t, err.value.step) == (0.0, 0)
+    # A constant log-rate (1e3, 0) leaves no error to control, so each step
+    # grows by the largest factor until one lifts the first log past exp's
+    # range: the step from t = 0.253887, after four accepted steps. Through
+    # integrate, a flow's error control keeps the state finite: on payoffs
+    # (0, 1e7) the run ends after 30 steps.
+    rate = np.array([[1e3, 0.0]])
+    with np.errstate(over="ignore"), pytest.raises(
+            IntegrationError, match=r"non-finite near t=0\.253887$") as err:
+        dynamics._solve(lambda t, z, t0, step: rate, [slice(0, 2)], np.log([[0.5, 0.5]]),
+                        np.array([0.0, 10.0]), np.array([0.0, 10.0]))
+    assert (err.value.t, err.value.step, err.value.member) == (
+        pytest.approx(0.253887, abs=5e-7), 4, 0)

@@ -1,5 +1,6 @@
-"""The adaptive stepper, Dormand-Prince 8(5,3) (DOP853): exact solutions, a
-SciPy oracle, batches of runs, run stats and failures.
+"""The stepper, Dormand-Prince 8(5,3) (DOP853) under error control: its
+tableau, exact solutions, a SciPy oracle, the fixed-step RK4 oracle of
+tests/oracles.py, batches of runs, run stats and failures.
 
 Errors are measured in units of RTOL * (1 + |z|), the per-coordinate scale
 the step control aims at; the stated multiples leave room for the error
@@ -13,12 +14,12 @@ import numpy as np
 import pytest
 
 from egtlab import dynamics
-from egtlab.dynamics import (_TABLEAUS, RTOL, Coupled, GrowthRule, IntegrationError,
+from egtlab.dynamics import (_DOP853, RTOL, Coupled, GrowthRule, IntegrationError,
                              Schedule, _dense_basis, eval_schedule, integrate)
 from egtlab.games import Game
 from egtlab.links import (discrete_effective_link, exp_link, linear_link, log_link,
                           sqrt_link, table_link)
-from oracles import vector_field
+from oracles import rk4_flow, script_at, vector_field
 
 GAP_GAME = Game([[1.0, 1.0], [0.0, 0.0]])  # payoffs (1, 0) whatever y does
 RPS4 = Game([[1.0, 0.0, 2.5, 0.5], [2.5, 1.0, 0.0, 0.5],
@@ -43,8 +44,8 @@ def scaled_error(got, want) -> float:
 
 # tableaus ----------------------------------------------------------------------
 
-# order of each scheme, then of its embedded error estimates
-ORDERS = {"dop853": (8, 5, 3), "rk4": (4,)}
+# order of the scheme, then of its embedded error estimates
+ORDER, EMBEDDED = 8, (5, 3)
 
 
 def exact(values):
@@ -65,27 +66,22 @@ def tall_trees(weights, rows, order, theta=1):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(_TABLEAUS))
-def test_tableau_meets_its_order_conditions(name):
+@pytest.mark.parametrize("tab", [_DOP853], ids=["dop853"])
+def test_tableau_meets_its_order_conditions(tab):
     # The literals are the exact coefficients rounded to doubles, so every
     # condition is checked in exact arithmetic on the doubles: to 1e-15, and
     # a row sum to within half an ulp of each literal in it (the entries of
     # DOP853's rows 8 to 11 reach 43, where 1e-15 is below one ulp).
-    tab = _TABLEAUS[name]
-    order, *embedded = ORDERS[name]
     c, b = exact(tab.c), exact(tab.b)
     rows = [exact(tab.a[i]) if i else [] for i in range(len(c))]
     for i in range(1, len(c)):
         slack = (sum(map(math.ulp, tab.a[i])) + math.ulp(tab.c[i])) / 2
         assert abs(sum(rows[i]) - c[i]) <= slack, f"row {i}"
-    for k in range(1, order + 1):
+    for k in range(1, ORDER + 1):
         assert abs(dot(b, (ci ** (k - 1) for ci in c)) - Fraction(1, k)) <= 1e-15, k
-    assert max(map(abs, tall_trees(b, rows[:len(b)], order))) <= 1e-15
-    if tab.e is None:
-        assert tab.p is None and len(c) == len(b)
-        return
-    assert len(tab.e) == len(embedded)
-    for e, low in zip(tab.e, embedded):
+    assert max(map(abs, tall_trees(b, rows[:len(b)], ORDER))) <= 1e-15
+    assert len(tab.e) == len(EMBEDDED)
+    for e, low in zip(tab.e, EMBEDDED):
         # b minus a scheme of order low: zero sum, and zero moments up to it
         for k in range(1, low + 1):
             assert abs(dot(exact(e), (ci ** (k - 1) for ci in c))) <= 1e-15, (low, k)
@@ -93,9 +89,8 @@ def test_tableau_meets_its_order_conditions(name):
     assert (tab.c[len(b)], list(tab.a[len(b)])) == (1.0, list(tab.b))
 
 
-@pytest.mark.parametrize("name", [k for k, tab in _TABLEAUS.items() if tab.p is not None])
-def test_dense_output_spans_the_step_to_order_seven(name):
-    tab = _TABLEAUS[name]
+@pytest.mark.parametrize("tab", [_DOP853], ids=["dop853"])
+def test_dense_output_spans_the_step_to_order_seven(tab):
     ends = _dense_basis(np.array([0.0, 1.0])) @ tab.p
     np.testing.assert_array_equal(ends[0], 0.0)
     np.testing.assert_array_equal(ends[1], np.append(tab.b, np.zeros(len(tab.c) - len(tab.b))))
@@ -258,22 +253,25 @@ def test_a_batch_needs_self_play_and_one_support():
 
 
 def test_samples_land_on_the_fixed_step_grid():
-    kw = dict(opponent=S3, t_max=7.3, dt=3e-3, sample_every=13)
-    dop = integrate(SPEED, G4, (0.1, 0.2, 0.3, 0.4), **kw)
-    rk4 = integrate(SPEED, G4, (0.1, 0.2, 0.3, 0.4), method="rk4", **kw)
-    np.testing.assert_array_equal(dop.times, rk4.times)
-    np.testing.assert_array_equal(dop.opp_states, rk4.opp_states)
-    assert scaled_error(dop.log_states, rk4.log_states) <= 100.0
+    # the RK4 oracle steps on that grid and samples its step ends
+    kw = dict(t_max=7.3, dt=3e-3, sample_every=13)
+    dop = integrate(SPEED, G4, (0.1, 0.2, 0.3, 0.4), opponent=S3, **kw)
+    times, logs, _ = rk4_flow(SPEED, G4, (0.1, 0.2, 0.3, 0.4), S3, **kw)
+    np.testing.assert_array_equal(dop.times, times)
+    script = script_at(S3)
+    np.testing.assert_allclose(dop.opp_states, [script(t) for t in times], rtol=0.0,
+                               atol=1e-15)
+    assert scaled_error(dop.log_states, logs) <= 100.0
 
 
 def test_a_scripted_run_on_an_effective_link_takes_the_stepper():
     # ln(C + f) has no antiderivative, so the run cannot take the exact path
     rule = GrowthRule(discrete_effective_link(sqrt_link((0.0, 9.0)), 1.0))
-    kw = dict(opponent=S3, t_max=7.3, dt=3e-3, sample_every=13)
-    dop = integrate(rule, G4, (0.1, 0.2, 0.3, 0.4), **kw)
-    rk4 = integrate(rule, G4, (0.1, 0.2, 0.3, 0.4), method="rk4", **kw)
+    kw = dict(t_max=7.3, dt=3e-3, sample_every=13)
+    dop = integrate(rule, G4, (0.1, 0.2, 0.3, 0.4), opponent=S3, **kw)
+    _, logs, _ = rk4_flow(rule, G4, (0.1, 0.2, 0.3, 0.4), S3, **kw)
     assert dop.meta["method"] == "dop853"
-    assert scaled_error(dop.log_states, rk4.log_states) <= 100.0
+    assert scaled_error(dop.log_states, logs) <= 100.0
 
 
 def test_meta_records_the_stepper():
@@ -298,33 +296,19 @@ def test_meta_records_the_stepper():
     assert ends.meta["rhs_evals"] == 2 + 12 * steps + 11 * rejected
     assert dense["rhs_evals"] == 2 + 15 * steps + 11 * rejected
     assert ends.meta["rhs_evals"] < m["rhs_evals"] <= dense["rhs_evals"]
-    rk4 = integrate(EXP, RPS4, x0, t_max=10.0, method="rk4").meta
-    assert (rk4["method"], rk4["rtol"], rk4["steps"], rk4["rejected"]) == ("rk4", None,
-                                                                           10_000, 0)
-    assert rk4["rhs_evals"] == 4 * 10_000
-    assert rk4["h_min"] == pytest.approx(1e-3) and rk4["h_max"] == pytest.approx(1e-3)
-    assert rk4.keys() == m.keys()
 
 
-def test_unknown_method_is_rejected():
-    # "dp5" was the adaptive method before DOP853 replaced it
-    for method in ("euler", "dp5"):
-        with pytest.raises(ValueError, match="method must be 'dop853' or 'rk4'"):
-            integrate(EXP, RPS4, (0.1, 0.2, 0.3, 0.4), t_max=1.0, method=method)
-
-
-@pytest.mark.parametrize("method", ["dop853", "rk4"])
-def test_a_failure_names_the_member_that_failed(method):
+def test_a_failure_names_the_member_that_failed():
     # u_0 = 2 y_0 leaves the domain (0, 1) only for the start with x_0 > 0.5
     game = Game([[2.0, 0.0], [0.5, 0.5]])
     rule = GrowthRule(linear_link(1.0, 0.0, (0.0, 1.0)))
     starts = [[0.3, 0.7], [0.4, 0.6], [0.6, 0.4]]
     with pytest.raises(IntegrationError,
                        match=r"link domain near t=0 \(strategy 0\)") as err:
-        integrate(rule, game, starts, t_max=1.0, method=method)
+        integrate(rule, game, starts, t_max=1.0)
     assert (err.value.t, err.value.step, err.value.member) == (0.0, 0, 2)
     # mean payoffs 0.53, 0.62 and 0.92: only the last speed is negative
     speed = GrowthRule(speed=table_link([0.0, 0.7, 1.0], [1.0, 1.0, -1.0]))
     with pytest.raises(IntegrationError, match="speed factor") as err:
-        integrate(speed, game, starts, t_max=1.0, method=method)
+        integrate(speed, game, starts, t_max=1.0)
     assert err.value.member == 2
