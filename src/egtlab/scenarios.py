@@ -13,7 +13,8 @@ inequality system that makes the example work, so holding an instance is
 proof the parameters are valid. The build_* functions only search for
 parameters; other values construct a certificate directly. Both run one
 coarse-to-fine grid search, which evaluates a link once per axis value (and
-the 3x2 search once more per midpoint of a pair).
+the 3x2 search once more per midpoint of a pair) and scores its grid in
+blocks of bounded size.
 
 The module also exposes the scenario catalog used by the command line: each
 runner executes a fixed experiment protocol and returns a JSON-ready report
@@ -44,6 +45,10 @@ _VARIANTS_4X4 = ("hofbauer-weibull", "dual")
 # Normalized band for a - (b+c)/2 in the dual cycle search; see build_rps4.
 _DUAL_ROTATION_BAND = (0.03, 0.13)
 
+# Most points _grid_search scores at once: it splits a pass's grid into
+# blocks along its second axis, so the memory of a search stays bounded.
+_GRID_BLOCK = 2 ** 14
+
 # Most samples a 3x2 survival run returns. Its horizon is a few periods T,
 # and T grows as 1/alpha: on a near-linear link the default sampling, every
 # 100 steps of dt, would take billions of samples.
@@ -56,19 +61,57 @@ def _check(ok: bool, message: str):
 
 
 def _grid_search(slack, lo: float, hi: float, dims: int, coarse: int, fine: int):
-    """Argmax of slack over [lo, hi]^dims on coarse points per axis, then on
-    fine points per axis within one coarse step of the winner, clipped to the
-    box. slack gets sparse "ij" meshgrid axes, so a link applied to an axis
-    runs once per axis value. Returns (point, slack there)."""
+    """Argmax of slack over [lo, hi]^dims (dims >= 2) on coarse points per
+    axis, then on fine points per axis within one coarse step of the winner,
+    clipped to the box. slack gets sparse "ij" meshgrid axes, so a link applied
+    to an axis runs once per axis value. Returns (point, slack there).
+
+    Each pass scores its grid in blocks of at most _GRID_BLOCK points along
+    the second axis, every other axis whole, so slack may read extremes over
+    those other axes. Of the blocks' winners, the first in C order among the
+    greatest wins, so point and slack are np.argmax's over the whole grid,
+    ties and nan included."""
     h = (hi - lo) / (coarse - 1)
     bounds = [(lo, hi)] * dims
     for n in (coarse, fine):
         grids = [np.linspace(l, u, n) for l, u in bounds]
-        values = slack(*np.meshgrid(*grids, indexing="ij", sparse=True))
-        idx = np.unravel_index(int(np.argmax(values)), values.shape)
-        point = [float(g[i]) for g, i in zip(grids, idx)]
+        width = max(1, _GRID_BLOCK // n ** (dims - 1))
+        wins = []
+        for j in range(0, n, width):
+            block = [grids[0], grids[1][j:j + width], *grids[2:]]
+            values = slack(*np.meshgrid(*block, indexing="ij", sparse=True))
+            idx = np.unravel_index(int(np.argmax(values)), values.shape)
+            wins.append(((idx[0], idx[1] + j, *idx[2:]), float(values[idx])))
+        wins.sort()  # index tuples sort in C order
+        at, best = wins[int(np.argmax([v for _, v in wins]))]
+        point = [float(g[i]) for g, i in zip(grids, at)]
         bounds = [(max(lo, v - h), min(hi, v + h)) for v in point]
-    return point, float(values[idx])
+    return point, best
+
+
+def _bisect(holds, lo: float, hi: float) -> float:
+    """Bisection of [lo, hi] for the edge of holds, which is taken to hold at
+    lo and not at hi: the last lo after 200 halvings, or once a midpoint
+    rounds to an end (holds is then already known there, so no later step can
+    move lo). holds maps an array of points to a bool array; each call gets
+    the 15 midpoints the next four halvings could visit, in heap order (the
+    halves of node k are nodes 2k+1 and 2k+2), and the four are walked on it."""
+    for _ in range(50):
+        mids, spans = [], [(lo, hi)]
+        for k in range(15):
+            lo_k, hi_k = spans[k]
+            mids.append(0.5 * (lo_k + hi_k))
+            spans += [(lo_k, mids[k]), (mids[k], hi_k)]
+        held, k = holds(np.array(mids)), 0
+        for _ in range(4):
+            mid = mids[k]
+            if mid == lo or mid == hi:
+                return lo
+            if held[k]:
+                lo, k = mid, 2 * k + 2
+            else:
+                hi, k = mid, 2 * k + 1
+    return lo
 
 
 def _derive(con, **values):
@@ -141,9 +184,12 @@ def build_survival(f: LinkFunction, variant: str, search_box=None) -> SurvivalCo
 
     nonconvex wants f(midpoint) above the endpoint mean (impossible for convex
     f), nonconcave the reverse. _grid_search maximizes it over pairs a < b on
-    201 then 201 points per axis, evaluating f on both axes and the 201 x 201
-    midpoints of each pass. Half of the violation slack is spent on the
-    domination margin eps; the rest remains as the growth-rate gap alpha.
+    201 then 201 points per axis. Each pass scores three blocks of at most 81
+    b values, evaluating f on the 201 a values, the block's b values and their
+    midpoints. The largest midpoint shift that keeps the violation comes from
+    a bisection that evaluates f on the 15 midpoints of four halvings at a
+    time. Half of it is spent on the domination margin eps; the rest remains
+    as the growth-rate gap alpha.
     """
     _check(variant in _VARIANTS_3X2, f"unknown construction variant {variant!r}")
     lo, hi = search_box if search_box is not None else f.domain
@@ -165,23 +211,13 @@ def build_survival(f: LinkFunction, variant: str, search_box=None) -> SurvivalCo
             "the construction is impossible there")
 
     # Largest midpoint shift that keeps the violation, by bisection on the gap.
-    # Once mid rounds to e_lo or e_hi, the gap there is already known, so no
-    # later step can move e_lo.
-    ends_mean = 0.5 * (eval_link(f, a) + eval_link(f, b))
+    centre, ends_mean = 0.5 * (a + b), 0.5 * (eval_link(f, a) + eval_link(f, b))
     half = 0.5 * (b - a)
-    if sign * (eval_link(f, 0.5 * (a + b) - sign * half) - ends_mean) > 0.0:
-        eps_max = half
-    else:
-        e_lo, e_hi = 0.0, half
-        for _ in range(200):
-            mid = 0.5 * (e_lo + e_hi)
-            if mid == e_lo or mid == e_hi:
-                break
-            if sign * (eval_link(f, 0.5 * (a + b) - sign * mid) - ends_mean) > 0.0:
-                e_lo = mid
-            else:
-                e_hi = mid
-        eps_max = e_lo
+
+    def keeps(eps):
+        return sign * (eval_link(f, centre - sign * eps) - ends_mean) > 0.0
+
+    eps_max = half if keeps(half) else _bisect(keeps, 0.0, half)
     return SurvivalConstruction(f, variant, a, b, 0.5 * eps_max)
 
 
@@ -260,10 +296,12 @@ def build_rps4(f: LinkFunction, variant: str, search_box=None) -> Rps4Constructi
     The inequality system couples the linear cycle direction (through the raw
     payoffs) with the linked one (through f). _grid_search picks the triple
     with the largest worst normalized slack on 50 then 21 points per axis,
-    evaluating f on the three axes only. beta and gamma are 2% and 10% of the
-    payoff spread, beta clamped to keep the fourth strategy dominated in the
-    hofbauer-weibull variant. Other parameters construct an Rps4Construction
-    directly.
+    evaluating f on the three axes only. The coarse pass scores nine blocks of
+    six b values, each with the a and c axes whole, so the span of f that
+    normalizes the slack is the whole grid's; the fine pass is one block.
+    beta and gamma are 2% and 10% of the payoff spread, beta clamped to keep
+    the fourth strategy dominated in the hofbauer-weibull variant. Other
+    parameters construct an Rps4Construction directly.
     """
     _check(variant in _VARIANTS_4X4, f"unknown construction variant {variant!r}")
     lo, hi = search_box if search_box is not None else f.domain

@@ -3,6 +3,9 @@ and integrators (tests/test_imports.py checks what they import):
 
 - mixture_grid and grid_margin: brute-force dominance margins on a grid
 - grid_shape: a link's monotonicity and curvature from sampled differences
+- survival_eps_max: the 3x2 construction's largest midpoint shift, by a plain
+  bisection
+- random_link: a seeded link of a given family on a random domain
 - planted_game: seeded games with a planted elimination chain
 - bland_iterate: a plain simplex loop
 - best_reply_gap: how far a row falls short of a best reply to a column
@@ -28,7 +31,9 @@ import numpy as np
 
 from egtlab.dynamics import GrowthRule, IntegrationError
 from egtlab.games import validate_simplex
-from egtlab.links import LinkFunction, eval_link
+from egtlab.links import (FAMILIES, LinkFunction, discrete_effective_link, eval_link,
+                          exp_link, linear_link, log_link, power_link, sqrt_link,
+                          table_link)
 
 
 def mixture_grid(n_strategies: int, max_denominator: int) -> np.ndarray:
@@ -54,16 +59,90 @@ def grid_shape(f: LinkFunction, lo: float, hi: float):
     1e-9 max(1, max|f|) of the wrong sign; and whether that reading is
     clear: the least first difference sits at least 10 slacks from 0, and
     the least and greatest second differences either as far or within the
-    values' rounding of 0, 16 eps max(1, max|f|)."""
+    values' rounding of 0, 16 eps max(1, max|f|). The clear test also runs on
+    every 10th and every 100th point: a second difference grows with the
+    square of the spacing and rounding does not, so a second difference of 0
+    reads as clear only where the curvature sits a factor 10^4 below the
+    rounding floor of the 1001-point grid."""
     vals = eval_link(f, np.linspace(lo, hi, 1001))
     scale = max(1.0, float(np.abs(vals).max()))
     d1, d2 = np.diff(vals), np.diff(vals, 2)
     tol = 1e-9 * scale
     flags = (bool(d1.min() > -tol), bool(d2.min() >= -tol), bool(d2.max() <= tol))
     rounding = 16.0 * np.finfo(float).eps * scale
-    clear = abs(d1.min()) >= 10.0 * tol and all(abs(v) >= 10.0 * tol or abs(v) <= rounding
-                                                for v in (d2.min(), d2.max()))
-    return flags, clear
+
+    def clear(v):
+        d1, d2 = np.diff(v), np.diff(v, 2)
+        return abs(d1.min()) >= 10.0 * tol and all(abs(x) >= 10.0 * tol or abs(x) <= rounding
+                                                   for x in (d2.min(), d2.max()))
+
+    return flags, all(clear(vals[::k]) for k in (1, 10, 100))
+
+
+def survival_eps_max(f: LinkFunction, variant: str, a: float, b: float) -> float:
+    """The largest shift of the 3x2 midpoint payoff (a + b)/2 that keeps the
+    variant's curvature violation on [a, b]: a plain bisection, one link call
+    per step, of at most 200 steps."""
+    sign = 1.0 if variant == "nonconvex" else -1.0
+    ends_mean = 0.5 * (eval_link(f, a) + eval_link(f, b))
+    half = 0.5 * (b - a)
+    if sign * (eval_link(f, 0.5 * (a + b) - sign * half) - ends_mean) > 0.0:
+        eps_max = half
+    else:
+        e_lo, e_hi = 0.0, half
+        for _ in range(200):
+            mid = 0.5 * (e_lo + e_hi)
+            if mid == e_lo or mid == e_hi:
+                break
+            if sign * (eval_link(f, 0.5 * (a + b) - sign * mid) - ends_mean) > 0.0:
+                e_lo = mid
+            else:
+                e_hi = mid
+        eps_max = e_lo
+    return eps_max
+
+
+# backgrounds C of the effective links ln(C + f) that random_link draws:
+# negative, none, small, and large enough to flatten f below a grid's
+# resolution
+BACKGROUNDS = (-0.5, 0.0, 0.3, 1.0, 10.0, 1e3, 1e6)
+
+
+def random_link(rng, family):
+    """A link of the family on a random domain: lines, rates of both signs,
+    integer exponents on domains across 0 (negative ones on either side of
+    it), fractional ones on positive domains, rising, falling, mixed and
+    straight knot tables, and ln(C + f) of any of those at a background of
+    BACKGROUNDS where it is defined."""
+    if family == "effective":
+        while True:
+            f = random_link(rng, rng.choice([g for g in FAMILIES if g != "effective"]))
+            try:
+                return discrete_effective_link(f, float(rng.choice(BACKGROUNDS)))
+            except ValueError:  # C + f not positive somewhere
+                pass
+    lo = rng.uniform(-5.0, 5.0)
+    hi = lo + rng.uniform(0.5, 10.0)
+    positive = (abs(lo) + 0.1, abs(lo) + 0.1 + hi - lo)
+    if family == "linear":
+        return linear_link(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0), (lo, hi))
+    if family == "exponential":
+        return exp_link(rng.uniform(-2.0, 2.0), (lo, hi))
+    if family == "logarithm":
+        return log_link(positive)
+    if family == "sqrt":
+        return sqrt_link(positive)
+    if family == "table":
+        xs = np.sort(rng.uniform(lo, hi, rng.integers(3, 9)))
+        if rng.uniform() < 0.3:
+            return table_link(xs, rng.uniform(-3.0, 3.0) * xs + rng.uniform(-5.0, 5.0))
+        return table_link(xs, np.cumsum(rng.uniform(-1.0, 2.0, xs.size)))
+    if rng.uniform() < 0.5:
+        return power_link(rng.uniform(-2.0, 3.0), positive)
+    p = float(rng.choice([-3, -2, -1, 1, 2, 3, 4]))
+    if p > 0.0:
+        return power_link(p, (lo, hi))
+    return power_link(p, positive if rng.uniform() < 0.5 else (-positive[1], -positive[0]))
 
 
 def planted_game(rng, n: int, depth: int):

@@ -4,9 +4,11 @@ The acceptance tests at the end run all seven catalog scenarios at their
 catalog defaults and log each as an acceptance criterion.
 """
 
+import collections
 import dataclasses
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,14 +16,15 @@ import pytest
 from egtlab import scenarios
 from egtlab.dominance import strict_margin
 from egtlab.games import pure
-from egtlab.links import (classify_link, discrete_effective_link, exp_link, increasing_on,
-                          linear_link, log_link, power_link, rps_direction, sqrt_link,
-                          table_link)
+from egtlab.links import (FAMILIES, classify_link, discrete_effective_link, exp_link,
+                          increasing_on, linear_link, log_link, power_link, rps_direction,
+                          sqrt_link, table_link)
 from egtlab.scenarios import (SCENARIO_INTERVALS, SCENARIOS, BasinK, Rps4Construction,
                               SurvivalConstruction, build_rps4, build_survival, named_game,
                               run_background_schedules, run_background_threshold,
                               run_discussion, run_survival_nonconcave,
                               run_survival_nonconvex)
+from oracles import random_link, survival_eps_max
 
 MIX_TB = np.array([0.5, 0.0, 0.5])
 EXP = exp_link(1.0, (-2.0, 2.0))
@@ -106,12 +109,35 @@ def test_survival_search_stays_within_its_work_budget(case, link_calls):
     f, variant, box, want = SEARCHES[case]
     con = build_survival(f, variant, box)
     assert (con.a, con.b, con.eps, con.alpha, con.Cf, con.T) == want
-    assert len(link_calls) <= 80
+    # 40 or 41 calls: 18 in the grid passes, 12 to 14 in the bisection; a
+    # bisection of one link call per step takes 26 to 28 more
+    assert len(link_calls) <= 48
+
+
+@pytest.mark.parametrize("variant", ["nonconvex", "nonconcave"])
+def test_survival_eps_is_the_plain_bisection_to_the_bit(variant):
+    # random links of every family on their domains or random boxes; lines
+    # have no violation to build on, and every refusal must say so
+    rng = np.random.default_rng(27)
+    built, bisected = collections.Counter(), 0
+    for family in FAMILIES:
+        for _ in range(20):
+            f = random_link(rng, family)
+            box = np.sort(rng.uniform(*f.domain, 2)) if rng.uniform() < 0.5 else None
+            try:
+                con = build_survival(f, variant, box)
+            except ValueError as e:
+                assert "violation of the link" in str(e)
+                continue
+            assert con.eps == 0.5 * survival_eps_max(f, variant, con.a, con.b), (f, box)
+            built[family] += 1
+            bisected += con.eps < 0.25 * (con.b - con.a)
+    assert built["linear"] == 0 and len(built) >= 4 and bisected >= 30
 
 
 def test_survival_search_evaluates_the_link_on_axes(monkeypatch):
-    # per pass: 201 a values, 201 b values and the 201 x 201 midpoints, not
-    # three 201 x 201 grids
+    # per pass: the 201 a values once per block of b values, the 201 b values
+    # and the 201 x 201 midpoints, not three 201 x 201 grids
     points, real = [], scenarios.eval_link
 
     def counting(f, u):
@@ -137,6 +163,25 @@ def test_grid_search_refines_around_the_coarse_winner():
     # around y = 1, so it lands on both again, now to the fine step
     assert abs(x - 0.3) < 1e-12 and y == 1.0
     assert best == slack(np.array(x), np.array(y))
+
+
+def test_grid_search_keeps_the_first_maximum_in_c_order_across_blocks():
+    # two equal maxima on the coarse 201 x 201 grid g x g: (g[5], g[0]) in the
+    # first block of second-axis values, and (g[0], g[200]) in the last, which
+    # comes first in C order and so is np.argmax's point of the whole grid
+    g = np.linspace(0.0, 1.0, 201)
+    widths = []
+
+    def slack(x, y):
+        widths.append(y.shape[1])
+        return -np.minimum(np.abs(x - g[5]) + np.abs(y), np.abs(x) + np.abs(1.0 - y))
+
+    (x, y), best = scenarios._grid_search(slack, 0.0, 1.0, 2, 201, 201)
+    assert widths == [81, 81, 39] * 2  # three blocks in each pass
+    whole = slack(*np.meshgrid(g, g, indexing="ij", sparse=True))
+    assert np.unravel_index(int(np.argmax(whole)), whole.shape) == (0, 200)
+    # the fine pass spans [0, 0.005] x [0.995, 1] around (0, 1)
+    assert (x, y, best) == (0.0, 1.0, 0.0)
 
 
 def test_background_threshold_evaluates_the_rule_link_three_times(link_calls):
@@ -313,6 +358,21 @@ def test_rps4_default_builds_are_pinned(variant):
     con = build_rps4(f, variant, box)
     assert (con.a, con.b, con.c, con.beta, con.gamma, con.m) == params
     assert con.game.payoff.tolist() == payoff
+
+
+@pytest.mark.parametrize("variant", RPS4_BUILDS)
+def test_rps4_default_builds_stay_in_bounded_memory(variant):
+    # the search scores its 50^3 coarse grid in blocks of 2^14 points; whole,
+    # the grid's temporaries peaked at 4.8 MiB (hofbauer-weibull) and 7.6 MiB
+    (f, box), _, _ = RPS4_BUILDS[variant]
+    build_rps4(f, variant, box)
+    tracemalloc.start()
+    try:
+        build_rps4(f, variant, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_rps4_runs_halve_beta_on_a_rebuilt_certificate(monkeypatch):
