@@ -2,7 +2,8 @@
 
 Subcommands: simulate (config-driven run with verdict targets), dominance
 (one query or full iterated elimination), classify (shape flags of a link),
-rps-direction (cycle orientation test), scenario (catalog experiments).
+rps-direction (cycle orientation under the replicator, a --link's flow, or
+with --discrete-C its generation map), scenario (catalog experiments).
 
 Exit codes: 0 success, 1 configuration or feasibility error, 2 numerical
 failure, 3 a scenario ran but missed an expected outcome. All outputs are
@@ -390,20 +391,16 @@ def cmd_classify(args) -> int:
 
 def cmd_rps_direction(args) -> int:
     a, b, c = _floats(args.abc, "--abc", 3)
-    mode = args.mode if args.mode == "replicator" else f"{args.mode}-functional"
-    if args.link and args.mode == "replicator":
-        _fail("--mode replicator takes no --link")
-    if not args.link and args.mode != "replicator":
-        _fail(f"--mode {args.mode} needs --link")
-    if args.discrete_C is not None and args.mode != "discrete":
-        _fail("--discrete-C needs --mode discrete")
+    C = args.discrete_C
+    if C is not None and not args.link:
+        _fail("--discrete-C needs --link")
     f = parse_link(args.link, domain=(min(a, b, c), max(a, b, c))) if args.link else None
-    background = args.discrete_C if args.discrete_C is not None else 0.0
-    if args.mode == "discrete":
-        f = discrete_effective_link(f, background)
+    mode = "replicator" if f is None else "continuous-functional"
+    if C is not None:
+        f, mode = discrete_effective_link(f, C), "discrete-functional"
     direction = rps_direction(f, a, b, c)
     report = {"a": a, "b": b, "c": c, "mode": mode, "link": args.link,
-              "background": background, "direction": direction}
+              "background": 0.0 if C is None else C, "direction": direction}
     _emit_report(report, args.out)
     return 0
 
@@ -418,7 +415,7 @@ def cmd_scenario(args) -> int:
         link = parse_link(args.link, domain=SCENARIO_INTERVALS[args.name])
     accepted = inspect.signature(runner).parameters
     kwargs = {"seed": args.seed}
-    for attr, flag in (("t_max", "--t-max"), ("dt", "--dt"), ("n_max", "--n-max")):
+    for attr, flag in (("t_max", "--t-max"), ("n_max", "--n-max")):
         value = getattr(args, attr)
         if value is not None:
             if attr not in accepted:
@@ -489,11 +486,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rps = subs.add_parser("rps-direction", help="cycle orientation for payoffs a,b,c")
     rps.add_argument("--abc", required=True, help="cycle payoffs a,b,c")
-    rps.add_argument("--link", help="link spec (functional modes)")
-    rps.add_argument("--mode", choices=("replicator", "continuous", "discrete"),
-                     default="replicator")
+    rps.add_argument("--link", help="link spec f (default: the replicator)")
     rps.add_argument("--discrete-C", dest="discrete_C", type=float,
-                     help="background fitness for discrete mode")
+                     help="background C: test the generation map's ln(C + f), not the flow")
     _add_common(rps, _SEED_IGNORED)
     rps.set_defaults(func=cmd_rps_direction)
 
@@ -502,7 +497,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sce.add_argument("--link", help="link spec override")
     sce.add_argument("--traj", help="primary trajectory CSV path")
     sce.add_argument("--t-max", dest="t_max", type=float)
-    sce.add_argument("--dt", type=float)
     sce.add_argument("--n-max", dest="n_max", type=int)
     _add_common(sce, "recorded in the report; seeds the random starts and "
                      "samples of hw-4x4 and dual-4x4")

@@ -190,7 +190,8 @@ def _scripted_generations(pop, schedule: Schedule, link, background: BackgroundF
 
     def link_values(t):
         """Link values at the generations t, one row each."""
-        # payoffs summed column by column, in the order the stepper sums
+        # payoffs summed column by column: this order keeps the maps' outputs
+        # to the bit (test_block_loop_sums_each_generations_increments)
         y = eval_schedule(schedule, t)
         u = y[:, :1] * rows[:, 0]
         for j in range(1, rows.shape[1]):

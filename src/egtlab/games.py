@@ -69,7 +69,7 @@ def validate_simplex(values, what: str = "strategy") -> MixedStrategy:
     neg = np.flatnonzero(w < 0.0)
     if neg.size:
         raise SimplexError(
-            f"{what} has negative weight at index {int(neg[0])}: {w[neg[0]]!r}")
+            f"{what} has negative weight at index {int(neg[0])}: {float(w[neg[0]])!r}")
     gap = abs(float(w.sum()) - 1.0)
     if gap > SIMPLEX_TOL:
         raise SimplexError(

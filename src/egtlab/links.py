@@ -193,7 +193,7 @@ def eval_link(f: LinkFunction, u):
     pad = domain_pad(f)
     if np.any(arr < lo - pad) or np.any(arr > hi + pad):
         bad = arr[(arr < lo - pad) | (arr > hi + pad)].flat[0]
-        raise DomainError(f"payoff {bad!r} outside link domain [{lo:g}, {hi:g}]")
+        raise DomainError(f"payoff {float(bad)!r} outside link domain [{lo:g}, {hi:g}]")
     vals = _eval_unchecked(f, np.clip(arr, lo, hi))
     return float(vals) if np.isscalar(u) or arr.ndim == 0 else vals
 
@@ -403,14 +403,15 @@ def rps_direction(f: LinkFunction | None, a: float, b: float, c: float) -> str:
     'inward' means the boundary cycle repels (trajectories spiral toward the
     interior), 'outward' that it attracts. The test compares the own-match
     growth rate f(a) against the mean [f(b) + f(c)] / 2 of the winning and
-    losing rates. A generation map with background C turns the cycle as its
-    effective link does: pass discrete_effective_link(f, C).
+    losing rates; a gap within DIRECTION_TOL times the largest |rate| is a
+    tie, at any payoff scale. A generation map with background C turns the
+    cycle as its effective link does: pass discrete_effective_link(f, C).
     """
     if not c < a < b:
         raise ValueError(f"cycle payoffs need c < a < b, got a={a!r} b={b!r} c={c!r}")
     fa, fb, fc = (a, b, c) if f is None else (eval_link(f, v) for v in (a, b, c))
     delta = fa - 0.5 * (fb + fc)
-    if abs(delta) <= DIRECTION_TOL:
+    if abs(delta) <= DIRECTION_TOL * max(abs(fa), abs(fb), abs(fc)):
         return "degenerate"
     return "outward" if delta > 0 else "inward"
 

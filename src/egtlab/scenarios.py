@@ -49,9 +49,12 @@ _DUAL_ROTATION_BAND = (0.03, 0.13)
 # blocks along its second axis, so the memory of a search stays bounded.
 _GRID_BLOCK = 2 ** 14
 
-# Most samples a 3x2 survival run returns. Its horizon is a few periods T,
-# and T grows as 1/alpha: on a near-linear link the default sampling, every
-# 100 steps of dt, would take billions of samples.
+# The catalog's sample grid: integrate's default spacing, sampled at every
+# 100th point; it picks the samples the checks read, and the stepper sizes
+# its own steps. A 3x2 survival run returns at most SURVIVAL_MAX_SAMPLES: its
+# horizon is a few periods T, and T grows as 1/alpha, so on a near-linear
+# link this grid would take billions of samples.
+_DT, _SAMPLE_EVERY = 1e-3, 100
 SURVIVAL_MAX_SAMPLES = 20_000
 
 
@@ -433,12 +436,13 @@ def _finish(report: dict) -> dict:
 
 
 def run_discussion(link: LinkFunction | None = None, *, seed: int = 0,
-                   t_max: float = 200.0, dt: float = 1e-3):
+                   t_max: float = 200.0):
     """Three-strategy game where a mixture loses to the third pure strategy."""
     game = named_game("discussion-3x3")
     q = np.array([0.5, 0.5, 0.0])
     dom = find_dominator(game, q, mode="mixed")
-    traj = integrate(GrowthRule(link=link), game, [0.4, 0.4, 0.2], t_max=t_max, dt=dt)
+    traj = integrate(GrowthRule(link=link), game, [0.4, 0.4, 0.2], t_max=t_max, dt=_DT,
+                     sample_every=_SAMPLE_EVERY)
     w = w_series(traj, pure(2, 3), q)
     growth = float(w[-1] - w[0])
     bound = dom.margin * t_max * (1.0 - 1e-3)
@@ -450,7 +454,7 @@ def run_discussion(link: LinkFunction | None = None, *, seed: int = 0,
         "link": _link_desc(link),
         "game": game_to_dict(game),
         "lp_margin": dom.margin,
-        "run": {"t_max": t_max, "dt": dt, "method": traj.meta["method"],
+        "run": {"t_max": t_max, "dt": _DT, "method": traj.meta["method"],
                 "w_growth": growth,
                 "w_growth_bound": bound, "min_support_final": final_min},
         "verdicts": {"mixture": v.__dict__},
@@ -464,24 +468,23 @@ def run_discussion(link: LinkFunction | None = None, *, seed: int = 0,
     return _finish(report), traj
 
 
-def _survival_sample_every(schedule: Schedule, t_max: float, dt: float) -> int:
-    """integrate's default sample_every, 100, made coarser where a run to
-    t_max would return more than SURVIVAL_MAX_SAMPLES samples."""
-    # steps of the grid: at most one per dt, plus one per segment between cuts
-    steps = (math.ceil(t_max / dt) + 1
-             + len(schedule.times) * math.ceil(t_max / schedule.period))
-    return max(100, math.ceil(steps / (SURVIVAL_MAX_SAMPLES - 1)))
+def _survival_sample_every(schedule: Schedule, t_max: float) -> int:
+    """The catalog's _SAMPLE_EVERY, made coarser where a run to t_max would
+    return more than SURVIVAL_MAX_SAMPLES samples."""
+    # points of the catalog's grid: at most one per _DT, plus one per cut
+    points = (math.ceil(t_max / _DT) + 1
+              + len(schedule.times) * math.ceil(t_max / schedule.period))
+    return max(_SAMPLE_EVERY, math.ceil(points / (SURVIVAL_MAX_SAMPLES - 1)))
 
 
-def run_survival_nonconvex(link: LinkFunction | None = None, *, seed: int = 0,
-                           dt: float = 1e-3):
+def run_survival_nonconvex(link: LinkFunction | None = None, *, seed: int = 0):
     """Square-wave opponent carries the dominated pure strategy to fixation."""
     f = link if link is not None else sqrt_link((1.0, 9.0))
     con = build_survival(f, "nonconvex")
     t_max = 12 * con.period
     traj = integrate(GrowthRule(link=f), con.game, uniform(3).weights,
-                     opponent=con.schedule, t_max=t_max, dt=dt,
-                     sample_every=_survival_sample_every(con.schedule, t_max, dt))
+                     opponent=con.schedule, t_max=t_max, dt=_DT,
+                     sample_every=_survival_sample_every(con.schedule, t_max))
     x_m = float(traj.states[-1, 1])
     v = verdict(traj, con.dominated)
     report = {
@@ -489,7 +492,7 @@ def run_survival_nonconvex(link: LinkFunction | None = None, *, seed: int = 0,
         "seed": seed,
         "link": _link_desc(f),
         "construction": _survival_desc(con),
-        "run": {"t_max": t_max, "dt": dt, "method": traj.meta["method"],
+        "run": {"t_max": t_max, "dt": _DT, "method": traj.meta["method"],
                 "x_M_final": x_m},
         "verdicts": {"M": v.__dict__},
         "checks": {
@@ -501,14 +504,14 @@ def run_survival_nonconvex(link: LinkFunction | None = None, *, seed: int = 0,
 
 
 def run_survival_nonconcave(link: LinkFunction | None = None, *, seed: int = 0,
-                            dt: float = 1e-3, periods: int = 8):
+                            periods: int = 8):
     """Square-wave opponent preserves the mixture a pure strategy dominates."""
     f = link if link is not None else power_link(2.0, (-3.0, 3.0))
     con = build_survival(f, "nonconcave")
     t_max = periods * con.period
     traj = integrate(GrowthRule(link=f), con.game, uniform(3).weights,
-                     opponent=con.schedule, t_max=t_max, dt=dt,
-                     sample_every=_survival_sample_every(con.schedule, t_max, dt))
+                     opponent=con.schedule, t_max=t_max, dt=_DT,
+                     sample_every=_survival_sample_every(con.schedule, t_max))
     x_m = float(traj.states[-1, 1])
     floor = periodic_floor(traj, (0, 2), con.period)
     prod = np.exp(traj.log_states[:, 0] + traj.log_states[:, 2])
@@ -520,7 +523,7 @@ def run_survival_nonconcave(link: LinkFunction | None = None, *, seed: int = 0,
         "seed": seed,
         "link": _link_desc(f),
         "construction": _survival_desc(con),
-        "run": {"t_max": t_max, "dt": dt, "method": traj.meta["method"],
+        "run": {"t_max": t_max, "dt": _DT, "method": traj.meta["method"],
                 "x_M_final": x_m, "product_floor": floor, "product_late_max": late_max},
         "verdicts": {"M": v_m.__dict__, "mixture": v_mix.__dict__},
         "checks": {
@@ -547,7 +550,7 @@ def _rps4_desc(con: Rps4Construction) -> dict:
 
 
 def _rps4_runs(f: LinkFunction, con: Rps4Construction, starts: np.ndarray, judge,
-               t_max: float, dt: float):
+               t_max: float):
     """All starts of a 4x4 construction in one batched self-play flow.
 
     starts holds the (n_seeds, 4) initial states, judge(traj) gives the
@@ -559,7 +562,8 @@ def _rps4_runs(f: LinkFunction, con: Rps4Construction, starts: np.ndarray, judge
     rule = GrowthRule(link=f)
     halvings = 0
     while True:
-        traj = integrate(rule, con.game, starts, t_max=t_max, dt=dt)
+        traj = integrate(rule, con.game, starts, t_max=t_max, dt=_DT,
+                         sample_every=_SAMPLE_EVERY)
         runs, passed = judge(traj)
         if passed or halvings >= 6:
             return con, halvings, traj, runs
@@ -568,7 +572,7 @@ def _rps4_runs(f: LinkFunction, con: Rps4Construction, starts: np.ndarray, judge
 
 
 def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,
-               dt: float = 1e-3, t_max: float = 200.0, n_seeds: int = 10):
+               t_max: float = 200.0, n_seeds: int = 10):
     """Dominated fourth strategy persists near the saddle loop.
 
     The attractor is a cycle through the rest points on the edges joining
@@ -594,7 +598,7 @@ def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,
         return runs, sum(r["persists"] for r in runs) >= 8
 
     con, halvings, traj, runs = _rps4_runs(
-        f, build_rps4(f, "hofbauer-weibull", (0.01, 20.0)), x0, judge, t_max, dt)
+        f, build_rps4(f, "hofbauer-weibull", (0.01, 20.0)), x0, judge, t_max)
     dom = find_dominator(con.game, pure(3, 4).weights, mode="mixed")
     survivors = sum(r["persists"] for r in runs)
     report = {
@@ -604,7 +608,7 @@ def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,
         "construction": _rps4_desc(con),
         "beta_halvings": halvings,
         "lp_margin": dom.margin,
-        "run": {"t_max": t_max, "dt": dt, "method": traj.meta["method"], "seeds": runs,
+        "run": {"t_max": t_max, "dt": _DT, "method": traj.meta["method"], "seeds": runs,
                 "survivors": survivors},
         "checks": {
             "fourth-strategy-certified-dominated": dom.margin > 0.0,
@@ -615,7 +619,7 @@ def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,
 
 
 def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
-                 dt: float = 1e-3, t_max: float = 300.0, n_seeds: int = 10,
+                 t_max: float = 300.0, n_seeds: int = 10,
                  eps4: float = 0.04, taylor_samples: int = 200):
     """Dominating fourth strategy dies from starts in the wedge; the core cycle lives.
 
@@ -640,7 +644,7 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
                 for s, (x4, low) in enumerate(zip(x4_final, core_min))]
         return runs, all(r["ok"] for r in runs)
 
-    con, halvings, traj, runs = _rps4_runs(f, con, x0, judge, t_max, dt)
+    con, halvings, traj, runs = _rps4_runs(f, con, x0, judge, t_max)
     dom = find_dominator(con.game, np.array([1, 1, 1, 0]) / 3.0, mode="mixed")
     report = {
         "scenario": "dual-4x4",
@@ -650,7 +654,7 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
         "beta_halvings": halvings,
         "lp_margin": dom.margin,
         "taylor_negative_fraction": frac,
-        "run": {"t_max": t_max, "dt": dt, "method": traj.meta["method"], "rho": rho,
+        "run": {"t_max": t_max, "dt": _DT, "method": traj.meta["method"], "rho": rho,
                 "eps4": eps4, "seeds": runs},
         "checks": {
             "margin-at-least-min-beta-gamma":

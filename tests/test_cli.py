@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in process through main(argv)."""
 
+import hashlib
 import json
 import math
 
@@ -391,20 +392,35 @@ def test_number_lists_of_the_wrong_length_exit_1(capsys):
     assert "--abc takes 3 comma-separated numbers, got 2" in capsys.readouterr().err
 
 
+# flag sets of rps-direction: --link gives the flow's f, --discrete-C C the
+# generation map's ln(C + f), neither the replicator. Each report is pinned
+# by the first 16 hex digits of its sha256: the bytes the same run printed
+# when a separate --mode flag named the mode.
+RPS_FLAG_SETS = [
+    (["--abc", "1,2,-2"], "replicator", 0.0, "outward", "4611a8111d155d02"),
+    (["--abc", "1,2,-2", "--link", "exp:1@-2,2"],
+     "continuous-functional", 0.0, "inward", "284a5c084460e7c6"),
+    (["--abc", "2,4,1", "--link", "linear:1,0@0.5,10", "--discrete-C", "0"],
+     "discrete-functional", 0.0, "degenerate", "a44a4f5b07d244b4"),
+    (["--abc", "2,4,1.000001", "--link", "linear:1,0@0.5,10", "--discrete-C", "0"],
+     "discrete-functional", 0.0, "inward", "d2d8fc1387e26e69"),
+    (["--abc", "3.9,5,3", "--link", "linear:1,0@0,15", "--discrete-C", "1"],
+     "discrete-functional", 1.0, "outward", "d5d095c184592b8b"),
+]
+
+
 def test_rps_direction_modes(capsys):
-    code, doc = run_json(capsys, ["rps-direction", "--abc", "1,2,-2"])
-    assert code == 0 and doc["raw"]["direction"] == "outward"
-    code, doc = run_json(capsys, ["rps-direction", "--abc", "1,2,-2",
-                                  "--link", "exp:1@-2,2", "--mode", "continuous"])
-    assert code == 0 and doc["raw"]["direction"] == "inward"
-    code, doc = run_json(capsys, ["rps-direction", "--abc", "3.9,5,3",
-                                  "--link", "linear:1,0@0,15",
-                                  "--mode", "discrete", "--discrete-C", "1"])
-    assert code == 0 and doc["raw"]["direction"] == "outward"
+    for flags, mode, background, direction, digest in RPS_FLAG_SETS:
+        assert main(["rps-direction"] + flags) == 0
+        out = capsys.readouterr().out
+        raw = json.loads(out)["raw"]
+        assert (raw["mode"], raw["background"], raw["direction"]) == \
+            (mode, background, direction), flags
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, flags
 
 
 def test_rps_direction_discrete_mode_is_exact_at_the_cycle_payoffs(capsys):
-    base = ["rps-direction", "--link", "linear:1,0@0.5,10", "--mode", "discrete"]
+    base = ["rps-direction", "--link", "linear:1,0@0.5,10", "--discrete-C", "0"]
     code, doc = run_json(capsys, base + ["--abc", "2,4,1"])
     assert code == 0 and doc["raw"]["direction"] == "degenerate"
     code, doc = run_json(capsys, base + ["--abc", "2,4,1.000001"])
@@ -414,32 +430,33 @@ def test_rps_direction_discrete_mode_is_exact_at_the_cycle_payoffs(capsys):
 def test_rps_direction_discrete_mode_needs_the_log_only_on_the_cycle_payoffs(capsys):
     # the link is built on [min, max] of a, b and c, so ln(C + u) needs to be
     # defined there and nowhere else
-    base = ["rps-direction", "--link", "linear:1,0", "--mode", "discrete"]
-    code, doc = run_json(capsys, base + ["--abc", "2,4,1"])
+    base = ["rps-direction", "--link", "linear:1,0", "--discrete-C"]
+    code, doc = run_json(capsys, base + ["0", "--abc", "2,4,1"])
     assert code == 0 and doc["raw"]["direction"] == "degenerate"
-    assert main(base + ["--abc", "1,2,-2"]) == 1
+    assert main(base + ["0", "--abc", "1,2,-2"]) == 1
     assert capsys.readouterr().err == \
         "error: background 0 leaves ln() undefined at payoff -2\n"
-    assert main(base + ["--abc", "2,4,1", "--discrete-C", "-1"]) == 1
+    assert main(base + ["-1", "--abc", "2,4,1"]) == 1
     assert "background -1 leaves ln() undefined at payoff 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ["continuous", "discrete"])
-def test_rps_direction_functional_modes_need_a_link(mode, capsys):
-    assert main(["rps-direction", "--abc", "1,2,-2", "--mode", mode]) == 1
-    assert capsys.readouterr().err == f"error: --mode {mode} needs --link\n"
+@pytest.mark.parametrize("flag", [pytest.param("--discrete-C", id="discrete")])
+def test_rps_direction_functional_modes_need_a_link(flag, capsys):
+    # a flow without --link is the replicator, so only the discrete mode can
+    # lack one: there the replicator would answer and ignore C
+    assert main(["rps-direction", "--abc", "1,2,-2", flag, "1"]) == 1
+    assert capsys.readouterr().err == f"error: {flag} needs --link\n"
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["--link", "exp:1@-2,2"], "--mode replicator takes no --link"),
-    (["--discrete-C", "1"], "--discrete-C needs --mode discrete"),
-    (["--link", "exp:1@-2,2", "--mode", "continuous", "--discrete-C", "1"],
-     "--discrete-C needs --mode discrete")])
-def test_rps_direction_refuses_flags_its_mode_ignores(argv, message, capsys):
-    # exp:1 turns this cycle inward, the replicator outward: a report that
-    # echoed the link beside the replicator's answer would misstate it
-    assert main(["rps-direction", "--abc", "1,2,-2"] + argv) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+@pytest.mark.parametrize("argv", [
+    ["rps-direction", "--abc", "1,2,-2", "--mode", "continuous"],
+    ["scenario", "hw-4x4", "--dt", "0.01"]], ids=["rps-direction-mode", "scenario-dt"])
+def test_flags_that_chose_nothing_are_unrecognized(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in err
 
 
 def test_scenario_success(capsys):
@@ -462,6 +479,12 @@ def test_scenario_missed_outcome_exits_3(capsys):
     code, doc = run_json(capsys, ["scenario", "discussion", "--t-max", "5"])
     assert code == 3
     assert doc["raw"]["ok"] is False
+
+
+def test_a_payoff_outside_the_link_domain_prints_a_plain_float(capsys):
+    assert main(["scenario", "hw-4x4", "--link", "sqrt@0,9"]) == 1
+    assert capsys.readouterr().err == \
+        "error: payoff 9.393061224489795 outside link domain [0, 9]\n"
 
 
 def test_scenario_infeasible_construction_exits_1(capsys):

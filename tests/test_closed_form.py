@@ -22,8 +22,7 @@ from egtlab.dynamics import (GrowthRule, IntegrationError, Schedule, _piece_at,
 from egtlab.games import Game
 from egtlab.links import (DomainError, array_link, exp_link, linear_link, log_link,
                           power_link, sqrt_link, table_link)
-from egtlab.scenarios import (run_background_threshold, run_survival_nonconcave,
-                              run_survival_nonconvex)
+from egtlab.scenarios import run_background_threshold, run_survival_nonconcave
 
 SURVIVAL = Game([[1.0, 0.0], [0.0, 1.0], [0.52, 0.52]])
 # payoffs 0 and 1 at the kinks, where sqrt's slope is infinite
@@ -170,11 +169,6 @@ def test_exact_flow_does_not_depend_on_dt():
     i, j = np.nonzero(np.abs(coarse.times[:, None] - fine.times[None, :]) <= 1e-12)
     assert len(i) == len(coarse) > 200
     np.testing.assert_allclose(coarse.log_states[i], fine.log_states[j], rtol=0.0, atol=1e-13)
-    (default, dense), (sparse, grid) = (run_survival_nonconvex(),
-                                        run_survival_nonconvex(dt=1e-2))
-    assert default["run"]["method"] == sparse["run"]["method"] == "exact"
-    assert abs(sparse["run"]["x_M_final"] - default["run"]["x_M_final"]) <= 1e-12
-    np.testing.assert_allclose(grid.log_states[-1], dense.log_states[-1], rtol=1e-13)
 
 
 def test_closed_form_flow_fails_where_the_stepper_fails():

@@ -65,6 +65,12 @@ def test_validate_rejects_any_negative_weight():
         validate_simplex((1.0 + 1e-13, -1e-13))
 
 
+def test_a_negative_weight_is_named_as_a_plain_float():
+    with pytest.raises(SimplexError) as err:
+        validate_simplex([0.6, -0.1, 0.5])
+    assert str(err.value) == "strategy has negative weight at index 1: -0.1"
+
+
 def test_simplex_error_is_a_value_error():
     assert issubclass(SimplexError, ValueError)
 

@@ -32,6 +32,14 @@ def test_domain_is_enforced_with_a_soft_pad():
     assert eval_link(f, 9.0 + 0.5 * domain_pad(f)) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("u", [9.5, [2.0, 9.5], np.float64(9.5)],
+                         ids=["float", "array", "numpy-scalar"])
+def test_a_payoff_outside_the_domain_is_named_as_a_plain_float(u):
+    with pytest.raises(DomainError) as err:
+        eval_link(sqrt_link((1.0, 9.0)), u)
+    assert str(err.value) == "payoff 9.5 outside link domain [1, 9]"
+
+
 FAMILY_LINKS = [
     linear_link(2.0, -1.0, (-3.0, 3.0)), power_link(1.5, (0.0, 4.0)),
     exp_link(-0.7, (-2.0, 2.0)), log_link((0.5, 4.0)), sqrt_link((0.0, 4.0)),
@@ -306,6 +314,16 @@ def test_discrete_cycle_direction_is_exact_off_the_table_knots():
     assert rps_direction(f, 2.0, 4.0, 1.0) == "degenerate"
     # delta = -ln(1 + 1e-6) / 2, about -5.0e-7
     assert rps_direction(f, 2.0, 4.0, 1.0 + 1e-6) == "inward"
+
+
+def test_cycle_direction_does_not_depend_on_the_payoff_scale():
+    # an absolute tie band of 1e-12 would read (1e-13, 2e-13, -2e-13) as a tie
+    cases = (((1.0, 2.0, -2.0), "outward"), ((-1.0, 2.0, -2.0), "inward"),
+             ((0.0, 1.0, -1.0), "degenerate"))
+    for (a, b, c), want in cases:
+        got = {rps_direction(None, s * a, s * b, s * c) for s in 2.0 ** np.arange(-60, 61)}
+        assert got == {want}, (a, b, c)
+    assert rps_direction(None, 1e-13, 2e-13, -2e-13) == "outward"
 
 
 def test_cycle_direction_checks_the_ordering():

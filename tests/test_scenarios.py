@@ -392,7 +392,7 @@ def test_rps4_runs_halve_beta_on_a_rebuilt_certificate(monkeypatch):
     monkeypatch.setattr(scenarios, "integrate", recording)
     x0 = np.full((1, 4), 0.25)
     con, halvings, _, _ = scenarios._rps4_runs(
-        EXP, DUAL, x0, lambda traj: ([], next(verdicts)), t_max=0.1, dt=1e-3)
+        EXP, DUAL, x0, lambda traj: ([], next(verdicts)), t_max=0.1)
     assert halvings == 2
     assert [game.payoff[3, :3].tolist() for game, _ in runs] == \
         [[DUAL.m + beta] * 3 for beta in (0.08, 0.04, 0.02)]
@@ -603,8 +603,23 @@ def test_run_background_schedules_report():
 
 # the run sizes the command line and the benchmark set; every other value
 # of a catalog protocol is fixed
-RUN_SIZES = {"seed", "t_max", "dt", "n_max", "periods", "n_seeds", "eps4", "taylor_samples",
+RUN_SIZES = {"seed", "t_max", "n_max", "periods", "n_seeds", "eps4", "taylor_samples",
              "big_c"}
+
+
+FLOW_SIZES = {"discussion": {"t_max": 2.0}, "survival-nonconvex": {},
+              "survival-nonconcave": {"periods": 3}, "hw-4x4": {"t_max": 2.0, "n_seeds": 2},
+              "dual-4x4": {"t_max": 2.0, "n_seeds": 2, "taylor_samples": 4}}
+
+
+@pytest.mark.parametrize("name, sizes", FLOW_SIZES.items(), ids=FLOW_SIZES)
+def test_flows_record_the_catalog_grid(name, sizes):
+    report, traj = SCENARIOS[name](**sizes)
+    assert report["run"]["dt"] == 0.001
+    if "t_max" in sizes:  # self-play: a sample at every 100th point of the grid
+        np.testing.assert_allclose(np.diff(traj.times), 0.1, rtol=1e-9)
+    else:  # scripted: the exact path, which the grid only samples
+        assert report["run"]["method"] == "exact"
 
 
 def test_catalog_is_consistent():
