@@ -19,9 +19,11 @@ STRICT_TOL times the power of two above the largest |payoff| the query
 reads (the allowed payoff slice and q's payoff row), and q is dominated iff
 its margin exceeds tol. So payoffs 2^k A give the verdicts and dominator
 bytes of A, and its margins times 2^k, exactly. Both certificates are
-re-checked against the payoffs before an answer is returned: a dominator
-must realize its margin within tol, and under the y of a "not dominated"
-answer no row may beat q by more than tol. A failed check raises LpError.
+re-checked against the payoffs before an answer is returned: a dominator,
+validated once as a mixture, must realize its margin within tol, by the
+arithmetic of strict_margin on the full payoff rows; and under the y of a
+"not dominated" answer no row may beat q by more than tol. A failed check
+raises LpError.
 
 Iterated elimination screens each query before solving it, with column
 certificates. For any column mixture y >= 0 over the alive columns, with
@@ -185,15 +187,19 @@ def _max_margin(gaps: np.ndarray, mode: str):
     # whose rhs is >= 0 and whose y_c coefficient is 0 exactly; the last row
     # is sum y = 1. The slacks and y_c are then an identity basis at e_c.
     A_eq = np.zeros((nr + 1, nc + 1 + nr))
-    A_eq[:nr, :nc] = g - g[:, c:c + 1]
-    A_eq[:nr, nc] = 1.0
-    A_eq[:nr, nc + 1:] = np.eye(nr)
-    A_eq[nr, :nc] = 1.0
-    b_eq = np.append(worst[c] - g[:, c], 1.0)
+    np.subtract(g, g[:, c:c + 1], out=A_eq[:nr, :nc])
+    A_eq[:nr, nc] = A_eq[nr, :nc] = 1.0
+    # the slacks' identity: entry (k, nc + 1 + k) sits at flat index
+    # nc + 1 + k (nc + nr + 2) of the row-major A_eq, for k < nr
+    A_eq.reshape(-1)[nc + 1::nc + nr + 2] = 1.0
+    b_eq = np.ones(nr + 1)
+    np.subtract(worst[c], g[:, c], out=b_eq[:nr])
     cost = np.zeros(nc + 1 + nr)
     cost[nc] = 1.0
+    basis = np.arange(nc + 1, nc + 2 + nr)
+    basis[nr] = c
 
-    x, value, pi = solve_max(cost, A_eq, b_eq, np.append(np.arange(nc + 1, nc + 1 + nr), c))
+    x, value, pi = solve_max(cost, A_eq, b_eq, basis)
     # clip solver dust
     return (float(worst[c]) - value) * scale, np.maximum(pi[:nr], 0.0), np.maximum(x[:nc], 0.0)
 
@@ -202,8 +208,9 @@ def _result(game: Game, qs: MixedStrategy, rows, cols, gaps: np.ndarray, tol: fl
             margin: float, p: np.ndarray, y: np.ndarray | None) -> DominanceResult:
     """The query's answer at tolerance tol, its certificate re-checked: a
     dominator, spread from rows onto all of the game's rows, must realize
-    its margin, and under the y of a "not dominated" answer no row of gaps
-    may beat q by more than tol. A failed check raises LpError."""
+    its margin (strict_margin's arithmetic, without its second validation),
+    and under the y of a "not dominated" answer no row of gaps may beat q
+    by more than tol. A failed check raises LpError."""
     dominated = bool(margin > tol)
     dominator = None
     if dominated:
@@ -211,7 +218,7 @@ def _result(game: Game, qs: MixedStrategy, rows, cols, gaps: np.ndarray, tol: fl
         w[list(rows)] = p
         w /= w.sum()  # summed over all rows: a sum over rows alone can move the last ulp
         dominator = as_strategy(w)
-        realized = strict_margin(game, dominator, qs, cols)
+        realized = float(((dominator.weights - qs.weights) @ game.payoff)[list(cols)].min())
         if abs(realized - margin) > tol:
             raise LpError(
                 f"dominance certificate mismatch: LP margin {margin!r}, realized {realized!r}")
@@ -247,8 +254,10 @@ def _one_side_removals(game: Game, alive_rows, alive_cols, mode: str, pool: list
         gaps = sub - (sub[k] + 0.0)
         margin, p, y = _max_margin(gaps, mode)
         if y is not None:
-            # y answers every row its product leaves within delta of a best reply
-            pool.append(_spread(y, cols, game.n_cols))
+            # y joins the pool over all of game's columns, and answers every
+            # row its product leaves within delta of a best reply
+            pool.append(np.zeros(game.n_cols))
+            pool[-1][cols] = y
             skip |= _answered(sub, y, delta)
         if skip[k] or (y is None and margin <= tol):
             continue  # y answers row k, or 'pure' mode: not dominated, nothing to re-check
@@ -264,12 +273,6 @@ def _answered(sub: np.ndarray, ys: np.ndarray, delta: float) -> np.ndarray:
     within delta ys.sum() of a best reply (module docstring)."""
     v = sub @ ys
     return v >= v.max(axis=0) - delta * ys.sum(axis=0)
-
-
-def _spread(y: np.ndarray, cols: list, n: int) -> np.ndarray:
-    full = np.zeros(n)
-    full[cols] = y
-    return full
 
 
 def iterate_elimination(game: Game, mode: str = "pure-by-mixed",

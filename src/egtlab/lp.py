@@ -11,7 +11,9 @@ columns are the identity, so no phase 1 searches for one. Each
 pivot is one vectorised rank-1 update of the tableau, and the answer is
 checked against the original constraints before it is returned, so a
 tableau corrupted by rounding raises LpError instead of passing as an
-optimum.
+optimum. Of the two checks only one scales: A @ x may miss b by FEAS_TOL
+times max(1, max|b|), while an entry of x may fall below 0 by FEAS_TOL and
+no more, whatever the scale of b.
 
 The constraint duals come off the final reduced-cost row for free. That
 row holds c - pi A, where pi = c_B B^-1 are the duals of the final basis B,
@@ -20,10 +22,15 @@ it reads c[basis0] - pi: pi = c[basis0] - T[-1, basis0]. At the optimum,
 c - pi A <= PIVOT_TOL (dual feasibility) and pi @ b equals the optimal
 value up to rounding (strong duality).
 
-The pivot loop is the hot path of iterated elimination, so it keeps NumPy
-calls per pivot few: the entering column is the argmax of a mask, and the
-update broadcasts one column against one row in place. Its arithmetic is
-that of a plain loop (tests/oracles.py), to the bit.
+The dominance LPs are small, so NumPy's fixed cost per call, not the
+arithmetic, sets their time, and the solver keeps calls few. solve_max
+reads its arguments without copying them, checks the start from the m
+columns it names and fills the tableau once. Per pivot, the entering column
+is the argmax of a mask over a view of the reduced costs, the ratio test
+reads that column once and returns as soon as one row is left, and the
+update divides the pivot row through a view and broadcasts one column
+against it in place. Its arithmetic is that of a plain loop
+(tests/oracles.py), to the bit.
 """
 
 from __future__ import annotations
@@ -40,10 +47,11 @@ class LpError(RuntimeError):
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
+    r = T[row]
+    r /= r[col]  # through a view: T[row] /= ... would write the row back
     f = T[:, col].copy()
     f[row] = 0.0
-    T -= f[:, None] * T[row]
+    T -= f[:, None] * r
     basis[row] = col
 
 
@@ -69,34 +77,39 @@ def _bland_iterate(T: np.ndarray, basis: np.ndarray) -> None:
 def _ratio_row(T: np.ndarray, basis: np.ndarray, col: int) -> int:
     """Min-ratio pivot row of col, ties within 1e-12 broken by smallest basis
     variable (Bland); -1 when no entry of the column is positive."""
-    rows = (T[:-1, col] > PIVOT_TOL).nonzero()[0]
-    if rows.size == 0:
-        return -1
-    ratios = T[rows, -1] / T[rows, col]
-    ties = rows[ratios <= ratios.min() + 1e-12]
-    return int(ties[basis[ties].argmin()])
+    rows = ((a := T[:-1, col]) > PIVOT_TOL).nonzero()[0]  # a: the column, read once
+    if rows.size <= 1:
+        return int(rows[0]) if rows.size else -1
+    ratios = T[:-1, -1][rows] / a[rows]
+    # ratios[argmin] is ratios.min(), without min()'s Python wrapper
+    ties = rows[ratios <= ratios[ratios.argmin()] + 1e-12]
+    return int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
 
 
 def solve_max(c, A, b, basis):
     """Maximize c @ x subject to A @ x == b and x >= 0, from a basic start.
 
-    basis[r] names the variable basic in row r: A[:, basis] must be the
-    identity and b >= 0, so x[basis] = b is feasible; otherwise ValueError.
+    basis[r] names the variable basic in row r: each entry must index a
+    column of A, A[:, basis] must be the identity and b >= 0, so x[basis] = b
+    is feasible; otherwise ValueError. With no rows, x = 0 is the start.
     Returns (x, value, pi), pi the constraint duals read off the final
-    reduced costs (module docstring). Raises LpError when unbounded, or when
-    the solution misses A @ x == b or x >= 0 by more than FEAS_TOL (scaled
-    by max|b|).
+    reduced costs (module docstring). Raises LpError when unbounded, when
+    the solution misses A @ x == b by more than FEAS_TOL max(1, max|b|), or
+    when an entry of x is below -FEAS_TOL, a bound that does not scale.
     """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    c = np.array(c, dtype=float)
-    basis = np.array(basis, dtype=np.intp)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    basis = np.array(basis, dtype=np.intp)  # a copy: the pivots rewrite it
     m, n = A.shape
     if b.shape != (m,) or c.shape != (n,) or basis.shape != (m,):
         raise ValueError("inconsistent LP dimensions")
-    if not np.array_equal(A[:, basis], np.eye(m)) or (b < 0).any():
-        raise ValueError("the start is not a canonical feasible basis: "
-                         "A[:, basis] must be the identity and b >= 0")
+    # range first, so that A[:, basis] reads no column from the end; then
+    # m nonzero entries, m of them ones on the diagonal, are the identity
+    if (not ((0 <= basis) & (basis < n)).all() or np.count_nonzero(S := A[:, basis]) != m
+            or not (S.diagonal() == 1.0).all() or (b < 0).any()):
+        raise ValueError("the start is not a canonical feasible basis: basis indices must "
+                         "lie in [0, n), A[:, basis] must be the identity and b >= 0")
 
     T = np.zeros((m + 1, n + 1))
     T[:m, :n] = A
@@ -107,8 +120,9 @@ def solve_max(c, A, b, basis):
 
     x = np.zeros(n)
     x[basis] = T[:-1, -1]
-    residual = float(np.abs(A @ x - b).max())
-    tol = FEAS_TOL * max(1.0, abs(b).max())
+    # initial=0.0: the maxima over an LP with no rows; both arrays are >= 0
+    residual = float(np.abs(A @ x - b).max(initial=0.0))
+    tol = FEAS_TOL * max(1.0, abs(b).max(initial=0.0))
     if residual > tol or x.min() < -FEAS_TOL:
         raise LpError(f"solution residual {residual:.3g} exceeds {tol:.3g} "
                       f"(smallest entry {x.min():.3g})")

@@ -7,6 +7,8 @@ and integrators (tests/test_imports.py checks what they import):
   bisection
 - random_link: a seeded link of a given family on a random domain
 - planted_game: seeded games with a planted elimination chain
+- column_lp: the column LP of a dominance query, built with np.zeros, np.eye
+  and np.append
 - bland_iterate: a plain simplex loop
 - best_reply_gap: how far a row falls short of a best reply to a column
   mixture, in exact rationals
@@ -161,6 +163,34 @@ def planted_game(rng, n: int, depth: int):
         if k:
             payoff[s, chain[k - 1]] = 2.0
     return payoff, chain
+
+
+def column_lp(gaps):
+    """The column LP of egtlab.dominance._max_margin on gaps, built block by
+    block: ((cost, A_eq, b_eq, basis), read), where read(x, value, pi) turns
+    solve_max's answer into (margin, p, y). The gaps are divided by the
+    power of two above max|gaps|; variables are y over the columns, t, and
+    one slack per row, started from the pure column c that leaves q least
+    behind (first of ties), with y_c eliminated through sum y = 1."""
+    nr, nc = gaps.shape
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(gaps).max()))[1])
+    g = gaps / scale
+    worst = g.max(axis=0)
+    c = int(np.argmin(worst))
+    A_eq = np.zeros((nr + 1, nc + 1 + nr))
+    A_eq[:nr, :nc] = g - g[:, c:c + 1]
+    A_eq[:nr, nc] = 1.0
+    A_eq[:nr, nc + 1:] = np.eye(nr)
+    A_eq[nr, :nc] = 1.0
+    b_eq = np.append(worst[c] - g[:, c], 1.0)
+    cost = np.zeros(nc + 1 + nr)
+    cost[nc] = 1.0
+    basis = np.append(np.arange(nc + 1, nc + 1 + nr), c)
+
+    def read(x, value, pi):
+        return ((float(worst[c]) - value) * scale, np.maximum(pi[:nr], 0.0),
+                np.maximum(x[:nc], 0.0))
+    return (cost, A_eq, b_eq, basis), read
 
 
 def bland_iterate(T, basis, maxiter: int, pivot_tol: float, pivots: list) -> None:

@@ -12,8 +12,9 @@ from egtlab.dominance import (find_dominator, is_mixed_iteratively_dominated,
 from egtlab.games import Game, pure, uniform
 from egtlab.lp import LpError
 
-from oracles import (best_reply_gap, exact_margin, grid_margin, mixture_grid,
+from oracles import (best_reply_gap, column_lp, exact_margin, grid_margin, mixture_grid,
                      planted_game)
+from test_lp import _small_integer_games
 
 DISCUSSION = Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]])
 RPS = Game([[1.0, -2.0, 2.0], [2.0, 1.0, -2.0], [-2.0, 2.0, 1.0]])
@@ -356,6 +357,39 @@ def test_dominated_certificates_pass_an_exact_check(scale):
             assert res.dominator.weights.tobytes() == want.dominator.weights.tobytes()
         removed += len(trace.removals)
     assert removed > 300
+
+
+def test_column_lps_are_the_reference_construction(monkeypatch):
+    # _max_margin writes its LP in place; what it hands solve_max, and the
+    # margin, p and y it reads off the answer, are those of the plain
+    # construction (oracles.column_lp), to the bit
+    lps, answers = [], []
+    solve, max_margin = dominance.solve_max, dominance._max_margin
+
+    def solve_recorded(*args):
+        lps.append(args)
+        return solve(*args)
+
+    def margin_recorded(gaps, mode):
+        answers.append((gaps, max_margin(gaps, mode)))
+        return answers[-1][1]
+    monkeypatch.setattr(dominance, "solve_max", solve_recorded)
+    monkeypatch.setattr(dominance, "_max_margin", margin_recorded)
+    for scale in (1.0, 1e3, 1e-6):
+        for game in _certificate_games(scale):
+            iterate_elimination(game)
+    for game in _small_integer_games():
+        iterate_elimination(game)
+        for i in range(game.n_rows):
+            find_dominator(game, pure(i, game.n_rows))
+    assert len(lps) == len(answers) > 1000
+    for args, (gaps, answer) in zip(lps, answers):
+        lp_args, read = column_lp(gaps)
+        for got, want in zip(args, lp_args):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(answer, read(*solve(*lp_args))):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_answers_scale_exactly_with_powers_of_two():

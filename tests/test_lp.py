@@ -84,6 +84,24 @@ def test_a_start_that_is_not_canonical_is_rejected():
         solve_max([1.0, 0.0, 0.0], A, [1.0, -1.0], [1, 2])
 
 
+def test_a_basis_index_outside_the_columns_is_rejected():
+    # as a ValueError, not as NumPy's IndexError; a negative index would
+    # wrap around to a column from the end
+    for basis in ([5], [2], [-1]):
+        with pytest.raises(ValueError, match="basis indices"):
+            solve_max([1.0, 0.0], [[1.0, 1.0]], [1.0], basis)
+
+
+def test_an_lp_without_constraint_rows_starts_at_zero():
+    x, val, pi = solve_max([-1.0, 0.0], np.zeros((0, 2)), [], [])
+    assert x.tolist() == [0.0, 0.0] and val == 0.0 and pi.shape == (0,)
+
+
+def test_an_lp_without_constraint_rows_is_unbounded_on_a_positive_cost():
+    with pytest.raises(LpError, match="unbounded"):
+        solve_max([-1.0, 2.0], np.zeros((0, 2)), [], [])
+
+
 def _enumerate_optimum(c, A, b):
     """Best basic feasible solution by brute force over column subsets."""
     m, n = A.shape

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from egtlab.dominance import find_dominator, strict_margin
-from egtlab.games import Game
+from egtlab import lp
+from egtlab.dominance import find_dominator, iterate_elimination, strict_margin
+from egtlab.games import Game, pure
 from egtlab.lp import LpError, solve_max
 
 from oracles import planted_game
@@ -41,6 +42,26 @@ def test_a_solution_off_its_constraints_is_an_error():
     payoff, _ = planted_game(rng, n, int(rng.integers(1, 4)))
     with pytest.raises(LpError, match="residual"):
         solve_max(*_split_margin_lp(payoff, 3))
+
+
+def test_a_corrupted_tableau_fails_the_residual_check_of_a_dominance_query(monkeypatch):
+    # One rhs entry moves by 1 after the first pivot, so the basic solution
+    # misses A x = b by a whole column of A. The residual check stops it on
+    # the dominance path, before any certificate is read off.
+    pivot, pivots = lp._pivot, []
+
+    def bumped(T, basis, row, col):
+        pivot(T, basis, row, col)
+        if not pivots:
+            T[row, -1] += 1.0
+        pivots.append((row, col))
+    monkeypatch.setattr(lp, "_pivot", bumped)
+    game = Game(planted_game(np.random.default_rng(8), 8, 3)[0])
+    for query in (lambda: find_dominator(game, pure(0, 8)), lambda: iterate_elimination(game)):
+        pivots.clear()
+        with pytest.raises(LpError, match="residual"):
+            query()
+        assert pivots
 
 
 def _highs_margin(payoff, q):
