@@ -195,6 +195,6 @@ def _drifts(rule: GrowthRule, game: Game, X) -> np.ndarray:
     """sum_i xdot_i / x_i at each row of X (every x_i > 0): the row sums of
     the flow's own field over one self-play population, at log X. A row where
     the field fails raises its IntegrationError, whose member is that row."""
-    pops, pays, _ = _setup(rule, game, np.full(game.n_rows, 1.0 / game.n_rows), None, "")
+    pops, pays, _ = _setup(rule, game, np.full(game.n_rows, 1.0 / game.n_rows), None)
     field, _ = _log_field(pops, pays, rule.speed)
     return field(0.0, np.log(X), 0.0, 0).sum(axis=1)

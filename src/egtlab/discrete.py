@@ -2,30 +2,37 @@
 
 One generation multiplies every frequency by (C_n + g_i) / (C_n + gbar),
 where C_n is a background fitness schedule and g_i the linked payoff. The
-iteration runs in log space via log1p, over one population (playing itself
-or a scripted opponent) or a coupled pair, each restricted to its support
-when the run starts. It tolerates backgrounds up to and including +inf,
-where the map freezes in place, exactly.
+iteration runs in log space, over one population (playing itself or a
+scripted opponent) or a coupled pair, each restricted to its support when
+the run starts. It tolerates backgrounds up to and including +inf, where
+the map freezes in place, exactly.
+
+In logs the mean term ln(C_n + gbar) is common to every strategy, and so is
+ln(C_n + r_n) for any r_n; renormalization removes both. So every path adds
+the one increment log1p((g_i - r_n) / (C_n + r_n)) with r_n = min_i g_i,
+the value the numerator check C_n + g_i > 0 reads. Its argument is never
+negative, so no ratio rounds to -1, and no mean growth rate is formed. It
+overflows only where (C_n + g_i) / (C_n + r_n) exceeds the largest double,
+and the stepper then stops with a non-finite state. Each path reports as max_drift the largest |sum x - 1| over its normalized
+samples after the first (dynamics._drift), as the exact flow does.
 
 Two paths compute the same generations:
 
 - The stepper (_generations) runs self-play and coupled runs on plain
-  Python floats: at one run a NumPy map costs more per generation, and no
-  caller iterates a batch of these maps.
+  Python floats, renormalizing every generation: at one run a NumPy map
+  costs more per generation, and no caller iterates a batch of these maps.
 - Against a scripted opponent the growth rates depend on the generation
-  alone, so ln(C_n + gbar) is a shift common to every coordinate that
-  renormalization removes; _scripted_generations adds log1p((g_i - r_n) /
-  (C_n + r_n)) with r_n = min_i g_i, never of a negative argument, and
-  normalizes at the samples only, agreeing with the stepper to rounding.
-  With an integer period P up to _BLOCK, generation n meets the script
-  exactly where generation n mod P does, so the script and the link are
-  evaluated on the first period only, whatever the background. A constant
-  background repeats that period's increments, which are folded as the
-  exact flow folds its pieces (dynamics._fold): the logs after n
-  generations are z0 + floor(n / P) S + prefix[n mod P]. Affine and
-  geometric backgrounds sum every generation's increments with NumPy in
-  blocks of _BLOCK, reading the link values of generation n mod P;
-  non-integer periods and periods over _BLOCK evaluate every generation.
+  alone, so _scripted_generations normalizes at the samples only,
+  agreeing with the stepper to rounding. With an integer period P up to
+  _BLOCK, generation n meets the script exactly where generation n mod P
+  does, so the script and the link are evaluated on the first period
+  only, whatever the background. A constant background repeats that
+  period's increments, which are folded as the exact flow folds its pieces
+  (dynamics._fold): the logs after n generations are z0 + floor(n / P) S +
+  prefix[n mod P]. Affine and geometric backgrounds sum every generation's
+  increments with NumPy in blocks of _BLOCK, reading the link values of
+  generation n mod P; non-integer periods and periods over _BLOCK
+  evaluate every generation.
 
 Whether the background schedule's reciprocal sum diverges decides how much
 cumulative selection pressure is available: affine schedules keep selecting
@@ -41,7 +48,7 @@ from operator import mul
 import numpy as np
 
 from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, Trajectory,
-                       _check_count, _fold, _normalize, _sample_counts, _setup,
+                       _check_count, _drift, _fold, _normalize, _sample_counts, _setup,
                        _trajectory, eval_schedule)
 from .games import Game
 from .links import array_link, hull_inside, scalar_link
@@ -114,42 +121,39 @@ def _generations(pops, background: BackgroundFitness, n_steps: int, sample_every
     """The ratio map over one or two populations (self-play or a coupled
     pair) on plain Python floats. Each generation checks every population's
     payoffs (scanning for nan only where hull_inside fails), then every
-    numerator C_n + g_i, then adds the log increments and renormalizes:
-    exp(z_i) over their sum s are the next frequencies, and ln s comes off
-    with the next increments or at a sample. Returns (sample times, logs per
-    population at each sample, max drift)."""
+    numerator C_n + g_i, then adds the increments log1p((g_i - r) / (C_n +
+    r)), r = min_i g_i, and renormalizes: exp(z_i) over their sum s are the
+    next frequencies, and ln s comes off with the next increments or at a
+    sample. Returns (sample times, logs per population at each sample, max
+    drift over the samples, dynamics._drift)."""
     plan = [(p, pop.payoffs.tolist(), scalar_link(pop.f, pop.hull),
              not hull_inside(pop.f, pop.hull), opp)
             for p, (pop, opp) in enumerate(zip(pops, (0,) if len(pops) == 1 else (1, 0)))]
-    log1p, exp, log = math.log1p, math.exp, math.log
+    log1p, exp, log, isnan = math.log1p, math.exp, math.log, math.isnan
     zs = [pop.z for pop in pops]
     es = [list(map(exp, z)) for z in zs]
     sums, logs = [sum(e) for e in es], [0.0] * len(pops)
-    gs, gbars = [None] * len(pops), [0.0] * len(pops)
+    gs, rs = [None] * len(pops), [0.0] * len(pops)
     counts = _sample_counts(n_steps, sample_every).tolist()
-    samples, max_drift = [list(zs)], 0.0
+    samples = [list(zs)]
     for k0, k1 in zip(counts, counts[1:]):
         backgrounds = background.values(np.arange(k0, k1, dtype=float)).tolist()
         for k, C in zip(range(k0, k1), backgrounds):
             for p, rows, link, checked, opp in plan:
                 y, sy = es[opp], sums[opp]
                 g = [link(sum(map(mul, row, y)) / sy) for row in rows]
-                gbar = sum(map(mul, es[p], g)) / sums[p]
-                if checked and gbar != gbar:
-                    raise pops[p].domain_error([gi != gi for gi in g].index(True), float(k), k)
-                gs[p], gbars[p] = g, gbar
-            for pop, g in zip(pops, gs):
-                if not C + min(g) > 0.0:
+                if checked and any(map(isnan, g)):
+                    raise pops[p].domain_error(list(map(isnan, g)).index(True), float(k), k)
+                gs[p], rs[p] = g, min(g)
+            for pop, g, r in zip(pops, gs, rs):
+                if not C + r > 0.0:
                     i = next(i for i, gi in enumerate(g) if not C + gi > 0.0)
                     raise IntegrationError(
                         f"background plus growth rate not positive at generation {k} "
                         f"({pop.name(i)})", t=float(k), step=k)
-            for p, (z, g, gbar, c) in enumerate(zip(zs, gs, gbars, logs)):
-                denom = C + gbar
-                try:
-                    z = [zi + (log1p((gi - gbar) / denom) - c) for zi, gi in zip(z, g)]
-                except ValueError:
-                    z = [zi + (_log_ratio(C, gi, gbar) - c) for zi, gi in zip(z, g)]
+            for p, (z, g, r, c) in enumerate(zip(zs, gs, rs, logs)):
+                denom = C + r
+                z = [zi + (log1p((gi - r) / denom) - c) for zi, gi in zip(z, g)]
                 try:
                     e = list(map(exp, z))
                     s = sum(e)
@@ -159,32 +163,23 @@ def _generations(pops, background: BackgroundFitness, n_steps: int, sample_every
                     raise IntegrationError(f"state became non-finite near t={k:g}",
                                            t=float(k), step=k)
                 zs[p], es[p], sums[p], logs[p] = z, e, s, log(s)
-                if abs(s - 1.0) > max_drift:
-                    max_drift = abs(s - 1.0)
         samples.append([[zi - c for zi in z] for z, c in zip(zs, logs)])
-    return [float(k) for k in counts], list(zip(*samples)), max_drift
-
-
-def _log_ratio(C, gi, gbar):
-    """ln((C + g_i) / (C + gbar)) where (g_i - gbar) / (C + gbar) rounds to
-    -1 or below; the numerator C + g_i is known to be positive."""
-    denom = C + gbar
-    v = (gi - gbar) / denom
-    return math.log1p(v) if v > -1.0 else math.log(C + gi) - math.log(denom)
+    samples = list(zip(*samples))
+    return [float(k) for k in counts], samples, max(_drift(s[1:]) for s in samples)
 
 
 def _scripted_generations(pop, schedule: Schedule, link, background: BackgroundFitness,
                           n_steps: int, sample_every: int):
     """The ratio map of _generations against a script, in closed form (see
     the module docstring) with the same samples. Each generation's
-    increments lose their mean over the support, a common shift like the
-    stepper's ln(C_n + gbar). A payoff outside the link domain fails before a
-    numerator C_n + g_i that is not positive, generation by generation, as in
-    _generations. An integer period P up to _BLOCK has its link values
-    evaluated on the first period only; with a constant background that
-    period is folded (dynamics._fold). Other runs sum blocks of _BLOCK
-    generations, so memory does not grow with the horizon.
-    Returns (sample times, [logs at each sample], max |sum x - 1| over them).
+    increments, the stepper's, lose their mean over the support, a shift
+    common to every coordinate. A payoff outside the link domain fails
+    before a numerator C_n + g_i that is not positive, generation by
+    generation, as in _generations. An integer period P up to _BLOCK has
+    its link values evaluated on the first period only; with a constant
+    background that period is folded (dynamics._fold). Other runs sum
+    blocks of _BLOCK generations, so memory does not grow with the horizon.
+    Returns (sample times, [logs at each sample], max drift, _drift).
     """
     rows, f, period = pop.payoffs, array_link(link), schedule.period
 
@@ -233,8 +228,7 @@ def _scripted_generations(pop, schedule: Schedule, link, background: BackgroundF
                              np.searchsorted(counts, hi, side="right")] - lo - 1])
         run = d[-1]
     z = _normalize(np.concatenate(kept), [slice(None)])
-    drift = float(np.abs(np.exp(z).sum(axis=1) - 1.0).max())
-    return counts.astype(float), [np.vstack([pop.z, z])], drift
+    return counts.astype(float), [np.vstack([pop.z, z])], _drift(z)
 
 
 def iterate(rule: GrowthRule | None, game: Game, x0,
@@ -247,23 +241,25 @@ def iterate(rule: GrowthRule | None, game: Game, x0,
 
     Same opponent conventions as the continuous integrator, with schedule
     time measured in generations. Speed factors make no sense here and are
-    rejected.
+    rejected, the coupled opponent's too.
 
-    Every scripted run takes the closed form (_scripted_generations), which
-    agrees with the stepper to rounding: a constant background with an
-    integer period of at most _BLOCK generations folds one period's
-    increments, whatever n_max; every other scripted run sums them block by
-    block. There meta["max_drift"] is the largest |sum x - 1| over the
-    normalized samples. Self-play and coupled runs take the stepper, where
-    it is the largest drift before each generation's renormalization.
+    Every run adds the same increment log1p((g_i - r_n) / (C_n + r_n)) per
+    generation, r_n = min_i g_i (see the module docstring). Every scripted
+    run takes the closed form (_scripted_generations), which agrees with
+    the stepper to rounding: a constant background with an integer period
+    of at most _BLOCK generations folds one period's increments, whatever
+    n_max; every other scripted run sums them block by block. Self-play and
+    coupled runs take the stepper. meta["max_drift"] is the largest
+    |sum x - 1| over the normalized samples after the first
+    (dynamics._drift), on either path.
     """
     rule = rule or GrowthRule()
-    if rule.speed is not None:
+    if rule.speed is not None or (isinstance(opponent, Coupled)
+                                  and opponent.rule.speed is not None):
         raise ValueError("speed factors only apply to the continuous flow")
     n_steps = _check_count(n_max, "n_max")
     sample_every = _check_count(sample_every, "sample_every")
-    pops, _, label = _setup(
-        rule, game, x0, opponent, "speed factors only apply to the continuous flow")
+    pops, _, label = _setup(rule, game, x0, opponent)
     if label == "scripted":
         times, samples, max_drift = _scripted_generations(
             pops[0], opponent, rule.effective_link, background, n_steps, sample_every)

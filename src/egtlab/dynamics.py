@@ -21,8 +21,8 @@ sample_every define, so dt sets the sample grid, not the step.
 
 Steps never cross a bound of _grid (the opponent script's breakpoints),
 so a kink of the script never falls inside a step. Logs are renormalized
-after every accepted step and the largest pre-renormalization drift is kept
-in the meta. Against a script the stepper reads the payoffs, affine on each
+after every accepted step and the largest pre-renormalization drift, a
+measure of the integration error, is kept in the meta. Against a script the stepper reads the payoffs, affine on each
 piece, off the table of their values at the pieces' ends that the exact path
 integrates (_piece_payoffs). A speed factor over the mean payoff is scanned
 on every call only where it is not positive on the payoff hull widened by
@@ -42,7 +42,9 @@ max|f^(16)| by Gauss-Legendre. With one period's sum S and its prefix sums,
 z(t) = z(0) + lam (floor(t / P) S + prefix[k] + the part of piece k up to t),
 normalized at the samples only (_exact_flow): O(pieces + samples) work
 after _grid's one array pass over the breakpoints up to t_max. The fold is
-_fold, which the scripted generation map shares (discrete.py).
+_fold, which the scripted generation map shares (discrete.py). Its drift is
+_drift, the largest |sum x - 1| over the normalized samples after the
+first: one rounding measure that every generation map reports too.
 """
 
 from __future__ import annotations
@@ -397,7 +399,7 @@ class _Population:
         return out
 
 
-def _setup(rule: GrowthRule, game: Game, x0, opponent, opp_speed_error: str):
+def _setup(rule: GrowthRule, game: Game, x0, opponent):
     """Validate the opponent and build the populations.
 
     Returns (populations, pays, label): pays maps the time and the
@@ -416,7 +418,7 @@ def _setup(rule: GrowthRule, game: Game, x0, opponent, opp_speed_error: str):
         if isinstance(rule.speed, LinkFunction):
             raise ValueError("payoff-dependent speed is not supported with a coupled opponent")
         if opponent.rule.speed is not None:
-            raise ValueError(opp_speed_error)
+            raise ValueError("speed belongs to the first population's rule in coupled runs")
         pops = [_Population(z, game.payoff, np.flatnonzero(z2 > -np.inf),
                             rule.effective_link, "population 1 strategy {}"),
                 _Population(z2, opponent.game.payoff, np.flatnonzero(z > -np.inf),
@@ -749,7 +751,13 @@ def _fold(z0, rows, cycles, k, partial=0.0, lam=1.0):
     z[1:] -= z[1:].max(axis=1, keepdims=True)
     z[0] = z0
     _normalize(z[1:], [slice(None)])
-    return z, float(np.abs(np.exp(z[1:]).sum(axis=1) - 1.0).max())
+    return z, _drift(z[1:])
+
+
+def _drift(z) -> float:
+    """The largest |sum x - 1| over normalized logs z, one row per sample:
+    the max_drift of every generation map and of the exact flow."""
+    return float(np.abs(np.exp(z).sum(axis=-1) - 1.0).max())
 
 
 def _batch_logs(x0, n: int) -> np.ndarray:
@@ -790,8 +798,8 @@ def integrate(rule: GrowthRule, game: Game, x0,
     path, the rows of the link or its antiderivative evaluated), the
     smallest and largest step, rtol (RTOL; all three None on the exact
     path) and "max_drift": the largest |sum x - 1| before a step's
-    renormalization on the stepper, over the normalized samples on the
-    exact path.
+    renormalization on the stepper, over the normalized samples after the
+    first on the exact path (_drift).
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
@@ -804,9 +812,7 @@ def integrate(rule: GrowthRule, game: Game, x0,
         if opponent is not None:
             raise ValueError("a batch of initial states needs self-play (no opponent)")
         z0 = _batch_logs(x0, game.n_rows)
-    pops, pays, label = _setup(
-        rule, game, x0[0] if batch else x0, opponent,
-        "speed belongs to the first population's rule in coupled runs")
+    pops, pays, label = _setup(rule, game, x0[0] if batch else x0, opponent)
     scripted = label == "scripted"
     bounds, times = _grid(t_max, dt, sample_every, opponent if scripted else None)
     if (scripted and not isinstance(rule.speed, LinkFunction)

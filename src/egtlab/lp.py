@@ -13,7 +13,9 @@ checked against the original constraints before it is returned, so a
 tableau corrupted by rounding raises LpError instead of passing as an
 optimum. Of the two checks only one scales: A @ x may miss b by FEAS_TOL
 times max(1, max|b|), while an entry of x may fall below 0 by FEAS_TOL and
-no more, whatever the scale of b.
+no more, whatever the scale of b. Both fail on nan, and an objective value
+that is not finite is refused too, so a nan in the LP cannot pass as an
+optimum: a nan reduced cost never enters, but the answer it leaves fails.
 
 The constraint duals come off the final reduced-cost row for free. That
 row holds c - pi A, where pi = c_B B^-1 are the duals of the final basis B,
@@ -34,6 +36,8 @@ against it in place. Its arithmetic is that of a plain loop
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -91,11 +95,14 @@ def solve_max(c, A, b, basis):
 
     basis[r] names the variable basic in row r: each entry must index a
     column of A, A[:, basis] must be the identity and b >= 0, so x[basis] = b
-    is feasible; otherwise ValueError. With no rows, x = 0 is the start.
-    Returns (x, value, pi), pi the constraint duals read off the final
-    reduced costs (module docstring). Raises LpError when unbounded, when
-    the solution misses A @ x == b by more than FEAS_TOL max(1, max|b|), or
-    when an entry of x is below -FEAS_TOL, a bound that does not scale.
+    is feasible; otherwise ValueError. With no rows, x = 0 is the start;
+    with no variables, the empty x is the optimum, of value 0.0. Returns
+    (x, value, pi), pi the constraint duals read off the final reduced
+    costs (module docstring). Raises LpError when unbounded, when the
+    solution misses A @ x == b by more than FEAS_TOL max(1, max|b|), when
+    an entry of x is below -FEAS_TOL, a bound that does not scale, or when
+    the objective value is not finite; a nan anywhere in the answer fails
+    these checks.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -111,6 +118,9 @@ def solve_max(c, A, b, basis):
         raise ValueError("the start is not a canonical feasible basis: basis indices must "
                          "lie in [0, n), A[:, basis] must be the identity and b >= 0")
 
+    if n == 0:  # no variables: the empty optimum
+        return np.zeros(0), 0.0, np.zeros(0)
+
     T = np.zeros((m + 1, n + 1))
     T[:m, :n] = A
     T[:m, -1] = b
@@ -123,7 +133,10 @@ def solve_max(c, A, b, basis):
     # initial=0.0: the maxima over an LP with no rows; both arrays are >= 0
     residual = float(np.abs(A @ x - b).max(initial=0.0))
     tol = FEAS_TOL * max(1.0, abs(b).max(initial=0.0))
-    if residual > tol or x.min() < -FEAS_TOL:
+    # written to fail on nan, which compares false both ways
+    if not residual <= tol or not x.min() >= -FEAS_TOL:
         raise LpError(f"solution residual {residual:.3g} exceeds {tol:.3g} "
                       f"(smallest entry {x.min():.3g})")
-    return x, float(c @ x), c[basis0] - T[-1, basis0]
+    if not math.isfinite(value := float(c @ x)):
+        raise LpError(f"objective value {value} is not finite")
+    return x, value, c[basis0] - T[-1, basis0]

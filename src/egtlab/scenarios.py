@@ -629,7 +629,7 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
     """
     f = link if link is not None else exp_link(1.0, (-2.0, 2.0))
     rho = 0.01
-    con = build_rps4(f, "dual", (-2.0, 2.0))
+    con = build_rps4(f, "dual")
     frac = taylor_sign_check(GrowthRule(link=f), con.core_game, radius=0.01,
                              samples=taylor_samples, seed=seed)
 

@@ -487,6 +487,16 @@ def test_a_payoff_outside_the_link_domain_prints_a_plain_float(capsys):
         "error: payoff 9.393061224489795 outside link domain [0, 9]\n"
 
 
+@pytest.mark.parametrize("link, domain", [("exp:1@-1,1", [-1.0, 1.0]),
+                                          ("exp:1@-3,3", [-3.0, 3.0])])
+def test_dual_4x4_searches_its_links_own_domain(link, domain, capsys):
+    code, doc = run_json(capsys, ["scenario", "dual-4x4", "--link", link])
+    assert code == 0 and doc["ok"] is True
+    assert doc["link"]["domain"] == domain and all(doc["checks"].values())
+    payoffs = np.array(doc["raw"]["construction"]["payoff"])[:3, :3]
+    assert domain[0] <= payoffs.min() and payoffs.max() <= domain[1]
+
+
 def test_scenario_infeasible_construction_exits_1(capsys):
     assert main(["scenario", "survival-nonconvex", "--link", "linear:1,0"]) == 1
     assert "no convexity violation" in capsys.readouterr().err

@@ -210,7 +210,7 @@ def test_the_stepper_finds_the_script_piece_bit_for_bit_like_the_exact_path():
     np.testing.assert_array_equal([p[1] for p in pieces], w)
     # at the start of each piece the stepper reads a row of the table of
     # payoffs at the breakpoints that _exact_flow integrates
-    _, pays, _ = _setup(GrowthRule(), G4, X4, S3, "")
+    _, pays, _ = _setup(GrowthRule(), G4, X4, S3)
     table = S3.values @ G4.payoff.T
     for v in (*S3.times, S3.period * 7):
         j, frac = at(v)

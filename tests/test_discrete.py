@@ -323,7 +323,9 @@ def test_coupled_numerator_failure_names_the_second_population():
 
 
 def test_map_survives_a_ratio_that_rounds_to_minus_one():
-    # (g_0 - gbar) / gbar rounds to exactly -1 although C + g_0 = 1e-17 > 0
+    # with C = 0 and gbar about 0.5, (g_0 - gbar) / (C + gbar) would round to
+    # exactly -1 although C + g_0 = 1e-17 > 0; the map adds log1p((g_i - r) /
+    # (C + r)) with r = min g, whose argument is never negative
     rule = GrowthRule(linear_link(1.0, 0.0, (0.0, 2.0)))
     game = Game([[1e-17, 1e-17], [1.0, 1.0]])
     traj = iterate(rule, game, (0.5, 0.5), n_max=3,
@@ -332,3 +334,46 @@ def test_map_survives_a_ratio_that_rounds_to_minus_one():
     for n in range(3):
         x = step(rule, game, x, C=0.0)
         np.testing.assert_allclose(traj.states[n + 1], x, rtol=1e-12)
+
+
+def test_coupled_map_survives_a_ratio_that_rounds_to_minus_one():
+    # the same ratio in both populations: each one's first strategy earns
+    # 1e-17 against a mean of about 0.5 at C = 0
+    rule = GrowthRule(linear_link(1.0, 0.0, (0.0, 2.0)))
+    game = Game([[1e-17, 1e-17], [1.0, 1.0]])
+    traj = iterate(rule, game, (0.5, 0.5), opponent=Coupled(game, rule, (0.4, 0.6)),
+                   n_max=3, background=constant_background(0.0), sample_every=1)
+    x, y = np.array([0.5, 0.5]), np.array([0.4, 0.6])
+    for n in range(3):
+        x, y = step(rule, game, x, y, C=0.0), step(rule, game, y, x, C=0.0)
+        np.testing.assert_allclose(traj.states[n + 1], x, rtol=1e-12)
+        np.testing.assert_allclose(traj.opp_states[n + 1], y, rtol=1e-12)
+
+
+def _sample_drift(traj):
+    """The largest |sum x - 1| over the samples after the first, of both
+    populations of a coupled run."""
+    logs = [traj.log_states[1:]]
+    if traj.opp_log_states is not None:
+        logs.append(traj.opp_log_states[1:])
+    return max(float(np.abs(np.exp(z).sum(axis=1) - 1.0).max()) for z in logs)
+
+
+@pytest.mark.parametrize("opponent", ["self", "coupled", "scripted"])
+def test_max_drift_is_measured_over_the_normalized_samples(opponent):
+    game, x0 = Game([[2.0, 0.5, 1.0], [0.5, 2.0, 1.5], [1.0, 1.5, 0.5]]), (0.3, 0.3, 0.4)
+    if opponent == "coupled":  # population 2 sets the drift: 3.3e-16 against 2.2e-16
+        game, x0 = FOCAL, (0.6, 0.4)
+    opp = {"self": None, "coupled": Coupled(PARTNER, REPL, (0.2, 0.3, 0.5)),
+           "scripted": Schedule(3.0, [0.0, 1.0, 2.0], np.eye(3))}[opponent]
+    traj = iterate(REPL, game, x0, opponent=opp, n_max=500, sample_every=7,
+                   background=affine_background(1.0, 0.5))
+    assert traj.meta["opponent"] == opponent
+    assert traj.meta["max_drift"] == _sample_drift(traj)
+    assert traj.meta["max_drift"] <= 4 * np.finfo(float).eps
+
+
+def test_iterate_rejects_a_coupled_opponents_speed():
+    partner = Coupled(PARTNER, GrowthRule(speed=2.0), (0.2, 0.3, 0.5))
+    with pytest.raises(ValueError, match="^speed factors only apply to the continuous flow$"):
+        iterate(REPL, FOCAL, (0.3, 0.7), opponent=partner, n_max=10)

@@ -28,7 +28,7 @@ def flow_rate(rule, game, x):
     """x times the flow's own log field (dynamics._log_field) at x, and zero
     off x's support: the frequency-space rate of a self-play run."""
     x = np.asarray(x, dtype=float)
-    (pop,), pays, _ = _setup(rule, game, x, None, "")
+    (pop,), pays, _ = _setup(rule, game, x, None)
     field, _ = _log_field([pop], pays, rule.speed)
     rate = np.zeros_like(x)
     rate[pop.support] = x[pop.support] * field(0.0, np.array([pop.z]), 0.0, 0)[0]
@@ -82,6 +82,13 @@ def test_speed_must_be_positive():
         GrowthRule(speed=-1.0)
     with pytest.raises(TypeError, match="speed"):
         GrowthRule(speed="fast")
+
+
+def test_a_coupled_opponents_speed_is_refused():
+    partner = Coupled(Game([[1.0, 0.0], [0.0, 1.0]]), GrowthRule(speed=2.0), (0.5, 0.5))
+    with pytest.raises(ValueError, match="^speed belongs to the first population's rule "
+                                         "in coupled runs$"):
+        integrate(REPL, GAP_GAME, (0.5, 0.5), opponent=partner, t_max=1.0)
 
 
 def test_payoff_dependent_speed_scales_by_mean_payoff():

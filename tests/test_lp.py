@@ -102,6 +102,30 @@ def test_an_lp_without_constraint_rows_is_unbounded_on_a_positive_cost():
         solve_max([-1.0, 2.0], np.zeros((0, 2)), [], [])
 
 
+def test_an_lp_without_variables_is_its_empty_optimum():
+    x, val, pi = solve_max([], np.zeros((0, 0)), [], [])
+    assert x.shape == (0,) and val == 0.0 and pi.shape == (0,)
+    assert type(val) is float
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("c, A, b, match", [
+    # in b: the basic entry of x is nan
+    ([0.0, 0.0], [[1.0, 1.0]], [NAN], "residual nan"),
+    # in a nonbasic column of A: its reduced cost is nan, so it never enters
+    ([0.0, 0.0], [[1.0, NAN]], [1.0], "residual nan"),
+    ([0.0, 1.0], [[1.0, NAN]], [1.0], "residual nan"),
+    # in c, nonbasic and basic: the objective value is nan
+    ([0.0, NAN], [[1.0, 1.0]], [1.0], "objective value nan is not finite"),
+    ([NAN, 1.0], [[1.0, 1.0]], [1.0], "objective value nan is not finite"),
+])
+def test_a_nan_in_the_lp_is_an_error(c, A, b, match):
+    with pytest.raises(LpError, match=match):
+        solve_max(c, A, b, [0])
+
+
 def _enumerate_optimum(c, A, b):
     """Best basic feasible solution by brute force over column subsets."""
     m, n = A.shape
