@@ -28,6 +28,6 @@ from .links import (DomainError, DynamicsClass, LinkFunction, classify_link,
                     table_link)
 from .lp import LpError, solve_max
 from .scenarios import (SCENARIOS, BasinK, Rps4Construction,
-                        SurvivalConstruction, build_rps4, build_survival, named_game)
+                        SurvivalConstruction, build_rps4, build_survival)
 
 __version__ = "0.1.0"

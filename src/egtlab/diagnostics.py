@@ -144,19 +144,20 @@ def periodic_floor(traj: Trajectory, coords, period: float) -> float:
     return float(np.exp(pair.min()))
 
 
-def taylor_sign_check(rule: GrowthRule | None, game: Game,
+def taylor_sign_check(rule: GrowthRule, game: Game,
                       radius: float = 0.01, samples: int = 200,
                       seed: int = 0) -> float:
     """Fraction of sampled near-center states where ln(x1 x2 x3) is falling.
 
     The game must be the 3x3 cycle with rows (a,c,b),(b,a,c),(c,b,a), c<a<b.
     Perturbations h with sum 0 and ||h|| <= radius are drawn around the
-    barycenter; the drift sum_i xdot_i/x_i is the row sum of the flow's own
-    log field (dynamics._log_field). The product peaks at the barycenter, so
-    a fraction of 1.0 means the nearby flow spirals outward on essentially
-    every draw, while an attracting center yields 0.0. Exact-zero drifts are
-    not counted. A payoff outside the link's domain, or a speed factor that
-    is not positive, raises the field's IntegrationError.
+    barycenter; the drift sum_i xdot_i/x_i is the row sum of the log field
+    of rule's flow (dynamics._log_field; GrowthRule() is the replicator's).
+    The product peaks at the barycenter, so a fraction of 1.0 means the
+    nearby flow spirals outward on essentially every draw, while an
+    attracting center yields 0.0. Exact-zero drifts are not counted. A
+    payoff outside the link's domain, or a speed factor that is not
+    positive, raises the field's IntegrationError.
     """
     A = game.payoff
     if A.shape != (3, 3):
@@ -172,7 +173,6 @@ def taylor_sign_check(rule: GrowthRule | None, game: Game,
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
-    rule = rule or GrowthRule()
     drifts, attempts = np.empty(0), 0
     while drifts.size < samples:
         if attempts >= 100 * samples:

@@ -13,8 +13,10 @@ the one increment log1p((g_i - r_n) / (C_n + r_n)) with r_n = min_i g_i,
 the value the numerator check C_n + g_i > 0 reads. Its argument is never
 negative, so no ratio rounds to -1, and no mean growth rate is formed. It
 overflows only where (C_n + g_i) / (C_n + r_n) exceeds the largest double,
-and the stepper then stops with a non-finite state. Each path reports as max_drift the largest |sum x - 1| over its normalized
-samples after the first (dynamics._drift), as the exact flow does.
+and every path then stops with "state became non-finite" at the first
+generation whose increment is not finite. Each path reports as max_drift
+the largest |sum x - 1| over its normalized samples after the first
+(dynamics._drift), as the exact flow does.
 
 Two paths compute the same generations:
 
@@ -168,20 +170,21 @@ def _generations(pops, background: BackgroundFitness, n_steps: int, sample_every
     return [float(k) for k in counts], samples, max(_drift(s[1:]) for s in samples)
 
 
-def _scripted_generations(pop, schedule: Schedule, link, background: BackgroundFitness,
+def _scripted_generations(pop, schedule: Schedule, background: BackgroundFitness,
                           n_steps: int, sample_every: int):
     """The ratio map of _generations against a script, in closed form (see
     the module docstring) with the same samples. Each generation's
     increments, the stepper's, lose their mean over the support, a shift
     common to every coordinate. A payoff outside the link domain fails
-    before a numerator C_n + g_i that is not positive, generation by
-    generation, as in _generations. An integer period P up to _BLOCK has
+    before a numerator C_n + g_i that is not positive, and that before an
+    increment that is not finite, generation by generation, as in
+    _generations. The link is pop.f. An integer period P up to _BLOCK has
     its link values evaluated on the first period only; with a constant
     background that period is folded (dynamics._fold). Other runs sum
     blocks of _BLOCK generations, so memory does not grow with the horizon.
     Returns (sample times, [logs at each sample], max drift, _drift).
     """
-    rows, f, period = pop.payoffs, array_link(link), schedule.period
+    rows, f, period = pop.payoffs, array_link(pop.f), schedule.period
 
     def link_values(t):
         """Link values at the generations t, one row each."""
@@ -211,8 +214,14 @@ def _scripted_generations(pop, schedule: Schedule, link, background: BackgroundF
                 f"background plus growth rate not positive at generation {k} "
                 f"({pop.name(int(np.argmax(bad[k - lo])))})", t=float(k), step=k)
         r = g.min(axis=1, keepdims=True)
-        d = np.log1p((g - r) / (C + r))
-        return d - d.mean(axis=1, keepdims=True)
+        with np.errstate(over="ignore"):  # an increment of inf is refused below
+            d = np.log1p((g - r) / (C + r))
+        # d >= 0, so a generation's mean is inf exactly where an increment is
+        mean = d.mean(axis=1, keepdims=True)
+        if not mean.max() < math.inf:
+            k = lo + int(np.argmax(mean[:, 0] == math.inf))
+            raise IntegrationError(f"state became non-finite near t={k:g}", t=float(k), step=k)
+        return d - mean
 
     counts = _sample_counts(n_steps, sample_every)
     if background.kind == "constant" and P:
@@ -231,7 +240,7 @@ def _scripted_generations(pop, schedule: Schedule, link, background: BackgroundF
     return counts.astype(float), [np.vstack([pop.z, z])], _drift(z)
 
 
-def iterate(rule: GrowthRule | None, game: Game, x0,
+def iterate(rule: GrowthRule, game: Game, x0,
             opponent: Schedule | Coupled | None = None,
             n_max: int = 10_000,
             background: BackgroundFitness = BackgroundFitness("constant", 0.0),
@@ -253,7 +262,6 @@ def iterate(rule: GrowthRule | None, game: Game, x0,
     |sum x - 1| over the normalized samples after the first
     (dynamics._drift), on either path.
     """
-    rule = rule or GrowthRule()
     if rule.speed is not None or (isinstance(opponent, Coupled)
                                   and opponent.rule.speed is not None):
         raise ValueError("speed factors only apply to the continuous flow")
@@ -262,7 +270,7 @@ def iterate(rule: GrowthRule | None, game: Game, x0,
     pops, _, label = _setup(rule, game, x0, opponent)
     if label == "scripted":
         times, samples, max_drift = _scripted_generations(
-            pops[0], opponent, rule.effective_link, background, n_steps, sample_every)
+            pops[0], opponent, background, n_steps, sample_every)
     else:
         times, samples, max_drift = _generations(pops, background, n_steps, sample_every)
     meta = {"dynamics": "discrete", "steps": n_steps, "background": background,

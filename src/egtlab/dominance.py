@@ -43,10 +43,12 @@ answers every row whose product passes the screen's test, which settles
 row k's query if row k is one. Otherwise the LP's answer goes through the
 re-check above. So the screen skips only queries that would answer "not
 dominated", and rounds, removals, margins and dominators are those of
-querying every alive strategy with find_dominator, to the bit. When both seats read the same matrix (a single population,
-or an opponent game with byte-equal payoffs), the two seats' strategy sets
-stay equal and their queries coincide, so one side's removals are recorded
-for both, and one pool of certificates serves both.
+querying every alive strategy with find_dominator, to the bit.
+
+When both seats read the same matrix (a single population, or an opponent
+game with byte-equal payoffs), the two seats' strategy sets stay equal and
+their queries coincide, so one side's removals are recorded for both, and
+one pool of certificates serves both.
 """
 
 from __future__ import annotations
@@ -115,15 +117,13 @@ def _checked_sets(game: Game, restrict_rows, restrict_cols):
     return rows, cols
 
 
-def strict_margin(game: Game, p, q, restrict_cols=None) -> float:
-    """Worst-case payoff advantage of p over q across the given opponent columns."""
+def strict_margin(game: Game, p, q) -> float:
+    """Worst-case payoff advantage of p over q across the opponent's columns."""
     ps = as_strategy(p)
     qs = as_strategy(q)
     if len(ps) != game.n_rows or len(qs) != game.n_rows:
         raise ValueError("p and q must mix over the game's rows")
-    _, cols = _checked_sets(game, None, restrict_cols)
-    diff = (ps.weights - qs.weights) @ game.payoff
-    return float(diff[list(cols)].min())
+    return float(((ps.weights - qs.weights) @ game.payoff).min())
 
 
 def find_dominator(game: Game, q, restrict_rows=None, restrict_cols=None,
@@ -326,17 +326,16 @@ def iterate_elimination(game: Game, mode: str = "pure-by-mixed",
     return EliminationTrace(mode, tuple(rounds), tuple(removals))
 
 
-def is_mixed_iteratively_dominated(game: Game, opponent_game: Game | None, q,
-                                   dominators: str = "mixed") -> DominanceResult:
+def is_mixed_iteratively_dominated(game: Game, opponent_game: Game | None,
+                                   q) -> DominanceResult:
     """Is mixture q strictly dominated after iterated elimination of pures?
 
-    Runs pure-strategy elimination to its fixed point (pass opponent_game
+    Runs pure-by-mixed elimination to its fixed point (pass opponent_game
     None for the single-population reading of a square game), then asks for
-    a dominator of q whose support lies in the surviving rows, measured
-    against the surviving columns. dominators='pure' downgrades both stages
-    to pure-strategy dominance; any other value is a ValueError.
+    a mixed dominator of q whose support lies in the surviving rows,
+    measured against the surviving columns. With pure dominators at both
+    stages the query is iterate_elimination(..., "pure-by-pure") followed by
+    find_dominator(..., mode="pure") on its survivors.
     """
-    if dominators not in ("mixed", "pure"):
-        raise ValueError(f"unknown dominators {dominators!r}")
-    trace = iterate_elimination(game, mode=f"pure-by-{dominators}", opponent_game=opponent_game)
-    return find_dominator(game, q, trace.surviving_rows, trace.surviving_cols, mode=dominators)
+    trace = iterate_elimination(game, opponent_game=opponent_game)
+    return find_dominator(game, q, trace.surviving_rows, trace.surviving_cols)

@@ -1,8 +1,10 @@
 """Continuous-time selection dynamics driven by a link function.
 
-The flow is x_i' = lam * x_i * (g_i - gbar) with g_i the link applied to the
+The flow is x_i' = x_i * (g_i - gbar) with g_i the link applied to the
 expected payoff of strategy i and gbar the population mean growth rate. With
-a linear link and unit speed this is the classical replicator flow.
+a linear link this is the classical replicator flow. A speed factor, a link
+over the mean payoff, multiplies the right-hand side; a constant one would
+only change how fast time runs (see GrowthRule).
 
 Integration runs in log coordinates z_i = ln x_i, over one population
 (playing itself or a scripted opponent), a batch of self-play runs that share
@@ -22,16 +24,17 @@ sample_every define, so dt sets the sample grid, not the step.
 Steps never cross a bound of _grid (the opponent script's breakpoints),
 so a kink of the script never falls inside a step. Logs are renormalized
 after every accepted step and the largest pre-renormalization drift, a
-measure of the integration error, is kept in the meta. Against a script the stepper reads the payoffs, affine on each
-piece, off the table of their values at the pieces' ends that the exact path
-integrates (_piece_payoffs). A speed factor over the mean payoff is scanned
-on every call only where it is not positive on the payoff hull widened by
-its domain pad; elsewhere one check per run covers every call.
+measure of the integration error, is kept in the meta. Against a script the
+stepper reads the payoffs, affine on each piece, off the table of their
+values at the pieces' ends that the exact path integrates (_piece_payoffs).
+A speed factor is scanned on every call only where it is not positive on
+the payoff hull widened by its domain pad; elsewhere one check per run
+covers every call.
 
-Against a script, with a state-free speed lam and a link of a family with
-an antiderivative (all but the effective link), each growth rate depends on
+Against a script, with no speed factor and a link of a family with an
+antiderivative (all but the effective link), each growth rate depends on
 time alone and gbar is a shift common to all coordinates, so z_i(t) = z_i(0)
-+ lam int_0^t f(u_i(s)) ds up to that shift. u_i is affine on each piece
++ int_0^t f(u_i(s)) ds up to that shift. u_i is affine on each piece
 [a, b] of the script, and the integral is (b - a) (F(u_b) - F(u_a)) /
 (u_b - u_a), F an antiderivative of the link, or (b - a) f(u_a) if u_a = u_b.
 That quotient cancels where F's terms exceed 32 |u_b - u_a| (1 + |f(u_a)| +
@@ -39,7 +42,7 @@ That quotient cancels where F's terms exceed 32 |u_b - u_a| (1 + |f(u_a)| +
 Gauss-Legendre rule takes those. A piece's mean of f is then off by about
 100 eps (1 + |f(u_a)| + |f(u_b)|) at most, plus 1.7e-23 |u_b - u_a|^16
 max|f^(16)| by Gauss-Legendre. With one period's sum S and its prefix sums,
-z(t) = z(0) + lam (floor(t / P) S + prefix[k] + the part of piece k up to t),
+z(t) = z(0) + floor(t / P) S + prefix[k] + the part of piece k up to t,
 normalized at the samples only (_exact_flow): O(pieces + samples) work
 after _grid's one array pass over the breakpoints up to t_max. The fold is
 _fold, which the scripted generation map shares (discrete.py). Its drift is
@@ -282,19 +285,20 @@ def eval_schedule(schedule: Schedule, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GrowthRule:
-    """Link plus optional speed factor; link None means plain replicator."""
+    """Link plus optional speed factor; link None means plain replicator.
+
+    speed is None or a link over the first population's mean payoff, by
+    which the flow's right-hand side is multiplied. A constant speed lam is
+    refused, since it only changes time: that run is the unit-speed run to
+    lam t_max, its script's times and period stretched by lam, read at
+    lam t."""
 
     link: LinkFunction | None = None
-    speed: float | LinkFunction | None = None
+    speed: LinkFunction | None = None
 
     def __post_init__(self):
-        if isinstance(self.speed, (int, float)):
-            s = float(self.speed)
-            if not (math.isfinite(s) and s > 0):
-                raise ValueError(f"constant speed must be positive, got {self.speed!r}")
-            object.__setattr__(self, "speed", s)
-        elif self.speed is not None and not isinstance(self.speed, LinkFunction):
-            raise TypeError("speed must be None, a positive number, or a link over mean payoff")
+        if self.speed is not None and not isinstance(self.speed, LinkFunction):
+            raise TypeError(f"speed must be None or a link over mean payoff, got {self.speed!r}")
 
     @property
     def effective_link(self) -> LinkFunction:
@@ -304,10 +308,7 @@ class GrowthRule:
     def label(self) -> str:
         base = ("replicator" if self.link is None
                 else f"payoff-functional({self.link.family})")
-        if self.speed is None:
-            return base
-        factor = self.speed if isinstance(self.speed, float) else self.speed.family
-        return f"{base}*speed({factor})"
+        return base if self.speed is None else f"{base}*speed({self.speed.family})"
 
 
 @dataclass(frozen=True)
@@ -415,7 +416,7 @@ def _setup(rule: GrowthRule, game: Game, x0, opponent):
                 f"coupled game must be {m}x{n} (opponent strategies x ours), "
                 f"got {opponent.game.n_rows}x{opponent.game.n_cols}")
         z2 = _log_state(opponent.y0, m, "coupled initial state")
-        if isinstance(rule.speed, LinkFunction):
+        if rule.speed is not None:
             raise ValueError("payoff-dependent speed is not supported with a coupled opponent")
         if opponent.rule.speed is not None:
             raise ValueError("speed belongs to the first population's rule in coupled runs")
@@ -534,11 +535,10 @@ def _log_field(pops, pays, speed):
     links = [array_link(pop.f, pop.hull) for pop in pops]
     checked = [not hull_inside(pop.f, pop.hull) for pop in pops]
     speed_link = scanned = None
-    if isinstance(speed, LinkFunction):
+    if speed is not None:
         (lo, hi), pad = pops[0].hull, domain_pad(speed)
         speed_link = array_link(speed, pops[0].hull)
         scanned = _speed_faults(speed_link(_extremes(speed, lo - pad, hi + pad))).any()
-    lam0 = speed if isinstance(speed, float) else None
     add, top = np.add.reduce, np.maximum.reduce
 
     def field(t, z, t0, step):
@@ -563,7 +563,7 @@ def _log_field(pops, pays, speed):
                     f"speed factor not positive (or outside its table) near t={t0:g}",
                     t=t0, step=step, member=int(np.argmax(_speed_faults(lam))))
             return d * lam[:, None]
-        return d if lam0 is None else d * lam0
+        return d
 
     return field, slices
 
@@ -700,8 +700,8 @@ _GL_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
 _GL_X, _GL_W = np.append(-_GL_X, _GL_X[::-1]), np.append(_GL_W, _GL_W[::-1])
 
 
-def _exact_flow(pop, schedule: Schedule, lam: float, t_max: float, times):
-    """The run against a script at constant speed lam, integrated exactly at
+def _exact_flow(pop, schedule: Schedule, t_max: float, times):
+    """The run against a script with no speed factor, integrated exactly at
     the sample times (see the module docstring), the link taken at the
     argument clamped to its domain as array_link takes it. A payoff leaving
     the padded domain before t_max fails where it crosses the edge, earliest
@@ -734,20 +734,20 @@ def _exact_flow(pop, schedule: Schedule, lam: float, t_max: float, times):
         mean[rows] = np.where(cancels[rows], 0.5 * (g @ _GL_W), mean[rows])
     areas = np.append(lengths, w * lengths[k])[:, None] * mean
     areas -= areas.mean(axis=1, keepdims=True)  # the common shift, kept off the sums
-    z, drift = _fold(pop.z, areas[:len(starts)], cycles, k, areas[len(starts):], lam)
+    z, drift = _fold(pop.z, areas[:len(starts)], cycles, k, areas[len(starts):])
     return [z], drift, 4 * len(ua) + 8 * int(rows.sum())
 
 
-def _fold(z0, rows, cycles, k, partial=0.0, lam=1.0):
+def _fold(z0, rows, cycles, k, partial=0.0):
     """Logs at samples that lie cycles whole periods, k increment rows and
     partial past z0 (one entry per sample, the first sample z0 itself):
-    z0 + lam (cycles S + prefix[k] + partial), with prefix the prefix sums of
+    z0 + (cycles S + prefix[k] + partial), with prefix the prefix sums of
     one period's mean-free increment rows and S their sum. Each sample's
     largest log comes off before the log of the sum, so the samples are
     normalized to rounding. Returns (logs, max |sum x - 1| over the samples
     after the first)."""
     prefix = np.cumsum(np.vstack([np.zeros(len(z0)), rows]), axis=0)
-    z = np.asarray(z0) + lam * (cycles[:, None] * prefix[-1] + prefix[k] + partial)
+    z = np.asarray(z0) + (cycles[:, None] * prefix[-1] + prefix[k] + partial)
     z[1:] -= z[1:].max(axis=1, keepdims=True)
     z[0] = z0
     _normalize(z[1:], [slice(None)])
@@ -784,9 +784,9 @@ def integrate(rule: GrowthRule, game: Game, x0,
 
     dt sets the sample grid: the fixed-step grid of dt cut at the script's
     breakpoints, sampled at the start, every sample_every-th grid step and
-    the end; sample_every must be a positive integer. A scripted run whose
-    speed is None or a number takes no steps: it is integrated exactly
-    (_exact_flow, method "exact"), whatever dt. Every other run, and a run
+    the end; sample_every must be a positive integer. A scripted run with no
+    speed factor takes no steps: it is integrated exactly (_exact_flow,
+    method "exact"), whatever dt. Every other run, and a run
     on a link ln(C + f) of the effective family, which has no
     antiderivative, takes the stepper (method "dop853"): the 8th-order
     Dormand-Prince pair, sizing its steps under error control at
@@ -815,11 +815,9 @@ def integrate(rule: GrowthRule, game: Game, x0,
     pops, pays, label = _setup(rule, game, x0[0] if batch else x0, opponent)
     scripted = label == "scripted"
     bounds, times = _grid(t_max, dt, sample_every, opponent if scripted else None)
-    if (scripted and not isinstance(rule.speed, LinkFunction)
-            and rule.effective_link.family != "effective"):
+    if scripted and rule.speed is None and rule.effective_link.family != "effective":
         with np.errstate(divide="ignore", invalid="ignore"):  # masked by np.where
-            samples, max_drift, evals = _exact_flow(pops[0], opponent, rule.speed or 1.0,
-                                                    t_max, times)
+            samples, max_drift, evals = _exact_flow(pops[0], opponent, t_max, times)
         stats = {"method": "exact", "steps": 0, "rejected": 0, "rhs_evals": evals,
                  "h_min": None, "h_max": None, "rtol": None}
     else:

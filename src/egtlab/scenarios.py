@@ -182,22 +182,21 @@ class SurvivalConstruction:
         return pure(1, 3) if self.variant == "nonconvex" else _MIX_TB
 
 
-def build_survival(f: LinkFunction, variant: str, search_box=None) -> SurvivalConstruction:
+def build_survival(f: LinkFunction, variant: str) -> SurvivalConstruction:
     """Search (a, b) for the strongest curvature violation and construct on it.
 
     nonconvex wants f(midpoint) above the endpoint mean (impossible for convex
-    f), nonconcave the reverse. _grid_search maximizes it over pairs a < b on
-    201 then 201 points per axis. Each pass scores three blocks of at most 81
-    b values, evaluating f on the 201 a values, the block's b values and their
-    midpoints. The largest midpoint shift that keeps the violation comes from
-    a bisection that evaluates f on the 15 midpoints of four halvings at a
-    time. Half of it is spent on the domination margin eps; the rest remains
-    as the growth-rate gap alpha.
+    f), nonconcave the reverse. _grid_search maximizes it over pairs a < b in
+    f's domain on 201 then 201 points per axis; to search a smaller box,
+    pass dataclasses.replace(f, domain=box). Each pass scores three blocks
+    of at most 81 b values, evaluating f on the 201 a values, the block's b
+    values and their midpoints. The largest midpoint shift that keeps the
+    violation comes from a bisection that evaluates f on the 15 midpoints of
+    four halvings at a time. Half of it is spent on the domination margin
+    eps; the rest remains as the growth-rate gap alpha.
     """
     _check(variant in _VARIANTS_3X2, f"unknown construction variant {variant!r}")
-    lo, hi = search_box if search_box is not None else f.domain
-    lo, hi = float(lo), float(hi)
-    _check(lo < hi, f"empty search box [{lo!r}, {hi!r}]")
+    lo, hi = f.domain
     sign = 1.0 if variant == "nonconvex" else -1.0
     flag = "convexity" if variant == "nonconvex" else "concavity"
 
@@ -289,7 +288,7 @@ class Rps4Construction:
     @property
     def core_game(self) -> Game:
         """The 3x3 cycle on its own."""
-        return named_game("rps-base", self.a, self.b, self.c)
+        return Game(self.game.payoff[:3, :3])
 
 
 def build_rps4(f: LinkFunction, variant: str, search_box=None) -> Rps4Construction:
@@ -298,10 +297,11 @@ def build_rps4(f: LinkFunction, variant: str, search_box=None) -> Rps4Constructi
 
     The inequality system couples the linear cycle direction (through the raw
     payoffs) with the linked one (through f). _grid_search picks the triple
-    with the largest worst normalized slack on 50 then 21 points per axis,
-    evaluating f on the three axes only. The coarse pass scores nine blocks of
-    six b values, each with the a and c axes whole, so the span of f that
-    normalizes the slack is the whole grid's; the fine pass is one block.
+    in search_box (lo, hi), f's domain by default, with the largest worst
+    normalized slack on 50 then 21 points per axis, evaluating f on the
+    three axes only. The coarse pass scores nine blocks of six b values,
+    each with the a and c axes whole, so the span of f that normalizes the
+    slack is the whole grid's; the fine pass is one block.
     beta and gamma are 2% and 10% of the payoff spread, beta clamped to keep
     the fourth strategy dominated in the hofbauer-weibull variant. Other
     parameters construct an Rps4Construction directly.
@@ -395,21 +395,6 @@ class BasinK:
             return np.concatenate([mass * p, [0.5 * self.eps4]])
 
 
-def named_game(name: str, *params: float) -> Game:
-    """Catalog of small example games addressed by name; rps-base takes its
-    three payoffs (a, b, c) as arguments."""
-    if name == "discussion-3x3":
-        if params:
-            raise ValueError("discussion-3x3 takes no parameters")
-        return Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]])
-    if name == "rps-base":
-        if len(params) != 3:
-            raise ValueError("rps-base needs exactly three payoffs (a, b, c)")
-        a, b, c = params
-        return Game([[a, c, b], [b, a, c], [c, b, a]])
-    raise ValueError(f"unknown game name {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # Scenario runners. Each returns (report dict, primary trajectory); reports
 # hold full-precision floats and a deterministic seed record.
@@ -438,7 +423,7 @@ def _finish(report: dict) -> dict:
 def run_discussion(link: LinkFunction | None = None, *, seed: int = 0,
                    t_max: float = 200.0):
     """Three-strategy game where a mixture loses to the third pure strategy."""
-    game = named_game("discussion-3x3")
+    game = Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]])
     q = np.array([0.5, 0.5, 0.0])
     dom = find_dominator(game, q, mode="mixed")
     traj = integrate(GrowthRule(link=link), game, [0.4, 0.4, 0.2], t_max=t_max, dt=_DT,

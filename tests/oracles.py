@@ -352,9 +352,9 @@ def rk4_flow(rule: GrowthRule, game, x0, opponent=None, t_max: float = 1.0,
     and u = A y against the opponent mixture y: the population itself
     (opponent None), a Schedule read by script_at, or a coupled partner
     given as a plain (game, rule, y0) whose payoffs are against this
-    population and whose own link drives it. lam is the first rule's speed:
-    a constant, which in a coupled run times both populations, or a link
-    over the mean payoff x . u. Each population's logs are renormalized
+    population and whose own link drives it. lam is 1, or the first rule's
+    speed, a link over the mean payoff x . u, which in a coupled run times
+    both populations. Each population's logs are renormalized
     after every step. Returns (sample times, logs at the samples, the
     partner's logs at the samples or None)."""
     coupled = isinstance(opponent, tuple)
@@ -383,9 +383,9 @@ def rk4_flow(rule: GrowthRule, game, x0, opponent=None, t_max: float = 1.0,
             us.append(own_game.payoff[sup] @ y)
             g = eval_link(own_rule.effective_link, us[-1])
             out.append(g - x[sup] @ g)
-        lam = rule.speed or 1.0
-        if isinstance(lam, LinkFunction):
-            lam = eval_link(lam, float(xs[0][supports[0]] @ us[0]))
+        if rule.speed is None:
+            return out
+        lam = eval_link(rule.speed, float(xs[0][supports[0]] @ us[0]))
         return [lam * d for d in out]
 
     def shifted(zs, h, ds):
@@ -425,9 +425,7 @@ def vector_field(rule: GrowthRule, game, x, y=None) -> np.ndarray:
     g = np.array([eval_link(f, ui) if xi > 0 else 0.0 for ui, xi in zip(u, x)])
     gbar = float(x @ g)
     lam = 1.0
-    if isinstance(rule.speed, float):
-        lam = rule.speed
-    elif isinstance(rule.speed, LinkFunction):
+    if rule.speed is not None:
         lam = eval_link(rule.speed, float(x @ u))
         if lam <= 0:
             raise IntegrationError(f"speed factor {lam:g} is not positive")
@@ -497,8 +495,6 @@ def w_rate(rule: GrowthRule | None, game, x, p, q, y=None) -> float:
     u = game.payoff @ y
     rate = sum(ci * eval_link(f, ui) for ci, ui in zip(c, u) if ci != 0.0)
     lam = 1.0
-    if isinstance(rule.speed, float):
-        lam = rule.speed
-    elif isinstance(rule.speed, LinkFunction):
+    if rule.speed is not None:
         lam = eval_link(rule.speed, float(x @ u))
     return lam * rate

@@ -232,6 +232,16 @@ def test_simulate_refuses_fields_it_does_not_read(tmp_path, capsys, case):
     assert f"config field {field} is unknown" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("speed", [2.0, -1.0, True, "fast"])
+def test_a_speed_that_is_no_table_exits_1(tmp_path, capsys, speed):
+    # a constant speed is a change of time (scale t_max), not a speed factor
+    cfg = {**SHORT, "rule": {"speed": speed}}
+    assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert ("config field rule.speed: speed must be None or a link over mean payoff, "
+            f"got {speed!r}") in err
+
+
 @pytest.mark.parametrize("cfg", [
     {**SHORT, "mode": "continuous", "x0": [0.4, 0.4, 0.2], "targets": [TARGET],
      "rule": {"kind": "payoff-functional",

@@ -1,8 +1,10 @@
 """Closed-form scripted runs against independent references.
 
-Scripted flows with a state-free speed are integrated exactly; they are
+Scripted flows with no speed factor are integrated exactly; they are
 compared with SciPy's quad and the fixed-step RK4 of tests/oracles.py, and
-with themselves on other dt grids.
+with themselves on other dt grids. Two of the quad cases are the time change
+that replaces a constant speed lam: the unit-speed run against the script
+stretched by lam, read at lam t, is the run at speed lam.
 Scripted generation maps are compared with repeated generations of the
 reference map oracles.step, the one-period fold with the block loop, and the
 block loop with each generation's increments computed on their own.
@@ -46,15 +48,27 @@ TABLE = table_link([0.0, 0.5, 0.7, 0.9, 1.2, 2.0], [0.0, 1.0, 0.2, 1.4, 0.3, 2.0
 X4 = (0.1, 0.2, 0.3, 0.4)
 EPS = np.finfo(float).eps
 
+
+def stretched(script: Schedule, lam: float) -> Schedule:
+    """script with its times and period stretched by lam."""
+    return Schedule(lam * script.period, lam * script.times, script.values)
+
+
+# case -> (lam, script): the case runs at unit speed against stretched(script,
+# lam), and quad integrates the run at constant speed lam against script,
+# read at t / lam
+TIME_CHANGES = {"constant speed": (2.5, S3), "short plateaus": (1.5, STAIRS)}
+
 FLOWS = {
     "sqrt link": (GrowthRule(sqrt_link((0.0, 1.0))), SURVIVAL, (0.3, 0.3, 0.4), WAVE,
                   dict(t_max=7.5)),
     "start on a face": (GrowthRule(sqrt_link((0.0, 1.0))), SURVIVAL, (0.6, 0.0, 0.4),
                         WAVE, dict(t_max=7.5, sample_every=7)),
-    "constant speed": (GrowthRule(exp_link(1.0, (0.0, 2.0)), speed=2.5), G4, X4, S3,
-                       dict(t_max=4.3, dt=3e-3, sample_every=13)),
-    "short plateaus": (GrowthRule(sqrt_link((0.0, 1.0)), speed=1.5), SURVIVAL,
-                       (0.3, 0.3, 0.4), STAIRS, dict(t_max=2.8, dt=0.1, sample_every=1)),
+    "constant speed": (GrowthRule(exp_link(1.0, (0.0, 2.0))), G4, X4, stretched(S3, 2.5),
+                       dict(t_max=2.5 * 4.3, dt=2.5 * 3e-3, sample_every=13)),
+    "short plateaus": (GrowthRule(sqrt_link((0.0, 1.0))), SURVIVAL, (0.3, 0.3, 0.4),
+                       stretched(STAIRS, 1.5),
+                       dict(t_max=1.5 * 2.8, dt=1.5 * 0.1, sample_every=1)),
     "three periods": (GrowthRule(sqrt_link((0.0, 1.0))), SURVIVAL, (0.3, 0.3, 0.4), WAVE,
                       dict(t_max=19.0, dt=2e-3, sample_every=333)),
     "face start over three periods": (GrowthRule(sqrt_link((0.0, 1.0))), SURVIVAL,
@@ -83,8 +97,9 @@ def test_exact_flow_matches_quad(case):
     pytest.importorskip("scipy")
     rule, game, x0, script, kw = FLOWS[case]
     traj = integrate(rule, game, x0, opponent=script, **kw)
-    want = oracles.scripted_flow_logs(rule.effective_link, rule.speed or 1.0, game.payoff,
-                                      script, x0, traj.times)
+    lam, original = TIME_CHANGES.get(case, (1.0, script))
+    want = oracles.scripted_flow_logs(rule.effective_link, lam, game.payoff, original, x0,
+                                      traj.times / lam)
     assert traj.meta["method"] == "exact"
     np.testing.assert_array_equal(np.isinf(traj.log_states), np.isinf(want))
     finite = np.isfinite(want)

@@ -52,8 +52,8 @@ def test_w_rate_hand_value():
     x = (0.4, 0.4, 0.2)
     p, q = (0.0, 0.0, 1.0), (0.5, 0.5, 0.0)
     assert w_rate(None, DISCUSSION, x, p, q) == pytest.approx(0.6, abs=1e-12)
-    # a constant speed factor scales the rate, a linear link does the same
-    assert w_rate(GrowthRule(speed=2.0), DISCUSSION, x, p, q) == \
+    # a speed factor of 2 scales the rate, a linear link does the same
+    assert w_rate(GrowthRule(speed=linear_link(0.0, 2.0)), DISCUSSION, x, p, q) == \
         pytest.approx(1.2, abs=1e-12)
     doubler = GrowthRule(link=linear_link(2.0, 0.0))
     assert w_rate(doubler, DISCUSSION, x, p, q) == pytest.approx(1.2, abs=1e-12)
@@ -158,8 +158,8 @@ def test_least_squares_slope_exact_line():
 
 def test_cycle_probe_direction_values():
     # delta = a - (b+c)/2 decides the near-center drift sign under the bare map
-    assert taylor_sign_check(None, cycle_game(1.0, 2.0, -2.0), samples=150) == 1.0
-    assert taylor_sign_check(None, cycle_game(-1.0, 2.0, -2.0), samples=150) == 0.0
+    assert taylor_sign_check(REPL, cycle_game(1.0, 2.0, -2.0), samples=150) == 1.0
+    assert taylor_sign_check(REPL, cycle_game(-1.0, 2.0, -2.0), samples=150) == 0.0
 
 
 def test_cycle_probe_keeps_its_sign_under_a_monotone_link():
@@ -240,10 +240,10 @@ def test_cycle_probe_reports_the_first_draw_outside_the_link_domain():
 
 def test_cycle_probe_validation():
     with pytest.raises(ValueError, match="cyclic pattern"):
-        taylor_sign_check(None, DISCUSSION)
+        taylor_sign_check(REPL, DISCUSSION)
     with pytest.raises(ValueError, match="c < a < b"):
-        taylor_sign_check(None, cycle_game(3.0, 2.0, -2.0))
+        taylor_sign_check(REPL, cycle_game(3.0, 2.0, -2.0))
     with pytest.raises(ValueError, match="radius"):
-        taylor_sign_check(None, cycle_game(1.0, 2.0, -2.0), radius=0.1)
+        taylor_sign_check(REPL, cycle_game(1.0, 2.0, -2.0), radius=0.1)
     with pytest.raises(ValueError, match="samples"):
-        taylor_sign_check(None, cycle_game(1.0, 2.0, -2.0), samples=0)
+        taylor_sign_check(REPL, cycle_game(1.0, 2.0, -2.0), samples=0)

@@ -174,7 +174,7 @@ def test_large_background_approaches_the_flow():
 
 def test_iterate_rejects_speed_factors():
     with pytest.raises(ValueError, match="speed"):
-        iterate(GrowthRule(speed=2.0), TWO_ONE, (0.5, 0.5), n_max=10)
+        iterate(GrowthRule(speed=linear_link(0.0, 2.0)), TWO_ONE, (0.5, 0.5), n_max=10)
 
 
 def test_iterate_rejects_an_empty_run():
@@ -374,6 +374,28 @@ def test_max_drift_is_measured_over_the_normalized_samples(opponent):
 
 
 def test_iterate_rejects_a_coupled_opponents_speed():
-    partner = Coupled(PARTNER, GrowthRule(speed=2.0), (0.2, 0.3, 0.5))
+    partner = Coupled(PARTNER, GrowthRule(speed=linear_link(0.0, 2.0)), (0.2, 0.3, 0.5))
     with pytest.raises(ValueError, match="^speed factors only apply to the continuous flow$"):
         iterate(REPL, FOCAL, (0.3, 0.7), opponent=partner, n_max=10)
+
+
+@pytest.mark.parametrize("background", [constant_background(0.0), affine_background(0.0, 0.0)],
+                         ids=["fold", "block"])
+def test_scripted_map_stops_where_an_increment_overflows(background):
+    # C + r = 5e-309 at C = 0, so (g_1 - r) / (C + r) exceeds the largest
+    # double: generation 0 overflows, on the scripted map as on self-play
+    rule = GrowthRule(linear_link(1.0, 0.0, (0.0, 2.0)))
+    game = Game([[5e-309, 5e-309], [1.0, 1.0]])
+    for opponent in (Schedule(1.0, [0.0], [[0.5, 0.5]]), None):
+        with pytest.raises(IntegrationError, match="^state became non-finite near t=0$") as err:
+            iterate(rule, game, (0.5, 0.5), opponent=opponent, n_max=10, background=background)
+        assert (err.value.t, err.value.step) == (0.0, 0)
+    # row 0 earns 5e-309 only against column 0, which the script plays at
+    # generation 2 first
+    game = Game([[5e-309, 1.0], [1.0, 1.0]])
+    script = Schedule(3.0, [0.0, 1.0, 2.0], [[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(IntegrationError, match="^state became non-finite near t=2$") as err:
+        iterate(rule, game, (0.5, 0.5), opponent=script, n_max=10, background=background)
+    assert (err.value.t, err.value.step) == (2.0, 2)
+    assert iterate(rule, game, (0.5, 0.5), opponent=script, n_max=2,
+                   background=background).meta["steps"] == 2

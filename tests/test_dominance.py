@@ -123,12 +123,15 @@ def test_iterated_query_uses_later_rounds():
 def test_iterated_query_takes_pure_or_mixed_dominators_only():
     # the middle row is beaten by the half-half mixture of the others, by no pure row
     game, opponent = Game([[9.0, 1.0], [4.5, 4.5], [1.0, 9.0]]), Game(np.zeros((2, 3)))
-    res = is_mixed_iteratively_dominated(game, opponent, pure(1, 3), dominators="mixed")
+    res = is_mixed_iteratively_dominated(game, opponent, pure(1, 3))
     assert res.dominated and res.margin == pytest.approx(0.5)
-    res = is_mixed_iteratively_dominated(game, opponent, pure(1, 3), dominators="pure")
+    # pure dominators at both stages: pure-by-pure elimination, then a pure query
+    trace = iterate_elimination(game, "pure-by-pure", opponent)
+    res = find_dominator(game, pure(1, 3), trace.surviving_rows, trace.surviving_cols,
+                         mode="pure")
     assert not res.dominated and res.margin == 0.0
-    with pytest.raises(ValueError, match="dominators"):
-        is_mixed_iteratively_dominated(game, opponent, pure(1, 3), dominators="Mixed")
+    with pytest.raises(TypeError, match="dominators"):
+        is_mixed_iteratively_dominated(game, opponent, pure(1, 3), dominators="pure")
 
 
 def test_pure_by_mixed_removes_at_least_pure_by_pure():

@@ -59,12 +59,6 @@ def test_field_components_sum_to_zero():
         assert abs(flow_rate(REPL, game, x).sum()) <= 1e-12
 
 
-def test_constant_speed_doubles_the_field():
-    base = flow_rate(REPL, GAP_GAME, (0.5, 0.5))
-    fast = flow_rate(GrowthRule(speed=2.0), GAP_GAME, (0.5, 0.5))
-    np.testing.assert_allclose(fast, 2.0 * base, rtol=1e-15)
-
-
 @pytest.mark.parametrize("opponent", [None, square_wave(2.0)], ids=["dop853", "exact"])
 def test_integrate_rejects_a_fractional_sample_every(opponent):
     with pytest.raises(ValueError, match="sample_every must be an integer"):
@@ -78,14 +72,19 @@ def test_integrate_refuses_a_boolean_sample_every():
 
 
 def test_speed_must_be_positive():
-    with pytest.raises(ValueError, match="positive"):
-        GrowthRule(speed=-1.0)
-    with pytest.raises(TypeError, match="speed"):
-        GrowthRule(speed="fast")
+    # a speed is a link over the mean payoff, and a run stops where it is not
+    # positive; a number is no speed: a constant speed is a change of time,
+    # checked as such against quad by test_closed_form.py's TIME_CHANGES
+    for speed in (2.0, -1.0, 3, True, "fast"):
+        with pytest.raises(TypeError, match="^speed must be None or a link over mean payoff"):
+            GrowthRule(speed=speed)
+    with pytest.raises(IntegrationError, match="^speed factor not positive"):
+        integrate(GrowthRule(speed=linear_link(0.0, -1.0)), GAP_GAME, (0.5, 0.5), t_max=1.0)
 
 
 def test_a_coupled_opponents_speed_is_refused():
-    partner = Coupled(Game([[1.0, 0.0], [0.0, 1.0]]), GrowthRule(speed=2.0), (0.5, 0.5))
+    partner = Coupled(Game([[1.0, 0.0], [0.0, 1.0]]), GrowthRule(speed=linear_link(0.0, 2.0)),
+                      (0.5, 0.5))
     with pytest.raises(ValueError, match="^speed belongs to the first population's rule "
                                          "in coupled runs$"):
         integrate(REPL, GAP_GAME, (0.5, 0.5), opponent=partner, t_max=1.0)
@@ -192,13 +191,6 @@ def test_meta_records_the_run():
     assert traj.meta["dt"] == 1e-3
     assert traj.meta["rule"] == "replicator"
     assert traj.meta["game"] == DISCUSSION.digest()
-
-
-def test_speed_two_is_a_time_change():
-    slow = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=10.0, dt=1e-3)
-    fast = integrate(GrowthRule(speed=2.0), DISCUSSION, (0.4, 0.4, 0.2),
-                     t_max=5.0, dt=1e-3)
-    np.testing.assert_allclose(fast.states[-1], slow.states[-1], atol=1e-6)
 
 
 def test_scheduled_opponent_is_followed():

@@ -5,9 +5,15 @@ scripted flow's Gauss-Legendre nodes are literals for the same reason.
 
 The oracles in tests/oracles.py stay independent of the code they check:
 they may use egtlab's links and games, and the rule and error types of
-egtlab.dynamics, but none of its integrators or private helpers."""
+egtlab.dynamics, but none of its integrators or private helpers.
+
+The names egtlab exports, and the parameters of its functions and
+dataclasses, are pinned: a parameter that no caller sets does not come back
+unnoticed. No source line of the package runs past 99 characters."""
 
 import ast
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -48,3 +54,87 @@ def test_oracles_import_no_integrator_code():
         allowed = ORACLE_IMPORTS[module]
         assert not name.startswith("_") and name != "*", f"from {module} import {name}"
         assert allowed is None or name in allowed, f"from {module} import {name}"
+
+
+# exported name -> parameter names of a function or a dataclass, or None
+SURFACE = {
+    "BackgroundFitness": ("kind", "base", "rate"),
+    "BasinK": ("rho", "eps4"),
+    "Coupled": ("game", "rule", "y0"),
+    "DomainError": None,
+    "DominanceResult": ("dominated", "margin", "dominator", "degenerate"),
+    "DynamicsClass": ("increasing", "convex", "concave", "linear", "label"),
+    "EliminationTrace": ("mode", "rounds", "removals"),
+    "Game": ("payoff", "row_labels", "col_labels"),
+    "GrowthRule": ("link", "speed"),
+    "IntegrationError": None,
+    "LinkFunction": ("family", "params", "domain", "knots_x", "knots_y", "inner"),
+    "LpError": None,
+    "MixedStrategy": ("weights",),
+    "Rps4Construction": ("link", "variant", "a", "b", "c", "beta", "gamma"),
+    "SCENARIOS": None,
+    "Schedule": ("period", "times", "values"),
+    "SimplexError": None,
+    "SurvivalConstruction": ("link", "variant", "a", "b", "eps"),
+    "Trajectory": ("times", "log_states", "opp_states", "opp_log_states", "meta"),
+    "Verdict": ("status", "metric_final", "metric_trend", "witness"),
+    "affine_background": ("base", "slope"),
+    "as_strategy": ("values",),
+    "build_rps4": ("f", "variant", "search_box"),
+    "build_survival": ("f", "variant"),
+    "classify_link": ("f", "interval"),
+    "constant_background": ("c",),
+    "discrete_effective_link": ("f", "background"),
+    "elimination_metrics": ("traj", "q"),
+    "eval_link": ("f", "u"),
+    "eval_schedule": ("schedule", "t"),
+    "exp_link": ("rate", "domain"),
+    "find_dominator": ("game", "q", "restrict_rows", "restrict_cols", "mode"),
+    "game_from_dict": ("d",),
+    "game_to_dict": ("game",),
+    "geometric_background": ("base", "ratio"),
+    "integrate": ("rule", "game", "x0", "opponent", "t_max", "dt", "sample_every"),
+    "is_mixed_iteratively_dominated": ("game", "opponent_game", "q"),
+    "iterate": ("rule", "game", "x0", "opponent", "n_max", "background", "sample_every"),
+    "iterate_elimination": ("game", "mode", "opponent_game"),
+    "least_squares_slope": ("x", "y"),
+    "linear_link": ("slope", "intercept", "domain"),
+    "load_game": ("path",),
+    "log_link": ("domain",),
+    "log_min_support": ("traj", "q"),
+    "log_mixture_mass": ("traj", "q"),
+    "parse_link": ("spec", "domain"),
+    "payoff_mixed": ("game", "p", "y"),
+    "periodic_floor": ("traj", "coords", "period"),
+    "power_link": ("exponent", "domain"),
+    "pure": ("i", "n"),
+    "rps_direction": ("f", "a", "b", "c"),
+    "save_game": ("game", "path"),
+    "solve_max": ("c", "A", "b", "basis"),
+    "sqrt_link": ("domain",),
+    "strict_margin": ("game", "p", "q"),
+    "table_link": ("xs", "ys"),
+    "taylor_sign_check": ("rule", "game", "radius", "samples", "seed"),
+    "uniform": ("n",),
+    "validate_simplex": ("values", "what"),
+    "verdict": ("traj", "q"),
+    "w_series": ("traj", "p", "q"),
+    "write_trajectory_csv": ("traj", "path", "extras"),
+}
+
+
+def test_the_public_surface_is_pinned():
+    exported = {name: value for name, value in vars(egtlab).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(exported) == sorted(SURFACE)
+    for name, value in exported.items():
+        pinned = inspect.isfunction(value) or dataclasses.is_dataclass(value)
+        params = tuple(inspect.signature(value).parameters) if pinned else None
+        assert params == SURFACE[name], name
+
+
+def test_no_source_line_runs_past_99_characters():
+    root = Path(egtlab.__file__).resolve().parent
+    long = [f"{path.name}:{k}" for path in sorted(root.glob("*.py"))
+            for k, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 99]
+    assert long == []

@@ -20,7 +20,7 @@ from egtlab.links import (FAMILIES, classify_link, discrete_effective_link, exp_
                           increasing_on, linear_link, log_link, power_link, rps_direction,
                           sqrt_link, table_link)
 from egtlab.scenarios import (SCENARIO_INTERVALS, SCENARIOS, BasinK, Rps4Construction,
-                              SurvivalConstruction, build_rps4, build_survival, named_game,
+                              SurvivalConstruction, build_rps4, build_survival,
                               run_background_schedules, run_background_threshold,
                               run_discussion, run_survival_nonconcave,
                               run_survival_nonconvex)
@@ -76,29 +76,31 @@ def link_calls(monkeypatch):
 
 # knots of a table link of ln, linear between them
 LOG_KNOTS = np.linspace(1.0, 15.0, 1001)
-# (link, variant, search box, (a, b, eps, alpha, Cf, T)): what the grid search
-# and a bisection that runs all its 200 halvings find, to the bit
+# (link, variant, (a, b, eps, alpha, Cf, T)): what the grid search over the
+# link's domain and a bisection that runs all its 200 halvings find, to the
+# bit; the boxed case searches (1, 4) of the sqrt link on (1, 9)
 SEARCHES = {
-    "sqrt-nonconvex": (sqrt_link((1.0, 9.0)), "nonconvex", None,
+    "sqrt-nonconvex": (sqrt_link((1.0, 9.0)), "nonconvex",
                        (1.0, 9.0, 0.49999999999999933, 0.12132034355964283, 3.0, 59)),
-    "sqrt-boxed-nonconvex": (sqrt_link((1.0, 9.0)), "nonconvex", (1.0, 4.0),
+    "sqrt-boxed-nonconvex": (dataclasses.replace(sqrt_link((1.0, 9.0)), domain=(1.0, 4.0)),
+                             "nonconvex",
                              (1.0, 4.0, 0.12499999999999988, 0.041103500742244004,
                               2.0, 123)),
-    "power-symmetric-nonconcave": (power_link(2.0, (-3.0, 3.0)), "nonconcave", None,
+    "power-symmetric-nonconcave": (power_link(2.0, (-3.0, 3.0)), "nonconcave",
                                    (-3.0, 3.0, 1.4999999999999998, 6.75, 9.0, 4)),
-    "power-nonconcave": (power_link(2.0, (0.0, 3.0)), "nonconcave", None,
+    "power-nonconcave": (power_link(2.0, (0.0, 3.0)), "nonconcave",
                          (0.0, 3.0, 0.31066017177982125, 1.2215097423302685, 9.0, 17)),
-    "exp-nonconcave": (exp_link(1.0, (0.0, 2.5)), "nonconcave", None,
+    "exp-nonconcave": (exp_link(1.0, (0.0, 2.5)), "nonconcave",
                        (0.0, 2.5, 0.317871276866302, 1.7948199269335037,
                         12.182493960703473, 16)),
-    "log-nonconvex": (log_link((0.2, 1.5)), "nonconvex", None,
+    "log-nonconvex": (log_link((0.2, 1.5)), "nonconvex",
                       (0.2, 1.5, 0.1511387212474169, 0.24368338899930458,
                        1.6094379124341003, 19)),
-    "table-nonconvex": (table_link(LOG_KNOTS, np.log(LOG_KNOTS)), "nonconvex", None,
+    "table-nonconvex": (table_link(LOG_KNOTS, np.log(LOG_KNOTS)), "nonconvex",
                         (1.0, 15.0, 2.0635062061052096, 0.4270929243985917,
                          2.70805020110221, 17)),
     "effective-nonconvex": (discrete_effective_link(linear_link(1.0, 0.0, (1.0, 15.0)), 0.0),
-                            "nonconvex", None,
+                            "nonconvex",
                             (1.0, 15.0, 2.063508326896291, 0.4270932309107449,
                              2.70805020110221, 17)),
 }
@@ -106,8 +108,8 @@ SEARCHES = {
 
 @pytest.mark.parametrize("case", SEARCHES)
 def test_survival_search_stays_within_its_work_budget(case, link_calls):
-    f, variant, box, want = SEARCHES[case]
-    con = build_survival(f, variant, box)
+    f, variant, want = SEARCHES[case]
+    con = build_survival(f, variant)
     assert (con.a, con.b, con.eps, con.alpha, con.Cf, con.T) == want
     # 40 or 41 calls: 18 in the grid passes, 12 to 14 in the bisection; a
     # bisection of one link call per step takes 26 to 28 more
@@ -116,16 +118,18 @@ def test_survival_search_stays_within_its_work_budget(case, link_calls):
 
 @pytest.mark.parametrize("variant", ["nonconvex", "nonconcave"])
 def test_survival_eps_is_the_plain_bisection_to_the_bit(variant):
-    # random links of every family on their domains or random boxes; lines
-    # have no violation to build on, and every refusal must say so
+    # random links of every family on their domains or on random boxes in
+    # them; lines have no violation to build on, and every refusal must say so
     rng = np.random.default_rng(27)
     built, bisected = collections.Counter(), 0
     for family in FAMILIES:
         for _ in range(20):
             f = random_link(rng, family)
             box = np.sort(rng.uniform(*f.domain, 2)) if rng.uniform() < 0.5 else None
+            if box is not None:
+                f = dataclasses.replace(f, domain=tuple(box))
             try:
-                con = build_survival(f, variant, box)
+                con = build_survival(f, variant)
             except ValueError as e:
                 assert "violation of the link" in str(e)
                 continue
@@ -550,27 +554,10 @@ def test_basin_sample_sits_on_the_wedge_midline():
         assert float(np.prod(x[:3])) == pytest.approx(0.005, rel=1e-6)
 
 
-def test_named_game_catalog():
-    np.testing.assert_array_equal(named_game("discussion-3x3").payoff,
-                                  [[3, 0, 0], [0, 3, 0], [2, 2, 1]])
-    np.testing.assert_array_equal(named_game("rps-base", 1.0, 2.0, -2.0).payoff,
-                                  [[1, -2, 2], [2, 1, -2], [-2, 2, 1]])
-    np.testing.assert_array_equal(named_game("rps-base", 0, 0, 0).payoff,
-                                  np.zeros((3, 3)))
-
-
-def test_named_game_errors():
-    with pytest.raises(ValueError, match="unknown game name"):
-        named_game("matching-pennies")
-    with pytest.raises(ValueError, match="takes no parameters"):
-        named_game("discussion-3x3", 1.0)
-    with pytest.raises(ValueError, match="exactly three"):
-        named_game("rps-base", 1.0, 2.0)
-
-
 def test_run_discussion_report():
     report, traj = run_discussion()
     assert report["ok"]
+    assert report["game"]["payoff"] == [[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]]
     assert report["lp_margin"] == pytest.approx(0.5, abs=1e-9)
     assert report["run"]["w_growth"] >= report["run"]["w_growth_bound"]
     assert report["run"]["min_support_final"] < 1e-8
