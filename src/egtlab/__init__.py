@@ -19,15 +19,14 @@ from .dominance import (DominanceResult, EliminationTrace, find_dominator,
                         strict_margin)
 from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule,
                        Trajectory, eval_schedule, integrate, write_trajectory_csv)
-from .games import (Game, MixedStrategy, SimplexError, as_strategy,
-                    game_from_dict, game_to_dict, load_game, payoff_mixed, pure,
-                    save_game, uniform, validate_simplex)
+from .games import (Game, MixedStrategy, SimplexError, as_strategy, game_from_dict,
+                    game_to_dict, load_game, pure, uniform, validate_simplex)
 from .links import (DomainError, DynamicsClass, LinkFunction, classify_link,
                     discrete_effective_link, eval_link, exp_link, linear_link,
                     log_link, parse_link, power_link, rps_direction, sqrt_link,
                     table_link)
 from .lp import LpError, solve_max
-from .scenarios import (SCENARIOS, BasinK, Rps4Construction,
-                        SurvivalConstruction, build_rps4, build_survival)
+from .scenarios import (SCENARIOS, Rps4Construction, SurvivalConstruction, build_rps4,
+                        build_survival)
 
 __version__ = "0.1.0"

@@ -63,11 +63,12 @@ def _known(entry: dict, path: str, keys) -> dict:
     return entry
 
 
-def _number(integ: dict, key: str, default: float) -> float:
-    """A JSON number from the integrator section, as a float."""
-    value = integ.get(key, default)
+def _number(d, key, path: str, default: float | None = None) -> float:
+    """The JSON number d[key] of the object at path, as a float; a required
+    field unless a default is given."""
+    value = _req(d, key, path) if default is None else d.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"config field integrator.{key} must be a number, got {value!r}")
+        _fail(f"config field {path}.{key} must be a number, got {value!r}")
     return float(value)
 
 
@@ -193,7 +194,7 @@ def _parse_opponent(entry, game: Game):
     if mode == "scripted":
         sc = _req(entry, "schedule", "opponent")
         _known(sc, "opponent.schedule", ("period", "times", "values"))
-        return Schedule(float(_req(sc, "period", "opponent.schedule")),
+        return Schedule(_number(sc, "period", "opponent.schedule"),
                         _req(sc, "times", "opponent.schedule"),
                         _req(sc, "values", "opponent.schedule"))
     opp_game = _parse_game(_req(entry, "game", "opponent"), "opponent.game")
@@ -210,11 +211,11 @@ def _parse_background(entry) -> BackgroundFitness:
         _fail(f"config field background.kind names an unknown kind {kind!r}")
     _known(entry, "background", keys)
     if kind == "constant":
-        return constant_background(float(entry.get("c0", 0.0)))
-    base = float(_req(entry, "c0", "background"))
+        return constant_background(_number(entry, "c0", "background", 0.0))
+    base = _number(entry, "c0", "background")
     if kind == "affine":
-        return affine_background(base, float(_req(entry, "c1", "background")))
-    return geometric_background(base, float(_req(entry, "ratio", "background")))
+        return affine_background(base, _number(entry, "c1", "background"))
+    return geometric_background(base, _number(entry, "ratio", "background"))
 
 
 def _parse_targets(entries, game: Game):
@@ -285,8 +286,9 @@ def cmd_simulate(args) -> int:
     output = _known(_section(cfg.get("output"), "output") or {}, "output", ("traj", "report"))
     sample_every = _count(integ, "sample_every", 100)
     if mode == "continuous":
-        t_max = args.t_max if args.t_max is not None else _number(integ, "t_max", 200.0)
-        dt = args.dt if args.dt is not None else _number(integ, "dt", 1e-3)
+        t_max = (args.t_max if args.t_max is not None
+                 else _number(integ, "t_max", "integrator", 200.0))
+        dt = args.dt if args.dt is not None else _number(integ, "dt", "integrator", 1e-3)
         traj = integrate(rule, game, x0, opponent=opponent, t_max=t_max,
                          dt=dt, sample_every=sample_every)
         run = {"t_max": t_max, "dt": dt, "method": traj.meta["method"]}

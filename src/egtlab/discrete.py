@@ -36,9 +36,11 @@ Two paths compute the same generations:
   generation n mod P; non-integer periods and periods over _BLOCK
   evaluate every generation.
 
-Whether the background schedule's reciprocal sum diverges decides how much
-cumulative selection pressure is available: affine schedules keep selecting
-forever, geometric ones stall.
+Whether the sum of 1/C_n diverges decides how much cumulative selection
+pressure is available. It diverges for a constant background, an affine one
+of nonnegative slope and a geometric one of ratio at most 1, which keep
+selecting forever; a geometric ratio above 1 makes it converge, and
+selection stalls.
 """
 
 from __future__ import annotations
@@ -83,10 +85,6 @@ class BackgroundFitness:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "rate", rate)
 
-    def value(self, n: int) -> float:
-        """values() at the one generation n."""
-        return float(self.values(np.asarray(n, dtype=float)))
-
     def values(self, n: np.ndarray) -> np.ndarray:
         """C_n at every generation in the float array n; geometric through
         logs, so huge horizons saturate to +inf instead of erroring."""
@@ -96,15 +94,6 @@ class BackgroundFitness:
             return self.base + self.rate * n
         with np.errstate(over="ignore"):
             return np.exp(math.log(self.base) + n * math.log(self.rate))
-
-    @property
-    def divergent_sum(self) -> bool:
-        """True when sum of 1/C_n diverges (selection never runs dry)."""
-        if self.kind == "constant":
-            return True
-        if self.kind == "affine":
-            return self.rate >= 0.0
-        return self.rate <= 1.0
 
 
 def constant_background(c: float) -> BackgroundFitness:

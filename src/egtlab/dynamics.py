@@ -89,24 +89,6 @@ class IntegrationError(RuntimeError):
         self.member = member
 
 
-@dataclass(frozen=True)
-class _Tableau:
-    """Embedded Runge-Kutta pair with dense output: nodes c, stage rows a
-    (row i has i entries), weights b over the len(b) stages of a step, and
-    error weights e, one row per embedded estimate over those stages.
-
-    c and a go on past the stages: first the first-same-as-last stage (the
-    right-hand side at the step's end, c = 1 and a = b), then the extra
-    stages of the dense output. p holds, per polynomial of _dense_basis,
-    weights over all of them."""
-
-    c: tuple
-    a: tuple
-    b: np.ndarray
-    e: np.ndarray
-    p: np.ndarray
-
-
 def _dense_basis(theta) -> np.ndarray:
     """theta, theta (1 - theta), theta^2 (1 - theta), ..., theta^4 (1 - theta)^3
     at each theta, one row per theta: the polynomials that weigh the rows of
@@ -122,83 +104,79 @@ def _dense_basis(theta) -> np.ndarray:
 # Dormand & Prince's 8(5,3) pair DOP853 with its 7th-order dense output, the
 # coefficients of Hairer's Fortran code (Hairer, Norsett & Wanner, Solving
 # ODEs I, II.5 and II.6): 12 stages, the first-same-as-last stage and three
-# extra stages for the dense output.
+# extra stages for the dense output. _B8 weighs the 12 stages of a step, and
+# each row of _E is one embedded error estimate over them. The nodes _C and
+# the stage rows _A (row i has i entries) go on past those stages: first the
+# first-same-as-last stage (the right-hand side at the step's end, c = 1 and
+# a = _B8), then the extra stages of the dense output. _P holds, per
+# polynomial of _dense_basis, weights over all 16 stages.
 _B8 = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
                 1.8915178993145003, -5.801203960010585, 0.3111643669578199,
                 -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
 # weights of the embedded 3rd-order solution
 _B3 = np.array([0.2440944881889764, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.7338466882816118,
                 0.0, 0.0, 0.022058823529411766])
-
-
-def _dop853_dense(d) -> np.ndarray:
-    """Dense-output rows over the 16 stages: the step's increment, the two
-    rows the end slopes fix, and Hairer's four rows d."""
-    b, unit = np.append(_B8, np.zeros(4)), np.eye(16)
-    return np.vstack([b, unit[0] - b, 2 * b - unit[0] - unit[12], d])
-
-
-_DOP853 = _Tableau(
-    c=(0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
-       0.2816496580927726, 1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0,
-       1.0, 0.1, 0.2, 7 / 9),
-    a=(None,
-       np.array([0.05260015195876773]),
-       np.array([0.0197250569845379, 0.0591751709536137]),
-       np.array([0.02958758547680685, 0.0, 0.08876275643042054]),
-       np.array([0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792]),
-       np.array([0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242]),
-       np.array([0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
-                 -0.017578125]),
-       np.array([0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
-                 -0.015319437748624402, 0.008273789163814023]),
-       np.array([0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
-                 27.59209969944671, 20.154067550477894, -43.48988418106996]),
-       np.array([0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
-                 21.230051448181193, 15.279233632882423, -33.28821096898486,
-                 -0.020331201708508627]),
-       np.array([-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
-                 -8.149787010746927, -18.52006565999696, 22.739487099350505,
-                 2.4936055526796523, -3.0467644718982196]),
-       np.array([2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
-                 -17.9589318631188, 27.94888452941996, -2.8589982771350235,
-                 -8.87285693353063, 12.360567175794303, 0.6433927460157636]),
-       _B8,
-       np.array([0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
-                 -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
-                 0.00820105229563469, 0.007567897660545699, -0.008298]),
-       np.array([0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
-                 0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
-                 -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
-                 0.1413124436746325]),
-       np.array([-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
-                 7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
-                 -0.0013990241651590145, 2.9475147891527724, -9.15095847217987])),
-    b=_B8,
-    # b minus the embedded 5th-order weights, and b minus the 3rd-order ones
-    e=np.array([
-        [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
-         -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
-         0.3341791187130175, 0.08192320648511571, -0.022355307863886294],
-        _B8 - _B3]),
-    p=_dop853_dense([
-        [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
-         -3.0689499459498917, 2.38466765651207, 2.117034582445028, -0.871391583777973,
-         2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
-         18.148505520854727, -9.194632392478356, -4.436036387594894],
-        [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
-         165.20045171727028, -374.5467547226902, -22.113666853125306,
-         7.733432668472264, -30.674084731089398, -9.332130526430229,
-         15.697238121770845, -31.139403219565178, -9.35292435884448,
-         35.81684148639408],
-        [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
-         -189.17813819516758, 527.8081592054236, -11.57390253995963, 6.8812326946963,
-         -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
-         -60.19669523126412, 84.32040550667716, 11.99229113618279],
-        [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
-         -231.5293791760455, 357.6391179106141, 93.40532418362432, -37.45832313645163,
-         104.0996495089623, 29.8402934266605, -43.53345659001114, 96.32455395918828,
-         -39.17726167561544, -149.72683625798564]]))
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0,
+      1.0, 0.1, 0.2, 7 / 9)
+_A = (None,
+      np.array([0.05260015195876773]),
+      np.array([0.0197250569845379, 0.0591751709536137]),
+      np.array([0.02958758547680685, 0.0, 0.08876275643042054]),
+      np.array([0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792]),
+      np.array([0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242]),
+      np.array([0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+                -0.017578125]),
+      np.array([0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+                -0.015319437748624402, 0.008273789163814023]),
+      np.array([0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+                27.59209969944671, 20.154067550477894, -43.48988418106996]),
+      np.array([0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+                21.230051448181193, 15.279233632882423, -33.28821096898486,
+                -0.020331201708508627]),
+      np.array([-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+                -8.149787010746927, -18.52006565999696, 22.739487099350505,
+                2.4936055526796523, -3.0467644718982196]),
+      np.array([2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+                -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+                -8.87285693353063, 12.360567175794303, 0.6433927460157636]),
+      _B8,
+      np.array([0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+                -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+                0.00820105229563469, 0.007567897660545699, -0.008298]),
+      np.array([0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+                0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+                -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+                0.1413124436746325]),
+      np.array([-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+                7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+                -0.0013990241651590145, 2.9475147891527724, -9.15095847217987]))
+# _B8 minus the embedded 5th-order weights, and _B8 minus the 3rd-order ones
+_E = np.array([
+    [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+     -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+     0.3341791187130175, 0.08192320648511571, -0.022355307863886294],
+    _B8 - _B3])
+# the step's increment, the two rows the end slopes fix, and Hairer's four rows
+_B16 = np.append(_B8, np.zeros(4))
+_P = np.vstack([_B16, np.eye(16)[0] - _B16, 2 * _B16 - np.eye(16)[0] - np.eye(16)[12], [
+    [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+     -3.0689499459498917, 2.38466765651207, 2.117034582445028, -0.871391583777973,
+     2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+     18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+     165.20045171727028, -374.5467547226902, -22.113666853125306,
+     7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+     -189.17813819516758, 527.8081592054236, -11.57390253995963, 6.8812326946963,
+     -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+     -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+     -231.5293791760455, 357.6391179106141, 93.40532418362432, -37.45832313645163,
+     104.0996495089623, 29.8402934266605, -43.53345659001114, 96.32455395918828,
+     -39.17726167561544, -149.72683625798564]]])
 
 
 @dataclass(frozen=True)
@@ -600,9 +578,9 @@ def _solve(field, slices, z0, bounds, t_samples):
     whose extra stages are evaluated only on such steps. Returns (logs at
     the samples, run stats with max_drift).
     """
-    tab, n_stages = _DOP853, len(_DOP853.b)
+    n_stages = len(_B8)
     B, N = z0.shape
-    K = np.empty((len(tab.c), B, N))
+    K = np.empty((len(_C), B, N))
     flat = K.reshape(len(K), B * N)
     out = np.empty((len(t_samples), B, N))
     out[0] = z0
@@ -618,7 +596,7 @@ def _solve(field, slices, z0, bounds, t_samples):
     def stages(t, h, lo, hi):
         """Fills stages lo..hi-1 of the step from (t, z) of size h."""
         for i in range(lo, hi):
-            K[i] = rhs(t + tab.c[i] * h, z + h * (tab.a[i] @ flat[:i]).reshape(B, N), t)
+            K[i] = rhs(t + _C[i] * h, z + h * (_A[i] @ flat[:i]).reshape(B, N), t)
 
     t = float(bounds[0])
     K[0] = rhs(t, z, t)
@@ -635,9 +613,9 @@ def _solve(field, slices, z0, bounds, t_samples):
             if t + 1.01 * h >= b:
                 h, t_new = b - t, b
             stages(t, h, 1, n_stages)
-            z_new = z + h * (tab.b @ flat[:n_stages]).reshape(B, N)
+            z_new = z + h * (_B8 @ flat[:n_stages]).reshape(B, N)
             scale = ATOL + RTOL * np.maximum(np.abs(z), np.abs(z_new))
-            err = _error_norm((tab.e @ flat[:n_stages]).reshape(2, B, N) / scale, h)
+            err = _error_norm((_E @ flat[:n_stages]).reshape(2, B, N) / scale, h)
             # an error that is not finite (a step out of the finite states)
             # shrinks the step the most
             fac = (min(_FAC_MAX, max(_FAC_MIN, _SAFETY * max(err, 1e-30) ** -0.125))
@@ -662,8 +640,8 @@ def _solve(field, slices, z0, bounds, t_samples):
                 ts = t_samples[nxt:last]
                 inside = int(np.searchsorted(ts, t_new))
                 if inside:
-                    stages(t, h, n_stages + 1, len(tab.c))
-                    w = _dense_basis((ts[:inside] - t) / h) @ tab.p
+                    stages(t, h, n_stages + 1, len(_C))
+                    w = _dense_basis((ts[:inside] - t) / h) @ _P
                     out[nxt:nxt + inside] = _normalize(
                         z + h * (w @ flat).reshape(inside, B, N), slices)
                 out[nxt + inside:last] = z_new

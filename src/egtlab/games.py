@@ -2,7 +2,9 @@
 
 Payoff matrices are plain float arrays: rows are the focal player's pure
 strategies, columns the opponent's. Everything downstream (dominance tests,
-selection dynamics) consumes these two value types.
+selection dynamics) consumes these two value types. A game's JSON form is
+{"payoff": rows, "row_labels": ..., "col_labels": ...}, the labels optional;
+the command line reads game files through load_game.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ class MixedStrategy:
 
     Construct through :func:`validate_simplex`; the constructor itself only
     freezes the array. Weights are nonnegative and sum to one within
-    ``SIMPLEX_TOL``.
+    ``SIMPLEX_TOL``. len() and indexing are what NumPy converts it through,
+    as validate_simplex does when it is handed one.
     """
 
     weights: np.ndarray
@@ -43,16 +46,8 @@ class MixedStrategy:
     def __getitem__(self, i: int) -> float:
         return float(self.weights[i])
 
-    def __iter__(self):
-        return iter(self.weights.tolist())
-
     def __repr__(self) -> str:
         return f"MixedStrategy({self.weights.tolist()})"
-
-    @property
-    def support(self) -> np.ndarray:
-        """Indices carrying strictly positive weight."""
-        return np.flatnonzero(self.weights > 0.0)
 
 
 def validate_simplex(values, what: str = "strategy") -> MixedStrategy:
@@ -141,17 +136,6 @@ class Game:
         return f"Game({self.payoff.tolist()})"
 
 
-def payoff_mixed(game: Game, p, y) -> float:
-    """Expected payoff of focal mixture p against opponent mixture y (bilinear)."""
-    ps = as_strategy(p)
-    ys = as_strategy(y)
-    if len(ps) != game.n_rows:
-        raise ValueError(f"focal mixture has {len(ps)} weights, game has {game.n_rows} rows")
-    if len(ys) != game.n_cols:
-        raise ValueError(f"opponent mixture has {len(ys)} weights, game has {game.n_cols} columns")
-    return float(ps.weights @ game.payoff @ ys.weights)
-
-
 def game_to_dict(game: Game) -> dict:
     d = {"payoff": game.payoff.tolist()}
     if game.row_labels is not None:
@@ -165,10 +149,6 @@ def game_from_dict(d: dict) -> Game:
     if "payoff" not in d:
         raise ValueError("game JSON must have a 'payoff' key")
     return Game(d["payoff"], d.get("row_labels"), d.get("col_labels"))
-
-
-def save_game(game: Game, path) -> None:
-    Path(path).write_text(json.dumps(game_to_dict(game), indent=2) + "\n")
 
 
 def load_game(path) -> Game:

@@ -18,7 +18,9 @@ blocks of bounded size.
 
 The module also exposes the scenario catalog used by the command line: each
 runner executes a fixed experiment protocol and returns a JSON-ready report
-plus the primary trajectory.
+plus the primary trajectory. A protocol's starting states belong to it, not
+to a construction: the dual 4x4 runs draw theirs from a wedge near the
+core's face (_wedge_start).
 """
 
 from __future__ import annotations
@@ -344,55 +346,44 @@ def build_rps4(f: LinkFunction, variant: str, search_box=None) -> Rps4Constructi
     return Rps4Construction(f, variant, a, b, c, beta, 0.1 * spread)
 
 
-@dataclass(frozen=True)
-class BasinK:
-    """The wedge {x in S4 : x1 x2 x3 <= rho, x4 <= eps4} that the dual runs
-    start in; sample draws its starts, on the wedge's midline.
+# The bound on the core product x1 x2 x3 of the wedge the dual runs start in
+_RHO = 0.01
 
-    The wedge is not forward invariant. At run_dual_4x4's defaults (rho =
-    0.01) each of the ten runs leaves it by t = 1.9, as the core product
-    climbs towards the core's attracting periodic orbit, where it peaks near
-    0.027, while x4 keeps falling (0.012 to 0.018 on leaving). Whether the
-    fourth strategy dies is decided by its transversal exponent along that
-    orbit, the period mean of f(m + beta) - gbar (see ROADMAP.md).
+
+def _wedge_start(eps4: float, rng) -> np.ndarray:
+    """One start of a dual run: an interior point of the wedge {x in S4 :
+    x1 x2 x3 <= _RHO, x4 <= eps4}, on its midline, with core product _RHO/2
+    and x4 = eps4/2. The core's direction from the centre is a Dirichlet
+    draw, and a bisection along it finds the core product.
+
+    The wedge is not forward invariant. At run_dual_4x4's defaults each of
+    the ten runs leaves it by t = 1.9, as the core product climbs towards
+    the core's attracting periodic orbit, where it peaks near 0.027, while
+    x4 keeps falling (0.012 to 0.018 on leaving). Whether the fourth
+    strategy dies is decided by its transversal exponent along that orbit,
+    the period mean of f(m + beta) - gbar (see ROADMAP.md).
     """
-
-    rho: float
-    eps4: float
-
-    def __post_init__(self):
-        _check(0.0 < self.rho < 1.0 / 27.0, f"rho must be in (0, 1/27), got {self.rho!r}")
-        _check(0.0 < self.eps4 < 1.0, f"eps4 must be in (0, 1), got {self.eps4!r}")
-
-    def contains(self, x) -> bool:
-        xs = validate_simplex(x, what="state")
-        if len(xs) != 4:
-            raise ValueError("the region lives in the 4-strategy simplex")
-        w = xs.weights
-        return bool(float(w[0] * w[1] * w[2]) <= self.rho and float(w[3]) <= self.eps4)
-
-    def sample(self, rng) -> np.ndarray:
-        """One interior point with core product rho/2 and x4 = eps4/2."""
-        mass = 1.0 - 0.5 * self.eps4
-        target = 0.5 * self.rho / mass ** 3
-        center = np.full(3, 1.0 / 3.0)
-        while True:
-            d = rng.dirichlet(np.ones(3)) - center
-            low = d < 0.0
-            if not low.any():
-                continue
-            lam_hi = 0.999999 * float(np.min(-center[low] / d[low]))
-            if np.prod(center + lam_hi * d) >= target:
-                continue
-            lam_lo = 0.0
-            for _ in range(200):
-                lam = 0.5 * (lam_lo + lam_hi)
-                if np.prod(center + lam * d) > target:
-                    lam_lo = lam
-                else:
-                    lam_hi = lam
-            p = center + 0.5 * (lam_lo + lam_hi) * d
-            return np.concatenate([mass * p, [0.5 * self.eps4]])
+    _check(0.0 < eps4 < 1.0, f"eps4 must be in (0, 1), got {eps4!r}")
+    mass = 1.0 - 0.5 * eps4
+    target = 0.5 * _RHO / mass ** 3
+    center = np.full(3, 1.0 / 3.0)
+    while True:
+        d = rng.dirichlet(np.ones(3)) - center
+        low = d < 0.0
+        if not low.any():
+            continue
+        lam_hi = 0.999999 * float(np.min(-center[low] / d[low]))
+        if np.prod(center + lam_hi * d) >= target:
+            continue
+        lam_lo = 0.0
+        for _ in range(200):
+            lam = 0.5 * (lam_lo + lam_hi)
+            if np.prod(center + lam * d) > target:
+                lam_lo = lam
+            else:
+                lam_hi = lam
+        p = center + 0.5 * (lam_lo + lam_hi) * d
+        return np.concatenate([mass * p, [0.5 * eps4]])
 
 
 # ---------------------------------------------------------------------------
@@ -608,18 +599,18 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
                  eps4: float = 0.04, taylor_samples: int = 200):
     """Dominating fourth strategy dies from starts in the wedge; the core cycle lives.
 
-    Every sampled start must eliminate strategy 4 while the core product
-    x1 x2 x3 stays above 1e-3 over the last quarter; the near-center drift
-    check must fall on every sample.
+    The n_seeds starts come from _wedge_start, in the wedge x1 x2 x3 <=
+    _RHO, x4 <= eps4 near the core's face. Every start must eliminate
+    strategy 4 while the core product x1 x2 x3 stays above 1e-3 over the
+    last quarter; the near-center drift check must fall on every sample.
     """
     f = link if link is not None else exp_link(1.0, (-2.0, 2.0))
-    rho = 0.01
     con = build_rps4(f, "dual")
     frac = taylor_sign_check(GrowthRule(link=f), con.core_game, radius=0.01,
                              samples=taylor_samples, seed=seed)
 
-    basin, rng = BasinK(rho, eps4), np.random.default_rng(seed)
-    x0 = np.array([basin.sample(rng) for _ in range(n_seeds)])
+    rng = np.random.default_rng(seed)
+    x0 = np.array([_wedge_start(eps4, rng) for _ in range(n_seeds)])
 
     def judge(traj):
         x4_final = traj.states[-1, :, 3]
@@ -639,7 +630,7 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
         "beta_halvings": halvings,
         "lp_margin": dom.margin,
         "taylor_negative_fraction": frac,
-        "run": {"t_max": t_max, "dt": _DT, "method": traj.meta["method"], "rho": rho,
+        "run": {"t_max": t_max, "dt": _DT, "method": traj.meta["method"], "rho": _RHO,
                 "eps4": eps4, "seeds": runs},
         "checks": {
             "margin-at-least-min-beta-gamma":

@@ -232,6 +232,36 @@ def test_simulate_refuses_fields_it_does_not_read(tmp_path, capsys, case):
     assert f"config field {field} is unknown" in capsys.readouterr().err
 
 
+# the background's and the script's numbers, each placed in a config that
+# otherwise runs
+NUMBER_FIELDS = {
+    "background.c0": lambda v: {**MAP, "background": {"kind": "constant", "c0": v}},
+    "background.c1": lambda v: {**MAP, "background": {"kind": "affine", "c0": 1.0, "c1": v}},
+    "background.ratio": lambda v: {**MAP, "background": {"kind": "geometric", "c0": 1.0,
+                                                         "ratio": v}},
+    "opponent.schedule.period": lambda v: {
+        **MAP, "background": {"kind": "constant", "c0": 1.0},
+        "opponent": {"mode": "scripted",
+                     "schedule": {**SCRIPT, "times": [0.0, 0.5], "period": v}}},
+}
+
+
+@pytest.mark.parametrize("value", [True, "4"])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_background_and_period_must_be_json_numbers(tmp_path, capsys, field, value):
+    # float() would read True as 1.0 and "4" as 4.0
+    cfg = write_json(tmp_path / "cfg.json", NUMBER_FIELDS[field](value))
+    assert main(["simulate", "--config", cfg]) == 1
+    assert f"config field {field} must be a number, got {value!r}" in capsys.readouterr().err
+
+
+def test_a_constant_background_defaults_to_zero(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {**MAP, "background": {"kind": "constant"}})
+    code, doc = run_json(capsys, ["simulate", "--config", cfg])
+    assert code == 0
+    assert doc["raw"]["run"]["background"] == {"kind": "constant", "base": 0.0, "rate": 0.0}
+
+
 @pytest.mark.parametrize("speed", [2.0, -1.0, True, "fast"])
 def test_a_speed_that_is_no_table_exits_1(tmp_path, capsys, speed):
     # a constant speed is a change of time (scale t_max), not a speed factor

@@ -251,7 +251,8 @@ def repeated_steps(rule, game, x0, script, background, n):
     """Frequencies after each of n generations of oracles.step."""
     x, out = np.asarray(x0, dtype=float), []
     for k in range(n):
-        x = oracles.step(rule, game, x, eval_schedule(script, k), C=background.value(k))
+        C = background.values(np.array([float(k)]))[0]
+        x = oracles.step(rule, game, x, eval_schedule(script, k), C=C)
         out.append(x)
     return np.array(out)
 
@@ -415,7 +416,7 @@ def generation_by_generation(rule, game, x0, script, background, n, every):
         for j in range(1, len(y)):
             u += y[j] * game.payoff[:, j]
         g = f(u)
-        d = np.log1p((g - g.min()) / (background.value(k) + g.min()))
+        d = np.log1p((g - g.min()) / (background.values(np.array([float(k)]))[0] + g.min()))
         z = z + (d - d.mean())
         if (k + 1) % every == 0 or k + 1 == n:
             out.append(z - (z.max() + np.log(np.exp(z - z.max()).sum())))

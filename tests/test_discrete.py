@@ -22,33 +22,26 @@ def one_generation(rule, game, x, C):
                    background=constant_background(C)).states[1]
 
 
-def test_background_kinds_and_divergence():
-    assert constant_background(3.0).divergent_sum
-    assert affine_background(1.0, 1.0).divergent_sum
-    assert not geometric_background(1.0, 2.0).divergent_sum
-    # a shrinking geometric schedule slows nothing down
-    assert geometric_background(1.0, 0.5).divergent_sum
-
-
 def test_background_values_follow_the_schedule():
-    aff = affine_background(1.0, 2.0)
-    geo = geometric_background(3.0, 2.0)
-    assert [aff.value(n) for n in (0, 1, 5)] == [1.0, 3.0, 11.0]
-    assert [geo.value(n) for n in (0, 1, 5)] == pytest.approx([3.0, 6.0, 96.0])
+    n = np.array([0.0, 1.0, 5.0])
+    assert constant_background(3.0).values(n).tolist() == [3.0, 3.0, 3.0]
+    assert affine_background(1.0, 2.0).values(n).tolist() == [1.0, 3.0, 11.0]
+    assert geometric_background(3.0, 2.0).values(n).tolist() == pytest.approx([3.0, 6.0, 96.0])
 
 
 def test_geometric_background_saturates_to_infinity():
-    geo = geometric_background(1.0, 2.0)
-    assert geo.value(1023) == pytest.approx(2.0 ** 1023, rel=1e-12)
-    assert geo.value(2000) == math.inf
+    assert geometric_background(1.0, 2.0).values(np.array([1023.0]))[0] == \
+        pytest.approx(2.0 ** 1023, rel=1e-12)
+    assert geometric_background(1.0, 2.0).values(np.array([2000.0]))[0] == math.inf
 
 
 @pytest.mark.parametrize("base, ratio", [(1.0, 2.0), (3.0, 2.0), (0.5, 1.01), (2.0, 0.9)])
 def test_background_value_is_values_at_one_generation(base, ratio):
-    # the stepper and the scripted map read the same C_n, to the bit
+    # the maps read C_n over blocks of generations, and the closed-form
+    # oracles one generation at a time; both read the same C_n, to the bit
     geo = geometric_background(base, ratio)
-    n = np.arange(1100)
-    assert [geo.value(k) for k in n.tolist()] == geo.values(n.astype(float)).tolist()
+    n = np.arange(1100, dtype=float)
+    assert [geo.values(n[k:k + 1])[0] for k in range(len(n))] == geo.values(n).tolist()
 
 
 def test_geometric_background_validation():

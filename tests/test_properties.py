@@ -12,7 +12,7 @@ from egtlab.discrete import constant_background, iterate
 from egtlab.dominance import find_dominator, strict_margin
 from egtlab.dynamics import (GrowthRule, Schedule, Trajectory, eval_schedule,
                              integrate)
-from egtlab.games import Game, payoff_mixed, pure
+from egtlab.games import Game, pure
 from egtlab.links import classify_link, linear_link
 
 from oracles import discrete_w_increment, grid_margin, mixture_grid
@@ -107,20 +107,6 @@ def test_margin_scales_with_the_payoffs(payoff, lam, target):
     scaled = find_dominator(Game(lam * base), q, mode="mixed")
     assert scaled.dominated == res.dominated
     assert scaled.margin == pytest.approx(lam * res.margin, rel=1e-7, abs=1e-9)
-
-
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(payoff=st.lists(st.floats(-3.0, 3.0, **finite), min_size=6, max_size=6),
-       raw_a=positives(3), raw_b=positives(3), raw_y=positives(2),
-       alpha=st.floats(0.0, 1.0, **finite))
-def test_mixed_payoff_is_bilinear(payoff, raw_a, raw_b, raw_y, alpha):
-    game = Game(np.reshape(payoff, (3, 2)))
-    pa, pb, y = normalized(raw_a), normalized(raw_b), normalized(raw_y)
-    blend = alpha * pa + (1.0 - alpha) * pb
-    blend = blend / blend.sum()
-    lhs = payoff_mixed(game, blend, y)
-    rhs = alpha * payoff_mixed(game, pa, y) + (1.0 - alpha) * payoff_mixed(game, pb, y)
-    assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -6,6 +6,7 @@ catalog defaults and log each as an acceptance criterion.
 
 import collections
 import dataclasses
+import hashlib
 import inspect
 import math
 import tracemalloc
@@ -19,11 +20,11 @@ from egtlab.games import pure
 from egtlab.links import (FAMILIES, classify_link, discrete_effective_link, exp_link,
                           increasing_on, linear_link, log_link, power_link, rps_direction,
                           sqrt_link, table_link)
-from egtlab.scenarios import (SCENARIO_INTERVALS, SCENARIOS, BasinK, Rps4Construction,
-                              SurvivalConstruction, build_rps4, build_survival,
-                              run_background_schedules, run_background_threshold,
-                              run_discussion, run_survival_nonconcave,
-                              run_survival_nonconvex)
+from egtlab.scenarios import (SCENARIO_INTERVALS, SCENARIOS, Rps4Construction,
+                              SurvivalConstruction, _wedge_start, build_rps4,
+                              build_survival, run_background_schedules,
+                              run_background_threshold, run_discussion, run_dual_4x4,
+                              run_survival_nonconcave, run_survival_nonconvex)
 from oracles import random_link, survival_eps_max
 
 MIX_TB = np.array([0.5, 0.0, 0.5])
@@ -517,41 +518,42 @@ def test_rps4_discrete_direction_mode():
     assert rps_direction(f, 3.9, 5.0, 3.0) == "inward"
 
 
-def test_basin_membership():
-    basin = BasinK(1.0 / 30.0, 0.04)
-    near_center = np.array([0.98 / 3.0] * 3 + [0.02])
-    assert not basin.contains(near_center)  # core product too large
-    assert BasinK(0.02, 0.05).contains((0.6, 0.3, 0.08, 0.02))
-    assert basin.contains((1.0, 0.0, 0.0, 0.0))
-    assert not basin.contains((0.0, 0.0, 0.0, 1.0))
-    with pytest.raises(ValueError, match="4-strategy"):
-        basin.contains((0.5, 0.3, 0.2))
-
-
 def test_basin_validation():
-    with pytest.raises(ValueError, match="rho"):
-        BasinK(1.0 / 27.0, 0.04)
+    # eps4 is the runner's parameter; a bad one stops the run at its first start
+    with pytest.raises(ValueError, match=r"eps4 must be in \(0, 1\), got 1.5"):
+        run_dual_4x4(eps4=1.5, n_seeds=1, taylor_samples=1)
+
+
+@pytest.mark.parametrize("eps4", [-0.1, 0.0, 1.0])
+def test_basin_checks_its_own_ranges(eps4):
+    # outside (0, 1) the start's x4 = eps4/2 is not positive, or x4 <= eps4 bounds nothing
     with pytest.raises(ValueError, match="eps4"):
-        BasinK(0.01, 1.5)
-
-
-@pytest.mark.parametrize("rho, eps4, field", [
-    (0.5, 0.04, "rho"), (0.0, 0.04, "rho"), (0.01, -0.1, "eps4"), (0.01, 1.0, "eps4")])
-def test_basin_checks_its_own_ranges(rho, eps4, field):
-    # a wedge outside them samples the centre or a negative x4
-    with pytest.raises(ValueError, match=field):
-        BasinK(rho, eps4)
+        _wedge_start(eps4, np.random.default_rng(0))
 
 
 def test_basin_sample_sits_on_the_wedge_midline():
-    basin = BasinK(0.01, 0.04)
     rng = np.random.default_rng(5)
     for _ in range(5):
-        x = basin.sample(rng)
-        assert basin.contains(x)
-        assert x[3] == 0.02
+        x = _wedge_start(0.04, rng)
+        assert x[3] == 0.02  # eps4 / 2
         assert x.sum() == pytest.approx(1.0, abs=1e-12)
-        assert float(np.prod(x[:3])) == pytest.approx(0.005, rel=1e-6)
+        assert float(np.prod(x[:3])) == pytest.approx(0.005, rel=1e-6)  # rho / 2
+
+
+# SHA-256 of the starts the dual runs draw: ten in a row from
+# np.random.default_rng(s) for s = 0, 1, 2, as little-endian doubles of shape
+# (3, 10, 4). Recorded from BasinK(0.01, eps4).sample, the class the sampler
+# left, at the benchmark's two eps4 values.
+WEDGE_DRAWS = {0.04: "59b40844070839e6e0d0774c83a765c1b7007bb29655ce9fc4f80018ccbf5984",
+               4e-4: "b3d7e74df91e2b0c651d3719486cfa2fd233850079f752105a8d116124840f6b"}
+
+
+@pytest.mark.parametrize("eps4", sorted(WEDGE_DRAWS))
+def test_the_dual_starts_are_the_same_to_the_bit(eps4):
+    draws = np.array([[_wedge_start(eps4, rng) for _ in range(10)]
+                      for rng in map(np.random.default_rng, (0, 1, 2))])
+    assert draws.shape == (3, 10, 4)
+    assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == WEDGE_DRAWS[eps4]
 
 
 def test_run_discussion_report():

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from egtlab import dynamics
-from egtlab.dynamics import (_DOP853, RTOL, Coupled, GrowthRule, IntegrationError,
-                             Schedule, _dense_basis, eval_schedule, integrate)
+from egtlab.dynamics import (_A, _B8, _C, _E, _P, RTOL, Coupled, GrowthRule,
+                             IntegrationError, Schedule, _dense_basis, eval_schedule,
+                             integrate)
 from egtlab.games import Game
 from egtlab.links import (discrete_effective_link, exp_link, linear_link, log_link,
                           sqrt_link, table_link)
@@ -42,7 +43,7 @@ def scaled_error(got, want) -> float:
     return float((np.abs(got - want) / (RTOL * (1.0 + np.abs(want)))).max())
 
 
-# tableaus ----------------------------------------------------------------------
+# tableau -----------------------------------------------------------------------
 
 # order of the scheme, then of its embedded error estimates
 ORDER, EMBEDDED = 8, (5, 3)
@@ -66,42 +67,40 @@ def tall_trees(weights, rows, order, theta=1):
     return out
 
 
-@pytest.mark.parametrize("tab", [_DOP853], ids=["dop853"])
-def test_tableau_meets_its_order_conditions(tab):
+def test_tableau_meets_its_order_conditions():
     # The literals are the exact coefficients rounded to doubles, so every
     # condition is checked in exact arithmetic on the doubles: to 1e-15, and
     # a row sum to within half an ulp of each literal in it (the entries of
     # DOP853's rows 8 to 11 reach 43, where 1e-15 is below one ulp).
-    c, b = exact(tab.c), exact(tab.b)
-    rows = [exact(tab.a[i]) if i else [] for i in range(len(c))]
+    c, b = exact(_C), exact(_B8)
+    rows = [exact(_A[i]) if i else [] for i in range(len(c))]
     for i in range(1, len(c)):
-        slack = (sum(map(math.ulp, tab.a[i])) + math.ulp(tab.c[i])) / 2
+        slack = (sum(map(math.ulp, _A[i])) + math.ulp(_C[i])) / 2
         assert abs(sum(rows[i]) - c[i]) <= slack, f"row {i}"
     for k in range(1, ORDER + 1):
         assert abs(dot(b, (ci ** (k - 1) for ci in c)) - Fraction(1, k)) <= 1e-15, k
     assert max(map(abs, tall_trees(b, rows[:len(b)], ORDER))) <= 1e-15
-    assert len(tab.e) == len(EMBEDDED)
-    for e, low in zip(tab.e, EMBEDDED):
+    assert len(_E) == len(EMBEDDED)
+    for e, low in zip(_E, EMBEDDED):
         # b minus a scheme of order low: zero sum, and zero moments up to it
         for k in range(1, low + 1):
             assert abs(dot(exact(e), (ci ** (k - 1) for ci in c))) <= 1e-15, (low, k)
     # the first-same-as-last stage is the step's end
-    assert (tab.c[len(b)], list(tab.a[len(b)])) == (1.0, list(tab.b))
+    assert (_C[len(b)], list(_A[len(b)])) == (1.0, list(_B8))
 
 
-@pytest.mark.parametrize("tab", [_DOP853], ids=["dop853"])
-def test_dense_output_spans_the_step_to_order_seven(tab):
-    ends = _dense_basis(np.array([0.0, 1.0])) @ tab.p
+def test_dense_output_spans_the_step_to_order_seven():
+    ends = _dense_basis(np.array([0.0, 1.0])) @ _P
     np.testing.assert_array_equal(ends[0], 0.0)
-    np.testing.assert_array_equal(ends[1], np.append(tab.b, np.zeros(len(tab.c) - len(tab.b))))
-    c = exact(tab.c)
-    rows = [exact(tab.a[i]) if i else [] for i in range(len(c))]
+    np.testing.assert_array_equal(ends[1], np.append(_B8, np.zeros(len(_C) - len(_B8))))
+    c = exact(_C)
+    rows = [exact(_A[i]) if i else [] for i in range(len(c))]
     for theta in (Fraction(3, 8), Fraction(11, 16)):  # the basis is exact at these
         basis = [theta]
-        for k in range(1, tab.p.shape[0]):
+        for k in range(1, _P.shape[0]):
             basis.append(basis[-1] * (1 - theta if k % 2 else theta))
         assert basis == exact(_dense_basis(float(theta)))
-        w = [dot(basis, exact(col)) for col in tab.p.T]
+        w = [dot(basis, exact(col)) for col in _P.T]
         for k in range(1, 8):
             assert abs(dot(w, (ci ** (k - 1) for ci in c)) - theta ** k / k) <= 1e-15
         assert max(map(abs, tall_trees(w, rows, 7, theta))) <= 1e-15
