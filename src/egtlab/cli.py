@@ -5,6 +5,30 @@ Subcommands: simulate (config-driven run with verdict targets), dominance
 rps-direction (cycle orientation under the replicator, a --link's flow, or
 with --discrete-C its generation map), scenario (catalog experiments).
 
+simulate reads one JSON object; each field takes one form, and any other
+field exits 1:
+  game        a game's JSON form {"payoff": rows, ...} (see games) or the path of a
+              file holding one; required
+  mode        "continuous" (the default) or "discrete"
+  rule        {"kind": "replicator"} (the default) or {"kind": "payoff-functional",
+              "link": L}, each with an optional "speed": T
+  x0          one weight per strategy; the default is the uniform mixture
+  opponent    absent for self-play, {"mode": "scripted", "schedule": {"period": P,
+              "times": [...], "values": [[...], ...]}} or {"mode": "coupled",
+              "game": G, "rule": R, "y0": [...]}, rule optional
+  background  discrete mode only: {"kind": "constant", "c0": C} (c0 defaults to 0),
+              {"kind": "affine", "c0": C, "c1": D} or {"kind": "geometric", "c0": C,
+              "ratio": Q}; the default is C = 0
+  targets     a list of {"p": [...], "q": [...]}, one weight per strategy each
+  integrator  {"t_max", "dt", "sample_every"} (continuous) or {"n_max",
+              "sample_every"} (discrete), each optional; --t-max, --dt and
+              --n-max override them
+A link L is a spec string such as "sqrt" or "exp:2", on the game's payoff
+hull unless it ends in "@lo,hi", or a knot table T = {"xs": [...], "ys": [...]};
+a speed is a knot table over mean payoff. Numbers are JSON numbers, never
+booleans or strings. The report goes to --out (default: stdout) and the
+trajectory CSV to --traj.
+
 Exit codes: 0 success, 1 configuration or feasibility error, 2 numerical
 failure, 3 a scenario ran but missed an expected outcome. All outputs are
 deterministic for a fixed config and seed: JSON is emitted with sorted keys,
@@ -28,9 +52,9 @@ from .discrete import (BackgroundFitness, affine_background, constant_background
                        geometric_background, iterate)
 from .dominance import find_dominator, iterate_elimination
 from .dynamics import Coupled, GrowthRule, Schedule, integrate, write_trajectory_csv
-from .games import Game, game_from_dict, load_game
-from .links import (classify_link, discrete_effective_link, make_link, parse_link,
-                    rps_direction, table_link)
+from .games import Game, game_from_dict, json_floats, load_game
+from .links import (classify_link, discrete_effective_link, parse_link, rps_direction,
+                    table_link)
 from .scenarios import SCENARIO_INTERVALS, SCENARIOS
 
 
@@ -38,11 +62,16 @@ def _fail(message: str):
     raise ValueError(message)
 
 
+def _field(path: str, key: str) -> str:
+    """The name of field key of the object at path ("" at the top level)."""
+    return f"{path}.{key}" if path else key
+
+
 def _req(d, key, path: str):
     if not isinstance(d, dict):
         _fail(f"config field {path} must be an object")
     if key not in d:
-        _fail(f"config field {path}.{key} is missing")
+        _fail(f"config field {_field(path, key)} is missing")
     return d[key]
 
 
@@ -56,11 +85,23 @@ def _section(entry, path: str):
 def _known(entry: dict, path: str, keys) -> dict:
     """entry, refusing any key outside keys, which simulate would otherwise
     ignore; path names the object ("" at the top level)."""
+    if not isinstance(entry, dict):
+        _fail(f"config field {path} must be an object")
     for key in entry:
         if key not in keys:
-            _fail(f"config field {path}{'.' if path else ''}{key} is unknown; "
+            _fail(f"config field {_field(path, key)} is unknown; "
                   f"{path or 'the config'} takes {', '.join(keys)}")
     return entry
+
+
+def _choice(value, field: str, choices, note: str = ""):
+    """value, refused unless it is one of the strings choices; a list or an
+    object is compared, never hashed."""
+    choices = tuple(choices)
+    if value not in choices:
+        names = ", ".join(map(repr, choices[:-1])) + f" or {choices[-1]!r}"
+        _fail(f"config field {field} must be {names}, got {value!r}{note}")
+    return value
 
 
 def _number(d, key, path: str, default: float | None = None) -> float:
@@ -68,8 +109,23 @@ def _number(d, key, path: str, default: float | None = None) -> float:
     field unless a default is given."""
     value = _req(d, key, path) if default is None else d.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"config field {path}.{key} must be a number, got {value!r}")
-    return float(value)
+        _fail(f"config field {_field(path, key)} must be a number, got {value!r}")
+    return float(json_floats(value, f"config field {_field(path, key)}"))
+
+
+def _numbers(d, key, path: str) -> np.ndarray:
+    """The required JSON number array d[key] of the object at path, as floats."""
+    return json_floats(_req(d, key, path), f"config field {_field(path, key)}")
+
+
+def _weights(d, key, path: str, n: int) -> np.ndarray:
+    """The mixture d[key] of the object at path: n numbers, one per strategy.
+    A simulate report describes one run, so a batch of starts is refused."""
+    w = _numbers(d, key, path)
+    if w.shape != (n,):
+        _fail(f"config field {_field(path, key)} needs {n} weights, one per strategy, "
+              f"got shape {w.shape}")
+    return w
 
 
 def _count(integ: dict, key: str, default: int):
@@ -96,13 +152,13 @@ def _floats(text: str, what: str, count: int | None = None) -> list:
 
 # The fields simulate reads, per object; any other field is refused. The
 # top level takes "background" in discrete mode only.
-_TOP_KEYS = ("game", "mode", "rule", "opponent", "x0", "targets", "integrator", "output")
+_TOP_KEYS = ("game", "mode", "rule", "opponent", "x0", "targets", "integrator")
 _INTEGRATOR_KEYS = {"continuous": ("t_max", "dt", "sample_every"),
                     "discrete": ("n_max", "sample_every")}
-_OPPONENT_KEYS = {"self-play": ("mode",), "scripted": ("mode", "schedule"),
-                  "coupled": ("mode", "game", "rule", "y0")}
+_OPPONENT_KEYS = {"scripted": ("mode", "schedule"), "coupled": ("mode", "game", "rule", "y0")}
 _BACKGROUND_KEYS = {"constant": ("kind", "c0"), "affine": ("kind", "c0", "c1"),
                     "geometric": ("kind", "c0", "ratio")}
+_SELF_PLAY = "; leave out opponent for self-play"
 
 
 def _load_config(path) -> dict:
@@ -120,38 +176,32 @@ def _load_config(path) -> dict:
 
 
 def _parse_game(entry, path: str) -> Game:
-    if isinstance(entry, str):
-        try:
-            return load_game(entry)
-        except OSError as e:
-            _fail(f"{path}: unreadable game file: {e}")
-    if isinstance(entry, dict):
-        return game_from_dict(entry)
-    _fail(f"config field {path} must be a game object or a file path")
-
-
-def _payoff_hull(game: Game):
-    lo = float(game.payoff.min())
-    hi = float(game.payoff.max())
-    if hi <= lo:
-        lo, hi = lo - 0.5, hi + 0.5
-    return lo, hi
-
-
-def _parse_link_cfg(entry, game: Game, path: str):
-    hull = _payoff_hull(game)
-    if entry is None:
-        _fail(f"config field {path} is missing")
-    if isinstance(entry, str):
-        return parse_link(entry, domain=hull)
-    family = str(_req(entry, "family", path))
-    if family == "table":
-        _known(entry, path, ("family", "xs", "ys"))
-        return table_link(_req(entry, "xs", path), _req(entry, "ys", path))
-    _known(entry, path, ("family", "params", "domain"))
-    domain = tuple(entry["domain"]) if "domain" in entry else hull
+    if not isinstance(entry, (str, dict)):
+        _fail(f"config field {path} must be a game object or a file path")
     try:
-        return make_link(family, entry.get("params") or (), domain)
+        return load_game(entry) if isinstance(entry, str) else game_from_dict(entry)
+    except OSError as e:
+        _fail(f"{path}: unreadable game file: {e}")
+    except ValueError as e:
+        _fail(f"{path}: {e}")
+
+
+def _table(entry: dict, path: str):
+    """A knot table {xs, ys}: a rule's link or speed."""
+    _known(entry, path, ("xs", "ys"))
+    return table_link(_numbers(entry, "xs", path), _numbers(entry, "ys", path))
+
+
+def _parse_link(entry, game: Game, path: str):
+    """A rule's link: a spec string, on the game's payoff hull unless it
+    carries '@lo,hi', or a knot table."""
+    if isinstance(entry, dict):
+        return _table(entry, path)
+    if not isinstance(entry, str):
+        _fail(f"config field {path} must be a link spec or a knot table, got {entry!r}")
+    lo, hi = float(game.payoff.min()), float(game.payoff.max())
+    try:
+        return parse_link(entry, domain=(lo, hi) if hi > lo else (lo - 0.5, hi + 0.5))
     except ValueError as e:
         _fail(f"config field {path}: {e}")
 
@@ -159,57 +209,45 @@ def _parse_link_cfg(entry, game: Game, path: str):
 def _parse_rule(entry, game: Game, path: str) -> GrowthRule:
     if _section(entry, path) is None:
         return GrowthRule()
-    kind = entry.get("kind", "replicator")
-    if kind == "replicator":
-        link = None
-    elif kind == "payoff-functional":
-        link = _parse_link_cfg(entry.get("link"), game, f"{path}.link")
-    else:
-        _fail(f"config field {path}.kind must be 'replicator' or "
-              f"'payoff-functional', got {kind!r}")
+    kind = _choice(entry.get("kind", "replicator"), f"{path}.kind",
+                   ("replicator", "payoff-functional"))
+    link = (None if kind == "replicator"
+            else _parse_link(_req(entry, "link", path), game, f"{path}.link"))
     _known(entry, path, ("kind", "speed") if link is None else ("kind", "link", "speed"))
     speed = entry.get("speed")
     if isinstance(speed, dict):
-        _known(speed, f"{path}.speed", ("xs", "ys"))
-        speed = table_link(_req(speed, "xs", f"{path}.speed"),
-                           _req(speed, "ys", f"{path}.speed"))
+        speed = _table(speed, f"{path}.speed")
     try:
         return GrowthRule(link=link, speed=speed)
     except TypeError as e:
         _fail(f"config field {path}.speed: {e}")
 
 
-def _parse_opponent(entry, game: Game):
+def _parse_opponent(entry):
+    """None (self-play) when the config has no opponent, else the script or
+    the second population that its mode names."""
     if entry is None:
         return None
-    if isinstance(entry, str):
-        entry = {"mode": entry}
-    mode = _section(entry, "opponent").get("mode", "self-play")
-    keys = _OPPONENT_KEYS.get(mode)
-    if keys is None:
-        _fail(f"config field opponent.mode names an unknown mode {mode!r}")
-    _known(entry, "opponent", keys)
-    if mode == "self-play":
-        return None
+    if not isinstance(entry, dict):
+        _fail(f"config field opponent must be an object, got {entry!r}{_SELF_PLAY}")
+    mode = _choice(entry.get("mode"), "opponent.mode", _OPPONENT_KEYS, _SELF_PLAY)
+    _known(entry, "opponent", _OPPONENT_KEYS[mode])
     if mode == "scripted":
         sc = _req(entry, "schedule", "opponent")
         _known(sc, "opponent.schedule", ("period", "times", "values"))
         return Schedule(_number(sc, "period", "opponent.schedule"),
-                        _req(sc, "times", "opponent.schedule"),
-                        _req(sc, "values", "opponent.schedule"))
+                        _numbers(sc, "times", "opponent.schedule"),
+                        _numbers(sc, "values", "opponent.schedule"))
     opp_game = _parse_game(_req(entry, "game", "opponent"), "opponent.game")
     opp_rule = _parse_rule(entry.get("rule"), opp_game, "opponent.rule")
-    return Coupled(opp_game, opp_rule, _req(entry, "y0", "opponent"))
+    return Coupled(opp_game, opp_rule, _weights(entry, "y0", "opponent", opp_game.n_rows))
 
 
 def _parse_background(entry) -> BackgroundFitness:
     if _section(entry, "background") is None:
         return constant_background(0.0)
-    kind = entry.get("kind", "constant")
-    keys = _BACKGROUND_KEYS.get(kind)
-    if keys is None:
-        _fail(f"config field background.kind names an unknown kind {kind!r}")
-    _known(entry, "background", keys)
+    kind = _choice(entry.get("kind", "constant"), "background.kind", _BACKGROUND_KEYS)
+    _known(entry, "background", _BACKGROUND_KEYS[kind])
     if kind == "constant":
         return constant_background(_number(entry, "c0", "background", 0.0))
     base = _number(entry, "c0", "background")
@@ -223,14 +261,10 @@ def _parse_targets(entries, game: Game):
         _fail("config field targets must be a list")
     targets = []
     for k, entry in enumerate(entries or []):
-        p = np.asarray(_req(entry, "p", f"targets[{k}]"), dtype=float)
-        q = np.asarray(_req(entry, "q", f"targets[{k}]"), dtype=float)
-        _known(entry, f"targets[{k}]", ("p", "q"))
-        for name, vec in (("p", p), ("q", q)):
-            if vec.shape != (game.n_rows,):
-                _fail(f"config field targets[{k}].{name} needs "
-                      f"{game.n_rows} weights, got {vec.size}")
-        targets.append((p, q))
+        path = f"targets[{k}]"
+        targets.append((_weights(entry, "p", path, game.n_rows),
+                        _weights(entry, "q", path, game.n_rows)))
+        _known(entry, path, ("p", "q"))
     return targets
 
 
@@ -266,24 +300,20 @@ def _emit_report(report: dict, out_path) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    game = _parse_game(_req(cfg, "game", "config"), "game")
-    mode = cfg.get("mode", "continuous")
-    if mode not in _INTEGRATOR_KEYS:
-        _fail(f"config field mode must be 'continuous' or 'discrete', got {mode!r}")
+    game = _parse_game(_req(cfg, "game", ""), "game")
+    mode = _choice(cfg.get("mode", "continuous"), "mode", _INTEGRATOR_KEYS)
     _known(cfg, "", _TOP_KEYS + (("background",) if mode == "discrete" else ()))
     for attr in ("t_max", "dt", "n_max"):
         if getattr(args, attr) is not None and attr not in _INTEGRATOR_KEYS[mode]:
             _fail(f"simulate in {mode} mode does not take --{attr.replace('_', '-')}")
     rule = _parse_rule(cfg.get("rule"), game, "rule")
-    opponent = _parse_opponent(cfg.get("opponent"), game)
-    x0 = cfg.get("x0")
-    if x0 is None:
-        x0 = np.full(game.n_rows, 1.0 / game.n_rows)
+    opponent = _parse_opponent(cfg.get("opponent"))
+    x0 = (np.full(game.n_rows, 1.0 / game.n_rows) if cfg.get("x0") is None
+          else _weights(cfg, "x0", "", game.n_rows))
     targets = _parse_targets(cfg.get("targets"), game)
 
     integ = _known(_section(cfg.get("integrator"), "integrator") or {}, "integrator",
                    _INTEGRATOR_KEYS[mode])
-    output = _known(_section(cfg.get("output"), "output") or {}, "output", ("traj", "report"))
     sample_every = _count(integ, "sample_every", 100)
     if mode == "continuous":
         t_max = (args.t_max if args.t_max is not None
@@ -321,16 +351,15 @@ def cmd_simulate(args) -> int:
         "targets": target_reports,
     }
 
-    traj_path = args.traj or output.get("traj")
-    if traj_path:
+    if args.traj:
         extras = None
         if targets:
             p, q = targets[0]
             min_support, product = elimination_metrics(traj, q)
             extras = {"w": w_series(traj, p, q), "min_support": min_support,
                       "product": product}
-        write_trajectory_csv(traj, traj_path, extras)
-    _emit_report(report, args.out or output.get("report"))
+        write_trajectory_csv(traj, args.traj, extras)
+    _emit_report(report, args.out)
     return 0
 
 

@@ -145,10 +145,30 @@ def game_to_dict(game: Game) -> dict:
     return d
 
 
+def json_floats(value, what: str) -> np.ndarray:
+    """value, a JSON number or nested lists of them, as a float array.
+
+    NumPy would read a JSON boolean as 1.0 or 0.0 and a numeric string as its
+    number, and raise OverflowError on an integer beyond the float range;
+    each is refused here with a ValueError that names what.
+    """
+    stack = [value]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, list):
+            stack.extend(node)
+        elif isinstance(node, bool) or not isinstance(node, (int, float)):
+            raise ValueError(f"{what} must hold only numbers, got {node!r}")
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer beyond the float range") from None
+
+
 def game_from_dict(d: dict) -> Game:
-    if "payoff" not in d:
-        raise ValueError("game JSON must have a 'payoff' key")
-    return Game(d["payoff"], d.get("row_labels"), d.get("col_labels"))
+    if not isinstance(d, dict) or "payoff" not in d:
+        raise ValueError("game JSON must be an object with a 'payoff' key")
+    return Game(json_floats(d["payoff"], "payoff"), d.get("row_labels"), d.get("col_labels"))
 
 
 def load_game(path) -> Game:

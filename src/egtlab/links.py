@@ -416,34 +416,22 @@ def rps_direction(f: LinkFunction | None, a: float, b: float, c: float) -> str:
     return "outward" if delta > 0 else "inward"
 
 
-# Names a spec or a config may give each family by, and the values its
-# trailing params take when left out; a table needs knots and is built apart.
+# Names a spec may give each family by, and the values its trailing params
+# take when left out; a table needs knots and is built apart.
 _LINK_NAMES = {"linear": "linear", "lin": "linear", "power": "power", "pow": "power",
                "exponential": "exponential", "exp": "exponential", "logarithm": "logarithm",
                "log": "logarithm", "ln": "logarithm", "sqrt": "sqrt"}
 _DEFAULT_PARAMS = {"linear": (1.0, 0.0), "exponential": (1.0,)}
 
 
-def make_link(name: str, params=(), domain=None) -> LinkFunction:
-    """The link of the family named name (or an alias) with params, the
-    trailing ones defaulting to slope 1 and intercept 0 (linear) or rate 1
-    (exponential); LinkFunction refuses any other count. A linear link
-    without a domain gets (-1e6, 1e6); every other family needs one."""
-    family = _LINK_NAMES.get(name.strip().lower())
-    if family is None:
-        raise ValueError(f"unknown link family {name!r}")
-    params = tuple(params)
-    params += _DEFAULT_PARAMS.get(family, ())[len(params):]
-    if domain is None and family != "linear":
-        raise ValueError(f"link {name!r} needs a payoff interval (use '@lo,hi' or --interval)")
-    return LinkFunction(family, params, domain or (-1e6, 1e6))
-
-
 def parse_link(spec: str, domain=None) -> LinkFunction:
     """Build a link from a CLI-style spec string such as 'linear:1,0' or 'exp:2'.
 
-    domain supplies the payoff interval for families that need one; specs may
-    also carry their own as a suffix '@lo,hi'.
+    The spec names a family (or an alias) and its params, the trailing ones
+    defaulting to slope 1 and intercept 0 (linear) or rate 1 (exponential);
+    LinkFunction refuses any other count. domain supplies the payoff interval;
+    a spec may also carry its own as a suffix '@lo,hi'. A linear link without
+    either gets (-1e6, 1e6); every other family needs one.
     """
     spec = spec.strip()
     if "@" in spec:
@@ -453,4 +441,11 @@ def parse_link(spec: str, domain=None) -> LinkFunction:
             raise ValueError(f"bad domain suffix in link spec {spec!r}")
         domain = (float(parts[0]), float(parts[1]))
     name, _, arg = spec.partition(":")
-    return make_link(name, [float(v) for v in arg.split(",")] if arg else (), domain)
+    family = _LINK_NAMES.get(name.strip().lower())
+    if family is None:
+        raise ValueError(f"unknown link family {name!r}")
+    params = tuple(float(v) for v in arg.split(",")) if arg else ()
+    params += _DEFAULT_PARAMS.get(family, ())[len(params):]
+    if domain is None and family != "linear":
+        raise ValueError(f"link {name!r} needs a payoff interval (use '@lo,hi' or --interval)")
+    return LinkFunction(family, params, domain or (-1e6, 1e6))

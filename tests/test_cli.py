@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,14 +117,23 @@ def test_simulate_discrete_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [("rule", "replicator"), ("integrator", [1]),
-                                          ("background", 3), ("output", "x.json"),
-                                          ("opponent", [1])])
+                                          ("background", 3), ("opponent", [1])])
 def test_config_sections_must_be_objects(tmp_path, capsys, field, value):
     doc = {"mode": "discrete", "game": {"payoff": [[2.0, 2.0], [1.0, 1.0]]},
            "x0": [0.5, 0.5], "integrator": {"n_max": 10}}
     cfg = write_json(tmp_path / "bad.json", {**doc, field: value})
     assert main(["simulate", "--config", cfg]) == 1
     assert f"config field {field} must be an object" in capsys.readouterr().err
+
+
+def test_a_schedule_must_be_an_object(tmp_path, capsys):
+    # its keys were read as the characters of a string, or the items of a list
+    for schedule in ("abc", ["abc"]):
+        cfg = {"game": {"payoff": DISCUSSION_PAYOFF},
+               "opponent": {"mode": "scripted", "schedule": schedule}}
+        assert main(["simulate", "--config", write_json(tmp_path / "bad.json", cfg)]) == 1
+        assert capsys.readouterr().err == \
+            "error: config field opponent.schedule must be an object\n"
 
 
 def test_simulate_rejects_a_fractional_sample_every(tmp_path, capsys):
@@ -207,20 +219,19 @@ UNREAD = {
                         "background.c1"),
     "rule": ({**SHORT, "rule": {"kind": "replicator", "sped": 2.0}}, "rule.sped"),
     "replicator-link": ({**SHORT, "rule": {"kind": "replicator", "link": "sqrt"}}, "rule.link"),
-    "link": ({**SHORT, "rule": {"kind": "payoff-functional",
-                                "link": {"family": "exp", "rate": 2.0}}}, "rule.link.rate"),
+    "link": ({**SHORT, "opponent": {**PAIR, "rule": {"kind": "payoff-functional", "link": {
+        "xs": [0.0, 3.0], "ys": [0.0, 3.0], "lo": 0.0}}}}, "opponent.rule.link.lo"),
     "table-link": ({**SHORT, "rule": {"kind": "payoff-functional", "link": {
-        "family": "table", "xs": [0.0, 3.0], "ys": [0.0, 3.0], "domain": [0.0, 3.0]}}},
-        "rule.link.domain"),
+        "xs": [0.0, 3.0], "ys": [0.0, 3.0], "domain": [0.0, 3.0]}}}, "rule.link.domain"),
     "speed": ({**SHORT, "rule": {"speed": {"xs": [0.0, 3.0], "ys": [1.0, 2.0], "lo": 0.0}}},
               "rule.speed.lo"),
-    "opponent": ({**SHORT, "opponent": {"mode": "self-play", "y0": [1.0, 0.0, 0.0]}},
-                 "opponent.y0"),
+    "opponent": ({**SHORT, "opponent": {"mode": "scripted", "schedule": SCRIPT,
+                                        "y0": [1.0, 0.0, 0.0]}}, "opponent.y0"),
     "schedule": ({**SHORT, "opponent": {"mode": "scripted", "schedule": {**SCRIPT, "phase": 1.0}}},
                  "opponent.schedule.phase"),
     "coupled-rule": ({**SHORT, "opponent": {**PAIR, "rule": {"knd": "replicator"}}},
                      "opponent.rule.knd"),
-    "output": ({**SHORT, "output": {"trajectory": "t.csv"}}, "output.trajectory"),
+    "output": ({**SHORT, "output": {"traj": "t.csv"}}, "output"),
     "target": ({**SHORT, "targets": [TARGET, {**TARGET, "r": [1.0, 0.0, 0.0]}]}, "targets[1].r"),
 }
 
@@ -229,7 +240,8 @@ UNREAD = {
 def test_simulate_refuses_fields_it_does_not_read(tmp_path, capsys, case):
     cfg, field = UNREAD[case]
     assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 1
-    assert f"config field {field} is unknown" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field {field} is unknown; ") and err.count("\n") == 1
 
 
 # the background's and the script's numbers, each placed in a config that
@@ -274,21 +286,19 @@ def test_a_speed_that_is_no_table_exits_1(tmp_path, capsys, speed):
 
 @pytest.mark.parametrize("cfg", [
     {**SHORT, "mode": "continuous", "x0": [0.4, 0.4, 0.2], "targets": [TARGET],
-     "rule": {"kind": "payoff-functional",
-              "link": {"family": "table", "xs": [0.0, 3.0], "ys": [0.0, 3.0]},
+     "rule": {"kind": "payoff-functional", "link": {"xs": [0.0, 3.0], "ys": [0.0, 3.0]},
               "speed": {"xs": [0.0, 3.0], "ys": [1.0, 2.0]}},
      "opponent": {"mode": "scripted", "schedule": SCRIPT},
      "integrator": {"t_max": 1.0, "dt": 0.1, "sample_every": 2}},
     {**MAP, "x0": [0.4, 0.4, 0.2], "targets": [TARGET],
-     "rule": {"kind": "payoff-functional",
-              "link": {"family": "linear", "params": [1.0, 1.0], "domain": [0.0, 3.0]}},
+     "rule": {"kind": "payoff-functional", "link": "linear:1,1@0,3"},
      "opponent": {**PAIR, "rule": {"kind": "replicator"}},
      "background": {"kind": "affine", "c0": 1.0, "c1": 0.5},
      "integrator": {"n_max": 5, "sample_every": 2}},
 ], ids=["continuous", "discrete"])
 def test_simulate_reads_every_field_it_takes(tmp_path, cfg):
-    cfg = {**cfg, "output": {"report": str(tmp_path / "r.json"), "traj": str(tmp_path / "t.csv")}}
-    assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 0
+    assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg),
+                 "--out", str(tmp_path / "r.json"), "--traj", str(tmp_path / "t.csv")]) == 0
     assert (tmp_path / "r.json").exists() and (tmp_path / "t.csv").exists()
 
 
@@ -298,6 +308,172 @@ def test_simulate_refuses_flags_of_the_other_mode(tmp_path, capsys, cfg, flag):
     assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg), flag, "3"]) == 1
     mode = cfg.get("mode", "continuous")
     assert f"simulate in {mode} mode does not take {flag}" in capsys.readouterr().err
+
+
+# forms an earlier config grammar also took, each with its one error line;
+# UNREAD["output"] checks the output section's
+REMOVED = {
+    "string-opponent": ({**SHORT, "opponent": "self-play"},
+                        "config field opponent must be an object, got 'self-play'; "
+                        "leave out opponent for self-play"),
+    "self-play-mode": ({**SHORT, "opponent": {"mode": "self-play"}},
+                       "config field opponent.mode must be 'scripted' or 'coupled', "
+                       "got 'self-play'; leave out opponent for self-play"),
+    "no-mode": ({**SHORT, "opponent": {}},
+                "config field opponent.mode must be 'scripted' or 'coupled', got None; "
+                "leave out opponent for self-play"),
+    "link-object": ({**SHORT, "rule": {"kind": "payoff-functional", "link": {
+        "family": "exp", "params": [1.0], "domain": [0.0, 3.0]}}},
+        "config field rule.link.family is unknown; rule.link takes xs, ys"),
+    "table-family": ({**SHORT, "opponent": {**PAIR, "rule": {"kind": "payoff-functional", "link": {
+        "family": "table", "xs": [0.0, 3.0], "ys": [0.0, 3.0]}}}},
+        "config field opponent.rule.link.family is unknown; opponent.rule.link takes xs, ys"),
+}
+
+
+@pytest.mark.parametrize("case", REMOVED)
+def test_a_removed_config_form_exits_1_with_one_line(tmp_path, capsys, case):
+    cfg, message = REMOVED[case]
+    assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+BIG = int("1" + "0" * 400)  # a JSON integer that no float holds
+SCALAR_FIELDS = {"integrator.t_max": lambda v: {**SHORT, "integrator": {"t_max": v}},
+                 "integrator.dt": lambda v: {**SHORT, "integrator": {"t_max": 1.0, "dt": v}},
+                 **NUMBER_FIELDS}
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS)
+def test_a_number_beyond_the_float_range_exits_1(tmp_path, capsys, field):
+    cfg = write_json(tmp_path / "cfg.json", SCALAR_FIELDS[field](BIG))
+    assert main(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (f"error: config field {field} holds an integer beyond "
+                                       "the float range\n")
+
+
+# every numeric array, with v placed where True reads as 1.0 in a config
+# that otherwise runs, and the name its error gives the array
+ARRAY_FIELDS = {
+    "x0": (lambda v: {**SHORT, "x0": [v, 0.0, 0.0]}, "config field x0"),
+    "opponent.y0": (lambda v: {**SHORT, "opponent": {**PAIR, "y0": [0.0, v, 0.0]}},
+                    "config field opponent.y0"),
+    "targets.p": (lambda v: {**SHORT, "targets": [{**TARGET, "p": [0.0, 0.0, v]}]},
+                  "config field targets[0].p"),
+    "targets.q": (lambda v: {**SHORT, "targets": [{**TARGET, "q": [v, 0.0, 0.0]}]},
+                  "config field targets[0].q"),
+    "schedule.times": (lambda v: {**SHORT, "opponent": {
+        "mode": "scripted", "schedule": {**SCRIPT, "times": [0.0, v]}}},
+        "config field opponent.schedule.times"),
+    "schedule.values": (lambda v: {**SHORT, "opponent": {
+        "mode": "scripted", "schedule": {**SCRIPT, "values": [[v, 0.0, 0.0], [0.0, 1.0, 0.0]]}}},
+        "config field opponent.schedule.values"),
+    "link.xs": (lambda v: {**SHORT, "rule": {"kind": "payoff-functional", "link": {
+        "xs": [0.0, v, 3.0], "ys": [0.0, 1.0, 3.0]}}}, "config field rule.link.xs"),
+    "link.ys": (lambda v: {**SHORT, "rule": {"kind": "payoff-functional", "link": {
+        "xs": [0.0, 3.0], "ys": [v, 3.0]}}}, "config field rule.link.ys"),
+    "speed.xs": (lambda v: {**SHORT, "rule": {"speed": {"xs": [0.0, v, 3.0],
+                                                         "ys": [1.0, 1.5, 2.0]}}},
+                 "config field rule.speed.xs"),
+    "speed.ys": (lambda v: {**SHORT, "rule": {"speed": {"xs": [0.0, 3.0], "ys": [v, 2.0]}}},
+                 "config field rule.speed.ys"),
+    "game": (lambda v: {**SHORT, "game": {"payoff": [[3.0, 0.0, 0.0], [0.0, 3.0, 0.0],
+                                                     [2.0, 2.0, v]]}}, "game: payoff"),
+    "opponent.game": (lambda v: {**SHORT, "opponent": {**PAIR, "game": {"payoff": [
+        [3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, v]]}}}, "opponent.game: payoff"),
+}
+
+
+@pytest.mark.parametrize("value, says", [
+    (True, "must hold only numbers, got True"),
+    (BIG, "holds an integer beyond the float range"),
+], ids=["true", "big"])
+@pytest.mark.parametrize("field", ARRAY_FIELDS)
+def test_numeric_arrays_hold_only_json_numbers_that_floats_hold(tmp_path, capsys, field, value,
+                                                                says):
+    config, name = ARRAY_FIELDS[field]
+    assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", config(value))]) == 1
+    assert capsys.readouterr().err == f"error: {name} {says}\n"
+
+
+def test_a_game_file_holds_an_object(tmp_path, capsys):
+    # a number in the file raised TypeError on the 'payoff' lookup
+    game = write_json(tmp_path / "g.json", 5)
+    assert main(["dominance", "--game", game, "--iterate"]) == 1
+    assert capsys.readouterr().err == \
+        "error: --game: game JSON must be an object with a 'payoff' key\n"
+
+
+def test_dominance_game_files_hold_only_json_numbers(tmp_path, capsys):
+    for value, says in ((True, "must hold only numbers, got True"),
+                        ("1", "must hold only numbers, got '1'"),
+                        (BIG, "holds an integer beyond the float range")):
+        game = write_json(tmp_path / "g.json", {"payoff": [[1.0, value], [0.0, 1.0]]})
+        assert main(["dominance", "--game", game, "--iterate"]) == 1
+        assert capsys.readouterr() == ("", f"error: --game: payoff {says}\n")
+
+
+# the fields that take one of a few strings, with a config for each
+CHOICE_FIELDS = {
+    "mode": (lambda v: {**SHORT, "mode": v}, "'continuous' or 'discrete'"),
+    "rule.kind": (lambda v: {**SHORT, "rule": {"kind": v}}, "'replicator' or 'payoff-functional'"),
+    "opponent.mode": (lambda v: {**SHORT, "opponent": {"mode": v}}, "'scripted' or 'coupled'"),
+    "background.kind": (lambda v: {**MAP, "background": {"kind": v}},
+                        "'constant', 'affine' or 'geometric'"),
+}
+
+
+@pytest.mark.parametrize("value", [["constant"], {"kind": "coupled"}], ids=["list", "object"])
+@pytest.mark.parametrize("field", CHOICE_FIELDS)
+def test_a_choice_field_names_its_choices(tmp_path, capsys, field, value):
+    config, choices = CHOICE_FIELDS[field]
+    assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", config(value))]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: config field {field} must be {choices}, got {value!r}")
+
+
+@pytest.mark.parametrize("cfg, field, shape", [
+    ({**SHORT, "x0": [[0.4, 0.4, 0.2], [0.2, 0.4, 0.4]]}, "x0", (2, 3)),
+    ({**SHORT, "x0": [[0.4, 0.4, 0.2]], "targets": [TARGET]}, "x0", (1, 3)),
+    ({**SHORT, "x0": [0.5, 0.5]}, "x0", (2,)),
+    ({**SHORT, "opponent": {**PAIR, "y0": [[0.2, 0.3, 0.5]]}}, "opponent.y0", (1, 3)),
+], ids=["batch", "batch-with-targets", "short", "coupled-batch"])
+def test_a_start_is_one_weight_per_strategy(tmp_path, capsys, cfg, field, shape):
+    # a simulate report describes one run, so a batch of starts is refused
+    assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 1
+    assert capsys.readouterr().err == (f"error: config field {field} needs 3 weights, "
+                                       f"one per strategy, got shape {shape}\n")
+
+
+# The simulate ops of the benchmark (bench/ops.py), at its tiny size: their
+# configs cover both rule kinds, a spec-string link, a speed table, coupled
+# and scripted opponents, a background, targets and --out/--traj. They run
+# in a child process, since loading the benchmark's modules here would change
+# the examples Hypothesis draws in this process (bench/tests/selftest.py).
+BENCH_SIMULATE_OPS = {"selfplay": ["simulate-coupled-pair", "simulate-coupled-map"],
+                      "scripted": ["simulate-scripted-speed"]}
+
+
+def test_the_benchmarks_simulate_configs_run_and_pass_its_checks(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    code = f"""
+import sys
+from pathlib import Path
+sys.path.insert(0, {str(root / "bench")!r})
+import checkout
+checkout.prepare()
+import ops
+for workload, names in {BENCH_SIMULATE_OPS!r}.items():
+    for op in ops.build(workload, 1, Path({str(tmp_path)!r}), size="tiny"):
+        if op.name in names:
+            op.check(op.run())
+            print(op.name)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=root, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [name for names in BENCH_SIMULATE_OPS.values()
+                                  for name in names]
 
 
 SEED_HELP = {
@@ -572,23 +748,20 @@ LINK_NAMES = [(name, params, family, built)
 
 @pytest.mark.parametrize("name,params,family,built", LINK_NAMES)
 def test_link_specs_and_configs_build_the_same_link(name, params, family, built):
-    spec = name + (":" + ",".join(map(str, params)) if params else "") + "@1,9"
-    cfg = {"family": name, "params": list(params), "domain": [1, 9]}
-    configs = [cfg] + ([dict(cfg, params=None)] if not params else [])  # null means none
-    for f in [parse_link(spec)] + [cli._parse_link_cfg(c, LINK_GAME, "rule.link") for c in configs]:
+    spec = name + (":" + ",".join(map(str, params)) if params else "")
+    for f in (parse_link(spec + "@1,9"), cli._parse_link(spec + "@1,9", LINK_GAME, "rule.link")):
         assert (f.family, f.params, f.domain) == (family, built, (1.0, 9.0))
     # without a domain, a config link takes the payoff hull
-    f = cli._parse_link_cfg({"family": name, "params": list(params)}, LINK_GAME, "rule.link")
-    assert f.domain == (1.0, 4.0)
+    f = cli._parse_link(spec, LINK_GAME, "rule.link")
+    assert (f.family, f.params, f.domain) == (family, built, (1.0, 4.0))
 
 
 def test_link_specs_and_configs_refuse_extra_params():
     for spec in ("sqrt:3@1,9", "log:7@1,2", "linear:1,2,3"):
         with pytest.raises(ValueError, match="takes"):
             parse_link(spec)
-    for cfg in ({"family": "sqrt", "params": [3]}, {"family": "linear", "params": [1, 2, 3]},
-                {"family": "power"}):
+    for spec in ("sqrt:3", "linear:1,2,3", "power"):
         with pytest.raises(ValueError, match=r"^config field rule\.link: .* takes"):
-            cli._parse_link_cfg(cfg, LINK_GAME, "rule.link")
+            cli._parse_link(spec, LINK_GAME, "rule.link")
     with pytest.raises(ValueError, match=r"^config field rule\.link: unknown link family"):
-        cli._parse_link_cfg({"family": "frobnicate"}, LINK_GAME, "rule.link")
+        cli._parse_link("frobnicate", LINK_GAME, "rule.link")

@@ -81,3 +81,14 @@ def test_file_round_trip(tmp_path):
 def test_game_from_dict_wants_a_payoff_key():
     with pytest.raises(ValueError, match="payoff"):
         game_from_dict({"matrix": [[1.0]]})
+
+
+@pytest.mark.parametrize("entry, says", [
+    (True, "must hold only numbers, got True"),
+    ("2", "must hold only numbers, got '2'"),
+    (int("1" + "0" * 400), "holds an integer beyond the float range"),
+], ids=["true", "string", "big"])
+def test_game_from_dict_reads_only_json_numbers(entry, says):
+    # NumPy would read true as 1.0 and "2" as 2.0, and overflow on the integer
+    with pytest.raises(ValueError, match=f"^payoff {says}$"):
+        game_from_dict({"payoff": [[1.0, 0.0], [entry, 1.0]]})
