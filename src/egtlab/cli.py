@@ -6,23 +6,25 @@ rps-direction (cycle orientation under the replicator, a --link's flow, or
 with --discrete-C its generation map), scenario (catalog experiments).
 
 simulate reads one JSON object; each field takes one form, and any other
-field exits 1:
+field exits 1. A field left out takes its default; null is no value, and
+exits 1 as any other wrong form does:
   game        a game's JSON form {"payoff": rows, ...} (see games) or the path of a
               file holding one; required
   mode        "continuous" (the default) or "discrete"
   rule        {"kind": "replicator"} (the default) or {"kind": "payoff-functional",
-              "link": L}, each with an optional "speed": T
+              "link": L}; a continuous run without a coupled opponent reads a speed,
+              so there each also takes an optional "speed": T
   x0          one weight per strategy; the default is the uniform mixture
-  opponent    absent for self-play, {"mode": "scripted", "schedule": {"period": P,
+  opponent    left out for self-play, {"mode": "scripted", "schedule": {"period": P,
               "times": [...], "values": [[...], ...]}} or {"mode": "coupled",
-              "game": G, "rule": R, "y0": [...]}, rule optional
+              "game": G, "rule": R, "y0": [...]}, rule optional and taking no speed
   background  discrete mode only: {"kind": "constant", "c0": C} (c0 defaults to 0),
               {"kind": "affine", "c0": C, "c1": D} or {"kind": "geometric", "c0": C,
-              "ratio": Q}; the default is C = 0
+              "ratio": Q}; the default is iterate's, C = 0
   targets     a list of {"p": [...], "q": [...]}, one weight per strategy each
   integrator  {"t_max", "dt", "sample_every"} (continuous) or {"n_max",
-              "sample_every"} (discrete), each optional; --t-max, --dt and
-              --n-max override them
+              "sample_every"} (discrete), each optional, with the defaults of
+              integrate and iterate; --t-max, --dt and --n-max override them
 A link L is a spec string such as "sqrt" or "exp:2", on the game's payoff
 hull unless it ends in "@lo,hi", or a knot table T = {"xs": [...], "ys": [...]};
 a speed is a knot table over mean payoff. Numbers are JSON numbers, never
@@ -51,7 +53,8 @@ from .diagnostics import elimination_metrics, verdict, w_series
 from .discrete import (BackgroundFitness, affine_background, constant_background,
                        geometric_background, iterate)
 from .dominance import find_dominator, iterate_elimination
-from .dynamics import Coupled, GrowthRule, Schedule, integrate, write_trajectory_csv
+from .dynamics import (Coupled, GrowthRule, Schedule, _check_count, integrate,
+                       write_trajectory_csv)
 from .games import Game, game_from_dict, json_floats, load_game
 from .links import (classify_link, discrete_effective_link, parse_link, rps_direction,
                     table_link)
@@ -67,27 +70,23 @@ def _field(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _req(d, key, path: str):
-    if not isinstance(d, dict):
-        _fail(f"config field {path} must be an object")
-    if key not in d:
-        _fail(f"config field {_field(path, key)} is missing")
-    return d[key]
-
-
-def _section(entry, path: str):
-    """An optional config section: None when absent, else a JSON object."""
-    if entry is not None and not isinstance(entry, dict):
+def _object(entry, path: str) -> dict:
+    """entry, refused unless it is a JSON object; null is no object."""
+    if not isinstance(entry, dict):
         _fail(f"config field {path} must be an object")
     return entry
 
 
-def _known(entry: dict, path: str, keys) -> dict:
+def _req(d, key, path: str):
+    if key not in _object(d, path):
+        _fail(f"config field {_field(path, key)} is missing")
+    return d[key]
+
+
+def _known(entry, path: str, keys) -> dict:
     """entry, refusing any key outside keys, which simulate would otherwise
     ignore; path names the object ("" at the top level)."""
-    if not isinstance(entry, dict):
-        _fail(f"config field {path} must be an object")
-    for key in entry:
+    for key in _object(entry, path):
         if key not in keys:
             _fail(f"config field {_field(path, key)} is unknown; "
                   f"{path or 'the config'} takes {', '.join(keys)}")
@@ -128,13 +127,13 @@ def _weights(d, key, path: str, n: int) -> np.ndarray:
     return w
 
 
-def _count(integ: dict, key: str, default: int):
-    """A count from the integrator section: a whole float such as 100.0
-    becomes an int, and the run checks the rest."""
-    value = integ.get(key, default)
+def _count(d, key, path: str) -> int:
+    """The JSON count d[key] of the object at path, a whole number of at
+    least 1; a whole float such as 100.0 becomes an int."""
+    value = d[key]
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
+        value = int(value)
+    return _check_count(value, f"config field {_field(path, key)}")
 
 
 def _floats(text: str, what: str, count: int | None = None) -> list:
@@ -186,8 +185,10 @@ def _parse_game(entry, path: str) -> Game:
         _fail(f"{path}: {e}")
 
 
-def _table(entry: dict, path: str):
+def _table(entry, path: str):
     """A knot table {xs, ys}: a rule's link or speed."""
+    if not isinstance(entry, dict):
+        _fail(f"config field {path} must be a knot table {{xs, ys}}, got {entry!r}")
     _known(entry, path, ("xs", "ys"))
     return table_link(_numbers(entry, "xs", path), _numbers(entry, "ys", path))
 
@@ -206,28 +207,19 @@ def _parse_link(entry, game: Game, path: str):
         _fail(f"config field {path}: {e}")
 
 
-def _parse_rule(entry, game: Game, path: str) -> GrowthRule:
-    if _section(entry, path) is None:
-        return GrowthRule()
-    kind = _choice(entry.get("kind", "replicator"), f"{path}.kind",
+def _parse_rule(entry, game: Game, path: str, speed: bool) -> GrowthRule:
+    """A rule; speed says whether its run reads a speed, which the rule then
+    may hold as a knot table."""
+    kind = _choice(_object(entry, path).get("kind", "replicator"), f"{path}.kind",
                    ("replicator", "payoff-functional"))
     link = (None if kind == "replicator"
             else _parse_link(_req(entry, "link", path), game, f"{path}.link"))
-    _known(entry, path, ("kind", "speed") if link is None else ("kind", "link", "speed"))
-    speed = entry.get("speed")
-    if isinstance(speed, dict):
-        speed = _table(speed, f"{path}.speed")
-    try:
-        return GrowthRule(link=link, speed=speed)
-    except TypeError as e:
-        _fail(f"config field {path}.speed: {e}")
+    _known(entry, path, ("kind",) + ("link",) * (link is not None) + ("speed",) * speed)
+    return GrowthRule(link, _table(entry["speed"], f"{path}.speed") if "speed" in entry else None)
 
 
 def _parse_opponent(entry):
-    """None (self-play) when the config has no opponent, else the script or
-    the second population that its mode names."""
-    if entry is None:
-        return None
+    """The script or the second population that the opponent's mode names."""
     if not isinstance(entry, dict):
         _fail(f"config field opponent must be an object, got {entry!r}{_SELF_PLAY}")
     mode = _choice(entry.get("mode"), "opponent.mode", _OPPONENT_KEYS, _SELF_PLAY)
@@ -239,14 +231,13 @@ def _parse_opponent(entry):
                         _numbers(sc, "times", "opponent.schedule"),
                         _numbers(sc, "values", "opponent.schedule"))
     opp_game = _parse_game(_req(entry, "game", "opponent"), "opponent.game")
-    opp_rule = _parse_rule(entry.get("rule"), opp_game, "opponent.rule")
+    opp_rule = _parse_rule(entry.get("rule", {}), opp_game, "opponent.rule", speed=False)
     return Coupled(opp_game, opp_rule, _weights(entry, "y0", "opponent", opp_game.n_rows))
 
 
 def _parse_background(entry) -> BackgroundFitness:
-    if _section(entry, "background") is None:
-        return constant_background(0.0)
-    kind = _choice(entry.get("kind", "constant"), "background.kind", _BACKGROUND_KEYS)
+    kind = _choice(_object(entry, "background").get("kind", "constant"), "background.kind",
+                   _BACKGROUND_KEYS)
     _known(entry, "background", _BACKGROUND_KEYS[kind])
     if kind == "constant":
         return constant_background(_number(entry, "c0", "background", 0.0))
@@ -257,10 +248,10 @@ def _parse_background(entry) -> BackgroundFitness:
 
 
 def _parse_targets(entries, game: Game):
-    if entries is not None and not isinstance(entries, list):
+    if not isinstance(entries, list):
         _fail("config field targets must be a list")
     targets = []
-    for k, entry in enumerate(entries or []):
+    for k, entry in enumerate(entries):
         path = f"targets[{k}]"
         targets.append((_weights(entry, "p", path, game.n_rows),
                         _weights(entry, "q", path, game.n_rows)))
@@ -303,43 +294,40 @@ def cmd_simulate(args) -> int:
     game = _parse_game(_req(cfg, "game", ""), "game")
     mode = _choice(cfg.get("mode", "continuous"), "mode", _INTEGRATOR_KEYS)
     _known(cfg, "", _TOP_KEYS + (("background",) if mode == "discrete" else ()))
-    for attr in ("t_max", "dt", "n_max"):
-        if getattr(args, attr) is not None and attr not in _INTEGRATOR_KEYS[mode]:
+    flags = {attr: getattr(args, attr) for attr in ("t_max", "dt", "n_max")
+             if getattr(args, attr) is not None}
+    for attr in flags:
+        if attr not in _INTEGRATOR_KEYS[mode]:
             _fail(f"simulate in {mode} mode does not take --{attr.replace('_', '-')}")
-    rule = _parse_rule(cfg.get("rule"), game, "rule")
-    opponent = _parse_opponent(cfg.get("opponent"))
-    x0 = (np.full(game.n_rows, 1.0 / game.n_rows) if cfg.get("x0") is None
-          else _weights(cfg, "x0", "", game.n_rows))
-    targets = _parse_targets(cfg.get("targets"), game)
+    opponent = _parse_opponent(cfg["opponent"]) if "opponent" in cfg else None
+    rule = _parse_rule(cfg.get("rule", {}), game, "rule",
+                       speed=mode == "continuous" and not isinstance(opponent, Coupled))
+    x0 = (_weights(cfg, "x0", "", game.n_rows) if "x0" in cfg
+          else np.full(game.n_rows, 1.0 / game.n_rows))
+    targets = _parse_targets(cfg.get("targets", []), game)
 
-    integ = _known(_section(cfg.get("integrator"), "integrator") or {}, "integrator",
-                   _INTEGRATOR_KEYS[mode])
-    sample_every = _count(integ, "sample_every", 100)
+    # only the values given reach the run: integrate and iterate state the defaults
+    integ = _known(cfg.get("integrator", {}), "integrator", _INTEGRATOR_KEYS[mode])
+    given = {key: (_number if key in ("t_max", "dt") else _count)(integ, key, "integrator")
+             for key in integ} | flags
     if mode == "continuous":
-        t_max = (args.t_max if args.t_max is not None
-                 else _number(integ, "t_max", "integrator", 200.0))
-        dt = args.dt if args.dt is not None else _number(integ, "dt", "integrator", 1e-3)
-        traj = integrate(rule, game, x0, opponent=opponent, t_max=t_max,
-                         dt=dt, sample_every=sample_every)
-        run = {"t_max": t_max, "dt": dt, "method": traj.meta["method"]}
+        traj = integrate(rule, game, x0, opponent=opponent, **given)
+        run = {key: traj.meta[key] for key in ("t_max", "dt", "method")}
     else:
-        n_max = args.n_max if args.n_max is not None else _count(integ, "n_max", 10_000)
-        background = _parse_background(cfg.get("background"))
-        traj = iterate(rule, game, x0, opponent=opponent, n_max=n_max,
-                       background=background, sample_every=sample_every)
-        run = {"n_max": n_max,
+        if "background" in cfg:
+            given["background"] = _parse_background(cfg["background"])
+        traj = iterate(rule, game, x0, opponent=opponent, **given)
+        background = traj.meta["background"]
+        run = {"n_max": traj.meta["steps"],
                "background": {"kind": background.kind, "base": background.base,
                               "rate": background.rate}}
 
-    target_reports = []
-    for p, q in targets:
-        v = verdict(traj, q)
-        w = w_series(traj, p, q)
-        target_reports.append({
-            "p": [float(v_) for v_ in p], "q": [float(v_) for v_ in q],
-            "verdict": v.__dict__,
-            "w_initial": float(w[0]), "w_final": float(w[-1]),
-        })
+    ws = [w_series(traj, p, q) for p, q in targets]
+    target_reports = [{
+        "p": [float(v_) for v_ in p], "q": [float(v_) for v_ in q],
+        "verdict": verdict(traj, q).__dict__,
+        "w_initial": float(w[0]), "w_final": float(w[-1]),
+    } for (p, q), w in zip(targets, ws)]
     report = {
         "mode": mode,
         "seed": args.seed,
@@ -356,7 +344,7 @@ def cmd_simulate(args) -> int:
         if targets:
             p, q = targets[0]
             min_support, product = elimination_metrics(traj, q)
-            extras = {"w": w_series(traj, p, q), "min_support": min_support,
+            extras = {"w": ws[0], "min_support": min_support,
                       "product": product}
         write_trajectory_csv(traj, args.traj, extras)
     _emit_report(report, args.out)

@@ -239,7 +239,7 @@ def iterate(rule: GrowthRule, game: Game, x0,
 
     Same opponent conventions as the continuous integrator, with schedule
     time measured in generations. Speed factors make no sense here and are
-    rejected, the coupled opponent's too.
+    rejected (a Coupled opponent's rule takes none).
 
     Every run adds the same increment log1p((g_i - r_n) / (C_n + r_n)) per
     generation, r_n = min_i g_i (see the module docstring). Every scripted
@@ -251,8 +251,7 @@ def iterate(rule: GrowthRule, game: Game, x0,
     |sum x - 1| over the normalized samples after the first
     (dynamics._drift), on either path.
     """
-    if rule.speed is not None or (isinstance(opponent, Coupled)
-                                  and opponent.rule.speed is not None):
+    if rule.speed is not None:
         raise ValueError("speed factors only apply to the continuous flow")
     n_steps = _check_count(n_max, "n_max")
     sample_every = _check_count(sample_every, "sample_every")

@@ -291,11 +291,16 @@ class GrowthRule:
 
 @dataclass(frozen=True)
 class Coupled:
-    """Second population with its own game (payoffs against population one)."""
+    """Second population with its own game (payoffs against population one).
+    Its rule takes no speed factor: a coupled run has none."""
 
     game: Game
     rule: GrowthRule
     y0: np.ndarray
+
+    def __post_init__(self):
+        if self.rule.speed is not None:
+            raise ValueError("a coupled population's rule takes no speed factor")
 
 
 @dataclass(frozen=True)
@@ -396,8 +401,6 @@ def _setup(rule: GrowthRule, game: Game, x0, opponent):
         z2 = _log_state(opponent.y0, m, "coupled initial state")
         if rule.speed is not None:
             raise ValueError("payoff-dependent speed is not supported with a coupled opponent")
-        if opponent.rule.speed is not None:
-            raise ValueError("speed belongs to the first population's rule in coupled runs")
         pops = [_Population(z, game.payoff, np.flatnonzero(z2 > -np.inf),
                             rule.effective_link, "population 1 strategy {}"),
                 _Population(z2, opponent.game.payoff, np.flatnonzero(z > -np.inf),

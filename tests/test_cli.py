@@ -150,7 +150,9 @@ def test_simulate_rejects_a_fractional_sample_every(tmp_path, capsys):
     ({"n_max": True}, "n_max must be an integer, got True"),
     ({"n_max": "10"}, "n_max must be an integer, got '10'"),
     ({"n_max": 10, "sample_every": False}, "sample_every must be an integer, got False"),
-], ids=["fraction", "bool", "string", "bool-sample-every"])
+    ({"n_max": 10, "sample_every": 0},
+     "error: config field integrator.sample_every must be at least 1, got 0\n"),
+], ids=["fraction", "bool", "string", "bool-sample-every", "zero-sample-every"])
 def test_simulate_discrete_refuses_counts_that_are_not_whole(tmp_path, capsys, integrator,
                                                              message):
     cfg = write_json(tmp_path / "count.json", {
@@ -204,6 +206,7 @@ MAP = {"mode": "discrete", "game": {"payoff": DISCUSSION_PAYOFF}, "integrator": 
 SCRIPT = {"period": 2.0, "times": [0.0, 1.0], "values": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
 TARGET = {"p": [0.0, 0.0, 1.0], "q": [0.5, 0.5, 0.0]}
 PAIR = {"mode": "coupled", "game": {"payoff": DISCUSSION_PAYOFF}, "y0": [0.2, 0.3, 0.5]}
+SPEED = {"xs": [0.0, 3.0], "ys": [1.0, 2.0]}
 # (config, the one field in it that simulate does not read)
 UNREAD = {
     "top": ({**SHORT, "seed": 3}, "seed"),
@@ -232,6 +235,11 @@ UNREAD = {
     "coupled-rule": ({**SHORT, "opponent": {**PAIR, "rule": {"knd": "replicator"}}},
                      "opponent.rule.knd"),
     "output": ({**SHORT, "output": {"traj": "t.csv"}}, "output"),
+    # a speed table where no run reads one
+    "discrete-speed": ({**MAP, "rule": {"speed": SPEED}}, "rule.speed"),
+    "coupled-speed": ({**SHORT, "rule": {"speed": SPEED}, "opponent": PAIR}, "rule.speed"),
+    "opponent-speed": ({**SHORT, "opponent": {**PAIR, "rule": {"speed": SPEED}}},
+                       "opponent.rule.speed"),
     "target": ({**SHORT, "targets": [TARGET, {**TARGET, "r": [1.0, 0.0, 0.0]}]}, "targets[1].r"),
 }
 
@@ -279,9 +287,8 @@ def test_a_speed_that_is_no_table_exits_1(tmp_path, capsys, speed):
     # a constant speed is a change of time (scale t_max), not a speed factor
     cfg = {**SHORT, "rule": {"speed": speed}}
     assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 1
-    err = capsys.readouterr().err
-    assert ("config field rule.speed: speed must be None or a link over mean payoff, "
-            f"got {speed!r}") in err
+    assert capsys.readouterr().err == \
+        f"error: config field rule.speed must be a knot table {{xs, ys}}, got {speed!r}\n"
 
 
 @pytest.mark.parametrize("cfg", [
@@ -311,7 +318,7 @@ def test_simulate_refuses_flags_of_the_other_mode(tmp_path, capsys, cfg, flag):
 
 
 # forms an earlier config grammar also took, each with its one error line;
-# UNREAD["output"] checks the output section's
+# UNREAD checks the output section's and a speed table's where no run reads one
 REMOVED = {
     "string-opponent": ({**SHORT, "opponent": "self-play"},
                         "config field opponent must be an object, got 'self-play'; "
@@ -328,6 +335,20 @@ REMOVED = {
     "table-family": ({**SHORT, "opponent": {**PAIR, "rule": {"kind": "payoff-functional", "link": {
         "family": "table", "xs": [0.0, 3.0], "ys": [0.0, 3.0]}}}},
         "config field opponent.rule.link.family is unknown; opponent.rule.link takes xs, ys"),
+    # null was a second way to leave a field out
+    "null-rule": ({**SHORT, "rule": None}, "config field rule must be an object"),
+    "null-opponent": ({**SHORT, "opponent": None},
+                      "config field opponent must be an object, got None; "
+                      "leave out opponent for self-play"),
+    "null-opponent-rule": ({**SHORT, "opponent": {**PAIR, "rule": None}},
+                           "config field opponent.rule must be an object"),
+    "null-x0": ({**SHORT, "x0": None}, "config field x0 must hold only numbers, got None"),
+    "null-targets": ({**SHORT, "targets": None}, "config field targets must be a list"),
+    "null-integrator": ({**SHORT, "integrator": None},
+                        "config field integrator must be an object"),
+    "null-background": ({**MAP, "background": None}, "config field background must be an object"),
+    "null-speed": ({**SHORT, "rule": {"speed": None}},
+                   "config field rule.speed must be a knot table {xs, ys}, got None"),
 }
 
 
@@ -336,6 +357,21 @@ def test_a_removed_config_form_exits_1_with_one_line(tmp_path, capsys, case):
     cfg, message = REMOVED[case]
     assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_the_module_docstring_states_every_config_key():
+    # the grammar in cli's docstring and the tables the parser refuses keys by
+    # are kept apart, so each key of the tables must appear in the grammar: a
+    # top-level field as the first word of its line, every other key, mode and
+    # kind quoted
+    grammar = cli.__doc__
+    fields = {line.split()[0] for line in grammar.splitlines() if line.startswith("  ")
+              and not line.startswith("   ")}
+    assert set(cli._TOP_KEYS) | {"background"} <= fields
+    for table in (cli._INTEGRATOR_KEYS, cli._OPPONENT_KEYS, cli._BACKGROUND_KEYS):
+        for name, keys in table.items():
+            for key in (name, *keys):
+                assert f'"{key}"' in grammar, key
 
 
 BIG = int("1" + "0" * 400)  # a JSON integer that no float holds

@@ -367,9 +367,9 @@ def test_max_drift_is_measured_over_the_normalized_samples(opponent):
 
 
 def test_iterate_rejects_a_coupled_opponents_speed():
-    partner = Coupled(PARTNER, GrowthRule(speed=linear_link(0.0, 2.0)), (0.2, 0.3, 0.5))
-    with pytest.raises(ValueError, match="^speed factors only apply to the continuous flow$"):
-        iterate(REPL, FOCAL, (0.3, 0.7), opponent=partner, n_max=10)
+    # no coupled opponent with a speed reaches iterate: Coupled refuses it
+    with pytest.raises(ValueError, match="^a coupled population's rule takes no speed factor$"):
+        Coupled(PARTNER, GrowthRule(speed=linear_link(0.0, 2.0)), (0.2, 0.3, 0.5))
 
 
 @pytest.mark.parametrize("background", [constant_background(0.0), affine_background(0.0, 0.0)],

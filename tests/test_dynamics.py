@@ -83,11 +83,10 @@ def test_speed_must_be_positive():
 
 
 def test_a_coupled_opponents_speed_is_refused():
-    partner = Coupled(Game([[1.0, 0.0], [0.0, 1.0]]), GrowthRule(speed=linear_link(0.0, 2.0)),
-                      (0.5, 0.5))
-    with pytest.raises(ValueError, match="^speed belongs to the first population's rule "
-                                         "in coupled runs$"):
-        integrate(REPL, GAP_GAME, (0.5, 0.5), opponent=partner, t_max=1.0)
+    # refused where the second population is built, before any run reads it
+    with pytest.raises(ValueError, match="^a coupled population's rule takes no speed factor$"):
+        Coupled(Game([[1.0, 0.0], [0.0, 1.0]]), GrowthRule(speed=linear_link(0.0, 2.0)),
+                (0.5, 0.5))
 
 
 def test_payoff_dependent_speed_scales_by_mean_payoff():
