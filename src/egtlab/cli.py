@@ -27,9 +27,10 @@ exits 1 as any other wrong form does:
               integrate and iterate; --t-max, --dt and --n-max override them
 A link L is a spec string such as "sqrt" or "exp:2", on the game's payoff
 hull unless it ends in "@lo,hi", or a knot table T = {"xs": [...], "ys": [...]};
-a speed is a knot table over mean payoff. Numbers are JSON numbers, never
-booleans or strings. The report goes to --out (default: stdout) and the
-trajectory CSV to --traj.
+a speed is a knot table over mean payoff. Numbers are finite JSON numbers,
+never booleans or strings; t_max, dt, a period and a geometric background's
+c0 and ratio are positive. The report goes to --out (default: stdout) and
+the trajectory CSV to --traj.
 
 Exit codes: 0 success, 1 configuration or feasibility error, 2 numerical
 failure, 3 a scenario ran but missed an expected outcome. All outputs are
@@ -103,13 +104,19 @@ def _choice(value, field: str, choices, note: str = ""):
     return value
 
 
-def _number(d, key, path: str, default: float | None = None) -> float:
-    """The JSON number d[key] of the object at path, as a float; a required
-    field unless a default is given."""
+def _number(d, key, path: str, default: float | None = None, positive: bool = False) -> float:
+    """The JSON number d[key] of the object at path, as a finite float, and
+    above 0 if positive; a required field unless a default is given."""
     value = _req(d, key, path) if default is None else d.get(key, default)
+    name = f"config field {_field(path, key)}"
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"config field {_field(path, key)} must be a number, got {value!r}")
-    return float(json_floats(value, f"config field {_field(path, key)}"))
+        _fail(f"{name} must be a number, got {value!r}")
+    value = float(json_floats(value, name))
+    if not np.isfinite(value):
+        _fail(f"{name} must be finite, got {value!r}")
+    if positive and not value > 0.0:
+        _fail(f"{name} must be positive, got {value!r}")
+    return value
 
 
 def _numbers(d, key, path: str) -> np.ndarray:
@@ -227,7 +234,7 @@ def _parse_opponent(entry):
     if mode == "scripted":
         sc = _req(entry, "schedule", "opponent")
         _known(sc, "opponent.schedule", ("period", "times", "values"))
-        return Schedule(_number(sc, "period", "opponent.schedule"),
+        return Schedule(_number(sc, "period", "opponent.schedule", positive=True),
                         _numbers(sc, "times", "opponent.schedule"),
                         _numbers(sc, "values", "opponent.schedule"))
     opp_game = _parse_game(_req(entry, "game", "opponent"), "opponent.game")
@@ -241,10 +248,10 @@ def _parse_background(entry) -> BackgroundFitness:
     _known(entry, "background", _BACKGROUND_KEYS[kind])
     if kind == "constant":
         return constant_background(_number(entry, "c0", "background", 0.0))
-    base = _number(entry, "c0", "background")
+    base = _number(entry, "c0", "background", positive=kind == "geometric")
     if kind == "affine":
         return affine_background(base, _number(entry, "c1", "background"))
-    return geometric_background(base, _number(entry, "ratio", "background"))
+    return geometric_background(base, _number(entry, "ratio", "background", positive=True))
 
 
 def _parse_targets(entries, game: Game):
@@ -308,8 +315,8 @@ def cmd_simulate(args) -> int:
 
     # only the values given reach the run: integrate and iterate state the defaults
     integ = _known(cfg.get("integrator", {}), "integrator", _INTEGRATOR_KEYS[mode])
-    given = {key: (_number if key in ("t_max", "dt") else _count)(integ, key, "integrator")
-             for key in integ} | flags
+    given = {key: (_number(integ, key, "integrator", positive=True) if key in ("t_max", "dt")
+                   else _count(integ, key, "integrator")) for key in integ} | flags
     if mode == "continuous":
         traj = integrate(rule, game, x0, opponent=opponent, **given)
         run = {key: traj.meta[key] for key in ("t_max", "dt", "method")}

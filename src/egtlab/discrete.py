@@ -112,45 +112,47 @@ def _generations(pops, background: BackgroundFitness, n_steps: int, sample_every
     """The ratio map over one or two populations (self-play or a coupled
     pair) on plain Python floats. Each generation checks every population's
     payoffs (scanning for nan only where hull_inside fails), then every
-    numerator C_n + g_i, then adds the increments log1p((g_i - r) / (C_n +
-    r)), r = min_i g_i, and renormalizes: exp(z_i) over their sum s are the
+    numerator C_n + g_i at once, through the smallest r over the populations,
+    then adds the increments log1p((g_i - r) / (C_n + r)), r = min_i g_i of
+    each population, and renormalizes: exp(z_i) over their sum s are the
     next frequencies, and ln s comes off with the next increments or at a
     sample. Returns (sample times, logs per population at each sample, max
     drift over the samples, dynamics._drift)."""
-    plan = [(p, pop.payoffs.tolist(), scalar_link(pop.f, pop.hull),
+    plan = [(p, pop, pop.payoffs.tolist(), scalar_link(pop.f, pop.hull),
              not hull_inside(pop.f, pop.hull), opp)
             for p, (pop, opp) in enumerate(zip(pops, (0,) if len(pops) == 1 else (1, 0)))]
-    log1p, exp, log, isnan = math.log1p, math.exp, math.log, math.isnan
+    log1p, exp, log, isnan, inf = math.log1p, math.exp, math.log, math.isnan, math.inf
     zs = [pop.z for pop in pops]
     es = [list(map(exp, z)) for z in zs]
     sums, logs = [sum(e) for e in es], [0.0] * len(pops)
-    gs, rs = [None] * len(pops), [0.0] * len(pops)
+    ps, gs, rs = range(len(pops)), [None] * len(pops), [0.0] * len(pops)
     counts = _sample_counts(n_steps, sample_every).tolist()
     samples = [list(zs)]
     for k0, k1 in zip(counts, counts[1:]):
         backgrounds = background.values(np.arange(k0, k1, dtype=float)).tolist()
         for k, C in zip(range(k0, k1), backgrounds):
-            for p, rows, link, checked, opp in plan:
+            for p, pop, rows, link, checked, opp in plan:
                 y, sy = es[opp], sums[opp]
                 g = [link(sum(map(mul, row, y)) / sy) for row in rows]
                 if checked and any(map(isnan, g)):
-                    raise pops[p].domain_error(list(map(isnan, g)).index(True), float(k), k)
+                    raise pop.domain_error(list(map(isnan, g)).index(True), float(k), k)
                 gs[p], rs[p] = g, min(g)
-            for pop, g, r in zip(pops, gs, rs):
-                if not C + r > 0.0:
-                    i = next(i for i, gi in enumerate(g) if not C + gi > 0.0)
-                    raise IntegrationError(
-                        f"background plus growth rate not positive at generation {k} "
-                        f"({pop.name(i)})", t=float(k), step=k)
-            for p, (z, g, r, c) in enumerate(zip(zs, gs, rs, logs)):
+            if not C + min(rs) > 0.0:
+                pop, g = next((pop, g) for pop, g, r in zip(pops, gs, rs) if not C + r > 0.0)
+                i = next(i for i, gi in enumerate(g) if not C + gi > 0.0)
+                raise IntegrationError(
+                    f"background plus growth rate not positive at generation {k} "
+                    f"({pop.name(i)})", t=float(k), step=k)
+            for p in ps:
+                g, r, c = gs[p], rs[p], logs[p]
                 denom = C + r
-                z = [zi + (log1p((gi - r) / denom) - c) for zi, gi in zip(z, g)]
+                z = [zi + (log1p((gi - r) / denom) - c) for zi, gi in zip(zs[p], g)]
                 try:
                     e = list(map(exp, z))
                     s = sum(e)
                 except OverflowError:
-                    s = math.inf
-                if not 0.0 < s < math.inf:
+                    s = inf
+                if not 0.0 < s < inf:
                     raise IntegrationError(f"state became non-finite near t={k:g}",
                                            t=float(k), step=k)
                 zs[p], es[p], sums[p], logs[p] = z, e, s, log(s)

@@ -93,12 +93,10 @@ def _dense_basis(theta) -> np.ndarray:
     """theta, theta (1 - theta), theta^2 (1 - theta), ..., theta^4 (1 - theta)^3
     at each theta, one row per theta: the polynomials that weigh the rows of
     DOP853's dense output (Hairer, Norsett & Wanner, II.6)."""
-    theta = np.asarray(theta, dtype=float)
-    out = np.empty(theta.shape + (7,))
-    out[..., 0] = theta
-    for k in range(1, 7):
-        out[..., k] = out[..., k - 1] * (1.0 - theta if k % 2 else theta)
-    return out
+    theta = np.asarray(theta, dtype=float)[..., None]
+    factors = np.empty(theta.shape[:-1] + (7,))
+    factors[..., 0::2], factors[..., 1::2] = theta, 1.0 - theta
+    return np.multiply.accumulate(factors, axis=-1)
 
 
 # Dormand & Prince's 8(5,3) pair DOP853 with its 7th-order dense output, the
@@ -406,7 +404,7 @@ def _setup(rule: GrowthRule, game: Game, x0, opponent):
                 _Population(z2, opponent.game.payoff, np.flatnonzero(z > -np.inf),
                             opponent.rule.effective_link, "population 2 strategy {}")]
         mat, mat2 = (pop.payoffs.T for pop in pops)
-        return pops, lambda t, xs: [np.dot(xs[1], mat), np.dot(xs[0], mat2)], "coupled"
+        return pops, lambda t, xs: [xs[1].dot(mat), xs[0].dot(mat2)], "coupled"
     if isinstance(opponent, Schedule):
         if opponent.n_strategies != m:
             raise ValueError(
@@ -427,7 +425,7 @@ def _setup(rule: GrowthRule, game: Game, x0, opponent):
     pop = _Population(z, game.payoff, np.flatnonzero(z > -np.inf),
                       rule.effective_link, "strategy {}")
     mat = pop.payoffs.T
-    return [pop], lambda t, xs: [np.dot(xs[0], mat)], "self"
+    return [pop], lambda t, xs: [xs[0].dot(mat)], "self"
 
 
 def _trajectory(pops, opponent, times, samples, meta) -> Trajectory:
@@ -492,8 +490,8 @@ def _normalize(z, slices):
     """z with each population's logs shifted onto the simplex, in place."""
     for sl in slices:
         w = z[..., sl]
-        top = w.max(axis=-1, keepdims=True)
-        w -= top + np.log(np.exp(w - top).sum(axis=-1, keepdims=True))
+        top = np.maximum.reduce(w, axis=-1, keepdims=True)
+        w -= top + np.log(np.add.reduce(np.exp(w - top), axis=-1, keepdims=True))
     return z
 
 
@@ -513,8 +511,8 @@ def _log_field(pops, pays, speed):
     """
     ends = np.cumsum([len(pop.z) for pop in pops])
     slices = [slice(int(e) - len(pop.z), int(e)) for pop, e in zip(pops, ends)]
-    links = [array_link(pop.f, pop.hull) for pop in pops]
-    checked = [not hull_inside(pop.f, pop.hull) for pop in pops]
+    plan = [(pop, array_link(pop.f, pop.hull), not hull_inside(pop.f, pop.hull))
+            for pop in pops]
     speed_link = scanned = None
     if speed is not None:
         (lo, hi), pad = pops[0].hull, domain_pad(speed)
@@ -523,27 +521,30 @@ def _log_field(pops, pays, speed):
     add, top = np.add.reduce, np.maximum.reduce
 
     def field(t, z, t0, step):
-        xs = []
+        # each population's frequencies, then its rates, in its slice of d
+        d, xs = np.empty(z.shape), []
         for sl in slices:
-            w = z[:, sl]
-            e = np.exp(w - top(w, axis=1, keepdims=True))
-            xs.append(e / add(e, axis=1, keepdims=True))
-        parts, us = [], pays(t, xs)
-        for pop, x, u, f, check in zip(pops, xs, us, links, checked):
+            w, x = z[:, sl], d[:, sl]
+            np.subtract(w, top(w, axis=1, keepdims=True), out=x)
+            np.exp(x, out=x)
+            xs.append(np.divide(x, add(x, axis=1, keepdims=True), out=x))
+        us = pays(t, xs)
+        if speed_link is not None:
+            mean = add(xs[0] * us[0], axis=1)
+        for (pop, f, check), x, u in zip(plan, xs, us):
             g = f(u)
             gbar = add(x * g, axis=1, keepdims=True)
             if check and np.isnan(gbar).any():
                 b, i = np.argwhere(np.isnan(g))[0]
                 raise pop.domain_error(int(i), t0, step, member=int(b))
-            parts.append(g - gbar)
-        d = parts[0] if len(parts) == 1 else np.hstack(parts)
+            np.subtract(g, gbar, out=x)
         if speed_link is not None:
-            lam = speed_link(add(xs[0] * us[0], axis=1))
+            lam = speed_link(mean)
             if scanned and _speed_faults(lam).any():
                 raise IntegrationError(
                     f"speed factor not positive (or outside its table) near t={t0:g}",
                     t=t0, step=step, member=int(np.argmax(_speed_faults(lam))))
-            return d * lam[:, None]
+            np.multiply(d, lam[:, None], out=d)
         return d
 
     return field, slices
@@ -566,7 +567,7 @@ def _error_norm(d, h: float) -> float:
     an estimate is not finite."""
     sq = np.add.reduce(d * d, axis=2) / d.shape[2]
     den = sq[0] + 0.01 * sq[1]
-    return h * float((sq[0] / np.sqrt(np.where(den > 0.0, den, 1.0))).max())
+    return h * float(np.maximum.reduce(sq[0] / np.sqrt(np.where(den > 0.0, den, 1.0))))
 
 
 def _solve(field, slices, z0, bounds, t_samples):
@@ -585,25 +586,35 @@ def _solve(field, slices, z0, bounds, t_samples):
     B, N = z0.shape
     K = np.empty((len(_C), B, N))
     flat = K.reshape(len(K), B * N)
+    heads = [flat[:i] for i in range(len(K))]  # the stages before stage i
+    state = np.empty((B, N))  # each stage's state, built in place
+    state_flat = state.reshape(B * N)
     out = np.empty((len(t_samples), B, N))
     out[0] = z0
-    z = z0.copy()
+    z, az = z0.copy(), np.abs(z0)
+    sample_times = t_samples.tolist()
     stats = {"steps": 0, "rejected": 0, "rhs_evals": 0, "h_min": math.inf, "h_max": 0.0,
              "max_drift": 0.0}
     nxt = 1
 
-    def rhs(t, state, t0):
-        stats["rhs_evals"] += 1
-        return field(t, state, t0, stats["steps"])
-
-    def stages(t, h, lo, hi):
-        """Fills stages lo..hi-1 of the step from (t, z) of size h."""
+    def stages(t, h, hv, lo, hi):
+        """Fills stages lo..hi-1 of the step from (t, z) of size h: stage
+        i's state is z + h (_A[i] @ the stages before it), built in state by
+        the same products and sums. hv is h as a 0-d array, which a ufunc
+        takes as it is where it converts a float on every call; ndarray.dot
+        skips the dispatch that np.dot and @ go through."""
+        step = stats["steps"]
         for i in range(lo, hi):
-            K[i] = rhs(t + _C[i] * h, z + h * (_A[i] @ flat[:i]).reshape(B, N), t)
+            _A[i].dot(heads[i], out=state_flat)
+            np.multiply(hv, state, out=state)
+            np.add(z, state, out=state)
+            K[i] = field(t + _C[i] * h, state, t, step)
+        stats["rhs_evals"] += hi - lo
 
     t = float(bounds[0])
-    K[0] = rhs(t, z, t)
-    h = _initial_step(rhs, t, z, K[0], float(bounds[-1] - bounds[0]))
+    K[0] = field(t, z, t, 0)
+    h = _initial_step(field, t, z, K[0], float(bounds[-1] - bounds[0]))
+    stats["rhs_evals"] = 2  # K[0] and the initial step's trial
     for b in bounds[1:].tolist():
         rejected = False
         while t < b:
@@ -615,10 +626,11 @@ def _solve(field, slices, z0, bounds, t_samples):
             h_free, t_new = h, t + h
             if t + 1.01 * h >= b:
                 h, t_new = b - t, b
-            stages(t, h, 1, n_stages)
-            z_new = z + h * (_B8 @ flat[:n_stages]).reshape(B, N)
-            scale = ATOL + RTOL * np.maximum(np.abs(z), np.abs(z_new))
-            err = _error_norm((_E @ flat[:n_stages]).reshape(2, B, N) / scale, h)
+            hv = np.array(h)
+            stages(t, h, hv, 1, n_stages)
+            z_new = z + hv * _B8.dot(heads[n_stages]).reshape(B, N)
+            scale = ATOL + RTOL * np.maximum(az, np.abs(z_new))
+            err = _error_norm(_E.dot(heads[n_stages]).reshape(2, B, N) / scale, h)
             # an error that is not finite (a step out of the finite states)
             # shrinks the step the most
             fac = (min(_FAC_MAX, max(_FAC_MIN, _SAFETY * max(err, 1e-30) ** -0.125))
@@ -630,35 +642,36 @@ def _solve(field, slices, z0, bounds, t_samples):
                 continue
             for sl in slices:
                 total = np.add.reduce(np.exp(z_new[:, sl]), axis=1)
-                if not (total.min() > 0.0 and total.max() < math.inf):
+                # inf or nan where a sum is, so it also checks the sums' upper end
+                drift = float(np.maximum.reduce(np.abs(total - 1.0)))
+                if not (np.minimum.reduce(total) > 0.0 and drift < math.inf):
                     bad = ~((total > 0.0) & (total < math.inf))
                     raise IntegrationError(f"state became non-finite near t={t:g}", t=t,
                                            step=stats["steps"], member=int(np.argmax(bad)))
                 z_new[:, sl] -= np.log(total)[:, None]
-                drift = float(np.abs(total - 1.0).max())
                 stats["max_drift"] = max(stats["max_drift"], drift)
-            K[n_stages] = rhs(t_new, z_new, t)
-            last = int(np.searchsorted(t_samples, t_new, side="right"))
+            K[n_stages] = field(t_new, z_new, t, stats["steps"])
+            stats["rhs_evals"] += 1
+            last = bisect.bisect_right(sample_times, t_new, nxt)
             if last > nxt:
-                ts = t_samples[nxt:last]
-                inside = int(np.searchsorted(ts, t_new))
+                inside = bisect.bisect_left(sample_times, t_new, nxt, last) - nxt
                 if inside:
-                    stages(t, h, n_stages + 1, len(_C))
-                    w = _dense_basis((ts[:inside] - t) / h) @ _P
+                    stages(t, h, hv, n_stages + 1, len(_C))
+                    w = _dense_basis((t_samples[nxt:nxt + inside] - t) / h).dot(_P)
                     out[nxt:nxt + inside] = _normalize(
-                        z + h * (w @ flat).reshape(inside, B, N), slices)
+                        z + hv * w.dot(flat).reshape(inside, B, N), slices)
                 out[nxt + inside:last] = z_new
                 nxt = last
             stats["steps"] += 1
             stats["h_min"] = min(stats["h_min"], h)
             stats["h_max"] = max(stats["h_max"], h)
-            z, K[0], t = z_new, K[n_stages], t_new
+            z, az, K[0], t = z_new, np.abs(z_new), K[n_stages], t_new
             h = max(h * (min(fac, 1.0) if rejected else fac), h_free if t == b else 0.0)
             rejected = False
     return out, stats
 
 
-def _initial_step(rhs, t, z, f0, span: float) -> float:
+def _initial_step(field, t, z, f0, span: float) -> float:
     """First step size from the scaled sizes of the state, its derivative and
     its change over a trial Euler step, for an order-8 scheme (Hairer,
     Norsett & Wanner, II.4)."""
@@ -666,7 +679,7 @@ def _initial_step(rhs, t, z, f0, span: float) -> float:
     d0, d1 = _rms(z / scale), _rms(f0 / scale)
     h0 = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     h0 = min(h0, span)
-    d2 = _rms((rhs(t + h0, z + h0 * f0, t) - f0) / scale) / h0
+    d2 = _rms((field(t + h0, z + h0 * f0, t, 0) - f0) / scale) / h0
     top = max(d1, d2)
     h1 = (0.01 / top) ** 0.125 if top > 1e-15 else max(1e-6, 1e-3 * h0)
     return min(100.0 * h0, h1, span)
@@ -833,4 +846,4 @@ def write_trajectory_csv(traj: Trajectory, path, extras=None) -> None:
     line = ",".join(["%.17g"] * data.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        fh.writelines(line % tuple(row) for row in data.tolist())
+        fh.write(line * data.shape[0] % tuple(data.ravel().tolist()))

@@ -133,21 +133,27 @@ def _extremes(f: LinkFunction, lo: float, hi: float) -> np.ndarray:
 
 
 def _eval_unchecked(f: LinkFunction, u):
-    u = np.asarray(u, dtype=float)
+    return _formula(f)(np.asarray(u, dtype=float))
+
+
+def _formula(f: LinkFunction):
+    """f's closed form as one function of a float array, its family picked
+    here, once. Coefficients are 0-d arrays, which a ufunc takes as they are
+    where it converts a Python float on every call; the power link's
+    exponent stays a float, as NumPy's ** picks its fast cases by it."""
+    p = [np.array(v) for v in f.params]
     if f.family == "linear":
-        a, b = f.params
-        return a * u + b
+        return lambda u: p[0] * u + p[1]
     if f.family == "power":
-        return u ** f.params[0]
+        return lambda u: u ** f.params[0]
     if f.family == "exponential":
-        return np.exp(f.params[0] * u)
-    if f.family == "logarithm":
-        return np.log(u)
-    if f.family == "sqrt":
-        return np.sqrt(u)
+        return lambda u: np.exp(p[0] * u)
     if f.family == "effective":
-        return np.log(f.params[0] + _eval_unchecked(f.inner, u))
-    return np.interp(u, f.knots_x, f.knots_y)
+        g = _formula(f.inner)
+        return lambda u: np.log(p[0] + g(u))
+    if f.family == "table":
+        return lambda u: np.interp(u, f.knots_x, f.knots_y)
+    return np.log if f.family == "logarithm" else np.sqrt
 
 
 def _integral_unchecked(f: LinkFunction, a, b):
@@ -334,12 +340,13 @@ def array_link(f: LinkFunction, within=None):
     outside the padded domain and f at the clamped argument inside it, and
     only clamping where hull_inside holds for within."""
     lo, hi = f.domain
-    pad = domain_pad(f)
+    pad, fn = domain_pad(f), _formula(f)
     if within is not None and hull_inside(f, within):
-        return lambda u: _eval_unchecked(f, np.minimum(np.maximum(u, lo), hi))
+        low, high = np.array(lo), np.array(hi)  # 0-d, as _formula's coefficients
+        return lambda u: fn(np.minimum(np.maximum(u, low), high))
 
     def evaluate(u):
-        vals = _eval_unchecked(f, np.clip(u, lo, hi))
+        vals = fn(np.clip(u, lo, hi))
         vals[~((u >= lo - pad) & (u <= hi + pad))] = np.nan
         return vals
 

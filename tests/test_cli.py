@@ -174,8 +174,10 @@ def test_simulate_discrete_refuses_a_rate_that_is_not_finite(tmp_path, capsys, b
         "mode": "discrete", "game": {"payoff": [[2.0, 2.0], [1.0, 1.0]]},
         "x0": [0.5, 0.5], "background": background, "integrator": {"n_max": 10},
     })
+    key = "ratio" if "ratio" in background else "c1"
     assert main(["simulate", "--config", cfg]) == 1
-    assert "background rate must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        f"error: config field background.{key} must be finite, got {background[key]!r}\n"
 
 
 def test_simulate_discrete_takes_a_whole_float_count(tmp_path, capsys):
@@ -386,6 +388,29 @@ def test_a_number_beyond_the_float_range_exits_1(tmp_path, capsys, field):
     assert main(["simulate", "--config", cfg]) == 1
     assert capsys.readouterr().err == (f"error: config field {field} holds an integer beyond "
                                        "the float range\n")
+
+
+# (field, config, what the field must be): numbers outside their field's
+# range; "1e400" is written as the JSON number 1e400, which reads as inf
+OUT_OF_RANGE = {
+    "t-max": ("integrator.t_max", SCALAR_FIELDS["integrator.t_max"](-1), "positive, got -1.0"),
+    "dt": ("integrator.dt", SCALAR_FIELDS["integrator.dt"](0), "positive, got 0.0"),
+    "c0": ("background.c0", SCALAR_FIELDS["background.c0"]("1e400"), "finite, got inf"),
+    "geometric-c0": ("background.c0", {**MAP, "background": {"kind": "geometric", "c0": -1,
+                                                             "ratio": 2.0}},
+                     "positive, got -1.0"),
+    "period": ("opponent.schedule.period", SCALAR_FIELDS["opponent.schedule.period"](-1),
+               "positive, got -1.0"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_a_number_outside_its_fields_range_exits_1_with_one_line(tmp_path, capsys, case):
+    field, cfg, must = OUT_OF_RANGE[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"1e400"', "1e400"))
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: config field {field} must be {must}\n")
 
 
 # every numeric array, with v placed where True reads as 1.0 in a config

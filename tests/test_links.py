@@ -372,6 +372,29 @@ def test_array_link_agrees_with_scalar_link(f):
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
+def _closed_form(f, u):
+    """f at u by its family's formula, its coefficients Python floats."""
+    p = f.params
+    return {"linear": lambda: p[0] * u + p[1], "power": lambda: u ** p[0],
+            "exponential": lambda: np.exp(p[0] * u), "logarithm": lambda: np.log(u),
+            "sqrt": lambda: np.sqrt(u), "table": lambda: np.interp(u, f.knots_x, f.knots_y),
+            "effective": lambda: np.log(p[0] + _closed_form(f.inner, u))}[f.family]()
+
+
+@pytest.mark.parametrize("f", FAMILY_LINKS, ids=lambda f: f.family)
+def test_array_link_is_eval_link_to_the_bit(f):
+    lo, hi = f.domain
+    pad = domain_pad(f)
+    # inside the hull, on its ends and in the clamp dust just outside them,
+    # one row per run as the stepper passes them
+    u = np.concatenate([np.random.default_rng(7).uniform(lo, hi, 196),
+                        [lo, hi, lo - 0.5 * pad, hi + 0.5 * pad]]).reshape(50, 4)
+    want = eval_link(f, u).view(np.int64)
+    np.testing.assert_array_equal(_closed_form(f, np.clip(u, lo, hi)).view(np.int64), want)
+    for within in (None, (lo, hi)):
+        np.testing.assert_array_equal(array_link(f, within)(u).view(np.int64), want)
+
+
 @pytest.mark.parametrize("f", FAMILY_LINKS, ids=lambda f: f.family)
 def test_links_within_a_hull_inside_the_domain_only_clamp(f):
     lo, hi = f.domain

@@ -89,6 +89,19 @@ def test_tableau_meets_its_order_conditions():
     assert (_C[len(b)], list(_A[len(b)])) == (1.0, list(_B8))
 
 
+def test_dense_basis_is_the_products_of_theta_and_one_minus_theta():
+    theta = np.linspace(0.0, 1.0, 1025)
+    for k in range(7):
+        # theta (1 - theta) theta ..., k + 1 factors multiplied left to right
+        want = theta
+        for j in range(1, k + 1):
+            want = want * (1.0 - theta if j % 2 else theta)
+        np.testing.assert_array_equal(_dense_basis(theta)[:, k].view(np.int64),
+                                      want.view(np.int64))
+    assert _dense_basis(theta.reshape(5, 205)).shape == (5, 205, 7)
+    assert _dense_basis(0.5).shape == (7,)
+
+
 def test_dense_output_spans_the_step_to_order_seven():
     ends = _dense_basis(np.array([0.0, 1.0])) @ _P
     np.testing.assert_array_equal(ends[0], 0.0)
