@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GrowthRule, Trajectory, _log_field, _setup
+from .dynamics import GrowthRule, Trajectory, _check_count, _log_field, _setup
 from .games import Game, validate_simplex
 
 
@@ -130,6 +130,9 @@ def periodic_floor(traj: Trajectory, coords, period: float) -> float:
     """
     logs = traj.run_logs("periodic_floor")
     i, j = (int(c) for c in coords)
+    n = logs.shape[1]
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"coords must be strategy indices in [0, {n}), got {(i, j)}")
     if period <= 0:
         raise ValueError("period must be positive")
     t = traj.times
@@ -170,8 +173,7 @@ def taylor_sign_check(rule: GrowthRule, game: Game,
         raise ValueError(f"cycle payoffs need c < a < b, got a={a!r} b={b!r} c={c!r}")
     if not 0 < radius <= 0.05:
         raise ValueError("perturbation radius must be in (0, 0.05]")
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    samples = _check_count(samples, "samples")
     rng = np.random.default_rng(seed)
     drifts, attempts = np.empty(0), 0
     while drifts.size < samples:

@@ -18,6 +18,15 @@ generation whose increment is not finite. Each path reports as max_drift
 the largest |sum x - 1| over its normalized samples after the first
 (dynamics._drift), as the exact flow does.
 
+The map decides nothing the flow has decided. Each population's payoffs
+read the state of the population dynamics._setup pairs it with
+(_Population.meets: itself in self-play, the other one in a coupled pair).
+Against a script they are the flow's per-piece table: ua[k] + w du[k], from
+dynamics._piece_payoffs at the piece k and fraction w of
+dynamics._script_piece, as the exact flow and the flow stepper read them.
+Link values are links._formula's, per float (scalar_link) or per array
+(array_link).
+
 Two paths compute the same generations:
 
 - The stepper (_generations) runs self-play and coupled runs on plain
@@ -52,8 +61,8 @@ from operator import mul
 import numpy as np
 
 from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, Trajectory,
-                       _check_count, _drift, _fold, _normalize, _sample_counts, _setup,
-                       _trajectory, eval_schedule)
+                       _check_count, _drift, _fold, _normalize, _piece_payoffs,
+                       _sample_counts, _script_piece, _setup, _trajectory)
 from .games import Game
 from .links import array_link, hull_inside, scalar_link
 
@@ -119,8 +128,7 @@ def _generations(pops, background: BackgroundFitness, n_steps: int, sample_every
     sample. Returns (sample times, logs per population at each sample, max
     drift over the samples, dynamics._drift)."""
     plan = [(p, pop, pop.payoffs.tolist(), scalar_link(pop.f, pop.hull),
-             not hull_inside(pop.f, pop.hull), opp)
-            for p, (pop, opp) in enumerate(zip(pops, (0,) if len(pops) == 1 else (1, 0)))]
+             not hull_inside(pop.f, pop.hull), pop.meets) for p, pop in enumerate(pops)]
     log1p, exp, log, isnan, inf = math.log1p, math.exp, math.log, math.isnan, math.inf
     zs = [pop.z for pop in pops]
     es = [list(map(exp, z)) for z in zs]
@@ -138,11 +146,8 @@ def _generations(pops, background: BackgroundFitness, n_steps: int, sample_every
                     raise pop.domain_error(list(map(isnan, g)).index(True), float(k), k)
                 gs[p], rs[p] = g, min(g)
             if not C + min(rs) > 0.0:
-                pop, g = next((pop, g) for pop, g, r in zip(pops, gs, rs) if not C + r > 0.0)
-                i = next(i for i, gi in enumerate(g) if not C + gi > 0.0)
-                raise IntegrationError(
-                    f"background plus growth rate not positive at generation {k} "
-                    f"({pop.name(i)})", t=float(k), step=k)
+                p = next(p for p in ps if not C + rs[p] > 0.0)
+                raise pops[p].background_error(gs[p], C, k)
             for p in ps:
                 g, r, c = gs[p], rs[p], logs[p]
                 denom = C + r
@@ -169,23 +174,24 @@ def _scripted_generations(pop, schedule: Schedule, background: BackgroundFitness
     common to every coordinate. A payoff outside the link domain fails
     before a numerator C_n + g_i that is not positive, and that before an
     increment that is not finite, generation by generation, as in
-    _generations. The link is pop.f. An integer period P up to _BLOCK has
-    its link values evaluated on the first period only; with a constant
-    background that period is folded (dynamics._fold). Other runs sum
-    blocks of _BLOCK generations, so memory does not grow with the horizon.
-    Returns (sample times, [logs at each sample], max drift, _drift).
+    _generations. Generation n's payoffs are ua[k] + w du[k] of the per-piece
+    table (dynamics._piece_payoffs) at the piece k and fraction w where
+    generation n meets the script (dynamics._script_piece), and its growth
+    rates pop.f of them through array_link. An integer period P up to _BLOCK
+    has its link values evaluated on the first period only, a table the
+    blocks index by n mod P; with a constant background that period is
+    folded (dynamics._fold). Other runs sum blocks of _BLOCK generations, so
+    memory does not grow with the horizon. Returns (sample times, [logs at
+    each sample], max drift, _drift).
     """
-    rows, f, period = pop.payoffs, array_link(pop.f), schedule.period
+    f, period = array_link(pop.f), schedule.period
+    ua, ub = _piece_payoffs(pop, schedule)
+    du = ub - ua
 
     def link_values(t):
         """Link values at the generations t, one row each."""
-        # payoffs summed column by column: this order keeps the maps' outputs
-        # to the bit (test_block_loop_sums_each_generations_increments)
-        y = eval_schedule(schedule, t)
-        u = y[:, :1] * rows[:, 0]
-        for j in range(1, rows.shape[1]):
-            u += y[:, j:j + 1] * rows[:, j]
-        return f(u)
+        _, k, w = _script_piece(schedule, t)
+        return f(ua[k] + w[:, None] * du[k])
 
     P = int(period) if period.is_integer() and period <= _BLOCK else None
     table = link_values(np.arange(min(P, n_steps), dtype=float)) if P else None
@@ -201,9 +207,7 @@ def _scripted_generations(pop, schedule: Schedule, background: BackgroundFitness
             nan = np.isnan(g[k - lo])
             if nan.any():
                 raise pop.domain_error(int(np.argmax(nan)), float(k), k)
-            raise IntegrationError(
-                f"background plus growth rate not positive at generation {k} "
-                f"({pop.name(int(np.argmax(bad[k - lo])))})", t=float(k), step=k)
+            raise pop.background_error(g[k - lo], C[k - lo, 0], k)
         r = g.min(axis=1, keepdims=True)
         with np.errstate(over="ignore"):  # an increment of inf is refused below
             d = np.log1p((g - r) / (C + r))

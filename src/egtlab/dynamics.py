@@ -353,10 +353,12 @@ class _Population:
     z holds the logs on the support only and payoffs the payoff rows of the
     support, sliced to the opponent columns they can meet, with hull their
     smallest and largest entry; coordinates off the support stay exactly at
-    -inf and are never evaluated. f is the link.
+    -inf and are never evaluated. f is the link. meets is the index of the
+    population whose state its payoffs read (itself in self-play), or None
+    against a script.
     """
 
-    def __init__(self, z, payoff, cols, link: LinkFunction, where: str):
+    def __init__(self, z, payoff, cols, link: LinkFunction, where: str, meets=None):
         self.n = z.size
         self.support = np.flatnonzero(z > -np.inf)
         self.z = z[self.support].tolist()
@@ -364,6 +366,7 @@ class _Population:
         self.hull = (float(self.payoffs.min()), float(self.payoffs.max()))
         self.f = link
         self.where = where
+        self.meets = meets
 
     def name(self, k: int) -> str:
         return self.where.format(int(self.support[k]))
@@ -372,6 +375,14 @@ class _Population:
         return IntegrationError(
             f"payoff left the link domain near t={t:g} ({self.name(k)})", t=t, step=step,
             member=member)
+
+    def background_error(self, g, C: float, step: int) -> IntegrationError:
+        """A generation map's failure at generation step, where the background
+        C plus the growth rates g is not positive (named: the first such)."""
+        k = next(k for k, gk in enumerate(g) if not C + gk > 0.0)
+        return IntegrationError(
+            f"background plus growth rate not positive at generation {step} ({self.name(k)})",
+            t=float(step), step=step)
 
     def log_states(self, samples) -> np.ndarray:
         """Full log-states from support logs, one row per sample (and run)."""
@@ -386,25 +397,12 @@ def _setup(rule: GrowthRule, game: Game, x0, opponent):
 
     Returns (populations, pays, label): pays maps the time and the
     populations' frequencies, one (B, n) array each, to each population's
-    payoffs. A script's are one row of its per-piece table (_piece_payoffs),
-    whatever the number of runs.
+    payoffs, against the population it meets (_Population.meets). A
+    script's are one row of its per-piece table (_piece_payoffs), whatever
+    the number of runs.
     """
     n, m = game.n_rows, game.n_cols
     z = _log_state(x0, n, "initial state")
-    if isinstance(opponent, Coupled):
-        if opponent.game.n_rows != m or opponent.game.n_cols != n:
-            raise ValueError(
-                f"coupled game must be {m}x{n} (opponent strategies x ours), "
-                f"got {opponent.game.n_rows}x{opponent.game.n_cols}")
-        z2 = _log_state(opponent.y0, m, "coupled initial state")
-        if rule.speed is not None:
-            raise ValueError("payoff-dependent speed is not supported with a coupled opponent")
-        pops = [_Population(z, game.payoff, np.flatnonzero(z2 > -np.inf),
-                            rule.effective_link, "population 1 strategy {}"),
-                _Population(z2, opponent.game.payoff, np.flatnonzero(z > -np.inf),
-                            opponent.rule.effective_link, "population 2 strategy {}")]
-        mat, mat2 = (pop.payoffs.T for pop in pops)
-        return pops, lambda t, xs: [xs[1].dot(mat), xs[0].dot(mat2)], "coupled"
     if isinstance(opponent, Schedule):
         if opponent.n_strategies != m:
             raise ValueError(
@@ -418,14 +416,28 @@ def _setup(rule: GrowthRule, game: Game, x0, opponent):
             return [ua[k] + w * du[k]]
 
         return [pop], pays, "scripted"
-    if opponent is not None:
+    if isinstance(opponent, Coupled):
+        if opponent.game.n_rows != m or opponent.game.n_cols != n:
+            raise ValueError(
+                f"coupled game must be {m}x{n} (opponent strategies x ours), "
+                f"got {opponent.game.n_rows}x{opponent.game.n_cols}")
+        z2 = _log_state(opponent.y0, m, "coupled initial state")
+        if rule.speed is not None:
+            raise ValueError("payoff-dependent speed is not supported with a coupled opponent")
+        pops = [_Population(z, game.payoff, np.flatnonzero(z2 > -np.inf),
+                            rule.effective_link, "population 1 strategy {}", meets=1),
+                _Population(z2, opponent.game.payoff, np.flatnonzero(z > -np.inf),
+                            opponent.rule.effective_link, "population 2 strategy {}", meets=0)]
+    elif opponent is not None:
         raise TypeError(f"unsupported opponent {opponent!r}")
-    if n != m:
+    elif n != m:
         raise ValueError(f"self-play needs a square game, got {n}x{m}")
-    pop = _Population(z, game.payoff, np.flatnonzero(z > -np.inf),
-                      rule.effective_link, "strategy {}")
-    mat = pop.payoffs.T
-    return [pop], lambda t, xs: [xs[0].dot(mat)], "self"
+    else:
+        pops = [_Population(z, game.payoff, np.flatnonzero(z > -np.inf),
+                            rule.effective_link, "strategy {}", meets=0)]
+    mats = [(pop.meets, pop.payoffs.T) for pop in pops]
+    return (pops, lambda t, xs: [xs[q].dot(mat) for q, mat in mats],
+            "coupled" if len(pops) == 2 else "self")
 
 
 def _trajectory(pops, opponent, times, samples, meta) -> Trajectory:

@@ -133,27 +133,41 @@ def _extremes(f: LinkFunction, lo: float, hi: float) -> np.ndarray:
 
 
 def _eval_unchecked(f: LinkFunction, u):
-    return _formula(f)(np.asarray(u, dtype=float))
+    return _formula(f, np)(np.asarray(u, dtype=float))
 
 
-def _formula(f: LinkFunction):
-    """f's closed form as one function of a float array, its family picked
-    here, once. Coefficients are 0-d arrays, which a ufunc takes as they are
-    where it converts a Python float on every call; the power link's
-    exponent stays a float, as NumPy's ** picks its fast cases by it."""
-    p = [np.array(v) for v in f.params]
+def _formula(f: LinkFunction, xp):
+    """f's closed form as one function, its family picked here, once: of a
+    float array for xp = np, of a Python float for xp = math. An array's
+    coefficients are 0-d arrays, which a ufunc takes as they are where it
+    converts a Python float on every call; the power link's exponent stays a
+    float, as NumPy's ** picks its fast cases by it. A float's table
+    interpolates the way np.interp does."""
+    p = [np.array(v) for v in f.params] if xp is np else f.params
     if f.family == "linear":
         return lambda u: p[0] * u + p[1]
     if f.family == "power":
         return lambda u: u ** f.params[0]
     if f.family == "exponential":
-        return lambda u: np.exp(p[0] * u)
+        return lambda u: xp.exp(p[0] * u)
     if f.family == "effective":
-        g = _formula(f.inner)
-        return lambda u: np.log(p[0] + g(u))
-    if f.family == "table":
+        g = _formula(f.inner, xp)
+        return lambda u: xp.log(p[0] + g(u))
+    if f.family != "table":
+        return xp.log if f.family == "logarithm" else xp.sqrt
+    if xp is np:
         return lambda u: np.interp(u, f.knots_x, f.knots_y)
-    return np.log if f.family == "logarithm" else np.sqrt
+    xs, ys = f.knots_x.tolist(), f.knots_y.tolist()
+
+    def interp(v):
+        j = bisect.bisect_right(xs, v) - 1
+        if j < 0:
+            return ys[0]
+        if j >= len(xs) - 1 or xs[j] == v:
+            return ys[j]
+        return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (v - xs[j]) + ys[j]
+
+    return interp
 
 
 def _integral_unchecked(f: LinkFunction, a, b):
@@ -193,12 +207,13 @@ def domain_pad(f: LinkFunction) -> float:
 
 
 def eval_link(f: LinkFunction, u):
-    """Evaluate the link, rejecting arguments outside its domain."""
+    """Evaluate the link, rejecting arguments outside its domain, nan too."""
     arr = np.asarray(u, dtype=float)
     lo, hi = f.domain
     pad = domain_pad(f)
-    if np.any(arr < lo - pad) or np.any(arr > hi + pad):
-        bad = arr[(arr < lo - pad) | (arr > hi + pad)].flat[0]
+    outside = ~((arr >= lo - pad) & (arr <= hi + pad))
+    if outside.any():
+        bad = arr[outside].flat[0]
         raise DomainError(f"payoff {float(bad)!r} outside link domain [{lo:g}, {hi:g}]")
     vals = _eval_unchecked(f, np.clip(arr, lo, hi))
     return float(vals) if np.isscalar(u) or arr.ndim == 0 else vals
@@ -301,29 +316,10 @@ def scalar_link(f: LinkFunction, within=None):
     """Per-float evaluator of f for the float map: nan outside the padded
     domain, otherwise f at the argument clamped to the domain; only the
     clamp where hull_inside holds for within, a promised range of every
-    argument. Tables interpolate the way np.interp does."""
+    argument. The formula is _formula's, for Python floats."""
     lo, hi = f.domain
     lo_pad, hi_pad = lo - domain_pad(f), hi + domain_pad(f)
-    if f.family == "table":
-        xs, ys = f.knots_x.tolist(), f.knots_y.tolist()
-
-        def fn(v):
-            j = bisect.bisect_right(xs, v) - 1
-            if j < 0:
-                return ys[0]
-            if j >= len(xs) - 1 or xs[j] == v:
-                return ys[j]
-            return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (v - xs[j]) + ys[j]
-    elif f.family == "effective":
-        C, g = f.params[0], scalar_link(f.inner)
-        fn = lambda v: math.log(C + g(v))
-    else:
-        p = f.params
-        fn = {"linear": lambda v: p[0] * v + p[1],
-              "power": lambda v: v ** p[0],
-              "exponential": lambda v: math.exp(p[0] * v),
-              "logarithm": math.log,
-              "sqrt": math.sqrt}[f.family]
+    fn = _formula(f, math)
     if within is not None and hull_inside(f, within):
         return lambda u: fn(lo if u < lo else hi if u > hi else u)
 
@@ -340,7 +336,7 @@ def array_link(f: LinkFunction, within=None):
     outside the padded domain and f at the clamped argument inside it, and
     only clamping where hull_inside holds for within."""
     lo, hi = f.domain
-    pad, fn = domain_pad(f), _formula(f)
+    pad, fn = domain_pad(f), _formula(f, np)
     if within is not None and hull_inside(f, within):
         low, high = np.array(lo), np.array(hi)  # 0-d, as _formula's coefficients
         return lambda u: fn(np.minimum(np.maximum(u, low), high))
@@ -440,18 +436,24 @@ def parse_link(spec: str, domain=None) -> LinkFunction:
     a spec may also carry its own as a suffix '@lo,hi'. A linear link without
     either gets (-1e6, 1e6); every other family needs one.
     """
-    spec = spec.strip()
-    if "@" in spec:
-        spec, _, dom = spec.partition("@")
-        parts = dom.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad domain suffix in link spec {spec!r}")
-        domain = (float(parts[0]), float(parts[1]))
+    whole = spec.strip()
+
+    def numbers(text, what):
+        try:
+            return tuple(float(v) for v in text.split(","))
+        except ValueError:
+            raise ValueError(f"bad {what} in link spec {whole!r}") from None
+
+    spec, at, dom = whole.partition("@")
+    if at:
+        domain = numbers(dom, "domain suffix")
+        if len(domain) != 2:
+            raise ValueError(f"bad domain suffix in link spec {whole!r}")
     name, _, arg = spec.partition(":")
     family = _LINK_NAMES.get(name.strip().lower())
     if family is None:
         raise ValueError(f"unknown link family {name!r}")
-    params = tuple(float(v) for v in arg.split(",")) if arg else ()
+    params = numbers(arg, "params") if arg else ()
     params += _DEFAULT_PARAMS.get(family, ())[len(params):]
     if domain is None and family != "linear":
         raise ValueError(f"link {name!r} needs a payoff interval (use '@lo,hi' or --interval)")

@@ -406,9 +406,11 @@ def _tail(arr):
     return arr[-(len(arr) // 4 or 1):]
 
 
-def _finish(report: dict) -> dict:
-    report["ok"] = all(report["checks"].values())
-    return report
+def _finish(report: dict, name: str, seed: int, link: LinkFunction | None) -> dict:
+    """The report of scenario name, led by its name, seed and link and
+    closed by ok: whether every check passed."""
+    return {"scenario": name, "seed": seed, "link": _link_desc(link), **report,
+            "ok": all(report["checks"].values())}
 
 
 def run_discussion(link: LinkFunction | None = None, *, seed: int = 0,
@@ -425,9 +427,6 @@ def run_discussion(link: LinkFunction | None = None, *, seed: int = 0,
     final_min = float(np.exp(log_min_support(traj, q)[-1]))
     v = verdict(traj, q)
     report = {
-        "scenario": "discussion",
-        "seed": seed,
-        "link": _link_desc(link),
         "game": game_to_dict(game),
         "lp_margin": dom.margin,
         "run": {"t_max": t_max, "dt": _DT, "method": traj.meta["method"],
@@ -441,7 +440,7 @@ def run_discussion(link: LinkFunction | None = None, *, seed: int = 0,
             "verdict-eliminated": v.status == "eliminated",
         },
     }
-    return _finish(report), traj
+    return _finish(report, "discussion", seed, link), traj
 
 
 def _survival_sample_every(schedule: Schedule, t_max: float) -> int:
@@ -464,9 +463,6 @@ def run_survival_nonconvex(link: LinkFunction | None = None, *, seed: int = 0):
     x_m = float(traj.states[-1, 1])
     v = verdict(traj, con.dominated)
     report = {
-        "scenario": "survival-nonconvex",
-        "seed": seed,
-        "link": _link_desc(f),
         "construction": _survival_desc(con),
         "run": {"t_max": t_max, "dt": _DT, "method": traj.meta["method"],
                 "x_M_final": x_m},
@@ -476,7 +472,7 @@ def run_survival_nonconvex(link: LinkFunction | None = None, *, seed: int = 0):
             "verdict-survived": v.status == "survived",
         },
     }
-    return _finish(report), traj
+    return _finish(report, "survival-nonconvex", seed, f), traj
 
 
 def run_survival_nonconcave(link: LinkFunction | None = None, *, seed: int = 0,
@@ -495,9 +491,6 @@ def run_survival_nonconcave(link: LinkFunction | None = None, *, seed: int = 0,
     v_m = verdict(traj, pure(1, 3))
     v_mix = verdict(traj, con.dominated)
     report = {
-        "scenario": "survival-nonconcave",
-        "seed": seed,
-        "link": _link_desc(f),
         "construction": _survival_desc(con),
         "run": {"t_max": t_max, "dt": _DT, "method": traj.meta["method"],
                 "x_M_final": x_m, "product_floor": floor, "product_late_max": late_max},
@@ -510,7 +503,7 @@ def run_survival_nonconcave(link: LinkFunction | None = None, *, seed: int = 0,
             "verdict-mixture-survived": v_mix.status == "survived",
         },
     }
-    return _finish(report), traj
+    return _finish(report, "survival-nonconcave", seed, f), traj
 
 
 def _survival_desc(con: SurvivalConstruction) -> dict:
@@ -578,9 +571,6 @@ def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,
     dom = find_dominator(con.game, pure(3, 4).weights, mode="mixed")
     survivors = sum(r["persists"] for r in runs)
     report = {
-        "scenario": "hw-4x4",
-        "seed": seed,
-        "link": _link_desc(f),
         "construction": _rps4_desc(con),
         "beta_halvings": halvings,
         "lp_margin": dom.margin,
@@ -591,7 +581,7 @@ def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,
             "persists-on-at-least-8-seeds": survivors >= 8,
         },
     }
-    return _finish(report), traj.member(0)
+    return _finish(report, "hw-4x4", seed, f), traj.member(0)
 
 
 def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
@@ -623,9 +613,6 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
     con, halvings, traj, runs = _rps4_runs(f, con, x0, judge, t_max)
     dom = find_dominator(con.game, np.array([1, 1, 1, 0]) / 3.0, mode="mixed")
     report = {
-        "scenario": "dual-4x4",
-        "seed": seed,
-        "link": _link_desc(f),
         "construction": _rps4_desc(con),
         "beta_halvings": halvings,
         "lp_margin": dom.margin,
@@ -639,7 +626,7 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
             "near-center-drift-always-negative": frac == 1.0,
         },
     }
-    return _finish(report), traj.member(0)
+    return _finish(report, "dual-4x4", seed, f), traj.member(0)
 
 
 def _generation_drift(con: SurvivalConstruction, f_rule: LinkFunction):
@@ -704,9 +691,6 @@ def run_background_threshold(link: LinkFunction | None = None, *, seed: int = 0,
                  background=constant_background(big_c))
     v1 = verdict(t1, pure(1, 3))
     report = {
-        "scenario": "background-threshold",
-        "seed": seed,
-        "link": _link_desc(f_rule),
         "effective_link": _link_desc(effective),
         "construction": _survival_desc(con),
         "threshold": {"C_bar": c_bar,
@@ -720,7 +704,7 @@ def run_background_threshold(link: LinkFunction | None = None, *, seed: int = 0,
             "threshold-is-finite": math.isfinite(c_bar) and 0.0 < c_bar < big_c,
         },
     }
-    return _finish(report), t1
+    return _finish(report, "background-threshold", seed, f_rule), t1
 
 
 def run_background_schedules(link: LinkFunction | None = None, *, seed: int = 0,
@@ -746,9 +730,6 @@ def run_background_schedules(link: LinkFunction | None = None, *, seed: int = 0,
     k = int(np.searchsorted(t_geo.times, n_max / 10.0))
     tail_move = abs(float(w_geo[-1] - w_geo[k]))
     report = {
-        "scenario": "background-schedules",
-        "seed": seed,
-        "link": _link_desc(f_rule),
         "effective_link": _link_desc(effective),
         "construction": _survival_desc(con),
         "run": {"n_max": n_max, "affine_min_support_final": min_aff,
@@ -762,7 +743,7 @@ def run_background_schedules(link: LinkFunction | None = None, *, seed: int = 0,
             "geometric-w-tail-still": tail_move < 0.05,
         },
     }
-    return _finish(report), t_geo
+    return _finish(report, "background-schedules", seed, f_rule), t_geo
 
 
 SCENARIOS = {

@@ -14,6 +14,7 @@ from egtlab import cli
 from egtlab.cli import main
 from egtlab.games import Game
 from egtlab.links import parse_link
+from egtlab.scenarios import SCENARIOS
 
 DISCUSSION_PAYOFF = [[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]]
 
@@ -662,6 +663,24 @@ def test_a_link_that_overflows_exits_1_with_one_line(capsys):
     assert capsys.readouterr().err == "error: link is not finite everywhere on (0.0, 1.0)\n"
 
 
+# link specs that parse_link refuses, and the error line, which names the
+# whole spec
+BAD_LINK_SPECS = {
+    "sqrt@1": "bad domain suffix in link spec 'sqrt@1'",
+    "sqrt@1,2,3": "bad domain suffix in link spec 'sqrt@1,2,3'",
+    "sqrt@0,a": "bad domain suffix in link spec 'sqrt@0,a'",
+    "linear:1,": "bad params in link spec 'linear:1,'",
+    "exp:a": "bad params in link spec 'exp:a'",
+    "exp:a@0,1": "bad params in link spec 'exp:a@0,1'",
+}
+
+
+@pytest.mark.parametrize("spec", BAD_LINK_SPECS)
+def test_a_bad_link_spec_exits_1_naming_the_spec(spec, capsys):
+    assert main(["classify", "--link", spec]) == 1
+    assert capsys.readouterr() == ("", f"error: {BAD_LINK_SPECS[spec]}\n")
+
+
 def test_number_lists_of_the_wrong_length_exit_1(capsys):
     assert main(["classify", "--link", "sqrt", "--interval", "1,2,3"]) == 1
     assert "--interval takes 2 comma-separated numbers, got 3" in capsys.readouterr().err
@@ -750,6 +769,30 @@ def test_scenario_writes_the_first_run_of_a_batch(tmp_path, capsys):
     assert doc["raw"]["run"]["method"] == "dop853" and len(doc["raw"]["run"]["seeds"]) == 10
     lines = traj_path.read_text().splitlines()
     assert lines[0] == "t,x1,x2,x3,x4" and len(lines) == 1 + 21
+
+
+# every catalog scenario at its defaults: its report and its --traj CSV,
+# each pinned by the first 16 hex digits of its sha256, the bytes the
+# scenario wrote before its report's scenario, seed, link and ok were set in
+# one place (scenarios._finish)
+CATALOG_OUTPUTS = {
+    "discussion": ("94d2f1f44e33c0b5", "cbe7b5834a67d644"),
+    "survival-nonconvex": ("a189ec7630a51c8b", "aa86c3c4b3e3561b"),
+    "survival-nonconcave": ("ac7d26cc355a6ef6", "cf2272be3a8f2bc7"),
+    "hw-4x4": ("075155a8d9260fcb", "26bb16a39c1303b6"),
+    "dual-4x4": ("f57ca2494857bc8e", "81f7181b71b00a57"),
+    "background-threshold": ("435dd6dbd7d870d6", "9a46bf72a6e7b14f"),
+    "background-schedules": ("ca1d43a2bedd5f4d", "6470f7d9a9bc8d29"),
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_OUTPUTS)
+def test_catalog_outputs_are_pinned(name, tmp_path):
+    assert set(CATALOG_OUTPUTS) == set(SCENARIOS)
+    report, traj = tmp_path / "report.json", tmp_path / "traj.csv"
+    assert main(["scenario", name, "--out", str(report), "--traj", str(traj)]) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()[:16] for path in (report, traj))
+    assert digests == CATALOG_OUTPUTS[name]
 
 
 def test_scenario_missed_outcome_exits_3(capsys):

@@ -304,14 +304,14 @@ def test_integer_period_map_fails_where_the_steps_fail():
 
 @pytest.fixture
 def rows_evaluated(monkeypatch):
-    """Sizes of the time arrays the scripted map hands to eval_schedule."""
+    """Sizes of the time arrays the scripted map hands to _script_piece."""
     calls = []
 
     def counting(schedule, t):
         calls.append(np.size(t))
-        return eval_schedule(schedule, t)
+        return _script_piece(schedule, t)
 
-    monkeypatch.setattr(discrete, "eval_schedule", counting)
+    monkeypatch.setattr(discrete, "_script_piece", counting)
     return calls
 
 
@@ -407,15 +407,16 @@ def test_fold_and_block_loop_meet_at_the_block_size(rows_evaluated):
 
 def generation_by_generation(rule, game, x0, script, background, n, every):
     """Logs at the samples of the block loop, from each generation's mean-free
-    increments evaluated on its own, in the block loop's arithmetic."""
+    increments evaluated on its own, in the block loop's arithmetic: payoffs
+    ua[j] + w (ub[j] - ua[j]) at the fraction w of script piece j, from the
+    payoffs ua against each breakpoint's row and ub against the next's."""
     f = array_link(rule.effective_link)
+    ua = script.values @ game.payoff.T
+    du = np.roll(ua, -1, axis=0) - ua
     z, out = np.log(np.asarray(x0, dtype=float)), []
     for k in range(n):
-        y = eval_schedule(script, float(k))
-        u = y[0] * game.payoff[:, 0]
-        for j in range(1, len(y)):
-            u += y[j] * game.payoff[:, j]
-        g = f(u)
+        _, j, w = _script_piece(script, np.array([float(k)]))
+        g = f(ua[j[0]] + w[0] * du[j[0]])
         d = np.log1p((g - g.min()) / (background.values(np.array([float(k)]))[0] + g.min()))
         z = z + (d - d.mean())
         if (k + 1) % every == 0 or k + 1 == n:

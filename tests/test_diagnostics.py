@@ -147,6 +147,16 @@ def test_periodic_floor_needs_three_periods():
         periodic_floor(traj, (0, 1), 0.0)
 
 
+@pytest.mark.parametrize("coords", [(-3, -1), (0, -1), (0, 5), (3, 0)])
+def test_periodic_floor_refuses_coords_outside_the_strategies(coords):
+    # negative indices would read strategies from the end, 5 past it
+    traj = flat_trajectory((0.2, 0.3, 0.5), np.arange(0.0, 10.5, 0.5))
+    with pytest.raises(ValueError, match=r"^coords must be strategy indices in \[0, 3\), "
+                       rf"got \({coords[0]}, {coords[1]}\)$"):
+        periodic_floor(traj, coords, 2.0)
+    assert periodic_floor(traj, (2, 0), 2.0) == pytest.approx(0.1, rel=1e-12)
+
+
 def test_least_squares_slope_exact_line():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     assert least_squares_slope(x, 3.0 * x + 1.0) == pytest.approx(3.0, abs=1e-14)
@@ -160,6 +170,17 @@ def test_cycle_probe_direction_values():
     # delta = a - (b+c)/2 decides the near-center drift sign under the bare map
     assert taylor_sign_check(REPL, cycle_game(1.0, 2.0, -2.0), samples=150) == 1.0
     assert taylor_sign_check(REPL, cycle_game(-1.0, 2.0, -2.0), samples=150) == 0.0
+
+
+@pytest.mark.parametrize("samples, message", [
+    (2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
+    (np.float64(3.0), "must be an integer"), (0, "must be at least 1, got 0"),
+    (-4, "must be at least 1, got -4")])
+def test_cycle_probe_takes_a_whole_count_of_samples(samples, message):
+    # 2.5 samples would read 1.2, a "fraction" above 1
+    with pytest.raises(ValueError, match=rf"^samples {message}"):
+        taylor_sign_check(REPL, cycle_game(1.0, 2.0, -2.0), samples=samples)
+    assert taylor_sign_check(REPL, cycle_game(1.0, 2.0, -2.0), samples=np.int64(3)) == 1.0
 
 
 def test_cycle_probe_keeps_its_sign_under_a_monotone_link():

@@ -24,6 +24,16 @@ def test_eval_is_vectorized():
     np.testing.assert_allclose(eval_link(f, [1.0, -2.0, 0.5]), [1.0, 4.0, 0.25])
 
 
+@pytest.mark.parametrize("u", [math.nan, [0.5, math.nan], np.full((2, 2), math.nan)],
+                         ids=["float", "array", "matrix"])
+def test_eval_link_refuses_nan(u):
+    # nan compares false with both ends, so a range test that asks "below lo
+    # or above hi" lets it through; "inside [lo, hi]" does not
+    with pytest.raises(DomainError) as err:
+        eval_link(sqrt_link((0.0, 1.0)), u)
+    assert str(err.value) == "payoff nan outside link domain [0, 1]"
+
+
 def test_domain_is_enforced_with_a_soft_pad():
     f = sqrt_link((1.0, 9.0))
     with pytest.raises(DomainError, match="outside"):
@@ -372,13 +382,14 @@ def test_array_link_agrees_with_scalar_link(f):
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
-def _closed_form(f, u):
-    """f at u by its family's formula, its coefficients Python floats."""
+def _closed_form(f, u, xp=np):
+    """f at u by its family's formula, its coefficients Python floats: on an
+    array through NumPy (xp = np), or on a float through libm (xp = math)."""
     p = f.params
     return {"linear": lambda: p[0] * u + p[1], "power": lambda: u ** p[0],
-            "exponential": lambda: np.exp(p[0] * u), "logarithm": lambda: np.log(u),
-            "sqrt": lambda: np.sqrt(u), "table": lambda: np.interp(u, f.knots_x, f.knots_y),
-            "effective": lambda: np.log(p[0] + _closed_form(f.inner, u))}[f.family]()
+            "exponential": lambda: xp.exp(p[0] * u), "logarithm": lambda: xp.log(u),
+            "sqrt": lambda: xp.sqrt(u), "table": lambda: np.interp(u, f.knots_x, f.knots_y),
+            "effective": lambda: xp.log(p[0] + _closed_form(f.inner, u, xp))}[f.family]()
 
 
 @pytest.mark.parametrize("f", FAMILY_LINKS, ids=lambda f: f.family)
@@ -391,8 +402,15 @@ def test_array_link_is_eval_link_to_the_bit(f):
                         [lo, hi, lo - 0.5 * pad, hi + 0.5 * pad]]).reshape(50, 4)
     want = eval_link(f, u).view(np.int64)
     np.testing.assert_array_equal(_closed_form(f, np.clip(u, lo, hi)).view(np.int64), want)
+    # scalar_link, the float map's, takes the same formula per float through
+    # libm, whose exp and pow may differ from NumPy's vector loops in the
+    # last bit: it is its closed form on floats to the bit
+    floats = np.array([_closed_form(f, v, math) for v in np.clip(u, lo, hi).ravel().tolist()])
     for within in (None, (lo, hi)):
         np.testing.assert_array_equal(array_link(f, within)(u).view(np.int64), want)
+        fn = scalar_link(f, within)
+        np.testing.assert_array_equal(np.array([fn(v) for v in u.ravel().tolist()]).view(np.int64),
+                                      floats.view(np.int64))
 
 
 @pytest.mark.parametrize("f", FAMILY_LINKS, ids=lambda f: f.family)
