@@ -8,8 +8,8 @@ with --discrete-C its generation map), scenario (catalog experiments).
 simulate reads one JSON object; each field takes one form, and any other
 field exits 1. A field left out takes its default; null is no value, and
 exits 1 as any other wrong form does:
-  game        a game's JSON form {"payoff": rows, ...} (see games) or the path of a
-              file holding one; required
+  game        a game G: its JSON form {"payoff": rows}, one list of numbers per row
+              strategy, and no other key; or the path of a file holding one; required
   mode        "continuous" (the default) or "discrete"
   rule        {"kind": "replicator"} (the default) or {"kind": "payoff-functional",
               "link": L}; a continuous run without a coupled opponent reads a speed,
@@ -24,7 +24,7 @@ exits 1 as any other wrong form does:
   targets     a list of {"p": [...], "q": [...]}, one weight per strategy each
   integrator  {"t_max", "dt", "sample_every"} (continuous) or {"n_max",
               "sample_every"} (discrete), each optional, with the defaults of
-              integrate and iterate; --t-max, --dt and --n-max override them
+              integrate and iterate; no flag overrides them
 A link L is a spec string such as "sqrt" or "exp:2", on the game's payoff
 hull unless it ends in "@lo,hi", or a knot table T = {"xs": [...], "ys": [...]};
 a speed is a knot table over mean payoff. Numbers are finite JSON numbers,
@@ -301,11 +301,6 @@ def cmd_simulate(args) -> int:
     game = _parse_game(_req(cfg, "game", ""), "game")
     mode = _choice(cfg.get("mode", "continuous"), "mode", _INTEGRATOR_KEYS)
     _known(cfg, "", _TOP_KEYS + (("background",) if mode == "discrete" else ()))
-    flags = {attr: getattr(args, attr) for attr in ("t_max", "dt", "n_max")
-             if getattr(args, attr) is not None}
-    for attr in flags:
-        if attr not in _INTEGRATOR_KEYS[mode]:
-            _fail(f"simulate in {mode} mode does not take --{attr.replace('_', '-')}")
     opponent = _parse_opponent(cfg["opponent"]) if "opponent" in cfg else None
     rule = _parse_rule(cfg.get("rule", {}), game, "rule",
                        speed=mode == "continuous" and not isinstance(opponent, Coupled))
@@ -316,7 +311,7 @@ def cmd_simulate(args) -> int:
     # only the values given reach the run: integrate and iterate state the defaults
     integ = _known(cfg.get("integrator", {}), "integrator", _INTEGRATOR_KEYS[mode])
     given = {key: (_number(integ, key, "integrator", positive=True) if key in ("t_max", "dt")
-                   else _count(integ, key, "integrator")) for key in integ} | flags
+                   else _count(integ, key, "integrator")) for key in integ}
     if mode == "continuous":
         traj = integrate(rule, game, x0, opponent=opponent, **given)
         run = {key: traj.meta[key] for key in ("t_max", "dt", "method")}
@@ -487,9 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = subs.add_parser("simulate", help="run a config-driven simulation")
     sim.add_argument("--config", required=True, help="run config JSON path")
     sim.add_argument("--traj", help="trajectory CSV path")
-    sim.add_argument("--t-max", dest="t_max", type=float)
-    sim.add_argument("--dt", type=float)
-    sim.add_argument("--n-max", dest="n_max", type=int)
     _add_common(sim, "recorded in the report; the run draws no random numbers")
     sim.set_defaults(func=cmd_simulate)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GrowthRule, Trajectory, _check_count, _log_field, _setup
+from .dynamics import GrowthRule, Trajectory, _check_count, _is_index, _log_field, _setup
 from .games import Game, validate_simplex
 
 
@@ -129,12 +129,12 @@ def periodic_floor(traj: Trajectory, coords, period: float) -> float:
     is the honest floor estimate. Needs at least 3 complete periods.
     """
     logs = traj.run_logs("periodic_floor")
-    i, j = (int(c) for c in coords)
+    i, j = coords
     n = logs.shape[1]
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"coords must be strategy indices in [0, {n}), got {(i, j)}")
-    if period <= 0:
-        raise ValueError("period must be positive")
+    if not (_is_index(i, n) and _is_index(j, n)):
+        raise ValueError(f"coords must be strategy indices in [0, {n}), got ({i}, {j})")
+    if not 0.0 < period < math.inf:
+        raise ValueError(f"period must be positive and finite, got {period!r}")
     t = traj.times
     tol = 1e-9 * max(1.0, period)
     n_complete = int(math.floor((t[-1] + tol) / period))

@@ -325,6 +325,10 @@ class Trajectory:
         """Run k of a batch, with the batch's meta."""
         if self.log_states.ndim != 3:
             raise ValueError("member() needs a batch of runs")
+        runs = self.log_states.shape[1]
+        if not _is_index(k, runs):
+            raise ValueError(f"k must be a run index in [0, {runs}) of this batch of {runs} "
+                             f"runs, got {k!r}")
         return Trajectory(self.times, self.log_states[:, k], meta=self.meta)
 
     def run_logs(self, what: str) -> np.ndarray:
@@ -459,6 +463,12 @@ def _check_count(value, name: str) -> int:
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value!r}")
     return int(value)
+
+
+def _is_index(value, n: int) -> bool:
+    """True when value indexes one of n items: a whole number in [0, n), not
+    a bool, which NumPy would read as a mask."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and 0 <= value < n
 
 
 def _sample_counts(total: int, sample_every: int) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Payoff matrices are plain float arrays: rows are the focal player's pure
 strategies, columns the opponent's. Everything downstream (dominance tests,
-selection dynamics) consumes these two value types. A game's JSON form is
-{"payoff": rows, "row_labels": ..., "col_labels": ...}, the labels optional;
-the command line reads game files through load_game.
+selection dynamics) consumes these two value types. A game is its payoffs
+alone: no computation here reads a strategy's name. Its JSON form is exactly
+{"payoff": rows}; game_from_dict is the one reader of it, for inline config
+games and for game files (load_game), and refuses any other key.
 """
 
 from __future__ import annotations
@@ -94,11 +95,9 @@ def uniform(n: int) -> MixedStrategy:
 
 @dataclass(frozen=True, eq=False)
 class Game:
-    """Immutable payoff matrix with optional strategy labels."""
+    """Immutable payoff matrix."""
 
     payoff: np.ndarray
-    row_labels: tuple | None = None
-    col_labels: tuple | None = None
 
     def __post_init__(self):
         a = np.array(self.payoff, dtype=float)
@@ -108,14 +107,6 @@ class Game:
             raise ValueError("payoff has non-finite entries")
         a.setflags(write=False)
         object.__setattr__(self, "payoff", a)
-        for name in ("row_labels", "col_labels"):
-            lab = getattr(self, name)
-            if lab is not None:
-                lab = tuple(str(s) for s in lab)
-                n = a.shape[0] if name == "row_labels" else a.shape[1]
-                if len(lab) != n:
-                    raise ValueError(f"{name} has {len(lab)} entries for {n} strategies")
-                object.__setattr__(self, name, lab)
 
     @property
     def n_rows(self) -> int:
@@ -137,12 +128,7 @@ class Game:
 
 
 def game_to_dict(game: Game) -> dict:
-    d = {"payoff": game.payoff.tolist()}
-    if game.row_labels is not None:
-        d["row_labels"] = list(game.row_labels)
-    if game.col_labels is not None:
-        d["col_labels"] = list(game.col_labels)
-    return d
+    return {"payoff": game.payoff.tolist()}
 
 
 def json_floats(value, what: str) -> np.ndarray:
@@ -166,9 +152,13 @@ def json_floats(value, what: str) -> np.ndarray:
 
 
 def game_from_dict(d: dict) -> Game:
+    """The game of its JSON form {"payoff": rows}, refusing any other key."""
     if not isinstance(d, dict) or "payoff" not in d:
         raise ValueError("game JSON must be an object with a 'payoff' key")
-    return Game(json_floats(d["payoff"], "payoff"), d.get("row_labels"), d.get("col_labels"))
+    for key in d:
+        if key != "payoff":
+            raise ValueError(f"game JSON key {key!r} is unknown; a game takes only 'payoff'")
+    return Game(json_floats(d["payoff"], "payoff"))
 
 
 def load_game(path) -> Game:

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FAMILIES = ("linear", "power", "exponential", "logarithm", "sqrt", "table", "effective")
+# The params each family takes, by name, in order; its keys are FAMILIES.
+_PARAMS = {"linear": ("slope", "intercept"), "power": ("exponent",), "exponential": ("rate",),
+           "logarithm": (), "sqrt": (), "table": (), "effective": ("background",)}
+FAMILIES = tuple(_PARAMS)
 
 
 class DomainError(ValueError):
@@ -74,12 +77,13 @@ class LinkFunction:
 
 def _validate_family(f: LinkFunction) -> None:
     lo, hi = f.domain
-    if f.family == "linear":
-        if len(f.params) != 2:
-            raise ValueError("linear link takes params (slope, intercept)")
-    elif f.family == "power":
-        if len(f.params) != 1:
-            raise ValueError("power link takes a single exponent")
+    names = _PARAMS[f.family]
+    if len(f.params) != len(names):
+        raise ValueError(f"{f.family} link takes {' and '.join(names) or 'no params'}, "
+                         f"got params {list(f.params)}")
+    if not all(math.isfinite(v) for v in f.params):
+        raise ValueError(f"{f.family} link params must be finite, got {list(f.params)}")
+    if f.family == "power":
         g = f.params[0]
         if not float(g).is_integer():
             if lo < 0:
@@ -88,22 +92,15 @@ def _validate_family(f: LinkFunction) -> None:
                 raise ValueError("negative power needs a strictly positive domain")
         elif g < 0 and lo <= 0 <= hi:
             raise ValueError("negative power undefined at zero")
-    elif f.family == "exponential":
-        if len(f.params) != 1:
-            raise ValueError("exponential link takes a single rate")
     elif f.family == "logarithm":
-        if f.params:
-            raise ValueError("logarithm link takes no params")
         if lo <= 0:
             raise ValueError("logarithm needs a strictly positive domain")
     elif f.family == "sqrt":
-        if f.params:
-            raise ValueError("sqrt link takes no params")
         if lo < 0:
             raise ValueError("sqrt needs a nonnegative domain")
     elif f.family == "effective":
         g = f.inner
-        if (len(f.params) != 1 or not isinstance(g, LinkFunction) or g.family == "effective"
+        if (not isinstance(g, LinkFunction) or g.family == "effective"
                 or lo < g.domain[0] or hi > g.domain[1]):
             raise ValueError("effective link takes a background and an inner link of "
                              "another family whose domain covers its own")

@@ -164,7 +164,7 @@ class SurvivalConstruction:
         Cf = float(np.abs(eval_link(f, _extremes(f, a, b))).max())
         T = int(math.floor((2.0 * Cf + 1.0) / alpha + 1.0)) + 1
         _derive(self, alpha=alpha, Cf=Cf, T=T,
-                game=Game([[b, a], [u_m, u_m], [a, b]], ("T", "M", "B"), ("L", "R")),
+                game=Game([[b, a], [u_m, u_m], [a, b]]),
                 schedule=Schedule(2.0 * T, [0.0, T - 1.0, float(T), 2.0 * T - 1.0],
                                   [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
         rival = _MIX_TB if self.variant == "nonconvex" else pure(1, 3)

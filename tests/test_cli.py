@@ -62,11 +62,13 @@ def test_simulate_report_and_trajectory(discussion_cfg, tmp_path):
 
 
 def test_simulate_is_deterministic(discussion_cfg, tmp_path):
+    cfg = json.loads(Path(discussion_cfg).read_text())
+    cfg["integrator"]["t_max"] = 5.0
+    cfg = write_json(tmp_path / "short.json", cfg)
     outs = []
     for tag in ("one", "two"):
         rp, tp = tmp_path / f"r-{tag}.json", tmp_path / f"t-{tag}.csv"
-        assert main(["simulate", "--config", discussion_cfg, "--t-max", "5",
-                     "--out", str(rp), "--traj", str(tp)]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(rp), "--traj", str(tp)]) == 0
         outs.append((rp.read_bytes(), tp.read_bytes()))
     assert outs[0] == outs[1]
 
@@ -312,14 +314,6 @@ def test_simulate_reads_every_field_it_takes(tmp_path, cfg):
     assert (tmp_path / "r.json").exists() and (tmp_path / "t.csv").exists()
 
 
-@pytest.mark.parametrize("cfg, flag", [(SHORT, "--n-max"), (MAP, "--t-max"), (MAP, "--dt")],
-                         ids=["continuous-n-max", "discrete-t-max", "discrete-dt"])
-def test_simulate_refuses_flags_of_the_other_mode(tmp_path, capsys, cfg, flag):
-    assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg), flag, "3"]) == 1
-    mode = cfg.get("mode", "continuous")
-    assert f"simulate in {mode} mode does not take {flag}" in capsys.readouterr().err
-
-
 # forms an earlier config grammar also took, each with its one error line;
 # UNREAD checks the output section's and a speed table's where no run reads one
 REMOVED = {
@@ -352,12 +346,29 @@ REMOVED = {
     "null-background": ({**MAP, "background": None}, "config field background must be an object"),
     "null-speed": ({**SHORT, "rule": {"speed": None}},
                    "config field rule.speed must be a knot table {xs, ys}, got None"),
+    "opponent-game-labels": ({**SHORT, "opponent": {**PAIR, "game": {
+        "payoff": DISCUSSION_PAYOFF, "row_labels": ["T", "M", "B"]}}},
+        "opponent.game: game JSON key 'row_labels' is unknown; a game takes only 'payoff'"),
 }
+# a game is its payoffs alone: no code reads a strategy label, so a label,
+# like any other key, is refused. Each form is given inline and as the path of a
+# file, which the removed-form test writes to its working directory.
+OLD_GAMES = {"row-labels": ("row_labels", ["T", "M", "B"]),
+             "col-labels": ("col_labels", ["L", "C", "R"]),
+             "unknown-key": ("name", "discussion")}
+REMOVED |= {f"game-{name}-{where}": (
+    {**SHORT, "game": game}, f"game: game JSON key {key!r} is unknown; a game takes only 'payoff'")
+    for name, (key, value) in OLD_GAMES.items()
+    for where, game in (("inline", {"payoff": DISCUSSION_PAYOFF, key: value}),
+                        ("file", f"{name}.json"))}
 
 
 @pytest.mark.parametrize("case", REMOVED)
-def test_a_removed_config_form_exits_1_with_one_line(tmp_path, capsys, case):
+def test_a_removed_config_form_exits_1_with_one_line(tmp_path, monkeypatch, capsys, case):
     cfg, message = REMOVED[case]
+    monkeypatch.chdir(tmp_path)
+    for name, (key, value) in OLD_GAMES.items():
+        write_json(tmp_path / f"{name}.json", {"payoff": DISCUSSION_PAYOFF, key: value})
     assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -464,6 +475,14 @@ def test_a_game_file_holds_an_object(tmp_path, capsys):
     assert main(["dominance", "--game", game, "--iterate"]) == 1
     assert capsys.readouterr().err == \
         "error: --game: game JSON must be an object with a 'payoff' key\n"
+
+
+def test_a_dominance_game_file_holds_only_the_payoffs(tmp_path, capsys):
+    game = write_json(tmp_path / "g.json", {"payoff": [[1.0, 0.0], [0.0, 1.0]],
+                                            "col_labels": ["L", "R"]})
+    assert main(["dominance", "--game", game, "--iterate"]) == 1
+    assert capsys.readouterr() == ("", "error: --game: game JSON key 'col_labels' is unknown; "
+                                       "a game takes only 'payoff'\n")
 
 
 def test_dominance_game_files_hold_only_json_numbers(tmp_path, capsys):
@@ -663,6 +682,14 @@ def test_a_link_that_overflows_exits_1_with_one_line(capsys):
     assert capsys.readouterr().err == "error: link is not finite everywhere on (0.0, 1.0)\n"
 
 
+def test_a_link_with_a_param_that_is_not_finite_exits_1_with_one_line(capsys):
+    # the param is refused before inf times 0 at the domain's end would print
+    # NumPy's invalid-value warning beside the error line
+    assert main(["classify", "--link", "exp:inf@0,1"]) == 1
+    assert capsys.readouterr() == ("", "error: exponential link params must be finite, "
+                                       "got [inf]\n")
+
+
 # link specs that parse_link refuses, and the error line, which names the
 # whole spec
 BAD_LINK_SPECS = {
@@ -744,9 +771,15 @@ def test_rps_direction_functional_modes_need_a_link(flag, capsys):
     assert capsys.readouterr().err == f"error: {flag} needs --link\n"
 
 
+# simulate reads t_max, dt and n_max only from its integrator fields; the
+# config file does not exist, as argparse refuses the flag first
 @pytest.mark.parametrize("argv", [
     ["rps-direction", "--abc", "1,2,-2", "--mode", "continuous"],
-    ["scenario", "hw-4x4", "--dt", "0.01"]], ids=["rps-direction-mode", "scenario-dt"])
+    ["scenario", "hw-4x4", "--dt", "0.01"],
+    ["simulate", "--config", "run.json", "--t-max", "5"],
+    ["simulate", "--config", "run.json", "--dt", "0.01"],
+    ["simulate", "--config", "run.json", "--n-max", "10"]],
+    ids=["rps-direction-mode", "scenario-dt", "simulate-t-max", "simulate-dt", "simulate-n-max"])
 def test_flags_that_chose_nothing_are_unrecognized(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -147,9 +147,20 @@ def test_periodic_floor_needs_three_periods():
         periodic_floor(traj, (0, 1), 0.0)
 
 
-@pytest.mark.parametrize("coords", [(-3, -1), (0, -1), (0, 5), (3, 0)])
+@pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf])
+def test_periodic_floor_needs_a_finite_period(period):
+    # nan would fail in int() and inf in NumPy's scalar divide, naming no period
+    traj = flat_trajectory((0.2, 0.3, 0.5), np.arange(0.0, 10.5, 0.5))
+    with pytest.raises(ValueError) as err:
+        periodic_floor(traj, (0, 1), period)
+    assert str(err.value) == f"period must be positive and finite, got {period!r}"
+
+
+@pytest.mark.parametrize("coords", [(-3, -1), (0, -1), (0, 5), (3, 0), (0.5, 1.7), (True, 2),
+                                    (0, 1.0)])
 def test_periodic_floor_refuses_coords_outside_the_strategies(coords):
-    # negative indices would read strategies from the end, 5 past it
+    # negative indices would read strategies from the end, 5 past it; int()
+    # would truncate a fraction and read True as strategy 1
     traj = flat_trajectory((0.2, 0.3, 0.5), np.arange(0.0, 10.5, 0.5))
     with pytest.raises(ValueError, match=r"^coords must be strategy indices in \[0, 3\), "
                        rf"got \({coords[0]}, {coords[1]}\)$"):

@@ -51,13 +51,6 @@ def test_as_strategy_passthrough():
     assert len(as_strategy([0.25, 0.75])) == 2
 
 
-def test_labels_default_and_explicit():
-    game = Game([[1.0, 2.0]], row_labels=("only",), col_labels=("L", "R"))
-    assert game.row_labels == ("only",)
-    with pytest.raises(ValueError):
-        Game([[1.0, 2.0]], row_labels=("a", "b"))
-
-
 def test_digest_tracks_content():
     same = Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]])
     other = Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.5]])
@@ -68,7 +61,6 @@ def test_digest_tracks_content():
 def test_dict_round_trip_preserves_evaluations():
     back = game_from_dict(game_to_dict(DISCUSSION))
     assert np.array_equal(back.payoff, DISCUSSION.payoff)
-    assert back.row_labels == DISCUSSION.row_labels
 
 
 def test_file_round_trip(tmp_path):
@@ -81,6 +73,14 @@ def test_file_round_trip(tmp_path):
 def test_game_from_dict_wants_a_payoff_key():
     with pytest.raises(ValueError, match="payoff"):
         game_from_dict({"matrix": [[1.0]]})
+
+
+@pytest.mark.parametrize("key", ["row_labels", "col_labels", "name"])
+def test_game_from_dict_refuses_any_key_but_payoff(key):
+    # a game is its payoffs alone: no code reads a strategy label
+    with pytest.raises(ValueError, match=f"^game JSON key '{key}' is unknown; "
+                                         "a game takes only 'payoff'$"):
+        game_from_dict({"payoff": [[1.0, 0.0], [0.0, 1.0]], key: ["a", "b"]})
 
 
 @pytest.mark.parametrize("entry, says", [

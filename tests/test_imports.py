@@ -7,12 +7,14 @@ The oracles in tests/oracles.py stay independent of the code they check:
 they may use egtlab's links and games, and the rule and error types of
 egtlab.dynamics, but none of its integrators or private helpers.
 
-The names egtlab exports, and the parameters of its functions and
-dataclasses, are pinned: a parameter that no caller sets does not come back
-unnoticed. Every export, and every public method and property of an exported
-class, is read by the package or the benchmark, or says why it stays. No
-source line of the package runs past 99 characters."""
+The names egtlab exports, the parameters of its functions and dataclasses,
+and each subcommand's command-line options are pinned: a parameter or a flag
+that no caller sets does not come back unnoticed. Every export, and every
+public method and property of an exported class, is read by the package or
+the benchmark, or says why it stays. No source line of the package runs past
+99 characters."""
 
+import argparse
 import ast
 import dataclasses
 import inspect
@@ -22,6 +24,7 @@ import sys
 from pathlib import Path
 
 import egtlab
+from egtlab import cli
 
 
 def test_egtlab_does_not_import_scipy():
@@ -66,7 +69,7 @@ SURFACE = {
     "DominanceResult": ("dominated", "margin", "dominator", "degenerate"),
     "DynamicsClass": ("increasing", "convex", "concave", "linear", "label"),
     "EliminationTrace": ("mode", "rounds", "removals"),
-    "Game": ("payoff", "row_labels", "col_labels"),
+    "Game": ("payoff",),
     "GrowthRule": ("link", "speed"),
     "IntegrationError": None,
     "LinkFunction": ("family", "params", "domain", "knots_x", "knots_y", "inner"),
@@ -130,6 +133,28 @@ def test_the_public_surface_is_pinned():
         pinned = inspect.isfunction(value) or dataclasses.is_dataclass(value)
         params = tuple(inspect.signature(value).parameters) if pinned else None
         assert params == SURFACE[name], name
+
+
+# subcommand -> its option strings, and its positional arguments by name, in
+# the order the parser takes them; a removed flag such as simulate's --t-max,
+# --dt and --n-max (a second form of its integrator fields) stays removed
+CLI_SURFACE = {
+    "simulate": ("-h", "--help", "--config", "--traj", "--out", "--seed"),
+    "dominance": ("-h", "--help", "--game", "--q", "--mode", "--iterate", "--out", "--seed"),
+    "classify": ("-h", "--help", "--link", "--interval", "--discrete-C", "--out", "--seed"),
+    "rps-direction": ("-h", "--help", "--abc", "--link", "--discrete-C", "--out", "--seed"),
+    "scenario": ("-h", "--help", "name", "--link", "--traj", "--t-max", "--n-max", "--out",
+                 "--seed"),
+}
+
+
+def test_the_command_line_surface_is_pinned():
+    subs = next(action for action in cli._build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    surface = {name: tuple(s for action in sub._actions
+                           for s in action.option_strings or (action.dest,))
+               for name, sub in subs.choices.items()}
+    assert surface == CLI_SURFACE
 
 
 # exports, and public members of exported classes, that no package or benchmark

@@ -91,6 +91,24 @@ def test_a_link_must_be_finite_at_both_ends(make):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: parse_link("linear:inf,0@0,1"), "linear link params must be finite, got [inf, 0.0]"),
+    (lambda: exp_link(math.nan, (0.0, 1.0)), "exponential link params must be finite, got [nan]"),
+    (lambda: power_link(-math.inf, (1.0, 2.0)), "power link params must be finite, got [-inf]"),
+    (lambda: discrete_effective_link(sqrt_link((1.0, 9.0)), math.inf),
+     "effective link params must be finite, got [inf]"),
+    (lambda: LinkFunction("table", (1.0, 2.0), (0.0, 1.0), [0.0, 1.0], [0.0, 1.0]),
+     "table link takes no params, got params [1.0, 2.0]"),
+], ids=["linear-inf", "exp-nan", "power-inf", "effective-inf", "table-params"])
+def test_a_link_refuses_params_that_are_not_its_own_before_evaluating(make, message):
+    # checked before inf * 0 at the domain's end would raise NumPy's
+    # invalid-value warning, an error under this suite's filter; a table
+    # would ignore its params
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_table_knots_must_increase_and_cover():
     with pytest.raises(ValueError):
         table_link([0.0, 0.0, 1.0], [0.0, 0.5, 1.0])
@@ -266,7 +284,8 @@ def test_effective_link_takes_an_inner_link_of_another_family():
         discrete_effective_link(discrete_effective_link(f, 1.0), 1.0)
     with pytest.raises(ValueError, match="whose domain covers its own"):
         LinkFunction("effective", (1.0,), (0.5, 9.0), inner=f)
-    with pytest.raises(ValueError, match="takes a background"):
+    with pytest.raises(ValueError, match=r"^effective link takes background, got params "
+                                         r"\[1\.0, 2\.0\]$"):
         LinkFunction("effective", (1.0, 2.0), (1.0, 9.0), inner=f)
 
 

@@ -243,6 +243,18 @@ def test_a_batch_gives_each_member_its_single_run():
         assert scaled_error(batch.member(k).log_states, single.log_states) <= 10.0
 
 
+@pytest.mark.parametrize("k", [-1, 2, True, 1.0, np.int64(-1)],
+                         ids=["negative", "past-the-end", "bool", "float", "numpy-negative"])
+def test_member_takes_only_a_run_index_of_the_batch(k):
+    # NumPy would read -1 as the last run and True as a new axis, and raise a
+    # bare IndexError for 2
+    batch = integrate(EXP, RPS4, [[0.25] * 4, [0.1, 0.2, 0.3, 0.4]], t_max=1.0)
+    with pytest.raises(ValueError) as err:
+        batch.member(k)
+    assert str(err.value) == f"k must be a run index in [0, 2) of this batch of 2 runs, got {k!r}"
+    assert batch.member(np.int64(1)).log_states.shape == (len(batch), 4)
+
+
 def test_a_batch_on_a_face_keeps_it_exactly():
     starts = np.array([[0.2, 0.0, 0.5, 0.3], [0.6, 0.0, 0.1, 0.3]])
     batch = integrate(EXP, RPS4, starts, t_max=5.0)
