@@ -22,13 +22,15 @@ exits 1 as any other wrong form does:
               {"kind": "affine", "c0": C, "c1": D} or {"kind": "geometric", "c0": C,
               "ratio": Q}; the default is iterate's, C = 0
   targets     a list of {"p": [...], "q": [...]}, one weight per strategy each
-  integrator  {"t_max", "dt", "sample_every"} (continuous) or {"n_max",
-              "sample_every"} (discrete), each optional, with the defaults of
-              integrate and iterate; no flag overrides them
+  integrator  {"t_max", "sample_every"} (continuous) or {"n_max", "sample_every"}
+              (discrete), each optional, with the defaults of integrate and
+              iterate; no flag overrides them. A flow is sampled every
+              sample_every-th point of a grid of spacing 1e-3, cut at the
+              script's breakpoints
 A link L is a spec string such as "sqrt" or "exp:2", on the game's payoff
 hull unless it ends in "@lo,hi", or a knot table T = {"xs": [...], "ys": [...]};
 a speed is a knot table over mean payoff. Numbers are finite JSON numbers,
-never booleans or strings; t_max, dt, a period and a geometric background's
+never booleans or strings; t_max, a period and a geometric background's
 c0 and ratio are positive. The report goes to --out (default: stdout) and
 the trajectory CSV to --traj.
 
@@ -159,7 +161,7 @@ def _floats(text: str, what: str, count: int | None = None) -> list:
 # The fields simulate reads, per object; any other field is refused. The
 # top level takes "background" in discrete mode only.
 _TOP_KEYS = ("game", "mode", "rule", "opponent", "x0", "targets", "integrator")
-_INTEGRATOR_KEYS = {"continuous": ("t_max", "dt", "sample_every"),
+_INTEGRATOR_KEYS = {"continuous": ("t_max", "sample_every"),
                     "discrete": ("n_max", "sample_every")}
 _OPPONENT_KEYS = {"scripted": ("mode", "schedule"), "coupled": ("mode", "game", "rule", "y0")}
 _BACKGROUND_KEYS = {"constant": ("kind", "c0"), "affine": ("kind", "c0", "c1"),
@@ -310,7 +312,7 @@ def cmd_simulate(args) -> int:
 
     # only the values given reach the run: integrate and iterate state the defaults
     integ = _known(cfg.get("integrator", {}), "integrator", _INTEGRATOR_KEYS[mode])
-    given = {key: (_number(integ, key, "integrator", positive=True) if key in ("t_max", "dt")
+    given = {key: (_number(integ, key, "integrator", positive=True) if key == "t_max"
                    else _count(integ, key, "integrator")) for key in integ}
     if mode == "continuous":
         traj = integrate(rule, game, x0, opponent=opponent, **given)
@@ -395,13 +397,21 @@ def cmd_dominance(args) -> int:
     return 0
 
 
+def _discrete_link(f, C: float):
+    """The generation map's ln(C + f) for --discrete-C C, refusing a C that
+    is not finite."""
+    if not np.isfinite(C):
+        _fail(f"--discrete-C must be finite, got {C!r}")
+    return discrete_effective_link(f, C)
+
+
 def cmd_classify(args) -> int:
     interval = None
     if args.interval:
         interval = tuple(_floats(args.interval, "--interval", 2))
     f = parse_link(args.link, domain=interval)
     if args.discrete_C is not None:
-        f = discrete_effective_link(f, args.discrete_C)
+        f = _discrete_link(f, args.discrete_C)
     cls = classify_link(f, interval=interval)
     report = {"link": args.link, "interval": list(f.domain),
               "discrete_C": args.discrete_C}
@@ -418,7 +428,7 @@ def cmd_rps_direction(args) -> int:
     f = parse_link(args.link, domain=(min(a, b, c), max(a, b, c))) if args.link else None
     mode = "replicator" if f is None else "continuous-functional"
     if C is not None:
-        f, mode = discrete_effective_link(f, C), "discrete-functional"
+        f, mode = _discrete_link(f, C), "discrete-functional"
     direction = rps_direction(f, a, b, c)
     report = {"a": a, "b": b, "c": c, "mode": mode, "link": args.link,
               "background": 0.0 if C is None else C, "direction": direction}
@@ -462,13 +472,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub, seed_help: str):
+def _add_common(sub, seed_help: str | None = None):
+    """--out, and --seed where seed_help says what the subcommand does with it."""
     sub.add_argument("--out", help="report JSON path (default: stdout)")
-    sub.add_argument("--seed", type=int, default=0, help=seed_help)
-
-
-# Only scenario draws random numbers; every subcommand takes --seed.
-_SEED_IGNORED = "ignored: this subcommand draws no random numbers"
+    if seed_help is not None:
+        sub.add_argument("--seed", type=int, default=0, help=seed_help)
 
 
 @functools.cache
@@ -491,7 +499,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dom.add_argument("--mode", choices=("pure", "mixed"))
     dom.add_argument("--iterate", action="store_true",
                      help="iterated elimination instead of a single query")
-    _add_common(dom, _SEED_IGNORED)
+    # dominance draws no random numbers; it keeps --seed, which bench/ops.py passes
+    _add_common(dom, "ignored: this subcommand draws no random numbers")
     dom.set_defaults(func=cmd_dominance)
 
     cls = subs.add_parser("classify", help="shape flags of a link function")
@@ -499,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--interval", help="payoff interval lo,hi")
     cls.add_argument("--discrete-C", dest="discrete_C", type=float,
                      help="classify ln(C + f) instead of f")
-    _add_common(cls, _SEED_IGNORED)
+    _add_common(cls)
     cls.set_defaults(func=cmd_classify)
 
     rps = subs.add_parser("rps-direction", help="cycle orientation for payoffs a,b,c")
@@ -507,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rps.add_argument("--link", help="link spec f (default: the replicator)")
     rps.add_argument("--discrete-C", dest="discrete_C", type=float,
                      help="background C: test the generation map's ln(C + f), not the flow")
-    _add_common(rps, _SEED_IGNORED)
+    _add_common(rps)
     rps.set_defaults(func=cmd_rps_direction)
 
     sce = subs.add_parser("scenario", help="run a catalog experiment")

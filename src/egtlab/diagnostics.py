@@ -129,10 +129,10 @@ def periodic_floor(traj: Trajectory, coords, period: float) -> float:
     is the honest floor estimate. Needs at least 3 complete periods.
     """
     logs = traj.run_logs("periodic_floor")
-    i, j = coords
     n = logs.shape[1]
+    i, j = coords if np.shape(coords) == (2,) else (None, None)
     if not (_is_index(i, n) and _is_index(j, n)):
-        raise ValueError(f"coords must be strategy indices in [0, {n}), got ({i}, {j})")
+        raise ValueError(f"coords must be a pair of strategy indices in [0, {n}), got {coords!r}")
     if not 0.0 < period < math.inf:
         raise ValueError(f"period must be positive and finite, got {period!r}")
     t = traj.times

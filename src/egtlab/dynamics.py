@@ -18,8 +18,9 @@ Wanner, Solving ODEs I, II.5), 12 stages and a first-same-as-last stage, at
 RTOL = ATOL = 1e-10. The error estimate combines the embedded 5th- and
 3rd-order ones per run, and the worst run sets the shared step. Samples come
 from the scheme's 7th-order dense output (II.6; three more stages, only on
-steps with a sample inside) at the times of the fixed-step grid that dt and
-sample_every define, so dt sets the sample grid, not the step.
+steps with a sample inside) at the times of a fixed grid (_grid): points
+_DT apart, cut at the script's breakpoints. The grid places the samples,
+not the steps.
 
 Steps never cross a bound of _grid (the opponent script's breakpoints),
 so a kink of the script never falls inside a step. Logs are renormalized
@@ -63,7 +64,9 @@ from .games import Game, validate_simplex
 from .links import (LinkFunction, _eval_unchecked, _extremes, _integral_unchecked,
                     array_link, domain_pad, hull_inside, linear_link)
 
-_REPLICATOR = linear_link(1.0, 0.0)
+# The replicator's growth rate is the payoff itself, so its domain holds every
+# finite payoff
+_REPLICATOR = linear_link(1.0, 0.0, (-np.finfo(float).max, np.finfo(float).max))
 
 # Relative and absolute tolerance of the stepper's error control, per run
 # and log coordinate. The conserved quantity of a zero-sum coupled replicator
@@ -72,6 +75,9 @@ _REPLICATOR = linear_link(1.0, 0.0)
 # saddle loop amplifies errors) and dual-4x4, at their catalog defaults, stay
 # within 2.4e-8 and 4.7e-10 times 1 + |z| of SciPy's DOP853 at rtol 1e-12.
 RTOL = ATOL = 1e-10
+# Spacing of the flow's sample grid, in time units, as a generation is the
+# map's: integrate samples every sample_every-th point of it
+_DT = 1e-3
 # Step control of DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.4 and
 # their Fortran code): h grows by SAFETY * err^(-1/8) within [FAC_MIN, FAC_MAX]
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.333, 6.0
@@ -478,13 +484,13 @@ def _sample_counts(total: int, sample_every: int) -> np.ndarray:
     return counts if counts[-1] == total else np.append(counts, total)
 
 
-def _grid(t_max: float, dt: float, sample_every: int, schedule: Schedule | None):
-    """(bounds, sample times) of the fixed-step grid of dt.
+def _grid(t_max: float, sample_every: int, schedule: Schedule | None):
+    """(bounds, sample times) of the fixed grid of spacing _DT.
 
     The bounds are 0, t_max and the script's breakpoints k P + times[j]
     (j >= 1) and k P (k >= 1) inside (0, t_max), less each that lies within
     1e-12 max(1, t_max) of the breakpoint before it or of t_max. Each
-    segment is cut into ceil(its length / dt) equal steps, at least one, its
+    segment is cut into ceil(its length / _DT) equal steps, at least one, its
     last ending exactly on its bound; the samples are the start, every
     sample_every-th step and the last step."""
     bounds = np.array([0.0, t_max])
@@ -498,7 +504,7 @@ def _grid(t_max: float, dt: float, sample_every: int, schedule: Schedule | None)
         tol = 1e-12 * max(1.0, t_max)
         keep = (np.diff(cuts) > tol) & (t_max - cuts[1:] > tol)
         bounds = np.concatenate(([0.0], cuts[1:][keep], [t_max]))
-    steps = np.maximum(1, np.ceil(np.diff(bounds) / dt - 1e-9).astype(np.int64))
+    steps = np.maximum(1, np.ceil(np.diff(bounds) / _DT - 1e-9).astype(np.int64))
     ends = np.cumsum(steps)
     last = _sample_counts(int(ends[-1]), sample_every)[1:] - 1  # each sample's last step
     seg = np.searchsorted(ends, last, side="right")
@@ -788,8 +794,7 @@ def _batch_logs(x0, n: int) -> np.ndarray:
 
 def integrate(rule: GrowthRule, game: Game, x0,
               opponent: Schedule | Coupled | None = None,
-              t_max: float = 200.0, dt: float = 1e-3,
-              sample_every: int = 100) -> Trajectory:
+              t_max: float = 200.0, sample_every: int = 100) -> Trajectory:
     """Run the flow from x0 for t_max time units.
 
     opponent None plays the population against itself (square game);
@@ -798,11 +803,11 @@ def integrate(rule: GrowthRule, game: Game, x0,
     starts sharing one support: the B runs go in one call, log_states has
     shape (samples, B, n) and meta["members"] is B.
 
-    dt sets the sample grid: the fixed-step grid of dt cut at the script's
-    breakpoints, sampled at the start, every sample_every-th grid step and
-    the end; sample_every must be a positive integer. A scripted run with no
-    speed factor takes no steps: it is integrated exactly (_exact_flow,
-    method "exact"), whatever dt. Every other run, and a run
+    The samples are the start, every sample_every-th point of the grid of
+    spacing _DT = 1e-3 time units cut at the script's breakpoints (_grid),
+    and the end; sample_every must be a positive integer. A scripted run
+    with no speed factor takes no steps: it is integrated exactly
+    (_exact_flow, method "exact"). Every other run, and a run
     on a link ln(C + f) of the effective family, which has no
     antiderivative, takes the stepper (method "dop853"): the 8th-order
     Dormand-Prince pair, sizing its steps under error control at
@@ -819,8 +824,6 @@ def integrate(rule: GrowthRule, game: Game, x0,
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt!r}")
     sample_every = _check_count(sample_every, "sample_every")
     x0 = np.asarray(x0, dtype=float)
     batch = x0.ndim == 2
@@ -830,7 +833,7 @@ def integrate(rule: GrowthRule, game: Game, x0,
         z0 = _batch_logs(x0, game.n_rows)
     pops, pays, label = _setup(rule, game, x0[0] if batch else x0, opponent)
     scripted = label == "scripted"
-    bounds, times = _grid(t_max, dt, sample_every, opponent if scripted else None)
+    bounds, times = _grid(t_max, sample_every, opponent if scripted else None)
     if scripted and rule.speed is None and rule.effective_link.family != "effective":
         with np.errstate(divide="ignore", invalid="ignore"):  # masked by np.where
             samples, max_drift, evals = _exact_flow(pops[0], opponent, t_max, times)
@@ -845,7 +848,7 @@ def integrate(rule: GrowthRule, game: Game, x0,
         samples = [(out if batch else out[:, 0])[..., sl] for sl in slices]
         stats.update(method="dop853", rtol=RTOL)
     meta = {"dynamics": "continuous", **stats, "members": len(z0) if batch else 1,
-            "dt": dt, "t_max": t_max, "max_drift": max_drift,
+            "dt": _DT, "t_max": t_max, "max_drift": max_drift,
             "sample_every": sample_every, "opponent": label,
             "rule": rule.label, "game": game.digest()}
     return _trajectory(pops, opponent, times, samples, meta)

@@ -407,8 +407,8 @@ def rps_direction(f: LinkFunction | None, a: float, b: float, c: float) -> str:
     tie, at any payoff scale. A generation map with background C turns the
     cycle as its effective link does: pass discrete_effective_link(f, C).
     """
-    if not c < a < b:
-        raise ValueError(f"cycle payoffs need c < a < b, got a={a!r} b={b!r} c={c!r}")
+    if not (c < a < b and math.isfinite(c) and math.isfinite(b)):
+        raise ValueError(f"cycle payoffs need finite c < a < b, got a={a!r} b={b!r} c={c!r}")
     fa, fb, fc = (a, b, c) if f is None else (eval_link(f, v) for v in (a, b, c))
     delta = fa - 0.5 * (fb + fc)
     if abs(delta) <= DIRECTION_TOL * max(abs(fa), abs(fb), abs(fc)):

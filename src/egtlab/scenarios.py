@@ -34,7 +34,7 @@ from .diagnostics import (log_min_support, periodic_floor, taylor_sign_check,
                           verdict, w_series)
 from .discrete import affine_background, constant_background, geometric_background, iterate
 from .dominance import find_dominator, strict_margin
-from .dynamics import GrowthRule, Schedule, integrate
+from .dynamics import _DT, GrowthRule, Schedule, integrate
 from .games import Game, MixedStrategy, game_to_dict, pure, uniform, validate_simplex
 from .links import (LinkFunction, _extremes, discrete_effective_link, eval_link, exp_link,
                     hull_inside, increasing_on, linear_link, power_link, rps_direction,
@@ -51,12 +51,11 @@ _DUAL_ROTATION_BAND = (0.03, 0.13)
 # blocks along its second axis, so the memory of a search stays bounded.
 _GRID_BLOCK = 2 ** 14
 
-# The catalog's sample grid: integrate's default spacing, sampled at every
-# 100th point; it picks the samples the checks read, and the stepper sizes
-# its own steps. A 3x2 survival run returns at most SURVIVAL_MAX_SAMPLES: its
-# horizon is a few periods T, and T grows as 1/alpha, so on a near-linear
-# link this grid would take billions of samples.
-_DT, _SAMPLE_EVERY = 1e-3, 100
+# A 3x2 survival run samples every _SAMPLE_EVERY-th point of integrate's grid,
+# as integrate does by default, or more coarsely where that would return more
+# than SURVIVAL_MAX_SAMPLES: its horizon is a few periods T, and T grows as
+# 1/alpha, so on a near-linear link the default would take billions of samples.
+_SAMPLE_EVERY = 100
 SURVIVAL_MAX_SAMPLES = 20_000
 
 
@@ -418,9 +417,8 @@ def run_discussion(link: LinkFunction | None = None, *, seed: int = 0,
     """Three-strategy game where a mixture loses to the third pure strategy."""
     game = Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]])
     q = np.array([0.5, 0.5, 0.0])
-    dom = find_dominator(game, q, mode="mixed")
-    traj = integrate(GrowthRule(link=link), game, [0.4, 0.4, 0.2], t_max=t_max, dt=_DT,
-                     sample_every=_SAMPLE_EVERY)
+    dom = find_dominator(game, q)
+    traj = integrate(GrowthRule(link=link), game, [0.4, 0.4, 0.2], t_max=t_max)
     w = w_series(traj, pure(2, 3), q)
     growth = float(w[-1] - w[0])
     bound = dom.margin * t_max * (1.0 - 1e-3)
@@ -444,9 +442,9 @@ def run_discussion(link: LinkFunction | None = None, *, seed: int = 0,
 
 
 def _survival_sample_every(schedule: Schedule, t_max: float) -> int:
-    """The catalog's _SAMPLE_EVERY, made coarser where a run to t_max would
-    return more than SURVIVAL_MAX_SAMPLES samples."""
-    # points of the catalog's grid: at most one per _DT, plus one per cut
+    """_SAMPLE_EVERY, integrate's default, made coarser where a run to t_max
+    would return more than SURVIVAL_MAX_SAMPLES samples."""
+    # points of integrate's grid: at most one per _DT, plus one per cut
     points = (math.ceil(t_max / _DT) + 1
               + len(schedule.times) * math.ceil(t_max / schedule.period))
     return max(_SAMPLE_EVERY, math.ceil(points / (SURVIVAL_MAX_SAMPLES - 1)))
@@ -458,7 +456,7 @@ def run_survival_nonconvex(link: LinkFunction | None = None, *, seed: int = 0):
     con = build_survival(f, "nonconvex")
     t_max = 12 * con.period
     traj = integrate(GrowthRule(link=f), con.game, uniform(3).weights,
-                     opponent=con.schedule, t_max=t_max, dt=_DT,
+                     opponent=con.schedule, t_max=t_max,
                      sample_every=_survival_sample_every(con.schedule, t_max))
     x_m = float(traj.states[-1, 1])
     v = verdict(traj, con.dominated)
@@ -482,7 +480,7 @@ def run_survival_nonconcave(link: LinkFunction | None = None, *, seed: int = 0,
     con = build_survival(f, "nonconcave")
     t_max = periods * con.period
     traj = integrate(GrowthRule(link=f), con.game, uniform(3).weights,
-                     opponent=con.schedule, t_max=t_max, dt=_DT,
+                     opponent=con.schedule, t_max=t_max,
                      sample_every=_survival_sample_every(con.schedule, t_max))
     x_m = float(traj.states[-1, 1])
     floor = periodic_floor(traj, (0, 2), con.period)
@@ -531,8 +529,7 @@ def _rps4_runs(f: LinkFunction, con: Rps4Construction, starts: np.ndarray, judge
     rule = GrowthRule(link=f)
     halvings = 0
     while True:
-        traj = integrate(rule, con.game, starts, t_max=t_max, dt=_DT,
-                         sample_every=_SAMPLE_EVERY)
+        traj = integrate(rule, con.game, starts, t_max=t_max)
         runs, passed = judge(traj)
         if passed or halvings >= 6:
             return con, halvings, traj, runs
@@ -568,7 +565,7 @@ def run_hw_4x4(link: LinkFunction | None = None, *, seed: int = 0,
 
     con, halvings, traj, runs = _rps4_runs(
         f, build_rps4(f, "hofbauer-weibull", (0.01, 20.0)), x0, judge, t_max)
-    dom = find_dominator(con.game, pure(3, 4).weights, mode="mixed")
+    dom = find_dominator(con.game, pure(3, 4).weights)
     survivors = sum(r["persists"] for r in runs)
     report = {
         "construction": _rps4_desc(con),
@@ -611,7 +608,7 @@ def run_dual_4x4(link: LinkFunction | None = None, *, seed: int = 0,
         return runs, all(r["ok"] for r in runs)
 
     con, halvings, traj, runs = _rps4_runs(f, con, x0, judge, t_max)
-    dom = find_dominator(con.game, np.array([1, 1, 1, 0]) / 3.0, mode="mixed")
+    dom = find_dominator(con.game, np.array([1, 1, 1, 0]) / 3.0)
     report = {
         "construction": _rps4_desc(con),
         "beta_halvings": halvings,
@@ -677,8 +674,7 @@ def run_background_threshold(link: LinkFunction | None = None, *, seed: int = 0,
     """
     f_rule, effective, con, rule, x0 = _background_setup(link)
     drift, c_bar = _generation_drift(con, f_rule)
-    t0 = iterate(rule, con.game, x0, opponent=con.schedule, n_max=10_000,
-                 background=constant_background(0.0))
+    t0 = iterate(rule, con.game, x0, opponent=con.schedule)
     v0 = verdict(t0, pure(1, 3))
 
     drift_big = drift(big_c)

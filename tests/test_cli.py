@@ -32,7 +32,7 @@ def discussion_cfg(tmp_path):
         "rule": {"kind": "replicator"},
         "x0": [0.4, 0.4, 0.2],
         "targets": [{"p": [0.0, 0.0, 1.0], "q": [0.5, 0.5, 0.0]}],
-        "integrator": {"t_max": 200.0, "dt": 1e-3},
+        "integrator": {"t_max": 200.0},
     })
 
 
@@ -194,8 +194,7 @@ def test_simulate_discrete_takes_a_whole_float_count(tmp_path, capsys):
     assert doc["raw"]["n_samples"] == 11
 
 
-@pytest.mark.parametrize("key, value", [("t_max", "10"), ("dt", "0.001"), ("t_max", True),
-                                        ("dt", None)])
+@pytest.mark.parametrize("key, value", [("t_max", "10"), ("t_max", True), ("t_max", None)])
 def test_simulate_times_must_be_json_numbers(tmp_path, capsys, key, value):
     cfg = write_json(tmp_path / "times.json", {
         "game": {"payoff": DISCUSSION_PAYOFF},
@@ -301,7 +300,7 @@ def test_a_speed_that_is_no_table_exits_1(tmp_path, capsys, speed):
      "rule": {"kind": "payoff-functional", "link": {"xs": [0.0, 3.0], "ys": [0.0, 3.0]},
               "speed": {"xs": [0.0, 3.0], "ys": [1.0, 2.0]}},
      "opponent": {"mode": "scripted", "schedule": SCRIPT},
-     "integrator": {"t_max": 1.0, "dt": 0.1, "sample_every": 2}},
+     "integrator": {"t_max": 1.0, "sample_every": 200}},
     {**MAP, "x0": [0.4, 0.4, 0.2], "targets": [TARGET],
      "rule": {"kind": "payoff-functional", "link": "linear:1,1@0,3"},
      "opponent": {**PAIR, "rule": {"kind": "replicator"}},
@@ -346,6 +345,10 @@ REMOVED = {
     "null-background": ({**MAP, "background": None}, "config field background must be an object"),
     "null-speed": ({**SHORT, "rule": {"speed": None}},
                    "config field rule.speed must be a knot table {xs, ys}, got None"),
+    # the flow samples a fixed grid, so no value sets its spacing
+    "integrator-dt": ({**SHORT, "integrator": {"t_max": 1.0, "dt": 1e-3}},
+                      "config field integrator.dt is unknown; integrator takes t_max, "
+                      "sample_every"),
     "opponent-game-labels": ({**SHORT, "opponent": {**PAIR, "game": {
         "payoff": DISCUSSION_PAYOFF, "row_labels": ["T", "M", "B"]}}},
         "opponent.game: game JSON key 'row_labels' is unknown; a game takes only 'payoff'"),
@@ -390,7 +393,6 @@ def test_the_module_docstring_states_every_config_key():
 
 BIG = int("1" + "0" * 400)  # a JSON integer that no float holds
 SCALAR_FIELDS = {"integrator.t_max": lambda v: {**SHORT, "integrator": {"t_max": v}},
-                 "integrator.dt": lambda v: {**SHORT, "integrator": {"t_max": 1.0, "dt": v}},
                  **NUMBER_FIELDS}
 
 
@@ -406,7 +408,6 @@ def test_a_number_beyond_the_float_range_exits_1(tmp_path, capsys, field):
 # range; "1e400" is written as the JSON number 1e400, which reads as inf
 OUT_OF_RANGE = {
     "t-max": ("integrator.t_max", SCALAR_FIELDS["integrator.t_max"](-1), "positive, got -1.0"),
-    "dt": ("integrator.dt", SCALAR_FIELDS["integrator.dt"](0), "positive, got 0.0"),
     "c0": ("background.c0", SCALAR_FIELDS["background.c0"]("1e400"), "finite, got inf"),
     "geometric-c0": ("background.c0", {**MAP, "background": {"kind": "geometric", "c0": -1,
                                                              "ratio": 2.0}},
@@ -562,8 +563,10 @@ SEED_HELP = {
                 "and dual-4x4",
     "simulate": "recorded in the report; the run draws no random numbers",
     "dominance": "ignored: this subcommand draws no random numbers",
-    "classify": "ignored: this subcommand draws no random numbers",
-    "rps-direction": "ignored: this subcommand draws no random numbers",
+    # None: the subcommand takes no --seed, as it draws no random numbers and
+    # its report records none
+    "classify": None,
+    "rps-direction": None,
 }
 
 
@@ -571,7 +574,11 @@ SEED_HELP = {
 def test_seed_help_says_what_each_subcommand_does_with_it(capsys, command):
     with pytest.raises(SystemExit):
         main([command, "--help"])
-    assert f"--seed SEED {SEED_HELP[command]}" in " ".join(capsys.readouterr().out.split())
+    out = " ".join(capsys.readouterr().out.split())
+    if SEED_HELP[command] is None:
+        assert "--seed" not in out
+    else:
+        assert f"--seed SEED {SEED_HELP[command]}" in out
 
 
 def test_missing_config_exits_1(capsys):
@@ -763,6 +770,26 @@ def test_rps_direction_discrete_mode_needs_the_log_only_on_the_cycle_payoffs(cap
     assert "background -1 leaves ln() undefined at payoff 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["classify", "--link", "exp:1@0,1"],
+                                     ["rps-direction", "--abc", "1,2,-2", "--link", "exp:1"]],
+                         ids=["classify", "rps-direction"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_a_background_that_is_not_finite_exits_1_naming_the_flag(command, value, capsys):
+    # the effective link would refuse the value without naming the flag; "=" keeps
+    # argparse from reading -inf as an option
+    assert main(command + [f"--discrete-C={value}"]) == 1
+    assert capsys.readouterr() == ("", f"error: --discrete-C must be finite, got {float(value)}\n")
+
+
+@pytest.mark.parametrize("abc", ["1,inf,0", "1,2,-inf", "nan,2,0"])
+def test_rps_direction_refuses_payoffs_that_are_not_finite(abc, capsys):
+    # b = inf passed c < a < b, and the report printed Infinity, which is not JSON
+    a, b, c = (float(v) for v in abc.split(","))
+    assert main(["rps-direction", "--abc", abc]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cycle payoffs need finite c < a < b, got a={a!r} b={b!r} c={c!r}\n")
+
+
 @pytest.mark.parametrize("flag", [pytest.param("--discrete-C", id="discrete")])
 def test_rps_direction_functional_modes_need_a_link(flag, capsys):
     # a flow without --link is the replicator, so only the discrete mode can
@@ -771,15 +798,19 @@ def test_rps_direction_functional_modes_need_a_link(flag, capsys):
     assert capsys.readouterr().err == f"error: {flag} needs --link\n"
 
 
-# simulate reads t_max, dt and n_max only from its integrator fields; the
-# config file does not exist, as argparse refuses the flag first
+# simulate reads t_max and n_max only from its integrator fields, and
+# classify and rps-direction, which draw no random numbers, take no --seed;
+# the config file does not exist, as argparse refuses the flag first
 @pytest.mark.parametrize("argv", [
     ["rps-direction", "--abc", "1,2,-2", "--mode", "continuous"],
     ["scenario", "hw-4x4", "--dt", "0.01"],
     ["simulate", "--config", "run.json", "--t-max", "5"],
     ["simulate", "--config", "run.json", "--dt", "0.01"],
-    ["simulate", "--config", "run.json", "--n-max", "10"]],
-    ids=["rps-direction-mode", "scenario-dt", "simulate-t-max", "simulate-dt", "simulate-n-max"])
+    ["simulate", "--config", "run.json", "--n-max", "10"],
+    ["classify", "--link", "sqrt@0,1", "--seed", "3"],
+    ["rps-direction", "--abc", "1,2,-2", "--seed", "3"]],
+    ids=["rps-direction-mode", "scenario-dt", "simulate-t-max", "simulate-dt", "simulate-n-max",
+         "classify-seed", "rps-direction-seed"])
 def test_flags_that_chose_nothing_are_unrecognized(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

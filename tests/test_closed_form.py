@@ -2,7 +2,7 @@
 
 Scripted flows with no speed factor are integrated exactly; they are
 compared with SciPy's quad and the fixed-step RK4 of tests/oracles.py, and
-with themselves on other dt grids. Two of the quad cases are the time change
+with themselves at other samples. Two of the quad cases are the time change
 that replaces a constant speed lam: the unit-speed run against the script
 stretched by lam, read at lam t, is the run at speed lam.
 Scripted generation maps are compared with repeated generations of the
@@ -65,15 +65,15 @@ FLOWS = {
     "start on a face": (GrowthRule(sqrt_link((0.0, 1.0))), SURVIVAL, (0.6, 0.0, 0.4),
                         WAVE, dict(t_max=7.5, sample_every=7)),
     "constant speed": (GrowthRule(exp_link(1.0, (0.0, 2.0))), G4, X4, stretched(S3, 2.5),
-                       dict(t_max=2.5 * 4.3, dt=2.5 * 3e-3, sample_every=13)),
+                       dict(t_max=2.5 * 4.3, sample_every=13)),
     "short plateaus": (GrowthRule(sqrt_link((0.0, 1.0))), SURVIVAL, (0.3, 0.3, 0.4),
                        stretched(STAIRS, 1.5),
-                       dict(t_max=1.5 * 2.8, dt=1.5 * 0.1, sample_every=1)),
+                       dict(t_max=1.5 * 2.8, sample_every=150)),
     "three periods": (GrowthRule(sqrt_link((0.0, 1.0))), SURVIVAL, (0.3, 0.3, 0.4), WAVE,
-                      dict(t_max=19.0, dt=2e-3, sample_every=333)),
+                      dict(t_max=19.0, sample_every=666)),
     "face start over three periods": (GrowthRule(sqrt_link((0.0, 1.0))), SURVIVAL,
                                       (0.6, 0.0, 0.4), WAVE,
-                                      dict(t_max=19.0, dt=1e-2, sample_every=33)),
+                                      dict(t_max=19.0, sample_every=330)),
     "linear": (GrowthRule(linear_link(2.0, -1.0)), G4, X4, S3, dict(t_max=6.3)),
     "power 2": (GrowthRule(power_link(2.0, (0.0, 2.0))), G4, X4, S3, dict(t_max=6.3)),
     "power 0.5": (GrowthRule(power_link(0.5, (0.0, 2.0))), G4, X4, S3, dict(t_max=6.3)),
@@ -120,11 +120,10 @@ def test_near_flat_pieces_take_the_gauss_legendre_rule():
         assert traj.meta["rhs_evals"] == 4 * (2 + len(traj)) + 8 * (2 + inside)
 
 
-def test_exact_flow_work_is_independent_of_dt_and_the_horizon():
+def test_exact_flow_work_is_independent_of_the_horizon():
     rule, game, x0, script, _ = FLOWS["sqrt link"]
-    metas = [integrate(rule, game, x0, opponent=script, t_max=t_max, dt=dt,
-                       sample_every=every).meta
-             for t_max, dt, every in ((7.5, 1e-3, 100), (7.5, 1e-2, 10), (750.0, 1e-3, 10_000))]
+    metas = [integrate(rule, game, x0, opponent=script, t_max=t_max, sample_every=every).meta
+             for t_max, every in ((7.5, 100), (750.0, 10_000))]
     # four rows per script piece (4) and per sample (76): f and F at both ends
     for meta in metas:
         assert meta["rhs_evals"] == 4 * (4 + 76)
@@ -132,7 +131,7 @@ def test_exact_flow_work_is_independent_of_dt_and_the_horizon():
         assert (meta["h_min"], meta["h_max"], meta["rtol"]) == (None, None, None)
     # a speed that is a link, even a constant one, takes the stepper
     stepped = integrate(GrowthRule(rule.link, speed=linear_link(0.0, 1.0)), game, x0,
-                        opponent=script, t_max=7.5, dt=0.1).meta
+                        opponent=script, t_max=7.5).meta
     assert stepped["method"] == "dop853" and metas[0].keys() == stepped.keys()
 
 
@@ -177,13 +176,13 @@ def test_rk4_converges_to_the_exact_flow_at_fourth_order():
     assert all(12.0 <= r <= 20.0 for r in ratios), (errors, ratios)
 
 
-def test_exact_flow_does_not_depend_on_dt():
+def test_exact_flow_at_a_sample_does_not_depend_on_the_other_samples():
     rule, game, x0, script, _ = FLOWS["three periods"]
-    coarse = integrate(rule, game, x0, opponent=script, t_max=19.0, dt=1e-2, sample_every=7)
-    fine = integrate(rule, game, x0, opponent=script, t_max=19.0, dt=1e-3, sample_every=70)
-    i, j = np.nonzero(np.abs(coarse.times[:, None] - fine.times[None, :]) <= 1e-12)
+    coarse = integrate(rule, game, x0, opponent=script, t_max=19.0, sample_every=70)
+    fine = integrate(rule, game, x0, opponent=script, t_max=19.0, sample_every=7)
+    i, j = np.nonzero(coarse.times[:, None] == fine.times[None, :])
     assert len(i) == len(coarse) > 200
-    np.testing.assert_allclose(coarse.log_states[i], fine.log_states[j], rtol=0.0, atol=1e-13)
+    np.testing.assert_array_equal(coarse.log_states[i], fine.log_states[j])
 
 
 def test_closed_form_flow_fails_where_the_stepper_fails():
@@ -198,20 +197,20 @@ def test_closed_form_flow_fails_where_the_stepper_fails():
     x0 = (0.3, 0.3, 0.4)
     forced = GrowthRule(rule.link, speed=table_link([-1.0, 3.0], [1.0, 1.0]))
     with pytest.raises(IntegrationError, match=r"near t=2 \(strategy 0\)$") as stepped:
-        integrate(forced, game, x0, opponent=WAVE, t_max=7.5, dt=0.1)
+        integrate(forced, game, x0, opponent=WAVE, t_max=7.5)
     assert stepped.value.step == 5
     crossing = 2.0 + (1.5 + 1e-12 * 2.5) / 2.1
     with pytest.raises(IntegrationError, match=r"near t=2\.71429 \(strategy 1\)$") as exact:
-        integrate(rule, game, x0, opponent=WAVE, t_max=7.5, dt=0.1)
+        integrate(rule, game, x0, opponent=WAVE, t_max=7.5)
     assert exact.value.t == pytest.approx(crossing, rel=0.0, abs=1e-14)
     assert stepped.value.t <= crossing
     assert (exact.value.step, exact.value.member) == (0, 0)
     # a horizon that ends before the crossing runs to its end
     for t_max in (crossing - 1e-9, 2.7):
-        traj = integrate(rule, game, x0, opponent=WAVE, t_max=t_max, dt=0.1)
+        traj = integrate(rule, game, x0, opponent=WAVE, t_max=t_max)
         assert traj.times[-1] == t_max
     with pytest.raises(IntegrationError):
-        integrate(rule, game, x0, opponent=WAVE, t_max=crossing + 1e-9, dt=0.1)
+        integrate(rule, game, x0, opponent=WAVE, t_max=crossing + 1e-9)
 
 
 def test_the_stepper_finds_the_script_piece_bit_for_bit_like_the_exact_path():

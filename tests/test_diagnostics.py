@@ -157,14 +157,15 @@ def test_periodic_floor_needs_a_finite_period(period):
 
 
 @pytest.mark.parametrize("coords", [(-3, -1), (0, -1), (0, 5), (3, 0), (0.5, 1.7), (True, 2),
-                                    (0, 1.0)])
+                                    (0, 1.0), (0, 1, 2), (0,), 5])
 def test_periodic_floor_refuses_coords_outside_the_strategies(coords):
     # negative indices would read strategies from the end, 5 past it; int()
-    # would truncate a fraction and read True as strategy 1
+    # would truncate a fraction and read True as strategy 1; unpacking
+    # anything but a pair raised an error that named no coords
     traj = flat_trajectory((0.2, 0.3, 0.5), np.arange(0.0, 10.5, 0.5))
-    with pytest.raises(ValueError, match=r"^coords must be strategy indices in \[0, 3\), "
-                       rf"got \({coords[0]}, {coords[1]}\)$"):
+    with pytest.raises(ValueError) as err:
         periodic_floor(traj, coords, 2.0)
+    assert str(err.value) == f"coords must be a pair of strategy indices in [0, 3), got {coords!r}"
     assert periodic_floor(traj, (2, 0), 2.0) == pytest.approx(0.1, rel=1e-12)
 
 

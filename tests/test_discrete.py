@@ -315,6 +315,26 @@ def test_coupled_numerator_failure_names_the_second_population():
                 n_max=10, background=constant_background(1.0))
 
 
+@pytest.mark.parametrize("opponent", ["self-play", "scripted", "coupled"])
+def test_the_replicator_map_is_the_same_at_any_payoff_scale(opponent):
+    # its growth rate is the payoff itself, so payoffs and C scaled together
+    # leave every generation as it was; payoffs past 1e6 left its domain
+    payoff = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]])
+
+    def run(scale):
+        opp = {"self-play": None,
+               "scripted": Schedule(3.0, [0.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]),
+               "coupled": Coupled(Game(scale * payoff.T), REPL, [0.2, 0.3, 0.5])}[opponent]
+        return iterate(REPL, Game(scale * payoff), [0.4, 0.4, 0.2], opponent=opp, n_max=40,
+                       sample_every=1, background=constant_background(0.5 * scale))
+
+    want, got = run(1.0), run(1e7)
+    np.testing.assert_allclose(got.log_states, want.log_states, rtol=1e-12, atol=1e-12)
+    if opponent == "coupled":
+        np.testing.assert_allclose(got.opp_log_states, want.opp_log_states, rtol=1e-12,
+                                   atol=1e-12)
+
+
 def test_map_survives_a_ratio_that_rounds_to_minus_one():
     # with C = 0 and gbar about 0.5, (g_0 - gbar) / (C + gbar) would round to
     # exactly -1 although C + g_0 = 1e-17 > 0; the map adds log1p((g_i - r) /

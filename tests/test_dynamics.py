@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from egtlab import dynamics
-from egtlab.dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, _grid,
+from egtlab.dynamics import (_DT, Coupled, GrowthRule, IntegrationError, Schedule, _grid,
                              _log_field, _setup, eval_schedule, integrate,
                              write_trajectory_csv)
 from egtlab.games import Game, SimplexError, pure
@@ -140,53 +140,66 @@ def random_schedules(rng, count):
 
 def test_grid_matches_the_loop_over_periods_and_breakpoints():
     # breakpoints here lie a fifteenth of a period apart, far beyond the
-    # 1e-12 max(1, t_max) within which the grid merges them
+    # 1e-12 max(1, t_max) within which the grid merges them. Scripts shrunk
+    # by 1e-2 and 1e-3 / 0.37 meet the grid as the unscaled ones would meet
+    # one 100 and 370 times coarser, with pieces of a few grid steps.
     rng = np.random.default_rng(17)
     for script in random_schedules(rng, 24):
-        P, times = script.period, script.times
-        on_a_breakpoint = int(rng.integers(1, 6)) * P + times[int(rng.integers(len(times)))]
-        for t_max in (0.6 * P, on_a_breakpoint, 7.25 * P):
-            for dt, every in ((1e-3, 100), (1e-3, 997), (0.1, 1), (0.1, 7), (0.37, 3)):
-                want_bounds, _, want_times = oracles.sample_grid(t_max, dt, every, script)
-                got = _grid(t_max, dt, every, script)
+        k, j = int(rng.integers(1, 6)), int(rng.integers(len(script.times)))
+        for scale, every in ((1.0, 100), (1.0, 997), (1e-2, 1), (1e-2, 7), (1e-3 / 0.37, 3)):
+            P, times = scale * script.period, scale * script.times
+            scaled = Schedule(P, times, script.values)
+            for t_max in (0.6 * P, k * P + times[j], 7.25 * P):
+                want_bounds, _, want_times = oracles.sample_grid(t_max, _DT, every, scaled)
+                got = _grid(t_max, every, scaled)
                 for name, w, g in zip(("bounds", "times"), (want_bounds, want_times), got):
                     np.testing.assert_array_equal(g, w, err_msg=f"{name}, P={P!r}, "
-                                                  f"times={times!r}, t_max={t_max!r}, dt={dt}")
+                                                  f"times={times!r}, t_max={t_max!r}")
 
 
 # integrator -----------------------------------------------------------------
 
 
 def test_log_ratio_grows_linearly():
-    traj = integrate(REPL, GAP_GAME, (0.5, 0.5), t_max=5.0, dt=1e-3)
+    traj = integrate(REPL, GAP_GAME, (0.5, 0.5), t_max=5.0)
     ratio = traj.log_states[:, 0] - traj.log_states[:, 1]
     assert ratio[-1] - ratio[0] == pytest.approx(5.0, abs=1e-6)
 
 
+def test_the_replicator_takes_payoffs_beyond_a_million():
+    # its growth rate is the payoff itself; payoffs past 1e6 left its domain
+    integrate(REPL, Game([[2e6, 0.0], [0.0, 1.0]]), [0.5, 0.5], t_max=1e-5)
+    for opponent in (None, Schedule(2.0, [0.0], [[0.5, 0.5]])):
+        traj = integrate(REPL, Game(3e7 * GAP_GAME.payoff), (0.5, 0.5), opponent=opponent,
+                         t_max=5.0 / 3e7)
+        ratio = traj.log_states[:, 0] - traj.log_states[:, 1]
+        assert ratio[-1] - ratio[0] == pytest.approx(5.0, abs=1e-6)
+
+
 def test_vertex_is_a_rest_point():
-    traj = integrate(REPL, DISCUSSION, (0.0, 1.0, 0.0), t_max=1.0, dt=1e-3)
+    traj = integrate(REPL, DISCUSSION, (0.0, 1.0, 0.0), t_max=1.0)
     np.testing.assert_array_equal(traj.states[-1], [0.0, 1.0, 0.0])
 
 
 def test_dominated_pair_dies_in_the_discussion_game():
-    traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=200.0, dt=1e-3)
+    traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=200.0)
     x = traj.states[-1]
     assert x[0] * x[1] < 1e-8
 
 
 def test_faces_are_exactly_invariant():
-    traj = integrate(REPL, DISCUSSION, (0.5, 0.5, 0.0), t_max=3.0, dt=1e-3)
+    traj = integrate(REPL, DISCUSSION, (0.5, 0.5, 0.0), t_max=3.0)
     assert np.all(traj.states[:, 2] == 0.0)
 
 
 def test_simplex_drift_stays_tiny():
-    traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=5.0, dt=1e-3)
+    traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=5.0)
     assert traj.meta["max_drift"] <= 1e-10
     assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_meta_records_the_run():
-    traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=1.0, dt=1e-3)
+    traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=1.0)
     assert traj.meta["dt"] == 1e-3
     assert traj.meta["rule"] == "replicator"
     assert traj.meta["game"] == DISCUSSION.digest()
@@ -195,7 +208,7 @@ def test_meta_records_the_run():
 def test_scheduled_opponent_is_followed():
     game = Game([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     traj = integrate(REPL, game, (0.4, 0.4, 0.2), opponent=square_wave(10.0),
-                     t_max=40.0, dt=1e-3)
+                     t_max=40.0)
     assert traj.opp_states is not None
     # first leg favors strategy 1, second leg strategy 2
     k1 = int(np.searchsorted(traj.times, 8.0))
@@ -215,7 +228,7 @@ def test_coupled_populations_integrate_together():
     opp = Game([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
     traj = integrate(REPL, focal, (0.5, 0.5),
                      opponent=Coupled(opp, REPL, np.full(3, 1.0 / 3.0)),
-                     t_max=5.0, dt=1e-3)
+                     t_max=5.0)
     assert traj.opp_states.shape[1] == 3
     assert np.abs(traj.opp_states.sum(axis=1) - 1.0).max() <= 1e-9
     assert traj.meta["opponent"] == "coupled"
@@ -233,7 +246,7 @@ def test_coupled_opponent_on_a_face_stays_there():
     opp = Game([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
     traj = integrate(REPL, focal, (0.5, 0.5),
                      opponent=Coupled(opp, REPL, (0.5, 0.0, 0.5)),
-                     t_max=3.0, dt=1e-3)
+                     t_max=3.0)
     assert np.all(traj.opp_log_states[:, 1] == -np.inf)
     assert np.all(traj.opp_states[:, 1] == 0.0)
     assert np.all(np.isfinite(traj.opp_log_states[:, [0, 2]]))
@@ -247,7 +260,7 @@ def test_coupled_domain_failure_names_the_second_population():
                       np.full(3, 1.0 / 3.0))
     with pytest.raises(IntegrationError,
                        match=r"link domain near t=0 \(population 2 strategy 2\)") as err:
-        integrate(REPL, focal, (0.5, 0.5), opponent=partner, t_max=1.0, dt=1e-3)
+        integrate(REPL, focal, (0.5, 0.5), opponent=partner, t_max=1.0)
     assert (err.value.t, err.value.step) == (0.0, 0)
 
 
@@ -259,21 +272,20 @@ def test_self_play_needs_a_square_game():
 def test_link_domain_violation_stops_the_run():
     rule = GrowthRule(link=exp_link(1.0, (0.0, 1.0)))
     with pytest.raises(IntegrationError, match="domain") as err:
-        integrate(rule, DISCUSSION, (0.4, 0.4, 0.2), t_max=1.0, dt=1e-3)
+        integrate(rule, DISCUSSION, (0.4, 0.4, 0.2), t_max=1.0)
     assert err.value.t is not None
 
 
 def test_nonpositive_speed_factor_stops_the_run():
     rule = GrowthRule(speed=linear_link(0.0, -1.0))
     with pytest.raises(IntegrationError, match="speed"):
-        integrate(rule, DISCUSSION, (0.4, 0.4, 0.2), t_max=1.0, dt=1e-3)
+        integrate(rule, DISCUSSION, (0.4, 0.4, 0.2), t_max=1.0)
 
 
 def test_w_rate_matches_the_sampled_series():
     from egtlab.diagnostics import w_series
     q = np.array([0.5, 0.5, 0.0])
-    traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=2.0, dt=1e-3,
-                     sample_every=1)
+    traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=2.0, sample_every=1)
     w = w_series(traj, pure(2, 3), q)
     t = traj.times
     central = (w[2:] - w[:-2]) / (t[2:] - t[:-2])
@@ -283,7 +295,7 @@ def test_w_rate_matches_the_sampled_series():
 
 
 def test_trajectory_csv_appends_extra_columns(tmp_path):
-    traj = integrate(REPL, GAP_GAME, (0.5, 0.5), t_max=1.0, dt=1e-3)
+    traj = integrate(REPL, GAP_GAME, (0.5, 0.5), t_max=1.0)
     path = tmp_path / "t.csv"
     write_trajectory_csv(traj, path, extras={"w": traj.times * 2.0})
     lines = path.read_text().strip().splitlines()
@@ -294,7 +306,7 @@ def test_trajectory_csv_appends_extra_columns(tmp_path):
 
 
 def test_trajectory_csv_has_full_precision(tmp_path):
-    traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=1.0, dt=1e-3)
+    traj = integrate(REPL, DISCUSSION, (0.4, 0.4, 0.2), t_max=1.0)
     path = tmp_path / "t.csv"
     write_trajectory_csv(traj, path)
     lines = path.read_text().strip().splitlines()
@@ -305,7 +317,7 @@ def test_trajectory_csv_has_full_precision(tmp_path):
 
 def test_trajectory_csv_formats_every_value_like_a_float(tmp_path):
     # x2 stays on its zero face; the extras column holds -inf and nan
-    traj = integrate(REPL, DISCUSSION, (0.6, 0.0, 0.4), t_max=1.0, dt=1e-3)
+    traj = integrate(REPL, DISCUSSION, (0.6, 0.0, 0.4), t_max=1.0)
     w = traj.times * 3.0
     w[1], w[2] = -np.inf, np.nan
     path = tmp_path / "t.csv"

@@ -97,7 +97,7 @@ SURFACE = {
     "game_from_dict": ("d",),
     "game_to_dict": ("game",),
     "geometric_background": ("base", "ratio"),
-    "integrate": ("rule", "game", "x0", "opponent", "t_max", "dt", "sample_every"),
+    "integrate": ("rule", "game", "x0", "opponent", "t_max", "sample_every"),
     "is_mixed_iteratively_dominated": ("game", "opponent_game", "q"),
     "iterate": ("rule", "game", "x0", "opponent", "n_max", "background", "sample_every"),
     "iterate_elimination": ("game", "mode", "opponent_game"),
@@ -137,12 +137,13 @@ def test_the_public_surface_is_pinned():
 
 # subcommand -> its option strings, and its positional arguments by name, in
 # the order the parser takes them; a removed flag such as simulate's --t-max,
-# --dt and --n-max (a second form of its integrator fields) stays removed
+# --dt and --n-max (a second form of its integrator fields), or the --seed of
+# classify and rps-direction (which draw no random numbers), stays removed
 CLI_SURFACE = {
     "simulate": ("-h", "--help", "--config", "--traj", "--out", "--seed"),
     "dominance": ("-h", "--help", "--game", "--q", "--mode", "--iterate", "--out", "--seed"),
-    "classify": ("-h", "--help", "--link", "--interval", "--discrete-C", "--out", "--seed"),
-    "rps-direction": ("-h", "--help", "--abc", "--link", "--discrete-C", "--out", "--seed"),
+    "classify": ("-h", "--help", "--link", "--interval", "--discrete-C", "--out"),
+    "rps-direction": ("-h", "--help", "--abc", "--link", "--discrete-C", "--out"),
     "scenario": ("-h", "--help", "name", "--link", "--traj", "--t-max", "--n-max", "--out",
                  "--seed"),
 }
@@ -155,6 +156,31 @@ def test_the_command_line_surface_is_pinned():
                            for s in action.option_strings or (action.dest,))
                for name, sub in subs.choices.items()}
     assert surface == CLI_SURFACE
+
+
+def test_the_catalog_states_no_integrator_default_again():
+    """No call in scenarios.py passes integrate, iterate or find_dominator
+    a keyword whose value is the callee's default for it, so each default
+    is stated once, by its callee. A value counts when it is a literal or is
+    built from scenarios' module names alone, as constant_background(0.0)
+    is; one that reads a local, such as t_max, is the protocol's choice."""
+    from egtlab import scenarios
+    callees = {name: inspect.signature(getattr(scenarios, name)).parameters
+               for name in ("integrate", "iterate", "find_dominator")}
+    names = vars(scenarios)
+    restated = []
+    for node in ast.walk(ast.parse(Path(scenarios.__file__).read_text())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in callees):
+            continue
+        for kw in node.keywords:
+            read = {n.id for n in ast.walk(kw.value) if isinstance(n, ast.Name)}
+            if not read <= names.keys():
+                continue
+            value = eval(compile(ast.Expression(kw.value), "<keyword>", "eval"), dict(names))
+            if value == callees[node.func.id][kw.arg].default:
+                restated.append(f"line {node.lineno}: {node.func.id}({kw.arg}={value!r})")
+    assert restated == []
 
 
 # exports, and public members of exported classes, that no package or benchmark

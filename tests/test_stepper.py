@@ -278,7 +278,7 @@ def test_a_batch_needs_self_play_and_one_support():
 
 def test_samples_land_on_the_fixed_step_grid():
     # the RK4 oracle steps on that grid and samples its step ends
-    kw = dict(t_max=7.3, dt=3e-3, sample_every=13)
+    kw = dict(t_max=7.3, sample_every=39)
     dop = integrate(SPEED, G4, (0.1, 0.2, 0.3, 0.4), opponent=S3, **kw)
     times, logs, _ = rk4_flow(SPEED, G4, (0.1, 0.2, 0.3, 0.4), S3, **kw)
     np.testing.assert_array_equal(dop.times, times)
@@ -291,7 +291,7 @@ def test_samples_land_on_the_fixed_step_grid():
 def test_a_scripted_run_on_an_effective_link_takes_the_stepper():
     # ln(C + f) has no antiderivative, so the run cannot take the exact path
     rule = GrowthRule(discrete_effective_link(sqrt_link((0.0, 9.0)), 1.0))
-    kw = dict(t_max=7.3, dt=3e-3, sample_every=13)
+    kw = dict(t_max=7.3, sample_every=39)
     dop = integrate(rule, G4, (0.1, 0.2, 0.3, 0.4), opponent=S3, **kw)
     _, logs, _ = rk4_flow(rule, G4, (0.1, 0.2, 0.3, 0.4), S3, **kw)
     assert dop.meta["method"] == "dop853"
