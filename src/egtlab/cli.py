@@ -532,9 +532,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_lists(argv) -> list:
+    """argv with each comma list that starts with a minus sign joined to the
+    option before it by '=': argparse takes '--abc -1,2,-3' for two options,
+    and no option string holds a comma."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and \
+                arg.startswith("-") and "," in arg:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_lists(sys.argv[1:] if argv is None else argv))
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)
         return 1

@@ -117,6 +117,9 @@ def geometric_background(base: float, ratio: float) -> BackgroundFitness:
     return BackgroundFitness("geometric", base, ratio)
 
 
+# a table link's values are np.float64 (links._formula): an overflow, or inf
+# over an infinite background, is then a silent inf or nan, as with floats
+@np.errstate(over="ignore", invalid="ignore")
 def _generations(pops, background: BackgroundFitness, n_steps: int, sample_every: int):
     """The ratio map over one or two populations (self-play or a coupled
     pair) on plain Python floats. Each generation checks every population's

@@ -39,10 +39,10 @@ time alone and gbar is a shift common to all coordinates, so z_i(t) = z_i(0)
 [a, b] of the script, and the integral is (b - a) (F(u_b) - F(u_a)) /
 (u_b - u_a), F an antiderivative of the link, or (b - a) f(u_a) if u_a = u_b.
 That quotient cancels where F's terms exceed 32 |u_b - u_a| (1 + |f(u_a)| +
-|f(u_b)|), on a piece short against the scale on which f varies; the 8-point
-Gauss-Legendre rule takes those. A piece's mean of f is then off by about
-100 eps (1 + |f(u_a)| + |f(u_b)|) at most, plus 1.7e-23 |u_b - u_a|^16
-max|f^(16)| by Gauss-Legendre. With one period's sum S and its prefix sums,
+|f(u_b)|), on a piece short against the scale on which f varies, or
+overflow; the 8-point Gauss-Legendre rule takes those. A piece's mean of f
+is then off by about 100 eps (1 + |f(u_a)| + |f(u_b)|) at most, plus
+1.7e-23 |u_b - u_a|^16 max|f^(16)| by Gauss-Legendre. With one period's sum S and its prefix sums,
 z(t) = z(0) + floor(t / P) S + prefix[k] + the part of piece k up to t,
 normalized at the samples only (_exact_flow): O(pieces + samples) work
 after _grid's one array pass over the breakpoints up to t_max. The fold is
@@ -707,6 +707,8 @@ def _initial_step(field, t, z, f0, span: float) -> float:
     d0, d1 = _rms(z / scale), _rms(f0 / scale)
     h0 = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     h0 = min(h0, span)
+    if not h0 > 0.0:  # d1 overflowed: growth rates too large for any step
+        raise IntegrationError(f"step size fell to {h0:g} near t={t:g}", t=t, step=0)
     d2 = _rms((field(t + h0, z + h0 * f0, t, 0) - f0) / scale) / h0
     top = max(d1, d2)
     h1 = (0.01 / top) ** 0.125 if top > 1e-15 else max(1e-6, 1e-3 * h0)
@@ -727,7 +729,8 @@ def _exact_flow(pop, schedule: Schedule, t_max: float, times):
     the sample times (see the module docstring), the link taken at the
     argument clamped to its domain as array_link takes it. A payoff leaving
     the padded domain before t_max fails where it crosses the edge, earliest
-    crossing then lowest strategy first. Returns ([logs at each sample], max
+    crossing then lowest strategy first, and the first sample whose logs
+    overflow fails as a non-finite state. Returns ([logs at each sample], max
     drift over the normalized samples, rows of the link or F evaluated)."""
     f, starts, n = pop.f, schedule.times, len(pop.z)
     lengths = np.append(starts[1:], schedule.period) - starts
@@ -748,7 +751,9 @@ def _exact_flow(pop, schedule: Schedule, t_max: float, times):
     dF, size = _integral_unchecked(f, ca, cb)
     du = ub - ua
     mean = np.where(du == 0.0, fa, (fa * (ca - ua) + dF + fb * (ub - cb)) / du)
-    cancels = (du != 0.0) & (size > 32.0 * np.abs(cb - ca) * (1.0 + np.abs(fa) + np.abs(fb)))
+    # an F that overflowed cancels too: the quadrature reads f alone
+    cancels = (du != 0.0) & ((size > 32.0 * np.abs(cb - ca) * (1.0 + np.abs(fa) + np.abs(fb)))
+                             | np.isinf(size))
     rows = cancels.any(axis=1)
     if rows.any():
         a, b = ua[rows, :, None], ub[rows, :, None]
@@ -757,6 +762,10 @@ def _exact_flow(pop, schedule: Schedule, t_max: float, times):
     areas = np.append(lengths, w * lengths[k])[:, None] * mean
     areas -= areas.mean(axis=1, keepdims=True)  # the common shift, kept off the sums
     z, drift = _fold(pop.z, areas[:len(starts)], cycles, k, areas[len(starts):])
+    bad = ~np.isfinite(z).all(axis=1)
+    if bad.any():
+        t = float(times[int(np.argmax(bad))])
+        raise IntegrationError(f"state became non-finite near t={t:g}", t=t, step=0, member=0)
     return [z], drift, 4 * len(ua) + 8 * int(rows.sum())
 
 
@@ -835,7 +844,8 @@ def integrate(rule: GrowthRule, game: Game, x0,
     scripted = label == "scripted"
     bounds, times = _grid(t_max, sample_every, opponent if scripted else None)
     if scripted and rule.speed is None and rule.effective_link.family != "effective":
-        with np.errstate(divide="ignore", invalid="ignore"):  # masked by np.where
+        # masked by np.where, or refused as a non-finite state
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             samples, max_drift, evals = _exact_flow(pops[0], opponent, t_max, times)
         stats = {"method": "exact", "steps": 0, "rejected": 0, "rhs_evals": evals,
                  "h_min": None, "h_max": None, "rtol": None}

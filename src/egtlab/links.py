@@ -10,7 +10,6 @@ effective link ln(C + f) is a family of its own (discrete_effective_link).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -76,6 +75,13 @@ class LinkFunction:
 
 
 def _validate_family(f: LinkFunction) -> None:
+    """Refuse f unless its params are its family's and finite and its closed
+    form is finite at _extremes. That one test also decides each family's
+    domain: a family is undefined only below 0 (sqrt, positive fractional
+    powers), at or below 0 (log, negative fractional powers) or at 0
+    (negative integer powers), and where that region meets [lo, hi] it holds
+    an end or the 0 _extremes adds for a power, where the formula is nan or
+    +-inf. An effective link first needs C + inner > 0 on its domain."""
     lo, hi = f.domain
     names = _PARAMS[f.family]
     if len(f.params) != len(names):
@@ -83,22 +89,7 @@ def _validate_family(f: LinkFunction) -> None:
                          f"got params {list(f.params)}")
     if not all(math.isfinite(v) for v in f.params):
         raise ValueError(f"{f.family} link params must be finite, got {list(f.params)}")
-    if f.family == "power":
-        g = f.params[0]
-        if not float(g).is_integer():
-            if lo < 0:
-                raise ValueError("fractional power needs a nonnegative domain")
-            if g < 0 and lo <= 0:
-                raise ValueError("negative power needs a strictly positive domain")
-        elif g < 0 and lo <= 0 <= hi:
-            raise ValueError("negative power undefined at zero")
-    elif f.family == "logarithm":
-        if lo <= 0:
-            raise ValueError("logarithm needs a strictly positive domain")
-    elif f.family == "sqrt":
-        if lo < 0:
-            raise ValueError("sqrt needs a nonnegative domain")
-    elif f.family == "effective":
+    if f.family == "effective":
         g = f.inner
         if (not isinstance(g, LinkFunction) or g.family == "effective"
                 or lo < g.domain[0] or hi > g.domain[1]):
@@ -109,9 +100,9 @@ def _validate_family(f: LinkFunction) -> None:
         if vals.min() <= 0.0:
             raise ValueError(f"background {f.params[0]:g} leaves ln() undefined "
                              f"at payoff {u[int(np.argmin(vals))]:g}")
-    # f is finite on its domain iff it is at its least and greatest values. An
-    # overflow there is the error below, not a NumPy warning beside it.
-    with np.errstate(over="ignore"):
+    # f is finite on its domain iff it is at its least and greatest values. A
+    # nan, pole or overflow there is the error below, not a NumPy warning.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         vals = _eval_unchecked(f, _extremes(f, lo, hi))
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"link is not finite everywhere on {f.domain}")
@@ -138,8 +129,8 @@ def _formula(f: LinkFunction, xp):
     float array for xp = np, of a Python float for xp = math. An array's
     coefficients are 0-d arrays, which a ufunc takes as they are where it
     converts a Python float on every call; the power link's exponent stays a
-    float, as NumPy's ** picks its fast cases by it. A float's table
-    interpolates the way np.interp does."""
+    float, as NumPy's ** picks its fast cases by it. A table is read by
+    np.interp on either, so a float gets an np.float64."""
     p = [np.array(v) for v in f.params] if xp is np else f.params
     if f.family == "linear":
         return lambda u: p[0] * u + p[1]
@@ -150,21 +141,9 @@ def _formula(f: LinkFunction, xp):
     if f.family == "effective":
         g = _formula(f.inner, xp)
         return lambda u: xp.log(p[0] + g(u))
-    if f.family != "table":
-        return xp.log if f.family == "logarithm" else xp.sqrt
-    if xp is np:
+    if f.family == "table":
         return lambda u: np.interp(u, f.knots_x, f.knots_y)
-    xs, ys = f.knots_x.tolist(), f.knots_y.tolist()
-
-    def interp(v):
-        j = bisect.bisect_right(xs, v) - 1
-        if j < 0:
-            return ys[0]
-        if j >= len(xs) - 1 or xs[j] == v:
-            return ys[j]
-        return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (v - xs[j]) + ys[j]
-
-    return interp
+    return xp.log if f.family == "logarithm" else xp.sqrt
 
 
 def _integral_unchecked(f: LinkFunction, a, b):
@@ -313,7 +292,8 @@ def scalar_link(f: LinkFunction, within=None):
     """Per-float evaluator of f for the float map: nan outside the padded
     domain, otherwise f at the argument clamped to the domain; only the
     clamp where hull_inside holds for within, a promised range of every
-    argument. The formula is _formula's, for Python floats."""
+    argument. The formula is _formula's, for Python floats; a table is read
+    by np.interp, as on every path, and gives np.float64 values."""
     lo, hi = f.domain
     lo_pad, hi_pad = lo - domain_pad(f), hi + domain_pad(f)
     fn = _formula(f, math)

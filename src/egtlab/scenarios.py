@@ -93,13 +93,14 @@ def _grid_search(slack, lo: float, hi: float, dims: int, coarse: int, fine: int)
     return point, best
 
 
-def _bisect(holds, lo: float, hi: float) -> float:
+def _bisect(holds, lo: float, hi: float) -> tuple:
     """Bisection of [lo, hi] for the edge of holds, which is taken to hold at
-    lo and not at hi: the last lo after 200 halvings, or once a midpoint
-    rounds to an end (holds is then already known there, so no later step can
-    move lo). holds maps an array of points to a bool array; each call gets
-    the 15 midpoints the next four halvings could visit, in heap order (the
-    halves of node k are nodes 2k+1 and 2k+2), and the four are walked on it."""
+    lo and not at hi: the last bracket (lo, hi) after 200 halvings, or once a
+    midpoint rounds to an end (holds is then already known there, so no later
+    step can move either end). holds maps an array of points to a bool
+    array; each call gets the 15 midpoints the next four halvings could
+    visit, in heap order (the halves of node k are nodes 2k+1 and 2k+2), and
+    the four are walked on it."""
     for _ in range(50):
         mids, spans = [], [(lo, hi)]
         for k in range(15):
@@ -110,12 +111,12 @@ def _bisect(holds, lo: float, hi: float) -> float:
         for _ in range(4):
             mid = mids[k]
             if mid == lo or mid == hi:
-                return lo
+                return lo, hi
             if held[k]:
                 lo, k = mid, 2 * k + 2
             else:
                 hi, k = mid, 2 * k + 1
-    return lo
+    return lo, hi
 
 
 def _derive(con, **values):
@@ -220,7 +221,7 @@ def build_survival(f: LinkFunction, variant: str) -> SurvivalConstruction:
     def keeps(eps):
         return sign * (eval_link(f, centre - sign * eps) - ends_mean) > 0.0
 
-    eps_max = half if keeps(half) else _bisect(keeps, 0.0, half)
+    eps_max = half if keeps(half) else _bisect(keeps, 0.0, half)[0]
     return SurvivalConstruction(f, variant, a, b, 0.5 * eps_max)
 
 
@@ -374,13 +375,8 @@ def _wedge_start(eps4: float, rng) -> np.ndarray:
         lam_hi = 0.999999 * float(np.min(-center[low] / d[low]))
         if np.prod(center + lam_hi * d) >= target:
             continue
-        lam_lo = 0.0
-        for _ in range(200):
-            lam = 0.5 * (lam_lo + lam_hi)
-            if np.prod(center + lam * d) > target:
-                lam_lo = lam
-            else:
-                lam_hi = lam
+        lam_lo, lam_hi = _bisect(
+            lambda lams: np.prod(center + lams[:, None] * d, axis=1) > target, 0.0, lam_hi)
         p = center + 0.5 * (lam_lo + lam_hi) * d
         return np.concatenate([mass * p, [0.5 * eps4]])
 

@@ -5,6 +5,7 @@ and integrators (tests/test_imports.py checks what they import):
 - grid_shape: a link's monotonicity and curvature from sampled differences
 - survival_eps_max: the 3x2 construction's largest midpoint shift, by a plain
   bisection
+- wedge_start: one start of a dual 4x4 run, by a plain 200-step bisection
 - random_link: a seeded link of a given family on a random domain
 - planted_game: seeded games with a planted elimination chain
 - column_lp: the column LP of a dominance query, built with np.zeros, np.eye
@@ -102,6 +103,33 @@ def survival_eps_max(f: LinkFunction, variant: str, a: float, b: float) -> float
                 e_hi = mid
         eps_max = e_lo
     return eps_max
+
+
+def wedge_start(eps4: float, rng) -> np.ndarray:
+    """A point of the wedge {x in S4 : x1 x2 x3 <= 0.01, x4 <= eps4} on its
+    midline: core product 0.005 and x4 = eps4/2, the core's direction from
+    the centre a Dirichlet draw, its product found by 200 halvings of one
+    product each."""
+    mass = 1.0 - 0.5 * eps4
+    target = 0.5 * 0.01 / mass ** 3
+    center = np.full(3, 1.0 / 3.0)
+    while True:
+        d = rng.dirichlet(np.ones(3)) - center
+        low = d < 0.0
+        if not low.any():
+            continue
+        lam_hi = 0.999999 * float(np.min(-center[low] / d[low]))
+        if np.prod(center + lam_hi * d) >= target:
+            continue
+        lam_lo = 0.0
+        for _ in range(200):
+            lam = 0.5 * (lam_lo + lam_hi)
+            if np.prod(center + lam * d) > target:
+                lam_lo = lam
+            else:
+                lam_hi = lam
+        p = center + 0.5 * (lam_lo + lam_hi) * d
+        return np.concatenate([mass * p, [0.5 * eps4]])
 
 
 # backgrounds C of the effective links ln(C + f) that random_link draws:

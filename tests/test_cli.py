@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from egtlab import cli
 from egtlab.cli import main
+from egtlab.dynamics import GrowthRule
 from egtlab.games import Game
-from egtlab.links import parse_link
+from egtlab.links import parse_link, table_link
 from egtlab.scenarios import SCENARIOS
 
 DISCUSSION_PAYOFF = [[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]]
@@ -100,6 +102,16 @@ def test_simulate_discrete_numerical_failure(tmp_path, capsys):
     })
     assert main(["simulate", "--config", cfg]) == 2
     assert "generation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_growth_rates_too_large_for_any_step_exit_2_with_one_line(scale, tmp_path, capsys):
+    # the first step size divided by 0 and printed a ZeroDivisionError traceback
+    cfg = write_json(tmp_path / "huge.json", {
+        "game": {"payoff": [[scale, 0.0], [0.0, scale]]}, "x0": [0.3, 0.7],
+        "integrator": {"t_max": 1.0}})
+    assert main(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr() == ("", "error: step size fell to 0 near t=0\n")
 
 
 def test_simulate_discrete_report(tmp_path, capsys):
@@ -311,6 +323,21 @@ def test_simulate_reads_every_field_it_takes(tmp_path, cfg):
     assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg),
                  "--out", str(tmp_path / "r.json"), "--traj", str(tmp_path / "t.csv")]) == 0
     assert (tmp_path / "r.json").exists() and (tmp_path / "t.csv").exists()
+
+
+def test_simulate_runs_a_generation_map_on_a_knot_table(tmp_path):
+    xs, ys = [0.0, 1.0, 2.5, 3.0], [0.1, 0.4, 2.2, 2.3]
+    cfg = {**MAP, "x0": [0.4, 0.4, 0.2], "integrator": {"n_max": 20, "sample_every": 1},
+           "rule": {"kind": "payoff-functional", "link": {"xs": xs, "ys": ys}},
+           "background": {"kind": "constant", "c0": 0.5}}
+    assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", cfg),
+                 "--out", str(tmp_path / "r.json"), "--traj", str(tmp_path / "t.csv")]) == 0
+    states = np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1)[:, 1:4]
+    rule, game = GrowthRule(link=table_link(xs, ys)), Game(DISCUSSION_PAYOFF)
+    x = np.array([0.4, 0.4, 0.2])
+    for n in range(20):
+        x = oracles.step(rule, game, x, C=0.5)
+        np.testing.assert_allclose(states[n + 1], x, rtol=1e-12)
 
 
 # forms an earlier config grammar also took, each with its one error line;
@@ -720,6 +747,17 @@ def test_number_lists_of_the_wrong_length_exit_1(capsys):
     assert "--interval takes 2 comma-separated numbers, got 3" in capsys.readouterr().err
     assert main(["rps-direction", "--abc", "1,2"]) == 1
     assert "--abc takes 3 comma-separated numbers, got 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["rps-direction", "--abc", "-1,2,-3"],
+                                  ["classify", "--link", "linear", "--interval", "-2,1"]],
+                         ids=["rps-direction", "classify"])
+def test_a_number_list_may_start_with_a_minus_sign(argv, capsys):
+    # argparse reads "-1,2,-3" after a space as an option of its own
+    assert main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == 0
+    want = capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == want and want.err == ""
 
 
 # flag sets of rps-direction: --link gives the flow's f, --discrete-C C the

@@ -166,6 +166,33 @@ def test_exact_flow_folds_whole_periods_at_a_long_horizon():
     assert traj.log_states[-1, :2].max() < -9e4
 
 
+def test_an_antiderivative_that_overflows_takes_the_gauss_legendre_rule():
+    # the linear link's u^2 / 2 overflows past |u| = 1.9e154, and a piece's
+    # F(u_b) - F(u_a) with it; the rule reads f alone. Over 1e-150 time
+    # units at payoff 1e200 the two logs part by 1e50
+    traj = integrate(GrowthRule(), Game([[1e200, 0.0], [0.0, 1e200]]), [0.5, 0.5],
+                     opponent=SWING, t_max=1e-150)
+    np.testing.assert_array_equal(traj.states[-1], [1.0, 0.0])
+    assert traj.log_states[-1, 1] == pytest.approx(-1e50, rel=1e-15)
+    assert traj.meta["max_drift"] == 0.0
+
+
+def test_exact_flow_stops_at_the_first_sample_that_overflows():
+    # each 100-unit period parts the logs by 2.5e306 more: the fold's
+    # normalized second log is -1.775e308 at t = 7100 and past the largest
+    # double at t = 7200
+    game = Game([[1e305, 0.0], [0.0, 0.5e305]])
+    script = Schedule(100.0, [0.0, 50.0], [[1.0, 0.0], [0.0, 1.0]])
+    traj = integrate(GrowthRule(), game, [0.5, 0.5], opponent=script, t_max=7100.0,
+                     sample_every=100_000)
+    assert traj.log_states[-1, 1] == pytest.approx(-1.775e308, rel=1e-15)
+    with pytest.raises(IntegrationError) as err:
+        integrate(GrowthRule(), game, [0.5, 0.5], opponent=script, t_max=1e4,
+                  sample_every=100_000)
+    assert str(err.value) == "state became non-finite near t=7200"
+    assert (err.value.t, err.value.step, err.value.member) == (7200.0, 0, 0)
+
+
 def test_rk4_converges_to_the_exact_flow_at_fourth_order():
     rule = GrowthRule(exp_link(1.0, (0.0, 2.0)))
     exact = integrate(rule, G4, X4, opponent=S3, t_max=5.0).log_states[-1]

@@ -9,7 +9,7 @@ from egtlab.discrete import (BackgroundFitness, affine_background, constant_back
                              geometric_background, iterate)
 from egtlab.dynamics import Coupled, GrowthRule, IntegrationError, Schedule
 from egtlab.games import Game, pure
-from egtlab.links import linear_link, sqrt_link
+from egtlab.links import linear_link, sqrt_link, table_link
 from oracles import discrete_w_increment, step, vector_field
 
 TWO_ONE = Game([[2.0, 2.0], [1.0, 1.0]])  # payoffs (2, 1) against anything
@@ -234,11 +234,14 @@ PARTNER = Game([[1.5, 0.5], [0.5, 1.5], [1.0, 1.2]])
 
 # The payoff rows' hulls, [0.5, 2] and [0.5, 1.5], lie inside the links'
 # domains in the first pair of rules; in the second they leave them, so the
-# map scans the links' values, though the run's payoffs stay inside.
+# map scans the links' values, though the run's payoffs stay inside. The
+# third pair are knot tables, which every path reads through np.interp.
 HULL_RULES = {
     "hull-inside": (REPL, GrowthRule(link=sqrt_link((0.0, 3.0)))),
     "hull-outside": (GrowthRule(link=linear_link(1.0, 0.0, (0.6, 1.9))),
                      GrowthRule(link=sqrt_link((0.51, 3.0)))),
+    "table": (GrowthRule(link=table_link([0.5, 0.9, 1.3, 2.0], [0.2, 1.1, 1.3, 2.4])),
+              GrowthRule(link=table_link([0.4, 1.0, 1.6], [0.5, 0.7, 1.9]))),
 }
 
 
@@ -390,6 +393,16 @@ def test_iterate_rejects_a_coupled_opponents_speed():
     # no coupled opponent with a speed reaches iterate: Coupled refuses it
     with pytest.raises(ValueError, match="^a coupled population's rule takes no speed factor$"):
         Coupled(PARTNER, GrowthRule(speed=linear_link(0.0, 2.0)), (0.2, 0.3, 0.5))
+
+
+def test_a_table_map_stops_where_an_increment_overflows():
+    # the identity table's values are np.float64: (g_1 - r) / (C + r) past
+    # the largest double is an inf, as a float's, and no NumPy overflow
+    # warning, an error under this suite's filter
+    rule = GrowthRule(table_link([0.0, 2.0], [0.0, 2.0]))
+    with pytest.raises(IntegrationError, match="^state became non-finite near t=0$") as err:
+        iterate(rule, Game([[5e-309, 5e-309], [1.0, 1.0]]), (0.5, 0.5), n_max=10)
+    assert (err.value.t, err.value.step) == (0.0, 0)
 
 
 @pytest.mark.parametrize("background", [constant_background(0.0), affine_background(0.0, 0.0)],

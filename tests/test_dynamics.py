@@ -176,6 +176,15 @@ def test_the_replicator_takes_payoffs_beyond_a_million():
         assert ratio[-1] - ratio[0] == pytest.approx(5.0, abs=1e-6)
 
 
+def test_growth_rates_too_large_for_any_step_are_an_integration_error():
+    # the scaled size of the first derivative overflows, and the first step
+    # size with it: the run stops where _solve's step floor stops a run
+    with pytest.raises(IntegrationError) as err:
+        integrate(REPL, Game([[1e200, 0.0], [0.0, 1e200]]), [0.3, 0.7], t_max=1.0)
+    assert str(err.value) == "step size fell to 0 near t=0"
+    assert (err.value.t, err.value.step) == (0.0, 0)
+
+
 def test_vertex_is_a_rest_point():
     traj = integrate(REPL, DISCUSSION, (0.0, 1.0, 0.0), t_max=1.0)
     np.testing.assert_array_equal(traj.states[-1], [0.0, 1.0, 0.0])

@@ -75,6 +75,34 @@ def test_scalar_link_agrees_with_eval_link(f):
         assert math.isnan(fast(u))
 
 
+# (family, params, domain) where the family is undefined: each is refused by
+# its closed form's values at the domain's ends, or at 0 for a power
+UNDEFINED = [("sqrt", (), (-1.0, 4.0)), ("logarithm", (), (0.0, 9.0)),
+             ("logarithm", (), (-1.0, 9.0)), ("power", (0.5,), (-1.0, 4.0)),
+             ("power", (-0.5,), (0.0, 4.0)), ("power", (-1.0,), (-2.0, 3.0)),
+             ("power", (-1.0,), (0.0, 3.0)), ("power", (-1.0,), (-3.0, 0.0))]
+DEFINED = [("sqrt", (), (0.0, 4.0)), ("power", (0.5,), (0.0, 4.0)),
+           ("power", (-1.0,), (0.5, 4.0)), ("power", (-2.0,), (-3.0, -0.5)),
+           ("power", (3.0,), (-2.0, 2.0)), ("logarithm", (), (1e-300, 1.0))]
+
+
+@pytest.mark.parametrize("family, params, domain", UNDEFINED,
+                         ids=lambda v: str(v).replace(" ", ""))
+def test_the_closed_form_decides_where_a_family_is_defined(family, params, domain):
+    # NumPy's nan and divide-by-zero warnings, errors under this suite's
+    # filter, stay silent
+    with pytest.raises(ValueError) as err:
+        LinkFunction(family, params, domain)
+    assert str(err.value) == f"link is not finite everywhere on {domain}"
+
+
+@pytest.mark.parametrize("family, params, domain", DEFINED,
+                         ids=lambda v: str(v).replace(" ", ""))
+def test_a_family_builds_wherever_its_closed_form_is_finite(family, params, domain):
+    f = LinkFunction(family, params, domain)
+    assert np.all(np.isfinite(eval_link(f, np.linspace(*domain, 101))))
+
+
 def test_log_needs_a_positive_floor():
     with pytest.raises(ValueError):
         log_link((0.0, 9.0))

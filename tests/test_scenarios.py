@@ -25,7 +25,7 @@ from egtlab.scenarios import (SCENARIO_INTERVALS, SCENARIOS, Rps4Construction,
                               build_survival, run_background_schedules,
                               run_background_threshold, run_discussion, run_dual_4x4,
                               run_survival_nonconcave, run_survival_nonconvex)
-from oracles import random_link, survival_eps_max
+from oracles import random_link, survival_eps_max, wedge_start
 
 MIX_TB = np.array([0.5, 0.0, 0.5])
 EXP = exp_link(1.0, (-2.0, 2.0))
@@ -554,6 +554,16 @@ def test_the_dual_starts_are_the_same_to_the_bit(eps4):
                       for rng in map(np.random.default_rng, (0, 1, 2))])
     assert draws.shape == (3, 10, 4)
     assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == WEDGE_DRAWS[eps4]
+
+
+@pytest.mark.parametrize("eps4", [0.04, 4e-4, 0.3])
+def test_the_dual_starts_are_the_plain_bisection_to_the_bit(eps4):
+    # _wedge_start's bisection walks the same midpoints as 200 plain halvings,
+    # and stops only once no later halving could move the bracket
+    for seed in range(100):
+        got = _wedge_start(eps4, np.random.default_rng(seed))
+        want = wedge_start(eps4, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_run_discussion_report():
