@@ -29,10 +29,12 @@ exits 1 as any other wrong form does:
               script's breakpoints
 A link L is a spec string such as "sqrt" or "exp:2", on the game's payoff
 hull unless it ends in "@lo,hi", or a knot table T = {"xs": [...], "ys": [...]};
-a speed is a knot table over mean payoff. Numbers are finite JSON numbers,
-never booleans or strings; t_max, a period and a geometric background's
-c0 and ratio are positive. The report goes to --out (default: stdout) and
-the trajectory CSV to --traj.
+a speed is a knot table over mean payoff. A link's "@lo,hi" domain, and a
+table's knots, must hold the payoffs its run can see (against a script,
+those against its rows), or the run exits 1 before it starts. Numbers are
+finite JSON numbers, never booleans or strings; t_max, a period and a
+geometric background's c0 and ratio are positive. The report goes to --out
+(default: stdout) and the trajectory CSV to --traj.
 
 Exit codes: 0 success, 1 configuration or feasibility error, 2 numerical
 failure, 3 a scenario ran but missed an expected outcome. All outputs are
@@ -532,14 +534,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _join_lists(argv) -> list:
-    """argv with each comma list that starts with a minus sign joined to the
-    option before it by '=': argparse takes '--abc -1,2,-3' for two options,
-    and no option string holds a comma."""
+    """argv with each value that starts with a minus sign, a comma list or a
+    number float() reads, joined to the option before it by '=': argparse
+    takes '--abc -1,2,-3' or '--discrete-C -1e-3' for two options, reading
+    a negative number as a value only in forms such as -1 and -0.5, and no
+    option string holds a comma or reads as a number."""
     out = []
     for arg in argv:
         if out and out[-1].startswith("--") and "=" not in out[-1] and \
-                arg.startswith("-") and "," in arg:
+                arg.startswith("-") and ("," in arg or _is_float(arg)):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -158,9 +158,10 @@ def taylor_sign_check(rule: GrowthRule, game: Game,
     of rule's flow (dynamics._log_field; GrowthRule() is the replicator's).
     The product peaks at the barycenter, so a fraction of 1.0 means the
     nearby flow spirals outward on essentially every draw, while an
-    attracting center yields 0.0. Exact-zero drifts are not counted. A
-    payoff outside the link's domain, or a speed factor that is not
-    positive, raises the field's IntegrationError.
+    attracting center yields 0.0. Exact-zero drifts are not counted. A link
+    or speed factor whose domain misses the cycle's payoffs is refused with
+    a ValueError before the field is evaluated (dynamics._setup); a speed
+    factor that is not positive raises the field's IntegrationError.
     """
     A = game.payoff
     if A.shape != (3, 3):

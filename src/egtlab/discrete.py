@@ -24,8 +24,10 @@ read the state of the population dynamics._setup pairs it with
 Against a script they are the flow's per-piece table: ua[k] + w du[k], from
 dynamics._piece_payoffs at the piece k and fraction w of
 dynamics._script_piece, as the exact flow and the flow stepper read them.
-Link values are links._formula's, per float (scalar_link) or per array
-(array_link).
+dynamics._setup refuses a link whose padded domain misses the payoffs its
+run can see, so no generation meets a payoff outside it. Link values are
+links._formula's at the payoff clamped to the domain, per float
+(scalar_link) or per array (array_link).
 
 Two paths compute the same generations:
 
@@ -64,7 +66,7 @@ from .dynamics import (Coupled, GrowthRule, IntegrationError, Schedule, Trajecto
                        _check_count, _drift, _fold, _normalize, _piece_payoffs,
                        _sample_counts, _script_piece, _setup, _trajectory)
 from .games import Game
-from .links import array_link, hull_inside, scalar_link
+from .links import array_link, scalar_link
 
 _KINDS = ("constant", "affine", "geometric")
 # Generations per block of the scripted map: enough to amortise the NumPy
@@ -122,17 +124,17 @@ def geometric_background(base: float, ratio: float) -> BackgroundFitness:
 @np.errstate(over="ignore", invalid="ignore")
 def _generations(pops, background: BackgroundFitness, n_steps: int, sample_every: int):
     """The ratio map over one or two populations (self-play or a coupled
-    pair) on plain Python floats. Each generation checks every population's
-    payoffs (scanning for nan only where hull_inside fails), then every
-    numerator C_n + g_i at once, through the smallest r over the populations,
-    then adds the increments log1p((g_i - r) / (C_n + r)), r = min_i g_i of
-    each population, and renormalizes: exp(z_i) over their sum s are the
-    next frequencies, and ln s comes off with the next increments or at a
-    sample. Returns (sample times, logs per population at each sample, max
-    drift over the samples, dynamics._drift)."""
-    plan = [(p, pop, pop.payoffs.tolist(), scalar_link(pop.f, pop.hull),
-             not hull_inside(pop.f, pop.hull), pop.meets) for p, pop in enumerate(pops)]
-    log1p, exp, log, isnan, inf = math.log1p, math.exp, math.log, math.isnan, math.inf
+    pair) on plain Python floats. Each generation reads every population's
+    growth rates, then checks every numerator C_n + g_i at once, through
+    the smallest r over the populations, then adds the increments
+    log1p((g_i - r) / (C_n + r)), r = min_i g_i of each population, and
+    renormalizes: exp(z_i) over their sum s are the next frequencies, and
+    ln s comes off with the next increments or at a sample. Returns (sample
+    times, logs per population at each sample, max drift over the samples,
+    dynamics._drift)."""
+    plan = [(p, pop.payoffs.tolist(), scalar_link(pop.f), pop.meets)
+            for p, pop in enumerate(pops)]
+    log1p, exp, log, inf = math.log1p, math.exp, math.log, math.inf
     zs = [pop.z for pop in pops]
     es = [list(map(exp, z)) for z in zs]
     sums, logs = [sum(e) for e in es], [0.0] * len(pops)
@@ -142,11 +144,9 @@ def _generations(pops, background: BackgroundFitness, n_steps: int, sample_every
     for k0, k1 in zip(counts, counts[1:]):
         backgrounds = background.values(np.arange(k0, k1, dtype=float)).tolist()
         for k, C in zip(range(k0, k1), backgrounds):
-            for p, pop, rows, link, checked, opp in plan:
+            for p, rows, link, opp in plan:
                 y, sy = es[opp], sums[opp]
                 g = [link(sum(map(mul, row, y)) / sy) for row in rows]
-                if checked and any(map(isnan, g)):
-                    raise pop.domain_error(list(map(isnan, g)).index(True), float(k), k)
                 gs[p], rs[p] = g, min(g)
             if not C + min(rs) > 0.0:
                 p = next(p for p in ps if not C + rs[p] > 0.0)
@@ -174,18 +174,17 @@ def _scripted_generations(pop, schedule: Schedule, background: BackgroundFitness
     """The ratio map of _generations against a script, in closed form (see
     the module docstring) with the same samples. Each generation's
     increments, the stepper's, lose their mean over the support, a shift
-    common to every coordinate. A payoff outside the link domain fails
-    before a numerator C_n + g_i that is not positive, and that before an
-    increment that is not finite, generation by generation, as in
-    _generations. Generation n's payoffs are ua[k] + w du[k] of the per-piece
-    table (dynamics._piece_payoffs) at the piece k and fraction w where
-    generation n meets the script (dynamics._script_piece), and its growth
-    rates pop.f of them through array_link. An integer period P up to _BLOCK
-    has its link values evaluated on the first period only, a table the
-    blocks index by n mod P; with a constant background that period is
-    folded (dynamics._fold). Other runs sum blocks of _BLOCK generations, so
-    memory does not grow with the horizon. Returns (sample times, [logs at
-    each sample], max drift, _drift).
+    common to every coordinate. A numerator C_n + g_i that is not positive
+    fails before an increment that is not finite, generation by generation,
+    as in _generations. Generation n's payoffs are ua[k] + w du[k] of the
+    per-piece table (dynamics._piece_payoffs) at the piece k and fraction w
+    where generation n meets the script (dynamics._script_piece), and its
+    growth rates pop.f of them through array_link. An integer period P up
+    to _BLOCK has its link values evaluated on the first period only, a
+    table the blocks index by n mod P; with a constant background that
+    period is folded (dynamics._fold). Other runs sum blocks of _BLOCK
+    generations, so memory does not grow with the horizon. Returns (sample
+    times, [logs at each sample], max drift, _drift).
     """
     f, period = array_link(pop.f), schedule.period
     ua, ub = _piece_payoffs(pop, schedule)
@@ -207,9 +206,6 @@ def _scripted_generations(pop, schedule: Schedule, background: BackgroundFitness
         bad = ~(C + g > 0.0)
         if bad.any():
             k = lo + int(np.argmax(bad.any(axis=1)))
-            nan = np.isnan(g[k - lo])
-            if nan.any():
-                raise pop.domain_error(int(np.argmax(nan)), float(k), k)
             raise pop.background_error(g[k - lo], C[k - lo, 0], k)
         r = g.min(axis=1, keepdims=True)
         with np.errstate(over="ignore"):  # an increment of inf is refused below

@@ -12,6 +12,11 @@ one support, or a coupled pair. Each population is restricted to its support
 when the run starts, so support faces are exactly invariant and frequencies
 near machine zero remain resolved.
 
+A link defines the dynamics only where its domain holds the payoffs, so
+_setup refuses, with a ValueError, a link or speed factor whose padded
+domain (links.hull_inside) misses the payoffs the run can see. Every link
+read after that clamps rounding dust only.
+
 One stepper (_solve) advances a log-state of shape (B, n), one row per run,
 with NumPy: Dormand & Prince's 8th-order pair DOP853 (Hairer, Norsett &
 Wanner, Solving ODEs I, II.5), 12 stages and a first-same-as-last stage, at
@@ -363,7 +368,8 @@ class _Population:
     z holds the logs on the support only and payoffs the payoff rows of the
     support, sliced to the opponent columns they can meet, with hull their
     smallest and largest entry; coordinates off the support stay exactly at
-    -inf and are never evaluated. f is the link. meets is the index of the
+    -inf and are never evaluated. f is the link, which _setup has checked
+    against the payoffs the run can see. meets is the index of the
     population whose state its payoffs read (itself in self-play), or None
     against a script.
     """
@@ -381,11 +387,6 @@ class _Population:
     def name(self, k: int) -> str:
         return self.where.format(int(self.support[k]))
 
-    def domain_error(self, k: int, t: float, step: int, member=None) -> IntegrationError:
-        return IntegrationError(
-            f"payoff left the link domain near t={t:g} ({self.name(k)})", t=t, step=step,
-            member=member)
-
     def background_error(self, g, C: float, step: int) -> IntegrationError:
         """A generation map's failure at generation step, where the background
         C plus the growth rates g is not positive (named: the first such)."""
@@ -402,14 +403,30 @@ class _Population:
         return out
 
 
+def _refuse_outside(f: LinkFunction | None, hull, what: str) -> None:
+    """Refuse the link f, unless None, where its padded domain misses hull,
+    the least and greatest payoff its run can see (links.hull_inside)."""
+    if f is not None and not hull_inside(f, hull):
+        raise ValueError(f"{what} domain [{f.domain[0]:g}, {f.domain[1]:g}] does not hold "
+                         f"the payoffs [{hull[0]!r}, {hull[1]!r}] its run can see")
+
+
 def _setup(rule: GrowthRule, game: Game, x0, opponent):
-    """Validate the opponent and build the populations.
+    """Validate the opponent and the links, and build the populations.
 
     Returns (populations, pays, label): pays maps the time and the
     populations' frequencies, one (B, n) array each, to each population's
     payoffs, against the population it meets (_Population.meets). A
     script's are one row of its per-piece table (_piece_payoffs), whatever
     the number of runs.
+
+    Each link, and the speed factor over the mean payoff, must hold in its
+    padded domain the payoffs its run can see, or is refused here with a
+    ValueError (_refuse_outside). In self-play and coupled runs those are a
+    population's hull: its support rows against the columns it meets.
+    Against a script they are the least to the greatest entry of the
+    per-piece table, as every scripted payoff lies between two consecutive
+    rows of it; columns the script never plays are not seen.
     """
     n, m = game.n_rows, game.n_cols
     z = _log_state(x0, n, "initial state")
@@ -419,6 +436,9 @@ def _setup(rule: GrowthRule, game: Game, x0, opponent):
                 f"schedule rows have {opponent.n_strategies} entries, game has {m} columns")
         pop = _Population(z, game.payoff, np.arange(m), rule.effective_link, "strategy {}")
         piece, (ua, ub) = _piece_at(opponent), _piece_payoffs(pop, opponent)
+        seen = (float(ua.min()), float(ua.max()))
+        _refuse_outside(pop.f, seen, "link")
+        _refuse_outside(rule.speed, seen, "speed")
         ua, du = ua[:, None], (ub - ua)[:, None]
 
         def pays(t, xs):
@@ -445,6 +465,9 @@ def _setup(rule: GrowthRule, game: Game, x0, opponent):
     else:
         pops = [_Population(z, game.payoff, np.flatnonzero(z > -np.inf),
                             rule.effective_link, "strategy {}", meets=0)]
+    for k, pop in enumerate(pops):
+        _refuse_outside(pop.f, pop.hull, f"population {k + 1} link" if len(pops) == 2 else "link")
+    _refuse_outside(rule.speed, pops[0].hull, "speed")
     mats = [(pop.meets, pop.payoffs.T) for pop in pops]
     return (pops, lambda t, xs: [xs[q].dot(mat) for q, mat in mats],
             "coupled" if len(pops) == 2 else "self")
@@ -527,24 +550,23 @@ def _log_field(pops, pays, speed):
     """Right-hand side over a (B, N) log-state: the populations' support logs
     side by side, one row per run; pays gives their payoffs (see _setup).
 
+    The links only clamp: _setup has refused any link or speed factor
+    whose padded domain misses the payoffs the run can see, and payoffs
+    against mixtures, and mean payoffs, stay within them but for rounding
+    dust inside the domain pad (a script's rows sum to one within 1e-12).
     field(t, z, t0, step) fails with an IntegrationError that reports t0,
-    the start of the step being taken, and the step count: on a payoff
-    outside a link's domain (first run, then strategy) or a speed factor
-    that is not positive. Payoffs against mixtures, and mean payoffs, stay
-    within the hull of the rows but for rounding dust inside the links'
-    domain pad (a script's rows sum to one within 1e-12). So a link's values
-    are scanned for nan only where hull_inside fails, and speed factors only
-    where the speed is not positive on the hull widened by its domain pad.
-    Returns (field, slices of the populations).
+    the start of the step being taken, the step count and the first run at
+    fault where a speed factor is not positive; the speed factors are
+    scanned only where the speed is not positive on the hull widened by its
+    domain pad. Returns (field, slices of the populations).
     """
     ends = np.cumsum([len(pop.z) for pop in pops])
     slices = [slice(int(e) - len(pop.z), int(e)) for pop, e in zip(pops, ends)]
-    plan = [(pop, array_link(pop.f, pop.hull), not hull_inside(pop.f, pop.hull))
-            for pop in pops]
+    links = [array_link(pop.f) for pop in pops]
     speed_link = scanned = None
     if speed is not None:
         (lo, hi), pad = pops[0].hull, domain_pad(speed)
-        speed_link = array_link(speed, pops[0].hull)
+        speed_link = array_link(speed)
         scanned = _speed_faults(speed_link(_extremes(speed, lo - pad, hi + pad))).any()
     add, top = np.add.reduce, np.maximum.reduce
 
@@ -559,19 +581,14 @@ def _log_field(pops, pays, speed):
         us = pays(t, xs)
         if speed_link is not None:
             mean = add(xs[0] * us[0], axis=1)
-        for (pop, f, check), x, u in zip(plan, xs, us):
+        for f, x, u in zip(links, xs, us):
             g = f(u)
-            gbar = add(x * g, axis=1, keepdims=True)
-            if check and np.isnan(gbar).any():
-                b, i = np.argwhere(np.isnan(g))[0]
-                raise pop.domain_error(int(i), t0, step, member=int(b))
-            np.subtract(g, gbar, out=x)
+            np.subtract(g, add(x * g, axis=1, keepdims=True), out=x)
         if speed_link is not None:
             lam = speed_link(mean)
             if scanned and _speed_faults(lam).any():
-                raise IntegrationError(
-                    f"speed factor not positive (or outside its table) near t={t0:g}",
-                    t=t0, step=step, member=int(np.argmax(_speed_faults(lam))))
+                raise IntegrationError(f"speed factor not positive near t={t0:g}", t=t0,
+                                       step=step, member=int(np.argmax(_speed_faults(lam))))
             np.multiply(d, lam[:, None], out=d)
         return d
 
@@ -724,24 +741,17 @@ _GL_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
 _GL_X, _GL_W = np.append(-_GL_X, _GL_X[::-1]), np.append(_GL_W, _GL_W[::-1])
 
 
-def _exact_flow(pop, schedule: Schedule, t_max: float, times):
+def _exact_flow(pop, schedule: Schedule, times):
     """The run against a script with no speed factor, integrated exactly at
     the sample times (see the module docstring), the link taken at the
-    argument clamped to its domain as array_link takes it. A payoff leaving
-    the padded domain before t_max fails where it crosses the edge, earliest
-    crossing then lowest strategy first, and the first sample whose logs
-    overflow fails as a non-finite state. Returns ([logs at each sample], max
-    drift over the normalized samples, rows of the link or F evaluated)."""
-    f, starts, n = pop.f, schedule.times, len(pop.z)
+    argument clamped to its domain as array_link takes it; _setup has
+    checked that domain against the script's payoffs. The first sample
+    whose logs overflow fails as a non-finite state. Returns ([logs at each
+    sample], max drift over the normalized samples, rows of the link or F
+    evaluated)."""
+    f, starts = pop.f, schedule.times
     lengths = np.append(starts[1:], schedule.period) - starts
     ua, ub = _piece_payoffs(pop, schedule)
-    lo, hi = f.domain[0] - domain_pad(f), f.domain[1] + domain_pad(f)
-    into = lengths[:, None] * (np.clip(ub, lo, hi) - ua) / (ub - ua)
-    cross = starts[:, None] + np.where((ua < lo) | (ua > hi), 0.0,
-                                       np.where((ub < lo) | (ub > hi), into, np.inf))
-    first = int(np.argmin(cross))
-    if cross.flat[first] < t_max:
-        raise pop.domain_error(first % n, float(cross.flat[first]), 0, member=0)
     # the mean of f along each piece, then along each sample's part of its
     # piece: rows of paths from ua to ub
     cycles, k, w = _script_piece(schedule, times)
@@ -759,8 +769,14 @@ def _exact_flow(pop, schedule: Schedule, t_max: float, times):
         a, b = ua[rows, :, None], ub[rows, :, None]
         g = _eval_unchecked(f, np.clip(0.5 * (a + b) + 0.5 * (b - a) * _GL_X, *f.domain))
         mean[rows] = np.where(cancels[rows], 0.5 * (g @ _GL_W), mean[rows])
-    areas = np.append(lengths, w * lengths[k])[:, None] * mean
+    spans = np.append(lengths, w * lengths[k])[:, None]
+    areas = spans * mean
     areas -= areas.mean(axis=1, keepdims=True)  # the common shift, kept off the sums
+    if not np.isfinite(areas).all():
+        # a row whose area overflows, though its mean of f does not, sheds
+        # the shift before it is scaled by its span
+        over = np.isfinite(mean).all(axis=1) & ~np.isfinite(areas).all(axis=1)
+        areas[over] = spans[over] * (mean[over] - mean[over].mean(axis=1, keepdims=True))
     z, drift = _fold(pop.z, areas[:len(starts)], cycles, k, areas[len(starts):])
     bad = ~np.isfinite(z).all(axis=1)
     if bad.any():
@@ -810,7 +826,9 @@ def integrate(rule: GrowthRule, game: Game, x0,
     a Schedule scripts the column player; a Coupled instance evolves a second
     population by its own rule. In self-play x0 may be a (B, n) array of
     starts sharing one support: the B runs go in one call, log_states has
-    shape (samples, B, n) and meta["members"] is B.
+    shape (samples, B, n) and meta["members"] is B. A link or speed factor
+    whose padded domain misses the payoffs the run can see is refused with
+    a ValueError before any growth rate is evaluated (_setup).
 
     The samples are the start, every sample_every-th point of the grid of
     spacing _DT = 1e-3 time units cut at the script's breakpoints (_grid),
@@ -846,7 +864,7 @@ def integrate(rule: GrowthRule, game: Game, x0,
     if scripted and rule.speed is None and rule.effective_link.family != "effective":
         # masked by np.where, or refused as a non-finite state
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            samples, max_drift, evals = _exact_flow(pops[0], opponent, t_max, times)
+            samples, max_drift, evals = _exact_flow(pops[0], opponent, times)
         stats = {"method": "exact", "steps": 0, "rejected": 0, "rhs_evals": evals,
                  "h_min": None, "h_max": None, "rtol": None}
     else:

@@ -288,42 +288,24 @@ def increasing_on(f: LinkFunction, lo: float, hi: float) -> bool:
     return bool(_signs(f, lo, hi, 1)[0] > 0)
 
 
-def scalar_link(f: LinkFunction, within=None):
-    """Per-float evaluator of f for the float map: nan outside the padded
-    domain, otherwise f at the argument clamped to the domain; only the
-    clamp where hull_inside holds for within, a promised range of every
-    argument. The formula is _formula's, for Python floats; a table is read
+def scalar_link(f: LinkFunction):
+    """Per-float evaluator of f for the float map: f at the argument clamped
+    to its domain. A run refuses a link whose padded domain misses the
+    payoffs it can see (dynamics._setup), so the clamp takes off rounding
+    dust only. The formula is _formula's, for Python floats; a table is read
     by np.interp, as on every path, and gives np.float64 values."""
     lo, hi = f.domain
-    lo_pad, hi_pad = lo - domain_pad(f), hi + domain_pad(f)
     fn = _formula(f, math)
-    if within is not None and hull_inside(f, within):
-        return lambda u: fn(lo if u < lo else hi if u > hi else u)
-
-    def evaluate(u):
-        if not lo_pad <= u <= hi_pad:
-            return math.nan
-        return fn(lo if u < lo else hi if u > hi else u)
-
-    return evaluate
+    return lambda u: fn(lo if u < lo else hi if u > hi else u)
 
 
-def array_link(f: LinkFunction, within=None):
-    """Array evaluator of f for the NumPy paths: like scalar_link, nan
-    outside the padded domain and f at the clamped argument inside it, and
-    only clamping where hull_inside holds for within."""
-    lo, hi = f.domain
-    pad, fn = domain_pad(f), _formula(f, np)
-    if within is not None and hull_inside(f, within):
-        low, high = np.array(lo), np.array(hi)  # 0-d, as _formula's coefficients
-        return lambda u: fn(np.minimum(np.maximum(u, low), high))
-
-    def evaluate(u):
-        vals = fn(np.clip(u, lo, hi))
-        vals[~((u >= lo - pad) & (u <= hi + pad))] = np.nan
-        return vals
-
-    return evaluate
+def array_link(f: LinkFunction):
+    """Array evaluator of f for the NumPy paths: like scalar_link, f at the
+    argument clamped to its domain."""
+    # 0-d, as _formula's coefficients
+    low, high = np.array(f.domain[0]), np.array(f.domain[1])
+    fn = _formula(f, np)
+    return lambda u: fn(np.minimum(np.maximum(u, low), high))
 
 
 @dataclass(frozen=True)

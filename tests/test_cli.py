@@ -760,6 +760,38 @@ def test_a_number_list_may_start_with_a_minus_sign(argv, capsys):
     assert capsys.readouterr() == want and want.err == ""
 
 
+def test_a_negative_number_in_any_float_form_is_a_value(capsys):
+    # argparse reads a negative number after a space as a value only in
+    # forms such as -1 and -0.5, and -1e-3 as an option of its own
+    argv = ["rps-direction", "--abc", "2,4,1", "--link", "linear:1,0"]
+    assert main(argv + ["--discrete-C=-1e-3"]) == 0
+    want = capsys.readouterr()
+    assert main(argv + ["--discrete-C", "-1e-3"]) == 0
+    assert capsys.readouterr() == want and want.err == ""
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["rps-direction", "--abc", "2,4,1", "--link", "linear:1,0", "--discrete-C", "-inf"],
+     "error: --discrete-C must be finite, got -inf\n"),
+    (["scenario", "discussion", "--t-max", "-1e3"],
+     "error: t_max must be positive, got -1000.0\n"),
+], ids=["discrete-C", "t-max"])
+def test_a_negative_number_after_a_space_reaches_its_check(argv, line, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", line)
+
+
+def test_simulate_refuses_a_link_domain_that_misses_the_payoffs(tmp_path, capsys):
+    # the discussion game's payoffs span [0, 3]
+    cfg = write_json(tmp_path / "narrow.json", {
+        "game": {"payoff": DISCUSSION_PAYOFF}, "x0": [0.4, 0.4, 0.2],
+        "rule": {"kind": "payoff-functional", "link": "sqrt@0,1.5"},
+        "integrator": {"t_max": 5.0}})
+    assert main(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr() == ("", "error: link domain [0, 1.5] does not hold the payoffs "
+                                       "[0.0, 3.0] its run can see\n")
+
+
 # flag sets of rps-direction: --link gives the flow's f, --discrete-C C the
 # generation map's ln(C + f), neither the replicator. Each report is pinned
 # by the first 16 hex digits of its sha256: the bytes the same run printed

@@ -11,6 +11,7 @@ block loop with each generation's increments computed on their own.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,45 @@ def test_exact_flow_stops_at_the_first_sample_that_overflows():
     assert (err.value.t, err.value.step, err.value.member) == (7200.0, 0, 0)
 
 
+def test_a_piece_whose_area_overflows_sheds_the_common_shift_first():
+    # a half period's area at payoff 1e307, 50 x 5e306, passes the largest
+    # double, but ln x0 - ln x1 is 1e307 (t - t^2 / 50) on the first piece,
+    # at most 1.25e308, and 1e307 (s^2 / 50 - s) at s = t - 50 on the second
+    script = Schedule(100.0, [0.0, 50.0], [[1.0, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(GrowthRule(), Game([[1e307, 0.0], [0.0, 1e307]]), [0.5, 0.5],
+                         opponent=script, t_max=60.0)
+    t = traj.times
+    s = np.where(t <= 50.0, t, t - 50.0)
+    want = 1e307 * np.where(t <= 50.0, s - s * s / 50.0, s * s / 50.0 - s)
+    got = traj.log_states[:, 0] - traj.log_states[:, 1]
+    # relative to the payoff scale 1e307 where the closed form nears 0
+    assert len(t) == 601 and np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1e307))
+
+
+def test_a_script_is_checked_against_the_payoffs_it_plays():
+    # the script mixes both columns, so its payoffs span [3, 6] of the rows'
+    # [0, 8]; a link on [3, 6] runs on every path bit for bit as one on
+    # [0, 8], and so does a table speed on [3, 6], which forces the stepper
+    game = Game([[0.0, 8.0], [6.0, 2.0], [1.0, 5.0]])
+    script = Schedule(4.0, [0, 2], [[0.5, 0.5], [0.25, 0.75]])
+    x0 = (0.2, 0.3, 0.5)
+    speed = table_link([3.0, 6.0], [0.5, 2.0])
+    runs = {
+        "exact": lambda f: integrate(GrowthRule(f), game, x0, opponent=script, t_max=9.0),
+        "dop853": lambda f: integrate(GrowthRule(f, speed), game, x0, opponent=script,
+                                      t_max=9.0),
+        "map": lambda f: iterate(GrowthRule(f), game, x0, opponent=script, n_max=50,
+                                 background=affine_background(1.0, 0.1), sample_every=1),
+    }
+    for method, run in runs.items():
+        narrow, wide = run(sqrt_link((3.0, 6.0))), run(sqrt_link((0.0, 8.0)))
+        assert narrow.meta.get("method", "map") == method
+        np.testing.assert_array_equal(narrow.log_states, wide.log_states)
+
+
 def test_rk4_converges_to_the_exact_flow_at_fourth_order():
     rule = GrowthRule(exp_link(1.0, (0.0, 2.0)))
     exact = integrate(rule, G4, X4, opponent=S3, t_max=5.0).log_states[-1]
@@ -214,30 +254,18 @@ def test_exact_flow_at_a_sample_does_not_depend_on_the_other_samples():
 
 def test_closed_form_flow_fails_where_the_stepper_fails():
     # On WAVE's crossfade from t = 2, strategy 1's payoff 2.1 (t - 2) leaves
-    # (0, 1.5) first, strategy 0's 1.9 (t - 2) after it. The exact path fails
-    # at the crossing itself. A constant speed table forces the stepper,
-    # which fails at the start of the step whose stage left the domain, on
-    # the lowest strategy out of it there: its step from t = 2 reaches past
-    # both crossings.
+    # (0, 1.5) at t = 2.714. The exact path and the stepper, which a
+    # constant speed table forces, refuse the link alike before the run
+    # starts, even at a horizon that ends before the crossing: the script's
+    # table of payoffs reaches 2.1.
     game = Game([[0.0, 1.9], [0.0, 2.1], [0.5, 0.5]])
     rule = GrowthRule(sqrt_link((0.0, 1.5)))
-    x0 = (0.3, 0.3, 0.4)
     forced = GrowthRule(rule.link, speed=table_link([-1.0, 3.0], [1.0, 1.0]))
-    with pytest.raises(IntegrationError, match=r"near t=2 \(strategy 0\)$") as stepped:
-        integrate(forced, game, x0, opponent=WAVE, t_max=7.5)
-    assert stepped.value.step == 5
-    crossing = 2.0 + (1.5 + 1e-12 * 2.5) / 2.1
-    with pytest.raises(IntegrationError, match=r"near t=2\.71429 \(strategy 1\)$") as exact:
-        integrate(rule, game, x0, opponent=WAVE, t_max=7.5)
-    assert exact.value.t == pytest.approx(crossing, rel=0.0, abs=1e-14)
-    assert stepped.value.t <= crossing
-    assert (exact.value.step, exact.value.member) == (0, 0)
-    # a horizon that ends before the crossing runs to its end
-    for t_max in (crossing - 1e-9, 2.7):
-        traj = integrate(rule, game, x0, opponent=WAVE, t_max=t_max)
-        assert traj.times[-1] == t_max
-    with pytest.raises(IntegrationError):
-        integrate(rule, game, x0, opponent=WAVE, t_max=crossing + 1e-9)
+    for run, t_max in ((forced, 7.5), (rule, 7.5), (rule, 2.7)):
+        with pytest.raises(ValueError) as err:
+            integrate(run, game, (0.3, 0.3, 0.4), opponent=WAVE, t_max=t_max)
+        assert str(err.value) == ("link domain [0, 1.5] does not hold the payoffs [0.0, 2.1] "
+                                  "its run can see")
 
 
 def test_the_stepper_finds_the_script_piece_bit_for_bit_like_the_exact_path():
@@ -481,12 +509,16 @@ def test_closed_form_map_fails_where_the_steps_fail():
 
 def test_closed_form_map_domain_failure_wins_over_the_numerator():
     # at generation 0 strategy 0 leaves the domain and strategy 1's numerator
-    # is negative; the domain check comes first, as on the stepper
+    # is negative; the link is refused before any generation, as on the
+    # stepper
     game = Game([[5.0, 5.0], [0.5, 0.5]])
     script = Schedule(2.0, [0.0], [[1.0, 0.0]])
     rule = GrowthRule(linear_link(1.0, 0.0, (0.0, 2.0)))
     with pytest.raises(DomainError):
         oracles.step(rule, game, (0.5, 0.5), (1.0, 0.0), C=-1.0)
-    with pytest.raises(IntegrationError, match=r"link domain near t=0 \(strategy 0\)"):
-        iterate(rule, game, (0.5, 0.5), opponent=script, n_max=5,
-                background=constant_background(-1.0))
+    for opponent in (script, None):
+        with pytest.raises(ValueError) as err:
+            iterate(rule, game, (0.5, 0.5), opponent=opponent, n_max=5,
+                    background=constant_background(-1.0))
+        assert str(err.value) == ("link domain [0, 2] does not hold the payoffs [0.5, 5.0] "
+                                  "its run can see")

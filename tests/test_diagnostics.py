@@ -10,7 +10,7 @@ from egtlab.diagnostics import (elimination_metrics, least_squares_slope,
                                 taylor_sign_check, verdict, w_series)
 from egtlab.dynamics import GrowthRule, IntegrationError, Trajectory, integrate
 from egtlab.games import Game, pure, uniform
-from egtlab.links import DomainError, exp_link, linear_link, sqrt_link
+from egtlab.links import exp_link, linear_link
 from egtlab.scenarios import build_rps4
 from oracles import vector_field, w_rate
 
@@ -253,22 +253,6 @@ def test_cycle_probe_keeps_the_speed_factor_error():
     game = cycle_game(-1.0, 2.0, -2.0)
     with pytest.raises(IntegrationError, match="speed factor"):
         taylor_sign_check(rule, game)
-
-
-def test_cycle_probe_reports_the_first_draw_outside_the_link_domain():
-    # the payoffs near the center average 1/3, so a draw fails where its
-    # smallest payoff falls below the domain's 0.33
-    rule = GrowthRule(link=sqrt_link((0.33, 3.0)))
-    game = cycle_game(1.0, 2.0, -2.0)
-    for first, x in enumerate(probe_states(0.01, 0)):
-        try:
-            vector_field(rule, game, x)
-        except DomainError:
-            break
-    assert first > 0
-    with pytest.raises(IntegrationError, match=r"link domain .*\(strategy \d\)") as err:
-        taylor_sign_check(rule, game)
-    assert err.value.member == first
 
 
 def test_cycle_probe_validation():

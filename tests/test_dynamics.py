@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import oracles
-from egtlab import dynamics
+from egtlab import dynamics, links
+from egtlab.diagnostics import taylor_sign_check
+from egtlab.discrete import iterate
 from egtlab.dynamics import (_DT, Coupled, GrowthRule, IntegrationError, Schedule, _grid,
                              _log_field, _setup, eval_schedule, integrate,
                              write_trajectory_csv)
 from egtlab.games import Game, SimplexError, pure
-from egtlab.links import exp_link, linear_link, sqrt_link
+from egtlab.links import exp_link, linear_link, sqrt_link, table_link
 
 DISCUSSION = Game([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [2.0, 2.0, 1.0]])
 GAP_GAME = Game([[1.0, 1.0], [0.0, 0.0]])  # payoffs (1, 0) whatever y does
@@ -267,10 +269,10 @@ def test_coupled_domain_failure_names_the_second_population():
     opp = Game([[0.5, 0.5], [0.5, 0.5], [2.0, 2.0]])
     partner = Coupled(opp, GrowthRule(link=exp_link(1.0, (0.0, 1.0))),
                       np.full(3, 1.0 / 3.0))
-    with pytest.raises(IntegrationError,
-                       match=r"link domain near t=0 \(population 2 strategy 2\)") as err:
+    with pytest.raises(ValueError) as err:
         integrate(REPL, focal, (0.5, 0.5), opponent=partner, t_max=1.0)
-    assert (err.value.t, err.value.step) == (0.0, 0)
+    assert str(err.value) == ("population 2 link domain [0, 1] does not hold the payoffs "
+                              "[0.5, 2.0] its run can see")
 
 
 def test_self_play_needs_a_square_game():
@@ -280,9 +282,68 @@ def test_self_play_needs_a_square_game():
 
 def test_link_domain_violation_stops_the_run():
     rule = GrowthRule(link=exp_link(1.0, (0.0, 1.0)))
-    with pytest.raises(IntegrationError, match="domain") as err:
+    with pytest.raises(ValueError) as err:
         integrate(rule, DISCUSSION, (0.4, 0.4, 0.2), t_max=1.0)
-    assert err.value.t is not None
+    assert str(err.value) == ("link domain [0, 1] does not hold the payoffs [0.0, 3.0] "
+                              "its run can see")
+
+
+NARROW = GrowthRule(exp_link(1.0, (0.0, 1.0)))
+SQRT = GrowthRule(sqrt_link((0.0, 1.5)))
+X3 = (0.4, 0.4, 0.2)
+# strategy 1's payoff leaves (0, 1.5) as the script crossfades to column 1
+WAVE_GAME = Game([[0.0, 1.9], [0.0, 2.1], [0.5, 0.5]])
+WAVE = Schedule(6.0, [0.0, 2.0, 3.0, 5.0], [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+# payoffs 3 .. 6 against this script, of the rows' 0 .. 8
+MIXED_GAME = Game([[0.0, 8.0], [6.0, 2.0], [1.0, 5.0]])
+MIXED = Schedule(4.0, [0.0, 2.0], [[0.5, 0.5], [0.25, 0.75]])
+CYCLE = Game([[1.0, -2.0, 2.0], [2.0, 1.0, -2.0], [-2.0, 2.0, 1.0]])
+CYCLE_RULE = GrowthRule(sqrt_link((0.33, 3.0)))
+SPEEDS = [GrowthRule(speed=table_link([0.0, 2.0], [1.0, 2.0])),
+          GrowthRule(speed=table_link([3.5, 6.0], [1.0, 2.0]))]
+# (run, its whole message): a link, or a speed factor over the mean payoff,
+# whose padded domain misses the payoffs its run can see
+REFUSALS = {
+    "self-play": (lambda: integrate(NARROW, DISCUSSION, X3, t_max=1.0),
+                  "link domain [0, 1] does not hold the payoffs [0.0, 3.0] its run can see"),
+    "self-play map": (lambda: iterate(NARROW, DISCUSSION, X3, n_max=5),
+                      "link domain [0, 1] does not hold the payoffs [0.0, 3.0] its run can see"),
+    "batch": (lambda: integrate(NARROW, DISCUSSION, [X3, (0.2, 0.3, 0.5)], t_max=1.0),
+              "link domain [0, 1] does not hold the payoffs [0.0, 3.0] its run can see"),
+    "coupled": (lambda: integrate(REPL, Game([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), (0.5, 0.5),
+                                  opponent=Coupled(Game([[0.5, 0.5], [0.5, 0.5], [2.0, 2.0]]),
+                                                   NARROW, np.full(3, 1.0 / 3.0)),
+                                  t_max=1.0),
+                "population 2 link domain [0, 1] does not hold the payoffs [0.5, 2.0] "
+                "its run can see"),
+    "scripted": (lambda: integrate(SQRT, WAVE_GAME, X3, opponent=WAVE, t_max=2.7),
+                 "link domain [0, 1.5] does not hold the payoffs [0.0, 2.1] its run can see"),
+    "scripted map": (lambda: iterate(SQRT, WAVE_GAME, X3, opponent=WAVE, n_max=2),
+                     "link domain [0, 1.5] does not hold the payoffs [0.0, 2.1] "
+                     "its run can see"),
+    "speed": (lambda: integrate(SPEEDS[0], DISCUSSION, X3, t_max=1.0),
+              "speed domain [0, 2] does not hold the payoffs [0.0, 3.0] its run can see"),
+    "scripted speed": (lambda: integrate(SPEEDS[1], MIXED_GAME, X3, opponent=MIXED,
+                                         t_max=1.0),
+                       "speed domain [3.5, 6] does not hold the payoffs [3.0, 6.0] "
+                       "its run can see"),
+    "cycle probe": (lambda: taylor_sign_check(CYCLE_RULE, CYCLE),
+                    "link domain [0.33, 3] does not hold the payoffs [-2.0, 2.0] "
+                    "its run can see"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_a_link_that_misses_the_payoffs_its_run_can_see_is_refused_at_setup(case, monkeypatch):
+    # every link is built above; from here on, a link evaluated fails the test
+    def evaluated(*args):
+        raise AssertionError("a link was evaluated before the refusal")
+
+    monkeypatch.setattr(links, "_formula", evaluated)
+    run, message = REFUSALS[case]
+    with pytest.raises(ValueError) as err:
+        run()
+    assert str(err.value) == message
 
 
 def test_nonpositive_speed_factor_stops_the_run():

@@ -71,8 +71,6 @@ def test_scalar_link_agrees_with_eval_link(f):
     # NumPy's vector exp/log/pow may differ from libm in the last bit
     np.testing.assert_allclose([fast(float(u)) for u in points],
                                eval_link(f, points), rtol=1e-15, atol=0.0)
-    for u in (lo - 2.0 * pad, hi + 2.0 * pad, math.nan, math.inf):
-        assert math.isnan(fast(u))
 
 
 # (family, params, domain) where the family is undefined: each is refused by
@@ -419,12 +417,10 @@ def test_array_link_agrees_with_scalar_link(f):
     lo, hi = f.domain
     pad = domain_pad(f)
     u = np.concatenate([np.linspace(lo, hi, 41),
-                        [lo - 0.5 * pad, hi + 0.5 * pad, lo - 2.0 * pad, hi + 2.0 * pad,
-                         math.nan, math.inf]])
+                        [lo - 0.5 * pad, hi + 0.5 * pad, lo - 2.0 * pad, hi + 2.0 * pad]])
     fast = scalar_link(f)
     want = [fast(float(v)) for v in u]
     got = array_link(f)(u)
-    assert np.isnan(got).sum() == 4
     # NumPy's vector exp/log/pow may differ from libm in the last bit
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
@@ -453,24 +449,21 @@ def test_array_link_is_eval_link_to_the_bit(f):
     # libm, whose exp and pow may differ from NumPy's vector loops in the
     # last bit: it is its closed form on floats to the bit
     floats = np.array([_closed_form(f, v, math) for v in np.clip(u, lo, hi).ravel().tolist()])
-    for within in (None, (lo, hi)):
-        np.testing.assert_array_equal(array_link(f, within)(u).view(np.int64), want)
-        fn = scalar_link(f, within)
-        np.testing.assert_array_equal(np.array([fn(v) for v in u.ravel().tolist()]).view(np.int64),
-                                      floats.view(np.int64))
+    np.testing.assert_array_equal(array_link(f)(u).view(np.int64), want)
+    fn = scalar_link(f)
+    np.testing.assert_array_equal(np.array([fn(v) for v in u.ravel().tolist()]).view(np.int64),
+                                  floats.view(np.int64))
 
 
 @pytest.mark.parametrize("f", FAMILY_LINKS, ids=lambda f: f.family)
 def test_links_within_a_hull_inside_the_domain_only_clamp(f):
+    # a run whose payoff hull leaves the padded domain is refused at setup,
+    # so both evaluators take any argument to the nearer end of the domain
     lo, hi = f.domain
     pad = domain_pad(f)
-    hull = (lo - pad, hi + pad)
-    assert hull_inside(f, hull) and hull_inside(f, (lo, lo))
+    assert hull_inside(f, (lo - pad, hi + pad)) and hull_inside(f, (lo, lo))
     assert not hull_inside(f, (lo - 2.0 * pad, hi)) and not hull_inside(f, (lo, hi + 2.0 * pad))
-    u = np.concatenate([np.linspace(lo, hi, 41), [lo - 0.5 * pad, hi + 0.5 * pad]])
-    want = [scalar_link(f)(float(v)) for v in u]
-    assert [scalar_link(f, within=hull)(float(v)) for v in u] == want
-    np.testing.assert_allclose(array_link(f, within=hull)(u), want, rtol=1e-15, atol=0.0)
-    # a hull that leaves the padded domain keeps the nan outside it
-    assert math.isnan(scalar_link(f, within=(lo - 2.0 * pad, hi))(lo - 2.0 * pad))
-    assert np.isnan(array_link(f, within=(lo, hi + 2.0 * pad))(np.array([hi + 2.0 * pad])))[0]
+    u = [lo - 2.0 * pad, lo - 0.5 * pad, hi + 0.5 * pad, hi + 2.0 * pad]
+    ends = [lo, lo, hi, hi]
+    assert [scalar_link(f)(v) for v in u] == [scalar_link(f)(v) for v in ends]
+    np.testing.assert_array_equal(array_link(f)(np.array(u)), array_link(f)(np.array(ends)))
